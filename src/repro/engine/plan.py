@@ -62,6 +62,7 @@ from ..core import ops as core_ops
 from ..core.ops import folds
 from ..kernels import DEFAULT_BACKEND
 from ..reliability import faults
+from ..streaming.prefetch import resolve_depth
 from ..streaming.sharded import ShardedStore, open_store
 from ..streaming.sources import (STORE_TYPES, aligned_chunks, check_stores,
                                  require_pyblaz)
@@ -525,6 +526,11 @@ class Plan:
                 slots = tuple(slot for slot, _ in source_items)
                 kernel = None
                 kernel_resolved = False
+                run_stats["prefetch_depth"] = max(
+                    [run_stats["prefetch_depth"]]
+                    + [resolve_depth(prefetch, source.n_chunks)
+                       for source in sources if isinstance(source, STORE_TYPES)]
+                )
                 iterator = aligned_chunks(sources, prefetch=prefetch)
                 sentinel = object()
                 try:
@@ -599,9 +605,10 @@ class Plan:
         (``docs/performance.md``): ``None`` auto-enables it, ``0`` keeps the
         strictly serial read→decode loop, a positive integer sets the
         in-flight span window.  Results are bit-identical either way.
-        :attr:`last_execution` reports the resolved ``prefetch_depth`` and
-        ``io_seconds`` — the wall time sweeps spent blocked waiting on chunk
-        fetches.
+        :attr:`last_execution` reports ``prefetch_depth`` — the deepest
+        readahead window a chunk sweep actually ran with (``0`` when every
+        sweep read serially or no sweep ran) — and ``io_seconds``, the wall
+        time sweeps spent blocked waiting on chunk fetches.
 
         ``backend`` selects the kernel backend executing the fused chunk
         steps (registry names — see ``repro backends``): the default
@@ -617,8 +624,7 @@ class Plan:
         what actually ran.
         """
         self._validate_sources()
-        from ..streaming.prefetch import resolve_depth
-
+        resolve_depth(prefetch)  # reject a bad setting before any sweep starts
         requested = backend if backend is not None else self.default_backend
         resolved, fallback = plan_compile.resolve_backend(requested, self.sources)
         run_stats = {
@@ -631,7 +637,7 @@ class Plan:
             "runtime_fallbacks": 0,
             "compile_seconds": 0.0,
             "io_seconds": 0.0,
-            "prefetch_depth": resolve_depth(prefetch),
+            "prefetch_depth": 0,
         }
         states: dict = {}
         means: dict[int, float] = {}

@@ -36,22 +36,21 @@ Three layers:
   append order).  Results match the in-memory :mod:`repro.core.ops` on the
   assembled array bit for bit (see ``docs/ops.md``); to evaluate *several*
   reductions in fused sweeps, use :func:`repro.engine.plan` directly
-  (``docs/engine.md``).  The historical
-  ``stream_mean``/``stream_l2_norm``/``stream_dot`` names remain as
-  deprecation shims.
-* :mod:`repro.streaming.prefetch` — the pipelined chunk I/O layer
-  (``docs/performance.md``): :class:`ChunkPrefetcher` fetches coalesced
-  record spans a bounded window ahead of the consumer on a small thread
-  pool, so decode/fold work overlaps the reads while chunk order, values and
-  counters stay bit-identical to the serial loop.  Default-on via
+  (``docs/engine.md``).
+* :mod:`repro.streaming.prefetch` — the one chunk reader
+  (``docs/performance.md``): coalesced record spans in, decoded chunks out in
+  index order.  :class:`ChunkPrefetcher` runs it a bounded window ahead of
+  the consumer on a small thread pool (default-on via
   ``iter_chunks(prefetch=None)`` across plans, streaming ops, sharded sweeps
-  and serving; ``prefetch=0`` restores the serial path.
+  and serving; ``prefetch=0`` is the serial ``read_chunk`` loop),
+  ``load_region`` runs it inline, and :func:`warm_store_cache` runs it to
+  warm the serving cache.  Chunk order, values and counters stay
+  bit-identical to the serial loop.
 """
 
 from . import ops
 from .chunked import ChunkedCompressor, stream_compress
 from .prefetch import ChunkPrefetcher, coalesce_spans, resolve_depth, warm_store_cache
-from .reductions import stream_dot, stream_l2_norm, stream_mean
 from .sharded import (
     ShardedStore,
     append_shard,
@@ -79,7 +78,4 @@ __all__ = [
     "ops",
     "refresh_partials",
     "stream_compress",
-    "stream_mean",
-    "stream_l2_norm",
-    "stream_dot",
 ]

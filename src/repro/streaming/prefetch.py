@@ -1,13 +1,23 @@
-"""Pipelined chunk readahead: coalesced record fetches ahead of the consumer.
+"""The chunk reader: store chunk indices in, decoded chunks out, in order.
 
-Every sweep in the repo — fused plan passes, streaming structural ops, sharded
-incremental folds, coalesced serving batches — walks chunks in a strict
-``pread → decode → fold`` loop, so the CPU idles during I/O and the disk idles
-during decode/fold.  :class:`ChunkPrefetcher` overlaps the two: a small thread
-pool fetches **payload spans** (adjacent chunk records coalesced into one
-``os.pread`` and split in memory) a bounded window ahead of the consumer,
-while the consumer thread decodes and yields chunks **in deterministic index
-order** — so every fold result stays bit-identical to the serial path.
+This module is the only code that turns chunk indices into decoded chunks.
+One pipeline does it — :func:`_segment_tasks` splits the indices per
+underlying store file, :func:`coalesce_spans` groups adjacent records into
+**payload spans** (one ``os.pread`` each, split in memory), :func:`_fetch_span`
+resolves a span from the chunk cache or the file, and :func:`_consume` decodes,
+caches and counts each chunk in request order.  Three callers drive it:
+
+* :class:`ChunkPrefetcher` — pooled readahead for sweeps (``iter_chunks``,
+  fused plan passes, streaming ops, sharded sweeps): a small thread pool
+  fetches spans a bounded window ahead while the consumer thread decodes, so
+  the CPU and the disk overlap and every fold stays bit-identical to the
+  serial loop.  Depth ``0`` is the per-chunk ``read_chunk`` reference loop
+  (one pread per chunk) the readahead is measured against.
+* :func:`read_inline` — the thread-free mode ``load_region`` uses on both
+  store kinds: each span is fetched when the consumer reaches it (a pool
+  costs more than it hides on a short window).
+* :func:`warm_store_cache` — the serving warm path: decodes uncached chunks
+  into the attached cache with ``prefetched=True``, counting no logical read.
 
 Division of labour, chosen by measurement rather than symmetry:
 
@@ -23,16 +33,17 @@ Division of labour, chosen by measurement rather than symmetry:
   :data:`DEFAULT_SPAN_BYTES` (capped at :data:`DEFAULT_SPAN_CHUNKS`) merge
   into one positional read and one future.
 
-Fault tolerance matches the synchronous path exactly: span fetches run through
+Fault tolerance matches the serial loop: span fetches run through
 :meth:`repro.streaming.CompressedStore.read_payload_span`, where the
 fault-injection hooks fire per chunk, version-3 CRCs are verified per chunk,
-and any failure falls back to the per-chunk
+and a failed span falls back to the per-chunk
 :meth:`~repro.streaming.CompressedStore.read_payload` seam with its full retry
-policy.  Exceptions surface at the failing chunk's position in the yielded
-order, exactly as a serial reader would see them.
+policy.  A chunk whose read still fails keeps its error, and the error is
+raised at that chunk's position: every chunk before it in request order is
+yielded first, exactly as the serial loop yields them.
 
-Accounting: payload fetches count into ``chunks_prefetched`` as the worker
-completes them; ``chunks_read`` still counts only chunks actually *consumed*
+Accounting: span reads count their payloads into ``chunks_prefetched`` when
+the read completes; ``chunks_read`` counts only chunks actually *consumed*
 (yielded or cache-served), so an aborted pipeline leaves
 ``chunks_prefetched > chunks_read`` instead of silently inflating the read
 counters that pass-count tests assert on.
@@ -48,6 +59,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "ChunkPrefetcher",
     "coalesce_spans",
+    "read_inline",
     "resolve_depth",
     "warm_store_cache",
     "DEFAULT_PREFETCH_WORKERS",
@@ -72,46 +84,48 @@ DEFAULT_SPAN_CHUNKS = 8
 _MIN_AUTO_CHUNKS = 4
 
 
-def resolve_depth(prefetch: int | None, *, n_chunks: int | None = None,
-                  workers: int = DEFAULT_PREFETCH_WORKERS) -> int:
+def resolve_depth(prefetch: int | None, n_chunks: int | None = None) -> int:
     """Resolve a user-facing ``prefetch`` setting into an in-flight span depth.
 
-    ``None`` selects auto: ~2× the fetch-worker count, except for stores of
-    fewer than a handful of chunks (when ``n_chunks`` is known) where the
-    serial path wins.  ``0`` disables prefetching outright; a positive integer
-    is used verbatim as the bounded window of span fetches in flight.
-    Negative values raise ``ValueError``.
+    ``None`` selects auto: 2× :data:`DEFAULT_PREFETCH_WORKERS`, except for
+    stores of fewer than a handful of chunks (when ``n_chunks`` is known)
+    where the serial path wins.  ``0`` disables prefetching outright; a
+    positive integer is used verbatim as the bounded window of span fetches
+    in flight — unless ``n_chunks`` is at most one, where there is nothing to
+    overlap and the reader runs serially.  Negative values raise
+    ``ValueError``.
     """
     if prefetch is None:
         if n_chunks is not None and n_chunks < _MIN_AUTO_CHUNKS:
             return 0
-        return 2 * max(1, int(workers))
+        return 2 * DEFAULT_PREFETCH_WORKERS
     depth = int(prefetch)
     if depth < 0:
         raise ValueError(f"prefetch depth must be >= 0, got {prefetch!r}")
+    if n_chunks is not None and n_chunks <= 1:
+        return 0
     return depth
 
 
-def coalesce_spans(extents: Sequence[tuple[int, int, int]], *,
+def coalesce_spans(extents: Sequence[tuple], *,
                    max_bytes: int = DEFAULT_SPAN_BYTES,
-                   max_chunks: int = DEFAULT_SPAN_CHUNKS,
-                   ) -> list[list[tuple[int, int, int]]]:
-    """Group ``(index, offset, n_bytes)`` records into contiguous read spans.
+                   max_chunks: int = DEFAULT_SPAN_CHUNKS) -> list[list[tuple]]:
+    """Group ``(index, offset, n_bytes, ...)`` records into contiguous read spans.
 
     A span extends while the next record starts exactly where the previous one
     ended (chunk records are written back to back, so any gap means the caller
     skipped a chunk), the span stays within ``max_bytes``, and it holds at
     most ``max_chunks`` records.  Every record lands in exactly one span, in
     input order; a single record larger than ``max_bytes`` gets its own span.
+    Fields after ``n_bytes`` ride along untouched.
     """
-    spans: list[list[tuple[int, int, int]]] = []
-    current: list[tuple[int, int, int]] = []
+    spans: list[list[tuple]] = []
+    current: list[tuple] = []
     current_bytes = 0
     for record in extents:
-        _, offset, n_bytes = record
+        offset, n_bytes = record[1], record[2]
         if current:
-            last_index, last_offset, last_bytes = current[-1]
-            contiguous = offset == last_offset + last_bytes
+            contiguous = offset == current[-1][1] + current[-1][2]
             fits = (current_bytes + n_bytes <= max_bytes
                     and len(current) < max_chunks)
             if not (contiguous and fits):
@@ -152,6 +166,77 @@ def _segment_tasks(store, indices: Iterable[int]) -> Iterator[tuple[object, list
         yield store.shard(run_shard), run
 
 
+def _coalesced(real, locals_: list[int]) -> list[list[int]]:
+    """Group one store file's local indices into coalesced span fetch units."""
+    extents = [(local, *real._record_extent(local)) for local in locals_]
+    return [[record[0] for record in span] for span in coalesce_spans(extents)]
+
+
+def _spans(store, indices: Iterable[int]) -> Iterator[tuple[object, list[int]]]:
+    """Yield ``(underlying store, local indices)`` fetch units lazily."""
+    for real, locals_ in _segment_tasks(store, indices):
+        for span in _coalesced(real, locals_):
+            yield real, span
+
+
+def _fetch_span(real, locals_: list[int], *, warm: bool = False) -> list[tuple[str, object]]:
+    """Resolve one span's chunks from cache or disk, one item per local index.
+
+    Items are ``("chunk", decoded)`` for a cache hit and ``("payload",
+    bytes)`` for a record read — or ``("payload", exc)`` when that record's
+    read failed for good, which :func:`_consume` raises at the chunk's
+    position.  The single cache lookup per chunk here replaces (not
+    duplicates) the one ``read_chunk`` would have done, so cache hit/miss
+    counters stay identical to the serial loop; the warm path skips it, its
+    caller having probed the cache silently.  Payloads count into
+    ``chunks_prefetched`` as soon as the span read completes.
+    """
+    cache = None if warm else real.chunk_cache
+    path = str(real.path)
+    hits = [cache.get((path, local)) if cache is not None else None
+            for local in locals_]
+    misses = [local for local, chunk in zip(locals_, hits) if chunk is None]
+    payloads = {}
+    if misses:
+        payloads = real.read_payload_span(misses)
+        real._note_prefetched(len(misses))
+    return [("chunk", chunk) if chunk is not None else ("payload", payloads[local])
+            for local, chunk in zip(locals_, hits)]
+
+
+def _consume(real, local: int, item: tuple[str, object], *, warm: bool = False):
+    """Decode one fetched item, cache it and count the logical read.
+
+    A stored read error is raised here, at the chunk's position.  The warm
+    path inserts with ``prefetched=True`` and counts no logical read.
+    """
+    kind, value = item
+    if kind == "chunk":
+        chunk = value
+    elif isinstance(value, Exception):
+        raise value
+    else:
+        chunk = real._chunk_from_payload(local, value)
+        cache = real.chunk_cache
+        if cache is not None:
+            cache.put((str(real.path), local), chunk, prefetched=warm)
+    if not warm:
+        real._note_read()
+    return chunk
+
+
+def read_inline(store, indices: Iterable[int]) -> Iterator:
+    """Yield ``indices``'s decoded chunks in order, fetching each span inline.
+
+    The thread-free caller of the reader (``load_region`` uses it): no pool,
+    no window — a span is fetched when the consumer reaches it, so at most
+    one span's payloads are resident and memory stays chunk-bounded.
+    """
+    for real, locals_ in _spans(store, indices):
+        for local, item in zip(locals_, _fetch_span(real, locals_)):
+            yield _consume(real, local, item)
+
+
 def _shutdown_pool(pool: ThreadPoolExecutor) -> None:
     """Finalizer body: stop the fetch pool, dropping any queued spans."""
     pool.shutdown(wait=True, cancel_futures=True)
@@ -173,8 +258,9 @@ class ChunkPrefetcher:
 
     Iterating a prefetcher yields the same decoded chunk objects, in the same
     order, as ``store.read_chunk(i) for i in indices`` — but record fetches
-    run up to ``depth`` coalesced spans ahead on a small thread pool, so the
-    consumer's decode/fold work overlaps the I/O.
+    run up to ``depth`` coalesced spans ahead on a pool of
+    :data:`DEFAULT_PREFETCH_WORKERS` threads, so the consumer's decode/fold
+    work overlaps the I/O.
 
     Parameters
     ----------
@@ -184,12 +270,10 @@ class ChunkPrefetcher:
     indices:
         Global chunk indices to yield, in order (default: every chunk).
     depth:
-        Maximum coalesced span fetches in flight (``None`` → auto, ~2× the
-        worker count).  ``0`` degenerates to the serial read path.
-    workers:
-        Fetch threads (default :data:`DEFAULT_PREFETCH_WORKERS`).
-    span_bytes, span_chunks:
-        Coalescing budget per span (see :func:`coalesce_spans`).
+        Maximum coalesced span fetches in flight, resolved by
+        :func:`resolve_depth` against the number of indices (``None`` →
+        auto).  ``0`` is the serial reference loop: one ``read_chunk`` —
+        one pread — per chunk.
 
     A prefetcher is **single-use**: iterate it once, then :meth:`close` it
     (closing is automatic when the iteration ends, is abandoned, or the
@@ -198,84 +282,27 @@ class ChunkPrefetcher:
     """
 
     def __init__(self, store, indices: Iterable[int] | None = None, *,
-                 depth: int | None = None,
-                 workers: int = DEFAULT_PREFETCH_WORKERS,
-                 span_bytes: int = DEFAULT_SPAN_BYTES,
-                 span_chunks: int = DEFAULT_SPAN_CHUNKS):
+                 depth: int | None = None):
         self.store = store
         self.indices = (list(range(store.n_chunks)) if indices is None
                         else [int(index) for index in indices])
-        self.workers = max(1, int(workers))
-        self.depth = resolve_depth(depth, workers=self.workers)
-        self.span_bytes = int(span_bytes)
-        self.span_chunks = int(span_chunks)
+        self.depth = resolve_depth(depth, len(self.indices))
         self._pool: ThreadPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
 
-    # ------------------------------------------------------------------ pipeline
-    def _spans(self) -> Iterator[tuple[object, list[int]]]:
-        """Yield ``(underlying store, local indices)`` fetch units lazily."""
-        for real, locals_ in _segment_tasks(self.store, self.indices):
-            extents = [(local, *real._record_extent(local)[:2])
-                       for local in locals_]
-            for span in coalesce_spans(extents, max_bytes=self.span_bytes,
-                                       max_chunks=self.span_chunks):
-                yield real, [index for index, _, _ in span]
-
-    @staticmethod
-    def _fetch_span(real, locals_: list[int]) -> list[tuple[str, object]]:
-        """Worker body: resolve one span's chunks from cache or disk.
-
-        Returns one ``("chunk", decoded)`` or ``("payload", bytes)`` item per
-        local index.  The single cache lookup per chunk here replaces (not
-        duplicates) the lookup ``read_chunk`` would have done, so cache
-        hit/miss counters stay identical to the serial path.  Fetched payloads
-        count into ``chunks_prefetched`` as soon as the span completes.
-        """
-        cache = real.chunk_cache
-        path = str(real.path)
-        items: list[tuple[str, object] | None] = []
-        misses: list[int] = []
-        for local in locals_:
-            chunk = cache.get((path, local)) if cache is not None else None
-            if chunk is not None:
-                items.append(("chunk", chunk))
-            else:
-                items.append(None)
-                misses.append(local)
-        if misses:
-            payloads = real.read_payload_span(misses)
-            real._note_prefetched(len(misses))
-            for position, local in enumerate(locals_):
-                if items[position] is None:
-                    items[position] = ("payload", payloads[local])
-        return items
-
-    def _consume(self, real, local: int, item: tuple[str, object]):
-        """Consumer body: decode one fetched item and count the logical read."""
-        kind, value = item
-        if kind == "payload":
-            chunk = real._chunk_from_payload(local, value)
-            cache = real.chunk_cache
-            if cache is not None:
-                cache.put((str(real.path), local), chunk)
-        else:
-            chunk = value
-        real._note_read()
-        return chunk
-
     def __iter__(self) -> Iterator:
         """Yield decoded chunks in request order, fetching ahead in spans."""
-        if self.depth == 0 or len(self.indices) <= 1:
+        if self.depth == 0:
             for index in self.indices:
                 yield self.store.read_chunk(index)
             return
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-prefetch"
+                max_workers=DEFAULT_PREFETCH_WORKERS,
+                thread_name_prefix="repro-prefetch",
             )
             self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
-        spans = self._spans()
+        spans = _spans(self.store, self.indices)
         window: deque[tuple[object, list[int], Future]] = deque()
 
         def submit_next() -> bool:
@@ -284,7 +311,7 @@ class ChunkPrefetcher:
                 real, locals_ = next(spans)
             except StopIteration:
                 return False
-            future = self._pool.submit(self._fetch_span, real, locals_)
+            future = self._pool.submit(_fetch_span, real, locals_)
             future.add_done_callback(_absorb_exception)
             window.append((real, locals_, future))
             return True
@@ -296,9 +323,8 @@ class ChunkPrefetcher:
             while window:
                 real, locals_, future = window.popleft()
                 submit_next()  # keep the window full before blocking
-                items = future.result()
-                for local, item in zip(locals_, items):
-                    yield self._consume(real, local, item)
+                for local, item in zip(locals_, future.result()):
+                    yield _consume(real, local, item)
         finally:
             self.close()
 
@@ -315,8 +341,7 @@ class ChunkPrefetcher:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"ChunkPrefetcher(chunks={len(self.indices)}, "
-                f"depth={self.depth}, workers={self.workers})")
+        return f"ChunkPrefetcher(chunks={len(self.indices)}, depth={self.depth})"
 
 
 def warm_store_cache(store, indices: Iterable[int] | None = None) -> int:
@@ -325,27 +350,22 @@ def warm_store_cache(store, indices: Iterable[int] | None = None) -> int:
     The serving scheduler's warm path: span-reads every chunk of ``indices``
     (default: all) that is not already cached, decodes it, and inserts it with
     ``prefetched=True`` so the cache's prefetch effectiveness counters track
-    whether warmed entries were later used or evicted unused.  Warming counts
-    into ``chunks_prefetched`` but **not** ``chunks_read`` — no logical read
+    whether warmed entries were later used or evicted unused.  The cache is
+    probed silently, so hit/miss counters do not move.  Warming counts into
+    ``chunks_prefetched`` but **not** ``chunks_read`` — no logical read
     happened yet.  Returns the number of chunks warmed; a store without a
     cache warms nothing.
     """
-    if store.chunk_cache is None:
+    cache = store.chunk_cache
+    if cache is None:
         return 0
-    chunk_indices = range(store.n_chunks) if indices is None else indices
     warmed = 0
+    chunk_indices = range(store.n_chunks) if indices is None else indices
     for real, locals_ in _segment_tasks(store, chunk_indices):
-        cache = real.chunk_cache
-        if cache is None:  # pragma: no cover - shards share the parent cache
-            continue
         path = str(real.path)
         misses = [local for local in locals_ if (path, local) not in cache]
-        if not misses:
-            continue
-        payloads = real.read_payload_span(misses)
-        real._note_prefetched(len(misses))
-        for local in misses:
-            chunk = real._chunk_from_payload(local, payloads[local])
-            cache.put((path, local), chunk, prefetched=True)
-            warmed += 1
+        for span in _coalesced(real, misses):
+            for local, item in zip(span, _fetch_span(real, span, warm=True)):
+                _consume(real, local, item, warm=True)
+            warmed += len(span)
     return warmed

@@ -52,20 +52,17 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from ..codecs.base import Codec
 from ..codecs.registry import get_codec
-from ..codecs.serialization import DECODE_ERRORS
-from ..core.compressed import CompressedArray
 from ..core.exceptions import CodecError
 from ..core.ops import folds
 from ..core.settings import CompressionSettings
 from ..reliability.retry import DEFAULT_READ_RETRY, RetryPolicy
 from .chunked import stream_compress
-from .store import CompressedStore
+from .store import CompressedStore, ReadSurface
 
 __all__ = [
     "ShardedStore",
@@ -389,7 +386,7 @@ def refresh_partials(path) -> int:
 
 
 # ------------------------------------------------------------------ the store
-class ShardedStore:
+class ShardedStore(ReadSurface):
     """Read-only view of a sharded store directory, shaped like one big store.
 
     The global chunk index concatenates every shard's chunks in shard order;
@@ -435,29 +432,23 @@ class ShardedStore:
         self._entries = list(self.manifest["shards"])
         if not self._entries:
             raise CodecError(f"sharded store {self.path} has no shards")
-        self._codec: Codec | None = None
         self._chunk_cache = None
         self._shards: dict[int, CompressedStore] = {}
         self._partials: dict[int, dict] = {}
-        # global chunk index: (shard index, local chunk index, n_rows, row_start)
-        self._index: list[tuple[int, int, int, int]] = []
-        row_start = 0
-        for shard_index, entry in enumerate(self._entries):
-            for local, rows in enumerate(entry["chunk_rows"]):
-                self._index.append((shard_index, local, int(rows), row_start))
-                row_start += int(rows)
-        if row_start != self.shape[0]:
+        # global chunk index: (shard index, local chunk index, n_rows)
+        self._index: list[tuple[int, int, int]] = [
+            (shard_index, local, int(rows))
+            for shard_index, entry in enumerate(self._entries)
+            for local, rows in enumerate(entry["chunk_rows"])
+        ]
+        total_rows = sum(rows for _, _, rows in self._index)
+        if total_rows != self.shape[0]:
             raise CodecError(
                 f"corrupt sharded manifest: shard chunk rows sum to "
-                f"{row_start}, stored shape is {self.shape}"
+                f"{total_rows}, stored shape is {self.shape}"
             )
 
     # -------------------------------------------------------------- geometry
-    @property
-    def ndim(self) -> int:
-        """Dimensionality of the stored array."""
-        return len(self.shape)
-
     @property
     def n_shards(self) -> int:
         """Number of shard files the manifest describes."""
@@ -471,7 +462,7 @@ class ShardedStore:
     @property
     def chunk_rows(self) -> tuple[int, ...]:
         """Row count of every chunk, global (shard-concatenated) order."""
-        return tuple(rows for _, _, rows, _ in self._index)
+        return tuple(rows for _, _, rows in self._index)
 
     @property
     def chunks_read(self) -> int:
@@ -503,21 +494,9 @@ class ShardedStore:
         """Element dtype chunk decompression produces (delegated to shard 0)."""
         return self.shard(0).dtype
 
-    @property
-    def codec(self) -> Codec:
-        """A default instance of the store's codec (decoding needs no parameters)."""
-        if self._codec is None:
-            self._codec = get_codec(self.codec_name)
-        return self._codec
-
     def use_codec(self, codec: Codec) -> None:
         """Swap the decoding codec instance (same stream format) on every shard."""
-        if codec.name != self.codec_name:
-            raise CodecError(
-                f"store holds {self.codec_name!r} chunks; cannot decode them "
-                f"with codec {codec.name!r}"
-            )
-        self._codec = codec
+        super().use_codec(codec)
         for shard in self._shards.values():
             shard.use_codec(codec)
 
@@ -553,158 +532,18 @@ class ShardedStore:
 
     def locate(self, index: int) -> tuple[int, int]:
         """Map a global chunk index to ``(shard index, local chunk index)``."""
-        shard_index, local, _, _ = self._index[index]
+        shard_index, local, _ = self._index[index]
         return shard_index, local
-
-    def _shard_runs(self, indices) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-        """Split global chunk ``indices`` into consecutive same-shard runs.
-
-        Yields ``(shard index, [(global index, local index), ...])`` in input
-        order; the coalesced readers work per shard file, so runs are the unit
-        both :meth:`load_region` and the prefetcher fetch by.
-        """
-        run_shard: int | None = None
-        run: list[tuple[int, int]] = []
-        for index in indices:
-            shard_index, local = self.locate(index)
-            if run and shard_index != run_shard:
-                yield run_shard, run
-                run = []
-            run_shard = shard_index
-            run.append((index, local))
-        if run:
-            yield run_shard, run
 
     # -------------------------------------------------------------- chunk access
     def read_chunk(self, index: int):
         """Decode global chunk ``index`` (lazily opening its shard)."""
-        shard_index, local, _, _ = self._index[index]
+        shard_index, local = self.locate(index)
         return self.shard(shard_index).read_chunk(local)
 
-    def iter_chunks(self, *, prefetch: int | None = None) -> Iterator:
-        """Yield every chunk's compressed object in global row order.
-
-        ``prefetch`` selects the pipelined readahead exactly as on
-        :meth:`CompressedStore.iter_chunks`; the prefetcher crosses shard
-        boundaries seamlessly (spans never straddle two shard files, but the
-        window does, so the next shard's records are already in flight while
-        the previous shard's tail decodes).
-        """
-        from .prefetch import ChunkPrefetcher, resolve_depth
-
-        depth = resolve_depth(prefetch, n_chunks=self.n_chunks)
-        if depth == 0:
-            for index in range(self.n_chunks):
-                yield self.read_chunk(index)
-            return
-        fetcher = ChunkPrefetcher(self, depth=depth)
-        try:
-            yield from fetcher
-        finally:
-            fetcher.close()
-
-    def decompress_chunk(self, chunk) -> np.ndarray:
-        """Decompress one chunk object with the store's codec."""
-        try:
-            return self.codec.decompress(chunk)
-        except CodecError:
-            raise
-        except DECODE_ERRORS as exc:
-            raise CodecError(
-                f"corrupt chunk contents in {self.codec_name} store: {exc}"
-            ) from exc
-
-    def load_compressed(self) -> CompressedArray:
-        """Assemble the full pyblaz :class:`CompressedArray` across every shard."""
-        chunks = list(self.iter_chunks())
-        if not all(isinstance(chunk, CompressedArray) for chunk in chunks):
-            raise CodecError(
-                f"load_compressed assembles pyblaz chunks; this store holds "
-                f"{self.codec_name!r} streams — use load() or iter_chunks()"
-            )
-        maxima = np.concatenate([chunk.maxima for chunk in chunks], axis=0)
-        indices = np.concatenate([chunk.indices for chunk in chunks], axis=0)
-        return CompressedArray(
-            settings=chunks[0].settings, shape=self.shape, maxima=maxima,
-            indices=indices,
-        )
-
-    def load(self) -> np.ndarray:
-        """Decompress the whole (shard-assembled) array, one chunk at a time."""
-        out: np.ndarray | None = None
-        for index, (_, _, n_rows, row_start) in enumerate(self._index):
-            decompressed = self.decompress_chunk(self.read_chunk(index))
-            if out is None:
-                out = np.empty(self.shape, dtype=decompressed.dtype)
-            out[row_start: row_start + n_rows] = decompressed
-        return out
-
-    def load_region(self, region) -> np.ndarray:
-        """Decompress only the chunks (and shards) intersecting ``region``.
-
-        Same contract as :meth:`CompressedStore.load_region`; shards whose
-        rows fall outside the axis-0 range are never opened.
-        """
-        if not isinstance(region, tuple):
-            region = (region,)
-        if len(region) > self.ndim:
-            raise ValueError(
-                f"region has {len(region)} dimensions, the store has {self.ndim}"
-            )
-        region = region + (slice(None),) * (self.ndim - len(region))
-
-        first = region[0]
-        squeeze_rows = isinstance(first, (int, np.integer))
-        if squeeze_rows:
-            index = int(first)
-            if index < 0:
-                index += self.shape[0]
-            if not 0 <= index < self.shape[0]:
-                raise IndexError(f"row {first} out of range for {self.shape[0]} rows")
-            start, stop, step = index, index + 1, 1
-        else:
-            start, stop, step = first.indices(self.shape[0])
-            if step <= 0:
-                raise ValueError("load_region requires a positive step along axis 0")
-
-        selected: list[int] = []
-        local_by_index: dict[int, slice] = {}
-        for chunk_index, (_, _, n_rows, row_start) in enumerate(self._index):
-            row_end = row_start + n_rows
-            if row_end <= start or row_start >= stop:
-                continue
-            global_first = max(start, row_start)
-            remainder = (global_first - start) % step
-            if remainder:
-                global_first += step - remainder
-            global_stop = min(stop, row_end)
-            if global_first >= global_stop:
-                continue
-            selected.append(chunk_index)
-            local_by_index[chunk_index] = slice(
-                global_first - row_start, global_stop - row_start, step
-            )
-
-        parts = []
-        for run_shard, run in self._shard_runs(selected):
-            # each shard's intersecting records go through its coalescing
-            # reader — one positional read per adjacent span, not per chunk
-            shard = self.shard(run_shard)
-            for (_, chunk), chunk_index in zip(
-                shard._iter_chunks_coalesced([local for _, local in run]),
-                (global_index for global_index, _ in run),
-            ):
-                decompressed = self.decompress_chunk(chunk)
-                parts.append(
-                    decompressed[(local_by_index[chunk_index],) + region[1:]]
-                )
-
-        if parts:
-            assembled = np.concatenate(parts, axis=0)
-        else:
-            empty_rows = (0,) + self.shape[1:]
-            assembled = np.empty(empty_rows, dtype=self.dtype)[(slice(None),) + region[1:]]
-        return assembled[0] if squeeze_rows else assembled
+    # bound per class (not only inherited): per-class instrumentation, such
+    # as perfbench/tracing.py, patches this attribute on the class itself
+    load_region = ReadSurface.load_region
 
     # -------------------------------------------------------------- partials
     def partials_fresh(self) -> bool:
@@ -781,12 +620,6 @@ class ShardedStore:
         for shard in self._shards.values():
             shard.close()
         self._shards.clear()
-
-    def __enter__(self) -> "ShardedStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -71,8 +71,10 @@ from ..core.exceptions import CodecError, IntegrityError
 from ..core.settings import CompressionSettings
 from ..reliability import faults
 from ..reliability.retry import DEFAULT_READ_RETRY, RetryPolicy, retry_call
+from .prefetch import ChunkPrefetcher, coalesce_spans, read_inline
 
-__all__ = ["CompressedStore", "CompressedStoreWriter", "load_region", "STORE_MAGIC"]
+__all__ = ["CompressedStore", "CompressedStoreWriter", "ReadSurface", "load_region",
+           "STORE_MAGIC"]
 
 STORE_MAGIC = b"PBLZC"
 _END_MAGIC = b"PBLZE"
@@ -255,7 +257,177 @@ class CompressedStoreWriter:
             self._handle.close()
 
 
-class CompressedStore:
+class ReadSurface:
+    """The read methods a single store and a sharded store share.
+
+    :class:`CompressedStore` and :class:`~repro.streaming.ShardedStore`
+    each provide only ``read_chunk(index)``, the geometry (``shape``,
+    ``n_chunks``, ``chunk_rows``, ``dtype``) and the codec (``codec_name``);
+    iteration, whole-array and region loads and chunk decompression are
+    written once here.  Every path from chunk indices to decoded chunks runs
+    through the one reader in :mod:`repro.streaming.prefetch`.
+    """
+
+    _codec: Codec | None = None
+
+    @property
+    def ndim(self) -> int:
+        """Dimensionality of the stored array."""
+        return len(self.shape)
+
+    @property
+    def codec(self) -> Codec:
+        """A default instance of the store's codec (decoding needs no parameters)."""
+        if self._codec is None:
+            self._codec = get_codec(self.codec_name)
+        return self._codec
+
+    def use_codec(self, codec: Codec) -> None:
+        """Replace the codec instance used to decompress chunks.
+
+        The replacement must decode the same stream format (same codec name);
+        this exists to reconfigure *execution* choices, e.g. a pyblaz codec
+        with a non-default kernel backend for faster bulk decompression.
+        """
+        if codec.name != self.codec_name:
+            raise CodecError(
+                f"store holds {self.codec_name!r} chunks; cannot decode them with "
+                f"codec {codec.name!r}"
+            )
+        self._codec = codec
+
+    def iter_chunks(self, *, prefetch: int | None = None) -> Iterator:
+        """Yield every chunk's compressed object in row order.
+
+        ``prefetch`` selects the pipelined readahead
+        (:class:`repro.streaming.ChunkPrefetcher`): ``None`` (the default)
+        enables it with an auto depth, a positive integer sets the in-flight
+        span window, and ``0`` is the serial ``read_chunk`` loop.  Chunk
+        order, values, counters and error positions are identical either way
+        — prefetching only overlaps record fetches with decoding.  On a
+        sharded store the window crosses shard boundaries (spans never
+        straddle two shard files).
+        """
+        return iter(ChunkPrefetcher(self, depth=prefetch))
+
+    def decompress_chunk(self, chunk) -> np.ndarray:
+        """Decompress one chunk object with the store's codec.
+
+        The codec instance can be reconfigured with :meth:`use_codec` (e.g. a
+        pyblaz codec with a non-default kernel backend).  Decompression
+        failures on corrupt chunk contents are reported as :class:`CodecError`
+        like decoding failures.
+        """
+        try:
+            return self.codec.decompress(chunk)
+        except CodecError:
+            raise
+        except DECODE_ERRORS as exc:
+            raise CodecError(
+                f"corrupt chunk contents in {self.codec_name} store: {exc}"
+            ) from exc
+
+    def load_compressed(self) -> CompressedArray:
+        """Assemble the full :class:`CompressedArray` (bit-identical to one-shot).
+
+        Only meaningful for pyblaz stores, whose per-slab ``maxima``/``indices``
+        concatenate exactly; other codecs' chunks are independent streams.
+        """
+        chunks = list(self.iter_chunks())
+        if not all(isinstance(chunk, CompressedArray) for chunk in chunks):
+            raise CodecError(
+                f"load_compressed assembles pyblaz chunks; this store holds "
+                f"{self.codec_name!r} streams — use load() or iter_chunks()"
+            )
+        maxima = np.concatenate([chunk.maxima for chunk in chunks], axis=0)
+        indices = np.concatenate([chunk.indices for chunk in chunks], axis=0)
+        return CompressedArray(
+            settings=chunks[0].settings, shape=self.shape, maxima=maxima, indices=indices
+        )
+
+    def load(self) -> np.ndarray:
+        """Decompress the whole array, one chunk at a time."""
+        out: np.ndarray | None = None
+        row_start = 0
+        for chunk, n_rows in zip(self.iter_chunks(), self.chunk_rows):
+            decompressed = self.decompress_chunk(chunk)
+            if out is None:
+                out = np.empty(self.shape, dtype=decompressed.dtype)
+            out[row_start: row_start + n_rows] = decompressed
+            row_start += n_rows
+        return out
+
+    def load_region(self, region) -> np.ndarray:
+        """Decompress only the chunks intersecting ``region``.
+
+        ``region`` is an index expression like ``np.ndarray`` accepts for basic
+        indexing — a slice/int or a tuple of them, at most one per dimension
+        (missing trailing dimensions default to ``slice(None)``).  Steps along
+        axis 0 must be positive.  Only the chunk records whose rows intersect
+        the axis-0 range are read and decoded (a sharded store opens only the
+        shards holding them); memory use is bounded by the chunk size, not
+        the array size.  Adjacent intersecting records are read through the
+        reader's inline mode (:func:`repro.streaming.prefetch.read_inline`) —
+        one positional read per span instead of one per chunk (observable via
+        ``preads``), with byte-identical results.
+        """
+        if not isinstance(region, tuple):
+            region = (region,)
+        if len(region) > self.ndim:
+            raise ValueError(
+                f"region has {len(region)} dimensions, the store has {self.ndim}"
+            )
+        region = region + (slice(None),) * (self.ndim - len(region))
+
+        first = region[0]
+        squeeze_rows = isinstance(first, (int, np.integer))
+        if squeeze_rows:
+            index = int(first)
+            if index < 0:
+                index += self.shape[0]
+            if not 0 <= index < self.shape[0]:
+                raise IndexError(f"row {first} out of range for {self.shape[0]} rows")
+            start, stop, step = index, index + 1, 1
+        else:
+            start, stop, step = first.indices(self.shape[0])
+            if step <= 0:
+                raise ValueError("load_region requires a positive step along axis 0")
+
+        selected: list[int] = []
+        local_rows: list[slice] = []
+        row_end = 0
+        for chunk_index, n_rows in enumerate(self.chunk_rows):
+            row_start, row_end = row_end, row_end + n_rows
+            if row_end <= start or row_start >= stop:
+                continue
+            # first requested row that lands inside this chunk and on the step grid
+            global_first = max(start, row_start)
+            remainder = (global_first - start) % step
+            if remainder:
+                global_first += step - remainder
+            global_stop = min(stop, row_end)
+            if global_first >= global_stop:
+                continue
+            selected.append(chunk_index)
+            local_rows.append(slice(global_first - row_start, global_stop - row_start, step))
+
+        parts = [self.decompress_chunk(chunk)[(rows,) + region[1:]]
+                 for chunk, rows in zip(read_inline(self, selected), local_rows)]
+        if parts:
+            assembled = np.concatenate(parts, axis=0)
+        else:
+            empty_rows = (0,) + self.shape[1:]
+            assembled = np.empty(empty_rows, dtype=self.dtype)[(slice(None),) + region[1:]]
+        return assembled[0] if squeeze_rows else assembled
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+class CompressedStore(ReadSurface):
     """Read-only view of a chunked store file (format versions 1, 2 and 3).
 
     Chunks are read lazily: opening the store parses only the header and the
@@ -300,8 +472,9 @@ class CompressedStore:
         ``chunks_read`` keeps counting logical reads either way, so decode
         savings show up in the cache's own hit counters.
     chunks_prefetched:
-        Chunk payloads fetched ahead of consumption by the readahead pipeline
-        (:mod:`repro.streaming.prefetch`) — distinct from :attr:`chunks_read`,
+        Chunk payloads fetched by span reads of the chunk reader
+        (:mod:`repro.streaming.prefetch`: readahead, ``load_region``, the
+        warm path) — distinct from :attr:`chunks_read`,
         which counts only chunks actually consumed, so an aborted pipeline
         shows ``chunks_prefetched > chunks_read`` instead of inflated reads.
     preads:
@@ -322,7 +495,6 @@ class CompressedStore:
         self._lock = threading.Lock()
         self._settings: CompressionSettings | None = None
         self._settings_resolved = False
-        self._codec: Codec | None = None
         self._dtype: np.dtype | None = None
         try:
             self._read_header_and_table()
@@ -427,11 +599,6 @@ class CompressedStore:
 
     # ------------------------------------------------------------------ geometry
     @property
-    def ndim(self) -> int:
-        """Dimensionality of the stored array."""
-        return len(self.shape)
-
-    @property
     def n_chunks(self) -> int:
         """Number of chunk records in the store."""
         return len(self._chunks)
@@ -474,27 +641,6 @@ class CompressedStore:
                 self._dtype = (np.dtype(declared) if declared is not None
                                else np.dtype(np.float64))
         return self._dtype
-
-    @property
-    def codec(self) -> Codec:
-        """A default instance of the store's codec (decoding needs no parameters)."""
-        if self._codec is None:
-            self._codec = get_codec(self.codec_name)
-        return self._codec
-
-    def use_codec(self, codec: Codec) -> None:
-        """Replace the codec instance used to decompress chunks.
-
-        The replacement must decode the same stream format (same codec name);
-        this exists to reconfigure *execution* choices, e.g. a pyblaz codec
-        with a non-default kernel backend for faster bulk decompression.
-        """
-        if codec.name != self.codec_name:
-            raise CodecError(
-                f"store holds {self.codec_name!r} chunks; cannot decode them with "
-                f"codec {codec.name!r}"
-            )
-        self._codec = codec
 
     # ------------------------------------------------------------------ chunk access
     def _read_record(self, offset: int, n_bytes: int) -> bytes:
@@ -557,94 +703,92 @@ class CompressedStore:
             )
         return offset, n_bytes, crc
 
+    def _read_verified(self, span: list[tuple], payloads: dict) -> dict:
+        """One read attempt over ``span``'s contiguous records, checked per chunk.
+
+        ``span`` holds ``(index, offset, n_bytes, crc | None)`` records laid
+        out back to back.  Fault-injection hooks fire per chunk index, one
+        positional read covers the span, and each record's version-3 CRC is
+        verified before it lands in ``payloads`` — so a failure raises
+        :class:`IntegrityError` (or the read's ``OSError``) with the records
+        before it already in place.  Returns ``payloads``.
+        """
+        path = str(self.path)
+        plan = faults.active_plan()
+        if plan is not None:
+            for index, *_ in span:
+                plan.before_chunk_read(path, index)
+        span_offset = span[0][1]
+        data = self._read_record(span_offset, sum(record[2] for record in span))
+        for index, offset, n_bytes, crc in span:
+            piece = data[offset - span_offset: offset - span_offset + n_bytes]
+            if plan is not None:
+                piece = plan.corrupt_record(path, index, piece)
+            if crc is not None and (len(piece) != n_bytes or zlib.crc32(piece) != crc):
+                raise IntegrityError(
+                    f"chunk {index} of store {path} failed its checksum "
+                    f"({len(piece)} of {n_bytes} bytes read)",
+                    path=path,
+                    chunk_index=index,
+                )
+            payloads[index] = piece
+        return payloads
+
     def read_payload(self, index: int) -> bytes:
         """Read (and for v3, verify) chunk ``index``'s raw record bytes.
 
-        This is the one seam every chunk read goes through: fault-injection
+        This is the one seam every per-chunk read goes through: fault-injection
         hooks fire here, version-3 checksums are verified here, and transient
         failures — an ``OSError``, or a checksum mismatch a re-read could
         clear — are retried per :attr:`retry_policy`.  The verify/repair CLI
         also uses it to copy good records verbatim.
         """
-        offset, n_bytes, crc = self._record_extent(index)
-        path = str(self.path)
+        span = [(index, *self._record_extent(index))]
 
         def attempt() -> bytes:
-            plan = faults.active_plan()
-            if plan is not None:
-                plan.before_chunk_read(path, index)
-            data = self._read_record(offset, n_bytes)
-            if plan is not None:
-                data = plan.corrupt_record(path, index, data)
-            if crc is not None and (len(data) != n_bytes or zlib.crc32(data) != crc):
-                raise IntegrityError(
-                    f"chunk {index} of store {path} failed its checksum "
-                    f"({len(data)} of {n_bytes} bytes read)",
-                    path=path,
-                    chunk_index=index,
-                )
-            return data
+            return self._read_verified(span, {})[index]
 
         if self.retry_policy is None:
             return attempt()
-        retry_on = (OSError,) if crc is None else (OSError, IntegrityError)
         return retry_call(
-            attempt, policy=self.retry_policy, retry_on=retry_on,
+            attempt, policy=self.retry_policy, retry_on=(OSError, IntegrityError),
             on_retry=self._note_retry,
         )
 
-    def read_payload_span(self, indices) -> dict[int, bytes]:
+    def read_payload_span(self, indices) -> dict[int, "bytes | Exception"]:
         """Read several chunks' record bytes, coalescing adjacent ones.
 
         Adjacent records (within the coalescing budget) merge into **one**
         positional read and are split in memory — the syscall-count win behind
-        the prefetch pipeline and the coalesced :meth:`load_region`.  The
-        semantics per chunk are exactly :meth:`read_payload`'s: fault hooks
-        fire per chunk index, version-3 CRCs verify per chunk, and any failure
-        inside a span falls back to the per-chunk seam with its full retry
-        policy (counting one retry for the failed span attempt).  Returns
-        ``{index: payload bytes}`` for every requested index.
+        the chunk reader (:mod:`repro.streaming.prefetch`).  Each span goes
+        through the same per-chunk fault hooks and CRC checks as
+        :meth:`read_payload`; a failed span counts one retry and falls back to
+        :meth:`read_payload` per chunk, with its full retry policy.  Returns
+        ``{index: payload bytes}`` for every requested index — except that a
+        chunk whose read failed for good maps to the exception it raised (with
+        no retry policy, the first failure in a span is final for the rest of
+        that span), so the reader can raise it at that chunk's position.
         """
-        from .prefetch import coalesce_spans
-
-        extents = [(index, *self._record_extent(index)[:2]) for index in indices]
-        crcs = {index: self._record_extent(index)[2] for index in indices}
-        path = str(self.path)
-        payloads: dict[int, bytes] = {}
+        extents = [(index, *self._record_extent(index)) for index in indices]
+        payloads: dict[int, bytes | Exception] = {}
         for span in coalesce_spans(extents):
-            span_offset = span[0][1]
-            span_bytes = sum(n_bytes for _, _, n_bytes in span)
             try:
-                plan = faults.active_plan()
-                if plan is not None:
-                    for index, _, _ in span:
-                        plan.before_chunk_read(path, index)
-                data = self._read_record(span_offset, span_bytes)
-                for index, offset, n_bytes in span:
-                    piece = data[offset - span_offset: offset - span_offset + n_bytes]
-                    if plan is not None:
-                        piece = plan.corrupt_record(path, index, piece)
-                    crc = crcs[index]
-                    if crc is not None and (
-                        len(piece) != n_bytes or zlib.crc32(piece) != crc
-                    ):
-                        raise IntegrityError(
-                            f"chunk {index} of store {path} failed its checksum "
-                            f"({len(piece)} of {n_bytes} bytes read)",
-                            path=path,
-                            chunk_index=index,
-                        )
-                    payloads[index] = piece
+                self._read_verified(span, payloads)
             except (OSError, IntegrityError) as exc:
                 if self.retry_policy is None:
-                    raise
+                    for index, *_ in span:
+                        payloads.setdefault(index, exc)
+                    continue
                 # one failed span attempt counts as one retry, then every
                 # chunk of the span re-reads through the per-chunk seam with
                 # its own full retry budget — transient faults recover exactly
-                # as they do on the synchronous path
+                # as they do on the serial loop
                 self._note_retry(0, exc)
-                for index, _, _ in span:
-                    payloads[index] = self.read_payload(index)
+                for index, *_ in span:
+                    try:
+                        payloads[index] = self.read_payload(index)
+                    except (OSError, IntegrityError) as chunk_exc:
+                        payloads[index] = chunk_exc
         return payloads
 
     def _decode_chunk(self, index: int):
@@ -711,200 +855,17 @@ class CompressedStore:
             if chunk is None:
                 chunk = self._decode_chunk(index)
                 cache.put(key, chunk)
-        with self._lock:
-            self.chunks_read += 1
+        self._note_read()
         return chunk
 
-    def iter_chunks(self, *, prefetch: int | None = None) -> Iterator:
-        """Yield every chunk's compressed object in row order.
-
-        ``prefetch`` selects the pipelined readahead
-        (:class:`repro.streaming.ChunkPrefetcher`): ``None`` (the default)
-        enables it with an auto depth, a positive integer sets the in-flight
-        span window, and ``0`` restores the strictly serial read→decode loop.
-        Chunk order, values, counters and error positions are identical either
-        way — prefetching only overlaps record fetches with decoding.
-        """
-        from .prefetch import ChunkPrefetcher, resolve_depth
-
-        depth = resolve_depth(prefetch, n_chunks=self.n_chunks)
-        if depth == 0:
-            for index in range(self.n_chunks):
-                yield self.read_chunk(index)
-            return
-        fetcher = ChunkPrefetcher(self, depth=depth)
-        try:
-            yield from fetcher
-        finally:
-            fetcher.close()
-
-    def _iter_chunks_coalesced(self, indices) -> Iterator:
-        """Serially decode ``indices``'s chunks via coalesced span reads.
-
-        The no-thread sibling of the prefetcher used by :meth:`load_region`:
-        adjacent records merge into single positional reads (fewer syscalls —
-        see :attr:`preads`), cache consults and ``chunks_read`` accounting
-        match :meth:`read_chunk` exactly, and chunks yield as
-        ``(index, chunk)`` in request order.
-        """
-        from .prefetch import DEFAULT_SPAN_CHUNKS
-
-        cache = self.chunk_cache
-        path = str(self.path)
-        pending: list[int] = []
-        for index in indices:
-            if cache is not None:
-                chunk = cache.get((path, index))
-                if chunk is not None:
-                    yield from self._drain_span(pending)
-                    pending = []
-                    self._note_read()
-                    yield index, chunk
-                    continue
-            pending.append(index)
-            if len(pending) >= DEFAULT_SPAN_CHUNKS:
-                # drain per span so at most one span's payloads are resident,
-                # preserving load_region's chunk-bounded memory contract
-                yield from self._drain_span(pending)
-                pending = []
-        yield from self._drain_span(pending)
-
-    def _drain_span(self, pending: list) -> Iterator:
-        """Span-read, decode, cache and count the queued-up miss indices."""
-        if not pending:
-            return
-        payloads = self.read_payload_span(pending)
-        cache = self.chunk_cache
-        path = str(self.path)
-        for index in pending:
-            chunk = self._chunk_from_payload(index, payloads[index])
-            if cache is not None:
-                cache.put((path, index), chunk)
-            self._note_read()
-            yield index, chunk
-
-    def decompress_chunk(self, chunk) -> np.ndarray:
-        """Decompress one chunk object with the store's codec.
-
-        The codec instance can be reconfigured with :meth:`use_codec` (e.g. a
-        pyblaz codec with a non-default kernel backend).  Decompression
-        failures on corrupt chunk contents are reported as :class:`CodecError`
-        like decoding failures.
-        """
-        try:
-            return self.codec.decompress(chunk)
-        except CodecError:
-            raise
-        except DECODE_ERRORS as exc:
-            raise CodecError(
-                f"corrupt chunk contents in {self.codec_name} store: {exc}"
-            ) from exc
-
-    def load_compressed(self) -> CompressedArray:
-        """Assemble the full :class:`CompressedArray` (bit-identical to one-shot).
-
-        Only meaningful for pyblaz stores, whose per-slab ``maxima``/``indices``
-        concatenate exactly; other codecs' chunks are independent streams.
-        """
-        chunks = list(self.iter_chunks())
-        if not all(isinstance(chunk, CompressedArray) for chunk in chunks):
-            raise CodecError(
-                f"load_compressed assembles pyblaz chunks; this store holds "
-                f"{self.codec_name!r} streams — use load() or iter_chunks()"
-            )
-        maxima = np.concatenate([chunk.maxima for chunk in chunks], axis=0)
-        indices = np.concatenate([chunk.indices for chunk in chunks], axis=0)
-        return CompressedArray(
-            settings=chunks[0].settings, shape=self.shape, maxima=maxima, indices=indices
-        )
-
-    # ------------------------------------------------------------------ decompression
-    def load(self) -> np.ndarray:
-        """Decompress the whole array, one chunk at a time."""
-        out: np.ndarray | None = None
-        for (_, _, n_rows, row_start, _), chunk in zip(self._chunks, self.iter_chunks()):
-            decompressed = self.decompress_chunk(chunk)
-            if out is None:
-                out = np.empty(self.shape, dtype=decompressed.dtype)
-            out[row_start : row_start + n_rows] = decompressed
-        return out
-
-    def load_region(self, region) -> np.ndarray:
-        """Decompress only the chunks intersecting ``region``.
-
-        ``region`` is an index expression like ``np.ndarray`` accepts for basic
-        indexing — a slice/int or a tuple of them, at most one per dimension
-        (missing trailing dimensions default to ``slice(None)``).  Steps along
-        axis 0 must be positive.  Only the chunk records whose rows intersect the
-        axis-0 range are read and decoded; memory use is bounded by the chunk
-        size, not the array size.  Adjacent intersecting records are read
-        through the coalescing reader — one positional read per span instead
-        of one per chunk (observable via :attr:`preads`), with byte-identical
-        results.
-        """
-        if not isinstance(region, tuple):
-            region = (region,)
-        if len(region) > self.ndim:
-            raise ValueError(
-                f"region has {len(region)} dimensions, the store has {self.ndim}"
-            )
-        region = region + (slice(None),) * (self.ndim - len(region))
-
-        first = region[0]
-        squeeze_rows = isinstance(first, (int, np.integer))
-        if squeeze_rows:
-            index = int(first)
-            if index < 0:
-                index += self.shape[0]
-            if not 0 <= index < self.shape[0]:
-                raise IndexError(f"row {first} out of range for {self.shape[0]} rows")
-            start, stop, step = index, index + 1, 1
-        else:
-            start, stop, step = first.indices(self.shape[0])
-            if step <= 0:
-                raise ValueError("load_region requires a positive step along axis 0")
-
-        selected: list[int] = []
-        local_by_index: dict[int, slice] = {}
-        for chunk_index, (_, _, n_rows, row_start, _) in enumerate(self._chunks):
-            row_end = row_start + n_rows
-            if row_end <= start or row_start >= stop:
-                continue
-            # first requested row that lands inside this chunk and on the step grid
-            global_first = max(start, row_start)
-            remainder = (global_first - start) % step
-            if remainder:
-                global_first += step - remainder
-            global_stop = min(stop, row_end)
-            if global_first >= global_stop:
-                continue
-            selected.append(chunk_index)
-            local_by_index[chunk_index] = slice(
-                global_first - row_start, global_stop - row_start, step
-            )
-
-        parts = []
-        for chunk_index, chunk in self._iter_chunks_coalesced(selected):
-            decompressed = self.decompress_chunk(chunk)
-            parts.append(decompressed[(local_by_index[chunk_index],) + region[1:]])
-
-        if parts:
-            assembled = np.concatenate(parts, axis=0)
-        else:
-            empty_rows = (0,) + self.shape[1:]
-            assembled = np.empty(empty_rows, dtype=self.dtype)[(slice(None),) + region[1:]]
-        return assembled[0] if squeeze_rows else assembled
+    # bound per class (not only inherited): per-class instrumentation, such
+    # as perfbench/tracing.py, patches this attribute on the class itself
+    load_region = ReadSurface.load_region
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
         """Close the underlying file handle (reads fail afterwards)."""
         self._handle.close()
-
-    def __enter__(self) -> "CompressedStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         described = self.settings.describe() if self.settings is not None else "-"

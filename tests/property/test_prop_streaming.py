@@ -13,7 +13,8 @@ import numpy as np
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.core import CompressionSettings, Compressor, ops
-from repro.streaming import ChunkedCompressor, stream_dot, stream_l2_norm, stream_mean
+from repro.streaming import ChunkedCompressor
+from repro.streaming import ops as stream_ops
 
 
 @st.composite
@@ -98,10 +99,10 @@ class TestStreamingReductionsMatchOps:
         reference = Compressor(settings).compress(array)
         chunked = ChunkedCompressor(settings, slab_rows=slab_rows)
         chunks = list(chunked._compressed_slabs(array))
-        assert np.isclose(stream_mean(chunks), ops.mean(reference), rtol=1e-9, atol=1e-12)
+        assert np.isclose(stream_ops.mean(chunks), ops.mean(reference), rtol=1e-9, atol=1e-12)
         assert np.isclose(
-            stream_l2_norm(chunks), ops.l2_norm(reference), rtol=1e-9, atol=1e-12
+            stream_ops.l2_norm(chunks), ops.l2_norm(reference), rtol=1e-9, atol=1e-12
         )
         assert np.isclose(
-            stream_dot(chunks, chunks), ops.dot(reference, reference), rtol=1e-9, atol=1e-12
+            stream_ops.dot(chunks, chunks), ops.dot(reference, reference), rtol=1e-9, atol=1e-12
         )

@@ -27,6 +27,7 @@ from repro.streaming import (
     resolve_depth,
     warm_store_cache,
 )
+from repro.streaming.prefetch import DEFAULT_PREFETCH_WORKERS
 from repro.streaming.sources import aligned_chunks
 
 from tests.conftest import smooth_field
@@ -59,8 +60,7 @@ def _chunk_bytes(store, *, prefetch):
 
 class TestResolveDepth:
     def test_none_is_auto(self):
-        assert resolve_depth(None) == 4  # 2 x default workers
-        assert resolve_depth(None, workers=3) == 6
+        assert resolve_depth(None) == 2 * DEFAULT_PREFETCH_WORKERS
 
     def test_auto_disables_for_tiny_stores(self):
         assert resolve_depth(None, n_chunks=2) == 0
@@ -71,6 +71,7 @@ class TestResolveDepth:
         assert resolve_depth(0) == 0
         assert resolve_depth(0, n_chunks=1000) == 0
         assert resolve_depth(7, n_chunks=2) == 7  # explicit beats tiny-store
+        assert resolve_depth(7, n_chunks=1) == 0  # nothing to overlap
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -248,12 +249,46 @@ class TestSharded:
             assert store.chunks_prefetched == store.n_chunks
         assert piped == serial
 
-    def test_sharded_load_region_identical(self, sharded_path):
-        region = (slice(30, 90), slice(2, 18))
-        with ShardedStore(sharded_path) as store:
-            expected = store.load()[region]
-        with ShardedStore(sharded_path) as store:
-            assert np.array_equal(load_region(store, region), expected)
+
+
+class TestErrorPosition:
+    """A persistent bad record raises at its own position in request order:
+    every good chunk before it is yielded first, at any depth and layout."""
+
+    BAD_CHUNK = 5
+
+    @pytest.fixture(params=["single", "sharded"])
+    def bad_store(self, request, tmp_path, settings):
+        # 16 chunks of 8 rows; the sharded layout splits them 8 + 8
+        rows = smooth_field((128, 12), seed=5)
+        if request.param == "single":
+            with ChunkedCompressor(settings, slab_rows=8).compress_to_store(
+                rows, tmp_path / "bad.pblzc"
+            ) as opened:
+                yield opened, None
+            return
+        path = tmp_path / "bad.shards"
+        init_sharded_store(path, rows[:64], settings, slab_rows=8).close()
+        append_shard(path, rows[64:], slab_rows=8).close()
+        with ShardedStore(path) as opened:
+            yield opened, "shard-000000"
+
+    @pytest.mark.parametrize("prefetch", [0, 1, 4])
+    def test_good_chunks_before_the_bad_record_are_yielded(self, bad_store, prefetch):
+        from repro.reliability import FaultRule, IntegrityError, inject
+
+        store, path = bad_store
+        assert store.n_chunks == 16
+        rule = FaultRule("bit_flip", path=path, chunk_index=self.BAD_CHUNK,
+                         times=10**6)
+        yielded = []
+        with inject(rule, seed=0):
+            with pytest.raises(IntegrityError) as raised:
+                for chunk in store.iter_chunks(prefetch=prefetch):
+                    yielded.append(chunk)
+        assert len(yielded) == self.BAD_CHUNK
+        assert raised.value.chunk_index == self.BAD_CHUNK
+        assert store.chunks_read == self.BAD_CHUNK
 
 
 class TestWarmStoreCache:
@@ -289,3 +324,30 @@ class TestPlanStats:
         built = plan({"mean": expr.mean(expr.source(store))})
         built.execute(prefetch=0)
         assert built.last_execution["prefetch_depth"] == 0
+
+    def test_tiny_store_reports_the_serial_depth_it_ran(self, tmp_path, settings):
+        with ChunkedCompressor(settings, slab_rows=8).compress_to_store(
+            smooth_field((24, 20), seed=3), tmp_path / "tiny.pblzc"
+        ) as tiny:
+            assert tiny.n_chunks == 3
+            built = plan({"mean": expr.mean(expr.source(tiny))})
+            built.execute()  # auto readahead: too few chunks to pipeline
+            assert tiny.chunks_prefetched == 0
+            assert built.last_execution["prefetch_depth"] == 0
+
+    def test_decode_free_plan_reports_no_depth(self, tmp_path, settings):
+        path = tmp_path / "grown.shards"
+        init_sharded_store(path, smooth_field((64, 20), seed=1), settings,
+                           slab_rows=8).close()
+        with ShardedStore(path) as store:
+            built = plan({"mean": expr.mean(expr.source(store))})
+            built.execute(prefetch=4)
+            assert built.last_execution["incremental_groups"] == 1
+            assert store.chunks_read == 0
+            assert built.last_execution["prefetch_depth"] == 0
+
+    def test_negative_depth_rejected_before_any_sweep(self, store):
+        built = plan({"mean": expr.mean(expr.source(store))})
+        with pytest.raises(ValueError):
+            built.execute(prefetch=-1)
+        assert store.chunks_read == 0

@@ -9,10 +9,8 @@ from repro.streaming import (
     CompressedStore,
     CompressedStoreWriter,
     load_region,
-    stream_dot,
-    stream_l2_norm,
-    stream_mean,
 )
+from repro.streaming import ops as stream_ops
 from tests.conftest import smooth_field
 
 
@@ -181,11 +179,11 @@ class TestCompressedStore:
 class TestStreamingReductions:
     def test_match_one_shot_ops(self, store, settings, field):
         reference = Compressor(settings).compress(field)
-        assert np.isclose(stream_mean(store), ops.mean(reference), rtol=1e-12)
+        assert np.isclose(stream_ops.mean(store), ops.mean(reference), rtol=1e-12)
         assert np.isclose(
-            stream_mean(store, padded=False), ops.mean(reference, padded=False), rtol=1e-12
+            stream_ops.mean(store, padded=False), ops.mean(reference, padded=False), rtol=1e-12
         )
-        assert np.isclose(stream_l2_norm(store), ops.l2_norm(reference), rtol=1e-12)
+        assert np.isclose(stream_ops.l2_norm(store), ops.l2_norm(reference), rtol=1e-12)
 
     def test_dot_requires_matching_chunking(self, tmp_path, settings, field):
         a = ChunkedCompressor(settings, slab_rows=8).compress_to_store(
@@ -196,7 +194,7 @@ class TestStreamingReductions:
         )
         try:
             with pytest.raises(ValueError, match="chunk"):
-                stream_dot(a, b)
+                stream_ops.dot(a, b)
         finally:
             a.close()
             b.close()
@@ -212,15 +210,15 @@ class TestStreamingReductions:
         try:
             compressor = Compressor(settings)
             expected = ops.dot(compressor.compress(field), compressor.compress(other))
-            assert np.isclose(stream_dot(a, b), expected, rtol=1e-12)
+            assert np.isclose(stream_ops.dot(a, b), expected, rtol=1e-12)
         finally:
             a.close()
             b.close()
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            stream_mean(iter(()))
+            stream_ops.mean(iter(()))
         with pytest.raises(ValueError, match="empty"):
-            stream_l2_norm(iter(()))
+            stream_ops.l2_norm(iter(()))
         with pytest.raises(ValueError, match="empty"):
-            stream_dot(iter(()), iter(()))
+            stream_ops.dot(iter(()), iter(()))

@@ -7,13 +7,7 @@ from repro.core import CompressionSettings, Compressor, ops
 from repro.core.exceptions import CodecError
 from repro.core.ops import folds
 from repro.parallel import SerialExecutor, ThreadedExecutor
-from repro.streaming import (
-    ChunkedCompressor,
-    stream_compress,
-    stream_dot,
-    stream_l2_norm,
-    stream_mean,
-)
+from repro.streaming import ChunkedCompressor, stream_compress
 from repro.streaming import ops as stream_ops
 from tests.conftest import smooth_field
 
@@ -176,13 +170,3 @@ class TestFoldPrimitives:
         compressed = Compressor(settings).compress(constant)
         assert ops.variance(compressed) >= 0.0
 
-
-class TestDeprecatedShims:
-    def test_shims_warn_and_match_engine(self, stores):
-        store_a, store_b = stores
-        with pytest.warns(DeprecationWarning, match="ops.mean"):
-            assert stream_mean(store_a) == stream_ops.mean(store_a)
-        with pytest.warns(DeprecationWarning, match="ops.l2_norm"):
-            assert stream_l2_norm(store_a) == stream_ops.l2_norm(store_a)
-        with pytest.warns(DeprecationWarning, match="ops.dot"):
-            assert stream_dot(store_a, store_b) == stream_ops.dot(store_a, store_b)
