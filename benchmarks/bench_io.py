@@ -33,7 +33,7 @@ Run from the repository root::
     PYTHONPATH=src python benchmarks/bench_io.py --check    # enforce the bar
 
 The acceptance bar (enforced by ``--check``) is pipelined ≤ 0.8× serial wall
-time on the cold-cache 64-chunk workload under the serial executor.
+time on the cold-cache 64-chunk workload.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ COLD_DELAY_SECONDS = 0.0003
 #: Pipelined must cost at most this fraction of serial on the gated cell.
 MAX_PIPELINED_RATIO = 0.8
 
-#: The --check bar applies to this (chunks, cache, executor) cell.
-CHECK_CELL = (64, "cold", "serial")
+#: The --check bar applies to this (chunks, cache) cell.
+CHECK_CELL = (64, "cold")
 
 
 def _field(n_chunks: int) -> np.ndarray:
@@ -89,7 +89,7 @@ def _workload(store) -> "engine.Plan":
     return engine.plan({"mean": expr.mean(x), "l2_norm": expr.l2_norm(x)})
 
 
-def _timed_sweep(path: Path, *, prefetch: int | None, workers: int,
+def _timed_sweep(path: Path, *, prefetch: int | None,
                  repeats: int) -> tuple[dict, float, int, int]:
     """Best-of-``repeats`` wall time for the workload on a fresh handle.
 
@@ -97,10 +97,6 @@ def _timed_sweep(path: Path, *, prefetch: int | None, workers: int,
     repeat keeps the chunk cache out of the comparison; counters come from
     the best repeat's handle (they are identical across repeats).
     """
-    executor = None
-    if workers > 0:
-        from repro.parallel import ProcessExecutor
-        executor = ProcessExecutor(n_workers=workers)  # pools are per map call
     best = float("inf")
     values: dict = {}
     chunks_read = preads = 0
@@ -108,7 +104,7 @@ def _timed_sweep(path: Path, *, prefetch: int | None, workers: int,
         with CompressedStore(path) as store:
             fused = _workload(store)  # plan build untimed: same both modes
             start = time.perf_counter()
-            values = fused.execute(executor=executor, prefetch=prefetch)
+            values = fused.execute(prefetch=prefetch)
             seconds = time.perf_counter() - start
             if seconds < best:
                 best = seconds
@@ -117,10 +113,8 @@ def _timed_sweep(path: Path, *, prefetch: int | None, workers: int,
     return values, best, chunks_read, preads
 
 
-def bench_cell(path: Path, n_chunks: int, cache: str, executor_mode: str,
-               repeats: int) -> dict:
-    """Time serial vs pipelined for one (chunks, cache, executor) cell."""
-    workers = 2 if executor_mode == "process-2" else 0
+def bench_cell(path: Path, n_chunks: int, cache: str, repeats: int) -> dict:
+    """Time serial vs pipelined for one (chunks, cache) cell."""
     plan = None
     if cache == "cold":
         plan = FaultPlan(FaultRule(
@@ -130,23 +124,23 @@ def bench_cell(path: Path, n_chunks: int, cache: str, executor_mode: str,
         faults.install(plan)
     try:
         serial_values, serial_seconds, serial_chunks, serial_preads = \
-            _timed_sweep(path, prefetch=0, workers=workers, repeats=repeats)
+            _timed_sweep(path, prefetch=0, repeats=repeats)
         pipe_values, pipe_seconds, pipe_chunks, pipe_preads = \
-            _timed_sweep(path, prefetch=None, workers=workers, repeats=repeats)
+            _timed_sweep(path, prefetch=None, repeats=repeats)
     finally:
         if plan is not None:
             faults.uninstall()
     if serial_values != pipe_values:
         raise AssertionError(
             f"pipelined answers diverged from serial at {n_chunks} chunks "
-            f"({cache}/{executor_mode}): {pipe_values} != {serial_values}"
+            f"({cache}): {pipe_values} != {serial_values}"
         )
     if serial_chunks != pipe_chunks:
         raise AssertionError(
             f"pipelined sweep decoded {pipe_chunks} chunks, serial "
             f"{serial_chunks} — the pipeline must not change coverage"
         )
-    if workers == 0 and pipe_preads >= serial_preads:
+    if pipe_preads >= serial_preads:
         raise AssertionError(
             f"coalescing did not reduce preads ({pipe_preads} vs "
             f"{serial_preads}) at {n_chunks} chunks"
@@ -154,7 +148,6 @@ def bench_cell(path: Path, n_chunks: int, cache: str, executor_mode: str,
     return {
         "chunks": n_chunks,
         "cache": cache,
-        "executor": executor_mode,
         "serial_seconds": serial_seconds,
         "pipelined_seconds": pipe_seconds,
         "pipelined_over_serial": pipe_seconds / serial_seconds,
@@ -167,7 +160,7 @@ def bench_cell(path: Path, n_chunks: int, cache: str, executor_mode: str,
 
 def format_table(results: list[dict]) -> str:
     header = (
-        f"{'chunks':>7s} {'cache':>6s} {'executor':>10s} {'serial ms':>10s} "
+        f"{'chunks':>7s} {'cache':>6s} {'serial ms':>10s} "
         f"{'piped ms':>9s} {'piped/serial':>13s} {'preads':>13s}"
     )
     lines = [header, "-" * len(header)]
@@ -175,7 +168,6 @@ def format_table(results: list[dict]) -> str:
         preads = f"{record['serial_preads']}->{record['pipelined_preads']}"
         lines.append(
             f"{record['chunks']:7d} {record['cache']:>6s} "
-            f"{record['executor']:>10s} "
             f"{record['serial_seconds'] * 1000:10.2f} "
             f"{record['pipelined_seconds'] * 1000:9.2f} "
             f"{record['pipelined_over_serial']:13.3f} {preads:>13s}"
@@ -196,18 +188,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help=f"fail unless pipelined ≤ {MAX_PIPELINED_RATIO}x "
                              f"serial on the cold-cache "
-                             f"{CHECK_CELL[0]}-chunk serial-executor cell")
+                             f"{CHECK_CELL[0]}-chunk cell")
     args = parser.parse_args(argv)
 
     repo_root = Path(__file__).resolve().parent.parent
     output = Path(args.output) if args.output else repo_root / "BENCH_io.json"
     chunk_counts = CHUNK_COUNTS[:1] if args.quick else CHUNK_COUNTS
     repeats = args.repeats or (3 if args.quick else 5)
-    # the process executor reads chunks inside its worker processes, where the
-    # prefetcher does not apply; the cell documents that the pipeline neither
-    # helps nor hurts fanned-out sweeps (expected ratio ≈ 1.0, warm only —
-    # fault plans are per-process and would not reach the workers)
-    executor_modes = ["serial"] if args.quick else ["serial", "process-2"]
 
     settings = CompressionSettings(
         block_shape=(4, 4), float_format="float32", index_dtype="int16"
@@ -218,13 +205,10 @@ def main(argv: list[str] | None = None) -> int:
             path = Path(tmp) / f"io_{n_chunks}.rcs"
             compressor = ChunkedCompressor(settings, slab_rows=SLAB_ROWS)
             compressor.compress_to_store(_field(n_chunks), path).close()
-            for executor_mode in executor_modes:
-                caches = ["warm", "cold"] if executor_mode == "serial" else ["warm"]
-                for cache in caches:
-                    print(f"benchmarking {n_chunks} chunks "
-                          f"({cache}, {executor_mode}) ...", flush=True)
-                    results.append(bench_cell(path, n_chunks, cache,
-                                              executor_mode, repeats))
+            for cache in ("warm", "cold"):
+                print(f"benchmarking {n_chunks} chunks ({cache}) ...",
+                      flush=True)
+                results.append(bench_cell(path, n_chunks, cache, repeats))
 
     payload = {
         "harness": "benchmarks/bench_io.py",
@@ -237,7 +221,6 @@ def main(argv: list[str] | None = None) -> int:
             "slab_rows": SLAB_ROWS,
             "columns": COLUMNS,
             "repeats": repeats,
-            "executors": executor_modes,
             "operations": ["mean", "l2_norm"],
         },
         "io_model": {
@@ -264,8 +247,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check:
         gated = [record for record in results
-                 if (record["chunks"], record["cache"],
-                     record["executor"]) == CHECK_CELL]
+                 if (record["chunks"], record["cache"]) == CHECK_CELL]
         if not gated:
             print(f"check failed: gated cell {CHECK_CELL} was not measured",
                   file=sys.stderr)

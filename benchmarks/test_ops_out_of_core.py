@@ -1,15 +1,14 @@
-"""Out-of-core compressed-domain ops: store-level vs in-memory, serial vs fanned.
+"""Out-of-core compressed-domain ops: store-level vs in-memory.
 
 Times the :mod:`repro.streaming.ops` engine over a chunked store of a 3-D field
 against the in-memory :mod:`repro.core.ops` on the assembled compressed array,
-for each scalar reduction and a structural add, plus a thread-fan-out row.  Two
-things are being demonstrated:
+for each scalar reduction and a structural add.  Two things are being
+demonstrated:
 
 * correctness — every store-level scalar must equal the in-memory value **bit
   for bit** (asserted, not just reported): the partial-fold invariant;
 * the cost shape — store-level ops pay chunk decode per pass, so their overhead
-  is roughly the store read time; the fan-out row shows what ``map_jobs``
-  recovers for multi-chunk stores.
+  is roughly the store read time.
 
 The formatted table lands in ``benchmarks/results/streaming_ops.txt``.
 """
@@ -19,7 +18,6 @@ import pytest
 
 from repro.core import CompressionSettings, ops
 from repro.experiments.common import ExperimentResult, median_time
-from repro.parallel import ThreadedExecutor
 from repro.streaming import ChunkedCompressor
 from repro.streaming import ops as stream_ops
 
@@ -37,7 +35,7 @@ def _field(seed: int) -> np.ndarray:
 
 
 def run_streaming_ops(tmp_path) -> ExperimentResult:
-    """Time each op in-memory, store-level serial, and store-level thread-fanned."""
+    """Time each op in-memory and store-level."""
     settings = CompressionSettings(
         block_shape=(4, 4, 4), float_format="float32", index_dtype="int16"
     )
@@ -46,43 +44,35 @@ def run_streaming_ops(tmp_path) -> ExperimentResult:
     store_a = chunked.compress_to_store(a, tmp_path / "a.pblzc")
     store_b = chunked.compress_to_store(b, tmp_path / "b.pblzc")
     ca, cb = store_a.load_compressed(), store_b.load_compressed()
-    executor = ThreadedExecutor(n_workers=4)
 
     cases = {
         "dot": (lambda: ops.dot(ca, cb),
-                lambda: stream_ops.dot(store_a, store_b),
-                lambda: stream_ops.dot(store_a, store_b, executor=executor)),
+                lambda: stream_ops.dot(store_a, store_b)),
         "mean": (lambda: ops.mean(ca),
-                 lambda: stream_ops.mean(store_a),
-                 lambda: stream_ops.mean(store_a, executor=executor)),
+                 lambda: stream_ops.mean(store_a)),
         "variance": (lambda: ops.variance(ca),
-                     lambda: stream_ops.variance(store_a),
-                     lambda: stream_ops.variance(store_a, executor=executor)),
+                     lambda: stream_ops.variance(store_a)),
         "l2_norm": (lambda: ops.l2_norm(ca),
-                    lambda: stream_ops.l2_norm(store_a),
-                    lambda: stream_ops.l2_norm(store_a, executor=executor)),
+                    lambda: stream_ops.l2_norm(store_a)),
         "cosine_similarity": (
             lambda: ops.cosine_similarity(ca, cb),
             lambda: stream_ops.cosine_similarity(store_a, store_b),
-            lambda: stream_ops.cosine_similarity(store_a, store_b, executor=executor),
         ),
     }
 
     rows = []
-    for name, (in_memory, serial, fanned) in cases.items():
+    for name, (in_memory, streamed) in cases.items():
         # the partial-fold invariant, asserted on the benchmark workload itself
-        assert serial() == in_memory(), name
-        assert fanned() == in_memory(), name
+        assert streamed() == in_memory(), name
         rows.append((name, "in-memory", median_time(in_memory, repeats=3)))
-        rows.append((name, "store serial", median_time(serial, repeats=3)))
-        rows.append((name, "store fanned x4", median_time(fanned, repeats=3)))
+        rows.append((name, "store", median_time(streamed, repeats=3)))
 
     def structural_add():
         """One chunk-by-chunk store-level add (output overwritten each repeat)."""
         stream_ops.add(store_a, store_b, tmp_path / "sum.pblzc").close()
 
     rows.append(("add", "in-memory", median_time(lambda: ops.add(ca, cb), repeats=3)))
-    rows.append(("add", "store serial", median_time(structural_add, repeats=3)))
+    rows.append(("add", "store", median_time(structural_add, repeats=3)))
 
     store_a.close()
     store_b.close()

@@ -68,10 +68,9 @@ Examples
     repro shard-append climate.shards day1.npy
     repro stream-ops mean climate.shards
     repro stream-ops dot a.pblzc b.pblzc
-    repro stream-ops mean a.pblzc --workers 4
     repro stream-ops mean a.pblzc --prefetch 0
     repro stream-ops evaluate a.pblzc b.pblzc --op mean --op variance --op dot --json
-    repro stream-ops add a.pblzc b.pblzc --out sum.pblzc --workers 4
+    repro stream-ops add a.pblzc b.pblzc --out sum.pblzc
     repro stream-ops scale a.pblzc --scalar 2.5 --out scaled.pblzc
     repro serve temps=temps.pblzc wind=wind.pblzc --port 7777
     repro serve temps=temps.pblzc --port 7777 --deadline 5 --max-in-flight 64
@@ -277,10 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "operations add/subtract/scale/negate)")
     p_ops.add_argument("--scalar", type=float, default=None,
                        help="scale factor (required by `scale`)")
-    p_ops.add_argument("--workers", type=int, default=1,
-                       help="worker processes computing per-chunk work units "
-                            "(fold partials for the scalar reductions, chunk "
-                            "transforms for add/subtract/scale/negate)")
     p_ops.add_argument("--true-mean", action="store_true",
                        help="rescale `mean` to the original element count instead "
                             "of the zero-padded block domain")
@@ -337,10 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "concurrently queued/executing get an explicit "
                               "overloaded response instead of queueing "
                               "(default: unbounded)")
-    p_serve.add_argument("--workers", type=int, default=0,
-                         help="process-pool workers for batch execution; a "
-                              "crashed pool degrades the batch to a serial "
-                              "re-run (default: 0 = in-process serial)")
     p_serve.add_argument("--prefetch", type=int, default=None, metavar="N",
                          help="warm-path control: each batch's store chunks "
                               "are decoded into the chunk cache ahead of the "
@@ -641,7 +632,6 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
     import time
 
     from . import engine
-    from .parallel import ProcessExecutor
     from .streaming import ops as stream_ops
 
     operation = args.operation
@@ -690,7 +680,6 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
               "kernels; add/subtract/scale/negate always run the reference "
               "path", file=sys.stderr)
         return 2
-    executor = ProcessExecutor(n_workers=args.workers) if args.workers > 1 else None
 
     def run_scalars(store_a, store_b) -> int:
         """Plan + execute the requested reductions as one fused sweep set."""
@@ -698,8 +687,7 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
                                           args.true_mean)
         fused = engine.plan(expressions)
         start = time.perf_counter()
-        values = fused.execute(executor=executor, backend=args.backend,
-                               prefetch=args.prefetch)
+        values = fused.execute(backend=args.backend, prefetch=args.prefetch)
         seconds = time.perf_counter() - start
         executed = fused.last_execution or {}
         if args.json:
@@ -709,7 +697,6 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
                 "passes": fused.n_passes,
                 "seconds": seconds,
                 "stores": stores,
-                "workers": args.workers,
                 "backend": executed.get("backend"),
                 "backend_fallback": executed.get("fallback_reason"),
                 "compiled_groups": executed.get("compiled_groups"),
@@ -735,7 +722,6 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
                 "out": args.out,
                 "shape": list(out.shape),
                 "chunks": out.n_chunks,
-                "workers": args.workers,
             }))
         else:
             print(f"{operation}: wrote {args.out} "
@@ -747,11 +733,10 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
                 if operation not in _ARRAY_OPS:
                     return run_scalars(store_a, None)
                 if operation == "negate":
-                    out = stream_ops.negate(store_a, args.out, executor=executor,
+                    out = stream_ops.negate(store_a, args.out,
                                             prefetch=args.prefetch)
                 else:
                     out = stream_ops.scale(store_a, args.scalar, args.out,
-                                           executor=executor,
                                            prefetch=args.prefetch)
                 with out:
                     report_store(out)
@@ -760,7 +745,7 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
                 if operation not in _ARRAY_OPS:
                     return run_scalars(store_a, store_b)
                 mapped = stream_ops.add if operation == "add" else stream_ops.subtract
-                with mapped(store_a, store_b, args.out, executor=executor,
+                with mapped(store_a, store_b, args.out,
                             prefetch=args.prefetch) as out:
                     report_store(out)
                 return 0
@@ -807,16 +792,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.max_in_flight is not None and args.max_in_flight < 1:
         print("error: --max-in-flight must be at least 1", file=sys.stderr)
         return 2
-    if args.workers < 0:
-        print("error: --workers cannot be negative", file=sys.stderr)
-        return 2
     with StoreCatalog(mapping, cache=cache) as catalog:
         service = QueryService(catalog, tick=tick,
                                coalesce=not args.no_coalesce,
                                backend=args.backend,
                                deadline=args.deadline,
                                max_in_flight=args.max_in_flight,
-                               workers=args.workers,
                                prefetch=args.prefetch)
 
         async def run() -> None:

@@ -182,8 +182,8 @@ def signature_for(lowering: _Lowering, settings) -> PassSignature | None:
 
 # ------------------------------------------------------------------ kernel cache
 #: ``(backend name, signature) -> compiled kernel`` (or ``None`` when the
-#: backend declined).  Per process: executor workers build their own entries,
-#: warmed once per distinct plan shape and reused for every later chunk/job.
+#: backend declined).  Per process: warmed once per distinct plan shape and
+#: reused for every later chunk and every later plan with that shape.
 _KERNEL_CACHE: dict[tuple, Callable | None] = {}
 
 

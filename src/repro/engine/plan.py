@@ -44,11 +44,9 @@ per-block loop.  The ``reference`` default keeps the interpreted, bit-exact
 path above; compiled means stay bit-identical and summing folds agree within
 the backend's ``fused_fold_tolerance`` (see ``docs/engine.md``).
 
-Executor fan-out: with an ``executor`` (any :class:`repro.parallel.BlockExecutor`)
-and store-only sources, each pass dispatches one *batched multi-partial job*
-per chunk through :meth:`BlockExecutor.map_jobs` — the worker decodes the
-chunk tuple once and returns every fused partial's state — and states combine
-in chunk order, keeping results identical to the serial sweep.
+Every sweep reads its chunks through the one prefetching reader
+(:func:`repro.streaming.sources.aligned_chunks`), so the caller's chunk cache,
+retry policy, codec override and read counters apply to every plan.
 """
 
 from __future__ import annotations
@@ -63,10 +61,9 @@ from ..core.ops import folds
 from ..kernels import DEFAULT_BACKEND
 from ..reliability import faults
 from ..streaming.prefetch import resolve_depth
-from ..streaming.sharded import ShardedStore, open_store
+from ..streaming.sharded import ShardedStore
 from ..streaming.sources import (STORE_TYPES, aligned_chunks, check_stores,
                                  require_pyblaz)
-from ..streaming.store import CompressedStore
 from . import compile as plan_compile
 from .expr import ArrayExpr, Expr, Reduction, Source, TWO_PASS_OPS
 
@@ -149,42 +146,6 @@ def _evaluate_chunk_terms(program: tuple, values: dict, terms: tuple,
         for chunk in primed:
             del chunk.coefficients_cache
     return states
-
-
-def _plan_pass_job(program: tuple, paths: tuple, terms: tuple, extras: tuple,
-                   index: int,
-                   backend: str = DEFAULT_BACKEND) -> list[folds.FoldState]:
-    """Picklable batched multi-partial job: one chunk decode feeds every fused fold.
-
-    Workers (possibly in other processes) reopen each needed store by path,
-    decode only chunk ``index`` of each — one decode per source per job — and
-    return the full list of fold partial states for this chunk, orders of
-    magnitude smaller than the chunk itself.  Under a non-default ``backend``
-    the step runs through the compiled fused-pass kernel when the group
-    lowers (cached per worker process — one compile serves every job with
-    this plan signature), interpreting otherwise.
-    """
-    values = {}
-    for slot, path in paths:
-        with open_store(path) as store:
-            values[slot] = store.read_chunk(index)
-    if backend != DEFAULT_BACKEND:
-        slots = tuple(slot for slot, _ in paths)
-        lowering = plan_compile.lower_terms(program, terms, slots)
-        if lowering is not None:
-            chunks = tuple(values[slot] for slot in slots)
-            signature = plan_compile.signature_for(lowering, chunks[0].settings)
-            if signature is not None:
-                kernel, _ = plan_compile.get_pass_kernel(backend, signature)
-                if kernel is not None:
-                    try:
-                        return plan_compile.run_compiled_step(kernel, lowering,
-                                                              chunks, extras)
-                    except Exception:
-                        # a kernel runtime failure degrades this job to the
-                        # interpreted path — the decoded chunks are untouched
-                        pass
-    return _evaluate_chunk_terms(program, values, terms, extras)
 
 
 # ------------------------------------------------------------------ the plan
@@ -442,19 +403,13 @@ class Plan:
             states[term] = state
         return states
 
-    def _run_pass(self, pass_: PlanPass, extras: tuple, executor,
-                  backend: str, run_stats: dict,
-                  prefetch: int | None = None) -> list:
+    def _run_pass(self, pass_: PlanPass, extras: tuple, backend: str,
+                  run_stats: dict, prefetch: int | None = None) -> list:
         """Execute one pass; return the combined state per term (pass order).
 
         Each :class:`PassGroup` runs its own aligned sweep over its connected
-        source set.  Serial (``executor=None`` or non-store sources): chunk
-        tuples stream through one at a time, so peak memory is one chunk per
-        decoded source plus any structural intermediates.  With an executor
-        and store-only group sources, one batched multi-partial job per chunk
-        fans out via ``map_jobs`` and states combine in chunk order —
-        deterministic and bit-identical to the serial sweep because the
-        combine is exact.
+        source set: chunk tuples stream through one at a time, so peak memory
+        is one chunk per decoded source plus any structural intermediates.
 
         Under a non-default ``backend``, each group that *lowers*
         (:func:`repro.engine.compile.lower_terms` — all-leaf-source terms
@@ -464,7 +419,7 @@ class Plan:
         default path.  ``run_stats`` accumulates the per-group mode counts
         and JIT compile seconds reported via :attr:`last_execution`.
 
-        ``prefetch`` passes through to the serial path's aligned iterator
+        ``prefetch`` passes through to the aligned iterator
         (:func:`repro.streaming.sources.aligned_chunks`): store sources read
         ahead through the pipelined prefetcher, and the time this sweep still
         spends *blocked* waiting on chunks accumulates into
@@ -480,114 +435,8 @@ class Plan:
                 state_by_term.update(served)
                 run_stats["incremental_groups"] += 1
                 continue
-            source_items = [(slot, self.sources[src_index])
-                            for slot, src_index in zip(group.source_slots,
-                                                       group.source_indices)]
-            lowering = None
-            if backend != DEFAULT_BACKEND:
-                lowering = plan_compile.lower_terms(
-                    self._program, group.terms, group.source_slots
-                )
-            pooled = executor is not None and all(
-                isinstance(source, STORE_TYPES) for _, source in source_items
-            )
-            if pooled:
-                # resolve the kernel parent-side from the stores' settings so
-                # the group's mode is known (and, for thread pools, the kernel
-                # is already warm); process workers compile their own copy via
-                # the same per-process cache, once per plan signature
-                job_backend = DEFAULT_BACKEND
-                if lowering is not None:
-                    signature = plan_compile.signature_for(
-                        lowering, source_items[0][1].settings
-                    )
-                    if signature is not None:
-                        kernel, seconds = plan_compile.get_pass_kernel(
-                            backend, signature
-                        )
-                        run_stats["compile_seconds"] += seconds
-                        if kernel is not None:
-                            job_backend = backend
-                run_stats["compiled_groups" if job_backend != DEFAULT_BACKEND
-                          else "interpreted_groups"] += 1
-                paths = tuple((slot, str(source.path))
-                              for slot, source in source_items)
-                n_chunks = source_items[0][1].n_chunks
-                jobs = [(self._program, paths, group.terms, group_extras,
-                         index, job_backend)
-                        for index in range(n_chunks)]
-                per_chunk = executor.map_jobs(_plan_pass_job, jobs)
-                collected = [list(states) for states in zip(*per_chunk)]
-                if not collected:
-                    collected = [[] for _ in group.terms]
-            else:
-                collected = [[] for _ in group.terms]
-                sources = tuple(source for _, source in source_items)
-                slots = tuple(slot for slot, _ in source_items)
-                kernel = None
-                kernel_resolved = False
-                run_stats["prefetch_depth"] = max(
-                    [run_stats["prefetch_depth"]]
-                    + [resolve_depth(prefetch, source.n_chunks)
-                       for source in sources if isinstance(source, STORE_TYPES)]
-                )
-                iterator = aligned_chunks(sources, prefetch=prefetch)
-                sentinel = object()
-                try:
-                    while True:
-                        fetch_start = time.perf_counter()
-                        chunks = next(iterator, sentinel)
-                        run_stats["io_seconds"] += time.perf_counter() - fetch_start
-                        if chunks is sentinel:
-                            break
-                        if lowering is not None and not kernel_resolved:
-                            kernel_resolved = True
-                            signature = plan_compile.signature_for(
-                                lowering, chunks[0].settings
-                            )
-                            if signature is not None:
-                                kernel, seconds = plan_compile.get_pass_kernel(
-                                    backend, signature
-                                )
-                                run_stats["compile_seconds"] += seconds
-                        states = None
-                        if kernel is not None:
-                            try:
-                                fault = faults.active_plan()
-                                if fault is not None:
-                                    fault.check_compiled_kernel()
-                                states = plan_compile.run_compiled_step(
-                                    kernel, lowering, chunks, group_extras
-                                )
-                            except Exception as exc:
-                                # degrade, don't fail: the decoded chunks are
-                                # untouched, so the interpreted path below
-                                # resumes this chunk and finishes the group
-                                # bit-exactly
-                                kernel = None
-                                run_stats["runtime_fallbacks"] += 1
-                                run_stats["fallback_reason"] = (
-                                    f"compiled {backend} kernel failed at "
-                                    f"runtime ({exc}); interpreting the rest "
-                                    "of this group"
-                                )
-                        if states is None:
-                            values = dict(zip(slots, chunks))
-                            chunks = None  # the step owns the chunks now
-                            states = _evaluate_chunk_terms(self._program, values,
-                                                           group.terms,
-                                                           group_extras)
-                            values = None  # drop coefficients before the next decode
-                        else:
-                            chunks = None
-                        for bucket, state in zip(collected, states):
-                            bucket.append(state)
-                finally:
-                    # closing the aligned iterator shuts any prefetch pools
-                    # down promptly, even when a fold error aborts the sweep
-                    iterator.close()
-                run_stats["compiled_groups" if kernel is not None
-                          else "interpreted_groups"] += 1
+            collected = self._sweep_group(group, group_extras, backend,
+                                          run_stats, prefetch)
             for term, bucket in zip(group.terms, collected):
                 combined = folds.combine_all(bucket)
                 if combined is None:
@@ -595,13 +444,88 @@ class Plan:
                 state_by_term[term] = combined
         return [state_by_term[term] for term in pass_.terms]
 
-    def execute(self, *, executor=None, backend=None, prefetch=None):
+    def _sweep_group(self, group: PassGroup, extras: tuple, backend: str,
+                     run_stats: dict, prefetch: int | None) -> list[list]:
+        """One aligned chunk sweep of a group; per-term lists of chunk states.
+
+        The group's compiled kernel (if it lowers) is resolved from the first
+        chunk's settings; a kernel failing at runtime degrades the rest of the
+        group to the interpreter, which resumes the same decoded chunks.
+        """
+        sources = tuple(self.sources[index] for index in group.source_indices)
+        slots = group.source_slots
+        lowering = None
+        if backend != DEFAULT_BACKEND:
+            lowering = plan_compile.lower_terms(self._program, group.terms, slots)
+        kernel = None
+        resolved = False
+        collected: list[list] = [[] for _ in group.terms]
+        run_stats["prefetch_depth"] = max(
+            [run_stats["prefetch_depth"]]
+            + [resolve_depth(prefetch, source.n_chunks)
+               for source in sources if isinstance(source, STORE_TYPES)]
+        )
+        iterator = aligned_chunks(sources, prefetch=prefetch)
+        sentinel = object()
+        try:
+            while True:
+                fetch_start = time.perf_counter()
+                chunks = next(iterator, sentinel)
+                run_stats["io_seconds"] += time.perf_counter() - fetch_start
+                if chunks is sentinel:
+                    break
+                if lowering is not None and not resolved:
+                    resolved = True
+                    signature = plan_compile.signature_for(lowering,
+                                                           chunks[0].settings)
+                    if signature is not None:
+                        kernel, seconds = plan_compile.get_pass_kernel(
+                            backend, signature
+                        )
+                        run_stats["compile_seconds"] += seconds
+                states = None
+                if kernel is not None:
+                    try:
+                        fault = faults.active_plan()
+                        if fault is not None:
+                            fault.check_compiled_kernel()
+                        states = plan_compile.run_compiled_step(
+                            kernel, lowering, chunks, extras
+                        )
+                    except Exception as exc:
+                        # degrade, don't fail: the decoded chunks are
+                        # untouched, so the interpreted path below resumes
+                        # this chunk and finishes the group bit-exactly
+                        kernel = None
+                        run_stats["runtime_fallbacks"] += 1
+                        run_stats["fallback_reason"] = (
+                            f"compiled {backend} kernel failed at runtime "
+                            f"({exc}); interpreting the rest of this group"
+                        )
+                if states is None:
+                    values = dict(zip(slots, chunks))
+                    chunks = None  # the step owns the chunks now
+                    states = _evaluate_chunk_terms(self._program, values,
+                                                   group.terms, extras)
+                    values = None  # drop coefficients before the next decode
+                chunks = None
+                for bucket, state in zip(collected, states):
+                    bucket.append(state)
+        finally:
+            # closing the aligned iterator shuts any prefetch pools down
+            # promptly, even when a fold error aborts the sweep
+            iterator.close()
+        run_stats["compiled_groups" if kernel is not None
+                  else "interpreted_groups"] += 1
+        return collected
+
+    def execute(self, *, backend=None, prefetch=None):
         """Run every pass and finalize the requested scalars.
 
         Returns a dict keyed like the request, a list for a sequence request,
         or the bare scalar for a single-expression request.
 
-        ``prefetch`` controls the pipelined chunk readahead on serial sweeps
+        ``prefetch`` controls the pipelined chunk readahead of every sweep
         (``docs/performance.md``): ``None`` auto-enables it, ``0`` keeps the
         strictly serial read→decode loop, a positive integer sets the
         in-flight span window.  Results are bit-identical either way.
@@ -644,9 +568,8 @@ class Plan:
         for pass_ in self.passes:
             extras = self._extras(pass_.terms, means)
             for term, state in zip(pass_.terms,
-                                   self._run_pass(pass_, extras, executor,
-                                                  resolved, run_stats,
-                                                  prefetch)):
+                                   self._run_pass(pass_, extras, resolved,
+                                                  run_stats, prefetch)):
                 states[term] = state
             if pass_.index == 1 and self.n_passes == 2:
                 for name, slots in self.passes[1].terms:
@@ -873,12 +796,11 @@ def _group_terms(program: tuple, terms: tuple) -> tuple:
     return tuple(groups)
 
 
-def evaluate(request, *, executor=None, backend=None, prefetch=None):
+def evaluate(request, *, backend=None, prefetch=None):
     """Compile and run in one call: ``plan(request).execute(...)``.
 
     ``backend`` and ``prefetch`` pass straight through to
     :meth:`Plan.execute` — ``None`` keeps the bit-exact ``reference`` default
     (or the sources' settings consensus) and the auto readahead depth.
     """
-    return plan(request).execute(executor=executor, backend=backend,
-                                 prefetch=prefetch)
+    return plan(request).execute(backend=backend, prefetch=prefetch)

@@ -14,9 +14,9 @@ subpackage provides the analogous execution substrate for the numpy backend:
   :data:`~repro.parallel.executors.MIN_CHUNK_ELEMENTS` elements per chunk), so
   small arrays degrade to serial execution instead of paying pool overhead.
 * :class:`ProcessExecutor` — dispatches chunks to worker processes, sidestepping
-  the GIL at the cost of pickling chunks across the process boundary; also used by
-  :class:`repro.streaming.ChunkedCompressor` to fan slab compression out across
-  workers.
+  the GIL at the cost of pickling chunks across the process boundary.  A dead
+  worker surfaces as :class:`repro.reliability.WorkerCrashError`, as it does
+  for the slab pool of :class:`repro.streaming.ChunkedCompressor`.
 * :class:`LoopExecutor` — a deliberately slow pure-Python per-block loop, used by the
   ablation benchmarks as the "single-threaded Blaz-style" reference point.
 

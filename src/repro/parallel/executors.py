@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import abc
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pickle import PicklingError
@@ -94,37 +93,6 @@ class BlockExecutor(abc.ABC):
             return kernel
         return get_backend(DEFAULT_BACKEND)
 
-    def map_jobs(self, fn, jobs):
-        """Run ``fn(*args)`` for every args tuple in ``jobs``; results in job order.
-
-        The generic fan-out hook behind :mod:`repro.streaming.ops` and
-        :mod:`repro.engine`: the out-of-core engines hand one job per store
-        chunk to whatever executor the caller configured, so per-chunk work
-        schedules exactly like the per-block transform work — serial here,
-        pooled in the thread/process executors (which additionally require the
-        jobs to be picklable in the process case).
-
-        Jobs may be **batched multi-partial** work units: the plan engine's
-        job decodes its chunk once and returns the partial states of *every*
-        fused fold that wants the chunk (a list of
-        :class:`repro.core.ops.folds.FoldState`), so one worker decode feeds
-        all fused partials.  ``map_jobs`` is agnostic to the result type; it
-        only promises job-order results.
-        """
-        return [fn(*args) for args in jobs]
-
-    def imap_jobs(self, fn, jobs, window: int | None = None):
-        """Lazily run ``fn(*args)`` per job, yielding results in job order.
-
-        The streaming sibling of :meth:`map_jobs` for jobs whose results are
-        too large to hold all at once (e.g. transformed store chunks awaiting
-        an ordered append): at most ``window`` jobs are in flight, so memory
-        stays bounded while the pool stays busy.  The base implementation is
-        serial; pooled executors override it with a bounded-window pipeline.
-        """
-        for args in jobs:
-            yield fn(*args)
-
     @abc.abstractmethod
     def transform_and_bin(
         self,
@@ -195,72 +163,33 @@ def _pool_failure(exc: BaseException, index: int | None, n_jobs: int) -> WorkerC
     )
     return WorkerCrashError(
         f"process pool failed {where}: {detail} ({exc}); the batch is lost — "
-        "retry it, or rerun with a serial or threaded executor",
+        "retry it, or rerun without a process pool",
         job_index=index,
         n_jobs=n_jobs,
     )
 
 
-def _crashable_job(crash: bool, fn, *args):
-    """Picklable wrapper the fault harness uses to kill a worker mid-batch."""
-    if crash:
-        os._exit(13)  # a hard worker death, not an exception the pool can catch
-    return fn(*args)
+def _crash_worker() -> None:
+    """Picklable job the fault harness swaps in to kill a worker mid-batch."""
+    os._exit(13)  # a hard worker death, not an exception the pool can catch
 
 
-def _armed_jobs(fn, jobs: list):
-    """Apply any active worker-crash fault rules to a pooled job batch.
+def _armed_jobs(fn, jobs):
+    """Yield ``(fn, args)`` per pooled job, applying active worker-crash rules.
 
-    Returns ``(fn, jobs)`` unchanged in the normal case (no plan installed).
-    Only called on the genuinely pooled path — the ≤1-job batches that degrade
-    to the calling thread must never arm a crash, which would kill the caller.
+    Yields every job unchanged in the normal case (no plan installed); a job
+    a ``worker_crash`` rule selects by its index becomes :func:`_crash_worker`.
+    Lazy, so a streamed job source (the chunked compressor's slabs) is armed
+    one job at a time.  Only called on genuinely pooled paths — work that
+    degrades to the calling thread must never arm a crash, which would kill
+    the caller.
     """
     plan = faults.active_plan()
-    if plan is None:
-        return fn, jobs
-    flags = [plan.take_worker_crash(index) for index in range(len(jobs))]
-    if not any(flags):
-        return fn, jobs
-    return _crashable_job, [
-        (flag, fn) + tuple(args) for flag, args in zip(flags, jobs)
-    ]
-
-
-def _imap_ordered(pool_cls, n_workers: int, fn, jobs, window: int | None):
-    """Shared bounded-window ordered pipeline for the pooled ``imap_jobs``.
-
-    Keeps at most ``window`` futures outstanding (default ``2 × n_workers``:
-    enough to hide scheduling latency, small enough to bound result memory)
-    and yields strictly in job order.  A single job degrades to the calling
-    thread, like the pooled ``map_jobs``.  A broken process pool surfaces as
-    the typed :class:`WorkerCrashError` naming the first failed job.
-    """
-    jobs = list(jobs)
-    if len(jobs) <= 1:
-        for args in jobs:
-            yield fn(*args)
-        return
-    if pool_cls is ProcessPoolExecutor:
-        fn, jobs = _armed_jobs(fn, jobs)
-    window = max(2, window if window is not None else 2 * n_workers)
-    index: int | None = None
-    try:
-        with pool_cls(max_workers=n_workers) as pool:
-            pending: deque = deque()
-            iterator = iter(enumerate(jobs))
-            for index, args in iterator:
-                pending.append((index, pool.submit(fn, *args)))
-                if len(pending) >= window:
-                    break
-            while pending:
-                index, future = pending.popleft()
-                result = future.result()
-                for next_index, args in iterator:  # refill one slot before yielding
-                    pending.append((next_index, pool.submit(fn, *args)))
-                    break
-                yield result
-    except (BrokenProcessPool, PicklingError) as exc:
-        raise _pool_failure(exc, index, len(jobs)) from exc
+    for index, args in enumerate(jobs):
+        if plan is not None and plan.take_worker_crash(index):
+            yield _crash_worker, ()
+        else:
+            yield fn, tuple(args)
 
 
 class _ChunkingExecutor(BlockExecutor):
@@ -363,18 +292,6 @@ class ThreadedExecutor(_ChunkingExecutor):
             for future, sl in futures.items():
                 write(sl, future.result())
 
-    def map_jobs(self, fn, jobs):
-        """Fan ``fn(*args)`` jobs out over the thread pool; results in job order."""
-        if len(jobs) <= 1:
-            return [fn(*args) for args in jobs]
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = [pool.submit(fn, *args) for args in jobs]
-            return [future.result() for future in futures]
-
-    def imap_jobs(self, fn, jobs, window: int | None = None):
-        """Bounded-window ordered fan-out over the thread pool (see base docstring)."""
-        return _imap_ordered(ThreadPoolExecutor, self.n_workers, fn, jobs, window)
-
 
 class ProcessExecutor(_ChunkingExecutor):
     """Process-pool execution over chunks of the block grid.
@@ -397,49 +314,28 @@ class ProcessExecutor(_ChunkingExecutor):
         self.n_workers = int(n_workers)
 
     def _map_chunks(self, jobs, write):
+        """Run the chunk jobs in worker processes, writing results in order.
+
+        A worker crash or a payload that fails to pickle surfaces as
+        :class:`WorkerCrashError` naming the first job observed to fail
+        (``None`` when submission itself failed), instead of the raw pool
+        internals.
+        """
         if len(jobs) <= 1:
             for sl, args in jobs:
                 write(sl, _kernel_chunk(*args))
             return
-        try:
-            with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
-                futures = {
-                    pool.submit(
-                        _kernel_chunk, *args[:-1], np.ascontiguousarray(args[-1])
-                    ): sl
-                    for sl, args in jobs
-                }
-                for future, sl in futures.items():
-                    write(sl, future.result())
-        except (BrokenProcessPool, PicklingError) as exc:
-            raise _pool_failure(exc, None, len(jobs)) from exc
-
-    def map_jobs(self, fn, jobs):
-        """Fan ``fn(*args)`` jobs out over worker processes; results in job order.
-
-        ``fn`` and every job argument must be picklable; results come back in
-        job order regardless of completion order.  A worker crash or a payload
-        that fails to pickle surfaces as :class:`WorkerCrashError` naming the
-        first failed job index, instead of the raw pool internals.
-        """
-        jobs = list(jobs)
-        if len(jobs) <= 1:
-            return [fn(*args) for args in jobs]
-        fn, jobs = _armed_jobs(fn, jobs)
+        armed = _armed_jobs(_kernel_chunk, (
+            args[:-1] + (np.ascontiguousarray(args[-1]),) for _, args in jobs
+        ))
         index: int | None = None
         try:
             with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
-                futures = [pool.submit(fn, *args) for args in jobs]
-                results = []
-                for index, future in enumerate(futures):
-                    results.append(future.result())
-                return results
+                futures = [pool.submit(fn, *args) for fn, args in armed]
+                for index, ((sl, _), future) in enumerate(zip(jobs, futures)):
+                    write(sl, future.result())
         except (BrokenProcessPool, PicklingError) as exc:
             raise _pool_failure(exc, index, len(jobs)) from exc
-
-    def imap_jobs(self, fn, jobs, window: int | None = None):
-        """Bounded-window ordered fan-out over worker processes (picklable jobs)."""
-        return _imap_ordered(ProcessPoolExecutor, self.n_workers, fn, jobs, window)
 
 
 class LoopExecutor(_ChunkingExecutor):

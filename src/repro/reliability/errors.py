@@ -8,9 +8,9 @@ documented to look for the fault-handling surface.
 The two new types deliberately do **not** subclass :class:`CodecError`:
 
 * :class:`WorkerCrashError` — a process worker died mid-job.  The *inputs*
-  were fine; the environment failed.  Retrying (or degrading to serial
-  execution, as :class:`repro.serving.QueryService` does) is legitimate,
-  whereas a :class:`CodecError` means retrying the same bytes cannot help.
+  were fine; the environment failed.  Retrying (or rerunning without a
+  process pool) is legitimate, whereas a :class:`CodecError` means retrying
+  the same bytes cannot help.
 * :class:`DeadlineError` — a time budget ran out.  Also not a data problem.
 """
 
@@ -24,21 +24,24 @@ __all__ = ["CodecError", "IntegrityError", "WorkerCrashError", "DeadlineError"]
 class WorkerCrashError(RuntimeError):
     """A process-pool worker died (or its payload failed to pickle) mid-job.
 
-    Raised by :meth:`repro.parallel.ProcessExecutor.map_jobs` /
-    :meth:`~repro.parallel.ProcessExecutor.imap_jobs` in place of the raw
-    ``concurrent.futures.process.BrokenProcessPool`` / ``PicklingError`` so
-    callers can react with one documented type.  When a pool breaks, *every*
-    outstanding future fails at once, so :attr:`job_index` names the first job
-    whose failure was observed — the crash itself may have happened in any
-    concurrently running job.
+    Raised by the compressor's process pools —
+    :class:`repro.parallel.ProcessExecutor` (block-grid chunks of
+    ``Compressor(executor=...)``) and the slab pool of
+    :class:`repro.streaming.ChunkedCompressor` (``stream-compress --workers
+    N``) — in place of the raw ``concurrent.futures.process.BrokenProcessPool``
+    / ``PicklingError`` so callers can react with one documented type.  When a
+    pool breaks, *every* outstanding future fails at once, so
+    :attr:`job_index` names the first job whose failure was observed — the
+    crash itself may have happened in any concurrently running job.
 
     Attributes
     ----------
     job_index:
-        Index (into the submitted job list) of the first job observed to
-        fail, or ``None`` when submission itself failed.
+        Index (into the submitted jobs, in submission order) of the first job
+        observed to fail, or ``None`` when submission itself failed.
     n_jobs:
-        Total number of jobs in the submitted batch.
+        Number of jobs in the batch; for the streamed slab pool, the number
+        of slabs submitted before the failure surfaced.
     """
 
     def __init__(self, message: str, *, job_index: int | None = None,

@@ -4,7 +4,8 @@ A :class:`FaultPlan` is a seedable list of :class:`FaultRule`\\ s installed
 process-wide (via :func:`install` or the :func:`inject` context manager).
 Production code calls the cheap module-level hooks at well-defined seams —
 :meth:`repro.streaming.CompressedStore` before and after every record read,
-:class:`repro.parallel.ProcessExecutor` when wrapping pooled jobs,
+the compressor process pools (:class:`repro.parallel.ProcessExecutor` and the
+:class:`repro.streaming.ChunkedCompressor` slab pool) when submitting jobs,
 :mod:`repro.engine.plan` before running a compiled kernel — and each hook is a
 no-op unless a plan is active, so the hot path pays one global read.
 
@@ -71,7 +72,9 @@ class FaultRule:
     chunk_index:
         For read faults, the chunk record to hit (``None`` matches any).
     job_index:
-        For ``worker_crash``, the pooled job index to kill (``None`` matches
+        For ``worker_crash``, the index of the compressor process-pool job
+        to kill — a :class:`repro.parallel.ProcessExecutor` chunk or a
+        :class:`repro.streaming.ChunkedCompressor` slab (``None`` matches
         any).
     times:
         How many times this rule fires before becoming inert.  The default of

@@ -83,13 +83,13 @@ class ServiceMetrics:
             self.requests_deadline_exceeded += 1
 
     def record_degradation(self, kind: str) -> None:
-        """One plan degraded instead of failing (the degradation ladder).
+        """One plan degraded instead of failing.
 
-        ``kind`` names the rung taken: ``"compiled_to_interpreted"`` (a
-        compiled kernel failed at runtime, the interpreter finished the sweep)
-        or ``"process_to_serial"`` (the process pool crashed, the plan re-ran
-        serially).  Surfaced by :meth:`snapshot` under ``reliability`` — the
-        observable proof that serving degraded rather than erroring.
+        ``kind`` names the degradation; the service records
+        ``"compiled_to_interpreted"`` (a compiled kernel failed at runtime and
+        the interpreter finished the sweep).  Surfaced by :meth:`snapshot`
+        under ``reliability`` — the observable proof that serving degraded
+        rather than erroring.
         """
         with self._lock:
             self.degradations[kind] += 1

@@ -44,7 +44,6 @@ from typing import Any
 from .. import engine
 from ..core.exceptions import CodecError
 from ..engine.wire import WIRE_VERSION, WireError, request_from_wire
-from ..reliability.errors import WorkerCrashError
 from .catalog import StoreCatalog
 from .client import ServerError
 from .metrics import ServiceMetrics
@@ -100,12 +99,6 @@ class QueryService:
         concurrently in flight are rejected immediately with ``{"ok": false,
         "overloaded": true}`` — an explicit signal the client can back off
         on, never a hang.
-    workers:
-        When positive, batches execute through a
-        :class:`repro.parallel.ProcessExecutor` with this many worker
-        processes; a crashed pool degrades the batch to serial execution
-        (recorded in the metrics degradation counters) instead of failing it.
-        ``0`` (default) executes serially on the worker thread.
     prefetch:
         Warm-path control (``docs/performance.md``): when the catalog has a
         chunk cache and ``prefetch`` is not ``0``, each scheduler tick also
@@ -120,7 +113,7 @@ class QueryService:
     def __init__(self, catalog: StoreCatalog, *, tick: float = DEFAULT_TICK_SECONDS,
                  coalesce: bool = True, metrics: ServiceMetrics | None = None,
                  backend: str | None = None, deadline: float | None = None,
-                 max_in_flight: int | None = None, workers: int = 0,
+                 max_in_flight: int | None = None,
                  prefetch: int | None = None):
         if tick < 0:
             raise ValueError("tick must be non-negative")
@@ -140,11 +133,6 @@ class QueryService:
         self.metrics = metrics if metrics is not None else ServiceMetrics(
             cache=catalog.cache, catalog=catalog
         )
-        if workers > 0:
-            from ..parallel import ProcessExecutor
-            self._executor = ProcessExecutor(n_workers=workers)
-        else:
-            self._executor = None
         self._queue: "asyncio.Queue[_Pending | None]" = asyncio.Queue()
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="repro-serving-plan")
@@ -391,9 +379,8 @@ class QueryService:
         Either way every plan executes under the service's :attr:`backend`;
         the returned name is what actually ran (``reference`` after an
         availability fallback), for the batch info and by-backend metrics.
-        Each plan runs through :meth:`_run_plan`'s degradation ladder, so a
-        crashed process pool or a failing compiled kernel degrades the batch
-        instead of failing it.
+        Each plan runs through :meth:`_run_plan`, so a failing compiled
+        kernel degrades the batch instead of failing it.
         """
         if self.coalesce:
             joint = {
@@ -454,27 +441,14 @@ class QueryService:
             self.metrics.record_prefetch(warmed)
 
     def _run_plan(self, built: "engine.Plan"):
-        """Execute one plan with the service's degradation ladder applied.
+        """Execute one plan under the service's backend, counting degradations.
 
-        * A :class:`WorkerCrashError` from the process executor re-executes
-          the plan serially (``process_to_serial``) — correctness over
-          parallelism.
-        * A compiled kernel failing at runtime already degraded inside
-          :meth:`Plan.execute` (``runtime_fallbacks`` in
-          ``Plan.last_execution``); it is counted here so ``stats`` shows it.
-
-        Both rungs land in the metrics ``reliability.degradations`` counters
-        and in ``Plan.last_execution["fallback_reason"]``.
+        A compiled kernel failing at runtime already degraded inside
+        :meth:`Plan.execute` (``runtime_fallbacks`` in ``Plan.last_execution``,
+        with the ``fallback_reason``); it is counted here under the metrics
+        ``reliability.degradations`` so ``stats`` shows it.
         """
-        try:
-            values = built.execute(executor=self._executor, backend=self.backend)
-        except WorkerCrashError as exc:
-            self.metrics.record_degradation("process_to_serial")
-            values = built.execute(backend=self.backend)
-            if built.last_execution is not None:
-                built.last_execution["fallback_reason"] = (
-                    f"process pool crashed ({exc}); batch re-executed serially"
-                )
+        values = built.execute(backend=self.backend)
         last = built.last_execution or {}
         if last.get("runtime_fallbacks"):
             self.metrics.record_degradation("compiled_to_interpreted")

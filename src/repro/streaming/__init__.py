@@ -32,8 +32,7 @@ Three layers:
   the lazy engine (:mod:`repro.engine`) folding the declarative
   :data:`repro.core.ops.folds.FOLD_SPECS` partials chunk-by-chunk, plus
   structural ``add``/``subtract``/``scale``/``negate`` that write new stores
-  one chunk at a time (optionally fanned across an executor with deterministic
-  append order).  Results match the in-memory :mod:`repro.core.ops` on the
+  one chunk at a time.  Results match the in-memory :mod:`repro.core.ops` on the
   assembled array bit for bit (see ``docs/ops.md``); to evaluate *several*
   reductions in fused sweeps, use :func:`repro.engine.plan` directly
   (``docs/engine.md``).

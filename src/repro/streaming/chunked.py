@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pickle import PicklingError
 from typing import Iterator
 
 import numpy as np
@@ -28,6 +30,7 @@ from ..core.compressor import Compressor
 from ..core.exceptions import CodecError
 from ..core.settings import CompressionSettings
 from ..kernels import DEFAULT_BACKEND
+from ..parallel.executors import _armed_jobs, _pool_failure
 from .store import CompressedStore, CompressedStoreWriter
 
 __all__ = ["ChunkedCompressor", "stream_compress"]
@@ -177,25 +180,39 @@ class ChunkedCompressor:
             yield pending[0] if len(pending) == 1 else np.concatenate(pending, axis=0)
 
     def _compressed_slabs(self, source) -> Iterator[CompressedArray]:
-        """Compress aligned slabs in order, optionally fanning out across processes."""
+        """Compress aligned slabs in order, optionally fanning out across processes.
+
+        A dead slab worker (or a slab that fails to pickle) raises
+        :class:`repro.reliability.WorkerCrashError` naming the first slab
+        observed to fail, like :class:`repro.parallel.ProcessExecutor`.
+        """
         slabs = self.aligned_slabs(source)
         if self.n_workers == 1:
             for slab in slabs:
                 yield self._compressor.compress(slab)
             return
-        with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
-            in_flight: deque = deque()
-            for slab in slabs:
-                in_flight.append(
-                    pool.submit(
-                        _compress_slab, self.settings, self.backend, np.ascontiguousarray(slab)
-                    )
-                )
-                # bound memory: keep at most 2 slabs per worker pending
-                while len(in_flight) >= 2 * self.n_workers:
-                    yield in_flight.popleft().result()
-            while in_flight:
-                yield in_flight.popleft().result()
+        jobs = _armed_jobs(_compress_slab, (
+            (self.settings, self.backend, np.ascontiguousarray(slab))
+            for slab in slabs
+        ))
+        index: int | None = None
+        submitted = 0
+        try:
+            with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
+                in_flight: deque = deque()
+                for fn, args in jobs:
+                    index = submitted
+                    submitted += 1
+                    in_flight.append((index, pool.submit(fn, *args)))
+                    # bound memory: keep at most 2 slabs per worker pending
+                    while len(in_flight) >= 2 * self.n_workers:
+                        index, future = in_flight.popleft()
+                        yield future.result()
+                while in_flight:
+                    index, future = in_flight.popleft()
+                    yield future.result()
+        except (BrokenProcessPool, PicklingError) as exc:
+            raise _pool_failure(exc, index, submitted) from exc
 
     # ------------------------------------------------------------------ compression
     def compress(self, source) -> CompressedArray:

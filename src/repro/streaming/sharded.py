@@ -635,9 +635,9 @@ def open_store(path, *, retry_policy: RetryPolicy | None = DEFAULT_READ_RETRY,
 
     A directory holding a sharded-store manifest opens as a
     :class:`ShardedStore`; anything else opens as a single
-    :class:`CompressedStore`.  The one seam the engine's worker jobs, the
-    serving catalog and the CLI all reopen stores through, so every layer
-    accepts sharded paths wherever it accepted store files.
+    :class:`CompressedStore`.  The one seam the serving catalog and the CLI
+    open stores through, so every layer accepts sharded paths wherever it
+    accepted store files.
     """
     path = Path(path)
     if is_sharded_store(path):

@@ -436,7 +436,7 @@ class CompressedStore(ReadSurface):
 
     Chunk record reads are **thread-safe**: they use positional ``os.pread``
     (falling back to a per-store seek lock where unavailable), so concurrent
-    readers — a threaded executor, the serving layer — never interleave each
+    readers — the prefetch pool, the serving layer — never interleave each
     other's seek/read pairs, and :attr:`chunks_read` accounting is lock-guarded.
 
     Reads are also **checked and retried**: version-3 records are verified

@@ -191,19 +191,6 @@ class TestServerReliability:
 
 
 class TestDegradation:
-    def test_process_pool_crash_degrades_to_serial(self, catalog):
-        service_kwargs = dict(workers=2)
-        with ThreadedQueryService(catalog, **service_kwargs) as served:
-            with QueryClient(served.host, served.port) as client:
-                baseline = client.evaluate(MEAN_A)
-                with inject(FaultRule("worker_crash"), seed=0) as plan:
-                    degraded = client.evaluate(MEAN_A)
-                stats = client.stats()
-        if plan.fired["worker_crash"]:
-            assert stats["reliability"]["degradations"].get(
-                "process_to_serial", 0) >= 1
-        assert degraded == baseline  # bitwise: degraded, not wrong
-
     @pytest.mark.skipif(not backend_is_available("gemm"),
                         reason="gemm backend unavailable")
     def test_compiled_kernel_fault_degrades_to_interpreter(self, catalog):

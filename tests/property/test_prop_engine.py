@@ -4,8 +4,8 @@ The planner's load-bearing invariants, swept by Hypothesis over 1–3 dimensions
 ragged chunkings and arbitrary non-empty subsets of the eight reductions:
 
 * **bit-identity** — every scalar a fused plan produces equals the sequential
-  :mod:`repro.streaming.ops` call for that operation, exactly (``==``), under
-  serial, threaded and (one deterministic case) process execution;
+  :mod:`repro.streaming.ops` call for that operation, exactly (``==``), and
+  stores and plain chunk sequences give the same scalars;
 * **pass count** — ``plan.n_passes`` is 1 for one-pass subsets and 2 as soon
   as any two-pass operation (variance/standard_deviation/covariance) is
   requested;
@@ -30,7 +30,6 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from repro import engine
 from repro.core import CompressionSettings
 from repro.engine import expr
-from repro.parallel import ProcessExecutor, SerialExecutor, ThreadedExecutor
 from repro.streaming import ChunkedCompressor
 from repro.streaming import ops as stream_ops
 
@@ -145,46 +144,16 @@ class TestFusedMatchesSequential:
 
     @given(case=engine_case())
     @hyp_settings(max_examples=10, deadline=None)
-    def test_threaded_executor_bit_identical(self, case):
-        a, b, settings, slab_rows, names = case
-        executor = ThreadedExecutor(n_workers=2)
-        with _store_pair(a, b, settings, slab_rows) as (store_a, store_b):
-            if stream_ops.l2_norm(store_a) == 0.0 or stream_ops.l2_norm(store_b) == 0.0:
-                names = [n for n in names if n != "cosine_similarity"] or ["mean"]
-            plan = engine.plan(_expressions(names, store_a, store_b))
-            assert plan.execute(executor=executor) == plan.execute()
-
-    @given(case=engine_case())
-    @hyp_settings(max_examples=10, deadline=None)
-    def test_serial_executor_and_chunk_sequences_match_stores(self, case):
+    def test_chunk_sequences_match_stores(self, case):
         a, b, settings, slab_rows, names = case
         with _store_pair(a, b, settings, slab_rows) as (store_a, store_b):
             if stream_ops.l2_norm(store_a) == 0.0 or stream_ops.l2_norm(store_b) == 0.0:
                 names = [n for n in names if n != "cosine_similarity"] or ["mean"]
-            from_stores = engine.evaluate(
-                _expressions(names, store_a, store_b), executor=SerialExecutor()
-            )
+            from_stores = engine.evaluate(_expressions(names, store_a, store_b))
             chunks_a = list(store_a.iter_chunks())
             chunks_b = list(store_b.iter_chunks())
             from_chunks = engine.evaluate(_expressions(names, chunks_a, chunks_b))
             assert from_chunks == from_stores
-
-    def test_process_executor_bit_identical(self, tmp_path):
-        """One (slow to spawn) process-pool case over the full six-op workload."""
-        rng = np.random.default_rng(7)
-        a = np.cumsum(rng.standard_normal((40, 12)), axis=0) * 0.05
-        b = np.cumsum(rng.standard_normal((40, 12)), axis=0) * 0.05
-        settings = CompressionSettings(
-            block_shape=(4, 4), float_format="float32", index_dtype="int16"
-        )
-        chunked = ChunkedCompressor(settings, slab_rows=8)
-        store_a = chunked.compress_to_store(a, tmp_path / "a.pblzc")
-        store_b = chunked.compress_to_store(b, tmp_path / "b.pblzc")
-        with store_a, store_b:
-            plan = engine.plan(_expressions(SIX_OPS, store_a, store_b))
-            assert plan.execute(
-                executor=ProcessExecutor(n_workers=2)
-            ) == plan.execute()
 
 
 class TestAcceptanceSixOpWorkload:

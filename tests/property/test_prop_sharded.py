@@ -3,8 +3,7 @@
 The sharded layer's load-bearing invariants, swept by Hypothesis over 1–3
 dimensions, ragged shard/chunk splits (every append draws its own row count;
 only the final one may break block alignment) and arbitrary non-empty subsets
-of the reductions, under serial, threaded and (one deterministic case) process
-execution:
+of the reductions:
 
 * **bit-identity** — a fused plan over a :class:`ShardedStore` produces
   exactly (``==``) the scalars of the same plan over a single
@@ -32,7 +31,6 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from repro import engine
 from repro.core import CompressionSettings
 from repro.engine import expr
-from repro.parallel import ProcessExecutor, ThreadedExecutor
 from repro.streaming import (
     CompressedStore,
     CompressedStoreWriter,
@@ -179,19 +177,8 @@ class TestShardedMatchesSingleStore:
                     assert served.last_execution["incremental_groups"] == 0
                     assert sharded.chunks_read - before >= sharded.n_chunks
 
-    @given(case=sharded_case())
-    @hyp_settings(max_examples=10, deadline=None)
-    def test_threaded_executor_bit_identical(self, case):
-        arrays, settings, slab_rows, names = case
-        executor = ThreadedExecutor(n_workers=2)
-        with _sharded(arrays, settings, slab_rows) as path:
-            with ShardedStore(path, use_partials=False) as swept:
-                names = _drop_zero_norm_cosine(swept, names)
-                plan = engine.plan(_expressions(names, swept))
-                assert plan.execute(executor=executor) == plan.execute()
-
-    def test_process_executor_bit_identical(self):
-        """One (slow to spawn) process-pool case over a three-shard store."""
+    def test_three_shard_region_reads_match_single_store_copy(self):
+        """Region reads across three shards assemble the single-store bytes."""
         rng = np.random.default_rng(7)
         arrays = [
             np.cumsum(rng.standard_normal((rows, 12)), axis=0) * 0.05
@@ -200,14 +187,7 @@ class TestShardedMatchesSingleStore:
         settings = CompressionSettings(
             block_shape=(4, 4), float_format="float32", index_dtype="int16"
         )
-        names = sorted(OPERATIONS)
         with _sharded(arrays, settings, 8) as path:
-            with ShardedStore(path, use_partials=False) as swept:
-                plan = engine.plan(_expressions(names, swept))
-                assert plan.execute(
-                    executor=ProcessExecutor(n_workers=2)
-                ) == plan.execute()
-            # region reads assemble the same bytes as the single-store copy
             with ShardedStore(path) as sharded:
                 with _single_copy(sharded, settings) as single:
                     for region in (slice(0, 24), slice(20, 44), slice(3, 50, 2), 37):

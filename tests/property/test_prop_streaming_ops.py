@@ -12,9 +12,8 @@ result on the assembled :class:`CompressedArray`:
 * within the backend's documented tolerance against *one-shot* compression
   under the fast backends (the chunks themselves then differ from one-shot).
 
-Cases sweep 1–3 dimensions, uneven (ragged) last slabs, and both pooled
-executors; a dedicated test asserts the serial engine streams chunks one at a
-time (bounded memory).
+Cases sweep 1–3 dimensions and uneven (ragged) last slabs; a dedicated test
+asserts the engine streams chunks one at a time (bounded memory).
 """
 
 import tempfile
@@ -27,7 +26,6 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.core import CompressionSettings, Compressor, deserialize, ops, serialize
-from repro.parallel import ProcessExecutor, ThreadedExecutor
 from repro.streaming import ChunkedCompressor
 from repro.streaming import ops as stream_ops
 
@@ -151,42 +149,6 @@ class TestStructuralOpsBitIdentical:
                 deserialize(serialize(ops.add(ca, cb)))
             )
             assert np.array_equal(streamed, expected)
-
-
-class TestExecutorsMatchSerial:
-    @given(case=store_ops_case())
-    @hyp_settings(max_examples=8, deadline=None)
-    def test_threaded_executor_bit_identical(self, case):
-        a, b, settings, slab_rows = case
-        executor = ThreadedExecutor(n_workers=2)
-        with _store_pair(a, b, settings, slab_rows) as (_, store_a, store_b):
-            assert stream_ops.dot(store_a, store_b, executor=executor) == (
-                stream_ops.dot(store_a, store_b)
-            )
-            assert stream_ops.variance(store_a, executor=executor) == (
-                stream_ops.variance(store_a)
-            )
-            assert stream_ops.mean(store_a, executor=executor) == (
-                stream_ops.mean(store_a)
-            )
-
-    def test_process_executor_bit_identical(self, tmp_path):
-        """One (slow to spawn) process-pool case: results match serial exactly."""
-        rng = np.random.default_rng(7)
-        a = np.cumsum(rng.standard_normal((40, 12)), axis=0) * 0.05
-        b = np.cumsum(rng.standard_normal((40, 12)), axis=0) * 0.05
-        settings = CompressionSettings(
-            block_shape=(4, 4), float_format="float32", index_dtype="int16"
-        )
-        store_a, store_b = _stores(tmp_path, a, b, settings, slab_rows=8)
-        executor = ProcessExecutor(n_workers=2)
-        with store_a, store_b:
-            assert stream_ops.dot(store_a, store_b, executor=executor) == (
-                stream_ops.dot(store_a, store_b)
-            )
-            assert stream_ops.covariance(store_a, store_b, executor=executor) == (
-                stream_ops.covariance(store_a, store_b)
-            )
 
 
 class TestFastBackendTolerance:

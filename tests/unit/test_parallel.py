@@ -161,85 +161,3 @@ class TestBinningParity:
         )
         assert np.array_equal(indices, rebuilt)
         assert np.array_equal(maxima, block_maxima(coefficients, 2))
-
-
-def _square_job(value):
-    """Module-level job (picklable for the process-pool imap tests)."""
-    return value * value
-
-
-def _identify_thread(value):
-    """Return (value, thread name) so tests can see where jobs ran."""
-    import threading
-
-    return value, threading.current_thread().name
-
-
-class TestImapJobs:
-    """The bounded-window ordered fan-out behind the parallel structural ops."""
-
-    @pytest.mark.parametrize("executor", [
-        SerialExecutor(), LoopExecutor(), ThreadedExecutor(n_workers=3),
-    ])
-    def test_results_arrive_in_job_order(self, executor):
-        jobs = [(value,) for value in range(20)]
-        assert list(executor.imap_jobs(_square_job, jobs)) == [
-            value * value for value in range(20)
-        ]
-
-    def test_process_executor_preserves_order(self):
-        executor = ProcessExecutor(n_workers=2)
-        jobs = [(value,) for value in range(10)]
-        assert list(executor.imap_jobs(_square_job, jobs)) == [
-            value * value for value in range(10)
-        ]
-
-    def test_window_bounds_in_flight_results(self):
-        """At most `window` jobs run ahead of the consumer."""
-        import threading
-
-        executor = ThreadedExecutor(n_workers=2)
-        started = []
-        lock = threading.Lock()
-
-        def record(value):
-            with lock:
-                started.append(value)
-            return value
-
-        jobs = [(value,) for value in range(50)]
-        iterator = executor.imap_jobs(record, jobs, window=3)
-        first = next(iterator)
-        assert first == 0
-        # consuming one result admits at most one replacement: the pipeline
-        # never ran more than window + 1 jobs ahead of the single consume
-        with lock:
-            assert len(started) <= 4
-        assert list(iterator) == list(range(1, 50))
-
-    def test_single_job_degrades_to_calling_thread(self):
-        executor = ThreadedExecutor(n_workers=4)
-        results = list(executor.imap_jobs(_identify_thread, [(7,)]))
-        assert results[0][0] == 7
-        assert results[0][1] == __import__("threading").current_thread().name
-
-    def test_base_serial_generator_is_lazy(self):
-        executor = SerialExecutor()
-        calls = []
-
-        def record(value):
-            calls.append(value)
-            return value
-
-        iterator = executor.imap_jobs(record, [(1,), (2,), (3,)])
-        assert calls == []          # nothing runs until consumed
-        assert next(iterator) == 1
-        assert calls == [1]
-        assert list(iterator) == [2, 3]
-
-    def test_map_jobs_supports_batched_multi_result_jobs(self):
-        """The engine's batched multi-partial job form: one job, many results."""
-        executor = ThreadedExecutor(n_workers=2)
-        jobs = [(value,) for value in range(6)]
-        batched = executor.map_jobs(lambda v: [v, v * 10], jobs)
-        assert batched == [[v, v * 10] for v in range(6)]

@@ -6,7 +6,6 @@ import pytest
 from repro.core import CompressionSettings, Compressor, ops
 from repro.core.exceptions import CodecError
 from repro.core.ops import folds
-from repro.parallel import SerialExecutor, ThreadedExecutor
 from repro.streaming import ChunkedCompressor, stream_compress
 from repro.streaming import ops as stream_ops
 from tests.conftest import smooth_field
@@ -47,12 +46,14 @@ class TestScalarOps:
             ops.euclidean_distance(ca, cb)
         )
 
-    def test_serial_executor_equals_default(self, stores):
-        store_a, store_b = stores
-        executor = SerialExecutor()
-        assert stream_ops.dot(store_a, store_b, executor=executor) == (
-            stream_ops.dot(store_a, store_b)
-        )
+    def test_reductions_sweep_through_the_callers_cache(self, stores):
+        from repro.serving import ChunkCache
+
+        store_a, _ = stores
+        store_a.chunk_cache = cache = ChunkCache()
+        assert stream_ops.mean(store_a) == stream_ops.mean(store_a)
+        assert cache.hits == store_a.n_chunks
+        assert store_a.chunks_read == 2 * store_a.n_chunks
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -77,9 +78,6 @@ class TestScalarOps:
         ) as store:
             with pytest.raises(CodecError, match="huffman"):
                 stream_ops.mean(store)
-            executor = ThreadedExecutor(n_workers=2)
-            with pytest.raises(CodecError, match="huffman"):
-                stream_ops.l2_norm(store, executor=executor)
 
 
 class TestStructuralOps:
