@@ -281,3 +281,32 @@ class TestStructuralOpsValidation:
         with pytest.raises(ValueError, match="finite"):
             stream_ops.scale(store_a, float("inf"), tmp_path / "x.pblzc")
         assert not (tmp_path / "x.pblzc").exists()
+
+
+class TestOneStoreSweep:
+    """Every plan pass reads its stores through the one prefetching reader."""
+
+    def test_fused_two_pass_plan_is_served_from_the_callers_cache(self, stores):
+        from repro.serving import ChunkCache
+
+        store_a, store_b = stores
+        store_a.chunk_cache = cache_a = ChunkCache()
+        store_b.chunk_cache = cache_b = ChunkCache()
+        request = {"mean": expr.mean(store_a), "cov": expr.covariance(store_a, store_b)}
+        first = engine.evaluate(request)
+        misses = (cache_a.misses, cache_b.misses)
+        hits = (cache_a.hits, cache_b.hits)
+        assert engine.evaluate(request) == first
+        assert (cache_a.misses, cache_b.misses) == misses
+        assert cache_a.hits - hits[0] >= store_a.n_chunks
+        assert cache_b.hits - hits[1] >= store_b.n_chunks
+
+    @pytest.mark.parametrize("entry", ["evaluate", "execute"])
+    def test_executor_keyword_is_gone(self, stores, entry):
+        from repro.parallel import ThreadedExecutor
+
+        store_a, _ = stores
+        run = (engine.evaluate if entry == "evaluate"
+               else lambda request, **kw: engine.plan(request).execute(**kw))
+        with pytest.raises(TypeError, match="executor"):
+            run(expr.mean(store_a), executor=ThreadedExecutor(2))

@@ -6,6 +6,7 @@ import pytest
 from repro.core import CompressionSettings, Compressor
 from repro.core.binning import bin_coefficients
 from repro.parallel import (
+    MIN_CHUNK_ELEMENTS,
     LoopExecutor,
     ProcessExecutor,
     SerialExecutor,
@@ -79,6 +80,35 @@ class TestExecutorsMatchVectorizedPath:
         reference = Compressor(settings).compress(array)
         result = Compressor(settings, executor=executor_factory()).compress(array)
         assert result.allclose(reference)
+
+
+@pytest.mark.parametrize(
+    "executor_factory",
+    [lambda: ThreadedExecutor(2), lambda: ProcessExecutor(2)],
+    ids=["threaded-2", "process-2"],
+)
+class TestPooledPathsOnLargeInputs:
+    """Inputs big enough that the pooled executors really split the grid."""
+
+    @pytest.fixture
+    def large_field(self):
+        field = smooth_field((64, 64, 48), seed=2)
+        assert field.size >= 2 * MIN_CHUNK_ELEMENTS
+        return field
+
+    def test_compress_bit_identical(self, executor_factory, large_field, settings_3d):
+        executor = executor_factory()
+        assert executor._effective_chunks(large_field.reshape(-1)) == 2
+        reference = Compressor(settings_3d).compress(large_field)
+        result = Compressor(settings_3d, executor=executor).compress(large_field)
+        assert np.array_equal(result.maxima, reference.maxima)
+        assert np.array_equal(result.indices, reference.indices)
+
+    def test_decompress_bit_identical(self, executor_factory, large_field, settings_3d):
+        compressed = Compressor(settings_3d).compress(large_field)
+        expected = Compressor(settings_3d).decompress(compressed)
+        result = Compressor(settings_3d, executor=executor_factory()).decompress(compressed)
+        assert np.array_equal(result, expected)
 
 
 class TestThreadedExecutorConfig:

@@ -407,3 +407,13 @@ class TestPrefetchCounters:
         metrics.record_prefetch(2)
         snap = metrics.snapshot()
         assert snap["prefetch"] == {"batches": 2, "chunks_warmed": 8}
+
+
+class TestQueryServiceOptions:
+    def test_workers_option_is_gone(self, store_path):
+        """Plans run on the one serial sweep; there is no process-pool rung."""
+        from repro.serving import QueryService
+
+        with StoreCatalog({"x": store_path}) as catalog:
+            with pytest.raises(TypeError, match="workers"):
+                QueryService(catalog, workers=2)

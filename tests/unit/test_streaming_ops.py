@@ -29,6 +29,27 @@ def stores(tmp_path, settings, fields):
             yield store_a, store_b
 
 
+#: Every scalar reduction with its number of store operands.
+_REDUCTIONS = {
+    "mean": (stream_ops.mean, 1),
+    "l2_norm": (stream_ops.l2_norm, 1),
+    "variance": (stream_ops.variance, 1),
+    "standard_deviation": (stream_ops.standard_deviation, 1),
+    "dot": (stream_ops.dot, 2),
+    "covariance": (stream_ops.covariance, 2),
+    "cosine_similarity": (stream_ops.cosine_similarity, 2),
+    "euclidean_distance": (stream_ops.euclidean_distance, 2),
+}
+
+#: Every structural op as ``(sources, path) -> store``.
+_STRUCTURAL = {
+    "add": lambda a, b, path: stream_ops.add(a, b, path),
+    "subtract": lambda a, b, path: stream_ops.subtract(a, b, path),
+    "negate": lambda a, b, path: stream_ops.negate(a, path),
+    "scale": lambda a, b, path: stream_ops.scale(a, -1.5, path),
+}
+
+
 class TestScalarOps:
     def test_every_reduction_matches_in_memory(self, stores):
         store_a, store_b = stores
@@ -54,6 +75,27 @@ class TestScalarOps:
         assert stream_ops.mean(store_a) == stream_ops.mean(store_a)
         assert cache.hits == store_a.n_chunks
         assert store_a.chunks_read == 2 * store_a.n_chunks
+
+    @pytest.mark.parametrize("name", sorted(_REDUCTIONS))
+    def test_each_reduction_is_served_from_the_callers_cache(self, stores, name):
+        """A repeat sweep reads every chunk through the stores' own caches."""
+        from repro.serving import ChunkCache
+
+        reduction, arity = _REDUCTIONS[name]
+        sources = stores[:arity]
+        caches = []
+        for store in sources:
+            store.chunk_cache = cache = ChunkCache()
+            caches.append(cache)
+        first = reduction(*sources)
+        misses = [cache.misses for cache in caches]
+        hits = [cache.hits for cache in caches]
+        reads = [store.chunks_read for store in sources]
+        assert reduction(*sources) == first
+        assert [cache.misses for cache in caches] == misses
+        for cache, store, hits_before, reads_before in zip(caches, sources, hits, reads):
+            served = cache.hits - hits_before
+            assert served == store.chunks_read - reads_before >= store.n_chunks
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -102,6 +144,40 @@ class TestStructuralOps:
         with stream_ops.negate(store_a, tmp_path / "neg.pblzc") as out:
             assert out.chunk_rows == store_a.chunk_rows
             assert out.shape == store_a.shape
+
+    @pytest.mark.parametrize("name", sorted(_STRUCTURAL))
+    def test_each_structural_op_reads_through_the_callers_cache(
+        self, tmp_path, stores, name
+    ):
+        """A repeat rewrite decodes nothing new and writes the same bytes."""
+        from repro.serving import ChunkCache
+
+        store_a, store_b = stores
+        store_a.chunk_cache = cache_a = ChunkCache()
+        store_b.chunk_cache = cache_b = ChunkCache()
+        op = _STRUCTURAL[name]
+        op(store_a, store_b, tmp_path / "first.pblzc").close()
+        misses = (cache_a.misses, cache_b.misses)
+        op(store_a, store_b, tmp_path / "second.pblzc").close()
+        assert (cache_a.misses, cache_b.misses) == misses
+        assert cache_a.hits == store_a.n_chunks
+        assert (tmp_path / "first.pblzc").read_bytes() == (
+            tmp_path / "second.pblzc"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(_STRUCTURAL))
+    def test_executor_keyword_is_gone(self, tmp_path, stores, name):
+        """Store sweeps have one reader: no per-chunk executor fan-out."""
+        from repro.parallel import ThreadedExecutor
+
+        store_a, store_b = stores
+        sources = (store_a, store_b) if name in ("add", "subtract") else (store_a,)
+        extra = (2.0,) if name == "scale" else ()
+        operation = getattr(stream_ops, name)
+        with pytest.raises(TypeError, match="executor"):
+            operation(*sources, *extra, tmp_path / "x.pblzc",
+                      executor=ThreadedExecutor(2))
+        assert not (tmp_path / "x.pblzc").exists()
 
     def test_in_place_rewrite_is_safe(self, tmp_path, settings):
         """Writing the output over an input path must not corrupt the read.
