@@ -9,14 +9,20 @@ differences measured between the two reflect compression error only:
 * the Wasserstein distance is the order-``p`` distance between sorted empirical
   distributions, with the same softmax normalisation rule;
 * an optional ``pad_to`` argument evaluates the reference on the zero-padded domain
-  that compressed-space reductions see (DESIGN.md §5).
+  that compressed-space reductions see (DESIGN.md §5);
+* the dot product and L2 norm sum their elementwise products with the correctly
+  rounded :func:`repro.numerics.exact_sum`, not BLAS, so the reference values (and
+  the error tables built on them) do not depend on BLAS threading.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
+
+from ..numerics import exact_sum
 
 __all__ = [
     "reference_mean",
@@ -68,12 +74,13 @@ def reference_dot(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise ValueError("dot requires equal shapes")
-    return float(np.dot(a, b))
+    return exact_sum([a * b])
 
 
 def reference_l2_norm(array: np.ndarray) -> float:
     """Euclidean norm of the flattened array."""
-    return float(np.linalg.norm(np.asarray(array, dtype=np.float64).ravel()))
+    values = np.asarray(array, dtype=np.float64).ravel()
+    return math.sqrt(exact_sum([values * values]))
 
 
 def reference_cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

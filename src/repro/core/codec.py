@@ -23,6 +23,7 @@ alone, which the file-level round-trip tests exercise.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 import numpy as np
 
@@ -215,23 +216,45 @@ def unpack_block_geometry(
     index_dtype: np.dtype,
     transform: str,
 ) -> tuple[CompressionSettings, int]:
-    """Inverse of :func:`pack_block_geometry`; rebuilds the full settings object."""
-    block_shape = struct.unpack_from(f"<{ndim}Q", data, offset)
-    offset += 8 * ndim
-    (mask_nbytes,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    mask_bits = np.frombuffer(data, dtype=np.uint8, count=mask_nbytes, offset=offset)
-    offset += mask_nbytes
+    """Inverse of :func:`pack_block_geometry`; returns ``(settings, new_offset)``.
+
+    Every chunk of a store repeats the same geometry header, so the (immutable)
+    settings are memoised per header bytes: the chunks decoded from one store
+    share one settings object instead of each rebuilding and re-validating it.
+    """
+    (mask_nbytes,) = struct.unpack_from("<I", data, offset + 8 * ndim)
+    end = offset + 8 * ndim + 4 + mask_nbytes
+    # mask_nbytes goes in explicitly: a truncated header must fail in frombuffer,
+    # not unpack as a shorter, zero-padded mask
+    settings = _settings_from_geometry(
+        bytes(data[offset:end]), ndim, mask_nbytes, float_format, index_dtype, transform
+    )
+    return settings, end
+
+
+@lru_cache(maxsize=64)
+def _settings_from_geometry(
+    geometry: bytes,
+    ndim: int,
+    mask_nbytes: int,
+    float_format: FloatFormat,
+    index_dtype: np.dtype,
+    transform: str,
+) -> CompressionSettings:
+    """Build the settings one packed geometry header describes (bounded memo)."""
+    block_shape = struct.unpack_from(f"<{ndim}Q", geometry, 0)
+    mask_bits = np.frombuffer(
+        geometry, dtype=np.uint8, count=mask_nbytes, offset=8 * ndim + 4
+    )
     block_size = int(np.prod(block_shape))
     mask = np.unpackbits(mask_bits, count=block_size).astype(bool).reshape(block_shape)
-    settings = CompressionSettings(
+    return CompressionSettings(
         block_shape=block_shape,
         float_format=float_format,
         index_dtype=index_dtype,
         transform=transform,
         pruning_mask=None if mask.all() else mask,
     )
-    return settings, offset
 
 
 # --------------------------------------------------------------------------- serialization

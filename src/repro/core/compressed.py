@@ -58,8 +58,10 @@ class CompressedArray:
                 f"shape {self.shape} dimensionality does not match settings "
                 f"({self.settings.ndim}-dimensional blocks)"
             )
+        # shape-derived counts, read by every partial: one memoised lookup per chunk
+        self._geometry = self.settings.geometry(self.shape)
         maxima = np.asarray(self.maxima, dtype=np.float64)
-        expected_grid = self.settings.block_grid_shape(self.shape)
+        expected_grid = self._geometry.grid_shape
         if maxima.shape != expected_grid:
             raise ValueError(
                 f"maxima shape {maxima.shape} does not match block grid {expected_grid}"
@@ -91,26 +93,26 @@ class CompressedArray:
     @property
     def grid_shape(self) -> tuple[int, ...]:
         """Shape of the block grid ``ceil(s / i)``."""
-        return self.settings.block_grid_shape(self.shape)
+        return self._geometry.grid_shape
 
     @property
     def n_blocks(self) -> int:
-        return int(np.prod(self.grid_shape))
+        return self._geometry.n_blocks
 
     @property
     def padded_shape(self) -> tuple[int, ...]:
         """Shape of the zero-padded array the blocks tile exactly."""
-        return self.settings.padded_shape(self.shape)
+        return self._geometry.padded_shape
 
     @property
     def n_elements(self) -> int:
         """Number of elements of the original (uncropped) array."""
-        return int(np.prod(self.shape))
+        return self._geometry.n_elements
 
     @property
     def n_padded_elements(self) -> int:
         """Number of elements of the padded array (what reductions actually see)."""
-        return int(np.prod(self.padded_shape))
+        return self._geometry.n_padded_elements
 
     # ------------------------------------------------------------------ views
     def specified_coefficients(self) -> np.ndarray:

@@ -18,9 +18,10 @@ to the last bit** because
 2. each per-block partial sum is computed independently per block (a reduction
    over that block's trailing axes only), so it has the same bits whether the
    block arrived in a chunk or in the whole array; and
-3. finalization sums the per-block values with :func:`math.fsum`, which returns
-   the correctly rounded sum of its inputs — independent of how they were
-   grouped into chunks.
+3. finalization sums the per-block values with :func:`total`, the correctly
+   rounded sum of its inputs (bit-identical to :func:`math.fsum`, computed by
+   :func:`repro.numerics.exact_sum`) — independent of how they were grouped
+   into chunks.
 
 Consequently a store-level reduction equals its in-memory counterpart on the
 assembled array *bit for bit* whenever the chunks assemble bit-identically —
@@ -38,11 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
 import numpy as np
 
+from ...numerics import exact_sum
 from ..compressed import CompressedArray
 from .coefficients import require_compatible, specified_coefficients
 
@@ -165,11 +166,13 @@ def combine_all(states) -> "FoldState | None":
 def total(state: FoldState, key: str) -> float:
     """Exact (correctly rounded) sum of one per-block partial-sum vector.
 
-    ``math.fsum`` makes this independent of the chunking that produced the
+    Correct rounding makes this independent of the chunking that produced the
     parts — the property that lets store-level reductions match their
-    in-memory counterparts bit for bit.
+    in-memory counterparts bit for bit.  :func:`repro.numerics.exact_sum`
+    returns the same bits as ``math.fsum`` over the chained parts, in a few
+    vectorised passes instead of one Python float at a time.
     """
-    return math.fsum(chain.from_iterable(state.sums[key]))
+    return exact_sum(state.sums[key])
 
 
 # ---------------------------------------------------------------------- helpers

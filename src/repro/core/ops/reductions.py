@@ -14,8 +14,8 @@ identical compressed data.
 
 Exactness contract: **no additional error** beyond compression — the values are
 exact functions of the stored ``{N, F}`` pairs, accumulated with correctly
-rounded summation (:func:`math.fsum`), deterministic across chunkings and
-executors.
+rounded summation (:func:`repro.core.ops.folds.total`, bit-identical to
+:func:`math.fsum`), deterministic across chunkings and executors.
 
 Padding semantics: the reductions see the zero-padded block domain.  The dot
 product, L2 norm and Euclidean distance are unaffected by zero padding; the mean

@@ -20,6 +20,7 @@ constructors used throughout the paper and experiments:
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -143,7 +144,7 @@ def flatten_kept(blocked: np.ndarray, mask: np.ndarray) -> np.ndarray:
             f"trailing axes {blocked.shape[-block_ndim:]} do not match mask shape {mask.shape}"
         )
     grid_shape = blocked.shape[:-block_ndim]
-    n_blocks = int(np.prod(grid_shape)) if grid_shape else 1
+    n_blocks = math.prod(grid_shape)
     flat_blocks = blocked.reshape(n_blocks, -1)
     if mask.all():
         # keep-everything masks make the boolean gather an identity; skip the
@@ -177,8 +178,8 @@ def unflatten_kept(
     flat = np.asarray(flat)
     mask = np.asarray(mask, dtype=bool)
     grid_shape = tuple(int(g) for g in grid_shape)
-    n_blocks = int(np.prod(grid_shape)) if grid_shape else 1
-    kept = int(mask.sum())
+    n_blocks = math.prod(grid_shape)
+    kept = int(np.count_nonzero(mask))
     if flat.shape != (n_blocks, kept):
         raise ValueError(
             f"flat array shape {flat.shape} does not match (n_blocks={n_blocks}, kept={kept})"

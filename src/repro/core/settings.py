@@ -17,15 +17,22 @@ in :mod:`repro.core.ops` enforce it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from ..numerics import FloatFormat, resolve_format
 from .exceptions import CodecError
 
-__all__ = ["CompressionSettings", "SUPPORTED_INDEX_DTYPES"]
+__all__ = [
+    "CompressionSettings",
+    "SUPPORTED_INDEX_DTYPES",
+    "BlockGeometry",
+    "block_geometry",
+]
 
 #: Integer dtypes accepted as bin-index types (§III-A(d)).
 SUPPORTED_INDEX_DTYPES: tuple[np.dtype, ...] = (
@@ -53,6 +60,44 @@ def _normalize_block_shape(block_shape: Iterable[int]) -> tuple[int, ...]:
                 "see paper §III-A(b)"
             )
     return shape
+
+
+class BlockGeometry(NamedTuple):
+    """How a block shape tiles one array shape (see :func:`block_geometry`)."""
+
+    grid_shape: tuple[int, ...]
+    padded_shape: tuple[int, ...]
+    n_blocks: int
+    n_elements: int
+    n_padded_elements: int
+
+
+@lru_cache(maxsize=256)
+def block_geometry(block_shape: tuple[int, ...], shape: tuple[int, ...]) -> BlockGeometry:
+    """Block grid ``b = ceil(s / i)``, padded shape and element counts of ``shape``.
+
+    A pure function of two int tuples, memoised (bounded) because every chunk
+    of a store shares one or two shapes: compressed arrays and fold partials
+    read their counts from here instead of recomputing them per access.
+    Raises :class:`CodecError` when the dimensionalities differ or an extent
+    is not positive.
+    """
+    if len(shape) != len(block_shape):
+        raise CodecError(
+            f"array of dimensionality {len(shape)} cannot be compressed with "
+            f"{len(block_shape)}-dimensional block shape {block_shape}"
+        )
+    if any(s < 1 for s in shape):
+        raise CodecError(f"array shape must be positive, got {shape}")
+    grid = tuple(-(-s // b) for s, b in zip(shape, block_shape))
+    padded = tuple(g * b for g, b in zip(grid, block_shape))
+    return BlockGeometry(
+        grid_shape=grid,
+        padded_shape=padded,
+        n_blocks=math.prod(grid),
+        n_elements=math.prod(shape),
+        n_padded_elements=math.prod(padded),
+    )
 
 
 @dataclass(frozen=True)
@@ -128,6 +173,34 @@ class CompressionSettings:
             mask = mask.copy()
             mask.setflags(write=False)
             object.__setattr__(self, "pruning_mask", mask)
+        # derived quantities every chunk and partial reads: computed once
+        mask = self.pruning_mask
+        if mask is None:
+            mask = np.ones(self.block_shape, dtype=bool)
+            mask.setflags(write=False)
+        object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "_kept_per_block", int(mask.sum()))
+        object.__setattr__(self, "_first_coefficient_kept", bool(mask[(0,) * self.ndim]))
+        object.__setattr__(
+            self, "_dc_scale",
+            float(np.prod(np.sqrt(np.asarray(self.block_shape, dtype=np.float64)))),
+        )
+
+    def __eq__(self, other) -> bool:
+        # the generated field-tuple comparison cannot compare pruning-mask arrays
+        if not isinstance(other, CompressionSettings):
+            return NotImplemented
+        return (
+            self.block_shape == other.block_shape
+            and self.float_format == other.float_format
+            and self.index_dtype == other.index_dtype
+            and self.transform == other.transform
+            and np.array_equal(self.mask, other.mask)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.block_shape, self.float_format, self.index_dtype,
+                     self.transform, self.mask.tobytes()))
 
     # ------------------------------------------------------------------ derived
     @property
@@ -153,15 +226,13 @@ class CompressionSettings:
 
     @property
     def mask(self) -> np.ndarray:
-        """Effective pruning mask (all-True when no pruning was requested)."""
-        if self.pruning_mask is None:
-            return np.ones(self.block_shape, dtype=bool)
-        return self.pruning_mask
+        """Effective pruning mask (all-True when no pruning was requested); read-only."""
+        return self._mask
 
     @property
     def kept_per_block(self) -> int:
         """Number of coefficients kept per block after pruning."""
-        return int(self.mask.sum())
+        return self._kept_per_block
 
     @property
     def first_coefficient_kept(self) -> bool:
@@ -170,38 +241,33 @@ class CompressionSettings:
         Mean, variance, covariance, SSIM and the approximate Wasserstein distance
         all read the first coefficient of each block, so they require this.
         """
-        return bool(self.mask[(0,) * self.ndim])
+        return self._first_coefficient_kept
 
     @property
     def dc_scale(self) -> float:
         """Scale ``c = prod(sqrt(block extents))`` relating DC coefficients to block means."""
-        return float(np.prod(np.sqrt(np.asarray(self.block_shape, dtype=np.float64))))
+        return self._dc_scale
 
     # ------------------------------------------------------------------ helpers
+    def geometry(self, array_shape: Iterable[int]) -> BlockGeometry:
+        """How this block shape tiles ``array_shape`` (memoised :func:`block_geometry`)."""
+        return block_geometry(self.block_shape, tuple(int(s) for s in array_shape))
+
     def block_grid_shape(self, array_shape: Iterable[int]) -> tuple[int, ...]:
         """Shape of the arrangement of blocks ``b = ceil(s / i)`` for ``array_shape``."""
-        shape = tuple(int(s) for s in array_shape)
-        if len(shape) != self.ndim:
-            raise CodecError(
-                f"array of dimensionality {len(shape)} cannot be compressed with "
-                f"{self.ndim}-dimensional block shape {self.block_shape}"
-            )
-        if any(s < 1 for s in shape):
-            raise CodecError(f"array shape must be positive, got {shape}")
-        return tuple(-(-s // b) for s, b in zip(shape, self.block_shape))
+        return self.geometry(array_shape).grid_shape
 
     def padded_shape(self, array_shape: Iterable[int]) -> tuple[int, ...]:
         """Shape after zero-padding so every extent is a multiple of the block extent."""
-        grid = self.block_grid_shape(array_shape)
-        return tuple(g * b for g, b in zip(grid, self.block_shape))
+        return self.geometry(array_shape).padded_shape
 
     def n_blocks(self, array_shape: Iterable[int]) -> int:
         """Total number of blocks used for ``array_shape``."""
-        return int(np.prod(self.block_grid_shape(array_shape)))
+        return self.geometry(array_shape).n_blocks
 
     def is_compatible_with(self, other: "CompressionSettings") -> bool:
         """Whether binary compressed-space operations may combine arrays from both settings."""
-        return (
+        return self is other or (
             self.block_shape == other.block_shape
             and self.index_dtype == other.index_dtype
             and self.transform == other.transform

@@ -20,9 +20,9 @@ expression graph plus a fusing planner:
   (:mod:`repro.serving`) ships reduction requests over the network.
 
 Results are bit-identical to the sequential per-op calls (same partials, same
-``fsum`` order), and every sweep reads through the one prefetching chunk
-reader.  See ``docs/engine.md`` for the API, the planning rules,
-the pass-count guarantees and the fusion matrix.
+correctly rounded sum :func:`repro.core.ops.folds.total`), and every sweep
+reads through the one prefetching chunk reader.  See ``docs/engine.md`` for
+the API, the planning rules, the pass-count guarantees and the fusion matrix.
 
 Quickstart::
 

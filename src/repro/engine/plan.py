@@ -33,8 +33,8 @@ it (``plan.decode_passes``), at exactly one decode per chunk per pass.
 **Bit-identity guarantee**: every fused scalar equals the corresponding
 sequential :mod:`repro.streaming.ops` call bit for bit — the per-block partial
 sums are computed by the same partials on the same chunk bits, and
-:func:`repro.core.ops.folds.total` finalizes with ``math.fsum`` over the same
-per-chunk vectors in the same chunk order.
+the correctly rounded sum :func:`repro.core.ops.folds.total` (bit-identical to
+``math.fsum``) finalizes the same per-chunk vectors in the same chunk order.
 
 **Compiled execution**: ``Plan.execute(backend=...)`` routes lowered pass
 groups through one compiled fused-pass kernel per plan signature
@@ -375,8 +375,9 @@ class Plan:
         non-sharded source, centered fold, or stale shard makes the whole
         group fall back to the ordinary sweep.  Served states are
         bit-identical to swept ones: the persisted vectors are the sweep's own
-        per-chunk partials, concatenated in chunk order, so ``fsum`` sees the
-        same float64 values in the same order.
+        per-chunk partials, concatenated in chunk order, so the correctly
+        rounded sum :func:`~repro.core.ops.folds.total` sees the same float64
+        values in the same order.
         """
         states: dict = {}
         for term, extra in zip(group.terms, extras):

@@ -15,6 +15,8 @@ to support.  This subpackage therefore provides:
   significand truncation, overflow-to-infinity and subnormal behaviour of a cast.
 * :func:`quantize_model` / :class:`PrecisionEmulator` — convenience wrappers used by
   the shallow-water simulator to run an entire state update at an emulated precision.
+* :func:`exact_sum` — the correctly rounded (``math.fsum``-identical) sum of float64
+  vectors, vectorised with error-free extraction.
 
 All functions are pure and vectorized over numpy arrays.
 """
@@ -29,6 +31,7 @@ from .formats import (
     resolve_format,
 )
 from .rounding import PrecisionEmulator, machine_epsilon, round_to_format, ulp
+from .summation import exact_sum
 
 __all__ = [
     "FloatFormat",
@@ -42,4 +45,5 @@ __all__ = [
     "machine_epsilon",
     "ulp",
     "PrecisionEmulator",
+    "exact_sum",
 ]

@@ -21,9 +21,10 @@ fused plan** (outputs namespaced per request).  The planner's partial dedup
 then does the heavy lifting: N users asking for overlapping statistics over
 the same catalog stores share fold partials and decode sweeps, so a batch
 costs barely more than one request.  Results fan back per request and are
-bit-identical to evaluating each request alone (same partials, same fsum
-combine — the engine's bit-identity guarantee is per fold term, and fold terms
-are independent of which outputs reference them).
+bit-identical to evaluating each request alone (same partials, same correctly
+rounded sum :func:`repro.core.ops.folds.total`, bit-identical to
+``math.fsum`` — the engine's bit-identity guarantee is per fold term, and fold
+terms are independent of which outputs reference them).
 
 Plans execute on a **single worker thread**, one batch at a time — plan
 execution is CPU/IO-bound numpy work that would fight the GIL anyway, and

@@ -14,7 +14,8 @@ Since the lazy engine landed, every scalar reduction here (:func:`mean`,
 expression node and executes it.  The bit-identity contract is unchanged —
 because the engine folds the same declarative
 :data:`repro.core.ops.folds.FOLD_SPECS` partials in the same chunk order with
-the same exact (``fsum``) combine, a store-level reduction equals its in-memory
+the same correctly rounded sum :func:`repro.core.ops.folds.total` (bit-identical
+to ``math.fsum``), a store-level reduction equals its in-memory
 counterpart on the assembled array **bit for bit** whenever the chunks assemble
 bit-identically (stores written under the ``reference`` kernel backend); under
 the fast backends the two agree within the backend's documented

@@ -33,10 +33,11 @@ reassembles the accumulated state without decoding any chunk, and the plan
 engine serves ``mean`` / ``l2_norm`` / ``dot(x, x)`` (and pass 1 of
 ``variance``) straight from it — so a query over a growing store costs O(new
 chunks) at append time and O(shards) at query time.  The result is **bit
-identical** to a cold sweep: ``math.fsum`` in :func:`repro.core.ops.folds.total`
-visits the same float64 per-block values in the same chunk order whether they
-come from a live sweep's per-chunk vectors or from the persisted per-shard
-concatenations of those same vectors.
+identical** to a cold sweep: the correctly rounded sum
+:func:`repro.core.ops.folds.total` (bit-identical to ``math.fsum``) sums the
+same float64 per-block values in the same chunk order whether they come from a
+live sweep's per-chunk vectors or from the persisted per-shard concatenations
+of those same vectors.
 
 **Staleness detection** is deliberately cheap: a shard entry whose partials
 were never written (``append_shard(..., update_partials=False)``), whose
@@ -168,10 +169,12 @@ def _compute_partials(store: CompressedStore) -> "dict[str, np.ndarray] | None":
 
     Iterates the shard's chunks once, folding each through the uncentered
     partials (:data:`PARTIAL_FOLDS`).  Per-chunk per-block vectors are
-    concatenated *in chunk order*, so summing them later with ``math.fsum``
-    visits exactly the float64 values a live sweep would, in the same order —
-    the bit-identity invariant.  Returns ``None`` for non-pyblaz shards (no
-    fold algebra applies); omits ``dc`` when the first coefficient was pruned.
+    concatenated *in chunk order*, so summing them later with the correctly
+    rounded sum :func:`repro.core.ops.folds.total` (bit-identical to
+    ``math.fsum``) sees exactly the float64 values a live sweep would, in the
+    same order — the bit-identity invariant.  Returns ``None`` for non-pyblaz
+    shards (no fold algebra applies); omits ``dc`` when the first coefficient
+    was pruned.
     """
     settings = store.settings
     if settings is None:
@@ -584,8 +587,9 @@ class ShardedStore(ReadSurface):
 
         Reassembles the persisted per-shard partial vectors (one float64
         vector per shard, in shard order) into a state whose finalization is
-        bit-identical to a cold sweep's — ``fsum`` visits the same values in
-        the same order.  ``rename`` relabels the sums key (the engine serves
+        bit-identical to a cold sweep's — the correctly rounded sum
+        :func:`~repro.core.ops.folds.total` sees the same values in the same
+        order.  ``rename`` relabels the sums key (the engine serves
         ``product(x, x)`` from the ``square`` vectors this way).  Returns
         ``None`` — callers fall back to a full sweep — when the fold has no
         persisted form or :meth:`partials_fresh` fails.

@@ -53,6 +53,15 @@ class TestReferenceOperations:
         assert reference_dot(a, b) == pytest.approx(float(np.vdot(a, b)))
         assert reference_l2_norm(a) == pytest.approx(float(np.linalg.norm(a)))
 
+    def test_dot_and_norm_are_correctly_rounded(self, rng):
+        # exact sums, not BLAS: the values cannot depend on BLAS threading
+        a, b = rng.standard_normal((40, 30)), rng.standard_normal((40, 30))
+        assert reference_dot(a, b) == math.fsum((a * b).ravel())
+        assert reference_l2_norm(a) == math.sqrt(math.fsum((a * a).ravel()))
+        assert reference_cosine_similarity(a, b) == reference_dot(a, b) / (
+            reference_l2_norm(a) * reference_l2_norm(b)
+        )
+
     def test_cosine_similarity_bounds_and_self(self, rng):
         a = rng.random(50)
         assert reference_cosine_similarity(a, a) == pytest.approx(1.0)
