@@ -5,10 +5,9 @@ root — tracking what the lazy plan engine (:mod:`repro.engine`) buys over
 op-by-op :mod:`repro.streaming.ops` calls on the six-reduction workload the
 acceptance bar centres on: ``mean``, ``variance``, ``l2_norm``, ``dot``,
 ``covariance`` and ``cosine_similarity`` over two identically chunked stores.
-Sequential evaluation sweeps the stores once per op (12 decode passes across
-the pair; the two-pass statistics sweep twice); the fused plan schedules the
-same folds into exactly 2 passes per store and produces bit-identical scalars
-(verified per run).  A formatted table is printed to stdout and mirrored to
+Sequential evaluation sweeps the stores once per op (9 decode passes across
+the pair); the fused plan schedules the same folds into exactly 1 pass per
+store and produces bit-identical scalars (verified per run).  A formatted table is printed to stdout and mirrored to
 ``benchmarks/results/bench_engine.txt``.
 
 Each workload also times the *compiled* fused path (``Plan.execute(backend=…)``,

@@ -141,9 +141,12 @@ class CompressedArray:
                 "the first coefficient of each block was pruned away; "
                 "mean-based operations are unavailable under this pruning mask"
             )
-        coefficients = self.specified_coefficients()
-        dc_index = (Ellipsis,) + (0,) * self.settings.ndim
-        return coefficients[dc_index]
+        # the DC is kept column 0; the same per-element expression as
+        # specified_coefficients, without materialising the other columns
+        dc = self.indices[:, 0].astype(np.float64)
+        np.multiply(dc, self.maxima.reshape(-1) / float(self.settings.index_radius),
+                    out=dc)
+        return dc.reshape(self.grid_shape)
 
     def blockwise_means(self) -> np.ndarray:
         """Block-wise means of the (padded) array, shaped like the block grid."""

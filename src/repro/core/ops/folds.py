@@ -89,7 +89,7 @@ class FoldState:
         folded so far.
     dc_scale:
         The settings' DC scale ``Π sqrt(block extents)`` (needed by the mean
-        finalizer); ``None`` for folds that do not touch DC coefficients.
+        finalizer); ``None`` for every fold but ``dc``.
     """
 
     sums: dict[str, list[np.ndarray]]
@@ -218,6 +218,11 @@ def _dc_index(ndim: int) -> tuple:
     return (Ellipsis,) + (0,) * ndim
 
 
+def _dc_vector(chunk: CompressedArray) -> np.ndarray:
+    """Every block's DC coefficient as a fresh float64 vector (C-order blocks)."""
+    return chunk.first_coefficients().ravel()
+
+
 def _require_dc(chunk: CompressedArray, operation: str) -> None:
     """Raise ``ValueError`` unless the DC coefficient survived pruning."""
     if not chunk.settings.first_coefficient_kept:
@@ -258,8 +263,8 @@ def dc_partial(chunk: CompressedArray) -> FoldState:
     Raises ``ValueError`` when the DC coefficient was pruned away (the mean is
     then unrecoverable from the compressed form).
     """
-    dc = np.array(chunk.first_coefficients(), dtype=np.float64).ravel()
-    return _state(chunk, {"dc": [dc]}, dc_scale=chunk.settings.dc_scale)
+    return _state(chunk, {"dc": [_dc_vector(chunk)]},
+                  dc_scale=chunk.settings.dc_scale)
 
 
 def similarity_partial(a: CompressedArray, b: CompressedArray) -> FoldState:
@@ -282,35 +287,38 @@ def similarity_partial(a: CompressedArray, b: CompressedArray) -> FoldState:
     })
 
 
-def centered_product_partial(
-    a: CompressedArray, b: CompressedArray, dc_mean_a: float, dc_mean_b: float
-) -> FoldState:
-    """Per-block sums of centered coefficient products — the covariance partial.
+def centered_product_partial(a: CompressedArray, b: CompressedArray) -> FoldState:
+    """Per-block DC coefficients and AC product sums — the covariance partial.
 
-    ``dc_mean_a`` / ``dc_mean_b`` are the *global* DC means of the two full
-    arrays (pass 1, :func:`dc_grand_mean` over :func:`dc_partial`); subtracting
-    them from each block's DC coefficient centers the arrays on their means
-    without touching any other coefficient (§IV, Algorithm 8).
+    Centering an array on its mean changes only each block's DC coefficient
+    (§IV, Algorithm 8), so per block ``Σ_k (Ca_k − μa·[k=0])(Cb_k − μb·[k=0])
+    = (dc_a − μa)(dc_b − μb) + Σ_{k≠0} Ca_k·Cb_k``.  The partial keeps the DC
+    coefficients apart and sums only the AC products (DC slot zeroed), so the
+    global means enter at finalize time and the fold needs a single sweep.
     """
     require_compatible(a, b, "covariance")
     _require_dc(a, "covariance/variance")
     ndim = a.settings.ndim
-    ca = specified_coefficients(a)
-    cb = specified_coefficients(b)
-    ca[_dc_index(ndim)] -= dc_mean_a
-    cb[_dc_index(ndim)] -= dc_mean_b
-    np.multiply(ca, cb, out=ca)
-    return _state(a, {"centered_product": [_per_block_sum(ca, ndim)]})
+    products = specified_coefficients(a)
+    products[_dc_index(ndim)] = 0.0
+    np.multiply(products, _readonly_coefficients(b), out=products)
+    return _state(a, {"dc_a": [_dc_vector(a)], "dc_b": [_dc_vector(b)],
+                      "ac_product": [_per_block_sum(products, ndim)]})
 
 
-def centered_square_partial(chunk: CompressedArray, dc_mean: float) -> FoldState:
-    """Per-block sums of squared centered coefficients — the variance partial."""
+def centered_square_partial(chunk: CompressedArray) -> FoldState:
+    """Per-block DC coefficients and AC square sums — the variance partial.
+
+    Per block ``Σ_k (C_k − μ·[k=0])² = (dc − μ)² + Σ_{k≠0} C_k²``; the
+    partial keeps ``dc`` and ``ac_square`` apart so one sweep suffices.
+    """
     _require_dc(chunk, "covariance/variance")
     ndim = chunk.settings.ndim
-    centered = specified_coefficients(chunk)
-    centered[_dc_index(ndim)] -= dc_mean
-    np.multiply(centered, centered, out=centered)
-    return _state(chunk, {"centered_square": [_per_block_sum(centered, ndim)]})
+    squares = specified_coefficients(chunk)
+    squares[_dc_index(ndim)] = 0.0
+    np.multiply(squares, squares, out=squares)
+    return _state(chunk, {"dc": [_dc_vector(chunk)],
+                          "ac_square": [_per_block_sum(squares, ndim)]})
 
 
 # ---------------------------------------------------------------------- finalizers
@@ -320,10 +328,19 @@ def _require_nonempty(state: FoldState) -> None:
         raise ValueError("cannot reduce an empty chunk stream")
 
 
-def dc_grand_mean(state: FoldState) -> float:
-    """The mean DC coefficient over every block (pass 1 of covariance/variance)."""
+def dc_grand_mean(state: FoldState, key: str = "dc") -> float:
+    """The mean DC coefficient over every block (the centering shift μ).
+
+    ``key`` names the DC vector to average: ``dc`` for the mean and variance
+    states, ``dc_a``/``dc_b`` for the two operands of a covariance state.
+    """
     _require_nonempty(state)
-    return total(state, "dc") / state.n_blocks
+    return total(state, key) / state.n_blocks
+
+
+def _dc_deviations(state: FoldState, key: str = "dc") -> np.ndarray:
+    """Every block's DC coefficient minus the global DC mean (the centering)."""
+    return np.concatenate(state.sums[key]) - dc_grand_mean(state, key)
 
 
 def finalize_dot(state: FoldState) -> float:
@@ -359,15 +376,25 @@ def finalize_mean(state: FoldState, *, padded: bool = True) -> float:
 
 
 def finalize_covariance(state: FoldState) -> float:
-    """Algorithm 8: mean of the centered products over the padded domain."""
-    _require_nonempty(state)
-    return total(state, "centered_product") / state.n_padded_elements
+    """Algorithm 8: mean of the centered products over the padded domain.
+
+    Per block the centered product sum is ``(dc_a − μa)(dc_b − μb)`` plus the
+    AC product sum, ``μ`` each operand's global DC mean; each block's DC term
+    enters the exact sum unrounded by the within-block summation.
+    """
+    centered = _dc_deviations(state, "dc_a") * _dc_deviations(state, "dc_b")
+    return exact_sum([centered] + state.sums["ac_product"]) / state.n_padded_elements
 
 
 def finalize_variance(state: FoldState) -> float:
-    """Algorithm 9: mean of the squared centered coefficients (always ≥ 0)."""
-    _require_nonempty(state)
-    return total(state, "centered_square") / state.n_padded_elements
+    """Algorithm 9: mean of the squared centered coefficients (always ≥ 0).
+
+    Per block ``(dc − μ)²`` plus the AC square sum; every summand is a square,
+    so the correctly rounded total is never negative.
+    """
+    deviations = _dc_deviations(state)
+    np.multiply(deviations, deviations, out=deviations)
+    return exact_sum([deviations] + state.sums["ac_square"]) / state.n_padded_elements
 
 
 def finalize_cosine_similarity(state: FoldState) -> float:
@@ -389,7 +416,7 @@ class FoldSpec:
     """Declarative description of one fold: the unit the planner schedules.
 
     A spec names a partial, states what it needs (operand count, DC
-    availability, pass-1 DC means for the centered folds) and how to finish it.
+    availability) and how to finish it.
     The in-memory operations consume specs through :func:`evaluate`; the lazy
     engine (:mod:`repro.engine`) consumes the same specs to fuse many folds
     into shared sweeps over a store, deduplicating equal ``(name, operands)``
@@ -405,13 +432,10 @@ class FoldSpec:
         Whether the partial needs each block's first (DC) coefficient unpruned;
         the planner fails fast on store sources whose pruning mask dropped it.
     partial:
-        ``(*chunks, *extra) -> FoldState`` — the per-chunk partial.
+        ``(*chunks) -> FoldState`` — the per-chunk partial.
     finalize:
         ``FoldState -> float`` (possibly with keyword options, e.g. the mean's
         ``padded``) turning the accumulated state into the scalar.
-    centered:
-        True for the two-pass folds whose ``extra`` arguments are the operands'
-        global DC means (one per operand, from a :func:`dc_grand_mean` pass).
     touches_coefficients:
         Whether the partial materialises the full specified-coefficient array
         (everything except the DC-only fold); the engine uses this to decide
@@ -423,19 +447,12 @@ class FoldSpec:
     requires_dc: bool
     partial: Callable[..., FoldState]
     finalize: Callable[..., float]
-    centered: bool = False
     touches_coefficients: bool = True
 
-    @property
-    def n_extra(self) -> int:
-        """Number of extra scalar arguments the partial takes (DC means)."""
-        return self.arity if self.centered else 0
 
-
-#: Every fold the operation set factors into, by name.  ``dc`` doubles as the
-#: mean fold (finalized with :func:`finalize_mean`) and as pass 1 of the
-#: centered folds (finalized with :func:`dc_grand_mean`) — the planner reuses a
-#: single accumulated ``dc`` state for both.
+#: Every fold the operation set factors into, by name.  Each is one sweep: the
+#: centered folds carry their own per-block DC vectors, so the centering mean
+#: is taken at finalize time (:func:`dc_grand_mean`), not in a prior pass.
 FOLD_SPECS: dict[str, FoldSpec] = {
     spec.name: spec
     for spec in (
@@ -448,9 +465,9 @@ FOLD_SPECS: dict[str, FoldSpec] = {
         FoldSpec("similarity", 2, False, similarity_partial,
                  finalize_cosine_similarity),
         FoldSpec("centered_square", 1, True, centered_square_partial,
-                 finalize_variance, centered=True),
+                 finalize_variance),
         FoldSpec("centered_product", 2, True, centered_product_partial,
-                 finalize_covariance, centered=True),
+                 finalize_covariance),
     )
 }
 
@@ -465,23 +482,16 @@ def get_fold_spec(name: str) -> FoldSpec:
         ) from None
 
 
-def evaluate(name: str, *operands: CompressedArray, extra: tuple = (),
-             **finalize_options) -> float:
+def evaluate(name: str, *operands: CompressedArray, **finalize_options) -> float:
     """Run one registered fold start-to-finish over in-memory operands.
 
     The single-chunk path the :mod:`repro.core.ops` wrappers use: one partial
-    over the whole array (or array pair), one finalize.  ``extra`` carries the
-    centered folds' DC means; ``finalize_options`` are passed to the spec's
-    finalizer (e.g. the mean's ``padded``).
+    over the whole array (or array pair), one finalize.  ``finalize_options``
+    are passed to the spec's finalizer (e.g. the mean's ``padded``).
     """
     spec = get_fold_spec(name)
     if len(operands) != spec.arity:
         raise ValueError(
             f"fold {name!r} takes {spec.arity} operand(s), got {len(operands)}"
         )
-    if len(extra) != spec.n_extra:
-        raise ValueError(
-            f"fold {name!r} takes {spec.n_extra} extra argument(s) "
-            f"(the operands' global DC means), got {len(extra)}"
-        )
-    return spec.finalize(spec.partial(*operands, *extra), **finalize_options)
+    return spec.finalize(spec.partial(*operands), **finalize_options)

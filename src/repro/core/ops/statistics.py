@@ -7,15 +7,17 @@ equals the average of the DC coefficients.  After centering, orthonormality turn
 element-wise product sum into the data-space product sum, and dividing by the padded
 element count gives the (population) covariance.
 
-The scalar statistics are thin wrappers over their two-pass partial-fold forms
-in :mod:`repro.core.ops.folds`: pass 1 folds the global DC mean
-(:func:`folds.dc_partial`), pass 2 folds the centered products
-(:func:`folds.centered_product_partial` / :func:`folds.centered_square_partial`).
-The out-of-core engine :mod:`repro.streaming.ops` runs the identical two passes
-over store chunks, and the folds are chunking-invariant to the last bit, so the
-two layers always agree on identical compressed data.  Error contract: exact in
-the compressed space (no error beyond compression; correctly rounded
-accumulation).
+The scalar statistics are thin wrappers over their one-pass partial-fold forms
+in :mod:`repro.core.ops.folds`: because centering moves only the DC
+coefficients, each block's centered sum splits into ``(dc − μ)`` terms plus its
+uncentered AC sum, so one partial (:func:`folds.centered_product_partial` /
+:func:`folds.centered_square_partial`) collects the per-block DC coefficients
+and AC sums, and the finalizer takes the global DC mean ``μ`` and sums the
+centered DC terms and AC sums exactly.  The out-of-core engine
+:mod:`repro.streaming.ops` runs the identical fold in one sweep over store
+chunks, and the folds are chunking-invariant to the last bit, so the two
+layers always agree on identical compressed data.  Error contract: exact in the
+compressed space (no error beyond compression; correctly rounded accumulation).
 
 Block-wise variants center each block independently (zeroing its DC coefficient) and
 average within blocks, giving per-block covariance/variance maps.
@@ -50,10 +52,7 @@ def covariance(a: CompressedArray, b: CompressedArray) -> float:
     population covariance of the decompressed (padded) arrays.  Error contract:
     exact in the compressed space; requires the DC coefficient to be unpruned.
     """
-    require_compatible(a, b, "covariance")
-    mean_a = folds.dc_grand_mean(folds.dc_partial(a))
-    mean_b = folds.dc_grand_mean(folds.dc_partial(b))
-    return folds.evaluate("centered_product", a, b, extra=(mean_a, mean_b))
+    return folds.evaluate("centered_product", a, b)
 
 
 def variance(compressed: CompressedArray) -> float:
@@ -62,8 +61,7 @@ def variance(compressed: CompressedArray) -> float:
     Error contract: exact in the compressed space (and always ≥ 0 — the fold
     sums squares); requires the DC coefficient to be unpruned.
     """
-    mean_dc = folds.dc_grand_mean(folds.dc_partial(compressed))
-    return folds.evaluate("centered_square", compressed, extra=(mean_dc,))
+    return folds.evaluate("centered_square", compressed)
 
 
 def standard_deviation(compressed: CompressedArray) -> float:

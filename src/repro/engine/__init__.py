@@ -12,9 +12,9 @@ expression graph plus a fusing planner:
   feed reductions without materialising intermediate stores.
 * :mod:`repro.engine.plan` — compile any set of reductions into a
   :class:`Plan` that deduplicates shared fold partials (dot and cosine share
-  the product sum; mean, variance and covariance share the DC sum), groups
-  them by source so each chunk is decoded **once per pass**, and schedules
-  two-pass statistics as exactly two fused sweeps.
+  the product sum; variance and standard deviation share the centered-square
+  sum) and groups them by source so each chunk is decoded **once** — every
+  plan, the centered statistics included, is a single fused sweep.
 * :mod:`repro.engine.wire` — a stable JSON wire form for the expression graph
   (sources become catalog names), which is how the serving layer
   (:mod:`repro.serving`) ships reduction requests over the network.

@@ -13,10 +13,10 @@ nodes, which rebin and genuinely need the interpreter — the whole step can be
    to ``specified_coefficients``, which computes the very same expression —
    but ``(n_blocks, kept_per_block)`` instead of the dense padded block
    layout, and once per source instead of once per fold);
-2. for centered (pass-2) terms, subtracts each source's global DC mean from
-   the DC column in place — the same shift the centered partials apply;
-3. emits every term's per-block partial-sum vector from those shared
-   matrices in a single traversal.
+2. emits every term's per-block partial-sum vectors from those shared
+   matrices in a single traversal — a centered term as its sources' DC
+   columns plus a row dot over the AC columns ``1:``, exactly the split the
+   centered partials make.
 
 The kernel itself comes from the selected :class:`repro.kernels.KernelBackend`
 via :meth:`~repro.kernels.KernelBackend.compile_fused_pass` and is cached here
@@ -30,12 +30,13 @@ requests.
 Numerics contract
 -----------------
 
-``dc`` partial vectors are **bit-identical** to the interpreted fold (same
-scalar expression per block, no summation involved), so compiled means equal
-reference means exactly.  Summing folds (``square``/``product``/
-``diff_square``/``centered_*``) reassociate the within-block summation (a
-row dot over kept coefficients instead of the interpreter's dense
-block-axis reduction), so their per-block sums agree with reference within
+``dc`` partial vectors (and the centered folds' DC vectors) are
+**bit-identical** to the interpreted fold (same scalar expression per block,
+no summation involved), so compiled means equal reference means exactly.
+Summing folds (``square``/``product``/``diff_square`` and the centered folds'
+AC sums) reassociate the within-block summation (a row dot over kept
+coefficients instead of the interpreter's dense block-axis reduction), so
+their per-block sums agree with reference within
 :meth:`repro.kernels.KernelBackend.fused_fold_tolerance` — see
 ``docs/engine.md`` ("Compiled plans") for the derivation.  Everything after
 the per-block vectors (the exact :func:`repro.core.ops.folds.total` combine,
@@ -55,11 +56,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ..core.ops import folds
 from ..core.ops.coefficients import require_compatible
 from ..kernels import DEFAULT_BACKEND, get_backend, get_backend_class
+from ..kernels.base import FUSED_PASS_OUTPUTS
 from ..streaming.store import CompressedStore
 
 __all__ = [
@@ -76,10 +76,7 @@ __all__ = [
 
 #: Folds a compiled pass may contain.  ``similarity`` is excluded (the planner
 #: decomposes cosine similarity into ``product`` + ``square`` terms instead).
-LOWERABLE_FOLDS = frozenset(
-    {"dc", "square", "product", "diff_square", "centered_square",
-     "centered_product"}
-)
+LOWERABLE_FOLDS = frozenset(FUSED_PASS_OUTPUTS)
 
 #: Operation labels for the compiled path's operand-compatibility errors,
 #: mirroring the interpreted partials' wording.
@@ -102,13 +99,10 @@ class _Lowering:
         group's decoded chunk tuple (its ``source_slots`` order).
     n_sources:
         Number of sources the group decodes per aligned step.
-    centered:
-        True when the terms are the centered pass-2 folds (DC shifts apply).
     """
 
     terms: tuple
     n_sources: int
-    centered: bool
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,6 @@ class PassSignature:
 
     terms: tuple
     n_sources: int
-    centered: bool
     index_dtype: str
     block_shape: tuple
     kept_per_block: int
@@ -139,25 +132,17 @@ def lower_terms(program: tuple, terms: tuple, source_slots: tuple):
     A group lowers only when every term is a :data:`LOWERABLE_FOLDS` member
     whose operands are all *leaf source* program slots — structural nodes
     (``add``/``subtract``/``scale``/``negate``) rebin coefficients and keep
-    the interpreted path.  Centered and uncentered folds never share a pass
-    (the scheduler puts centered terms in pass 2 alone), but a mixed set is
-    refused defensively: the kernel's DC shift is per *source*, applied
-    exactly once, and must not leak into uncentered terms.
+    the interpreted path.
     """
     position = {slot: index for index, slot in enumerate(source_slots)}
     lowered = []
-    centered_flags = []
     for name, slots in terms:
         if name not in LOWERABLE_FOLDS:
             return None
         if any(program[slot][0] != "source" for slot in slots):
             return None
         lowered.append((name, tuple(position[slot] for slot in slots)))
-        centered_flags.append(folds.FOLD_SPECS[name].centered)
-    centered = any(centered_flags)
-    if centered and not all(centered_flags):
-        return None
-    return _Lowering(tuple(lowered), len(source_slots), centered)
+    return _Lowering(tuple(lowered), len(source_slots))
 
 
 def signature_for(lowering: _Lowering, settings) -> PassSignature | None:
@@ -167,13 +152,13 @@ def signature_for(lowering: _Lowering, settings) -> PassSignature | None:
     is kept column 0 of the flattened index layout; when pruning dropped it,
     the interpreted partials own the (error-raising) behavior.
     """
-    needs_dc = lowering.centered or any(name == "dc" for name, _ in lowering.terms)
+    needs_dc = any(folds.FOLD_SPECS[name].requires_dc
+                   for name, _ in lowering.terms)
     if needs_dc and not settings.first_coefficient_kept:
         return None
     return PassSignature(
         terms=lowering.terms,
         n_sources=lowering.n_sources,
-        centered=lowering.centered,
         index_dtype=settings.index_dtype.name,
         block_shape=tuple(settings.block_shape),
         kept_per_block=int(settings.kept_per_block),
@@ -224,33 +209,28 @@ def clear_kernel_cache() -> None:
 
 
 # ------------------------------------------------------------------ execution
-def run_compiled_step(kernel: Callable, lowering: _Lowering, chunks: Sequence,
-                      extras: tuple) -> list:
+def run_compiled_step(kernel: Callable, lowering: _Lowering,
+                      chunks: Sequence) -> list:
     """One compiled chunk step: every term's partial state from one kernel call.
 
     ``chunks`` is the group's aligned decoded chunk tuple in ``source_slots``
-    order; ``extras`` matches the interpreted path (the centered terms' global
-    DC means).  Operand compatibility is checked exactly as the interpreted
-    partials would, then the kernel returns one per-block float64 vector per
-    term, wrapped into :class:`repro.core.ops.folds.FoldState` with the same
-    sum keys and counts the interpreted partials produce — so everything
-    downstream (combine, finalize) is shared.
+    order.  Operand compatibility is checked exactly as the interpreted
+    partials would, then the kernel returns each term's per-block float64
+    vectors (:data:`repro.kernels.base.FUSED_PASS_OUTPUTS`), wrapped into
+    :class:`repro.core.ops.folds.FoldState` under the same sum keys and
+    counts the interpreted partials produce — so everything downstream
+    (combine, finalize) is shared.
     """
     for name, positions in lowering.terms:
         if len(positions) == 2:
             require_compatible(chunks[positions[0]], chunks[positions[1]],
                                _BINARY_OP_LABEL[name])
-    shifts = np.zeros(lowering.n_sources, dtype=np.float64)
-    if lowering.centered:
-        for (_, positions), extra in zip(lowering.terms, extras):
-            for position, mean in zip(positions, extra):
-                shifts[position] = mean
-    vectors = kernel(chunks, shifts)
+    vectors = iter(kernel(chunks))
     states = []
-    for (name, positions), vector in zip(lowering.terms, vectors):
+    for name, positions in lowering.terms:
         anchor = chunks[positions[0]]
         states.append(folds.FoldState(
-            sums={name: [vector]},
+            sums={key: [next(vectors)] for key in FUSED_PASS_OUTPUTS[name]},
             n_blocks=anchor.n_blocks,
             n_elements=anchor.n_elements,
             n_padded_elements=anchor.n_padded_elements,

@@ -12,8 +12,8 @@ node (:func:`mean`, :func:`variance`, :func:`standard_deviation`,
 
 Nothing is computed at construction time.  Handing one or more reduction nodes
 to :func:`repro.engine.plan` (or :func:`repro.engine.evaluate`) compiles them
-into fused sweeps in which every chunk of every source is decoded **once per
-pass** no matter how many reductions consume it — see :mod:`repro.engine.plan`
+into one fused sweep in which every chunk of every source is decoded **once**
+no matter how many reductions consume it — see :mod:`repro.engine.plan`
 for the planning rules and ``docs/engine.md`` for the fusion matrix.
 
 Node identity is *structural*: two separately built ``dot(x, y)`` nodes over
@@ -50,7 +50,6 @@ __all__ = [
     "euclidean_distance",
     "cosine_similarity",
     "REDUCTION_OPS",
-    "TWO_PASS_OPS",
 ]
 
 #: Scalar reduction node kinds, by arity.
@@ -64,9 +63,6 @@ REDUCTION_OPS: dict[str, int] = {
     "euclidean_distance": 2,
     "cosine_similarity": 2,
 }
-
-#: Reductions that need a DC-mean pass before their centered fold (two sweeps).
-TWO_PASS_OPS = frozenset({"variance", "standard_deviation", "covariance"})
 
 
 class Expr:
@@ -207,7 +203,7 @@ def mean(x, *, padded: bool = True) -> Reduction:
 
 
 def variance(x) -> Reduction:
-    """Lazy store-level variance (Algorithm 9) — a two-pass reduction."""
+    """Lazy store-level variance (Algorithm 9) — one sweep, like every reduction."""
     return Reduction("variance", (_as_array(x),))
 
 
@@ -217,7 +213,7 @@ def standard_deviation(x) -> Reduction:
 
 
 def covariance(x, y) -> Reduction:
-    """Lazy store-level covariance (Algorithm 8) — a two-pass reduction."""
+    """Lazy store-level covariance (Algorithm 8) — one sweep, like every reduction."""
     return Reduction("covariance", (_as_array(x), _as_array(y)))
 
 

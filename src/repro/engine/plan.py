@@ -1,34 +1,33 @@
-"""The fusing planner: many compressed-domain reductions, one sweep per pass.
+"""The fusing planner: many compressed-domain reductions, one sweep per plan.
 
 :func:`plan` compiles a set of reduction expressions (:mod:`repro.engine.expr`)
 into a :class:`Plan` whose execution decodes every chunk of every source
-**once per pass**, however many reductions consume it.  Planning happens in
-three steps:
+**once**, however many reductions consume it.  Planning happens in three
+steps:
 
 1. **Collect** — each requested reduction is decomposed into the fold *terms*
    it needs, straight from the declarative :data:`repro.core.ops.folds.FOLD_SPECS`:
    ``mean(x)`` needs ``dc(x)``; ``dot(x, y)`` needs ``product(x, y)``;
    ``cosine_similarity(x, y)`` needs ``product(x, y)``, ``square(x)`` and
-   ``square(y)``; ``variance(x)`` needs ``dc(x)`` in pass 1 and
-   ``centered_square(x)`` in pass 2; ``covariance(x, y)`` needs ``dc`` of both
-   operands in pass 1 and ``centered_product(x, y)`` in pass 2.
+   ``square(y)``; ``variance(x)`` needs ``centered_square(x)``;
+   ``covariance(x, y)`` needs ``centered_product(x, y)``.  The centered folds
+   carry each block's DC coefficient next to its AC sum, so the centering
+   mean is taken at finalize time and never needs a sweep of its own.
 2. **Deduplicate** — terms are keyed by ``(fold name, operand nodes)``, so the
    dot and the cosine similarity of the same pair share one product sum, the
-   l2 norm and the cosine share one square sum, and the mean, variance and
-   covariance of the same source share one DC sum (variance's pass-1 mean *is*
-   covariance's).  Structural nodes (``add``/``scale``/…) deduplicate the same
-   way through their structural keys.
-3. **Schedule** — pass 1 holds every uncentered term, pass 2 (present exactly
-   when a two-pass reduction was requested) holds the centered terms, whose
-   extra arguments (global DC means) are finalized from pass 1's ``dc`` states.
-   Within a pass, terms are grouped by source so each aligned chunk tuple is
-   decoded once and feeds every partial that wants it; decoded chunks shared by
-   two or more coefficient-touching folds get a primed ``coefficients_cache``
-   (one dense materialisation, bitwise-identical copies per fold).
+   l2 norm and the cosine share one square sum, and variance and standard
+   deviation of the same source share one centered-square sum.  Structural
+   nodes (``add``/``scale``/…) deduplicate the same way through their
+   structural keys.
+3. **Schedule** — every term goes into the plan's single pass, grouped by
+   source so each aligned chunk tuple is decoded once and feeds every partial
+   that wants it; decoded chunks shared by two or more coefficient-touching
+   folds get a primed ``coefficients_cache`` (one dense materialisation,
+   bitwise-identical copies per fold).
 
-**Pass-count guarantee**: ``plan.n_passes`` is 1 when no requested reduction is
-two-pass, else 2; a source is decoded only in the passes whose terms reference
-it (``plan.decode_passes``), at exactly one decode per chunk per pass.
+**Pass-count guarantee**: ``plan.n_passes`` is always 1; every source is
+decoded once per chunk (``plan.decode_passes`` is 1 for each source), so a
+single-shot generator of chunks is as good a source as a store.
 
 **Bit-identity guarantee**: every fused scalar equals the corresponding
 sequential :mod:`repro.streaming.ops` call bit for bit — the per-block partial
@@ -65,7 +64,7 @@ from ..streaming.sharded import ShardedStore
 from ..streaming.sources import (STORE_TYPES, aligned_chunks, check_stores,
                                  require_pyblaz)
 from . import compile as plan_compile
-from .expr import ArrayExpr, Expr, Reduction, Source, TWO_PASS_OPS
+from .expr import ArrayExpr, Expr, Reduction, Source
 
 __all__ = ["Plan", "PlanPass", "PassGroup", "plan", "evaluate"]
 
@@ -94,51 +93,50 @@ def _needed_slots(program: tuple, terms: tuple) -> set[int]:
     return needed
 
 
-def _evaluate_chunk_terms(program: tuple, values: dict, terms: tuple,
-                          extras: tuple) -> list[folds.FoldState]:
+def _evaluate_chunk_terms(program: tuple, values: dict,
+                          terms: tuple) -> list[folds.FoldState]:
     """One fused chunk step: structural nodes, shared caches, every term's partial.
 
     ``values`` arrives holding the decoded source chunks for this step (slot →
     :class:`CompressedArray`); structural slots are filled by the in-memory
     :mod:`repro.core.ops` operations in slot (topological) order.  Chunks that
-    feed two or more coefficient-touching folds get a primed
-    ``coefficients_cache`` so the dense coefficient array is materialised once
-    and copied per fold (bitwise identical — see
-    :func:`repro.core.ops.coefficients.specified_coefficients`).
+    feed two or more coefficient-touching folds or ``add``/``subtract`` nodes
+    get a primed ``coefficients_cache`` as soon as they exist, so the dense
+    coefficient array is materialised once and copied per consumer (bitwise
+    identical — see :func:`repro.core.ops.coefficients.specified_coefficients`).
     """
-    needed = _needed_slots(program, terms)
-    for slot in sorted(needed):
-        if slot in values:
-            continue
-        entry = program[slot]
-        kind = entry[0]
-        if kind == "add":
-            values[slot] = core_ops.add(values[entry[1]], values[entry[2]])
-        elif kind == "subtract":
-            values[slot] = core_ops.subtract(values[entry[1]], values[entry[2]])
-        elif kind == "scale":
-            values[slot] = core_ops.multiply_scalar(values[entry[1]], entry[2])
-        elif kind == "negate":
-            values[slot] = core_ops.negate(values[entry[1]])
-        else:  # pragma: no cover - compilation always seeds source slots
-            raise ValueError(f"source chunk for slot {slot} was not decoded")
-
+    needed = sorted(_needed_slots(program, terms))
     uses: Counter = Counter()
-    for (name, slots), _ in zip(terms, extras):
+    for name, slots in terms:
         if folds.FOLD_SPECS[name].touches_coefficients:
             uses.update(slots)
+    for slot in needed:
+        if program[slot][0] in ("add", "subtract"):
+            uses.update(program[slot][1:3])
     primed = []
-    for slot, count in uses.items():
-        if count >= 2:
-            chunk = values[slot]
-            chunk.coefficients_cache = chunk.specified_coefficients()
-            primed.append(chunk)
-
     try:
+        for slot in needed:
+            entry = program[slot]
+            kind = entry[0]
+            if kind == "add":
+                values[slot] = core_ops.add(values[entry[1]], values[entry[2]])
+            elif kind == "subtract":
+                values[slot] = core_ops.subtract(values[entry[1]], values[entry[2]])
+            elif kind == "scale":
+                values[slot] = core_ops.multiply_scalar(values[entry[1]], entry[2])
+            elif kind == "negate":
+                values[slot] = core_ops.negate(values[entry[1]])
+            elif slot not in values:  # pragma: no cover - sources are seeded
+                raise ValueError(f"source chunk for slot {slot} was not decoded")
+            if uses[slot] >= 2:
+                chunk = values[slot]
+                chunk.coefficients_cache = chunk.specified_coefficients()
+                primed.append(chunk)
+
         states = []
-        for (name, slots), extra in zip(terms, extras):
+        for name, slots in terms:
             partial = folds.FOLD_SPECS[name].partial
-            states.append(partial(*(values[slot] for slot in slots), *extra))
+            states.append(partial(*(values[slot] for slot in slots)))
     finally:
         # the cache is strictly step-scoped: chunk objects may be caller-owned
         # (sequence sources) and must neither retain dense coefficients nor
@@ -171,12 +169,12 @@ class PassGroup:
 
 
 class PlanPass:
-    """One scheduling pass: every term folded during it, grouped by source set.
+    """The plan's sweep: every term folded during it, grouped by source set.
 
     Attributes
     ----------
     index:
-        1-based pass number (pass 2 exists only for two-pass reductions).
+        1-based pass number (always 1: every plan is a single sweep).
     terms:
         ``(fold name, operand slots)`` keys folded during this pass, in a
         deterministic collection order.
@@ -217,7 +215,7 @@ class Plan:
     sources:
         The deduplicated leaf sources, in first-appearance order.
     passes:
-        The scheduled :class:`PlanPass` sweeps (length = :attr:`n_passes`).
+        The scheduled :class:`PlanPass` sweep (length = :attr:`n_passes` = 1).
     default_backend:
         Kernel backend :meth:`execute` uses when called without ``backend=``
         (``None`` → resolve from source settings, else ``reference``).
@@ -249,7 +247,7 @@ class Plan:
     # -------------------------------------------------------------- introspection
     @property
     def n_passes(self) -> int:
-        """Number of fused sweeps: 1, or 2 when any two-pass reduction is present."""
+        """Number of fused sweeps: always 1 (every fold is one-pass)."""
         return len(self.passes)
 
     @property
@@ -304,8 +302,7 @@ class Plan:
 
     # -------------------------------------------------------------- validation
     def _validate_sources(self) -> None:
-        """Upfront checks: pyblaz stores, per-group geometry, DC availability,
-        re-iterability.
+        """Upfront checks: pyblaz stores, per-group geometry, DC availability.
 
         Geometry (shape and chunking) must match only *within* a sweep group —
         unrelated reductions fuse across differently shaped or chunked sources.
@@ -334,83 +331,52 @@ class Plan:
                             f"{name} requires the first coefficient of each "
                             "block to be unpruned"
                         )
-        multi_pass = [index for index, count in enumerate(self.decode_passes)
-                      if count >= 2]
-        if not multi_pass:
-            return
-        two_pass_ops = sorted({op for op, _, _ in self._outputs.values()
-                               if op in TWO_PASS_OPS})
-        name = ", ".join(two_pass_ops) or "the plan"
-        for index in multi_pass:
-            source = self.sources[index]
-            if not isinstance(source, STORE_TYPES) and iter(source) is source:
-                raise ValueError(
-                    f"{name} folds over its source twice (mean pass + centered "
-                    "pass); pass a CompressedStore or a re-iterable sequence of "
-                    "chunks, not a single-shot generator"
-                )
 
     # -------------------------------------------------------------- execution
-    def _extras(self, terms: tuple, means: Mapping[int, float]) -> tuple:
-        """Resolve each term's extra arguments (DC means for centered folds)."""
-        resolved = []
-        for name, slots in terms:
-            if folds.FOLD_SPECS[name].centered:
-                resolved.append(tuple(means[slot] for slot in slots))
-            else:
-                resolved.append(())
-        return tuple(resolved)
+    def _serve_from_partials(self, terms: tuple) -> dict:
+        """The states of the terms persisted shard partials can answer.
 
-    def _serve_group_from_partials(self, group: PassGroup, extras: tuple
-                                   ) -> "dict | None":
-        """Answer one sweep group from persisted shard partials, or ``None``.
-
-        A group is servable — no chunk is decoded at all — when **every** term
-        is an uncentered leaf-source fold a :class:`ShardedStore` persists:
-        ``dc(s)``, ``square(s)``, or ``product(s, s)`` with both operands the
-        same slot (per-block arithmetic identical to ``square``, served from
-        the same vectors relabeled).  The slot must map straight to a sharded
-        source with fresh partials (:meth:`ShardedStore.fold_state` applies
-        the staleness checks); any structural node (``scale``/``add``/...),
-        non-sharded source, centered fold, or stale shard makes the whole
-        group fall back to the ordinary sweep.  Served states are
-        bit-identical to swept ones: the persisted vectors are the sweep's own
-        per-chunk partials, concatenated in chunk order, so the correctly
-        rounded sum :func:`~repro.core.ops.folds.total` sees the same float64
-        values in the same order.
+        A term is servable — none of its chunks decoded — when it is a
+        leaf-source fold a :class:`ShardedStore` persists: ``dc(s)``,
+        ``square(s)``, or ``product(s, s)`` with both operands the same slot
+        (per-block arithmetic identical to ``square``, served from the same
+        vectors relabeled), and the slot maps straight to a sharded source
+        with fresh partials (:meth:`ShardedStore.fold_state` applies the
+        staleness checks).  Structural operands, non-sharded sources, other
+        folds (the centered folds' AC sums are not persisted) and stale
+        shards are left to the sweep.  Served states are bit-identical to
+        swept ones: the persisted vectors are the sweep's own per-chunk
+        partials, concatenated in chunk order, so the correctly rounded sum
+        :func:`~repro.core.ops.folds.total` sees the same float64 values in
+        the same order.
         """
         states: dict = {}
-        for term, extra in zip(group.terms, extras):
-            if extra:
-                return None
+        for term in terms:
             name, slots = term
-            if name == "dc" and len(slots) == 1:
-                fold, rename = "dc", None
-            elif name == "square" and len(slots) == 1:
-                fold, rename = "square", None
-            elif name == "product" and len(slots) == 2 and slots[0] == slots[1]:
+            if name in ("dc", "square") and len(slots) == 1:
+                fold, rename = name, None
+            elif name == "product" and slots[0] == slots[1]:
                 fold, rename = "square", "product"
             else:
-                return None
+                continue
             node = self._program[slots[0]]
-            if node[0] != "source":
-                return None
-            source = self.sources[node[1]]
-            if not isinstance(source, ShardedStore):
-                return None
-            state = source.fold_state(fold, rename=rename)
-            if state is None:
-                return None
-            states[term] = state
+            source = self.sources[node[1]] if node[0] == "source" else None
+            if isinstance(source, ShardedStore):
+                state = source.fold_state(fold, rename=rename)
+                if state is not None:
+                    states[term] = state
         return states
 
-    def _run_pass(self, pass_: PlanPass, extras: tuple, backend: str,
-                  run_stats: dict, prefetch: int | None = None) -> list:
-        """Execute one pass; return the combined state per term (pass order).
+    def _run_pass(self, pass_: PlanPass, backend: str, run_stats: dict,
+                  prefetch: int | None = None) -> dict:
+        """Execute the pass; return the combined state keyed by term.
 
         Each :class:`PassGroup` runs its own aligned sweep over its connected
         source set: chunk tuples stream through one at a time, so peak memory
         is one chunk per decoded source plus any structural intermediates.
+        Terms persisted shard partials answer are served first; a group they
+        answer entirely counts as an ``incremental_groups`` group and decodes
+        nothing, otherwise the rest of its terms sweep.
 
         Under a non-default ``backend``, each group that *lowers*
         (:func:`repro.engine.compile.lower_terms` — all-leaf-source terms
@@ -427,26 +393,27 @@ class Plan:
         ``run_stats["io_seconds"]`` — with readahead working, that approaches
         zero even though the same records were read.
         """
-        extra_by_term = dict(zip(pass_.terms, extras))
         state_by_term: dict = {}
         for group in pass_.groups:
-            group_extras = tuple(extra_by_term[term] for term in group.terms)
-            served = self._serve_group_from_partials(group, group_extras)
-            if served is not None:
-                state_by_term.update(served)
+            served = self._serve_from_partials(group.terms)
+            state_by_term.update(served)
+            rest = tuple(term for term in group.terms if term not in served)
+            if not rest:
                 run_stats["incremental_groups"] += 1
                 continue
-            collected = self._sweep_group(group, group_extras, backend,
-                                          run_stats, prefetch)
-            for term, bucket in zip(group.terms, collected):
-                combined = folds.combine_all(bucket)
-                if combined is None:
-                    raise ValueError("cannot reduce an empty chunk stream")
-                state_by_term[term] = combined
-        return [state_by_term[term] for term in pass_.terms]
+            # the unserved terms sweep over just the sources they read
+            sweeps = _group_terms(self._program, rest) if served else (group,)
+            for sweep in sweeps:
+                collected = self._sweep_group(sweep, backend, run_stats, prefetch)
+                for term, bucket in zip(sweep.terms, collected):
+                    combined = folds.combine_all(bucket)
+                    if combined is None:
+                        raise ValueError("cannot reduce an empty chunk stream")
+                    state_by_term[term] = combined
+        return state_by_term
 
-    def _sweep_group(self, group: PassGroup, extras: tuple, backend: str,
-                     run_stats: dict, prefetch: int | None) -> list[list]:
+    def _sweep_group(self, group: PassGroup, backend: str, run_stats: dict,
+                     prefetch: int | None) -> list[list]:
         """One aligned chunk sweep of a group; per-term lists of chunk states.
 
         The group's compiled kernel (if it lowers) is resolved from the first
@@ -491,7 +458,7 @@ class Plan:
                         if fault is not None:
                             fault.check_compiled_kernel()
                         states = plan_compile.run_compiled_step(
-                            kernel, lowering, chunks, extras
+                            kernel, lowering, chunks
                         )
                     except Exception as exc:
                         # degrade, don't fail: the decoded chunks are
@@ -507,7 +474,7 @@ class Plan:
                     values = dict(zip(slots, chunks))
                     chunks = None  # the step owns the chunks now
                     states = _evaluate_chunk_terms(self._program, values,
-                                                   group.terms, extras)
+                                                   group.terms)
                     values = None  # drop coefficients before the next decode
                 chunks = None
                 for bucket, state in zip(collected, states):
@@ -521,7 +488,7 @@ class Plan:
         return collected
 
     def execute(self, *, backend=None, prefetch=None):
-        """Run every pass and finalize the requested scalars.
+        """Run the plan's one sweep and finalize the requested scalars.
 
         Returns a dict keyed like the request, a list for a sequence request,
         or the bare scalar for a single-expression request.
@@ -565,21 +532,8 @@ class Plan:
             "prefetch_depth": 0,
         }
         states: dict = {}
-        means: dict[int, float] = {}
         for pass_ in self.passes:
-            extras = self._extras(pass_.terms, means)
-            for term, state in zip(pass_.terms,
-                                   self._run_pass(pass_, extras, resolved,
-                                                  run_stats, prefetch)):
-                states[term] = state
-            if pass_.index == 1 and self.n_passes == 2:
-                for name, slots in self.passes[1].terms:
-                    if folds.FOLD_SPECS[name].centered:
-                        for slot in slots:
-                            if slot not in means:
-                                means[slot] = folds.dc_grand_mean(
-                                    states[("dc", (slot,))]
-                                )
+            states.update(self._run_pass(pass_, resolved, run_stats, prefetch))
         self.last_execution = run_stats
         results = {key: self._finalize_output(spec, states)
                    for key, spec in self._outputs.items()}
@@ -625,31 +579,21 @@ class Plan:
 
 
 # ------------------------------------------------------------------ compilation
-#: Decomposition of each reduction into (pass number, fold name, operand picker);
-#: the picker maps the reduction's operand slots to the term's operand slots.
+#: Decomposition of each reduction into (fold name, operand picker) terms; the
+#: picker maps the reduction's operand slots to the term's operand slots.
 _TERM_RECIPES: dict[str, tuple] = {
-    "mean": ((1, "dc", lambda s: s),),
-    "l2_norm": ((1, "square", lambda s: s),),
-    "dot": ((1, "product", lambda s: s),),
-    "euclidean_distance": ((1, "diff_square", lambda s: s),),
+    "mean": (("dc", lambda s: s),),
+    "l2_norm": (("square", lambda s: s),),
+    "dot": (("product", lambda s: s),),
+    "euclidean_distance": (("diff_square", lambda s: s),),
     "cosine_similarity": (
-        (1, "product", lambda s: s),
-        (1, "square", lambda s: (s[0],)),
-        (1, "square", lambda s: (s[1],)),
+        ("product", lambda s: s),
+        ("square", lambda s: (s[0],)),
+        ("square", lambda s: (s[1],)),
     ),
-    "variance": (
-        (1, "dc", lambda s: s),
-        (2, "centered_square", lambda s: s),
-    ),
-    "standard_deviation": (
-        (1, "dc", lambda s: s),
-        (2, "centered_square", lambda s: s),
-    ),
-    "covariance": (
-        (1, "dc", lambda s: (s[0],)),
-        (1, "dc", lambda s: (s[1],)),
-        (2, "centered_product", lambda s: s),
-    ),
+    "variance": (("centered_square", lambda s: s),),
+    "standard_deviation": (("centered_square", lambda s: s),),
+    "covariance": (("centered_product", lambda s: s),),
 }
 
 
@@ -716,7 +660,7 @@ def plan(request, *, backend: str | None = None) -> Plan:
         slot_by_key[key] = slot
         return slot
 
-    pass_terms: dict[int, dict] = {1: {}, 2: {}}
+    terms: dict = {}
     outputs: dict = {}
     for key, expression in requested.items():
         if not isinstance(expression, Reduction):
@@ -734,26 +678,19 @@ def plan(request, *, backend: str | None = None) -> Plan:
                 f"{sorted(_TERM_RECIPES)}"
             )
         operand_slots = tuple(intern(operand) for operand in expression.operands)
-        for pass_index, fold_name, pick in recipe:
-            term = (fold_name, pick(operand_slots))
-            pass_terms[pass_index].setdefault(term, None)
+        for fold_name, pick in recipe:
+            terms.setdefault((fold_name, pick(operand_slots)), None)
         outputs[key] = (expression.op, operand_slots, dict(expression.options))
 
     frozen_program = tuple(program)
-    passes: list[PlanPass] = []
-    for pass_index in (1, 2):
-        terms = tuple(pass_terms[pass_index])
-        if not terms:
-            continue
-        passes.append(PlanPass(len(passes) + 1, terms,
-                               _group_terms(frozen_program, terms)))
-
-    return Plan(outputs, frozen_program, sources, passes, shape,
+    ordered = tuple(terms)
+    sweep = PlanPass(1, ordered, _group_terms(frozen_program, ordered))
+    return Plan(outputs, frozen_program, sources, [sweep], shape,
                 default_backend=backend)
 
 
 def _group_terms(program: tuple, terms: tuple) -> tuple:
-    """Partition a pass's terms into connected components over their sources.
+    """Partition the plan's terms into connected components over their sources.
 
     Terms sharing any source must fold from one aligned sweep (the shared
     chunk is decoded once for all of them); terms over disjoint sources sweep

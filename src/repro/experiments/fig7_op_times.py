@@ -122,7 +122,7 @@ def _store_timings(store_a, store_b, out_path) -> dict:
         stream_ops.cosine_similarity(store_a, store_b)
 
     def timed_six_fused():
-        """The same six reductions through one fused engine plan (2 sweeps)."""
+        """The same six reductions through one fused engine plan (1 sweep)."""
         engine.evaluate(_six_op_expressions(store_a, store_b))
 
     return {

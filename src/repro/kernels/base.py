@@ -37,7 +37,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.settings import CompressionSettings
     from ..core.transforms import Transform
 
-__all__ = ["KernelBackend", "parity_bound"]
+__all__ = ["KernelBackend", "FUSED_PASS_OUTPUTS", "parity_bound"]
+
+#: The per-block vectors a fused-pass kernel emits for each fold term, in
+#: order — the sum keys of the matching interpreted partial's state.  ``dc``
+#: entries are DC columns; a centered fold emits its operands' DC columns and
+#: then one row sum over the AC columns ``1:``.
+FUSED_PASS_OUTPUTS: dict[str, tuple[str, ...]] = {
+    "dc": ("dc",),
+    "square": ("square",),
+    "product": ("product",),
+    "diff_square": ("diff_square",),
+    "centered_square": ("dc", "ac_square"),
+    "centered_product": ("dc_a", "dc_b", "ac_product"),
+}
 
 
 class KernelBackend(abc.ABC):
@@ -113,15 +126,14 @@ class KernelBackend(abc.ABC):
         here to keep the dependency one-way: the engine imports kernels, never
         the reverse) describing the term set, index dtype, block geometry and
         index radius the kernel may specialise on.  A returned kernel is called
-        as ``kernel(chunks, shifts) -> list[np.ndarray]``:
+        as ``kernel(chunks) -> list[np.ndarray]``:
 
         * ``chunks`` — the aligned decoded :class:`repro.core.CompressedArray`
           tuple, one per source position;
-        * ``shifts`` — float64 per-source global DC means to subtract from each
-          source's DC column (all zeros for uncentered passes);
-        * result — one float64 per-block partial-sum vector per signature term,
-          in term order (the ``dc`` term's vector is the per-block DC
-          coefficients themselves).
+        * result — float64 per-block vectors, term by term in signature order,
+          each term contributing the :data:`FUSED_PASS_OUTPUTS` of its fold
+          (``dc`` vectors are the per-block DC coefficients themselves; the
+          centered folds' AC sums skip the DC column).
 
         The default declines (the engine then runs the interpreted partials),
         so backends without a fused-pass story need no changes.  Backends that

@@ -68,8 +68,7 @@ def fused_fold_tolerance(settings) -> float:
     to the reference summand — only the summation order differs from the
     reference dense block-axis reduction).  Reassociating a length-``K`` sum at
     precision ``ε`` perturbs it by at most ``K·ε·Σ|x_j|``; a 4× factor covers
-    the DC-shift and subtraction steps of the centered/difference folds also
-    rounding at float64.
+    the subtraction step of the difference fold also rounding at float64.
     """
     eps = float(np.finfo(np.float64).eps)
     return 4.0 * float(settings.kept_per_block) * eps
@@ -163,13 +162,12 @@ class GemmKernel(KernelBackend):
         """
         terms = signature.terms
         radius = float(signature.index_radius)
-        centered = signature.centered
         n_sources = signature.n_sources
 
         if all(name == "dc" for name, _ in terms):
             # mean-only groups never need the full scaled matrix: the DC
             # column alone reproduces dc_partial bit for bit
-            def dc_kernel(chunks, shifts):
+            def dc_kernel(chunks):
                 out = []
                 for _, positions in terms:
                     chunk = chunks[positions[0]]
@@ -179,29 +177,27 @@ class GemmKernel(KernelBackend):
                 return out
             return dc_kernel
 
-        def kernel(chunks, shifts):
+        def kernel(chunks):
             scaled = []
             for position in range(n_sources):
                 chunk = chunks[position]
                 matrix = chunk.indices.astype(np.float64)
                 np.multiply(matrix, chunk.maxima.reshape(-1, 1) / radius,
                             out=matrix)
-                if centered:
-                    matrix[:, 0] -= shifts[position]
                 scaled.append(matrix)
             out = []
             for name, positions in terms:
+                matrices = [scaled[position] for position in positions]
                 if name == "dc":
-                    out.append(scaled[positions[0]][:, 0].copy())
-                elif name in ("square", "centered_square"):
-                    matrix = scaled[positions[0]]
-                    out.append(np.einsum("ij,ij->i", matrix, matrix))
-                elif name in ("product", "centered_product"):
-                    out.append(np.einsum("ij,ij->i", scaled[positions[0]],
-                                         scaled[positions[1]]))
-                else:  # diff_square
-                    difference = scaled[positions[0]] - scaled[positions[1]]
-                    out.append(np.einsum("ij,ij->i", difference, difference))
+                    out.append(matrices[0][:, 0].copy())
+                    continue
+                if name.startswith("centered_"):
+                    # DC columns as they are, then the AC sum over columns 1:
+                    out.extend(matrix[:, 0].copy() for matrix in matrices)
+                    matrices = [matrix[:, 1:] for matrix in matrices]
+                if name == "diff_square":
+                    matrices = [matrices[0] - matrices[1]]
+                out.append(np.einsum("ij,ij->i", matrices[0], matrices[-1]))
             return out
         return kernel
 

@@ -26,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..core.binning import index_radius
-from .base import KernelBackend
+from .base import FUSED_PASS_OUTPUTS, KernelBackend
 from .gemm import _operator_t, fused_fold_tolerance
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -87,8 +87,10 @@ def _fused_pass_source(signature) -> str:
     coefficient columns feeds every term's accumulator — each source's index
     row is read once however many folds consume it.  Per-source descale
     constants (``N_i / r``) arrive precomputed in float64 so the per-element
-    value ``F[i, j] * c`` is bit-identical to ``specified_coefficients``; the
-    centered DC shift applies at column 0 exactly as the centered partials do.
+    value ``F[i, j] * c`` is bit-identical to ``specified_coefficients``.
+    ``out`` has one row per :data:`~repro.kernels.base.FUSED_PASS_OUTPUTS`
+    entry: DC rows are column 0 itself, and the centered folds accumulate
+    their AC sums over columns ``j > 0`` only.
     """
     loop_terms = [(index, name, positions)
                   for index, (name, positions) in enumerate(signature.terms)
@@ -97,7 +99,7 @@ def _fused_pass_source(signature) -> str:
                    for position in positions})
     args = ", ".join(f"idx{k}, scale{k}" for k in range(signature.n_sources))
     lines = [
-        f"def fused_pass({args}, shifts, out):",
+        f"def fused_pass({args}, out):",
         "    n_blocks = idx0.shape[0]",
         "    kept = idx0.shape[1]",
         "    for i in prange(n_blocks):",
@@ -107,25 +109,28 @@ def _fused_pass_source(signature) -> str:
     if loop_terms:
         lines.append("        for j in range(kept):")
         lines += [f"            v{k} = idx{k}[i, j] * c{k}" for k in read]
-        if signature.centered:
-            lines.append("            if j == 0:")
-            lines += [f"                v{k} = v{k} - shifts[{k}]" for k in read]
         for index, name, positions in loop_terms:
-            if name in ("square", "centered_square"):
-                product = f"v{positions[0]} * v{positions[0]}"
-            elif name in ("product", "centered_product"):
-                product = f"v{positions[0]} * v{positions[1]}"
-            else:  # diff_square
-                lines.append(f"            d{index} = "
+            indent = "            "
+            if name.startswith("centered_"):
+                lines.append(f"{indent}if j > 0:")
+                indent += "    "
+            if name == "diff_square":
+                lines.append(f"{indent}d{index} = "
                              f"v{positions[0]} - v{positions[1]}")
                 product = f"d{index} * d{index}"
-            lines.append(f"            acc{index} += {product}")
+            else:  # square/product, centered or not
+                product = f"v{positions[0]} * v{positions[-1]}"
+            lines.append(f"{indent}acc{index} += {product}")
+    row = 0
     for index, (name, positions) in enumerate(signature.terms):
-        if name == "dc":
-            lines.append(f"        out[{index}, i] = "
-                         f"idx{positions[0]}[i, 0] * c{positions[0]}")
-        else:
-            lines.append(f"        out[{index}, i] = acc{index}")
+        if name == "dc" or name.startswith("centered_"):
+            for position in positions:
+                lines.append(f"        out[{row}, i] = "
+                             f"idx{position}[i, 0] * c{position}")
+                row += 1
+        if name != "dc":
+            lines.append(f"        out[{row}, i] = acc{index}")
+            row += 1
     return "\n".join(lines)
 
 
@@ -172,15 +177,15 @@ class NumbaKernel(KernelBackend):
             return None
         jitted = _compiled_pass_kernel(signature)
         radius = float(signature.index_radius)
-        n_terms = len(signature.terms)
+        n_outputs = sum(len(FUSED_PASS_OUTPUTS[name]) for name, _ in signature.terms)
 
-        def kernel(chunks, shifts):
+        def kernel(chunks):
             args = []
             for chunk in chunks:
                 args.append(np.ascontiguousarray(chunk.indices))
                 args.append(chunk.maxima.reshape(-1) / radius)
-            out = np.empty((n_terms, chunks[0].n_blocks), dtype=np.float64)
-            jitted(*args, np.asarray(shifts, dtype=np.float64), out)
+            out = np.empty((n_outputs, chunks[0].n_blocks), dtype=np.float64)
+            jitted(*args, out)
             return [np.array(row) for row in out]
         return kernel
 

@@ -4,7 +4,7 @@ Protocol (one JSON object per line, over TCP)::
 
     -> {"id": 7, "kind": "evaluate", "outputs": {"m": <wire>, "v": <wire>}}
     <- {"id": 7, "ok": true, "results": {"m": ..., "v": ...},
-        "batch": {"requests": 3, "plans": 1, "passes": 2, "coalesced": true},
+        "batch": {"requests": 3, "plans": 1, "passes": 1, "coalesced": true},
         "seconds": 0.0123}
 
     -> {"id": 8, "kind": "stats"}      <- {"id": 8, "ok": true, "stats": {...}}

@@ -44,9 +44,8 @@ reads through the one prefetching chunk reader, so the caller's chunk cache,
 retry policy, codec override and read counters always apply.
 
 Sources may be a :class:`CompressedStore` (of a pyblaz-family codec) or any
-iterable of chunk :class:`CompressedArray` objects.  Two-pass reductions
-(:func:`variance`, :func:`covariance`) and the structural operations must be
-able to re-iterate their source, so they reject single-shot generators.
+iterable of chunk :class:`CompressedArray` objects; every scalar reduction is
+one sweep, so a single-shot generator of chunks is a valid source too.
 """
 
 from __future__ import annotations
@@ -130,12 +129,12 @@ def cosine_similarity(a, b, *, backend=None, prefetch=None) -> float:
 
 
 def variance(source, *, backend=None, prefetch=None) -> float:
-    """Store-level variance (Algorithm 9), two exact passes over the chunks.
+    """Store-level variance (Algorithm 9), one exact pass over the chunks.
 
-    Pass 1 folds the global DC mean, pass 2 folds the squared centered
-    coefficients — the same two passes :func:`repro.core.ops.variance` runs
-    in-memory, so the results match bit for bit.  The source must be
-    re-iterable (a store, or a sequence of chunks).
+    The sweep folds each block's DC coefficient and AC square sum; the
+    finalizer centers the DC terms on their global mean — the same fold
+    :func:`repro.core.ops.variance` runs in-memory, so the results match bit
+    for bit.  Any source works, single-shot generators of chunks included.
     """
     return engine.evaluate(expr.variance(source), backend=backend,
                            prefetch=prefetch)
@@ -148,11 +147,12 @@ def standard_deviation(source, *, backend=None, prefetch=None) -> float:
 
 
 def covariance(a, b, *, backend=None, prefetch=None) -> float:
-    """Store-level covariance (Algorithm 8), two exact passes over the chunks.
+    """Store-level covariance (Algorithm 8), one exact pass over the chunks.
 
-    Pass 1 folds each source's global DC mean, pass 2 folds the centered
-    products — matching :func:`repro.core.ops.covariance` of the assembled
-    arrays bit for bit.  Sources must be identically chunked and re-iterable.
+    The sweep folds both sources' DC coefficients and the per-block AC
+    products; the finalizer centers the DC terms — matching
+    :func:`repro.core.ops.covariance` of the assembled arrays bit for bit.
+    Sources must be identically chunked.
     """
     return engine.evaluate(expr.covariance(a, b), backend=backend,
                            prefetch=prefetch)

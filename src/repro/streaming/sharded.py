@@ -26,12 +26,12 @@ previous manifest simply keeps its (consistent) older view.
 
 **Incremental fold maintenance.**  For pyblaz-family shards the append path
 persists, per shard, the concatenated per-chunk per-block partial vectors of
-the uncentered folds (``dc`` and ``square`` — ``square`` also serves
+two folds (``dc`` and ``square`` — ``square`` also serves
 ``product(x, x)``, whose per-block arithmetic is identical) plus the counts a
 :class:`~repro.core.ops.folds.FoldState` carries.  :meth:`ShardedStore.fold_state`
 reassembles the accumulated state without decoding any chunk, and the plan
-engine serves ``mean`` / ``l2_norm`` / ``dot(x, x)`` (and pass 1 of
-``variance``) straight from it — so a query over a growing store costs O(new
+engine serves ``mean`` / ``l2_norm`` / ``dot(x, x)`` straight from it
+(``variance``/``covariance`` sweep: their AC sums are not persisted) — so a query over a growing store costs O(new
 chunks) at append time and O(shards) at query time.  The result is **bit
 identical** to a cold sweep: the correctly rounded sum
 :func:`repro.core.ops.folds.total` (bit-identical to ``math.fsum``) sums the
@@ -167,7 +167,7 @@ def _file_crc32(path) -> int:
 def _compute_partials(store: CompressedStore) -> "dict[str, np.ndarray] | None":
     """One shard's persisted fold state: concatenated per-chunk vectors + counts.
 
-    Iterates the shard's chunks once, folding each through the uncentered
+    Iterates the shard's chunks once, folding each through the persisted
     partials (:data:`PARTIAL_FOLDS`).  Per-chunk per-block vectors are
     concatenated *in chunk order*, so summing them later with the correctly
     rounded sum :func:`repro.core.ops.folds.total` (bit-identical to

@@ -221,14 +221,15 @@ class TestCoalescing:
             assert response["results"]["m"] == local["m"]
 
     def test_coalesced_batch_shares_passes(self, catalog):
-        # 4 requests, all two-pass variance over store "a": fused they cost the
-        # same 2 passes one request costs — the whole point of coalescing
+        # 4 requests, all variance over store "a": fused they cost the same
+        # single pass one request costs — the whole point of coalescing
         requests = [{"v": expr.variance(expr.source("a"))} for _ in range(4)]
         with ThreadedQueryService(catalog, tick=0.5) as served:
             responses = self._fan_out(served, requests)
         batch = responses[0]["batch"]
         assert batch["requests"] == 4
-        assert batch["passes"] == 2
+        assert batch["plans"] == 1
+        assert batch["passes"] == 1
         local = local_reference(catalog, requests[0])
         for response in responses:
             assert response["results"]["v"] == local["v"]

@@ -6,17 +6,19 @@ ragged chunkings and arbitrary non-empty subsets of the eight reductions:
 * **bit-identity** — every scalar a fused plan produces equals the sequential
   :mod:`repro.streaming.ops` call for that operation, exactly (``==``), and
   stores and plain chunk sequences give the same scalars;
-* **pass count** — ``plan.n_passes`` is 1 for one-pass subsets and 2 as soon
-  as any two-pass operation (variance/standard_deviation/covariance) is
-  requested;
-* **single decode per chunk per pass** — instrumented via the stores'
-  ``chunks_read`` counters: a store's reads grow by exactly ``n_chunks`` for
-  each pass whose terms touch it (``plan.decode_passes``), however many
-  reductions share it.
+* **pass count** — ``plan.n_passes`` is 1 for every subset, the centered
+  statistics (variance/standard_deviation/covariance) included;
+* **single decode per chunk** — instrumented via the stores' ``chunks_read``
+  counters: a store's reads grow by exactly ``n_chunks`` when the plan's terms
+  touch it (``plan.decode_passes``), however many reductions share it;
+* **one-pass centered statistics** — variance is never negative, and the
+  store-level variance/standard deviation/covariance equal the in-memory
+  operations on the one-shot compressed arrays bit for bit, over ragged
+  chunkings and from single-shot chunk generators too.
 
 A dedicated test pins the acceptance workload: the 6-op plan (mean, variance,
 l2_norm, dot, covariance, cosine_similarity) over two stores performs exactly
-2 decode passes per store and reproduces the six sequential calls bit for bit.
+1 decode pass per store and reproduces the six sequential calls bit for bit.
 """
 
 import tempfile
@@ -28,21 +30,21 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro import engine
-from repro.core import CompressionSettings
+from repro.core import CompressionSettings, Compressor, ops
 from repro.engine import expr
 from repro.streaming import ChunkedCompressor
 from repro.streaming import ops as stream_ops
 
-#: op name -> (arity, two-pass?); the full fusable reduction set.
+#: op name -> arity; the full fusable reduction set.
 OPERATIONS = {
-    "mean": (1, False),
-    "l2_norm": (1, False),
-    "variance": (1, True),
-    "standard_deviation": (1, True),
-    "dot": (2, False),
-    "covariance": (2, True),
-    "euclidean_distance": (2, False),
-    "cosine_similarity": (2, False),
+    "mean": 1,
+    "l2_norm": 1,
+    "variance": 1,
+    "standard_deviation": 1,
+    "dot": 2,
+    "covariance": 2,
+    "euclidean_distance": 2,
+    "cosine_similarity": 2,
 }
 
 #: The acceptance-criterion workload.
@@ -105,8 +107,7 @@ def _sequential(names, store_a, store_b) -> dict:
     values = {}
     for name in names:
         function = getattr(stream_ops, name)
-        arity, _ = OPERATIONS[name]
-        values[name] = (function(store_a) if arity == 1
+        values[name] = (function(store_a) if OPERATIONS[name] == 1
                         else function(store_a, store_b))
     return values
 
@@ -125,18 +126,17 @@ class TestFusedMatchesSequential:
             expected = _sequential(names, store_a, store_b)
             plan = engine.plan(_expressions(names, store_a, store_b))
 
-            # pass count: 1 for one-pass subsets, 2 when any two-pass op present
-            two_pass = any(OPERATIONS[name][1] for name in names)
-            assert plan.n_passes == (2 if two_pass else 1)
+            # pass count: one sweep for every subset, centered ops included
+            assert plan.n_passes == 1
 
-            # per-pass single decode per chunk, via chunks_read instrumentation
+            # single decode per chunk, via chunks_read instrumentation
             before = (store_a.chunks_read, store_b.chunks_read)
             fused = plan.execute()
             sources = list(plan.sources)
             for store, prior in ((store_a, before[0]), (store_b, before[1])):
                 if store in sources:
-                    passes = plan.decode_passes[sources.index(store)]
-                    assert store.chunks_read - prior == passes * store.n_chunks
+                    assert plan.decode_passes[sources.index(store)] == 1
+                    assert store.chunks_read - prior == store.n_chunks
                 else:
                     assert store.chunks_read == prior
 
@@ -156,11 +156,35 @@ class TestFusedMatchesSequential:
             assert from_chunks == from_stores
 
 
+class TestOnePassCenteredStatistics:
+    @given(case=engine_case(), constant=st.booleans())
+    @hyp_settings(max_examples=30, deadline=None)
+    def test_variance_nonnegative_and_store_equals_in_memory(self, case, constant):
+        a, b, settings, slab_rows, _ = case
+        if constant:  # zero spread: the centered DC terms cancel exactly
+            a = np.full_like(a, 0.3)
+        compressor = Compressor(settings)
+        ca, cb = compressor.compress(a), compressor.compress(b)
+        with _store_pair(a, b, settings, slab_rows) as (store_a, store_b):
+            variance = stream_ops.variance(store_a)
+            assert variance >= 0.0
+            assert variance == ops.variance(ca)
+            assert stream_ops.standard_deviation(store_b) == (
+                ops.standard_deviation(cb)
+            )
+            covariance = stream_ops.covariance(store_a, store_b)
+            assert covariance == ops.covariance(ca, cb)
+            # one sweep: a single-shot generator is as good as the store
+            assert stream_ops.variance(store_a.iter_chunks()) == variance
+            assert stream_ops.covariance(store_a.iter_chunks(),
+                                         store_b.iter_chunks()) == covariance
+
+
 class TestAcceptanceSixOpWorkload:
     """The PR's acceptance criterion, pinned exactly."""
 
     @pytest.mark.parametrize("slab_rows", [4, 8, 16])
-    def test_two_decode_passes_per_store_and_bit_identity(self, tmp_path, slab_rows):
+    def test_one_decode_pass_per_store_and_bit_identity(self, tmp_path, slab_rows):
         rng = np.random.default_rng(23)
         a = np.cumsum(rng.standard_normal((48, 20)), axis=0) * 0.05
         b = np.cumsum(rng.standard_normal((48, 20)), axis=0) * 0.05
@@ -173,12 +197,12 @@ class TestAcceptanceSixOpWorkload:
         with store_a, store_b:
             expected = _sequential(SIX_OPS, store_a, store_b)
             plan = engine.plan(_expressions(SIX_OPS, store_a, store_b))
-            assert plan.n_passes == 2
-            assert plan.decode_passes == (2, 2)
+            assert plan.n_passes == 1
+            assert plan.decode_passes == (1, 1)
             before = (store_a.chunks_read, store_b.chunks_read)
             fused = plan.execute()
-            assert store_a.chunks_read - before[0] == 2 * store_a.n_chunks
-            assert store_b.chunks_read - before[1] == 2 * store_b.n_chunks
+            assert store_a.chunks_read - before[0] == store_a.n_chunks
+            assert store_b.chunks_read - before[1] == store_b.n_chunks
             for name in SIX_OPS:
                 assert fused[name] == expected[name], name
 

@@ -10,7 +10,8 @@ of the reductions:
   :class:`CompressedStore` holding the identical chunk records, whether the
   sharded run serves folds from persisted partials or sweeps every chunk;
 * **incremental == cold** — after K appends, the partial-served answers equal
-  a cold full sweep bit for bit, decode zero chunks for one-pass subsets, and
+  a cold full sweep bit for bit, decode zero chunks for servable subsets
+  (the centered statistics always sweep once: no AC sums are persisted), and
   ``last_execution["incremental_groups"]`` records the served group; appends
   written with ``update_partials=False`` disable serving (clean fallback, same
   scalars) until :func:`refresh_partials` restores it.
@@ -40,25 +41,20 @@ from repro.streaming import (
     refresh_partials,
 )
 
-#: op name -> two-pass?; reductions over one logical array (binary ops take
-#: the same source twice, which keeps dot/cosine on the incremental path).
-OPERATIONS = {
-    "mean": False,
-    "l2_norm": False,
-    "variance": True,
-    "standard_deviation": True,
-    "dot": False,
-    "cosine_similarity": False,
-    "euclidean_distance": False,
-}
+#: Reductions over one logical array (binary ops take the same source twice,
+#: which keeps dot/cosine on the incremental path).
+OPERATIONS = ("mean", "l2_norm", "variance", "standard_deviation", "dot",
+              "cosine_similarity", "euclidean_distance")
 
-#: euclidean_distance folds through ``diff_square``, which has no persisted
-#: partial form — a pass-1 group containing it must sweep (clean fallback).
-_NON_SERVABLE = frozenset({"euclidean_distance"})
+#: Reductions whose folds have no persisted partial form: euclidean_distance
+#: folds through ``diff_square``, variance and standard deviation through
+#: ``centered_square`` (shard sidecars keep no AC square sums) — a plan
+#: containing any of them sweeps the store once (its other terms are served).
+_NON_SERVABLE = frozenset({"euclidean_distance", "variance", "standard_deviation"})
 
 
 def _servable(names) -> bool:
-    """True when the fused pass-1 group can be served from shard partials."""
+    """True when every term of the plan can be served from shard partials."""
     return not _NON_SERVABLE.intersection(names)
 
 
@@ -86,7 +82,7 @@ def sharded_case(draw):
         np.cumsum(rng.standard_normal((rows,) + tail), axis=0) * 0.05
         for rows in row_counts
     ]
-    subset = draw(st.sets(st.sampled_from(sorted(OPERATIONS)), min_size=1))
+    subset = draw(st.sets(st.sampled_from(OPERATIONS), min_size=1))
     return arrays, settings, slab_rows, sorted(subset)
 
 
@@ -163,19 +159,18 @@ class TestShardedMatchesSingleStore:
                     assert plan.last_execution["incremental_groups"] == 0
                     assert swept.chunks_read > 0
 
-                # partial-served run: same scalars; a servable pass-1 group
-                # decodes nothing, a non-servable one sweeps every chunk
+                # partial-served run: same scalars; a servable group decodes
+                # nothing, a non-servable one sweeps every chunk exactly once
                 served = engine.plan(_expressions(names, sharded))
                 before = sharded.chunks_read
                 assert served.execute() == reference
-                two_pass = any(OPERATIONS[name] for name in names)
+                assert served.n_passes == 1
                 if _servable(names):
                     assert served.last_execution["incremental_groups"] == 1
-                    expected = sharded.n_chunks if two_pass else 0
-                    assert sharded.chunks_read - before == expected
+                    assert sharded.chunks_read - before == 0
                 else:
                     assert served.last_execution["incremental_groups"] == 0
-                    assert sharded.chunks_read - before >= sharded.n_chunks
+                    assert sharded.chunks_read - before == sharded.n_chunks
 
     def test_three_shard_region_reads_match_single_store_copy(self):
         """Region reads across three shards assemble the single-store bytes."""

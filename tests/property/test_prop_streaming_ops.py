@@ -239,8 +239,8 @@ class TestBoundedMemory:
         assert live["peak"] <= 4, f"engine held {live['peak']} chunks at once"
 
 
-class TestTwoPassSourceValidation:
-    def test_variance_rejects_single_shot_generators(self, tmp_path):
+class TestSingleShotSources:
+    def test_centered_statistics_accept_single_shot_generators(self, tmp_path):
         rng = np.random.default_rng(5)
         array = np.cumsum(rng.standard_normal((16, 8)), axis=0) * 0.05
         settings = CompressionSettings(
@@ -250,10 +250,16 @@ class TestTwoPassSourceValidation:
             array, tmp_path / "gen.pblzc"
         )
         with store:
-            with pytest.raises(ValueError, match="twice"):
-                stream_ops.variance(store.iter_chunks())
-            with pytest.raises(ValueError, match="twice"):
-                stream_ops.covariance(store.iter_chunks(), store.iter_chunks())
-            # re-iterable sequences are fine
+            # one sweep per reduction: a one-shot generator is a full source
+            variance = stream_ops.variance(store)
+            assert stream_ops.variance(store.iter_chunks()) == variance
+            assert stream_ops.standard_deviation(store.iter_chunks()) == (
+                stream_ops.standard_deviation(store)
+            )
+            assert stream_ops.covariance(store.iter_chunks(),
+                                         store.iter_chunks()) == (
+                stream_ops.covariance(store, store)
+            )
+            # re-iterable sequences are fine too
             chunks = list(store.iter_chunks())
-            assert stream_ops.variance(chunks) == stream_ops.variance(store)
+            assert stream_ops.variance(chunks) == variance

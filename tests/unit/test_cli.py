@@ -279,7 +279,7 @@ class TestStreamOpsEvaluateAndJson:
                      "--op", "mean", "--op", "dot", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["operations"]) == {"mean", "dot"}
-        assert payload["passes"] == 1          # no two-pass op requested
+        assert payload["passes"] == 1          # every plan is one sweep
         assert payload["seconds"] >= 0.0
         assert payload["stores"] == [str(store_a), str(store_b)]
         # pipelined-I/O contract fields: time blocked fetching chunks, and
@@ -300,14 +300,14 @@ class TestStreamOpsEvaluateAndJson:
         assert payload["prefetch_depth"] == 0
         assert payload["io_seconds"] >= 0.0
 
-    def test_two_pass_subset_reports_two_passes(self, store_pair, capsys):
+    def test_centered_subset_reports_one_pass(self, store_pair, capsys):
         import json
 
         store_a, *_ = store_pair
         capsys.readouterr()
         assert main(["stream-ops", "evaluate", str(store_a),
                      "--op", "mean", "--op", "variance", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["passes"] == 2
+        assert json.loads(capsys.readouterr().out)["passes"] == 1
 
     def test_single_op_json_mode(self, store_pair, capsys):
         import json

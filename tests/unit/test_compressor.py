@@ -132,6 +132,37 @@ class TestCompressedArrayContainer:
         with pytest.raises(ValueError):
             compressed.first_coefficients()
 
+    @pytest.mark.parametrize("shape, block", [
+        ((37,), (8,)), ((19, 26), (4, 8)), ((9, 14, 11), (4, 4, 4)),
+    ])
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_dc_only_path_equals_full_materialisation(self, shape, block, pruned):
+        """The DC column read straight from the indices has the bits of the
+        DC slots of the full ``specified_coefficients`` array."""
+        from repro.core.ops import folds
+
+        mask = low_frequency_mask(block, keep_fraction=0.5) if pruned else None
+        settings = CompressionSettings(block_shape=block, float_format="float32",
+                                       index_dtype="int16", pruning_mask=mask)
+        compressed = Compressor(settings).compress(smooth_field(shape, seed=9))
+        dense = compressed.specified_coefficients()
+        expected = np.ascontiguousarray(dense[(Ellipsis,) + (0,) * len(block)])
+        first = compressed.first_coefficients()
+        assert first.shape == compressed.grid_shape
+        assert first.tobytes() == expected.tobytes()
+        dc = folds.dc_partial(compressed).sums["dc"][0]
+        assert dc.tobytes() == expected.ravel().tobytes()
+
+    def test_dc_partial_requires_dc_kept(self, field_3d):
+        from repro.core.ops import folds
+
+        mask = np.ones((4, 4, 4), dtype=bool)
+        mask[0, 0, 0] = False
+        settings = CompressionSettings(block_shape=(4, 4, 4), pruning_mask=mask)
+        compressed = Compressor(settings).compress(field_3d)
+        with pytest.raises(ValueError, match="first coefficient"):
+            folds.dc_partial(compressed)
+
     def test_copy_is_deep(self, compressor_3d, field_3d):
         compressed = compressor_3d.compress(field_3d)
         duplicate = compressed.copy()

@@ -1,5 +1,7 @@
 """Unit tests for the lazy expression/plan engine (fusion, passes, errors)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,9 +42,28 @@ class TestFoldSpecs:
         }
         assert folds.FOLD_SPECS["dc"].requires_dc
         assert not folds.FOLD_SPECS["dc"].touches_coefficients
-        assert folds.FOLD_SPECS["centered_product"].centered
-        assert folds.FOLD_SPECS["centered_product"].n_extra == 2
-        assert folds.FOLD_SPECS["product"].n_extra == 0
+        assert folds.FOLD_SPECS["centered_product"].requires_dc
+        assert folds.FOLD_SPECS["centered_product"].arity == 2
+        # every fold is one-pass: a spec carries no centering arguments
+        assert {field.name for field in dataclasses.fields(folds.FoldSpec)} == {
+            "name", "arity", "requires_dc", "partial", "finalize",
+            "touches_coefficients",
+        }
+
+    def test_centered_partials_carry_dc_and_ac_sums(self, settings, fields):
+        a, b = (Compressor(settings).compress(field) for field in fields)
+        square = folds.centered_square_partial(a)
+        product = folds.centered_product_partial(a, b)
+        assert set(square.sums) == {"dc", "ac_square"}
+        assert set(product.sums) == {"dc_a", "dc_b", "ac_product"}
+        dc_a = a.first_coefficients().ravel()
+        assert np.array_equal(square.sums["dc"][0], dc_a)
+        assert np.array_equal(product.sums["dc_a"][0], dc_a)
+        assert np.array_equal(product.sums["dc_b"][0], b.first_coefficients().ravel())
+        # the AC sums leave the DC slot out: adding dc² back gives the square sum
+        full = folds.square_partial(a).sums["square"][0]
+        np.testing.assert_allclose(square.sums["ac_square"][0] + dc_a ** 2, full,
+                                   rtol=1e-12)
 
     def test_evaluate_runs_spec_end_to_end(self, settings, fields):
         compressed = Compressor(settings).compress(fields[0])
@@ -58,11 +79,11 @@ class TestFoldSpecs:
         with pytest.raises(KeyError, match="registered folds"):
             folds.get_fold_spec("nope")
 
-    def test_evaluate_validates_extra_count(self, settings, fields):
+    def test_evaluate_takes_no_extra_arguments(self, settings, fields):
         compressed = Compressor(settings).compress(fields[0])
-        with pytest.raises(ValueError, match="extra argument"):
-            folds.evaluate("centered_square", compressed)  # missing the DC mean
-        with pytest.raises(ValueError, match="extra argument"):
+        # centered folds need no precomputed DC mean any more
+        assert folds.evaluate("centered_square", compressed) == ops.variance(compressed)
+        with pytest.raises(TypeError, match="extra"):
             folds.evaluate("square", compressed, extra=(1.0,))
 
 
@@ -78,16 +99,19 @@ class TestPlanStructure:
         assert plan.n_passes == 1
         assert plan.decode_passes == (1, 1)
 
-    def test_two_passes_when_a_centered_op_is_present(self, stores):
+    def test_one_pass_when_a_centered_op_is_present(self, stores):
         store_a, _ = stores
         plan = engine.plan({"mean": expr.mean(store_a),
                             "var": expr.variance(store_a)})
-        assert plan.n_passes == 2
-        assert plan.decode_passes == (2,)
+        assert plan.n_passes == 1
+        assert plan.decode_passes == (1,)
+        before = store_a.chunks_read
+        plan.execute()
+        assert store_a.chunks_read - before == store_a.n_chunks
 
     def test_shared_partials_deduplicate(self, stores):
         """dot+cosine share the product term; l2+cosine share the square term;
-        mean+variance+covariance share the dc term."""
+        variance+standard deviation share the centered-square term."""
         store_a, store_b = stores
         plan = engine.plan({
             "dot": expr.dot(store_a, store_b),
@@ -95,27 +119,28 @@ class TestPlanStructure:
             "l2": expr.l2_norm(store_a),
             "mean": expr.mean(store_a),
             "var": expr.variance(store_a),
+            "std": expr.standard_deviation(store_a),
             "cov": expr.covariance(store_a, store_b),
         })
-        pass1, pass2 = plan.passes
-        names1 = sorted(name for name, _ in pass1.terms)
+        (sweep,) = plan.passes
         # product once (dot+cos), square twice (a for l2+cos, b for cos),
-        # dc twice (a for mean+var+cov, b for cov)
-        assert names1 == ["dc", "dc", "product", "square", "square"]
-        assert sorted(name for name, _ in pass2.terms) == [
-            "centered_product", "centered_square",
+        # centered_square once (var+std), dc once (mean), centered_product once
+        assert sorted(name for name, _ in sweep.terms) == [
+            "centered_product", "centered_square", "dc", "product", "square",
+            "square",
         ]
 
-    def test_unrelated_source_not_decoded_in_pass_two(self, stores):
-        """A store only one-pass ops need is swept once even in a 2-pass plan."""
+    def test_every_source_is_decoded_once_with_centered_ops(self, stores):
+        """Centered statistics no longer add a second sweep of their store."""
         store_a, store_b = stores
         plan = engine.plan({"var": expr.variance(store_a),
+                            "cov": expr.covariance(store_a, store_b),
                             "l2b": expr.l2_norm(store_b)})
-        assert plan.n_passes == 2
-        assert plan.decode_passes == (2, 1)
+        assert plan.n_passes == 1
+        assert plan.decode_passes == (1, 1)
         before = (store_a.chunks_read, store_b.chunks_read)
         plan.execute()
-        assert store_a.chunks_read - before[0] == 2 * store_a.n_chunks
+        assert store_a.chunks_read - before[0] == store_a.n_chunks
         assert store_b.chunks_read - before[1] == store_b.n_chunks
 
     def test_unrelated_sources_fuse_across_shapes_and_chunkings(
@@ -195,11 +220,16 @@ class TestPlanErrors:
             with pytest.raises(CodecError, match="huffman"):
                 engine.evaluate(expr.mean(store))
 
-    def test_two_pass_plan_rejects_single_shot_generators(self, stores):
-        store_a, _ = stores
-        chunks = store_a.iter_chunks()
-        with pytest.raises(ValueError, match="twice"):
-            engine.evaluate(expr.variance(chunks))
+    def test_single_shot_generators_equal_store_results(self, stores):
+        """One sweep per plan: a one-shot chunk generator is a full source."""
+        store_a, store_b = stores
+        for build in (expr.variance, expr.standard_deviation):
+            expected = engine.evaluate(build(store_a))
+            assert engine.evaluate(build(store_a.iter_chunks())) == expected
+        expected = engine.evaluate(expr.covariance(store_a, store_b))
+        value = engine.evaluate(expr.covariance(store_a.iter_chunks(),
+                                                store_b.iter_chunks()))
+        assert value == expected
 
 
 class TestStructuralNodesFeedReductions:
@@ -253,6 +283,39 @@ class TestDotOfSourceWithItself:
         assert engine.evaluate(expr.dot(store_a, store_a)) == ops.dot(ca, ca)
 
 
+class TestCoefficientCacheFeedsStructuralNodes:
+    def test_shared_chunk_materialises_once_for_folds_and_subtract(
+        self, stores, monkeypatch
+    ):
+        """A chunk feeding a fold and a structural ``subtract`` is expanded to
+        dense coefficients once per step; the results keep their bits and no
+        cache outlives the step."""
+        from repro.core.compressed import CompressedArray
+
+        store_a, store_b = stores
+        chunks_a, chunks_b = list(store_a.iter_chunks()), list(store_b.iter_chunks())
+        ca, cb = store_a.load_compressed(), store_b.load_compressed()
+        materialised = []
+        original = CompressedArray.specified_coefficients
+
+        def counting(chunk):
+            materialised.append(id(chunk))
+            return original(chunk)
+
+        monkeypatch.setattr(CompressedArray, "specified_coefficients", counting)
+        fused = engine.evaluate({
+            "dot": expr.dot(chunks_a, chunks_b),
+            "drift": expr.mean(expr.subtract(chunks_a, chunks_b)),
+        })
+        sources = {id(chunk) for chunk in chunks_a + chunks_b}
+        assert sorted(key for key in materialised if key in sources) == sorted(sources)
+        monkeypatch.undo()
+        assert fused["dot"] == ops.dot(ca, cb)
+        assert fused["drift"] == ops.mean(ops.subtract(ca, cb))
+        for chunk in chunks_a + chunks_b:
+            assert not hasattr(chunk, "coefficients_cache")
+
+
 class TestCoefficientCacheIsStepScoped:
     def test_caller_owned_chunks_keep_no_cache_and_never_serve_stale_bits(
         self, stores
@@ -286,7 +349,7 @@ class TestStructuralOpsValidation:
 class TestOneStoreSweep:
     """Every plan pass reads its stores through the one prefetching reader."""
 
-    def test_fused_two_pass_plan_is_served_from_the_callers_cache(self, stores):
+    def test_fused_centered_plan_is_served_from_the_callers_cache(self, stores):
         from repro.serving import ChunkCache
 
         store_a, store_b = stores

@@ -3,9 +3,10 @@
 Covers the lowering gate (what may become one kernel, what must stay
 interpreted), the signature-keyed kernel cache, backend resolution and
 fallback recording, numerical parity of the ``gemm`` compiled path against
-the bit-exact reference sweep, the executing-backend surface in
-``Plan.describe()`` / ``Plan.last_execution``, and the ``stream-ops evaluate
---backend … --json`` CLI contract.
+the bit-exact reference sweep, the numba backend's generated loop run as
+plain Python, the executing-backend surface in ``Plan.describe()`` /
+``Plan.last_execution``, and the ``stream-ops evaluate --backend … --json``
+CLI contract.
 """
 
 import json
@@ -16,10 +17,14 @@ import pytest
 from repro import engine
 from repro.cli import main as cli_main
 from repro.core.exceptions import CodecError
-from repro.core import CompressionSettings
+from repro.core import CompressionSettings, Compressor
+from repro.core.ops import folds
 from repro.engine import compile as plan_compile
 from repro.engine import expr
 from repro.kernels import backend_is_available
+from repro.kernels.base import FUSED_PASS_OUTPUTS
+from repro.kernels.gemm import GemmKernel, fused_fold_tolerance
+from repro.kernels.numba_backend import _fused_pass_source
 from repro.streaming import ChunkedCompressor
 
 SIX_OPS = ("mean", "variance", "l2_norm", "dot", "covariance",
@@ -60,13 +65,14 @@ class TestLoweringGate:
         assert lowering.terms == (("square", (0,)), ("product", (0, 1)),
                                   ("dc", (1,)))
         assert lowering.n_sources == 2
-        assert not lowering.centered
 
-    def test_centered_terms_lower_with_flag(self):
+    def test_centered_terms_lower_without_a_flag(self):
         program = (("source", 0), ("source", 1))
         terms = (("centered_product", (0, 1)),)
         lowering = plan_compile.lower_terms(program, terms, (0, 1))
-        assert lowering is not None and lowering.centered
+        assert lowering is not None
+        assert lowering.terms == terms
+        assert not hasattr(lowering, "centered")
 
     def test_structural_operand_stays_interpreted(self):
         program = (("source", 0), ("source", 1), ("add", 0, 1))
@@ -78,10 +84,11 @@ class TestLoweringGate:
         terms = (("similarity", (0, 1)),)
         assert plan_compile.lower_terms(program, terms, (0, 1)) is None
 
-    def test_mixed_centered_and_uncentered_refused(self):
+    def test_mixed_centered_and_uncentered_lower_together(self):
         program = (("source", 0),)
         terms = (("centered_square", (0,)), ("square", (0,)))
-        assert plan_compile.lower_terms(program, terms, (0,)) is None
+        lowering = plan_compile.lower_terms(program, terms, (0,))
+        assert lowering is not None and lowering.terms == terms
 
     def test_pruned_dc_refuses_signature(self):
         mask = np.ones((4, 4), dtype=bool)
@@ -127,7 +134,7 @@ class TestKernelCache:
         assert second["compile_seconds"] == 0.0
         # re-execution reuses every kernel: the cache did not grow
         assert plan_compile.kernel_cache_info()["size"] == size_after_first
-        assert size_after_first == 2  # one kernel per pass of the 2-pass plan
+        assert size_after_first == 1  # one kernel for the plan's one sweep
 
     def test_signature_captures_dtype(self):
         lowering = plan_compile.lower_terms(
@@ -195,7 +202,7 @@ class TestCompiledParity:
             compiled = plan.execute(backend="gemm")
             stats = plan.last_execution
         assert stats["backend"] == "gemm"
-        assert stats["compiled_groups"] == 2
+        assert stats["compiled_groups"] == 1
         assert stats["interpreted_groups"] == 0
         assert compiled["mean"] == reference["mean"]  # dc path: bit-identical
         for name in SIX_OPS:
@@ -229,10 +236,11 @@ class TestDescribe:
             plan.execute(backend="gemm")
             text = plan.describe()
             assert "backend=gemm" in text
-            # 2-pass six-op plan: pass 1 folds the 5 deduplicated uncentered
-            # terms (dc x2, square x2, product), pass 2 the 2 centered terms
-            assert "pass 1: 5 term(s) in 1 group(s)" in text
-            assert "pass 2: 2 term(s) in 1 group(s)" in text
+            # one-pass six-op plan: dc, square x2, product and the two
+            # centered terms, all deduplicated into one sweep group
+            assert "plan: 1 pass(es)" in text
+            assert "pass 1: 6 term(s) in 1 group(s)" in text
+            assert "pass 2" not in text
 
     def test_describe_reflects_plan_default_backend(self, tmp_path):
         store_a, store_b = _store_pair(tmp_path)
@@ -260,7 +268,7 @@ class TestCliEvaluateBackend:
         payload = json.loads(capsys.readouterr().out)
         assert payload["backend"] == "gemm"
         assert payload["backend_fallback"] is None
-        assert payload["compiled_groups"] == 2
+        assert payload["compiled_groups"] == 1
         assert payload["interpreted_groups"] == 0
         assert payload["compile_seconds"] >= 0.0
         assert "backend=gemm" in payload["describe"]
@@ -279,3 +287,73 @@ class TestCliEvaluateBackend:
             "--out", str(tmp_path / "neg.pblzc"), "--backend", "gemm",
         ])
         assert code == 2
+
+
+class TestFusedPassCodegenWithoutNumba:
+    """The numba backend's generated loop, run as plain Python (``prange`` =
+    ``range``), matches the gemm kernel and the interpreted partials — the
+    codegen is checked even where numba is not installed."""
+
+    TERM_SETS = [
+        (("dc", (0,)), ("centered_square", (0,)), ("square", (0,)),
+         ("product", (0, 1)), ("centered_product", (0, 1)), ("square", (1,))),
+        (("diff_square", (0, 1)), ("centered_product", (1, 0)), ("dc", (1,))),
+        (("centered_square", (1,)),),
+    ]
+
+    @staticmethod
+    def _generated(signature, chunks):
+        namespace = {"prange": range}
+        exec(compile(_fused_pass_source(signature), "<fused-pass>", "exec"),
+             namespace)
+        radius = float(signature.index_radius)
+        args = []
+        for chunk in chunks:
+            args += [np.ascontiguousarray(chunk.indices),
+                     chunk.maxima.reshape(-1) / radius]
+        n_outputs = sum(len(FUSED_PASS_OUTPUTS[name]) for name, _ in signature.terms)
+        out = np.empty((n_outputs, chunks[0].n_blocks))
+        namespace["fused_pass"](*args, out)
+        return list(out)
+
+    @pytest.mark.parametrize("terms", TERM_SETS)
+    @pytest.mark.parametrize("shape, block", [((20, 13), (4, 4)),
+                                              ((9, 6, 7), (2, 2, 4))])
+    def test_generated_loop_matches_gemm_and_interpreted(self, terms, shape, block):
+        settings = CompressionSettings(block_shape=block, float_format="float64",
+                                       index_dtype="int16")
+        rng = np.random.default_rng(17)
+        chunks = tuple(
+            Compressor(settings).compress(
+                np.cumsum(rng.standard_normal(shape), axis=0) * 0.05 + offset)
+            for offset in (0.4, -1.3)
+        )
+        lowering = plan_compile.lower_terms((("source", 0), ("source", 1)),
+                                            terms, (0, 1))
+        signature = plan_compile.signature_for(lowering, settings)
+        generated = self._generated(signature, chunks)
+        compiled = GemmKernel().compile_fused_pass(signature)(chunks)
+        interpreted = []
+        keys = []
+        for name, positions in terms:
+            state = folds.FOLD_SPECS[name].partial(*(chunks[p] for p in positions))
+            for key in FUSED_PASS_OUTPUTS[name]:
+                interpreted.append(state.sums[key][0])
+                keys.append(key)
+        assert len(generated) == len(compiled) == len(interpreted)
+
+        # Σ|x_j| of every summing term is at most 2·(Σa² + Σb²) per block
+        radius = float(settings.index_radius)
+        magnitude = sum(
+            np.einsum("ij,ij->i", scaled, scaled)
+            for scaled in (chunk.indices * (chunk.maxima.reshape(-1, 1) / radius)
+                           for chunk in chunks)
+        )
+        bound = 2.0 * fused_fold_tolerance(settings) * magnitude
+        for key, mine, gemm, reference in zip(keys, generated, compiled,
+                                              interpreted):
+            if key.startswith("dc"):  # DC columns: no summation, same bits
+                assert mine.tobytes() == gemm.tobytes() == reference.tobytes(), key
+            else:
+                assert np.all(np.abs(mine - gemm) <= bound), key
+                assert np.all(np.abs(mine - reference) <= bound), key

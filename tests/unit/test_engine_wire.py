@@ -1,7 +1,7 @@
 """Round-trip tests for the engine's JSON wire form (``repro.engine.wire``).
 
 Every node kind — sources, the four virtual structural ops, all 8 reductions,
-including the two-pass statistics — must survive ``to_wire`` → JSON →
+including the centered statistics — must survive ``to_wire`` → JSON →
 ``from_wire`` with structural identity (equal ``Expr.key``), and an expression
 evaluated through the wire form must be bit-identical to evaluating the
 original expression locally.
@@ -171,5 +171,6 @@ class TestWireEvaluation:
         resolved = request_from_wire(request_to_wire(request),
                                      resolve=store_pair.__getitem__)
         fused = engine.plan(resolved)
-        assert fused.n_passes == 2
+        assert fused.n_passes == 1
+        assert fused.decode_passes == (1, 1)
         assert len(fused.sources) == 2

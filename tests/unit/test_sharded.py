@@ -289,6 +289,40 @@ class TestFoldStateAssembly:
             assert store.fold_state("centered_square") is None
 
 
+class TestPerTermServing:
+    def test_servable_terms_are_served_next_to_a_sweeping_variance(
+        self, tmp_path, settings, monkeypatch
+    ):
+        """mean/l2 in a group with variance come from the partials; only the
+        centered fold sweeps, once, and every scalar equals a cold sweep."""
+        import dataclasses
+
+        from repro.core.ops import folds
+
+        path = _grown(tmp_path, settings)
+        with ShardedStore(path, use_partials=False) as swept:
+            x = expr.source(swept)
+            cold = engine.evaluate({"m": expr.mean(x), "n": expr.l2_norm(x),
+                                    "v": expr.variance(x)})
+        swept_folds = []
+        for name, spec in list(folds.FOLD_SPECS.items()):
+            def counted(*chunks, _name=name, _partial=spec.partial):
+                swept_folds.append(_name)
+                return _partial(*chunks)
+            monkeypatch.setitem(folds.FOLD_SPECS, name,
+                                dataclasses.replace(spec, partial=counted))
+        with ShardedStore(path) as store:
+            x = expr.source(store)
+            plan = engine.plan({"m": expr.mean(x), "n": expr.l2_norm(x),
+                                "v": expr.variance(x)})
+            assert plan.execute() == cold
+            assert set(swept_folds) == {"centered_square"}
+            assert len(swept_folds) == store.n_chunks
+            assert store.chunks_read == store.n_chunks
+            assert plan.last_execution["incremental_groups"] == 0
+            assert plan.last_execution["interpreted_groups"] == 1
+
+
 class TestNonPyblazShards:
     def test_huffman_sharded_store_round_trips_without_partials(self, tmp_path):
         field = np.arange(16 * 8, dtype=np.int16).reshape(16, 8)
