@@ -100,6 +100,7 @@ from .codecs.serialization import DECODE_ERRORS
 from .core import CompressionSettings
 from .core.codec import compressed_size_bits, compression_ratio
 from .core.exceptions import CodecError
+from .core.ops.folds import REDUCTION_SPECS
 from .kernels import (
     DEFAULT_BACKEND,
     available_backends,
@@ -581,38 +582,28 @@ def _cmd_shard_append(args: argparse.Namespace) -> int:
     return 0
 
 
-#: stream-ops operations by arity and result kind.
-_SCALAR_UNARY = {"mean", "variance", "standard-deviation", "l2-norm"}
-_SCALAR_BINARY = {"dot", "covariance", "cosine-similarity", "euclidean-distance"}
-_SCALAR_OPS = _SCALAR_UNARY | _SCALAR_BINARY
-_UNARY_OPS = _SCALAR_UNARY | {"negate", "scale"}
-_BINARY_OPS = _SCALAR_BINARY | {"add", "subtract"}
-_ARRAY_OPS = {"negate", "scale", "add", "subtract"}
+#: The scalar reductions by CLI name (``l2_norm`` is spelled ``l2-norm``).
+_SCALAR_OPS = {name.replace("_", "-"): spec
+               for name, spec in REDUCTION_SPECS.items()}
+#: The array-valued stream-ops operations and their arity.
+_ARRAY_OPS = {"negate": 1, "scale": 1, "add": 2, "subtract": 2}
+#: Operand count of every stream-ops operation.
+_ARITY = {**{name: spec.arity for name, spec in _SCALAR_OPS.items()}, **_ARRAY_OPS}
 #: Everything the positional `operation` argument accepts.
-_OPERATIONS = sorted(_UNARY_OPS | _BINARY_OPS | {"evaluate"})
+_OPERATIONS = sorted([*_ARITY, "evaluate"])
 
 
-def _scalar_expressions(names, store_a, store_b, true_mean: bool) -> dict:
-    """Build the engine expressions for the requested scalar reductions.
+def _scalar_expression(name: str, operands, true_mean: bool):
+    """The engine expression for CLI reduction ``name`` over stores or names.
 
-    All expressions share the two source nodes, so the engine plan fuses
-    every fold over the same decode sweeps (``docs/engine.md``).
+    ``true_mean`` (``--true-mean``) sets the ``padded`` option of the
+    reductions whose table row takes one.
     """
     from .engine import expr
 
-    x = expr.source(store_a)
-    y = expr.source(store_b) if store_b is not None else None
-    builders = {
-        "mean": lambda: expr.mean(x, padded=not true_mean),
-        "variance": lambda: expr.variance(x),
-        "standard-deviation": lambda: expr.standard_deviation(x),
-        "l2-norm": lambda: expr.l2_norm(x),
-        "dot": lambda: expr.dot(x, y),
-        "covariance": lambda: expr.covariance(x, y),
-        "cosine-similarity": lambda: expr.cosine_similarity(x, y),
-        "euclidean-distance": lambda: expr.euclidean_distance(x, y),
-    }
-    return {name: builders[name]() for name in names}
+    spec = _SCALAR_OPS[name]
+    options = (("padded", not true_mean),) if "padded" in dict(spec.options) else ()
+    return expr.Reduction(spec.name, tuple(map(expr.source, operands)), options)
 
 
 def _cmd_stream_ops(args: argparse.Namespace) -> int:
@@ -656,13 +647,12 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
                   f"operations: {', '.join(sorted(_SCALAR_OPS))}",
                   file=sys.stderr)
             return 2
-        binary = any(name in _SCALAR_BINARY for name in requested)
     else:
         requested = [operation]
-        binary = operation in _BINARY_OPS
+    binary = any(_ARITY[name] == 2 for name in requested)
     if binary and args.store_b is None:
         needing = operation if operation != "evaluate" else ", ".join(
-            name for name in requested if name in _SCALAR_BINARY
+            name for name in requested if _ARITY[name] == 2
         )
         print(f"error: {needing} needs two stores", file=sys.stderr)
         return 2
@@ -683,9 +673,11 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
 
     def run_scalars(store_a, store_b) -> int:
         """Plan + execute the requested reductions as one fused sweep set."""
-        expressions = _scalar_expressions(requested, store_a, store_b,
-                                          args.true_mean)
-        fused = engine.plan(expressions)
+        operands = [store_a] if store_b is None else [store_a, store_b]
+        fused = engine.plan({
+            name: _scalar_expression(name, operands[:_ARITY[name]], args.true_mean)
+            for name in requested
+        })
         start = time.perf_counter()
         values = fused.execute(backend=args.backend, prefetch=args.prefetch)
         seconds = time.perf_counter() - start
@@ -825,7 +817,7 @@ def _parse_op_spec(text: str):
     if op not in _SCALAR_OPS:
         return None, (f"unknown operation {op!r}; valid operations: "
                       f"{', '.join(sorted(_SCALAR_OPS))}")
-    arity = 2 if op in _SCALAR_BINARY else 1
+    arity = _ARITY[op]
     if len(names) != arity:
         return None, f"{op} takes {arity} store name(s), got {len(names)}"
     return (op, names), None
@@ -835,7 +827,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     """One client round trip: evaluate ``--op`` reductions, or probe the server."""
     import json
 
-    from .engine import expr
     from .reliability import DeadlineError, RetryPolicy
     from .serving import QueryClient, ServerError
 
@@ -848,16 +839,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("error: query needs --op reductions (or --stats/--catalog)",
               file=sys.stderr)
         return 2
-    builders = {
-        "mean": lambda x: expr.mean(x[0], padded=not args.true_mean),
-        "variance": lambda x: expr.variance(x[0]),
-        "standard-deviation": lambda x: expr.standard_deviation(x[0]),
-        "l2-norm": lambda x: expr.l2_norm(x[0]),
-        "dot": lambda x: expr.dot(x[0], x[1]),
-        "covariance": lambda x: expr.covariance(x[0], x[1]),
-        "cosine-similarity": lambda x: expr.cosine_similarity(x[0], x[1]),
-        "euclidean-distance": lambda x: expr.euclidean_distance(x[0], x[1]),
-    }
     outputs = {}
     for spec in args.ops or ():
         parsed, message = _parse_op_spec(spec)
@@ -865,7 +846,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(f"error: {message}", file=sys.stderr)
             return 2
         op, names = parsed
-        outputs[spec] = builders[op]([expr.source(name) for name in names])
+        outputs[spec] = _scalar_expression(op, names, args.true_mean)
     if args.retries is not None and args.retries < 1:
         print("error: --retries must be at least 1", file=sys.stderr)
         return 2

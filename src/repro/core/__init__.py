@@ -24,7 +24,6 @@ Typical usage::
     round_tripped = compressor.decompress(compressed)
 """
 
-from .autotune import TuningCandidate, TuningResult, candidate_space, tune_settings
 from .blocking import block_array, crop_to_shape, pad_to_blocks, unblock_array
 from .compressed import CompressedArray
 from .compressor import Compressor
@@ -60,10 +59,6 @@ __all__ = [
     "CompressionSettings",
     "Compressor",
     "CompressedArray",
-    "tune_settings",
-    "candidate_space",
-    "TuningResult",
-    "TuningCandidate",
     "Transform",
     "get_transform",
     "dct_matrix",

@@ -8,9 +8,11 @@ Every scalar reduction in this package factors into three pieces:
 * the associative, commutative :func:`combine` merging two states;
 * a **finalize** turning the accumulated state into the scalar result.
 
-The in-memory operations in :mod:`repro.core.ops` are thin wrappers that run a
-fold over a single chunk (the whole array); the out-of-core engine in
-:mod:`repro.streaming.ops` runs the *same* fold over the chunks of a
+Each reduction's fold terms, finalizer and options are declared once, as a
+row of :data:`REDUCTION_SPECS`.  The in-memory operations in
+:mod:`repro.core.ops` run a row through :func:`evaluate` over a single chunk
+(the whole array); the out-of-core engine (:mod:`repro.engine`, behind
+:mod:`repro.streaming.ops`) runs the *same* row over the chunks of a
 :class:`repro.streaming.CompressedStore`.  The folds are **chunking-invariant
 to the last bit** because
 
@@ -38,8 +40,10 @@ Chunk coefficients are materialised transiently, one chunk (pair) at a time.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -51,7 +55,11 @@ __all__ = [
     "FoldState",
     "FoldSpec",
     "FOLD_SPECS",
-    "get_fold_spec",
+    "ReductionSpec",
+    "REDUCTION_SPECS",
+    "reduction_spec",
+    "shared_coefficients",
+    "run_terms",
     "evaluate",
     "combine",
     "combine_all",
@@ -60,7 +68,6 @@ __all__ = [
     "square_partial",
     "difference_square_partial",
     "dc_partial",
-    "similarity_partial",
     "centered_product_partial",
     "centered_square_partial",
     "dc_grand_mean",
@@ -70,6 +77,7 @@ __all__ = [
     "finalize_mean",
     "finalize_covariance",
     "finalize_variance",
+    "finalize_standard_deviation",
     "finalize_cosine_similarity",
 ]
 
@@ -267,26 +275,6 @@ def dc_partial(chunk: CompressedArray) -> FoldState:
                   dc_scale=chunk.settings.dc_scale)
 
 
-def similarity_partial(a: CompressedArray, b: CompressedArray) -> FoldState:
-    """Per-block product and squared-norm sums — the partial of cosine similarity.
-
-    One pass computes everything :func:`finalize_cosine_similarity` needs:
-    ``Σ Ĉa·Ĉb``, ``Σ Ĉa²`` and ``Σ Ĉb²`` per block.
-    """
-    require_compatible(a, b, "cosine similarity")
-    ndim = a.settings.ndim
-    ca = specified_coefficients(a)
-    cb = specified_coefficients(b)
-    product = _per_block_sum(ca * cb, ndim)
-    np.multiply(ca, ca, out=ca)
-    np.multiply(cb, cb, out=cb)
-    return _state(a, {
-        "product": [product],
-        "square_a": [_per_block_sum(ca, ndim)],
-        "square_b": [_per_block_sum(cb, ndim)],
-    })
-
-
 def centered_product_partial(a: CompressedArray, b: CompressedArray) -> FoldState:
     """Per-block DC coefficients and AC product sums — the covariance partial.
 
@@ -397,17 +385,24 @@ def finalize_variance(state: FoldState) -> float:
     return exact_sum([deviations] + state.sums["ac_square"]) / state.n_padded_elements
 
 
-def finalize_cosine_similarity(state: FoldState) -> float:
-    """Algorithm 11: ``dot / (‖a‖₂·‖b‖₂)`` from one accumulated state.
+def finalize_standard_deviation(state: FoldState) -> float:
+    """Standard deviation: one square root of :func:`finalize_variance`."""
+    return float(math.sqrt(finalize_variance(state)))
+
+
+def finalize_cosine_similarity(product: FoldState, square_a: FoldState,
+                               square_b: FoldState) -> float:
+    """Algorithm 11: ``dot / (‖a‖₂·‖b‖₂)`` from the product and square states.
 
     Raises ``ZeroDivisionError`` when either operand has zero norm, for which
     cosine similarity is undefined.
     """
-    _require_nonempty(state)
-    denominator = math.sqrt(total(state, "square_a")) * math.sqrt(total(state, "square_b"))
+    _require_nonempty(product)
+    denominator = (math.sqrt(total(square_a, "square"))
+                   * math.sqrt(total(square_b, "square")))
     if denominator == 0.0:
         raise ZeroDivisionError("cosine similarity is undefined for zero-norm arrays")
-    return total(state, "product") / denominator
+    return total(product, "product") / denominator
 
 
 # ---------------------------------------------------------------------- fold specs
@@ -415,12 +410,11 @@ def finalize_cosine_similarity(state: FoldState) -> float:
 class FoldSpec:
     """Declarative description of one fold: the unit the planner schedules.
 
-    A spec names a partial, states what it needs (operand count, DC
-    availability) and how to finish it.
-    The in-memory operations consume specs through :func:`evaluate`; the lazy
-    engine (:mod:`repro.engine`) consumes the same specs to fuse many folds
-    into shared sweeps over a store, deduplicating equal ``(name, operands)``
-    terms across the requested outputs.
+    A spec names a partial and states what it needs (operand count, DC
+    availability) and what it emits.  Reductions (:data:`REDUCTION_SPECS`)
+    are built from fold terms; the lazy engine (:mod:`repro.engine`) fuses
+    many of them into shared sweeps over a store, deduplicating equal
+    ``(name, operands)`` terms across the requested outputs.
 
     Attributes
     ----------
@@ -433,21 +427,25 @@ class FoldSpec:
         the planner fails fast on store sources whose pruning mask dropped it.
     partial:
         ``(*chunks) -> FoldState`` — the per-chunk partial.
-    finalize:
-        ``FoldState -> float`` (possibly with keyword options, e.g. the mean's
-        ``padded``) turning the accumulated state into the scalar.
+    outputs:
+        The per-block sum keys of the partial's state, in order — also the
+        vectors a compiled fused-pass kernel emits for the fold
+        (:meth:`repro.kernels.KernelBackend.compile_fused_pass`).
     touches_coefficients:
         Whether the partial materialises the full specified-coefficient array
         (everything except the DC-only fold); the engine uses this to decide
         which decoded chunks are worth a shared coefficient cache.
+    label:
+        Operation name in a binary fold's operand-compatibility errors.
     """
 
     name: str
     arity: int
     requires_dc: bool
     partial: Callable[..., FoldState]
-    finalize: Callable[..., float]
+    outputs: tuple[str, ...]
     touches_coefficients: bool = True
+    label: str = ""
 
 
 #: Every fold the operation set factors into, by name.  Each is one sweep: the
@@ -456,42 +454,171 @@ class FoldSpec:
 FOLD_SPECS: dict[str, FoldSpec] = {
     spec.name: spec
     for spec in (
-        FoldSpec("dc", 1, True, dc_partial, finalize_mean,
-                 touches_coefficients=False),
-        FoldSpec("square", 1, False, square_partial, finalize_l2_norm),
-        FoldSpec("product", 2, False, product_partial, finalize_dot),
+        FoldSpec("dc", 1, True, dc_partial, ("dc",), touches_coefficients=False),
+        FoldSpec("square", 1, False, square_partial, ("square",)),
+        FoldSpec("product", 2, False, product_partial, ("product",),
+                 label="dot product"),
         FoldSpec("diff_square", 2, False, difference_square_partial,
-                 finalize_euclidean_distance),
-        FoldSpec("similarity", 2, False, similarity_partial,
-                 finalize_cosine_similarity),
+                 ("diff_square",), label="euclidean distance"),
         FoldSpec("centered_square", 1, True, centered_square_partial,
-                 finalize_variance),
+                 ("dc", "ac_square")),
         FoldSpec("centered_product", 2, True, centered_product_partial,
-                 finalize_covariance),
+                 ("dc_a", "dc_b", "ac_product"), label="covariance"),
     )
 }
 
 
-def get_fold_spec(name: str) -> FoldSpec:
-    """Look up a registered :class:`FoldSpec`; raise ``KeyError`` with the valid set."""
-    try:
-        return FOLD_SPECS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown fold {name!r}; registered folds: {sorted(FOLD_SPECS)}"
-        ) from None
+# ---------------------------------------------------------------------- reductions
+@dataclass(frozen=True)
+class ReductionSpec:
+    """One Table I scalar reduction: the single place it is declared.
 
+    The engine's planner, the in-memory :func:`evaluate`, the expression
+    constructors' arity table, the wire form and the CLI all read this row.
 
-def evaluate(name: str, *operands: CompressedArray, **finalize_options) -> float:
-    """Run one registered fold start-to-finish over in-memory operands.
-
-    The single-chunk path the :mod:`repro.core.ops` wrappers use: one partial
-    over the whole array (or array pair), one finalize.  ``finalize_options``
-    are passed to the spec's finalizer (e.g. the mean's ``padded``).
+    Attributes
+    ----------
+    name:
+        Reduction name (``expr.<name>`` builds its node; the CLI spells it
+        with dashes).
+    arity:
+        Number of array operands.
+    terms:
+        ``(fold name, operand picker)`` pairs: the picker lists which of the
+        reduction's operands feed the fold, so ``("square", (1,))`` is the
+        square sum of the second operand.
+    finalizer:
+        Name of the module-level ``finalize_*`` function that turns the term
+        states (in ``terms`` order) into the scalar.  It is looked up by name
+        on every call, so the module attribute stays the one patchable seam.
+    options:
+        ``(name, default)`` pairs of the finalize keywords the reduction
+        accepts; a value must have its default's type.
     """
-    spec = get_fold_spec(name)
-    if len(operands) != spec.arity:
-        raise ValueError(
-            f"fold {name!r} takes {spec.arity} operand(s), got {len(operands)}"
-        )
-    return spec.finalize(spec.partial(*operands), **finalize_options)
+
+    name: str
+    arity: int
+    terms: tuple[tuple[str, tuple[int, ...]], ...]
+    finalizer: str
+    options: tuple[tuple[str, object], ...] = ()
+
+    def terms_over(self, operands: tuple) -> tuple:
+        """The ``(fold name, picked operands)`` terms over concrete operands."""
+        return tuple((fold, tuple(operands[index] for index in pick))
+                     for fold, pick in self.terms)
+
+    def finalize(self, operands: tuple, states: Mapping, options: Mapping) -> float:
+        """The scalar from accumulated states keyed by :meth:`terms_over` terms."""
+        finalizer = globals()[self.finalizer]
+        return finalizer(*(states[term] for term in self.terms_over(operands)),
+                         **options)
+
+
+#: Every scalar reduction, by name.  Adding a reduction is one row here plus
+#: its ``finalize_*`` function (see ``docs/engine.md``).
+REDUCTION_SPECS: dict[str, ReductionSpec] = {
+    spec.name: spec
+    for spec in (
+        ReductionSpec("mean", 1, (("dc", (0,)),), "finalize_mean",
+                      options=(("padded", True),)),
+        ReductionSpec("variance", 1, (("centered_square", (0,)),),
+                      "finalize_variance"),
+        ReductionSpec("standard_deviation", 1, (("centered_square", (0,)),),
+                      "finalize_standard_deviation"),
+        ReductionSpec("l2_norm", 1, (("square", (0,)),), "finalize_l2_norm"),
+        ReductionSpec("dot", 2, (("product", (0, 1)),), "finalize_dot"),
+        ReductionSpec("covariance", 2, (("centered_product", (0, 1)),),
+                      "finalize_covariance"),
+        ReductionSpec("euclidean_distance", 2, (("diff_square", (0, 1)),),
+                      "finalize_euclidean_distance"),
+        ReductionSpec("cosine_similarity", 2,
+                      (("product", (0, 1)), ("square", (0,)), ("square", (1,))),
+                      "finalize_cosine_similarity"),
+    )
+}
+
+
+def reduction_spec(name: str, n_operands: int, options: Mapping) -> ReductionSpec:
+    """The row for ``name``, checked against an operand count and options.
+
+    Raises ``ValueError`` naming the valid set for an unknown reduction, a
+    wrong operand count, an option the row does not take, or an option value
+    whose type differs from the row's default.
+    """
+    spec = REDUCTION_SPECS.get(name)
+    if spec is None:
+        raise ValueError(f"unknown reduction {name!r}; valid reductions: "
+                         f"{sorted(REDUCTION_SPECS)}")
+    if n_operands != spec.arity:
+        raise ValueError(f"{name} takes {spec.arity} operand(s), got {n_operands}")
+    defaults = dict(spec.options)
+    for key, value in options.items():
+        if key not in defaults:
+            raise ValueError(f"{name} takes no option {key!r}; valid options: "
+                             f"{sorted(defaults)}")
+        if not isinstance(value, type(defaults[key])):
+            raise ValueError(f"{name} option {key!r} must be a "
+                             f"{type(defaults[key]).__name__}, got {value!r}")
+    return spec
+
+
+# ---------------------------------------------------------------------- one step
+@contextmanager
+def shared_coefficients(terms, extra_uses=()):
+    """Step-scoped coefficient caches for chunks read by two or more consumers.
+
+    Yields ``offer(slot, chunk)``, to be called once each slot's chunk
+    exists.  A chunk whose slot feeds two or more coefficient-touching fold
+    terms (counting ``extra_uses``, e.g. the engine's ``add``/``subtract``
+    operands) gets a primed ``coefficients_cache``: the dense coefficient
+    array is materialised once and copied per consumer, bitwise identical
+    (:func:`repro.core.ops.coefficients.specified_coefficients`).  The caches
+    are dropped on exit — chunks may be caller-owned and must neither retain
+    dense coefficients nor serve stale bits to later operations.
+    """
+    uses = Counter(extra_uses)
+    for name, slots in terms:
+        if FOLD_SPECS[name].touches_coefficients:
+            uses.update(slots)
+    primed = []
+
+    def offer(slot, chunk) -> None:
+        if uses[slot] >= 2 and getattr(chunk, "coefficients_cache", None) is None:
+            chunk.coefficients_cache = chunk.specified_coefficients()
+            primed.append(chunk)
+
+    try:
+        yield offer
+    finally:
+        for chunk in primed:
+            del chunk.coefficients_cache
+
+
+def run_terms(values: Mapping, terms) -> list[FoldState]:
+    """Every ``(fold name, slots)`` term's partial over ``values`` (slot → chunk)."""
+    return [FOLD_SPECS[name].partial(*(values[slot] for slot in slots))
+            for name, slots in terms]
+
+
+def evaluate(name: str, *operands: CompressedArray, **options) -> float:
+    """Run one reduction start-to-finish over in-memory operands.
+
+    The single-chunk path the :mod:`repro.core.ops` wrappers use, with the
+    engine's recipe: the row's fold terms (operands interned by identity, so
+    ``cosine_similarity(a, a)`` folds one square sum), shared coefficient
+    caches, one partial per term, then the row's finalizer with ``options``
+    (e.g. the mean's ``padded``).  Raises ``ValueError`` for an unknown name,
+    a wrong operand count, a bad option or incompatible operands.
+    """
+    spec = reduction_spec(name, len(operands), options)
+    if spec.arity == 2:
+        require_compatible(*operands, name.replace("_", " "))
+    slots = tuple(next(index for index, other in enumerate(operands)
+                       if other is operand) for operand in operands)
+    terms = tuple(dict.fromkeys(spec.terms_over(slots)))
+    values = dict(zip(slots, operands))
+    with shared_coefficients(terms) as offer:
+        for slot, chunk in values.items():
+            offer(slot, chunk)
+        states = dict(zip(terms, run_terms(values, terms)))
+    return spec.finalize(slots, states, options)

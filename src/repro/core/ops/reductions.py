@@ -41,7 +41,7 @@ def dot(a: CompressedArray, b: CompressedArray) -> float:
     orthonormal transform preserves inner products; padding contributes zeros.
     Error contract: exact in the compressed space (no error beyond compression).
     """
-    return folds.evaluate("product", a, b)
+    return folds.evaluate("dot", a, b)
 
 
 def mean(compressed: CompressedArray, *, padded: bool = True) -> float:
@@ -59,7 +59,7 @@ def mean(compressed: CompressedArray, *, padded: bool = True) -> float:
         domain.  When False the result is rescaled to the original element count,
         giving the true mean of the uncompressed array up to compression error.
     """
-    return folds.evaluate("dc", compressed, padded=padded)
+    return folds.evaluate("mean", compressed, padded=bool(padded))
 
 
 def blockwise_mean(compressed: CompressedArray) -> np.ndarray:
@@ -78,7 +78,7 @@ def l2_norm(compressed: CompressedArray) -> float:
     coefficients equals the norm of the decompressed (padded) array; padding
     contributes zeros.  Error contract: exact in the compressed space.
     """
-    return folds.evaluate("square", compressed)
+    return folds.evaluate("l2_norm", compressed)
 
 
 def euclidean_distance(a: CompressedArray, b: CompressedArray) -> float:
@@ -89,4 +89,4 @@ def euclidean_distance(a: CompressedArray, b: CompressedArray) -> float:
     (and none of its rebinning error) is needed.  Error contract: exact in the
     compressed space (no error beyond compression).
     """
-    return folds.evaluate("diff_square", a, b)
+    return folds.evaluate("euclidean_distance", a, b)

@@ -29,14 +29,14 @@ __all__ = ["cosine_similarity", "structural_similarity"]
 def cosine_similarity(a: CompressedArray, b: CompressedArray) -> float:
     """Algorithm 11: ``dot(a, b) / (‖a‖₂ · ‖b‖₂)``.
 
-    A thin wrapper over the single-pass similarity fold
-    (:func:`repro.core.ops.folds.similarity_partial`), which computes the dot
-    product and both squared norms in one coefficient traversal.  Error
+    A thin wrapper over the reduction's fold terms — the dot product's
+    ``product`` sum and each operand's ``square`` sum, with the coefficients
+    of each operand materialised once and shared between its terms.  Error
     contract: exact in the compressed space (both numerator and denominator
     are).  Raises ``ZeroDivisionError`` if either operand has zero norm, for
     which cosine similarity is undefined.
     """
-    return folds.evaluate("similarity", a, b)
+    return folds.evaluate("cosine_similarity", a, b)
 
 
 def structural_similarity(

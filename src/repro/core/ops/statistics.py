@@ -52,7 +52,7 @@ def covariance(a: CompressedArray, b: CompressedArray) -> float:
     population covariance of the decompressed (padded) arrays.  Error contract:
     exact in the compressed space; requires the DC coefficient to be unpruned.
     """
-    return folds.evaluate("centered_product", a, b)
+    return folds.evaluate("covariance", a, b)
 
 
 def variance(compressed: CompressedArray) -> float:
@@ -61,12 +61,12 @@ def variance(compressed: CompressedArray) -> float:
     Error contract: exact in the compressed space (and always ≥ 0 — the fold
     sums squares); requires the DC coefficient to be unpruned.
     """
-    return folds.evaluate("centered_square", compressed)
+    return folds.evaluate("variance", compressed)
 
 
 def standard_deviation(compressed: CompressedArray) -> float:
     """Standard deviation: the square root of :func:`variance` (same contract)."""
-    return float(np.sqrt(variance(compressed)))
+    return folds.evaluate("standard_deviation", compressed)
 
 
 def _blockwise_centered(compressed: CompressedArray) -> np.ndarray:

@@ -59,7 +59,6 @@ from typing import Callable, Sequence
 from ..core.ops import folds
 from ..core.ops.coefficients import require_compatible
 from ..kernels import DEFAULT_BACKEND, get_backend, get_backend_class
-from ..kernels.base import FUSED_PASS_OUTPUTS
 from ..streaming.store import CompressedStore
 
 __all__ = [
@@ -71,20 +70,7 @@ __all__ = [
     "resolve_backend",
     "kernel_cache_info",
     "clear_kernel_cache",
-    "LOWERABLE_FOLDS",
 ]
-
-#: Folds a compiled pass may contain.  ``similarity`` is excluded (the planner
-#: decomposes cosine similarity into ``product`` + ``square`` terms instead).
-LOWERABLE_FOLDS = frozenset(FUSED_PASS_OUTPUTS)
-
-#: Operation labels for the compiled path's operand-compatibility errors,
-#: mirroring the interpreted partials' wording.
-_BINARY_OP_LABEL = {
-    "product": "dot product",
-    "diff_square": "euclidean distance",
-    "centered_product": "covariance",
-}
 
 
 # ------------------------------------------------------------------ lowering
@@ -129,16 +115,13 @@ class PassSignature:
 def lower_terms(program: tuple, terms: tuple, source_slots: tuple):
     """Lower one group's terms to source positions, or ``None`` to interpret.
 
-    A group lowers only when every term is a :data:`LOWERABLE_FOLDS` member
-    whose operands are all *leaf source* program slots — structural nodes
-    (``add``/``subtract``/``scale``/``negate``) rebin coefficients and keep
-    the interpreted path.
+    A group lowers only when every term's operands are all *leaf source*
+    program slots — structural nodes (``add``/``subtract``/``scale``/
+    ``negate``) rebin coefficients and keep the interpreted path.
     """
     position = {slot: index for index, slot in enumerate(source_slots)}
     lowered = []
     for name, slots in terms:
-        if name not in LOWERABLE_FOLDS:
-            return None
         if any(program[slot][0] != "source" for slot in slots):
             return None
         lowered.append((name, tuple(position[slot] for slot in slots)))
@@ -216,21 +199,21 @@ def run_compiled_step(kernel: Callable, lowering: _Lowering,
     ``chunks`` is the group's aligned decoded chunk tuple in ``source_slots``
     order.  Operand compatibility is checked exactly as the interpreted
     partials would, then the kernel returns each term's per-block float64
-    vectors (:data:`repro.kernels.base.FUSED_PASS_OUTPUTS`), wrapped into
-    :class:`repro.core.ops.folds.FoldState` under the same sum keys and
-    counts the interpreted partials produce — so everything downstream
-    (combine, finalize) is shared.
+    vectors (its fold's :attr:`~repro.core.ops.folds.FoldSpec.outputs`),
+    wrapped into :class:`repro.core.ops.folds.FoldState` under the same sum
+    keys and counts the interpreted partials produce — so everything
+    downstream (combine, finalize) is shared.
     """
     for name, positions in lowering.terms:
         if len(positions) == 2:
             require_compatible(chunks[positions[0]], chunks[positions[1]],
-                               _BINARY_OP_LABEL[name])
+                               folds.FOLD_SPECS[name].label)
     vectors = iter(kernel(chunks))
     states = []
     for name, positions in lowering.terms:
         anchor = chunks[positions[0]]
         states.append(folds.FoldState(
-            sums={key: [next(vectors)] for key in FUSED_PASS_OUTPUTS[name]},
+            sums={key: [next(vectors)] for key in folds.FOLD_SPECS[name].outputs},
             n_blocks=anchor.n_blocks,
             n_elements=anchor.n_elements,
             n_padded_elements=anchor.n_padded_elements,

@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from ..core.ops.folds import REDUCTION_SPECS
+
 __all__ = [
     "Expr",
     "ArrayExpr",
@@ -52,17 +54,10 @@ __all__ = [
     "REDUCTION_OPS",
 ]
 
-#: Scalar reduction node kinds, by arity.
-REDUCTION_OPS: dict[str, int] = {
-    "mean": 1,
-    "variance": 1,
-    "standard_deviation": 1,
-    "l2_norm": 1,
-    "dot": 2,
-    "covariance": 2,
-    "euclidean_distance": 2,
-    "cosine_similarity": 2,
-}
+#: Scalar reduction node kinds and their arity, derived from the one
+#: reduction table :data:`repro.core.ops.folds.REDUCTION_SPECS`.
+REDUCTION_OPS: dict[str, int] = {name: spec.arity
+                                 for name, spec in REDUCTION_SPECS.items()}
 
 
 class Expr:
@@ -136,7 +131,8 @@ class Structural(ArrayExpr):
 class Reduction(Expr):
     """A scalar reduction over one or two array nodes.
 
-    ``options`` holds finalize keywords (only the mean's ``padded`` today) and
+    ``options`` holds finalize keywords (only the mean's ``padded`` today;
+    :func:`repro.engine.plan` rejects any its table row lacks) and
     participates in the structural key, so ``mean(x)`` and
     ``mean(x, padded=False)`` are distinct outputs that still share the same
     underlying ``dc`` fold term.

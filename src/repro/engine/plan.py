@@ -5,9 +5,10 @@ into a :class:`Plan` whose execution decodes every chunk of every source
 **once**, however many reductions consume it.  Planning happens in three
 steps:
 
-1. **Collect** — each requested reduction is decomposed into the fold *terms*
-   it needs, straight from the declarative :data:`repro.core.ops.folds.FOLD_SPECS`:
-   ``mean(x)`` needs ``dc(x)``; ``dot(x, y)`` needs ``product(x, y)``;
+1. **Collect** — each requested reduction is checked (arity, options) and
+   decomposed into the fold *terms* its row of the declarative
+   :data:`repro.core.ops.folds.REDUCTION_SPECS` lists: ``mean(x)`` needs
+   ``dc(x)``; ``dot(x, y)`` needs ``product(x, y)``;
    ``cosine_similarity(x, y)`` needs ``product(x, y)``, ``square(x)`` and
    ``square(y)``; ``variance(x)`` needs ``centered_square(x)``;
    ``covariance(x, y)`` needs ``centered_product(x, y)``.  The centered folds
@@ -50,9 +51,7 @@ retry policy, codec override and read counters apply to every plan.
 
 from __future__ import annotations
 
-import math
 import time
-from collections import Counter
 from typing import Mapping
 
 from ..core import ops as core_ops
@@ -99,22 +98,16 @@ def _evaluate_chunk_terms(program: tuple, values: dict,
 
     ``values`` arrives holding the decoded source chunks for this step (slot →
     :class:`CompressedArray`); structural slots are filled by the in-memory
-    :mod:`repro.core.ops` operations in slot (topological) order.  Chunks that
-    feed two or more coefficient-touching folds or ``add``/``subtract`` nodes
-    get a primed ``coefficients_cache`` as soon as they exist, so the dense
-    coefficient array is materialised once and copied per consumer (bitwise
-    identical — see :func:`repro.core.ops.coefficients.specified_coefficients`).
+    :mod:`repro.core.ops` operations in slot (topological) order.  Each chunk
+    is offered to :func:`repro.core.ops.folds.shared_coefficients` as soon as
+    it exists — the same caching rule :func:`repro.core.ops.folds.evaluate`
+    runs in memory, with ``add``/``subtract`` operands counted as consumers.
     """
     needed = sorted(_needed_slots(program, terms))
-    uses: Counter = Counter()
-    for name, slots in terms:
-        if folds.FOLD_SPECS[name].touches_coefficients:
-            uses.update(slots)
-    for slot in needed:
-        if program[slot][0] in ("add", "subtract"):
-            uses.update(program[slot][1:3])
-    primed = []
-    try:
+    structural_uses = [operand for slot in needed
+                       if program[slot][0] in ("add", "subtract")
+                       for operand in program[slot][1:3]]
+    with folds.shared_coefficients(terms, structural_uses) as offer:
         for slot in needed:
             entry = program[slot]
             kind = entry[0]
@@ -128,22 +121,8 @@ def _evaluate_chunk_terms(program: tuple, values: dict,
                 values[slot] = core_ops.negate(values[entry[1]])
             elif slot not in values:  # pragma: no cover - sources are seeded
                 raise ValueError(f"source chunk for slot {slot} was not decoded")
-            if uses[slot] >= 2:
-                chunk = values[slot]
-                chunk.coefficients_cache = chunk.specified_coefficients()
-                primed.append(chunk)
-
-        states = []
-        for name, slots in terms:
-            partial = folds.FOLD_SPECS[name].partial
-            states.append(partial(*(values[slot] for slot in slots)))
-    finally:
-        # the cache is strictly step-scoped: chunk objects may be caller-owned
-        # (sequence sources) and must neither retain dense coefficients nor
-        # serve stale bits to later operations if mutated
-        for chunk in primed:
-            del chunk.coefficients_cache
-    return states
+            offer(slot, values[slot])
+        return folds.run_terms(values, terms)
 
 
 # ------------------------------------------------------------------ the plan
@@ -535,68 +514,16 @@ class Plan:
         for pass_ in self.passes:
             states.update(self._run_pass(pass_, resolved, run_stats, prefetch))
         self.last_execution = run_stats
-        results = {key: self._finalize_output(spec, states)
-                   for key, spec in self._outputs.items()}
+        results = {key: folds.REDUCTION_SPECS[op].finalize(slots, states, options)
+                   for key, (op, slots, options) in self._outputs.items()}
         if self._shape == "single":
             return next(iter(results.values()))
         if self._shape == "sequence":
             return list(results.values())
         return results
 
-    def _finalize_output(self, spec: tuple, states: Mapping) -> float:
-        """Turn accumulated term states into one requested scalar."""
-        op, slots, options = spec
-        if op == "mean":
-            return folds.finalize_mean(states[("dc", slots)], **options)
-        if op == "l2_norm":
-            return folds.finalize_l2_norm(states[("square", slots)])
-        if op == "dot":
-            return folds.finalize_dot(states[("product", slots)])
-        if op == "euclidean_distance":
-            return folds.finalize_euclidean_distance(states[("diff_square", slots)])
-        if op == "variance":
-            return folds.finalize_variance(states[("centered_square", slots)])
-        if op == "standard_deviation":
-            return float(math.sqrt(
-                folds.finalize_variance(states[("centered_square", slots)])
-            ))
-        if op == "covariance":
-            return folds.finalize_covariance(states[("centered_product", slots)])
-        if op == "cosine_similarity":
-            product = states[("product", slots)]
-            merged = folds.FoldState(
-                sums={
-                    "product": product.sums["product"],
-                    "square_a": states[("square", (slots[0],))].sums["square"],
-                    "square_b": states[("square", (slots[1],))].sums["square"],
-                },
-                n_blocks=product.n_blocks,
-                n_elements=product.n_elements,
-                n_padded_elements=product.n_padded_elements,
-            )
-            return folds.finalize_cosine_similarity(merged)
-        raise ValueError(f"unknown reduction {op!r}")  # pragma: no cover
-
 
 # ------------------------------------------------------------------ compilation
-#: Decomposition of each reduction into (fold name, operand picker) terms; the
-#: picker maps the reduction's operand slots to the term's operand slots.
-_TERM_RECIPES: dict[str, tuple] = {
-    "mean": (("dc", lambda s: s),),
-    "l2_norm": (("square", lambda s: s),),
-    "dot": (("product", lambda s: s),),
-    "euclidean_distance": (("diff_square", lambda s: s),),
-    "cosine_similarity": (
-        ("product", lambda s: s),
-        ("square", lambda s: (s[0],)),
-        ("square", lambda s: (s[1],)),
-    ),
-    "variance": (("centered_square", lambda s: s),),
-    "standard_deviation": (("centered_square", lambda s: s),),
-    "covariance": (("centered_product", lambda s: s),),
-}
-
-
 def _normalize_request(request) -> tuple[dict, str]:
     """Coerce the request into an ordered ``key -> Reduction`` mapping + shape."""
     if isinstance(request, Expr):
@@ -621,7 +548,9 @@ def plan(request, *, backend: str | None = None) -> Plan:
     sets the plan's default kernel backend (see :meth:`Plan.execute`; unknown
     names raise :class:`repro.codecs.CodecError` here, at planning time).
     Raises ``TypeError`` for array-valued expressions (materialise those with
-    :mod:`repro.streaming.ops`) and ``ValueError`` for an empty request.
+    :mod:`repro.streaming.ops`) and ``ValueError`` for an empty request, an
+    unknown reduction, a wrong operand count or an option its
+    :class:`~repro.core.ops.folds.ReductionSpec` does not accept.
     """
     if backend is not None:
         from ..kernels import get_backend_class
@@ -671,16 +600,12 @@ def plan(request, *, backend: str | None = None) -> Plan:
                 f"plan() fuses scalar reductions; output {key!r} is "
                 f"{type(expression).__name__}{hint}"
             )
-        recipe = _TERM_RECIPES.get(expression.op)
-        if recipe is None:
-            raise ValueError(
-                f"unknown reduction {expression.op!r}; valid reductions: "
-                f"{sorted(_TERM_RECIPES)}"
-            )
+        options = dict(expression.options)
+        spec = folds.reduction_spec(expression.op, len(expression.operands), options)
         operand_slots = tuple(intern(operand) for operand in expression.operands)
-        for fold_name, pick in recipe:
-            terms.setdefault((fold_name, pick(operand_slots)), None)
-        outputs[key] = (expression.op, operand_slots, dict(expression.options))
+        for term in spec.terms_over(operand_slots):
+            terms.setdefault(term, None)
+        outputs[key] = (expression.op, operand_slots, options)
 
     frozen_program = tuple(program)
     ordered = tuple(terms)

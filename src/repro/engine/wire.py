@@ -13,8 +13,11 @@ shapes never change)::
     {"kind": "source", "name": "<catalog name>"}
     {"kind": "add" | "subtract" | "negate", "operands": [<array node>, ...]}
     {"kind": "scale", "operands": [<array node>], "factor": <float>}
-    {"kind": "<reduction>", "operands": [<array node>, ...]}         # 8 ops
+    {"kind": "<reduction>", "operands": [<array node>, ...]}
     {"kind": "mean", "operands": [...], "options": {"padded": false}}
+
+``<reduction>`` is any :data:`repro.core.ops.folds.REDUCTION_SPECS` row, with
+its arity; the row's option defaults fill in any ``options`` left out.
 
 Deserialization interns sources **by name**, so two occurrences of the same
 catalog name inside one request become one :class:`~repro.engine.expr.Source`
@@ -30,14 +33,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
-from .expr import (
-    ArrayExpr,
-    Expr,
-    Reduction,
-    Source,
-    Structural,
-    REDUCTION_OPS,
-)
+from ..core.ops.folds import REDUCTION_SPECS
+from .expr import ArrayExpr, Expr, Reduction, Source, Structural
 
 __all__ = ["WIRE_VERSION", "WireError", "to_wire", "from_wire",
            "request_to_wire", "request_from_wire"]
@@ -175,21 +172,20 @@ def from_wire(obj: Any, *, resolve: Callable[[str], Any] | None = None,
             return Structural("scale", operands, factor=float(factor))
         return Structural(kind, operands)
 
-    if kind in REDUCTION_OPS:
+    if kind in REDUCTION_SPECS:
+        spec = REDUCTION_SPECS[kind]
         operands = tuple(array_operand(operand)
-                         for operand in _operands(node, REDUCTION_OPS[kind]))
+                         for operand in _operands(node, spec.arity))
         raw_options = node.get("options", {})
         if not isinstance(raw_options, Mapping):
             raise WireError(f"reduction 'options' must be an object: {node!r}")
-        options = tuple(sorted((str(key), value)
-                               for key, value in raw_options.items()))
-        if kind == "mean" and not options:
-            # expr.mean always records its padded default; mirror it so a
-            # wire round trip of expr.mean(...) compares structurally equal
-            options = (("padded", True),)
-        return Reduction(kind, operands, options=options)
+        # the expr constructors record every option's default; fill them in
+        # so a wire round trip of expr.mean(...) compares structurally equal
+        options = dict(spec.options)
+        options.update((str(key), value) for key, value in raw_options.items())
+        return Reduction(kind, operands, options=tuple(sorted(options.items())))
 
-    valid = sorted(_STRUCTURAL_ARITY) + sorted(REDUCTION_OPS) + ["source"]
+    valid = sorted(_STRUCTURAL_ARITY) + sorted(REDUCTION_SPECS) + ["source"]
     raise WireError(f"unknown wire node kind {kind!r}; valid kinds: {valid}")
 
 

@@ -37,20 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.settings import CompressionSettings
     from ..core.transforms import Transform
 
-__all__ = ["KernelBackend", "FUSED_PASS_OUTPUTS", "parity_bound"]
-
-#: The per-block vectors a fused-pass kernel emits for each fold term, in
-#: order — the sum keys of the matching interpreted partial's state.  ``dc``
-#: entries are DC columns; a centered fold emits its operands' DC columns and
-#: then one row sum over the AC columns ``1:``.
-FUSED_PASS_OUTPUTS: dict[str, tuple[str, ...]] = {
-    "dc": ("dc",),
-    "square": ("square",),
-    "product": ("product",),
-    "diff_square": ("diff_square",),
-    "centered_square": ("dc", "ac_square"),
-    "centered_product": ("dc_a", "dc_b", "ac_product"),
-}
+__all__ = ["KernelBackend", "parity_bound"]
 
 
 class KernelBackend(abc.ABC):
@@ -131,9 +118,10 @@ class KernelBackend(abc.ABC):
         * ``chunks`` — the aligned decoded :class:`repro.core.CompressedArray`
           tuple, one per source position;
         * result — float64 per-block vectors, term by term in signature order,
-          each term contributing the :data:`FUSED_PASS_OUTPUTS` of its fold
-          (``dc`` vectors are the per-block DC coefficients themselves; the
-          centered folds' AC sums skip the DC column).
+          each term contributing its fold's
+          :attr:`repro.core.ops.folds.FoldSpec.outputs` (``dc`` vectors are
+          the per-block DC coefficients themselves; the centered folds' AC
+          sums skip the DC column).
 
         The default declines (the engine then runs the interpreted partials),
         so backends without a fused-pass story need no changes.  Backends that

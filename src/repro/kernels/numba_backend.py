@@ -26,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..core.binning import index_radius
-from .base import FUSED_PASS_OUTPUTS, KernelBackend
+from .base import KernelBackend
 from .gemm import _operator_t, fused_fold_tolerance
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -88,9 +88,9 @@ def _fused_pass_source(signature) -> str:
     row is read once however many folds consume it.  Per-source descale
     constants (``N_i / r``) arrive precomputed in float64 so the per-element
     value ``F[i, j] * c`` is bit-identical to ``specified_coefficients``.
-    ``out`` has one row per :data:`~repro.kernels.base.FUSED_PASS_OUTPUTS`
-    entry: DC rows are column 0 itself, and the centered folds accumulate
-    their AC sums over columns ``j > 0`` only.
+    ``out`` has one row per term's fold ``FoldSpec.outputs`` entry: DC rows
+    are column 0 itself, and the centered folds accumulate their AC sums
+    over columns ``j > 0`` only.
     """
     loop_terms = [(index, name, positions)
                   for index, (name, positions) in enumerate(signature.terms)
@@ -175,9 +175,10 @@ class NumbaKernel(KernelBackend):
         engine falls back to the interpreter."""
         if _numba is None:
             return None
+        from ..core.ops.folds import FOLD_SPECS
         jitted = _compiled_pass_kernel(signature)
         radius = float(signature.index_radius)
-        n_outputs = sum(len(FUSED_PASS_OUTPUTS[name]) for name, _ in signature.terms)
+        n_outputs = sum(len(FOLD_SPECS[name].outputs) for name, _ in signature.terms)
 
         def kernel(chunks):
             args = []

@@ -205,6 +205,37 @@ class TestCoalescing:
             for name, value in response["results"].items():
                 assert value == local[name], name
 
+    def test_bad_option_is_rejected_alone_not_with_its_batch(self, catalog):
+        # a misspelled finalize option used to pass wire decoding and solo
+        # validation, then fail every request coalesced into its tick
+        bad = {"m": {"kind": "mean", "operands": [{"kind": "source", "name": "a"}],
+                     "options": {"paded": False}}}
+        good = {"n": expr.l2_norm(expr.source("a"))}
+        barrier = threading.Barrier(2)
+        outcomes: dict = {}
+
+        def worker(label, outputs):
+            with QueryClient(served.host, served.port) as client:
+                barrier.wait(timeout=10)
+                try:
+                    outcomes[label] = client.evaluate_full(outputs)
+                except ServerError as exc:
+                    outcomes[label] = exc
+
+        with ThreadedQueryService(catalog, tick=0.2) as served:
+            threads = [threading.Thread(target=worker, args=item)
+                       for item in (("bad", bad), ("good", good))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+
+        assert not isinstance(outcomes["good"], ServerError), outcomes["good"]
+        local = local_reference(catalog, good)
+        assert outcomes["good"]["results"]["n"] == local["n"]
+        assert isinstance(outcomes["bad"], ServerError)
+        assert "no option 'paded'" in str(outcomes["bad"])
+
     def test_naive_mode_runs_one_plan_per_request(self, catalog):
         requests = [{"m": expr.mean(expr.source("a"))} for _ in range(4)]
         with ThreadedQueryService(catalog, tick=0.5, coalesce=False) as served:

@@ -35,21 +35,6 @@ def stores(tmp_path, settings, fields):
 
 
 class TestFoldSpecs:
-    def test_registry_is_declarative_and_complete(self):
-        assert set(folds.FOLD_SPECS) == {
-            "dc", "square", "product", "diff_square", "similarity",
-            "centered_square", "centered_product",
-        }
-        assert folds.FOLD_SPECS["dc"].requires_dc
-        assert not folds.FOLD_SPECS["dc"].touches_coefficients
-        assert folds.FOLD_SPECS["centered_product"].requires_dc
-        assert folds.FOLD_SPECS["centered_product"].arity == 2
-        # every fold is one-pass: a spec carries no centering arguments
-        assert {field.name for field in dataclasses.fields(folds.FoldSpec)} == {
-            "name", "arity", "requires_dc", "partial", "finalize",
-            "touches_coefficients",
-        }
-
     def test_centered_partials_carry_dc_and_ac_sums(self, settings, fields):
         a, b = (Compressor(settings).compress(field) for field in fields)
         square = folds.centered_square_partial(a)
@@ -65,26 +50,47 @@ class TestFoldSpecs:
         np.testing.assert_allclose(square.sums["ac_square"][0] + dc_a ** 2, full,
                                    rtol=1e-12)
 
-    def test_evaluate_runs_spec_end_to_end(self, settings, fields):
+    def test_evaluate_runs_reduction_end_to_end(self, settings, fields):
         compressed = Compressor(settings).compress(fields[0])
-        assert folds.evaluate("square", compressed) == ops.l2_norm(compressed)
-        assert folds.evaluate("dc", compressed, padded=False) == (
+        assert folds.evaluate("l2_norm", compressed) == ops.l2_norm(compressed)
+        assert folds.evaluate("mean", compressed, padded=False) == (
             ops.mean(compressed, padded=False)
         )
 
     def test_evaluate_validates_arity_and_name(self, settings, fields):
         compressed = Compressor(settings).compress(fields[0])
         with pytest.raises(ValueError, match="operand"):
-            folds.evaluate("product", compressed)
-        with pytest.raises(KeyError, match="registered folds"):
-            folds.get_fold_spec("nope")
+            folds.evaluate("dot", compressed)
+        with pytest.raises(ValueError, match="valid reductions"):
+            folds.evaluate("nope", compressed)
 
-    def test_evaluate_takes_no_extra_arguments(self, settings, fields):
+    def test_evaluate_takes_only_the_rows_options(self, settings, fields):
         compressed = Compressor(settings).compress(fields[0])
         # centered folds need no precomputed DC mean any more
-        assert folds.evaluate("centered_square", compressed) == ops.variance(compressed)
-        with pytest.raises(TypeError, match="extra"):
-            folds.evaluate("square", compressed, extra=(1.0,))
+        assert folds.evaluate("variance", compressed) == ops.variance(compressed)
+        with pytest.raises(ValueError, match="no option 'extra'"):
+            folds.evaluate("l2_norm", compressed, extra=(1.0,))
+        with pytest.raises(ValueError, match="must be a bool"):
+            folds.evaluate("mean", compressed, padded="no")
+
+    def test_evaluate_shares_one_term_between_equal_operands(
+        self, settings, fields, monkeypatch
+    ):
+        compressed = Compressor(settings).compress(fields[0])
+        calls = []
+        spec = folds.FOLD_SPECS["square"]
+
+        def counted(chunk):
+            calls.append(chunk)
+            return spec.partial(chunk)
+
+        monkeypatch.setitem(folds.FOLD_SPECS, "square",
+                            dataclasses.replace(spec, partial=counted))
+        value = folds.evaluate("cosine_similarity", compressed, compressed)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert value == ops.cosine_similarity(compressed, compressed)
+        assert not hasattr(compressed, "coefficients_cache")
 
 
 class TestPlanStructure:

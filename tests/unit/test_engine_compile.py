@@ -22,7 +22,6 @@ from repro.core.ops import folds
 from repro.engine import compile as plan_compile
 from repro.engine import expr
 from repro.kernels import backend_is_available
-from repro.kernels.base import FUSED_PASS_OUTPUTS
 from repro.kernels.gemm import GemmKernel, fused_fold_tolerance
 from repro.kernels.numba_backend import _fused_pass_source
 from repro.streaming import ChunkedCompressor
@@ -79,10 +78,12 @@ class TestLoweringGate:
         terms = (("dc", (2,)),)
         assert plan_compile.lower_terms(program, terms, (0, 1)) is None
 
-    def test_non_lowerable_fold_stays_interpreted(self):
+    def test_every_fold_lowers_over_leaf_sources(self):
         program = (("source", 0), ("source", 1))
-        terms = (("similarity", (0, 1)),)
-        assert plan_compile.lower_terms(program, terms, (0, 1)) is None
+        terms = tuple((name, (0, 1)[:spec.arity])
+                      for name, spec in folds.FOLD_SPECS.items())
+        lowering = plan_compile.lower_terms(program, terms, (0, 1))
+        assert lowering is not None and lowering.terms == terms
 
     def test_mixed_centered_and_uncentered_lower_together(self):
         program = (("source", 0),)
@@ -311,7 +312,8 @@ class TestFusedPassCodegenWithoutNumba:
         for chunk in chunks:
             args += [np.ascontiguousarray(chunk.indices),
                      chunk.maxima.reshape(-1) / radius]
-        n_outputs = sum(len(FUSED_PASS_OUTPUTS[name]) for name, _ in signature.terms)
+        n_outputs = sum(len(folds.FOLD_SPECS[name].outputs)
+                        for name, _ in signature.terms)
         out = np.empty((n_outputs, chunks[0].n_blocks))
         namespace["fused_pass"](*args, out)
         return list(out)
@@ -337,7 +339,7 @@ class TestFusedPassCodegenWithoutNumba:
         keys = []
         for name, positions in terms:
             state = folds.FOLD_SPECS[name].partial(*(chunks[p] for p in positions))
-            for key in FUSED_PASS_OUTPUTS[name]:
+            for key in folds.FOLD_SPECS[name].outputs:
                 interpreted.append(state.sums[key][0])
                 keys.append(key)
         assert len(generated) == len(compiled) == len(interpreted)
