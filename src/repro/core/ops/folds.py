@@ -34,7 +34,9 @@ inherit that tolerance — see ``docs/ops.md`` for the per-operation contracts.
 
 The partial state costs one float64 per block and per tracked quantity — a
 ``Π block_extents``-fold reduction of the data (64× for the default 4³ blocks).
-Chunk coefficients are materialised transiently, one chunk (pair) at a time.
+Coefficients are materialised transiently, one fold step at a time: the
+engine stacks consecutive chunks into one step buffer of at most
+:data:`repro.streaming.steps.STEP_COEFFICIENTS` kept coefficients per source.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ class FoldState:
     ----------
     sums:
         Named per-block partial-sum vectors, each a list of float64 arrays (one
-        array per chunk folded so far, in chunk order).  Which names are
-        present depends on the partial that produced the state.
+        array per chunk or fold step folded so far, in row order).  Which
+        names are present depends on the partial that produced the state.
     n_blocks, n_elements, n_padded_elements:
         Accumulated block / element / padded-element counts of the chunks
         folded so far.

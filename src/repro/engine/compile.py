@@ -194,12 +194,12 @@ def clear_kernel_cache() -> None:
 # ------------------------------------------------------------------ execution
 def run_compiled_step(kernel: Callable, lowering: _Lowering,
                       chunks: Sequence) -> list:
-    """One compiled chunk step: every term's partial state from one kernel call.
+    """One compiled fold step: every term's partial state from one kernel call.
 
-    ``chunks`` is the group's aligned decoded chunk tuple in ``source_slots``
-    order.  Operand compatibility is checked exactly as the interpreted
-    partials would, then the kernel returns each term's per-block float64
-    vectors (its fold's :attr:`~repro.core.ops.folds.FoldSpec.outputs`),
+    ``chunks`` is the group's fold step, one array per source in
+    ``source_slots`` order.  Operand compatibility is checked exactly as the
+    interpreted partials would, then the kernel returns each term's per-block
+    float64 vectors (its fold's :attr:`~repro.core.ops.folds.FoldSpec.outputs`),
     wrapped into :class:`repro.core.ops.folds.FoldState` under the same sum
     keys and counts the interpreted partials produce — so everything
     downstream (combine, finalize) is shared.

@@ -21,10 +21,11 @@ steps:
    nodes (``add``/``scale``/…) deduplicate the same way through their
    structural keys.
 3. **Schedule** — every term goes into the plan's single pass, grouped by
-   source so each aligned chunk tuple is decoded once and feeds every partial
-   that wants it; decoded chunks shared by two or more coefficient-touching
-   folds get a primed ``coefficients_cache`` (one dense materialisation,
-   bitwise-identical copies per fold).
+   source so each aligned chunk tuple is decoded once.  Consecutive tuples
+   are stacked into *fold steps* (:mod:`repro.streaming.steps`), and each
+   step feeds every partial that wants it; a step array shared by two or
+   more coefficient-touching folds gets a primed ``coefficients_cache`` (one
+   dense materialisation, bitwise-identical copies per fold).
 
 **Pass-count guarantee**: ``plan.n_passes`` is always 1; every source is
 decoded once per chunk (``plan.decode_passes`` is 1 for each source), so a
@@ -32,9 +33,9 @@ single-shot generator of chunks is as good a source as a store.
 
 **Bit-identity guarantee**: every fused scalar equals the corresponding
 sequential :mod:`repro.streaming.ops` call bit for bit — the per-block partial
-sums are computed by the same partials on the same chunk bits, and
-the correctly rounded sum :func:`repro.core.ops.folds.total` (bit-identical to
-``math.fsum``) finalizes the same per-chunk vectors in the same chunk order.
+sums are block-local, so a block has the same sums whichever fold step it
+arrives in, and the correctly rounded sum :func:`repro.core.ops.folds.total`
+(bit-identical to ``math.fsum``) does not depend on how they are grouped.
 
 **Compiled execution**: ``Plan.execute(backend=...)`` routes lowered pass
 groups through one compiled fused-pass kernel per plan signature
@@ -62,6 +63,7 @@ from ..streaming.prefetch import resolve_depth
 from ..streaming.sharded import ShardedStore
 from ..streaming.sources import (STORE_TYPES, aligned_chunks, check_stores,
                                  require_pyblaz)
+from ..streaming.steps import fold_steps
 from . import compile as plan_compile
 from .expr import ArrayExpr, Expr, Reduction, Source
 
@@ -92,13 +94,13 @@ def _needed_slots(program: tuple, terms: tuple) -> set[int]:
     return needed
 
 
-def _evaluate_chunk_terms(program: tuple, values: dict,
-                          terms: tuple) -> list[folds.FoldState]:
-    """One fused chunk step: structural nodes, shared caches, every term's partial.
+def _evaluate_step(program: tuple, values: dict,
+                   terms: tuple) -> list[folds.FoldState]:
+    """One fused fold step: structural nodes, shared caches, every term's partial.
 
-    ``values`` arrives holding the decoded source chunks for this step (slot →
+    ``values`` arrives holding the source arrays of this step (slot →
     :class:`CompressedArray`); structural slots are filled by the in-memory
-    :mod:`repro.core.ops` operations in slot (topological) order.  Each chunk
+    :mod:`repro.core.ops` operations in slot (topological) order.  Each array
     is offered to :func:`repro.core.ops.folds.shared_coefficients` as soon as
     it exists — the same caching rule :func:`repro.core.ops.folds.evaluate`
     runs in memory, with ``add``/``subtract`` operands counted as consumers.
@@ -324,10 +326,9 @@ class Plan:
         staleness checks).  Structural operands, non-sharded sources, other
         folds (the centered folds' AC sums are not persisted) and stale
         shards are left to the sweep.  Served states are bit-identical to
-        swept ones: the persisted vectors are the sweep's own per-chunk
-        partials, concatenated in chunk order, so the correctly rounded sum
-        :func:`~repro.core.ops.folds.total` sees the same float64 values in
-        the same order.
+        swept ones: the persisted vectors hold the same per-block float64
+        values a sweep computes, and the correctly rounded sum
+        :func:`~repro.core.ops.folds.total` does not depend on their grouping.
         """
         states: dict = {}
         for term in terms:
@@ -351,15 +352,16 @@ class Plan:
         """Execute the pass; return the combined state keyed by term.
 
         Each :class:`PassGroup` runs its own aligned sweep over its connected
-        source set: chunk tuples stream through one at a time, so peak memory
-        is one chunk per decoded source plus any structural intermediates.
+        source set, in fold steps (:mod:`repro.streaming.steps`): peak memory
+        is one decoded chunk plus one step buffer of at most the budget per
+        source, plus the step's structural intermediates.
         Terms persisted shard partials answer are served first; a group they
         answer entirely counts as an ``incremental_groups`` group and decodes
         nothing, otherwise the rest of its terms sweep.
 
         Under a non-default ``backend``, each group that *lowers*
         (:func:`repro.engine.compile.lower_terms` — all-leaf-source terms
-        only) runs its chunk steps through one compiled fused-pass kernel,
+        only) runs its fold steps through one compiled fused-pass kernel,
         fetched once per group from the signature-keyed cache; groups that do
         not lower, and backends that decline, interpret exactly as the
         default path.  ``run_stats`` accumulates the per-group mode counts
@@ -393,11 +395,15 @@ class Plan:
 
     def _sweep_group(self, group: PassGroup, backend: str, run_stats: dict,
                      prefetch: int | None) -> list[list]:
-        """One aligned chunk sweep of a group; per-term lists of chunk states.
+        """One aligned sweep of a group; per-term lists of fold-step states.
 
-        The group's compiled kernel (if it lowers) is resolved from the first
-        chunk's settings; a kernel failing at runtime degrades the rest of the
-        group to the interpreter, which resumes the same decoded chunks.
+        Consecutive aligned chunk tuples are stacked into fold steps
+        (:func:`repro.streaming.steps.fold_steps`), and the structural nodes
+        and every term's partial (or the compiled kernel) run once per step.
+        The group's compiled kernel (if it lowers) is resolved from each
+        step's settings, again whenever they change (chunk sequences may mix
+        index dtypes); a kernel failing at runtime degrades the rest of the
+        group to the interpreter, which resumes the same step.
         """
         sources = tuple(self.sources[index] for index in group.source_indices)
         slots = group.source_slots
@@ -405,7 +411,7 @@ class Plan:
         if backend != DEFAULT_BACKEND:
             lowering = plan_compile.lower_terms(self._program, group.terms, slots)
         kernel = None
-        resolved = False
+        resolved_for = None  # the settings ``kernel`` was resolved for
         collected: list[list] = [[] for _ in group.terms]
         run_stats["prefetch_depth"] = max(
             [run_stats["prefetch_depth"]]
@@ -413,18 +419,20 @@ class Plan:
                for source in sources if isinstance(source, STORE_TYPES)]
         )
         iterator = aligned_chunks(sources, prefetch=prefetch)
-        sentinel = object()
+
+        def fetch():
+            """The next aligned chunk tuple; the blocking wait is I/O time."""
+            fetch_start = time.perf_counter()
+            chunks = next(iterator, None)
+            run_stats["io_seconds"] += time.perf_counter() - fetch_start
+            return chunks
+
         try:
-            while True:
-                fetch_start = time.perf_counter()
-                chunks = next(iterator, sentinel)
-                run_stats["io_seconds"] += time.perf_counter() - fetch_start
-                if chunks is sentinel:
-                    break
-                if lowering is not None and not resolved:
-                    resolved = True
-                    signature = plan_compile.signature_for(lowering,
-                                                           chunks[0].settings)
+            for step in fold_steps(iter(fetch, None)):
+                if lowering is not None and step[0].settings is not resolved_for:
+                    resolved_for = step[0].settings
+                    kernel = None
+                    signature = plan_compile.signature_for(lowering, resolved_for)
                     if signature is not None:
                         kernel, seconds = plan_compile.get_pass_kernel(
                             backend, signature
@@ -437,25 +445,24 @@ class Plan:
                         if fault is not None:
                             fault.check_compiled_kernel()
                         states = plan_compile.run_compiled_step(
-                            kernel, lowering, chunks
+                            kernel, lowering, step
                         )
                     except Exception as exc:
-                        # degrade, don't fail: the decoded chunks are
-                        # untouched, so the interpreted path below resumes
-                        # this chunk and finishes the group bit-exactly
-                        kernel = None
+                        # degrade, don't fail: the step is untouched, so the
+                        # interpreted path below resumes it and finishes the
+                        # group bit-exactly
+                        kernel = lowering = None
                         run_stats["runtime_fallbacks"] += 1
                         run_stats["fallback_reason"] = (
                             f"compiled {backend} kernel failed at runtime "
                             f"({exc}); interpreting the rest of this group"
                         )
                 if states is None:
-                    values = dict(zip(slots, chunks))
-                    chunks = None  # the step owns the chunks now
-                    states = _evaluate_chunk_terms(self._program, values,
-                                                   group.terms)
-                    values = None  # drop coefficients before the next decode
-                chunks = None
+                    values = dict(zip(slots, step))
+                    step = None  # the evaluation owns the step now
+                    states = _evaluate_step(self._program, values, group.terms)
+                    values = None  # drop coefficients before the next step
+                step = None
                 for bucket, state in zip(collected, states):
                     bucket.append(state)
         finally:

@@ -37,9 +37,12 @@ running the in-memory operation on the assembled array *and serializing the
 result* (rebinning is per-block; persisting rounds the per-block maxima to the
 working float format, exactly as ``serialize`` does for the in-memory result).
 
-Memory contract: every operation holds at most **one chunk (pair) of
-coefficients** at a time, plus the prefetcher's bounded readahead window;
-partial states are one float64 per block per tracked quantity.  Every sweep
+Memory contract: a scalar reduction holds **one decoded chunk plus one step
+buffer of at most the budget per source** (the engine's fold steps,
+:data:`repro.streaming.steps.STEP_COEFFICIENTS` kept coefficients), and a
+structural operation one chunk (pair) at a time, because its output mirrors
+the source chunking; both add the prefetcher's bounded readahead window.
+Partial states are one float64 per block per tracked quantity.  Every sweep
 reads through the one prefetching chunk reader, so the caller's chunk cache,
 retry policy, codec override and read counters always apply.
 

@@ -72,6 +72,7 @@ from ..core.settings import CompressionSettings
 from ..reliability import faults
 from ..reliability.retry import DEFAULT_READ_RETRY, RetryPolicy, retry_call
 from .prefetch import ChunkPrefetcher, coalesce_spans, read_inline
+from .steps import fold_steps
 
 __all__ = ["CompressedStore", "CompressedStoreWriter", "ReadSurface", "load_region",
            "STORE_MAGIC"]
@@ -330,20 +331,24 @@ class ReadSurface:
     def load_compressed(self) -> CompressedArray:
         """Assemble the full :class:`CompressedArray` (bit-identical to one-shot).
 
-        Only meaningful for pyblaz stores, whose per-slab ``maxima``/``indices``
-        concatenate exactly; other codecs' chunks are independent streams.
+        Only meaningful for pyblaz stores, whose slabs stack exactly
+        (:mod:`repro.streaming.steps`, with the whole store as one step);
+        other codecs' chunks are independent streams.
         """
-        chunks = list(self.iter_chunks())
-        if not all(isinstance(chunk, CompressedArray) for chunk in chunks):
+        settings = self.settings
+        if settings is None:
             raise CodecError(
                 f"load_compressed assembles pyblaz chunks; this store holds "
                 f"{self.codec_name!r} streams — use load() or iter_chunks()"
             )
-        maxima = np.concatenate([chunk.maxima for chunk in chunks], axis=0)
-        indices = np.concatenate([chunk.indices for chunk in chunks], axis=0)
-        return CompressedArray(
-            settings=chunks[0].settings, shape=self.shape, maxima=maxima, indices=indices
-        )
+        capacity = settings.n_blocks(self.shape) * settings.kept_per_block
+        steps = list(fold_steps(((chunk,) for chunk in self.iter_chunks()), capacity))
+        if len(steps) != 1:
+            raise CodecError(
+                f"{self.codec_name} store chunks do not stack into one array "
+                "(a ragged slab or a settings change before the last chunk)"
+            )
+        return steps[0][0]
 
     def load(self) -> np.ndarray:
         """Decompress the whole array, one chunk at a time."""

@@ -293,10 +293,16 @@ class TestCoefficientCacheFeedsStructuralNodes:
     def test_shared_chunk_materialises_once_for_folds_and_subtract(
         self, stores, monkeypatch
     ):
-        """A chunk feeding a fold and a structural ``subtract`` is expanded to
-        dense coefficients once per step; the results keep their bits and no
-        cache outlives the step."""
+        """A step feeding a fold and a structural ``subtract`` is expanded to
+        dense coefficients once: every step array of every source is
+        materialised exactly once, the results keep their bits and no cache
+        outlives the step."""
+        import importlib
+
         from repro.core.compressed import CompressedArray
+        from repro.streaming import steps as steps_module
+
+        plan_module = importlib.import_module("repro.engine.plan")
 
         store_a, store_b = stores
         chunks_a, chunks_b = list(store_a.iter_chunks()), list(store_b.iter_chunks())
@@ -305,20 +311,34 @@ class TestCoefficientCacheFeedsStructuralNodes:
         original = CompressedArray.specified_coefficients
 
         def counting(chunk):
-            materialised.append(id(chunk))
+            materialised.append(chunk)  # held, so identities stay distinct
             return original(chunk)
 
+        swept = []
+
+        def recording(chunk_tuples, capacity=None):
+            for step in steps_module.fold_steps(chunk_tuples, capacity):
+                swept.append(step)
+                yield step
+
+        # chunks of 8, 8, 8, 8 and 5 rows (10 blocks each); two chunks a step
+        per_chunk = chunks_a[0].indices.size
+        monkeypatch.setattr(steps_module, "STEP_COEFFICIENTS", 2 * per_chunk)
+        monkeypatch.setattr(plan_module, "fold_steps", recording)
         monkeypatch.setattr(CompressedArray, "specified_coefficients", counting)
         fused = engine.evaluate({
             "dot": expr.dot(chunks_a, chunks_b),
             "drift": expr.mean(expr.subtract(chunks_a, chunks_b)),
         })
-        sources = {id(chunk) for chunk in chunks_a + chunks_b}
-        assert sorted(key for key in materialised if key in sources) == sorted(sources)
         monkeypatch.undo()
+        assert [step[0].shape[0] for step in swept] == [16, 16, 5]
+        for array in (array for step in swept for array in step):
+            assert sum(seen is array for seen in materialised) == 1
+        assert not any(seen is chunk for seen in materialised
+                       for chunk in chunks_a + chunks_b)
         assert fused["dot"] == ops.dot(ca, cb)
         assert fused["drift"] == ops.mean(ops.subtract(ca, cb))
-        for chunk in chunks_a + chunks_b:
+        for chunk in chunks_a + chunks_b + [array for step in swept for array in step]:
             assert not hasattr(chunk, "coefficients_cache")
 
 

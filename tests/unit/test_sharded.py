@@ -294,10 +294,12 @@ class TestPerTermServing:
         self, tmp_path, settings, monkeypatch
     ):
         """mean/l2 in a group with variance come from the partials; only the
-        centered fold sweeps, once, and every scalar equals a cold sweep."""
+        centered fold sweeps, once per fold step, and every scalar equals a
+        cold sweep."""
         import dataclasses
 
         from repro.core.ops import folds
+        from repro.streaming import steps
 
         path = _grown(tmp_path, settings)
         with ShardedStore(path, use_partials=False) as swept:
@@ -311,13 +313,16 @@ class TestPerTermServing:
                 return _partial(*chunks)
             monkeypatch.setitem(folds.FOLD_SPECS, name,
                                 dataclasses.replace(spec, partial=counted))
+        # three 8-row chunks of 4 blocks; a step holds two of them
+        monkeypatch.setattr(steps, "STEP_COEFFICIENTS", 2 * 4 * 16)
         with ShardedStore(path) as store:
             x = expr.source(store)
             plan = engine.plan({"m": expr.mean(x), "n": expr.l2_norm(x),
                                 "v": expr.variance(x)})
             assert plan.execute() == cold
             assert set(swept_folds) == {"centered_square"}
-            assert len(swept_folds) == store.n_chunks
+            assert store.chunk_rows == (8, 8, 8)
+            assert len(swept_folds) == 2  # steps: chunks 0-1, then chunk 2
             assert store.chunks_read == store.n_chunks
             assert plan.last_execution["incremental_groups"] == 0
             assert plan.last_execution["interpreted_groups"] == 1
