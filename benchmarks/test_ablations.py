@@ -1,7 +1,7 @@
 """Design-choice ablation benches (DESIGN.md §4).
 
 Five studies: the differentiation step PyBlaz drops relative to Blaz, the
-orthonormal transform choice, the execution backend, the bin-index width, and
+orthonormal transform choice, the kernel backend, the bin-index width, and
 the cross-codec sweep through the registry (ratio/error/throughput of every
 registered codec in one table).
 """
@@ -12,7 +12,6 @@ import pytest
 from repro.codecs import available_codecs
 from repro.core import CompressionSettings, Compressor
 from repro.experiments import ablations
-from repro.parallel import LoopExecutor, ThreadedExecutor
 
 from conftest import write_result
 
@@ -37,7 +36,7 @@ def test_ablation_transforms(benchmark, results_dir):
 
 
 def test_ablation_backends(benchmark, results_dir):
-    """Vectorized vs thread-pool vs per-block loop execution: identical results."""
+    """The default vectorized call and every kernel backend within its parity bound."""
     result = benchmark.pedantic(ablations.run_backends, rounds=1, iterations=1)
     write_result(results_dir, "ablation_backends", ablations.format_result(result))
     assert all(row[1] for row in result.rows)
@@ -71,13 +70,12 @@ def test_ablation_codecs(benchmark, results_dir):
     assert by_codec["sz"][2] <= by_codec["sz"][3]  # the SZ error-bound guarantee
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "threads", "loop"])
+@pytest.mark.parametrize("backend", ["vectorized"])
 def test_backend_compress_cost(benchmark, backend):
-    """Wall-clock cost of each execution backend on a mid-size 3-D array."""
+    """Wall-clock cost of the default vectorized compression on a mid-size 3-D array."""
     settings = CompressionSettings(block_shape=(4, 4, 4), float_format="float32",
                                    index_dtype="int16")
-    executor = {"vectorized": None, "threads": ThreadedExecutor(4), "loop": LoopExecutor()}[backend]
-    compressor = Compressor(settings, executor=executor)
+    compressor = Compressor(settings)
     rng = np.random.default_rng(0)
     array = rng.random((48, 48, 48))
     benchmark(compressor.compress, array)

@@ -14,7 +14,6 @@ The package is organised as:
 * :mod:`repro.baselines` — Blaz, ZFP-like and SZ-like comparison compressors.
 * :mod:`repro.simulators` — shallow-water, MRI-like and fission-like data generators.
 * :mod:`repro.analysis` — uncompressed reference operations and error metrics.
-* :mod:`repro.parallel` — block-chunked (thread/process-parallel) execution backends.
 * :mod:`repro.streaming` — out-of-core slab streaming: :class:`ChunkedCompressor`,
   the chunk-table :class:`CompressedStore` format, and :mod:`repro.streaming.ops`,
   the compressed-domain operations that fold every Table I reduction (and

@@ -137,6 +137,17 @@ def _parse_block(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"invalid block shape {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    """Parse a count that must be at least 1 (``--workers``, ``--slab-rows``)."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _parse_region(text: str) -> tuple:
     """Parse a numpy-style region like ``0:32,:,4`` into a tuple of slices/ints."""
     region = []
@@ -209,9 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("input", help="input .npy file (memmapped, never fully loaded)")
     p_stream.add_argument("output", help="output chunked store")
     _add_codec_options(p_stream)
-    p_stream.add_argument("--slab-rows", type=int, default=None,
+    p_stream.add_argument("--slab-rows", type=_positive_int, default=None,
                           help="rows per slab (rounded up to a block-row multiple)")
-    p_stream.add_argument("--workers", type=int, default=1,
+    p_stream.add_argument("--workers", type=_positive_int, default=1,
                           help="worker processes compressing slabs concurrently "
                                "(pyblaz codec only)")
 
@@ -234,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard_init.add_argument("input", help="input .npy file (memmapped)")
     p_shard_init.add_argument("output", help="sharded store directory to create")
     _add_codec_options(p_shard_init)
-    p_shard_init.add_argument("--slab-rows", type=int, default=None,
+    p_shard_init.add_argument("--slab-rows", type=_positive_int, default=None,
                               help="rows per chunk (rounded up to a block-row "
                                    "multiple)")
     p_shard_init.add_argument("--no-partials", action="store_true",
@@ -247,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_shard_append.add_argument("store", help="sharded store directory")
     p_shard_append.add_argument("input", help="input .npy file (memmapped)")
-    p_shard_append.add_argument("--slab-rows", type=int, default=None,
+    p_shard_append.add_argument("--slab-rows", type=_positive_int, default=None,
                                 help="rows per chunk within the new shard")
     p_shard_append.add_argument("--no-partials", action="store_true",
                                 help="skip updating the persisted fold "
@@ -407,10 +418,15 @@ def _build_codec(args: argparse.Namespace, ndim: int):
 
     Returns ``None`` (after printing to stderr) for usage errors (exit 2, not
     a codec error): the pyblaz block/array dimensionality mismatch, or
-    ``--backend`` combined with a codec that has no kernel backends.
+    ``--backend`` / ``--workers N > 1`` combined with a codec that has no
+    kernel backends or slab pool.
     """
     if args.codec != "pyblaz" and getattr(args, "backend", None) is not None:
         print(f"error: --backend applies to the pyblaz codec, not {args.codec!r}",
+              file=sys.stderr)
+        return None
+    if args.codec != "pyblaz" and getattr(args, "workers", 1) > 1:
+        print(f"error: --workers applies to the pyblaz codec, not {args.codec!r}",
               file=sys.stderr)
         return None
     if args.codec == "pyblaz":
@@ -491,7 +507,7 @@ def _cmd_stream_compress(args: argparse.Namespace) -> int:
         return 2
     if args.codec == "pyblaz":
         # bit-identical to one-shot under the default reference backend, with
-        # optional process fan-out; --backend opts into the faster kernels
+        # an optional slab process pool; --backend opts into the faster kernels
         chunked = ChunkedCompressor(
             codec.settings, slab_rows=args.slab_rows, n_workers=args.workers,
             backend=args.backend,

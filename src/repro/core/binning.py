@@ -67,10 +67,9 @@ def scale_to_indices(
 ) -> np.ndarray:
     """Map blocked coefficients to integer bin indices given their block maxima.
 
-    This is the binning core shared by the vectorized path
-    (:func:`bin_coefficients`) and the chunked execution backends in
-    :mod:`repro.parallel`, so both stay bit-identical by construction.  ``maxima``
-    must be shaped like the leading (grid) axes of ``coefficients``.
+    This is the binning core of :func:`bin_coefficients` (the ``reference``
+    kernel); the fused ``gemm`` kernel mirrors its divide-first order.
+    ``maxima`` must be shaped like the leading (grid) axes of ``coefficients``.
     """
     dtype = np.dtype(index_dtype)
     radius = index_radius(dtype)

@@ -17,14 +17,13 @@ Decompression is the same steps in reverse; only blocking is exactly invertible,
 other steps contribute the error budget analysed in :mod:`repro.core.errors`.
 
 The heavy steps (transform and binning) are expressed as bulk vectorized numpy
-operations over all blocks at once — the stand-in for the paper's GPU execution.  An
-optional :class:`repro.parallel.BlockExecutor` can be supplied to chunk the block
-grid across worker threads for very large arrays.
+operations over all blocks at once — the stand-in for the paper's GPU execution.  The
+numeric strategy for that bulk call is a :class:`repro.kernels.KernelBackend`; arrays
+too large for one call are compressed slab by slab with
+:class:`repro.streaming.ChunkedCompressor`.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,9 +36,6 @@ from .pruning import flatten_kept, unflatten_kept
 from .settings import CompressionSettings
 from .transforms import get_transform
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..parallel import BlockExecutor
-
 __all__ = ["Compressor"]
 
 
@@ -50,16 +46,10 @@ class Compressor:
     ----------
     settings:
         The compression configuration.
-    executor:
-        Optional :class:`repro.parallel.BlockExecutor`; when given, the transform and
-        binning steps are applied chunk-by-chunk over the block grid, possibly in
-        worker threads.  Results are identical to the vectorized path under the
-        bit-exact ``reference`` backend.
     backend:
         Optional kernel-backend name (see :mod:`repro.kernels`) overriding
-        ``settings.backend``.  Precedence: an executor constructed with its own
-        backend wins, then this argument, then the settings field (default
-        ``"reference"``).
+        ``settings.backend``.  Precedence: this argument, then the settings
+        field (default ``"reference"``).
 
     Notes
     -----
@@ -72,12 +62,10 @@ class Compressor:
     def __init__(
         self,
         settings: CompressionSettings,
-        executor: "BlockExecutor | None" = None,
         backend: str | None = None,
     ):
         self.settings = settings
         self.transform = get_transform(settings.transform, settings.block_shape)
-        self.executor = executor
         self.backend = str(backend).lower() if backend is not None else settings.backend
         self.kernel = get_backend(self.backend)
 
@@ -117,15 +105,10 @@ class Compressor:
         # Step 2: blocking (zero-pad + reshape).
         blocked = block_array(lowered, settings.block_shape)
 
-        # Steps 3-4: the fused transform+binning kernel, optionally chunked.
-        if self.executor is not None:
-            maxima, indices_blocked = self.executor.transform_and_bin(
-                blocked, self.transform, settings, kernel=self.kernel
-            )
-        else:
-            maxima, indices_blocked = self.kernel.transform_and_bin(
-                blocked, self.transform, settings
-            )
+        # Steps 3-4: the fused transform+binning kernel.
+        maxima, indices_blocked = self.kernel.transform_and_bin(
+            blocked, self.transform, settings
+        )
 
         # The stored per-block maxima live at the working float precision (§IV-C
         # counts f bits per block for N); round them accordingly.
@@ -165,13 +148,8 @@ class Compressor:
         expand = compressed.maxima.reshape(compressed.maxima.shape + (1,) * settings.ndim)
         coefficients = blocked_indices.astype(np.float64) * (expand / radius)
 
-        # Undo the transform, optionally chunked.
-        if self.executor is not None:
-            blocked = self.executor.inverse_transform(
-                coefficients, transform, settings, kernel=self.kernel
-            )
-        else:
-            blocked = self.kernel.inverse_transform(coefficients, transform, settings)
+        # Undo the transform.
+        blocked = self.kernel.inverse_transform(coefficients, transform, settings)
 
         # Undo blocking and padding.
         padded = unblock_array(blocked, settings.block_shape)

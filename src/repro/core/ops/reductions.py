@@ -15,7 +15,7 @@ identical compressed data.
 Exactness contract: **no additional error** beyond compression — the values are
 exact functions of the stored ``{N, F}`` pairs, accumulated with correctly
 rounded summation (:func:`repro.core.ops.folds.total`, bit-identical to
-:func:`math.fsum`), deterministic across chunkings and executors.
+:func:`math.fsum`), deterministic across chunkings and slab workers.
 
 Padding semantics: the reductions see the zero-padded block domain.  The dot
 product, L2 norm and Euclidean distance are unaffected by zero padding; the mean

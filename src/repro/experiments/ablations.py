@@ -11,12 +11,13 @@ relative to Blaz):
   decompress→add→recompress upper bound.
 * **Transform ablation** — DCT vs Haar vs identity: round-trip error and the error of
   the compressed-space mean/L2 under each transform at equal storage cost.
-* **Backend ablation** — vectorized bulk execution vs a per-block Python loop vs a
-  thread pool (identical outputs), plus the registered kernel backends
-  (``gemm``/``numba``, verified against their documented parity bound),
-  measuring the speedup (the CPU analogue of the paper's GPU-vs-single-thread
-  argument).  ``benchmarks/bench_backends.py`` records the full shape×backend
-  throughput trajectory as machine-readable ``BENCH_backends.json``.
+* **Backend ablation** — the bit-exact ``reference`` kernel against the other
+  registered kernel backends (``gemm``/``numba``, verified against their
+  documented parity bound).  The per-block Blaz-style baseline of the paper's
+  GPU-vs-single-thread argument is timed by Fig 2
+  (:mod:`repro.experiments.fig2_blaz`).  ``benchmarks/bench_backends.py``
+  records the full shape×backend throughput trajectory as machine-readable
+  ``BENCH_backends.json``.
 * **Index-width ablation** — int8/int16/int32/int64 vs round-trip error and ratio.
 """
 
@@ -31,7 +32,6 @@ from ..core import CompressionSettings, Compressor
 from ..core import ops
 from ..core.codec import asymptotic_compression_ratio
 from ..kernels import available_backends, backend_is_available, get_backend, parity_bound
-from ..parallel import LoopExecutor, SerialExecutor, ThreadedExecutor
 from .common import ExperimentResult, median_time, smooth_field
 
 __all__ = [
@@ -121,32 +121,23 @@ def run_transforms(config: AblationConfig = AblationConfig()) -> ExperimentResul
 
 
 def run_backends(config: AblationConfig = AblationConfig()) -> ExperimentResult:
-    """Execution-backend ablation: schedulers and kernel backends vs wall-clock.
+    """Kernel-backend ablation: each registered backend vs wall-clock.
 
-    Two families share the table.  The *executor* rows vary the scheduling
-    strategy under the bit-exact ``reference`` kernel, so "matches reference"
-    means bit-identical.  The *kernel backend* rows vary the numeric strategy
-    (see :mod:`repro.kernels`); they are not bit-exact, so the same column
-    asserts the documented parity bound
-    (:func:`repro.kernels.parity_bound`) instead.  Unavailable backends (e.g.
-    ``numba`` without numba installed) are listed in the metadata, not the rows.
+    The first row is the default vectorized call under the bit-exact
+    ``reference`` kernel.  The *kernel backend* rows vary the numeric strategy
+    (see :mod:`repro.kernels`); they are not bit-exact, so "matches reference"
+    asserts the documented parity bound (:func:`repro.kernels.parity_bound`).
+    Unavailable backends (e.g. ``numba`` without numba installed) are listed in
+    the metadata, not the rows.  The per-block loop the paper contrasts bulk
+    execution with is Fig 2's Blaz baseline.
     """
     array = _smooth_field(config.shape_3d, config.seed)
     settings = CompressionSettings(block_shape=(4, 4, 4), float_format="float32",
                                    index_dtype="int16")
-    rows: list[tuple] = []
-    reference = Compressor(settings).compress(array)
-    for name, executor in (
-        ("vectorized (default)", None),
-        ("serial executor", SerialExecutor()),
-        ("thread pool (4 workers)", ThreadedExecutor(4)),
-        ("per-block Python loop", LoopExecutor()),
-    ):
-        compressor = Compressor(settings, executor=executor)
-        compressed = compressor.compress(array)
-        identical = compressed.allclose(reference)
-        seconds = median_time(lambda: compressor.compress(array), config.repeats)
-        rows.append((name, identical, seconds))
+    compressor = Compressor(settings)
+    reference = compressor.compress(array)
+    seconds = median_time(lambda: compressor.compress(array), config.repeats)
+    rows: list[tuple] = [("vectorized (default)", True, seconds)]
 
     reference_decompressed = Compressor(settings).decompress(reference)
     skipped: list[str] = []
@@ -163,7 +154,7 @@ def run_backends(config: AblationConfig = AblationConfig()) -> ExperimentResult:
         seconds = median_time(lambda: compressor.compress(array), config.repeats)
         rows.append((f"kernel backend: {backend_name}", error <= bound, seconds))
     return ExperimentResult(
-        name="Ablation — execution backend (the GPU-vs-single-thread analogue)",
+        name="Ablation — kernel backend",
         columns=("backend", "matches reference", "compress seconds"),
         rows=rows,
         metadata={"shape": config.shape_3d, "skipped_backends": skipped},

@@ -18,9 +18,9 @@ throughput:
   only when the optional numba dependency is installed.
 
 Selection is wired through :class:`repro.core.CompressionSettings` (the
-``backend`` field), :class:`repro.core.Compressor` (the ``backend`` argument),
-every :class:`repro.parallel.BlockExecutor`, the pyblaz codec and the CLI
-(``--backend`` / the ``backends`` listing).  Third-party backends register via
+``backend`` field), :class:`repro.core.Compressor` (the ``backend`` argument,
+which overrides the field), :class:`repro.streaming.ChunkedCompressor`, the
+pyblaz codec and the CLI (``--backend`` / the ``backends`` listing).  Third-party backends register via
 :func:`register_backend`::
 
     from repro.kernels import KernelBackend, register_backend

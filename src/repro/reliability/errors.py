@@ -24,9 +24,7 @@ __all__ = ["CodecError", "IntegrityError", "WorkerCrashError", "DeadlineError"]
 class WorkerCrashError(RuntimeError):
     """A process-pool worker died (or its payload failed to pickle) mid-job.
 
-    Raised by the compressor's process pools —
-    :class:`repro.parallel.ProcessExecutor` (block-grid chunks of
-    ``Compressor(executor=...)``) and the slab pool of
+    Raised by the compressor's process pool — the slab pool of
     :class:`repro.streaming.ChunkedCompressor` (``stream-compress --workers
     N``) — in place of the raw ``concurrent.futures.process.BrokenProcessPool``
     / ``PicklingError`` so callers can react with one documented type.  When a

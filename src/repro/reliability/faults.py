@@ -1,11 +1,11 @@
-"""Deterministic fault injection at the storage / executor boundaries.
+"""Deterministic fault injection at the storage / process-pool boundaries.
 
 A :class:`FaultPlan` is a seedable list of :class:`FaultRule`\\ s installed
 process-wide (via :func:`install` or the :func:`inject` context manager).
 Production code calls the cheap module-level hooks at well-defined seams —
 :meth:`repro.streaming.CompressedStore` before and after every record read,
-the compressor process pools (:class:`repro.parallel.ProcessExecutor` and the
-:class:`repro.streaming.ChunkedCompressor` slab pool) when submitting jobs,
+the compressor process pool (the :class:`repro.streaming.ChunkedCompressor`
+slab pool) when submitting jobs,
 :mod:`repro.engine.plan` before running a compiled kernel — and each hook is a
 no-op unless a plan is active, so the hot path pays one global read.
 
@@ -73,9 +73,8 @@ class FaultRule:
         For read faults, the chunk record to hit (``None`` matches any).
     job_index:
         For ``worker_crash``, the index of the compressor process-pool job
-        to kill — a :class:`repro.parallel.ProcessExecutor` chunk or a
-        :class:`repro.streaming.ChunkedCompressor` slab (``None`` matches
-        any).
+        to kill — a :class:`repro.streaming.ChunkedCompressor` slab
+        (``None`` matches any).
     times:
         How many times this rule fires before becoming inert.  The default of
         1 models a transient fault: the retry after it sees good bytes.

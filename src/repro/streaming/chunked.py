@@ -15,6 +15,7 @@ bit-identical alternatives).
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -30,7 +31,8 @@ from ..core.compressor import Compressor
 from ..core.exceptions import CodecError
 from ..core.settings import CompressionSettings
 from ..kernels import DEFAULT_BACKEND
-from ..parallel.executors import _armed_jobs, _pool_failure
+from ..reliability import faults
+from ..reliability.errors import WorkerCrashError
 from .store import CompressedStore, CompressedStoreWriter
 
 __all__ = ["ChunkedCompressor", "stream_compress"]
@@ -73,6 +75,51 @@ def _compress_slab(
 ) -> CompressedArray:
     """Picklable per-slab work unit for the process fan-out."""
     return Compressor(settings, backend=backend).compress(slab)
+
+
+def _pool_failure(exc: BaseException, index: int | None, n_jobs: int) -> WorkerCrashError:
+    """Build the documented :class:`WorkerCrashError` for a broken pool.
+
+    When a worker dies, *every* outstanding future fails at once, so ``index``
+    is the first job observed to fail — the crash may have happened in any
+    concurrently running job.
+    """
+    detail = (
+        "its payload failed to pickle" if isinstance(exc, PicklingError)
+        else "a worker process died"
+    )
+    where = (
+        f"at job {index} of {n_jobs}" if index is not None
+        else f"dispatching {n_jobs} jobs"
+    )
+    return WorkerCrashError(
+        f"process pool failed {where}: {detail} ({exc}); the batch is lost — "
+        "retry it, or rerun without a process pool",
+        job_index=index,
+        n_jobs=n_jobs,
+    )
+
+
+def _crash_worker() -> None:
+    """Picklable job the fault harness swaps in to kill a worker mid-batch."""
+    os._exit(13)  # a hard worker death, not an exception the pool can catch
+
+
+def _armed_jobs(fn, jobs):
+    """Yield ``(fn, args)`` per pooled job, applying active worker-crash rules.
+
+    Yields every job unchanged in the normal case (no plan installed); a job
+    a ``worker_crash`` rule selects by its index becomes :func:`_crash_worker`.
+    Lazy, so the streamed slabs are armed one job at a time.  Only called on
+    the pooled path — slabs compressed in the calling thread must never arm a
+    crash, which would kill the caller.
+    """
+    plan = faults.active_plan()
+    for index, args in enumerate(jobs):
+        if plan is not None and plan.take_worker_crash(index):
+            yield _crash_worker, ()
+        else:
+            yield fn, tuple(args)
 
 
 class ChunkedCompressor:
@@ -184,7 +231,7 @@ class ChunkedCompressor:
 
         A dead slab worker (or a slab that fails to pickle) raises
         :class:`repro.reliability.WorkerCrashError` naming the first slab
-        observed to fail, like :class:`repro.parallel.ProcessExecutor`.
+        observed to fail.
         """
         slabs = self.aligned_slabs(source)
         if self.n_workers == 1:

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.core import CompressionSettings, Compressor
+from repro.core import CompressionSettings
 from repro.engine import expr
 from repro.kernels import backend_is_available
-from repro.parallel import MIN_CHUNK_ELEMENTS, ProcessExecutor
 from repro.reliability import (
     FaultRule,
     IntegrityError,
@@ -89,62 +88,10 @@ class TestReadFaults:
         assert plan.fired["os_error"] == 1 and plan.fired["bit_flip"] == 1
 
 
-_SETTINGS_3D = CompressionSettings(block_shape=(8, 8, 8), float_format="float32",
-                                   index_dtype="int16")
-
-
-@pytest.fixture(scope="module")
-def pooled_field():
-    # two MIN_CHUNK_ELEMENTS worth of data, so ProcessExecutor(2) really
-    # starts a pool instead of running one chunk on the calling thread
-    field = smooth_field((64, 64, 64), seed=5)
-    assert field.size >= 2 * MIN_CHUNK_ELEMENTS
-    return field
-
-
 class TestWorkerCrashes:
-    """A pooled worker hard-exiting surfaces as WorkerCrashError naming the
-    batch, the retried (fault-consumed) run gives bitwise-correct results, and
-    work small enough to run on the calling thread is never armed."""
-
-    def test_compress_crash_is_typed_then_retries_clean(self, pooled_field):
-        pooled = Compressor(_SETTINGS_3D, executor=ProcessExecutor(2))
-        expected = Compressor(_SETTINGS_3D).compress(pooled_field)
-        with inject(FaultRule("worker_crash", job_index=1), seed=3) as plan:
-            with pytest.raises(WorkerCrashError) as info:
-                pooled.compress(pooled_field)
-            assert info.value.n_jobs == 2
-            assert info.value.job_index in (0, 1)
-            assert "retry" in str(info.value)
-            # the rule fired once and is consumed: the retry succeeds
-            retried = pooled.compress(pooled_field)
-        assert plan.fired["worker_crash"] == 1
-        assert np.array_equal(retried.maxima, expected.maxima)
-        assert np.array_equal(retried.indices, expected.indices)
-        # one chunk runs on the calling thread; arming it would kill the caller
-        small = smooth_field((16, 16, 16), seed=5)
-        with inject(FaultRule("worker_crash"), seed=3) as plan:
-            inline = pooled.compress(small)
-        assert plan.fired["worker_crash"] == 0
-        assert np.array_equal(inline.indices,
-                              Compressor(_SETTINGS_3D).compress(small).indices)
-
-    def test_decompress_crash_is_typed_then_retries_clean(self, pooled_field):
-        serial = Compressor(_SETTINGS_3D)
-        pooled = Compressor(_SETTINGS_3D, executor=ProcessExecutor(2))
-        compressed = serial.compress(pooled_field)
-        expected = serial.decompress(compressed)
-        with inject(FaultRule("worker_crash", job_index=0), seed=3) as plan:
-            with pytest.raises(WorkerCrashError) as info:
-                pooled.decompress(compressed)
-            assert info.value.n_jobs == 2
-            assert np.array_equal(pooled.decompress(compressed), expected)
-        assert plan.fired["worker_crash"] == 1
-        small = serial.compress(smooth_field((16, 16, 16), seed=5))
-        with inject(FaultRule("worker_crash"), seed=3) as plan:
-            inline = pooled.decompress(small)
-        assert plan.fired["worker_crash"] == 0
-        assert np.array_equal(inline, serial.decompress(small))
+    """A pooled slab worker hard-exiting surfaces as WorkerCrashError naming
+    the batch, the rerun (fault-consumed) gives byte-identical results, and
+    slabs compressed on the calling thread are never armed."""
 
     def test_slab_crash_is_typed_then_rerun_matches_one_worker(self, tmp_path):
         settings = CompressionSettings(block_shape=(4, 4), float_format="float32",
@@ -163,6 +110,13 @@ class TestWorkerCrashes:
         assert plan.fired["worker_crash"] == 1
         chunked.compress_to_store(field, pooled).close()
         assert pooled.read_bytes() == serial.read_bytes()
+        # one worker compresses on the calling thread; arming it would kill the caller
+        inline = tmp_path / "inline.pblzc"
+        single = ChunkedCompressor(settings, slab_rows=8, n_workers=1)
+        with inject(FaultRule("worker_crash"), seed=3) as plan:
+            single.compress_to_store(field, inline).close()
+        assert plan.fired["worker_crash"] == 0
+        assert inline.read_bytes() == serial.read_bytes()
 
 
 @pytest.mark.skipif(not backend_is_available("gemm"),

@@ -15,7 +15,6 @@ from repro.analysis import (
 from repro.core import CompressionSettings, Compressor, ops
 from repro.core.codec import deserialize, serialize
 from repro.core.pruning import low_frequency_mask
-from repro.parallel import ThreadedExecutor
 from tests.conftest import smooth_field
 
 
@@ -80,13 +79,6 @@ class TestMixedPipelines:
         expected = (field_3d + b_raw) * 2.0 - field_3d
         assert np.abs(result - expected).max() < 0.2
         assert ops.mean(chained) == pytest.approx(expected.mean(), abs=5e-3)
-
-    def test_threaded_compression_feeds_ops(self, settings_3d, field_3d):
-        threaded = Compressor(settings_3d, executor=ThreadedExecutor(4))
-        serial = Compressor(settings_3d)
-        ct, cs = threaded.compress(field_3d), serial.compress(field_3d)
-        assert ops.l2_norm(ct) == pytest.approx(ops.l2_norm(cs), rel=1e-12)
-        assert ops.mean(ct) == pytest.approx(ops.mean(cs), rel=1e-12)
 
     def test_compress_operate_on_simulated_data(self):
         # shallow-water output through the difference pipeline used in Fig 4

@@ -6,8 +6,8 @@ float formats.  The contract being verified is the one documented in
 :mod:`repro.kernels.base`:
 
 * ``reference`` is *bit-identical* to itself under any chunking of the work —
-  chunked executors and the streaming slab compressor reproduce the one-shot
-  result exactly (``np.array_equal`` on maxima and indices).
+  the streaming slab compressor reproduces the one-shot result exactly
+  (``np.array_equal`` on maxima and indices).
 * The fast backends (``gemm``, and ``numba`` where installed) reproduce the
   reference decompression within :func:`repro.kernels.parity_bound`, and their
   bin indices land within one bin of reference plus the bound's index-space
@@ -29,7 +29,6 @@ from repro.kernels import (
     get_backend_class,
     parity_bound,
 )
-from repro.parallel import ThreadedExecutor
 from repro.streaming import ChunkedCompressor
 
 FLOAT_FORMATS = ["bfloat16", "float16", "float32", "float64"]
@@ -112,15 +111,6 @@ class TestFastBackendParity:
 
 
 class TestReferenceBitIdentityUnderChunking:
-    @given(case=parity_case())
-    @hyp_settings(max_examples=25, deadline=None)
-    def test_chunked_executor_bit_identical(self, case):
-        array, settings = case
-        one_shot = Compressor(settings).compress(array)
-        chunked = Compressor(settings, executor=ThreadedExecutor(3)).compress(array)
-        assert np.array_equal(one_shot.maxima, chunked.maxima)
-        assert np.array_equal(one_shot.indices, chunked.indices)
-
     @given(case=parity_case(), slab_blocks=st.integers(1, 4))
     @hyp_settings(max_examples=25, deadline=None)
     def test_streaming_slabs_bit_identical(self, case, slab_blocks):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.binning import bin_coefficients, block_maxima, index_radius, unbin_indices
+from repro.core.binning import (
+    bin_coefficients,
+    block_maxima,
+    index_radius,
+    scale_to_indices,
+    unbin_indices,
+)
 
 
 class TestIndexRadius:
@@ -93,3 +99,17 @@ class TestUnbinValidation:
         _, indices = bin_coefficients(rng.random((2, 4)), 1, np.dtype(np.int8))
         with pytest.raises(ValueError):
             unbin_indices(indices, np.ones(3), 1)
+
+
+class TestScaleToIndices:
+    @pytest.mark.parametrize("index_dtype", ["int8", "int16", "int32", "int64"])
+    def test_matches_bin_coefficients(self, index_dtype):
+        # given the block maxima, the helper alone reproduces the binning
+        rng = np.random.default_rng(8)
+        coefficients = rng.standard_normal((6, 4, 4)) * 1e3
+        maxima, indices = bin_coefficients(coefficients, 2, np.dtype(index_dtype))
+        rebuilt = scale_to_indices(
+            coefficients, block_maxima(coefficients, 2), 2, np.dtype(index_dtype)
+        )
+        assert np.array_equal(indices, rebuilt)
+        assert np.array_equal(maxima, block_maxima(coefficients, 2))

@@ -40,6 +40,24 @@ class TestParser:
         )
         assert args.workers == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["stream-compress", "in.npy", "out.pblzc", "--workers", "0"],
+        ["stream-compress", "in.npy", "out.pblzc", "--workers", "-2"],
+        ["stream-compress", "in.npy", "out.pblzc", "--slab-rows", "0"],
+        ["stream-compress", "in.npy", "out.zfpc", "--codec", "zfp", "--slab-rows", "0"],
+        ["shard-init", "in.npy", "out.shards", "--slab-rows", "0"],
+        ["shard-append", "out.shards", "in.npy", "--slab-rows", "-1"],
+        ["stream-compress", "in.npy", "out.pblzc", "--slab-rows", "many"],
+    ])
+    def test_counts_must_be_positive(self, argv, capsys):
+        # a usage error (exit 2) before any file is touched, not a
+        # ValueError traceback or a codec error from deep in the writer
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be a positive integer" in err or "invalid int value" in err
+
 
 class TestCompressDecompressCommands:
     def test_full_cycle(self, tmp_path, capsys):
@@ -127,6 +145,19 @@ class TestBackendOptions:
                      "--backend", "gemm"])
         assert code == 2
         assert "--backend applies to the pyblaz codec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("codec", ["zfp", "sz"])
+    def test_workers_on_non_pyblaz_stream_is_usage_error(self, tmp_path, capsys, codec):
+        npy_in, store = tmp_path / "in.npy", tmp_path / "o.store"
+        np.save(npy_in, smooth_field((16, 16), seed=5))
+        code = main(["stream-compress", str(npy_in), str(store), "--codec", codec,
+                     "--workers", "4"])
+        assert code == 2
+        assert "--workers applies to the pyblaz codec" in capsys.readouterr().err
+        assert not store.exists()
+        # one worker is the default and stays accepted for every codec
+        assert main(["stream-compress", str(npy_in), str(store), "--codec", codec,
+                     "--workers", "1"]) == 0
 
     def test_unavailable_backend_exits_with_codec_error(self, tmp_path, capsys):
         from repro.kernels import backend_is_available

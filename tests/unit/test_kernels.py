@@ -207,42 +207,6 @@ class TestBackendWiring:
         settings = CompressionSettings(block_shape=(4, 4), backend="gemm")
         assert isinstance(Compressor(settings).kernel, GemmKernel)
 
-    def test_executor_backend_wins_over_compressor(self):
-        from repro.parallel import SerialExecutor
-
-        settings = CompressionSettings(block_shape=(4, 4))
-        array = smooth_field((16, 16), seed=5)
-        with_executor = Compressor(
-            settings, executor=SerialExecutor(backend="gemm")
-        ).compress(array)
-        plain_gemm = Compressor(settings, backend="gemm").compress(array)
-        assert np.array_equal(with_executor.indices, plain_gemm.indices)
-
-    def test_runtime_registered_backend_crosses_process_boundary(self):
-        # kernels travel to pool workers as pickled instances, so a backend
-        # registered only in the parent process still works under ProcessExecutor
-        from repro.parallel import ProcessExecutor
-
-        register_backend("refclone", ReferenceKernel)
-        try:
-            settings = CompressionSettings(block_shape=(4, 4))
-            # large enough that the chunk heuristic actually fans out to workers
-            array = smooth_field((512, 512), seed=10)
-            reference = Compressor(settings).compress(array)
-            result = Compressor(
-                settings, executor=ProcessExecutor(2, backend="refclone")
-            ).compress(array)
-            assert np.array_equal(result.indices, reference.indices)
-        finally:
-            kernel_registry._REGISTRY.pop("refclone", None)
-            kernel_registry._INSTANCES.pop("refclone", None)
-
-    def test_executor_rejects_unknown_backend_eagerly(self):
-        from repro.parallel import ThreadedExecutor
-
-        with pytest.raises(CodecError, match="unknown kernel backend"):
-            ThreadedExecutor(2, backend="nope")
-
     def test_chunked_compressor_defaults_to_reference(self):
         # even when the settings ask for gemm: streaming bit-identity wins
         settings = CompressionSettings(block_shape=(4, 4), backend="gemm")

@@ -53,9 +53,13 @@ class TestChunkedCompressor:
         assert np.array_equal(result.maxima, reference.maxima)
         assert np.array_equal(result.indices, reference.indices)
 
-    def test_process_fanout_identical(self, settings, field):
-        reference = Compressor(settings).compress(field)
-        result = ChunkedCompressor(settings, slab_rows=8, n_workers=2).compress(field)
+    @pytest.mark.parametrize("backend", ["reference", "gemm"])
+    def test_process_fanout_identical(self, settings, field, backend):
+        # each slab is compressed alone either way, so even the BLAS backend
+        # gives the pool the bits of one worker
+        reference = ChunkedCompressor(settings, slab_rows=8, backend=backend).compress(field)
+        result = ChunkedCompressor(settings, slab_rows=8, n_workers=2,
+                                   backend=backend).compress(field)
         assert np.array_equal(result.maxima, reference.maxima)
         assert np.array_equal(result.indices, reference.indices)
 

@@ -138,7 +138,7 @@ class TestGetTransformCache:
         assert get_transform("dct", (4, 4)) is not get_transform("dct", (8, 8))
 
     def test_single_block_application(self, rng):
-        # executors apply the transform to a single block (no leading grid axes)
+        # the transform also applies to a single block (no leading grid axes)
         transform = get_transform("dct", (4, 4))
         block = rng.random((4, 4))
         restored = transform.inverse(transform.forward(block))
