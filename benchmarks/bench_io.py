@@ -8,9 +8,11 @@ freshly opened store handles:
 
 * **serial** — ``prefetch=0``: the plan's sweep calls ``read_chunk`` per
   chunk, one positional pread each, decode strictly after its read.
-* **pipelined** — ``prefetch`` auto: a small thread pool fetches coalesced
-  record spans a bounded window ahead while the consumer thread decodes and
-  folds, so read latency hides behind decode work.
+* **pipelined** — ``prefetch`` auto: coalesced record spans are read
+  inline until one span's read outlasts the decoding and folding of its
+  chunks; from then on a small thread pool fetches the remaining spans a
+  bounded window ahead while the consumer thread decodes and folds, so read
+  latency hides behind decode work.
 
 Both answers are asserted bit-identical before any timing is trusted, and the
 pipelined run must show fewer physical preads (the coalescing proof).
@@ -18,9 +20,11 @@ pipelined run must show fewer physical preads (the coalescing proof).
 Two cache regimes per cell:
 
 * **warm** — the store file sits in the OS page cache, so preads are memcpy
-  fast.  The pipeline cannot win much here and is reported honestly
-  (expected ≈ 1.0×); the bar is only that it does not regress badly.
-* **cold** — preads cost real latency.  A container cannot reliably drop the
+  fast and no read blocks: the sweep stays inline and never starts the pool.
+  What it gains over serial is the coalescing (fewer preads, no per-chunk
+  ``read_chunk`` overhead); the bar is only that it does not regress.
+* **cold** — preads cost real latency, so the first span's read hands the
+  rest of the sweep to the pool.  A container cannot reliably drop the
   host page cache, so cold storage is *modeled* with the repo's deterministic
   fault harness: a ``latency`` rule sleeps ``delay_seconds`` before every
   chunk read, inside the same GIL-releasing fetch path a cold read would

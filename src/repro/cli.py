@@ -303,8 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "docs/engine.md 'Compiled plans')")
     p_ops.add_argument("--prefetch", type=int, default=None, metavar="N",
                        help="chunk readahead depth: coalesced record spans "
-                            "fetched ahead of the sweep on a small thread pool "
-                            "(default: auto; 0 disables the pipeline — see "
+                            "are read inline, and once a read blocks longer "
+                            "than its chunks take to fold, up to N spans are "
+                            "fetched ahead on a small thread pool (default: "
+                            "auto, 4; 0 reads chunk by chunk — see "
                             "docs/performance.md)")
 
     p_serve = sub.add_parser(
@@ -713,6 +715,7 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
                 "compile_seconds": executed.get("compile_seconds"),
                 "io_seconds": executed.get("io_seconds"),
                 "prefetch_depth": executed.get("prefetch_depth"),
+                "readahead_sweeps": executed.get("readahead_sweeps"),
                 "describe": fused.describe(),
             }))
         else:
@@ -799,6 +802,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.max_in_flight is not None and args.max_in_flight < 1:
         print("error: --max-in-flight must be at least 1", file=sys.stderr)
+        return 2
+    if args.prefetch is not None and args.prefetch < 0:
+        print("error: --prefetch must be >= 0", file=sys.stderr)
         return 2
     with StoreCatalog(mapping, cache=cache) as catalog:
         service = QueryService(catalog, tick=tick,

@@ -59,7 +59,7 @@ from ..core import ops as core_ops
 from ..core.ops import folds
 from ..kernels import DEFAULT_BACKEND
 from ..reliability import faults
-from ..streaming.prefetch import resolve_depth
+from ..streaming.prefetch import ChunkPrefetcher, resolve_depth
 from ..streaming.sharded import ShardedStore
 from ..streaming.sources import (STORE_TYPES, aligned_chunks, check_stores,
                                  require_pyblaz)
@@ -367,12 +367,14 @@ class Plan:
         default path.  ``run_stats`` accumulates the per-group mode counts
         and JIT compile seconds reported via :attr:`last_execution`.
 
-        ``prefetch`` passes through to the aligned iterator
-        (:func:`repro.streaming.sources.aligned_chunks`): store sources read
-        ahead through the pipelined prefetcher, and the time this sweep still
-        spends *blocked* waiting on chunks accumulates into
-        ``run_stats["io_seconds"]`` — with readahead working, that approaches
-        zero even though the same records were read.
+        ``prefetch`` sets the depth of each store source's
+        :class:`~repro.streaming.ChunkPrefetcher`, zipped by the aligned
+        iterator (:func:`repro.streaming.sources.aligned_chunks`).  The time
+        a sweep spends *blocked* waiting on chunks accumulates into
+        ``run_stats["io_seconds"]`` — once readahead engages, that approaches
+        zero even though the same records are read — and each store sweep
+        whose reads blocked enough to engage the readahead pool counts into
+        ``run_stats["readahead_sweeps"]``.
         """
         state_by_term: dict = {}
         for group in pass_.groups:
@@ -413,12 +415,16 @@ class Plan:
         kernel = None
         resolved_for = None  # the settings ``kernel`` was resolved for
         collected: list[list] = [[] for _ in group.terms]
+        readers = tuple(ChunkPrefetcher(source, depth=prefetch)
+                        if isinstance(source, STORE_TYPES) else source
+                        for source in sources)
+        prefetchers = [reader for reader in readers
+                       if isinstance(reader, ChunkPrefetcher)]
         run_stats["prefetch_depth"] = max(
             [run_stats["prefetch_depth"]]
-            + [resolve_depth(prefetch, source.n_chunks)
-               for source in sources if isinstance(source, STORE_TYPES)]
+            + [prefetcher.depth for prefetcher in prefetchers]
         )
-        iterator = aligned_chunks(sources, prefetch=prefetch)
+        iterator = aligned_chunks(readers)
 
         def fetch():
             """The next aligned chunk tuple; the blocking wait is I/O time."""
@@ -469,6 +475,8 @@ class Plan:
             # closing the aligned iterator shuts any prefetch pools down
             # promptly, even when a fold error aborts the sweep
             iterator.close()
+            run_stats["readahead_sweeps"] += sum(
+                prefetcher.readahead for prefetcher in prefetchers)
         run_stats["compiled_groups" if kernel is not None
                   else "interpreted_groups"] += 1
         return collected
@@ -479,14 +487,18 @@ class Plan:
         Returns a dict keyed like the request, a list for a sequence request,
         or the bare scalar for a single-expression request.
 
-        ``prefetch`` controls the pipelined chunk readahead of every sweep
-        (``docs/performance.md``): ``None`` auto-enables it, ``0`` keeps the
-        strictly serial read→decode loop, a positive integer sets the
-        in-flight span window.  Results are bit-identical either way.
-        :attr:`last_execution` reports ``prefetch_depth`` — the deepest
-        readahead window a chunk sweep actually ran with (``0`` when every
-        sweep read serially or no sweep ran) — and ``io_seconds``, the wall
-        time sweeps spent blocked waiting on chunk fetches.
+        ``prefetch`` controls how every store sweep reads its chunks
+        (``docs/performance.md``): ``None`` (auto) and positive integers read
+        coalesced spans inline and hand the rest of a sweep to a readahead
+        pool only once a span's read blocks longer than consuming it took,
+        with that many spans in flight (auto: 4); ``0`` keeps the strictly
+        serial per-chunk read→decode loop.  Results are bit-identical either
+        way.  :attr:`last_execution` reports ``prefetch_depth`` — the
+        deepest readahead window a chunk sweep was resolved to (``0`` when
+        every sweep read serially or no sweep ran) — ``readahead_sweeps``,
+        the number of store sweeps that engaged the pool, and
+        ``io_seconds``, the wall time sweeps spent blocked waiting on chunk
+        fetches.
 
         ``backend`` selects the kernel backend executing the fused chunk
         steps (registry names — see ``repro backends``): the default
@@ -516,6 +528,7 @@ class Plan:
             "compile_seconds": 0.0,
             "io_seconds": 0.0,
             "prefetch_depth": 0,
+            "readahead_sweeps": 0,
         }
         states: dict = {}
         for pass_ in self.passes:

@@ -106,9 +106,10 @@ class QueryService:
         submits the batch's referenced stores to a background warm thread
         that decodes their chunks into the shared cache via
         :func:`repro.streaming.warm_store_cache`, so the plan sweep finds
-        them hot.  ``0`` disables the warm path entirely; other values are
-        reserved for future depth tuning (the cache byte budget is the real
-        bound today).
+        them hot.  ``0`` disables the warm path entirely; other
+        non-negative values are reserved for future depth tuning (the cache
+        byte budget is the real bound today).  Negative values raise
+        ``ValueError``.
     """
 
     def __init__(self, catalog: StoreCatalog, *, tick: float = DEFAULT_TICK_SECONDS,
@@ -122,6 +123,8 @@ class QueryService:
             raise ValueError("deadline must be positive (or None)")
         if max_in_flight is not None and max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1 (or None)")
+        if prefetch is not None and prefetch < 0:
+            raise ValueError("prefetch must be >= 0 (or None)")
         if backend is not None:
             from ..kernels import get_backend_class
             get_backend_class(str(backend).lower())  # fail fast on unknown names

@@ -38,10 +38,11 @@ Three layers:
   (``docs/engine.md``).
 * :mod:`repro.streaming.prefetch` — the one chunk reader
   (``docs/performance.md``): coalesced record spans in, decoded chunks out in
-  index order.  :class:`ChunkPrefetcher` runs it a bounded window ahead of
-  the consumer on a small thread pool (default-on via
-  ``iter_chunks(prefetch=None)`` across plans, streaming ops, sharded sweeps
-  and serving; ``prefetch=0`` is the serial ``read_chunk`` loop),
+  index order.  :class:`ChunkPrefetcher` runs it inline and, once a read
+  blocks, a bounded window ahead of the consumer on a small thread pool
+  (default-on via ``iter_chunks(prefetch=None)`` across plans, streaming
+  ops, sharded sweeps and serving; ``prefetch=0`` is the serial
+  ``read_chunk`` loop),
   ``load_region`` runs it inline, and :func:`warm_store_cache` runs it to
   warm the serving cache.  Chunk order, values and counters stay
   bit-identical to the serial loop.

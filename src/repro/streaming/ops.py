@@ -41,7 +41,8 @@ Memory contract: a scalar reduction holds **one decoded chunk plus one step
 buffer of at most the budget per source** (the engine's fold steps,
 :data:`repro.streaming.steps.STEP_COEFFICIENTS` kept coefficients), and a
 structural operation one chunk (pair) at a time, because its output mirrors
-the source chunking; both add the prefetcher's bounded readahead window.
+the source chunking; both add one coalesced span per source, or the
+prefetcher's bounded readahead window once reads block.
 Partial states are one float64 per block per tracked quantity.  Every sweep
 reads through the one prefetching chunk reader, so the caller's chunk cache,
 retry policy, codec override and read counters always apply.
@@ -183,9 +184,10 @@ def _map_to_store(operation: str, sources: tuple, path, extra: tuple = (),
     rounding, the same rounding any persisted in-memory result undergoes).
     Returns the store reopened for reading.
 
-    ``prefetch`` (default auto) pipelines the input store's record reads
-    ahead of the transform-and-append loop, so the writer never waits on the
-    disk between chunks; ``prefetch=0`` restores the strict serial loop
+    ``prefetch`` (default auto) reads the input store's records in
+    coalesced spans, and fetches them ahead of the transform-and-append loop
+    once a read blocks, so the writer stops waiting on slow storage between
+    chunks; ``prefetch=0`` restores the strict serial loop
     (``docs/performance.md``).
     """
     transform = _STRUCTURAL_OPS[operation]

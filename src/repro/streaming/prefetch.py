@@ -7,20 +7,31 @@ underlying store file, :func:`coalesce_spans` groups adjacent records into
 resolves a span from the chunk cache or the file, and :func:`_consume` decodes,
 caches and counts each chunk in request order.  Three callers drive it:
 
-* :class:`ChunkPrefetcher` — pooled readahead for sweeps (``iter_chunks``,
-  fused plan passes, streaming ops, sharded sweeps): a small thread pool
-  fetches spans a bounded window ahead while the consumer thread decodes, so
-  the CPU and the disk overlap and every fold stays bit-identical to the
-  serial loop.  Depth ``0`` is the per-chunk ``read_chunk`` reference loop
-  (one pread per chunk) the readahead is measured against.
-* :func:`read_inline` — the thread-free mode ``load_region`` uses on both
-  store kinds: each span is fetched when the consumer reaches it (a pool
-  costs more than it hides on a short window).
+* :class:`ChunkPrefetcher` — the sweep reader (``iter_chunks``, fused plan
+  passes, streaming ops, sharded sweeps).  It reads spans inline, exactly as
+  :func:`read_inline` does, until a span's fetch blocks; from then on a small
+  thread pool fetches the remaining spans a bounded window ahead while the
+  consumer thread decodes, so the CPU and the disk overlap and every fold
+  stays bit-identical to the serial loop.  Depth ``0`` is the per-chunk
+  ``read_chunk`` reference loop (one pread per chunk) the others are measured
+  against.
+* :func:`read_inline` — the inline phase on its own, never handing off to a
+  pool; ``load_region`` uses it on both store kinds (a pool costs more than
+  it hides on a short window).
 * :func:`warm_store_cache` — the serving warm path: decodes uncached chunks
   into the attached cache with ``prefetched=True``, counting no logical read.
 
 Division of labour, chosen by measurement rather than symmetry:
 
+* **Inline until a read blocks.**  A span served from the chunk cache, or
+  read from the page cache, costs less than handing it to a worker thread
+  and back: on warm stores a pool per sweep was measured slower than the
+  serial loop.  So a sweep fetches each span on the consumer thread, and
+  hands its *remaining* spans to the pool only after a span that read
+  records from the file took longer to fetch than its chunks took to
+  consume (decode, plus whatever the caller did with them).  That is the
+  point where overlap pays: the disk, not the CPU, is the bottleneck.
+  Cache-served spans never start a pool.  The rule has no constant to tune.
 * **Workers fetch, the consumer decodes.**  Record reads release the GIL
   (``os.pread``, CRC-32), so fetching in threads overlaps genuinely with
   decode/fold work.  Chunk *decoding* is dominated by GIL-held Python-object
@@ -40,7 +51,8 @@ and a failed span falls back to the per-chunk
 :meth:`~repro.streaming.CompressedStore.read_payload` seam with its full retry
 policy.  A chunk whose read still fails keeps its error, and the error is
 raised at that chunk's position: every chunk before it in request order is
-yielded first, exactly as the serial loop yields them.
+yielded first, exactly as the serial loop yields them, before or after the
+hand-off alike.
 
 Accounting: span reads count their payloads into ``chunks_prefetched`` when
 the read completes; ``chunks_read`` counts only chunks actually *consumed*
@@ -51,9 +63,12 @@ counters that pass-count tests assert on.
 
 from __future__ import annotations
 
+import threading
+import time
 import weakref
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -79,8 +94,8 @@ DEFAULT_SPAN_BYTES = 1 << 20
 #: useful granularity instead of fetching everything in one giant span.
 DEFAULT_SPAN_CHUNKS = 8
 
-#: Auto mode leaves stores with fewer chunks than this on the serial path —
-#: the pool spin-up would cost more than the overlap saves.
+#: Auto mode leaves stores with fewer chunks than this on the per-chunk
+#: serial path: so few reads leave nothing worth coalescing or overlapping.
 _MIN_AUTO_CHUNKS = 4
 
 
@@ -225,6 +240,50 @@ def _consume(real, local: int, item: tuple[str, object], *, warm: bool = False):
     return chunk
 
 
+class _BlockedTime(threading.local):
+    """Seconds the current thread has spent blocked on chunk fetches."""
+
+    seconds = 0.0
+
+
+#: Fetch waits per consumer thread.  A lockstep multi-source sweep runs its
+#: sources' readers on one thread, so a reader's consume time would include
+#: its siblings' blocking reads; subtracting the waits logged here meanwhile
+#: leaves the consumer's own work.
+_blocked = _BlockedTime()
+
+
+def _read_spans(spans: Iterator[tuple[object, list[int]]], *,
+                until_blocked: bool = False) -> Iterator:
+    """Fetch and consume ``spans`` on the calling thread, in order.
+
+    The inline phase shared by :func:`read_inline` and
+    :class:`ChunkPrefetcher`.  With ``until_blocked``, it stops after the
+    first span that read records from the file and whose fetch took longer
+    than consuming its chunks did, and returns the next, unread span so the
+    caller can fetch the rest ahead.  Consuming runs from the fetch's end
+    until the consumer asks for the chunk after the span's last, less the
+    time the thread spent blocked on other fetches meanwhile.  Otherwise it
+    drains ``spans`` and returns ``None``.
+    """
+    blocked = False
+    for span in spans:
+        if blocked:
+            return span
+        real, locals_ = span
+        started = time.perf_counter()
+        items = _fetch_span(real, locals_)
+        fetched = time.perf_counter()
+        _blocked.seconds += fetched - started
+        waited = _blocked.seconds
+        for local, item in zip(locals_, items):
+            yield _consume(real, local, item)
+        consumed = time.perf_counter() - fetched - (_blocked.seconds - waited)
+        blocked = (until_blocked and fetched - started > consumed
+                   and any(kind == "payload" for kind, _ in items))
+    return None
+
+
 def read_inline(store, indices: Iterable[int]) -> Iterator:
     """Yield ``indices``'s decoded chunks in order, fetching each span inline.
 
@@ -232,9 +291,7 @@ def read_inline(store, indices: Iterable[int]) -> Iterator:
     no window — a span is fetched when the consumer reaches it, so at most
     one span's payloads are resident and memory stays chunk-bounded.
     """
-    for real, locals_ in _spans(store, indices):
-        for local, item in zip(locals_, _fetch_span(real, locals_)):
-            yield _consume(real, local, item)
+    yield from _read_spans(_spans(store, indices))
 
 
 def _shutdown_pool(pool: ThreadPoolExecutor) -> None:
@@ -254,13 +311,16 @@ def _absorb_exception(future: Future) -> None:
 
 
 class ChunkPrefetcher:
-    """Bounded-window pipelined reader over a store's chunks.
+    """Inline-first span reader over a store's chunks, reading ahead when reads block.
 
     Iterating a prefetcher yields the same decoded chunk objects, in the same
-    order, as ``store.read_chunk(i) for i in indices`` — but record fetches
-    run up to ``depth`` coalesced spans ahead on a pool of
-    :data:`DEFAULT_PREFETCH_WORKERS` threads, so the consumer's decode/fold
-    work overlaps the I/O.
+    order, as ``store.read_chunk(i) for i in indices``.  Coalesced spans are
+    fetched inline on the consumer thread until one blocks — it read records
+    from the file and its fetch outlasted the consumption of its chunks.  The
+    remaining spans are then fetched up to ``depth`` spans ahead on a pool of
+    :data:`DEFAULT_PREFETCH_WORKERS` threads, created at that point, so the
+    consumer's decode/fold work overlaps the I/O.  :attr:`readahead` tells
+    whether the pool engaged.
 
     Parameters
     ----------
@@ -270,10 +330,10 @@ class ChunkPrefetcher:
     indices:
         Global chunk indices to yield, in order (default: every chunk).
     depth:
-        Maximum coalesced span fetches in flight, resolved by
-        :func:`resolve_depth` against the number of indices (``None`` →
-        auto).  ``0`` is the serial reference loop: one ``read_chunk`` —
-        one pread — per chunk.
+        Maximum coalesced span fetches in flight once the pool engages,
+        resolved by :func:`resolve_depth` against the number of indices
+        (``None`` → auto).  ``0`` is the serial reference loop: one
+        ``read_chunk`` — one pread — per chunk.
 
     A prefetcher is **single-use**: iterate it once, then :meth:`close` it
     (closing is automatic when the iteration ends, is abandoned, or the
@@ -287,22 +347,32 @@ class ChunkPrefetcher:
         self.indices = (list(range(store.n_chunks)) if indices is None
                         else [int(index) for index in indices])
         self.depth = resolve_depth(depth, len(self.indices))
+        self.readahead = False
         self._pool: ThreadPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
 
     def __iter__(self) -> Iterator:
-        """Yield decoded chunks in request order, fetching ahead in spans."""
+        """Yield decoded chunks in request order: inline, then ahead once blocked."""
         if self.depth == 0:
             for index in self.indices:
                 yield self.store.read_chunk(index)
             return
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=DEFAULT_PREFETCH_WORKERS,
-                thread_name_prefix="repro-prefetch",
-            )
-            self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
         spans = _spans(self.store, self.indices)
+        try:
+            rest = yield from _read_spans(spans, until_blocked=True)
+            if rest is not None:
+                yield from self._read_ahead(chain([rest], spans))
+        finally:
+            self.close()
+
+    def _read_ahead(self, spans: Iterator[tuple[object, list[int]]]) -> Iterator:
+        """Fetch the remaining ``spans`` up to ``depth`` ahead on the pool."""
+        self.readahead = True
+        self._pool = ThreadPoolExecutor(
+            max_workers=DEFAULT_PREFETCH_WORKERS,
+            thread_name_prefix="repro-prefetch",
+        )
+        self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
         window: deque[tuple[object, list[int], Future]] = deque()
 
         def submit_next() -> bool:
@@ -316,17 +386,17 @@ class ChunkPrefetcher:
             window.append((real, locals_, future))
             return True
 
-        try:
-            for _ in range(self.depth):
-                if not submit_next():
-                    break
-            while window:
-                real, locals_, future = window.popleft()
-                submit_next()  # keep the window full before blocking
-                for local, item in zip(locals_, future.result()):
-                    yield _consume(real, local, item)
-        finally:
-            self.close()
+        for _ in range(self.depth):
+            if not submit_next():
+                break
+        while window:
+            real, locals_, future = window.popleft()
+            submit_next()  # keep the window full before blocking
+            waiting = time.perf_counter()
+            items = future.result()
+            _blocked.seconds += time.perf_counter() - waiting
+            for local, item in zip(locals_, items):
+                yield _consume(real, local, item)
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:

@@ -60,11 +60,12 @@ def aligned_chunks(sources: tuple, *, prefetch: int | None = None) -> Iterator[t
     """Yield aligned chunk tuples across sources, enforcing identical chunking.
 
     With ``prefetch`` enabled (the default auto mode), every store source
-    reads ahead through its own :class:`~repro.streaming.ChunkPrefetcher`;
-    the lockstep zip below consumes them jointly, so multi-source sweeps
-    (dot, covariance, structural binaries) pipeline all their inputs at once.
-    Abandoning or closing this generator closes every source iterator, which
-    shuts the prefetchers' fetch pools down promptly.
+    reads through its own :class:`~repro.streaming.ChunkPrefetcher`, which
+    hands off to a readahead pool once its reads block; the lockstep zip
+    below consumes them jointly, so multi-source sweeps (dot, covariance,
+    structural binaries) can pipeline all their inputs at once.  Abandoning
+    or closing this generator closes every source iterator, which shuts the
+    prefetchers' fetch pools down promptly.
     """
     iterators = [source_chunks(source, prefetch=prefetch) for source in sources]
     sentinel = object()

@@ -300,12 +300,13 @@ class ReadSurface:
     def iter_chunks(self, *, prefetch: int | None = None) -> Iterator:
         """Yield every chunk's compressed object in row order.
 
-        ``prefetch`` selects the pipelined readahead
+        ``prefetch`` selects the span reader
         (:class:`repro.streaming.ChunkPrefetcher`): ``None`` (the default)
-        enables it with an auto depth, a positive integer sets the in-flight
+        reads coalesced spans inline and, once a read blocks, fetches the
+        rest ahead with an auto depth; a positive integer sets that in-flight
         span window, and ``0`` is the serial ``read_chunk`` loop.  Chunk
         order, values, counters and error positions are identical either way
-        — prefetching only overlaps record fetches with decoding.  On a
+        — readahead only overlaps record fetches with decoding.  On a
         sharded store the window crosses shard boundaries (spans never
         straddle two shard files).
         """

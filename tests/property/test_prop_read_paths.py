@@ -8,6 +8,9 @@ or a region, then drives every caller of the reader:
 
 * ``iter_chunks`` / :class:`ChunkPrefetcher` at depth ``0`` (the per-chunk
   ``read_chunk`` reference loop), ``1`` and auto;
+* an auto-depth sweep whose record reads are slowed by a ``latency`` fault
+  from a drawn chunk index onward, so it hands its remaining spans to the
+  readahead pool wherever that index falls (``prefetch-auto-slow``);
 * :func:`read_inline`, ``load_region`` and ``load``;
 * :func:`warm_store_cache` followed by a sweep.
 
@@ -25,6 +28,7 @@ import numpy as np
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.core import CompressionSettings
+from repro.reliability import FaultRule, inject
 from repro.serving import ChunkCache
 from repro.streaming import (
     ChunkPrefetcher,
@@ -36,6 +40,7 @@ from repro.streaming import (
     warm_store_cache,
 )
 from repro.streaming.prefetch import read_inline
+from repro.streaming.sharded import shard_filename
 
 #: Chunk-sequence read paths: name -> (store, indices) -> decoded chunks.
 CHUNK_PATHS = {
@@ -44,6 +49,23 @@ CHUNK_PATHS = {
     "prefetch-auto": lambda store, indices: ChunkPrefetcher(store, indices),
     "inline": read_inline,
 }
+
+
+#: Per-record delay of the slowed reads: far above decoding a tiny chunk.
+SLOW_READ_SECONDS = 0.001
+
+
+def _slow_from(store, first: int) -> list[FaultRule]:
+    """Latency rules delaying every read of global chunk ``first`` onward."""
+    rules = []
+    for index in range(first, store.n_chunks):
+        path, local = None, index
+        if isinstance(store, ShardedStore):
+            shard_index, local = store.locate(index)
+            path = shard_filename(shard_index)
+        rules.append(FaultRule("latency", path=path, chunk_index=local,
+                               delay_seconds=SLOW_READ_SECONDS, times=10**6))
+    return rules
 
 
 @st.composite
@@ -147,11 +169,17 @@ class TestEveryReadPathAgrees:
                     indices = None
                 wanted = list(range(n_chunks)) if indices is None else indices
                 reference_bytes = _decoded(reference, map(reference.read_chunk, wanted))
+            first_slow = data.draw(st.integers(0, n_chunks), label="first_slow")
+
+            def slow_sweep(store, indices):
+                with inject(*_slow_from(store, first_slow)):
+                    yield from ChunkPrefetcher(store, indices)
 
             for layout, (opener, path) in layouts.items():
                 for cached in (False, True):
                     observed = {}
-                    for name, reader in CHUNK_PATHS.items():
+                    readers = dict(CHUNK_PATHS, **{"prefetch-auto-slow": slow_sweep})
+                    for name, reader in readers.items():
                         observed[name] = _observe(
                             opener, path, cached,
                             lambda store: _decoded(store, reader(store, wanted)))

@@ -318,6 +318,8 @@ class TestStreamOpsEvaluateAndJson:
         assert payload["io_seconds"] >= 0.0
         assert payload["io_seconds"] <= payload["seconds"]
         assert payload["prefetch_depth"] > 0
+        # each 5-chunk store is one span: nothing is left to read ahead
+        assert payload["readahead_sweeps"] == 0
 
     def test_evaluate_json_prefetch_zero_reports_depth_zero(self, store_pair,
                                                             capsys):
@@ -329,7 +331,27 @@ class TestStreamOpsEvaluateAndJson:
                      "--op", "mean", "--json", "--prefetch", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["prefetch_depth"] == 0
+        assert payload["readahead_sweeps"] == 0
         assert payload["io_seconds"] >= 0.0
+
+    def test_evaluate_json_reports_readahead_sweeps(self, tmp_path, capsys):
+        import json
+
+        from repro.reliability import FaultRule, inject
+
+        npy = tmp_path / "long.npy"
+        np.save(npy, smooth_field((256, 24), seed=3))
+        store = tmp_path / "long.pblzc"
+        assert main(["stream-compress", str(npy), str(store), "--block", "4,4",
+                     "--slab-rows", "8"]) == 0
+        capsys.readouterr()
+        # 32 chunks, every read slowed: the first span's read hands off
+        with inject(FaultRule("latency", delay_seconds=0.005, times=10**6)):
+            assert main(["stream-ops", "evaluate", str(store), "--op", "mean",
+                         "--json", "--prefetch", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["prefetch_depth"] == 4
+        assert payload["readahead_sweeps"] == 1
 
     def test_centered_subset_reports_one_pass(self, store_pair, capsys):
         import json
@@ -469,7 +491,23 @@ class TestServeQueryCommands:
         assert code == 2
         assert "cannot reach" in capsys.readouterr().err
 
-    def test_serve_usage_errors(self, tmp_path, capsys):
+    @pytest.mark.parametrize("prefetch", ["-1", "-3"])
+    def test_serve_negative_prefetch_exits_2(self, tmp_path, capsys, monkeypatch,
+                                             prefetch):
+        import asyncio
+
+        npy = tmp_path / "a.npy"
+        np.save(npy, smooth_field((16, 8), seed=1))
+        store = tmp_path / "a.pblzc"
+        assert main(["stream-compress", str(npy), str(store), "--block", "4,4",
+                     "--slab-rows", "8"]) == 0
+        capsys.readouterr()
+        # never serve: an accepted setting returns 0 here instead of blocking
+        monkeypatch.setattr(asyncio, "run", lambda coroutine: coroutine.close())
+        assert main(["serve", f"a={store}", "--port", "0",
+                     "--prefetch", prefetch]) == 2
+        assert "--prefetch" in capsys.readouterr().err
+
         assert main(["serve", "noequals"]) == 2
         assert "NAME=PATH" in capsys.readouterr().err
         assert main(["serve", f"x={tmp_path / 'missing.pblzc'}"]) == 2

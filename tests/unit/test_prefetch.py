@@ -4,11 +4,16 @@ The invariant under test everywhere: a prefetched sweep yields the same
 chunks, in the same order, decoding to the same bytes, with the same
 ``chunks_read`` accounting as the serial loop — only the physical read
 pattern (``preads``) and the overlap change.
+
+Sweeps read spans inline until a read blocks, so the tests that exercise
+the readahead pool slow every record read down with a ``latency`` fault
+rule and check that a ``repro-prefetch`` thread really ran.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +32,9 @@ from repro.streaming import (
     resolve_depth,
     warm_store_cache,
 )
-from repro.streaming.prefetch import DEFAULT_PREFETCH_WORKERS
+from repro.reliability import FaultRule, IntegrityError, inject
+from repro.serving import ChunkCache
+from repro.streaming.prefetch import DEFAULT_PREFETCH_WORKERS, DEFAULT_SPAN_CHUNKS
 from repro.streaming.sources import aligned_chunks
 
 from tests.conftest import smooth_field
@@ -56,6 +63,32 @@ def _chunk_bytes(store, *, prefetch):
     """Every chunk's decoded bytes, in order, via ``iter_chunks``."""
     return [store.decompress_chunk(chunk).tobytes()
             for chunk in store.iter_chunks(prefetch=prefetch)]
+
+
+#: Per-record read delay that makes every span's fetch outlast its decode.
+SLOW_READ_SECONDS = 0.005
+
+
+def _slow_reads(*chunk_indices, path=None):
+    """Latency rules delaying every read of ``chunk_indices`` (all if none)."""
+    return [FaultRule("latency", path=path, chunk_index=index,
+                      delay_seconds=SLOW_READ_SECONDS, times=10**6)
+            for index in (chunk_indices or (None,))]
+
+
+def _pool_running() -> bool:
+    """Whether a readahead pool thread is alive right now."""
+    return any(thread.name.startswith("repro-prefetch")
+               for thread in threading.enumerate())
+
+
+def _sweep_watching_pool(chunks):
+    """Drain ``chunks``; return them and, per chunk, whether the pool was up."""
+    yielded, pooled = [], []
+    for chunk in chunks:
+        yielded.append(chunk)
+        pooled.append(_pool_running())
+    return yielded, pooled
 
 
 class TestResolveDepth:
@@ -172,8 +205,6 @@ class TestAccounting:
         assert store.chunks_prefetched > store.chunks_read
 
     def test_cache_hit_counters_match_serial(self, tmp_path, settings, field):
-        from repro.serving import ChunkCache
-
         def sweep(name, prefetch):
             cache = ChunkCache(max_bytes=64 * 1024 * 1024)
             with ChunkedCompressor(settings, slab_rows=8).compress_to_store(
@@ -209,27 +240,107 @@ class TestLoadRegion:
 
 
 class TestLifecycle:
+    """The readahead pool's threads are joined however a sweep ends."""
+
     def test_abort_leaks_no_threads(self, store):
         baseline = threading.active_count()
-        iterator = store.iter_chunks(prefetch=4)
-        next(iterator)
-        iterator.close()
+        with inject(*_slow_reads()):
+            iterator = store.iter_chunks(prefetch=4)
+            # the first span is read inline; its slow read hands off the rest
+            for _ in range(DEFAULT_SPAN_CHUNKS + 1):
+                next(iterator)
+            assert _pool_running()
+            iterator.close()
         assert threading.active_count() == baseline
 
     def test_garbage_collected_prefetcher_shuts_down(self, store):
         baseline = threading.active_count()
-        prefetcher = ChunkPrefetcher(store, depth=4)
-        iterator = iter(prefetcher)
-        next(iterator)
-        del prefetcher, iterator
-        import gc
-        gc.collect()
+        with inject(*_slow_reads()):
+            prefetcher = ChunkPrefetcher(store, depth=4)
+            iterator = iter(prefetcher)
+            for _ in range(DEFAULT_SPAN_CHUNKS + 1):
+                next(iterator)
+            assert prefetcher.readahead and _pool_running()
+            del prefetcher, iterator
+            import gc
+            gc.collect()
         assert threading.active_count() == baseline
 
     def test_exhausted_iteration_shuts_down(self, store):
         baseline = threading.active_count()
-        list(store.iter_chunks(prefetch=4))
+        with inject(*_slow_reads()):
+            _, pooled = _sweep_watching_pool(store.iter_chunks(prefetch=4))
+        assert any(pooled)
         assert threading.active_count() == baseline
+
+
+class TestHandOff:
+    """Spans are read inline until a read blocks; then the pool takes over."""
+
+    @pytest.fixture
+    def long_store(self, tmp_path, settings):
+        # 32 chunks of 8 rows: four spans of DEFAULT_SPAN_CHUNKS records
+        with ChunkedCompressor(settings, slab_rows=8).compress_to_store(
+            smooth_field((256, 20), seed=7), tmp_path / "long.pblzc"
+        ) as opened:
+            assert opened.n_chunks == 4 * DEFAULT_SPAN_CHUNKS
+            yield opened
+
+    def test_cache_warm_sweep_starts_no_pool(self, store):
+        cache = ChunkCache(max_bytes=64 * 1024 * 1024)
+        store.chunk_cache = cache
+        expected = _chunk_bytes(store, prefetch=0)
+        # every read would block, but no span reads the file
+        with inject(*_slow_reads()) as faults:
+            prefetcher = ChunkPrefetcher(store, depth=4)
+            chunks, pooled = _sweep_watching_pool(prefetcher)
+        assert [store.decompress_chunk(chunk).tobytes() for chunk in chunks] == expected
+        assert not prefetcher.readahead and not any(pooled)
+        assert faults.fired["latency"] == 0
+        assert cache.hits == store.n_chunks
+
+    def test_slow_reads_from_chunk_k_hand_off_mid_sweep(self, tmp_path, settings,
+                                                         long_store):
+        first_slow = DEFAULT_SPAN_CHUNKS  # the second span onward
+
+        def consume(chunks):
+            # fold-like work per chunk, well above a page-cache read and well
+            # below a slow one: the first span stays inline, the second not
+            for chunk in chunks:
+                time.sleep(SLOW_READ_SECONDS / 5)
+                yield chunk
+
+        long_store.chunk_cache = ChunkCache(max_bytes=64 * 1024 * 1024)
+        with inject(*_slow_reads(*range(first_slow, long_store.n_chunks))):
+            prefetcher = ChunkPrefetcher(long_store, depth=4)
+            chunks, pooled = _sweep_watching_pool(consume(prefetcher))
+        cache = long_store.chunk_cache
+        counters = (long_store.chunks_read, cache.hits, cache.misses)
+        # the first two spans are read inline, the last two by the pool
+        assert prefetcher.readahead
+        assert pooled == [False] * (2 * DEFAULT_SPAN_CHUNKS) + [True] * (2 * DEFAULT_SPAN_CHUNKS)
+        assert long_store.chunks_prefetched == long_store.n_chunks
+
+        with CompressedStore(long_store.path) as serial_store:
+            cache = serial_store.chunk_cache = ChunkCache(max_bytes=64 * 1024 * 1024)
+            serial = _chunk_bytes(serial_store, prefetch=0)
+            assert counters == (serial_store.chunks_read, cache.hits, cache.misses)
+        assert [long_store.decompress_chunk(chunk).tobytes()
+                for chunk in chunks] == serial
+
+    def test_bad_record_after_the_hand_off_raises_at_its_index(self, long_store):
+        bad = 2 * DEFAULT_SPAN_CHUNKS + 3  # in the third span, read by the pool
+        rules = _slow_reads() + [FaultRule("bit_flip", chunk_index=bad, times=10**6)]
+        yielded, pooled = [], []
+        with inject(*rules):
+            with pytest.raises(IntegrityError) as raised:
+                for chunk in long_store.iter_chunks(prefetch=4):
+                    yielded.append(chunk)
+                    pooled.append(_pool_running())
+        assert any(pooled)
+        assert len(yielded) == bad
+        assert raised.value.chunk_index == bad
+        assert long_store.chunks_read == bad
 
 
 class TestSharded:
@@ -244,57 +355,59 @@ class TestSharded:
     def test_sharded_iter_identical_across_boundaries(self, sharded_path):
         with ShardedStore(sharded_path) as store:
             serial = _chunk_bytes(store, prefetch=0)
-        with ShardedStore(sharded_path) as store:
-            piped = _chunk_bytes(store, prefetch=4)
+        with ShardedStore(sharded_path) as store, inject(*_slow_reads()):
+            # the first shard's span is read inline, the second's by the pool
+            chunks, pooled = _sweep_watching_pool(store.iter_chunks(prefetch=4))
+            piped = [store.decompress_chunk(chunk).tobytes() for chunk in chunks]
             assert store.chunks_prefetched == store.n_chunks
+        assert any(pooled)
         assert piped == serial
-
 
 
 class TestErrorPosition:
     """A persistent bad record raises at its own position in request order:
-    every good chunk before it is yielded first, at any depth and layout."""
+    every good chunk before it is yielded first, at any depth and layout.
+    Every read is slowed so the bad record, in the second span, is fetched
+    by the readahead pool at depths 1 and 4."""
 
-    BAD_CHUNK = 5
+    BAD_CHUNK = DEFAULT_SPAN_CHUNKS + 3
 
     @pytest.fixture(params=["single", "sharded"])
     def bad_store(self, request, tmp_path, settings):
-        # 16 chunks of 8 rows; the sharded layout splits them 8 + 8
+        # 16 chunks of 8 rows; the sharded layout splits them 8 + 8; yields
+        # the store, the bad record's file and its index within that file
         rows = smooth_field((128, 12), seed=5)
         if request.param == "single":
             with ChunkedCompressor(settings, slab_rows=8).compress_to_store(
                 rows, tmp_path / "bad.pblzc"
             ) as opened:
-                yield opened, None
+                yield opened, None, self.BAD_CHUNK
             return
         path = tmp_path / "bad.shards"
         init_sharded_store(path, rows[:64], settings, slab_rows=8).close()
         append_shard(path, rows[64:], slab_rows=8).close()
         with ShardedStore(path) as opened:
-            yield opened, "shard-000000"
+            yield opened, "shard-000001", self.BAD_CHUNK - 8
 
     @pytest.mark.parametrize("prefetch", [0, 1, 4])
     def test_good_chunks_before_the_bad_record_are_yielded(self, bad_store, prefetch):
-        from repro.reliability import FaultRule, IntegrityError, inject
-
-        store, path = bad_store
+        store, path, local = bad_store
         assert store.n_chunks == 16
-        rule = FaultRule("bit_flip", path=path, chunk_index=self.BAD_CHUNK,
-                         times=10**6)
-        yielded = []
-        with inject(rule, seed=0):
+        rule = FaultRule("bit_flip", path=path, chunk_index=local, times=10**6)
+        yielded, pooled = [], []
+        with inject(rule, *_slow_reads(), seed=0):
             with pytest.raises(IntegrityError) as raised:
                 for chunk in store.iter_chunks(prefetch=prefetch):
                     yielded.append(chunk)
+                    pooled.append(_pool_running())
+        assert any(pooled) == (prefetch > 0)
         assert len(yielded) == self.BAD_CHUNK
-        assert raised.value.chunk_index == self.BAD_CHUNK
+        assert raised.value.chunk_index == local
         assert store.chunks_read == self.BAD_CHUNK
 
 
 class TestWarmStoreCache:
     def test_warms_and_counts(self, store):
-        from repro.serving import ChunkCache
-
         cache = ChunkCache(max_bytes=64 * 1024 * 1024)
         store.chunk_cache = cache
         warmed = warm_store_cache(store)
@@ -345,6 +458,33 @@ class TestPlanStats:
             assert built.last_execution["incremental_groups"] == 1
             assert store.chunks_read == 0
             assert built.last_execution["prefetch_depth"] == 0
+
+    def test_readahead_sweeps_counts_pool_engagements(self, tmp_path, settings):
+        compressor = ChunkedCompressor(settings, slab_rows=8)
+        with compressor.compress_to_store(
+            smooth_field((256, 20), seed=12), tmp_path / "a.pblzc"
+        ) as store_a, compressor.compress_to_store(
+            smooth_field((256, 20), seed=13), tmp_path / "b.pblzc"
+        ) as store_b:
+            x, y = expr.source(store_a), expr.source(store_b)
+            built = plan({"mean": expr.mean(x), "dot": expr.dot(x, y)})
+            with inject(*_slow_reads()):
+                slow = built.execute(prefetch=4)
+            # in a lockstep sweep one store's consume time includes the other
+            # store's inline reads, so the two may hand off a span apart;
+            # with four spans each, both do
+            assert built.last_execution["readahead_sweeps"] == 2
+            assert built.execute(prefetch=0) == slow
+            assert built.last_execution["readahead_sweeps"] == 0
+
+    def test_cached_sweeps_never_read_ahead(self, store):
+        store.chunk_cache = ChunkCache(max_bytes=64 * 1024 * 1024)
+        built = plan({"mean": expr.mean(expr.source(store))})
+        built.execute(prefetch=0)  # fill the cache
+        with inject(*_slow_reads()):
+            built.execute(prefetch=4)
+        assert built.last_execution["readahead_sweeps"] == 0
+        assert built.last_execution["prefetch_depth"] == 4
 
     def test_negative_depth_rejected_before_any_sweep(self, store):
         built = plan({"mean": expr.mean(expr.source(store))})

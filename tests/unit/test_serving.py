@@ -417,3 +417,14 @@ class TestQueryServiceOptions:
         with StoreCatalog({"x": store_path}) as catalog:
             with pytest.raises(TypeError, match="workers"):
                 QueryService(catalog, workers=2)
+
+    @pytest.mark.parametrize("prefetch", [-1, -3])
+    def test_negative_prefetch_rejected(self, store_path, prefetch):
+        """A negative warm-path setting is an error, not a way to switch it on."""
+        from repro.serving import QueryService
+
+        with StoreCatalog({"x": store_path}, cache=ChunkCache()) as catalog:
+            with pytest.raises(ValueError, match="prefetch"):
+                QueryService(catalog, prefetch=prefetch)
+            for accepted in (None, 0, 2):
+                assert QueryService(catalog, prefetch=accepted).prefetch == accepted
