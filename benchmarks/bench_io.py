@@ -6,11 +6,12 @@ root — measuring what the bounded-window span prefetcher
 fused reduction workload (``mean`` + ``l2_norm``, one plan) runs two ways over
 freshly opened store handles:
 
-* **serial** — ``prefetch=0``: the plan's sweep calls ``read_chunk`` per
-  chunk, one positional pread each, decode strictly after its read.
-* **pipelined** — ``prefetch`` auto: coalesced record spans are read
-  inline until one span's read outlasts the decoding and folding of its
-  chunks; from then on a small thread pool fetches the remaining spans a
+* **serial** — ``Plan.execute(prefetch=False)``: the plan's sweep calls
+  ``read_chunk`` per chunk, one positional pread each, decode strictly after
+  its read.
+* **pipelined** — ``prefetch=True`` (the default): coalesced record spans
+  are read inline until one span's read outlasts the decoding and folding of
+  its chunks; from then on a small thread pool fetches the remaining spans a
   bounded window ahead while the consumer thread decodes and folds, so read
   latency hides behind decode work.
 
@@ -93,7 +94,7 @@ def _workload(store) -> "engine.Plan":
     return engine.plan({"mean": expr.mean(x), "l2_norm": expr.l2_norm(x)})
 
 
-def _timed_sweep(path: Path, *, prefetch: int | None,
+def _timed_sweep(path: Path, *, prefetch: bool,
                  repeats: int) -> tuple[dict, float, int, int]:
     """Best-of-``repeats`` wall time for the workload on a fresh handle.
 
@@ -128,9 +129,9 @@ def bench_cell(path: Path, n_chunks: int, cache: str, repeats: int) -> dict:
         faults.install(plan)
     try:
         serial_values, serial_seconds, serial_chunks, serial_preads = \
-            _timed_sweep(path, prefetch=0, repeats=repeats)
+            _timed_sweep(path, prefetch=False, repeats=repeats)
         pipe_values, pipe_seconds, pipe_chunks, pipe_preads = \
-            _timed_sweep(path, prefetch=None, repeats=repeats)
+            _timed_sweep(path, prefetch=True, repeats=repeats)
     finally:
         if plan is not None:
             faults.uninstall()

@@ -68,13 +68,11 @@ Examples
     repro shard-append climate.shards day1.npy
     repro stream-ops mean climate.shards
     repro stream-ops dot a.pblzc b.pblzc
-    repro stream-ops mean a.pblzc --prefetch 0
     repro stream-ops evaluate a.pblzc b.pblzc --op mean --op variance --op dot --json
     repro stream-ops add a.pblzc b.pblzc --out sum.pblzc
     repro stream-ops scale a.pblzc --scalar 2.5 --out scaled.pblzc
     repro serve temps=temps.pblzc wind=wind.pblzc --port 7777
     repro serve temps=temps.pblzc --port 7777 --deadline 5 --max-in-flight 64
-    repro serve temps=temps.pblzc --port 7777 --prefetch 0
     repro query --port 7777 --op mean:temps --op covariance:temps,wind --json
     repro query --port 7777 --op mean:temps --retries 3 --deadline 10
     repro query --port 7777 --stats
@@ -90,6 +88,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -107,6 +106,7 @@ from .kernels import (
     backend_is_available,
     get_backend_class,
 )
+from .serving import DEFAULT_TICK_SECONDS
 from .streaming import ChunkedCompressor, CompressedStore, stream_compress
 from .streaming.sharded import (append_shard, init_sharded_store,
                                 is_sharded_store, open_store)
@@ -146,6 +146,40 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    """Parse a budget that may be 0 but not negative (``--cache-bytes``)."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _seconds(text: str, *, zero_ok: bool) -> float:
+    """Parse a finite, non-negative (or with ``zero_ok=False`` positive) duration."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value {text!r}") from exc
+    if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+        bound = "non-negative" if zero_ok else "positive"
+        raise argparse.ArgumentTypeError(
+            f"must be a finite {bound} number of seconds, got {text}")
+    return value
+
+
+def _non_negative_seconds(text: str) -> float:
+    """Parse a duration that may be 0 (``serve --tick``)."""
+    return _seconds(text, zero_ok=True)
+
+
+def _positive_seconds(text: str) -> float:
+    """Parse a duration that must exceed 0 (``serve --deadline``)."""
+    return _seconds(text, zero_ok=False)
 
 
 def _parse_region(text: str) -> tuple:
@@ -301,13 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "`evaluate` (default: reference, bit-exact; gemm/"
                             "numba compile one kernel per fused pass — see "
                             "docs/engine.md 'Compiled plans')")
-    p_ops.add_argument("--prefetch", type=int, default=None, metavar="N",
-                       help="chunk readahead depth: coalesced record spans "
-                            "are read inline, and once a read blocks longer "
-                            "than its chunks take to fold, up to N spans are "
-                            "fetched ahead on a small thread pool (default: "
-                            "auto, 4; 0 reads chunk by chunk — see "
-                            "docs/performance.md)")
 
     p_serve = sub.add_parser(
         "serve",
@@ -322,14 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=0,
                          help="TCP port (default: 0 = ephemeral; the bound "
                               "port is printed on startup)")
-    p_serve.add_argument("--tick", type=float, default=None,
+    p_serve.add_argument("--tick", type=_non_negative_seconds,
+                         default=DEFAULT_TICK_SECONDS,
                          help="coalescing window in seconds: requests arriving "
                               "within one tick share a single fused plan "
-                              "(default: 0.002)")
+                              f"(default: {DEFAULT_TICK_SECONDS:g})")
     p_serve.add_argument("--no-coalesce", action="store_true",
                          help="execute one plan per request instead of fusing "
                               "each tick's batch (the benchmark baseline)")
-    p_serve.add_argument("--cache-bytes", type=int, default=None,
+    p_serve.add_argument("--cache-bytes", type=_non_negative_int, default=None,
                          help="decoded-chunk LRU cache budget in bytes "
                               "(default: 256 MiB; 0 disables the cache)")
     p_serve.add_argument("--backend", default=None,
@@ -337,20 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="kernel backend executing every served plan "
                               "(default: reference; compiled backends reuse "
                               "one kernel per plan signature across requests)")
-    p_serve.add_argument("--deadline", type=float, default=None,
+    p_serve.add_argument("--deadline", type=_positive_seconds, default=None,
                          help="per-request wall-clock budget in seconds; a "
                               "request whose batch overruns it gets an explicit "
                               "deadline_exceeded response (default: none)")
-    p_serve.add_argument("--max-in-flight", type=int, default=None,
+    p_serve.add_argument("--max-in-flight", type=_positive_int, default=None,
                          help="admission cap: requests beyond this many "
                               "concurrently queued/executing get an explicit "
                               "overloaded response instead of queueing "
                               "(default: unbounded)")
-    p_serve.add_argument("--prefetch", type=int, default=None, metavar="N",
-                         help="warm-path control: each batch's store chunks "
-                              "are decoded into the chunk cache ahead of the "
-                              "plan sweep (default: on when caching; 0 "
-                              "disables — see docs/performance.md)")
 
     p_query = sub.add_parser(
         "query",
@@ -697,7 +720,7 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
             for name in requested
         })
         start = time.perf_counter()
-        values = fused.execute(backend=args.backend, prefetch=args.prefetch)
+        values = fused.execute(backend=args.backend)
         seconds = time.perf_counter() - start
         executed = fused.last_execution or {}
         if args.json:
@@ -744,11 +767,9 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
                 if operation not in _ARRAY_OPS:
                     return run_scalars(store_a, None)
                 if operation == "negate":
-                    out = stream_ops.negate(store_a, args.out,
-                                            prefetch=args.prefetch)
+                    out = stream_ops.negate(store_a, args.out)
                 else:
-                    out = stream_ops.scale(store_a, args.scalar, args.out,
-                                           prefetch=args.prefetch)
+                    out = stream_ops.scale(store_a, args.scalar, args.out)
                 with out:
                     report_store(out)
                 return 0
@@ -756,8 +777,7 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
                 if operation not in _ARRAY_OPS:
                     return run_scalars(store_a, store_b)
                 mapped = stream_ops.add if operation == "add" else stream_ops.subtract
-                with mapped(store_a, store_b, args.out,
-                            prefetch=args.prefetch) as out:
+                with mapped(store_a, store_b, args.out) as out:
                     report_store(out)
                 return 0
     except CodecError:
@@ -796,23 +816,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache = ChunkCache()
     else:
         cache = ChunkCache(args.cache_bytes)
-    tick = args.tick if args.tick is not None else 0.002
-    if args.deadline is not None and args.deadline <= 0:
-        print("error: --deadline must be positive", file=sys.stderr)
-        return 2
-    if args.max_in_flight is not None and args.max_in_flight < 1:
-        print("error: --max-in-flight must be at least 1", file=sys.stderr)
-        return 2
-    if args.prefetch is not None and args.prefetch < 0:
-        print("error: --prefetch must be >= 0", file=sys.stderr)
-        return 2
     with StoreCatalog(mapping, cache=cache) as catalog:
-        service = QueryService(catalog, tick=tick,
+        service = QueryService(catalog, tick=args.tick,
                                coalesce=not args.no_coalesce,
                                backend=args.backend,
                                deadline=args.deadline,
-                               max_in_flight=args.max_in_flight,
-                               prefetch=args.prefetch)
+                               max_in_flight=args.max_in_flight)
 
         async def run() -> None:
             host, port = await service.start(args.host, args.port)

@@ -59,7 +59,7 @@ from ..core import ops as core_ops
 from ..core.ops import folds
 from ..kernels import DEFAULT_BACKEND
 from ..reliability import faults
-from ..streaming.prefetch import ChunkPrefetcher, resolve_depth
+from ..streaming.prefetch import READAHEAD_SPANS, ChunkPrefetcher
 from ..streaming.sharded import ShardedStore
 from ..streaming.sources import (STORE_TYPES, aligned_chunks, check_stores,
                                  require_pyblaz)
@@ -348,7 +348,7 @@ class Plan:
         return states
 
     def _run_pass(self, pass_: PlanPass, backend: str, run_stats: dict,
-                  prefetch: int | None = None) -> dict:
+                  serial: bool) -> dict:
         """Execute the pass; return the combined state keyed by term.
 
         Each :class:`PassGroup` runs its own aligned sweep over its connected
@@ -367,9 +367,10 @@ class Plan:
         default path.  ``run_stats`` accumulates the per-group mode counts
         and JIT compile seconds reported via :attr:`last_execution`.
 
-        ``prefetch`` sets the depth of each store source's
+        Each store source reads through its own
         :class:`~repro.streaming.ChunkPrefetcher`, zipped by the aligned
-        iterator (:func:`repro.streaming.sources.aligned_chunks`).  The time
+        iterator (:func:`repro.streaming.sources.aligned_chunks`), or with
+        ``serial`` through the ``read_chunk`` reference loop.  The time
         a sweep spends *blocked* waiting on chunks accumulates into
         ``run_stats["io_seconds"]`` — once readahead engages, that approaches
         zero even though the same records are read — and each store sweep
@@ -387,7 +388,7 @@ class Plan:
             # the unserved terms sweep over just the sources they read
             sweeps = _group_terms(self._program, rest) if served else (group,)
             for sweep in sweeps:
-                collected = self._sweep_group(sweep, backend, run_stats, prefetch)
+                collected = self._sweep_group(sweep, backend, run_stats, serial)
                 for term, bucket in zip(sweep.terms, collected):
                     combined = folds.combine_all(bucket)
                     if combined is None:
@@ -396,7 +397,7 @@ class Plan:
         return state_by_term
 
     def _sweep_group(self, group: PassGroup, backend: str, run_stats: dict,
-                     prefetch: int | None) -> list[list]:
+                     serial: bool) -> list[list]:
         """One aligned sweep of a group; per-term lists of fold-step states.
 
         Consecutive aligned chunk tuples are stacked into fold steps
@@ -415,15 +416,17 @@ class Plan:
         kernel = None
         resolved_for = None  # the settings ``kernel`` was resolved for
         collected: list[list] = [[] for _ in group.terms]
-        readers = tuple(ChunkPrefetcher(source, depth=prefetch)
-                        if isinstance(source, STORE_TYPES) else source
-                        for source in sources)
+        # ``serial`` is the reference loop: one read_chunk, one pread, per chunk
+        readers = tuple(
+            source if not isinstance(source, STORE_TYPES)
+            else map(source.read_chunk, range(source.n_chunks)) if serial
+            else ChunkPrefetcher(source)
+            for source in sources
+        )
         prefetchers = [reader for reader in readers
                        if isinstance(reader, ChunkPrefetcher)]
-        run_stats["prefetch_depth"] = max(
-            [run_stats["prefetch_depth"]]
-            + [prefetcher.depth for prefetcher in prefetchers]
-        )
+        if prefetchers:
+            run_stats["prefetch_depth"] = READAHEAD_SPANS
         iterator = aligned_chunks(readers)
 
         def fetch():
@@ -481,24 +484,24 @@ class Plan:
                   else "interpreted_groups"] += 1
         return collected
 
-    def execute(self, *, backend=None, prefetch=None):
+    def execute(self, *, backend=None, prefetch=True):
         """Run the plan's one sweep and finalize the requested scalars.
 
         Returns a dict keyed like the request, a list for a sequence request,
         or the bare scalar for a single-expression request.
 
-        ``prefetch`` controls how every store sweep reads its chunks
-        (``docs/performance.md``): ``None`` (auto) and positive integers read
-        coalesced spans inline and hand the rest of a sweep to a readahead
-        pool only once a span's read blocks longer than consuming it took,
-        with that many spans in flight (auto: 4); ``0`` keeps the strictly
-        serial per-chunk read→decode loop.  Results are bit-identical either
-        way.  :attr:`last_execution` reports ``prefetch_depth`` — the
-        deepest readahead window a chunk sweep was resolved to (``0`` when
-        every sweep read serially or no sweep ran) — ``readahead_sweeps``,
-        the number of store sweeps that engaged the pool, and
-        ``io_seconds``, the wall time sweeps spent blocked waiting on chunk
-        fetches.
+        ``prefetch`` switches how every store sweep reads its chunks
+        (``docs/performance.md``): ``True`` (the default) reads coalesced
+        spans inline and hands the rest of a sweep to a readahead pool only
+        once a span's read blocks longer than consuming it took; ``False``
+        is the serial reference loop, one ``read_chunk`` per chunk.  Results
+        are bit-identical either way; any other value raises ``ValueError``
+        before a sweep starts.  :attr:`last_execution` reports
+        ``prefetch_depth`` — :data:`~repro.streaming.prefetch.READAHEAD_SPANS`
+        when a store sweep went through the reader, ``0`` otherwise —
+        ``readahead_sweeps``, the number of store sweeps that engaged the
+        pool, and ``io_seconds``, the wall time sweeps spent blocked waiting
+        on chunk fetches.
 
         ``backend`` selects the kernel backend executing the fused chunk
         steps (registry names — see ``repro backends``): the default
@@ -513,8 +516,10 @@ class Plan:
         :class:`repro.codecs.CodecError`.  :attr:`last_execution` records
         what actually ran.
         """
+        if prefetch not in (True, False):
+            raise ValueError(f"prefetch is a switch (True or False), "
+                             f"got {prefetch!r}")
         self._validate_sources()
-        resolve_depth(prefetch)  # reject a bad setting before any sweep starts
         requested = backend if backend is not None else self.default_backend
         resolved, fallback = plan_compile.resolve_backend(requested, self.sources)
         run_stats = {
@@ -532,7 +537,8 @@ class Plan:
         }
         states: dict = {}
         for pass_ in self.passes:
-            states.update(self._run_pass(pass_, resolved, run_stats, prefetch))
+            states.update(self._run_pass(pass_, resolved, run_stats,
+                                         serial=not prefetch))
         self.last_execution = run_stats
         results = {key: folds.REDUCTION_SPECS[op].finalize(slots, states, options)
                    for key, (op, slots, options) in self._outputs.items()}
@@ -679,11 +685,11 @@ def _group_terms(program: tuple, terms: tuple) -> tuple:
     return tuple(groups)
 
 
-def evaluate(request, *, backend=None, prefetch=None):
+def evaluate(request, *, backend=None):
     """Compile and run in one call: ``plan(request).execute(...)``.
 
-    ``backend`` and ``prefetch`` pass straight through to
-    :meth:`Plan.execute` — ``None`` keeps the bit-exact ``reference`` default
-    (or the sources' settings consensus) and the auto readahead depth.
+    ``backend`` passes straight through to :meth:`Plan.execute` — ``None``
+    keeps the bit-exact ``reference`` default (or the sources' settings
+    consensus).
     """
-    return plan(request).execute(backend=backend, prefetch=prefetch)
+    return plan(request).execute(backend=backend)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -100,31 +101,25 @@ class QueryService:
         concurrently in flight are rejected immediately with ``{"ok": false,
         "overloaded": true}`` — an explicit signal the client can back off
         on, never a hang.
-    prefetch:
-        Warm-path control (``docs/performance.md``): when the catalog has a
-        chunk cache and ``prefetch`` is not ``0``, each scheduler tick also
-        submits the batch's referenced stores to a background warm thread
-        that decodes their chunks into the shared cache via
-        :func:`repro.streaming.warm_store_cache`, so the plan sweep finds
-        them hot.  ``0`` disables the warm path entirely; other
-        non-negative values are reserved for future depth tuning (the cache
-        byte budget is the real bound today).  Negative values raise
-        ``ValueError``.
+
+    When the catalog has a chunk cache, each scheduler tick also submits the
+    batch's referenced stores to a background warm thread that decodes their
+    chunks into the shared cache via :func:`repro.streaming.warm_store_cache`,
+    so the plan sweep finds them hot (``docs/performance.md``).  A catalog
+    without a cache has no warm path.
     """
 
     def __init__(self, catalog: StoreCatalog, *, tick: float = DEFAULT_TICK_SECONDS,
                  coalesce: bool = True, metrics: ServiceMetrics | None = None,
                  backend: str | None = None, deadline: float | None = None,
-                 max_in_flight: int | None = None,
-                 prefetch: int | None = None):
-        if tick < 0:
-            raise ValueError("tick must be non-negative")
-        if deadline is not None and deadline <= 0:
-            raise ValueError("deadline must be positive (or None)")
+                 max_in_flight: int | None = None):
+        if not (math.isfinite(tick) and tick >= 0):
+            raise ValueError(f"tick must be finite and non-negative, got {tick!r}")
+        if deadline is not None and not (math.isfinite(deadline) and deadline > 0):
+            raise ValueError(f"deadline must be finite and positive (or None), "
+                             f"got {deadline!r}")
         if max_in_flight is not None and max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1 (or None)")
-        if prefetch is not None and prefetch < 0:
-            raise ValueError("prefetch must be >= 0 (or None)")
         if backend is not None:
             from ..kernels import get_backend_class
             get_backend_class(str(backend).lower())  # fail fast on unknown names
@@ -140,8 +135,7 @@ class QueryService:
         self._queue: "asyncio.Queue[_Pending | None]" = asyncio.Queue()
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="repro-serving-plan")
-        self.prefetch = prefetch
-        if prefetch != 0 and catalog.cache is not None:
+        if catalog.cache is not None:
             self._warm_pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-serving-prefetch"
             )

@@ -40,17 +40,15 @@ Three layers:
   (``docs/performance.md``): coalesced record spans in, decoded chunks out in
   index order.  :class:`ChunkPrefetcher` runs it inline and, once a read
   blocks, a bounded window ahead of the consumer on a small thread pool
-  (default-on via ``iter_chunks(prefetch=None)`` across plans, streaming
-  ops, sharded sweeps and serving; ``prefetch=0`` is the serial
-  ``read_chunk`` loop),
-  ``load_region`` runs it inline, and :func:`warm_store_cache` runs it to
-  warm the serving cache.  Chunk order, values and counters stay
-  bit-identical to the serial loop.
+  (every ``iter_chunks`` sweep: plans, streaming ops, sharded sweeps and
+  serving; it takes no setting), ``load_region`` runs it inline, and
+  :func:`warm_store_cache` runs it to warm the serving cache.  Chunk order,
+  values and counters stay bit-identical to the serial loop.
 """
 
 from . import ops
 from .chunked import ChunkedCompressor, stream_compress
-from .prefetch import ChunkPrefetcher, coalesce_spans, resolve_depth, warm_store_cache
+from .prefetch import ChunkPrefetcher, coalesce_spans, warm_store_cache
 from .sharded import (
     ShardedStore,
     append_shard,
@@ -68,7 +66,6 @@ __all__ = [
     "CompressedStoreWriter",
     "ShardedStore",
     "coalesce_spans",
-    "resolve_depth",
     "warm_store_cache",
     "append_shard",
     "init_sharded_store",

@@ -79,60 +79,55 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------- scalar ops
-def mean(source, *, padded: bool = True, backend=None, prefetch=None) -> float:
+def mean(source, *, padded: bool = True, backend=None) -> float:
     """Store-level mean (Algorithm 7), folded chunk-by-chunk.
 
     Matches :func:`repro.core.ops.mean` of the assembled array bit for bit
     (chunking-invariant fold; no error beyond compression).  ``padded`` selects
     the zero-padded (paper) or original-element-count domain.
     """
-    return engine.evaluate(expr.mean(source, padded=padded), backend=backend,
-                           prefetch=prefetch)
+    return engine.evaluate(expr.mean(source, padded=padded), backend=backend)
 
 
-def l2_norm(source, *, backend=None, prefetch=None) -> float:
+def l2_norm(source, *, backend=None) -> float:
     """Store-level L2 norm (Algorithm 10), folded chunk-by-chunk.
 
     Matches :func:`repro.core.ops.l2_norm` of the assembled array bit for bit;
     one square root at the end, so no per-chunk rounding is reintroduced.
     """
-    return engine.evaluate(expr.l2_norm(source), backend=backend,
-                           prefetch=prefetch)
+    return engine.evaluate(expr.l2_norm(source), backend=backend)
 
 
-def dot(a, b, *, backend=None, prefetch=None) -> float:
+def dot(a, b, *, backend=None) -> float:
     """Store-level dot product (Algorithm 6) of two identically chunked sources.
 
     Matches :func:`repro.core.ops.dot` of the assembled arrays bit for bit.
     The sources must agree chunk-by-chunk in shape and settings; two stores
     written with the same ``slab_rows`` satisfy this.
     """
-    return engine.evaluate(expr.dot(a, b), backend=backend,
-                           prefetch=prefetch)
+    return engine.evaluate(expr.dot(a, b), backend=backend)
 
 
-def euclidean_distance(a, b, *, backend=None, prefetch=None) -> float:
+def euclidean_distance(a, b, *, backend=None) -> float:
     """Store-level Euclidean distance ``‖a − b‖₂`` without writing a difference.
 
     Matches :func:`repro.core.ops.euclidean_distance` of the assembled arrays
     bit for bit — the difference is taken in coefficient space per chunk, so no
     rebinning error and no intermediate store.
     """
-    return engine.evaluate(expr.euclidean_distance(a, b), backend=backend,
-                           prefetch=prefetch)
+    return engine.evaluate(expr.euclidean_distance(a, b), backend=backend)
 
 
-def cosine_similarity(a, b, *, backend=None, prefetch=None) -> float:
+def cosine_similarity(a, b, *, backend=None) -> float:
     """Store-level cosine similarity (Algorithm 11) in one pass over the chunks.
 
     Matches :func:`repro.core.ops.cosine_similarity` of the assembled arrays
     bit for bit; raises ``ZeroDivisionError`` for zero-norm operands.
     """
-    return engine.evaluate(expr.cosine_similarity(a, b), backend=backend,
-                           prefetch=prefetch)
+    return engine.evaluate(expr.cosine_similarity(a, b), backend=backend)
 
 
-def variance(source, *, backend=None, prefetch=None) -> float:
+def variance(source, *, backend=None) -> float:
     """Store-level variance (Algorithm 9), one exact pass over the chunks.
 
     The sweep folds each block's DC coefficient and AC square sum; the
@@ -140,17 +135,15 @@ def variance(source, *, backend=None, prefetch=None) -> float:
     :func:`repro.core.ops.variance` runs in-memory, so the results match bit
     for bit.  Any source works, single-shot generators of chunks included.
     """
-    return engine.evaluate(expr.variance(source), backend=backend,
-                           prefetch=prefetch)
+    return engine.evaluate(expr.variance(source), backend=backend)
 
 
-def standard_deviation(source, *, backend=None, prefetch=None) -> float:
+def standard_deviation(source, *, backend=None) -> float:
     """Store-level standard deviation: the square root of :func:`variance`."""
-    return engine.evaluate(expr.standard_deviation(source), backend=backend,
-                           prefetch=prefetch)
+    return engine.evaluate(expr.standard_deviation(source), backend=backend)
 
 
-def covariance(a, b, *, backend=None, prefetch=None) -> float:
+def covariance(a, b, *, backend=None) -> float:
     """Store-level covariance (Algorithm 8), one exact pass over the chunks.
 
     The sweep folds both sources' DC coefficients and the per-block AC
@@ -158,8 +151,7 @@ def covariance(a, b, *, backend=None, prefetch=None) -> float:
     :func:`repro.core.ops.covariance` of the assembled arrays bit for bit.
     Sources must be identically chunked.
     """
-    return engine.evaluate(expr.covariance(a, b), backend=backend,
-                           prefetch=prefetch)
+    return engine.evaluate(expr.covariance(a, b), backend=backend)
 
 
 # ---------------------------------------------------------------------- structural ops
@@ -172,8 +164,8 @@ _STRUCTURAL_OPS = {
 }
 
 
-def _map_to_store(operation: str, sources: tuple, path, extra: tuple = (),
-                  prefetch=None) -> CompressedStore:
+def _map_to_store(operation: str, sources: tuple, path,
+                  extra: tuple = ()) -> CompressedStore:
     """Apply an in-memory chunk operation chunk-by-chunk into a new store.
 
     The result store mirrors the source chunking; only one input chunk (pair)
@@ -184,14 +176,12 @@ def _map_to_store(operation: str, sources: tuple, path, extra: tuple = (),
     rounding, the same rounding any persisted in-memory result undergoes).
     Returns the store reopened for reading.
 
-    ``prefetch`` (default auto) reads the input store's records in
-    coalesced spans, and fetches them ahead of the transform-and-append loop
-    once a read blocks, so the writer stops waiting on slow storage between
-    chunks; ``prefetch=0`` restores the strict serial loop
-    (``docs/performance.md``).
+    The input store's records are read in coalesced spans, fetched ahead of
+    the transform-and-append loop once a read blocks, so the writer stops
+    waiting on slow storage between chunks (``docs/performance.md``).
     """
     transform = _STRUCTURAL_OPS[operation]
-    iterator = aligned_chunks(sources, prefetch=prefetch)
+    iterator = aligned_chunks(sources)
     try:
         try:
             first = next(iterator)
@@ -210,16 +200,16 @@ def _map_to_store(operation: str, sources: tuple, path, extra: tuple = (),
     return CompressedStore(path)
 
 
-def negate(source, path, *, prefetch=None) -> CompressedStore:
+def negate(source, path) -> CompressedStore:
     """Write the negated array to ``path`` chunk-by-chunk (Algorithm 1; exact).
 
     Bit-identical to :func:`repro.core.ops.negate` of the assembled array —
     negation touches only indices, so no rebinning occurs.
     """
-    return _map_to_store("negate", (source,), path, prefetch=prefetch)
+    return _map_to_store("negate", (source,), path)
 
 
-def scale(source, factor: float, path, *, prefetch=None) -> CompressedStore:
+def scale(source, factor: float, path) -> CompressedStore:
     """Write ``factor · source`` to ``path`` chunk-by-chunk (Algorithm 5; exact).
 
     Scaling touches only the per-block maxima (and index signs); the result
@@ -231,11 +221,10 @@ def scale(source, factor: float, path, *, prefetch=None) -> CompressedStore:
     factor = float(factor)
     if not math.isfinite(factor):
         raise ValueError("scalar must be finite")
-    return _map_to_store("scale", (source,), path, extra=(factor,),
-                         prefetch=prefetch)
+    return _map_to_store("scale", (source,), path, extra=(factor,))
 
 
-def add(a, b, path, *, prefetch=None) -> CompressedStore:
+def add(a, b, path) -> CompressedStore:
     """Write the element-wise sum to ``path`` chunk-by-chunk (Algorithm 2).
 
     Error contract: rebinning only (half a bin width of the new per-block
@@ -243,13 +232,13 @@ def add(a, b, path, *, prefetch=None) -> CompressedStore:
     equals the serialized in-memory :func:`repro.core.ops.add` of the
     assembled arrays bit for bit.
     """
-    return _map_to_store("add", (a, b), path, prefetch=prefetch)
+    return _map_to_store("add", (a, b), path)
 
 
-def subtract(a, b, path, *, prefetch=None) -> CompressedStore:
+def subtract(a, b, path) -> CompressedStore:
     """Write the element-wise difference ``a − b`` to ``path`` chunk-by-chunk.
 
     Same rebinning-only contract (and serialized bit-identity to
     :func:`repro.core.ops.subtract`) as :func:`add`.
     """
-    return _map_to_store("subtract", (a, b), path, prefetch=prefetch)
+    return _map_to_store("subtract", (a, b), path)

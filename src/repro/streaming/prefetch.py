@@ -12,9 +12,9 @@ caches and counts each chunk in request order.  Three callers drive it:
   :func:`read_inline` does, until a span's fetch blocks; from then on a small
   thread pool fetches the remaining spans a bounded window ahead while the
   consumer thread decodes, so the CPU and the disk overlap and every fold
-  stays bit-identical to the serial loop.  Depth ``0`` is the per-chunk
-  ``read_chunk`` reference loop (one pread per chunk) the others are measured
-  against.
+  stays bit-identical to the serial loop.  The per-chunk ``read_chunk``
+  loop (one pread per chunk) is the reference it is measured against
+  (``Plan.execute(prefetch=False)``).
 * :func:`read_inline` — the inline phase on its own, never handing off to a
   pool; ``load_region`` uses it on both store kinds (a pool costs more than
   it hides on a short window).
@@ -75,11 +75,11 @@ __all__ = [
     "ChunkPrefetcher",
     "coalesce_spans",
     "read_inline",
-    "resolve_depth",
     "warm_store_cache",
     "DEFAULT_PREFETCH_WORKERS",
     "DEFAULT_SPAN_BYTES",
     "DEFAULT_SPAN_CHUNKS",
+    "READAHEAD_SPANS",
 ]
 
 #: Fetch threads per prefetcher.  Two is enough to hide one read behind one
@@ -94,32 +94,9 @@ DEFAULT_SPAN_BYTES = 1 << 20
 #: useful granularity instead of fetching everything in one giant span.
 DEFAULT_SPAN_CHUNKS = 8
 
-#: Auto mode leaves stores with fewer chunks than this on the per-chunk
-#: serial path: so few reads leave nothing worth coalescing or overlapping.
-_MIN_AUTO_CHUNKS = 4
-
-
-def resolve_depth(prefetch: int | None, n_chunks: int | None = None) -> int:
-    """Resolve a user-facing ``prefetch`` setting into an in-flight span depth.
-
-    ``None`` selects auto: 2× :data:`DEFAULT_PREFETCH_WORKERS`, except for
-    stores of fewer than a handful of chunks (when ``n_chunks`` is known)
-    where the serial path wins.  ``0`` disables prefetching outright; a
-    positive integer is used verbatim as the bounded window of span fetches
-    in flight — unless ``n_chunks`` is at most one, where there is nothing to
-    overlap and the reader runs serially.  Negative values raise
-    ``ValueError``.
-    """
-    if prefetch is None:
-        if n_chunks is not None and n_chunks < _MIN_AUTO_CHUNKS:
-            return 0
-        return 2 * DEFAULT_PREFETCH_WORKERS
-    depth = int(prefetch)
-    if depth < 0:
-        raise ValueError(f"prefetch depth must be >= 0, got {prefetch!r}")
-    if n_chunks is not None and n_chunks <= 1:
-        return 0
-    return depth
+#: Coalesced span fetches in flight once a sweep's readahead pool engages:
+#: two per fetch thread, so each worker has its next span queued.
+READAHEAD_SPANS = 2 * DEFAULT_PREFETCH_WORKERS
 
 
 def coalesce_spans(extents: Sequence[tuple], *,
@@ -317,10 +294,10 @@ class ChunkPrefetcher:
     order, as ``store.read_chunk(i) for i in indices``.  Coalesced spans are
     fetched inline on the consumer thread until one blocks — it read records
     from the file and its fetch outlasted the consumption of its chunks.  The
-    remaining spans are then fetched up to ``depth`` spans ahead on a pool of
-    :data:`DEFAULT_PREFETCH_WORKERS` threads, created at that point, so the
-    consumer's decode/fold work overlaps the I/O.  :attr:`readahead` tells
-    whether the pool engaged.
+    remaining spans are then fetched up to :data:`READAHEAD_SPANS` spans
+    ahead on a pool of :data:`DEFAULT_PREFETCH_WORKERS` threads, created at
+    that point, so the consumer's decode/fold work overlaps the I/O.
+    :attr:`readahead` tells whether the pool engaged.
 
     Parameters
     ----------
@@ -329,11 +306,6 @@ class ChunkPrefetcher:
         :class:`~repro.streaming.ShardedStore`.
     indices:
         Global chunk indices to yield, in order (default: every chunk).
-    depth:
-        Maximum coalesced span fetches in flight once the pool engages,
-        resolved by :func:`resolve_depth` against the number of indices
-        (``None`` → auto).  ``0`` is the serial reference loop: one
-        ``read_chunk`` — one pread — per chunk.
 
     A prefetcher is **single-use**: iterate it once, then :meth:`close` it
     (closing is automatic when the iteration ends, is abandoned, or the
@@ -341,22 +313,16 @@ class ChunkPrefetcher:
     pool's threads are joined, so aborted pipelines leak nothing).
     """
 
-    def __init__(self, store, indices: Iterable[int] | None = None, *,
-                 depth: int | None = None):
+    def __init__(self, store, indices: Iterable[int] | None = None):
         self.store = store
         self.indices = (list(range(store.n_chunks)) if indices is None
                         else [int(index) for index in indices])
-        self.depth = resolve_depth(depth, len(self.indices))
         self.readahead = False
         self._pool: ThreadPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
 
     def __iter__(self) -> Iterator:
         """Yield decoded chunks in request order: inline, then ahead once blocked."""
-        if self.depth == 0:
-            for index in self.indices:
-                yield self.store.read_chunk(index)
-            return
         spans = _spans(self.store, self.indices)
         try:
             rest = yield from _read_spans(spans, until_blocked=True)
@@ -366,7 +332,7 @@ class ChunkPrefetcher:
             self.close()
 
     def _read_ahead(self, spans: Iterator[tuple[object, list[int]]]) -> Iterator:
-        """Fetch the remaining ``spans`` up to ``depth`` ahead on the pool."""
+        """Fetch the remaining ``spans``, :data:`READAHEAD_SPANS` ahead, on the pool."""
         self.readahead = True
         self._pool = ThreadPoolExecutor(
             max_workers=DEFAULT_PREFETCH_WORKERS,
@@ -386,7 +352,7 @@ class ChunkPrefetcher:
             window.append((real, locals_, future))
             return True
 
-        for _ in range(self.depth):
+        for _ in range(READAHEAD_SPANS):
             if not submit_next():
                 break
         while window:
@@ -411,7 +377,7 @@ class ChunkPrefetcher:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ChunkPrefetcher(chunks={len(self.indices)}, depth={self.depth})"
+        return f"ChunkPrefetcher(chunks={len(self.indices)})"
 
 
 def warm_store_cache(store, indices: Iterable[int] | None = None) -> int:

@@ -42,32 +42,30 @@ def require_pyblaz(store) -> None:
         )
 
 
-def source_chunks(source, *, prefetch: int | None = None) -> Iterator[CompressedArray]:
+def source_chunks(source) -> Iterator[CompressedArray]:
     """Iterate a source's chunks: a store's records or an iterable's items.
 
-    ``prefetch`` passes through to :meth:`CompressedStore.iter_chunks
-    <repro.streaming.CompressedStore.iter_chunks>` for store sources (``None``
-    auto-enables readahead, ``0`` keeps the serial loop); in-memory iterables
-    ignore it.
+    Store sources read through :meth:`CompressedStore.iter_chunks
+    <repro.streaming.CompressedStore.iter_chunks>`.
     """
     if isinstance(source, STORE_TYPES):
         require_pyblaz(source)
-        return source.iter_chunks(prefetch=prefetch)
+        return source.iter_chunks()
     return iter(source)
 
 
-def aligned_chunks(sources: tuple, *, prefetch: int | None = None) -> Iterator[tuple]:
+def aligned_chunks(sources: tuple) -> Iterator[tuple]:
     """Yield aligned chunk tuples across sources, enforcing identical chunking.
 
-    With ``prefetch`` enabled (the default auto mode), every store source
-    reads through its own :class:`~repro.streaming.ChunkPrefetcher`, which
-    hands off to a readahead pool once its reads block; the lockstep zip
+    Every store source reads through its own
+    :class:`~repro.streaming.ChunkPrefetcher`, which hands off to a
+    readahead pool once its reads block; the lockstep zip
     below consumes them jointly, so multi-source sweeps (dot, covariance,
     structural binaries) can pipeline all their inputs at once.  Abandoning
     or closing this generator closes every source iterator, which shuts the
     prefetchers' fetch pools down promptly.
     """
-    iterators = [source_chunks(source, prefetch=prefetch) for source in sources]
+    iterators = [source_chunks(source) for source in sources]
     sentinel = object()
     try:
         while True:

@@ -297,20 +297,17 @@ class ReadSurface:
             )
         self._codec = codec
 
-    def iter_chunks(self, *, prefetch: int | None = None) -> Iterator:
+    def iter_chunks(self) -> Iterator:
         """Yield every chunk's compressed object in row order.
 
-        ``prefetch`` selects the span reader
-        (:class:`repro.streaming.ChunkPrefetcher`): ``None`` (the default)
-        reads coalesced spans inline and, once a read blocks, fetches the
-        rest ahead with an auto depth; a positive integer sets that in-flight
-        span window, and ``0`` is the serial ``read_chunk`` loop.  Chunk
-        order, values, counters and error positions are identical either way
-        — readahead only overlaps record fetches with decoding.  On a
-        sharded store the window crosses shard boundaries (spans never
-        straddle two shard files).
+        Reads through :class:`repro.streaming.ChunkPrefetcher`: coalesced
+        spans inline and, once a read blocks, the rest a bounded window
+        ahead.  Chunk order, values, counters and error positions are those
+        of the ``read_chunk`` loop — readahead only overlaps record fetches
+        with decoding.  On a sharded store the window crosses shard
+        boundaries (spans never straddle two shard files).
         """
-        return iter(ChunkPrefetcher(self, depth=prefetch))
+        return iter(ChunkPrefetcher(self))
 
     def decompress_chunk(self, chunk) -> np.ndarray:
         """Decompress one chunk object with the store's codec.

@@ -258,17 +258,19 @@ class TestPrefetchChaos:
     pipeline never leaks its fetch threads."""
 
     @staticmethod
-    def _decoded(store, *, prefetch):
+    def _decoded(store):
         return [store.decompress_chunk(chunk).tobytes()
-                for chunk in store.iter_chunks(prefetch=prefetch)]
+                for chunk in store.iter_chunks()]
 
     @pytest.mark.parametrize("kind", ["latency", "short_read", "bit_flip"])
     def test_transient_fault_in_span_retries_to_identical(self, store, kind):
-        baseline = self._decoded(store, prefetch=0)
+        # the serial read_chunk loop is the reference
+        baseline = [store.decompress_chunk(store.read_chunk(index)).tobytes()
+                    for index in range(store.n_chunks)]
         rule = FaultRule(kind, chunk_index=1, delay_seconds=0.005)
         with inject(rule, seed=3) as plan:
             with _reopen(store) as faulted:
-                assert self._decoded(faulted, prefetch=4) == baseline
+                assert self._decoded(faulted) == baseline
                 expected_retries = 0 if kind == "latency" else 1
                 assert faulted.read_retries == expected_retries
         assert plan.fired[kind] == 1  # the fault hit the prefetched span
@@ -279,7 +281,7 @@ class TestPrefetchChaos:
         with inject(rule, seed=3):
             with _reopen(store) as faulted:
                 with pytest.raises(IntegrityError, match="chunk 1") as info:
-                    self._decoded(faulted, prefetch=4)
+                    self._decoded(faulted)
                 assert info.value.chunk_index == 1
 
     def test_no_retry_policy_surfaces_span_fault(self, store):
@@ -288,7 +290,7 @@ class TestPrefetchChaos:
         with inject(FaultRule("bit_flip", chunk_index=0, times=50), seed=3):
             with CompressedStore(store.path, retry_policy=None) as faulted:
                 with pytest.raises(IntegrityError):
-                    self._decoded(faulted, prefetch=4)
+                    self._decoded(faulted)
 
     def test_aborted_pipeline_under_faults_leaks_no_threads(self, store):
         import threading
@@ -297,7 +299,7 @@ class TestPrefetchChaos:
         rule = FaultRule("latency", delay_seconds=0.005, times=50)
         with inject(rule, seed=3):
             with _reopen(store) as faulted:
-                iterator = faulted.iter_chunks(prefetch=4)
+                iterator = faulted.iter_chunks()
                 next(iterator)
                 iterator.close()  # mid-pipeline abort with spans in flight
                 assert faulted.chunks_prefetched > faulted.chunks_read
@@ -311,7 +313,6 @@ class TestPrefetchChaos:
         with inject(*rules, seed=3) as plan:
             with _reopen(store) as faulted:
                 chaotic = engine.evaluate({"m": expr.mean(faulted),
-                                           "n": expr.l2_norm(faulted)},
-                                          prefetch=4)
+                                           "n": expr.l2_norm(faulted)})
         assert chaotic == baseline  # scalar-exact through the pipeline
         assert plan.fired["os_error"] == 1 and plan.fired["bit_flip"] == 1

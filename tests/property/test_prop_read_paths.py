@@ -6,11 +6,11 @@ ragged chunking (shards of different row counts, a ragged final chunk), a
 single or sharded layout, a chunk cache or none, and either an index subset
 or a region, then drives every caller of the reader:
 
-* ``iter_chunks`` / :class:`ChunkPrefetcher` at depth ``0`` (the per-chunk
-  ``read_chunk`` reference loop), ``1`` and auto;
-* an auto-depth sweep whose record reads are slowed by a ``latency`` fault
+* the per-chunk ``read_chunk`` reference loop, and ``iter_chunks`` /
+  :class:`ChunkPrefetcher`;
+* a prefetcher sweep whose record reads are slowed by a ``latency`` fault
   from a drawn chunk index onward, so it hands its remaining spans to the
-  readahead pool wherever that index falls (``prefetch-auto-slow``);
+  readahead pool wherever that index falls (``prefetcher-slow``);
 * :func:`read_inline`, ``load_region`` and ``load``;
 * :func:`warm_store_cache` followed by a sweep.
 
@@ -44,9 +44,8 @@ from repro.streaming.sharded import shard_filename
 
 #: Chunk-sequence read paths: name -> (store, indices) -> decoded chunks.
 CHUNK_PATHS = {
-    "prefetch-0": lambda store, indices: ChunkPrefetcher(store, indices, depth=0),
-    "prefetch-1": lambda store, indices: ChunkPrefetcher(store, indices, depth=1),
-    "prefetch-auto": lambda store, indices: ChunkPrefetcher(store, indices),
+    "read_chunk": lambda store, indices: map(store.read_chunk, indices),
+    "prefetcher": ChunkPrefetcher,
     "inline": read_inline,
 }
 
@@ -178,13 +177,13 @@ class TestEveryReadPathAgrees:
             for layout, (opener, path) in layouts.items():
                 for cached in (False, True):
                     observed = {}
-                    readers = dict(CHUNK_PATHS, **{"prefetch-auto-slow": slow_sweep})
+                    readers = dict(CHUNK_PATHS, **{"prefetcher-slow": slow_sweep})
                     for name, reader in readers.items():
                         observed[name] = _observe(
                             opener, path, cached,
                             lambda store: _decoded(store, reader(store, wanted)))
                     if indices is None:
-                        observed["iter_chunks-auto"] = _observe(
+                        observed["iter_chunks"] = _observe(
                             opener, path, cached,
                             lambda store: _decoded(store, store.iter_chunks()))
 
@@ -194,7 +193,7 @@ class TestEveryReadPathAgrees:
 
                     warmed, warmed_counters = _observe(opener, path, cached,
                                                        warm_then_sweep)
-                    expected_counters = observed["prefetch-0"][1]
+                    expected_counters = observed["read_chunk"][1]
                     for name, (output, counters) in observed.items():
                         assert np.array_equal(output, reference_bytes), (layout, name)
                         assert counters == expected_counters, (layout, cached, name)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.streaming.prefetch import READAHEAD_SPANS
 from tests.conftest import smooth_field
 
 
@@ -314,25 +315,22 @@ class TestStreamOpsEvaluateAndJson:
         assert payload["seconds"] >= 0.0
         assert payload["stores"] == [str(store_a), str(store_b)]
         # pipelined-I/O contract fields: time blocked fetching chunks, and
-        # the resolved readahead depth (auto mode resolves to a positive int)
+        # the readahead window the sweeps read through
         assert payload["io_seconds"] >= 0.0
         assert payload["io_seconds"] <= payload["seconds"]
-        assert payload["prefetch_depth"] > 0
+        assert payload["prefetch_depth"] == READAHEAD_SPANS
         # each 5-chunk store is one span: nothing is left to read ahead
         assert payload["readahead_sweeps"] == 0
 
-    def test_evaluate_json_prefetch_zero_reports_depth_zero(self, store_pair,
-                                                            capsys):
-        import json
-
+    def test_prefetch_option_is_gone(self, store_pair, capsys):
+        """Readahead takes no setting: ``--prefetch`` is an unknown option."""
         store_a, *_ = store_pair
         capsys.readouterr()
-        assert main(["stream-ops", "evaluate", str(store_a),
-                     "--op", "mean", "--json", "--prefetch", "0"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["prefetch_depth"] == 0
-        assert payload["readahead_sweeps"] == 0
-        assert payload["io_seconds"] >= 0.0
+        with pytest.raises(SystemExit) as exited:
+            main(["stream-ops", "evaluate", str(store_a), "--op", "mean",
+                  "--json", "--prefetch", "0"])
+        assert exited.value.code == 2
+        assert "--prefetch" in capsys.readouterr().err
 
     def test_evaluate_json_reports_readahead_sweeps(self, tmp_path, capsys):
         import json
@@ -348,9 +346,9 @@ class TestStreamOpsEvaluateAndJson:
         # 32 chunks, every read slowed: the first span's read hands off
         with inject(FaultRule("latency", delay_seconds=0.005, times=10**6)):
             assert main(["stream-ops", "evaluate", str(store), "--op", "mean",
-                         "--json", "--prefetch", "4"]) == 0
+                         "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["prefetch_depth"] == 4
+        assert payload["prefetch_depth"] == READAHEAD_SPANS
         assert payload["readahead_sweeps"] == 1
 
     def test_centered_subset_reports_one_pass(self, store_pair, capsys):
@@ -491,9 +489,14 @@ class TestServeQueryCommands:
         assert code == 2
         assert "cannot reach" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("prefetch", ["-1", "-3"])
-    def test_serve_negative_prefetch_exits_2(self, tmp_path, capsys, monkeypatch,
-                                             prefetch):
+    @pytest.mark.parametrize("option, value", [
+        ("--prefetch", "0"),         # the warm path takes no setting
+        ("--tick", "-1"), ("--tick", "inf"), ("--tick", "nan"),
+        ("--deadline", "0"), ("--deadline", "nan"), ("--deadline", "inf"),
+        ("--cache-bytes", "-1"), ("--max-in-flight", "0"),
+    ])
+    def test_serve_rejects_bad_settings_with_exit_2(self, tmp_path, capsys,
+                                                    monkeypatch, option, value):
         import asyncio
 
         npy = tmp_path / "a.npy"
@@ -504,10 +507,19 @@ class TestServeQueryCommands:
         capsys.readouterr()
         # never serve: an accepted setting returns 0 here instead of blocking
         monkeypatch.setattr(asyncio, "run", lambda coroutine: coroutine.close())
-        assert main(["serve", f"a={store}", "--port", "0",
-                     "--prefetch", prefetch]) == 2
-        assert "--prefetch" in capsys.readouterr().err
+        assert main(["serve", f"a={store}", "--port", "0"]) == 0
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", f"a={store}", "--port", "0", option, value])
+        assert exited.value.code == 2
+        assert option in capsys.readouterr().err
 
+    def test_serve_tick_defaults_to_the_service_default(self):
+        from repro.serving import DEFAULT_TICK_SECONDS
+
+        args = build_parser().parse_args(["serve", "a=a.pblzc"])
+        assert args.tick == DEFAULT_TICK_SECONDS
+
+    def test_serve_bad_catalog_entries_exit_2(self, tmp_path, capsys):
         assert main(["serve", "noequals"]) == 2
         assert "NAME=PATH" in capsys.readouterr().err
         assert main(["serve", f"x={tmp_path / 'missing.pblzc'}"]) == 2

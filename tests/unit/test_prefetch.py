@@ -2,8 +2,10 @@
 
 The invariant under test everywhere: a prefetched sweep yields the same
 chunks, in the same order, decoding to the same bytes, with the same
-``chunks_read`` accounting as the serial loop — only the physical read
-pattern (``preads``) and the overlap change.
+``chunks_read`` accounting as the serial ``read_chunk`` loop — only the
+physical read pattern (``preads``) and the overlap change.  The reader takes
+no setting; ``Plan.execute(prefetch=False)`` is the one switch back to the
+serial loop.
 
 Sweeps read spans inline until a read blocks, so the tests that exercise
 the readahead pool slow every record read down with a ``latency`` fault
@@ -18,8 +20,11 @@ import time
 import numpy as np
 import pytest
 
+import repro.streaming
+from repro import engine
 from repro.core import CompressionSettings
 from repro.engine import expr, plan
+from repro.streaming import ops as stream_ops
 from repro.streaming import (
     ChunkedCompressor,
     ChunkPrefetcher,
@@ -29,12 +34,12 @@ from repro.streaming import (
     coalesce_spans,
     init_sharded_store,
     load_region,
-    resolve_depth,
     warm_store_cache,
 )
 from repro.reliability import FaultRule, IntegrityError, inject
 from repro.serving import ChunkCache
-from repro.streaming.prefetch import DEFAULT_PREFETCH_WORKERS, DEFAULT_SPAN_CHUNKS
+from repro.streaming.prefetch import (DEFAULT_PREFETCH_WORKERS, DEFAULT_SPAN_CHUNKS,
+                                     READAHEAD_SPANS)
 from repro.streaming.sources import aligned_chunks
 
 from tests.conftest import smooth_field
@@ -59,10 +64,24 @@ def store(tmp_path, settings, field) -> CompressedStore:
         yield opened
 
 
-def _chunk_bytes(store, *, prefetch):
+def _serial_chunks(store):
+    """The reference loop: one ``read_chunk`` per chunk, in order."""
+    return (store.read_chunk(index) for index in range(store.n_chunks))
+
+
+def _decoded(store, chunks):
+    """Each chunk's decoded bytes, in order."""
+    return [store.decompress_chunk(chunk).tobytes() for chunk in chunks]
+
+
+def _chunk_bytes(store):
     """Every chunk's decoded bytes, in order, via ``iter_chunks``."""
-    return [store.decompress_chunk(chunk).tobytes()
-            for chunk in store.iter_chunks(prefetch=prefetch)]
+    return _decoded(store, store.iter_chunks())
+
+
+def _serial_bytes(store):
+    """Every chunk's decoded bytes, in order, via the ``read_chunk`` loop."""
+    return _decoded(store, _serial_chunks(store))
 
 
 #: Per-record read delay that makes every span's fetch outlast its decode.
@@ -91,24 +110,28 @@ def _sweep_watching_pool(chunks):
     return yielded, pooled
 
 
-class TestResolveDepth:
-    def test_none_is_auto(self):
-        assert resolve_depth(None) == 2 * DEFAULT_PREFETCH_WORKERS
+class TestNoReadaheadSetting:
+    """The readahead window is a constant: no surface takes a depth."""
 
-    def test_auto_disables_for_tiny_stores(self):
-        assert resolve_depth(None, n_chunks=2) == 0
-        assert resolve_depth(None, n_chunks=3) == 0
-        assert resolve_depth(None, n_chunks=4) > 0
+    def test_window_is_two_spans_per_worker(self):
+        assert READAHEAD_SPANS == 2 * DEFAULT_PREFETCH_WORKERS == 4
+        assert not hasattr(repro.streaming, "resolve_depth")
 
-    def test_zero_and_explicit(self):
-        assert resolve_depth(0) == 0
-        assert resolve_depth(0, n_chunks=1000) == 0
-        assert resolve_depth(7, n_chunks=2) == 7  # explicit beats tiny-store
-        assert resolve_depth(7, n_chunks=1) == 0  # nothing to overlap
+    def test_depth_keyword_is_gone(self, store):
+        with pytest.raises(TypeError, match="depth"):
+            ChunkPrefetcher(store, depth=2)
+        with pytest.raises(TypeError, match="prefetch"):
+            store.iter_chunks(prefetch=0)
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_depth(-1)
+    def test_prefetch_keyword_is_gone_from_ops_and_evaluate(self, tmp_path, store):
+        with pytest.raises(TypeError, match="prefetch"):
+            stream_ops.mean(store, prefetch=0)
+        with pytest.raises(TypeError, match="prefetch"):
+            stream_ops.add(store, store, tmp_path / "sum.pblzc", prefetch=0)
+        with pytest.raises(TypeError, match="prefetch"):
+            engine.evaluate(expr.mean(expr.source(store)), prefetch=0)
+        assert not (tmp_path / "sum.pblzc").exists()
+        assert store.chunks_read == 0
 
 
 class TestCoalesceSpans:
@@ -140,21 +163,22 @@ class TestCoalesceSpans:
 
 
 class TestBitIdentity:
-    def test_iter_chunks_identical_across_depths(self, store):
-        serial = _chunk_bytes(store, prefetch=0)
-        for depth in (None, 1, 2, 8, 64):
-            assert _chunk_bytes(store, prefetch=depth) == serial
+    def test_iter_chunks_identical_to_read_chunk_loop(self, store):
+        serial = _serial_bytes(store)
+        assert _chunk_bytes(store) == serial
+        with inject(*_slow_reads()):
+            assert _chunk_bytes(store) == serial  # with the pool engaged
 
     def test_prefetcher_reads_fewer_times(self, tmp_path, settings, field):
         with ChunkedCompressor(settings, slab_rows=8).compress_to_store(
             field, tmp_path / "serial.pblzc"
         ) as serial_store:
-            list(serial_store.iter_chunks(prefetch=0))
+            list(_serial_chunks(serial_store))
             serial_preads = serial_store.preads
         with ChunkedCompressor(settings, slab_rows=8).compress_to_store(
             field, tmp_path / "piped.pblzc"
         ) as piped_store:
-            list(piped_store.iter_chunks(prefetch=4))
+            list(piped_store.iter_chunks())
             piped_preads = piped_store.preads
         assert piped_preads < serial_preads
 
@@ -162,8 +186,8 @@ class TestBitIdentity:
         x = expr.source(store)
         outputs = {"mean": expr.mean(x), "l2": expr.l2_norm(x),
                    "var": expr.variance(x)}
-        serial = plan(outputs).execute(prefetch=0)
-        piped = plan(outputs).execute(prefetch=4)
+        serial = plan(outputs).execute(prefetch=False)
+        piped = plan(outputs).execute()
         assert serial == piped  # exact equality: bit-identical folds
 
     def test_aligned_multi_source(self, tmp_path, settings, field):
@@ -173,49 +197,52 @@ class TestBitIdentity:
         ) as store_a, ChunkedCompressor(settings, slab_rows=8).compress_to_store(
             other, tmp_path / "b.pblzc"
         ) as store_b:
-            def sweep(prefetch):
+            def sweep(pairs):
                 return [
                     (store_a.decompress_chunk(a).tobytes(),
                      store_b.decompress_chunk(b).tobytes())
-                    for a, b in aligned_chunks((store_a, store_b),
-                                               prefetch=prefetch)
+                    for a, b in pairs
                 ]
 
-            serial = sweep(0)
-            piped = sweep(4)
+            serial = sweep(zip(_serial_chunks(store_a), _serial_chunks(store_b)))
+            piped = sweep(aligned_chunks((store_a, store_b)))
         assert piped == serial
 
 
 class TestAccounting:
     def test_prefetched_and_read_match_on_full_sweep(self, store):
-        list(store.iter_chunks(prefetch=4))
+        list(store.iter_chunks())
         assert store.chunks_read == store.n_chunks
         assert store.chunks_prefetched == store.n_chunks
 
-    def test_serial_sweep_prefetches_nothing(self, store):
-        list(store.iter_chunks(prefetch=0))
+    def test_serial_plan_sweep_prefetches_nothing(self, store):
+        assert store.settings is not None  # its lazy read of chunk 0, done first
+        opened_with = store.preads
+        plan({"mean": expr.mean(expr.source(store))}).execute(prefetch=False)
         assert store.chunks_read == store.n_chunks
         assert store.chunks_prefetched == 0
+        assert store.preads - opened_with == store.n_chunks  # one per chunk
 
     def test_aborted_pipeline_prefetched_exceeds_read(self, store):
-        iterator = store.iter_chunks(prefetch=4)
+        iterator = store.iter_chunks()
         next(iterator)
         iterator.close()
         assert store.chunks_read == 1
         assert store.chunks_prefetched > store.chunks_read
 
     def test_cache_hit_counters_match_serial(self, tmp_path, settings, field):
-        def sweep(name, prefetch):
+        def sweep(name, reader):
             cache = ChunkCache(max_bytes=64 * 1024 * 1024)
             with ChunkedCompressor(settings, slab_rows=8).compress_to_store(
                 field, tmp_path / name
             ) as opened:
                 opened.chunk_cache = cache
-                list(opened.iter_chunks(prefetch=prefetch))
-                list(opened.iter_chunks(prefetch=prefetch))
+                list(reader(opened))
+                list(reader(opened))
             return cache.hits, cache.misses
 
-        assert sweep("piped.pblzc", 4) == sweep("serial.pblzc", 0)
+        assert (sweep("piped.pblzc", lambda opened: opened.iter_chunks())
+                == sweep("serial.pblzc", _serial_chunks))
 
 
 class TestLoadRegion:
@@ -245,7 +272,7 @@ class TestLifecycle:
     def test_abort_leaks_no_threads(self, store):
         baseline = threading.active_count()
         with inject(*_slow_reads()):
-            iterator = store.iter_chunks(prefetch=4)
+            iterator = store.iter_chunks()
             # the first span is read inline; its slow read hands off the rest
             for _ in range(DEFAULT_SPAN_CHUNKS + 1):
                 next(iterator)
@@ -256,7 +283,7 @@ class TestLifecycle:
     def test_garbage_collected_prefetcher_shuts_down(self, store):
         baseline = threading.active_count()
         with inject(*_slow_reads()):
-            prefetcher = ChunkPrefetcher(store, depth=4)
+            prefetcher = ChunkPrefetcher(store)
             iterator = iter(prefetcher)
             for _ in range(DEFAULT_SPAN_CHUNKS + 1):
                 next(iterator)
@@ -269,7 +296,7 @@ class TestLifecycle:
     def test_exhausted_iteration_shuts_down(self, store):
         baseline = threading.active_count()
         with inject(*_slow_reads()):
-            _, pooled = _sweep_watching_pool(store.iter_chunks(prefetch=4))
+            _, pooled = _sweep_watching_pool(store.iter_chunks())
         assert any(pooled)
         assert threading.active_count() == baseline
 
@@ -289,10 +316,10 @@ class TestHandOff:
     def test_cache_warm_sweep_starts_no_pool(self, store):
         cache = ChunkCache(max_bytes=64 * 1024 * 1024)
         store.chunk_cache = cache
-        expected = _chunk_bytes(store, prefetch=0)
+        expected = _serial_bytes(store)
         # every read would block, but no span reads the file
         with inject(*_slow_reads()) as faults:
-            prefetcher = ChunkPrefetcher(store, depth=4)
+            prefetcher = ChunkPrefetcher(store)
             chunks, pooled = _sweep_watching_pool(prefetcher)
         assert [store.decompress_chunk(chunk).tobytes() for chunk in chunks] == expected
         assert not prefetcher.readahead and not any(pooled)
@@ -312,7 +339,7 @@ class TestHandOff:
 
         long_store.chunk_cache = ChunkCache(max_bytes=64 * 1024 * 1024)
         with inject(*_slow_reads(*range(first_slow, long_store.n_chunks))):
-            prefetcher = ChunkPrefetcher(long_store, depth=4)
+            prefetcher = ChunkPrefetcher(long_store)
             chunks, pooled = _sweep_watching_pool(consume(prefetcher))
         cache = long_store.chunk_cache
         counters = (long_store.chunks_read, cache.hits, cache.misses)
@@ -323,7 +350,7 @@ class TestHandOff:
 
         with CompressedStore(long_store.path) as serial_store:
             cache = serial_store.chunk_cache = ChunkCache(max_bytes=64 * 1024 * 1024)
-            serial = _chunk_bytes(serial_store, prefetch=0)
+            serial = _serial_bytes(serial_store)
             assert counters == (serial_store.chunks_read, cache.hits, cache.misses)
         assert [long_store.decompress_chunk(chunk).tobytes()
                 for chunk in chunks] == serial
@@ -334,7 +361,7 @@ class TestHandOff:
         yielded, pooled = [], []
         with inject(*rules):
             with pytest.raises(IntegrityError) as raised:
-                for chunk in long_store.iter_chunks(prefetch=4):
+                for chunk in long_store.iter_chunks():
                     yielded.append(chunk)
                     pooled.append(_pool_running())
         assert any(pooled)
@@ -354,10 +381,10 @@ class TestSharded:
 
     def test_sharded_iter_identical_across_boundaries(self, sharded_path):
         with ShardedStore(sharded_path) as store:
-            serial = _chunk_bytes(store, prefetch=0)
+            serial = _serial_bytes(store)
         with ShardedStore(sharded_path) as store, inject(*_slow_reads()):
             # the first shard's span is read inline, the second's by the pool
-            chunks, pooled = _sweep_watching_pool(store.iter_chunks(prefetch=4))
+            chunks, pooled = _sweep_watching_pool(store.iter_chunks())
             piped = [store.decompress_chunk(chunk).tobytes() for chunk in chunks]
             assert store.chunks_prefetched == store.n_chunks
         assert any(pooled)
@@ -366,9 +393,9 @@ class TestSharded:
 
 class TestErrorPosition:
     """A persistent bad record raises at its own position in request order:
-    every good chunk before it is yielded first, at any depth and layout.
-    Every read is slowed so the bad record, in the second span, is fetched
-    by the readahead pool at depths 1 and 4."""
+    every good chunk before it is yielded first, by the reference loop and
+    the reader, on either layout.  Every read is slowed so the bad record,
+    in the second span, is fetched by the reader's readahead pool."""
 
     BAD_CHUNK = DEFAULT_SPAN_CHUNKS + 3
 
@@ -389,18 +416,20 @@ class TestErrorPosition:
         with ShardedStore(path) as opened:
             yield opened, "shard-000001", self.BAD_CHUNK - 8
 
-    @pytest.mark.parametrize("prefetch", [0, 1, 4])
-    def test_good_chunks_before_the_bad_record_are_yielded(self, bad_store, prefetch):
+    @pytest.mark.parametrize("reader", ["read_chunk", "prefetcher"])
+    def test_good_chunks_before_the_bad_record_are_yielded(self, bad_store, reader):
         store, path, local = bad_store
         assert store.n_chunks == 16
         rule = FaultRule("bit_flip", path=path, chunk_index=local, times=10**6)
         yielded, pooled = [], []
         with inject(rule, *_slow_reads(), seed=0):
             with pytest.raises(IntegrityError) as raised:
-                for chunk in store.iter_chunks(prefetch=prefetch):
+                chunks = (_serial_chunks(store) if reader == "read_chunk"
+                          else store.iter_chunks())
+                for chunk in chunks:
                     yielded.append(chunk)
                     pooled.append(_pool_running())
-        assert any(pooled) == (prefetch > 0)
+        assert any(pooled) == (reader == "prefetcher")
         assert len(yielded) == self.BAD_CHUNK
         assert raised.value.chunk_index == local
         assert store.chunks_read == self.BAD_CHUNK
@@ -416,7 +445,7 @@ class TestWarmStoreCache:
         assert cache.prefetch_issued == store.n_chunks
         assert warm_store_cache(store) == 0  # already warm
         # the warmed entries serve the sweep: no further reads
-        list(store.iter_chunks(prefetch=0))
+        list(store.iter_chunks())
         assert cache.prefetch_used == store.n_chunks
 
     def test_no_cache_is_noop(self, store):
@@ -428,25 +457,17 @@ class TestWarmStoreCache:
 class TestPlanStats:
     def test_io_seconds_and_depth_recorded(self, store):
         built = plan({"mean": expr.mean(expr.source(store))})
-        built.execute(prefetch=4)
+        built.execute()
         stats = built.last_execution
-        assert stats["prefetch_depth"] == 4
+        assert stats["prefetch_depth"] == READAHEAD_SPANS
         assert 0.0 <= stats["io_seconds"]
 
-    def test_depth_zero_recorded(self, store):
+    @pytest.mark.parametrize("serial", [False, 0])
+    def test_serial_switch_records_depth_zero(self, store, serial):
         built = plan({"mean": expr.mean(expr.source(store))})
-        built.execute(prefetch=0)
+        assert built.execute(prefetch=serial) == built.execute(prefetch=True)
+        built.execute(prefetch=serial)
         assert built.last_execution["prefetch_depth"] == 0
-
-    def test_tiny_store_reports_the_serial_depth_it_ran(self, tmp_path, settings):
-        with ChunkedCompressor(settings, slab_rows=8).compress_to_store(
-            smooth_field((24, 20), seed=3), tmp_path / "tiny.pblzc"
-        ) as tiny:
-            assert tiny.n_chunks == 3
-            built = plan({"mean": expr.mean(expr.source(tiny))})
-            built.execute()  # auto readahead: too few chunks to pipeline
-            assert tiny.chunks_prefetched == 0
-            assert built.last_execution["prefetch_depth"] == 0
 
     def test_decode_free_plan_reports_no_depth(self, tmp_path, settings):
         path = tmp_path / "grown.shards"
@@ -454,7 +475,7 @@ class TestPlanStats:
                            slab_rows=8).close()
         with ShardedStore(path) as store:
             built = plan({"mean": expr.mean(expr.source(store))})
-            built.execute(prefetch=4)
+            built.execute()
             assert built.last_execution["incremental_groups"] == 1
             assert store.chunks_read == 0
             assert built.last_execution["prefetch_depth"] == 0
@@ -469,25 +490,99 @@ class TestPlanStats:
             x, y = expr.source(store_a), expr.source(store_b)
             built = plan({"mean": expr.mean(x), "dot": expr.dot(x, y)})
             with inject(*_slow_reads()):
-                slow = built.execute(prefetch=4)
+                slow = built.execute()
             # in a lockstep sweep one store's consume time includes the other
             # store's inline reads, so the two may hand off a span apart;
             # with four spans each, both do
             assert built.last_execution["readahead_sweeps"] == 2
-            assert built.execute(prefetch=0) == slow
+            assert built.execute(prefetch=False) == slow
             assert built.last_execution["readahead_sweeps"] == 0
 
     def test_cached_sweeps_never_read_ahead(self, store):
         store.chunk_cache = ChunkCache(max_bytes=64 * 1024 * 1024)
         built = plan({"mean": expr.mean(expr.source(store))})
-        built.execute(prefetch=0)  # fill the cache
+        built.execute(prefetch=False)  # fill the cache
         with inject(*_slow_reads()):
-            built.execute(prefetch=4)
+            built.execute()
         assert built.last_execution["readahead_sweeps"] == 0
-        assert built.last_execution["prefetch_depth"] == 4
+        assert built.last_execution["prefetch_depth"] == READAHEAD_SPANS
 
-    def test_negative_depth_rejected_before_any_sweep(self, store):
+    @pytest.mark.parametrize("setting", [None, 4, -1, "auto"])
+    def test_non_switch_values_rejected_before_any_sweep(self, store, setting):
         built = plan({"mean": expr.mean(expr.source(store))})
-        with pytest.raises(ValueError):
-            built.execute(prefetch=-1)
-        assert store.chunks_read == 0
+        with pytest.raises(ValueError, match="prefetch"):
+            built.execute(prefetch=setting)
+        assert store.chunks_read == 0 and store.preads == 0
+
+
+class TestTinyStores:
+    """Stores of 1-3 chunks read through the reader like any other: the
+    reference loop's bits and counters, one pread per span."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def n_chunks(self, request):
+        return request.param
+
+    @pytest.fixture(params=["single", "sharded"])
+    def tiny(self, request, tmp_path, settings, n_chunks):
+        """``(opener, path, spans)``: a store of ``n_chunks`` 8-row chunks.
+
+        The sharded layout puts the first chunk in one shard and the rest in
+        a second, so its sweep reads one span per shard file.
+        """
+        rows = smooth_field((8 * n_chunks, 20), seed=n_chunks)
+        if request.param == "single":
+            path = tmp_path / "tiny.pblzc"
+            ChunkedCompressor(settings, slab_rows=8).compress_to_store(
+                rows, path).close()
+            return CompressedStore, path, 1
+        path = tmp_path / "tiny.shards"
+        init_sharded_store(path, rows[:8], settings, slab_rows=8).close()
+        if n_chunks > 1:
+            append_shard(path, rows[8:], slab_rows=8).close()
+        return ShardedStore, path, min(n_chunks, 2)
+
+    @staticmethod
+    def _sweep_twice(opener, path, reader):
+        """Decoded bytes and ``(chunks_read, hits, misses, preads)`` of two
+        cached sweeps on a fresh handle; ``preads`` counts the first sweep's
+        reads, shard header reads at a sharded store's lazy open included."""
+        with opener(path) as store:
+            cache = store.chunk_cache = ChunkCache(max_bytes=64 * 1024 * 1024)
+            opened_with = store.preads
+            first = _decoded(store, reader(store))
+            preads = store.preads - opened_with
+            assert _decoded(store, reader(store)) == first
+            return first, (store.chunks_read, cache.hits, cache.misses, preads)
+
+    def test_reader_matches_the_read_chunk_loop(self, tiny, n_chunks):
+        opener, path, spans = tiny
+        serial, serial_counters = self._sweep_twice(opener, path, _serial_chunks)
+        piped, piped_counters = self._sweep_twice(
+            opener, path, lambda store: store.iter_chunks())
+        assert piped == serial
+        assert serial_counters[:3] == (2 * n_chunks, n_chunks, n_chunks)
+        # the same header reads; one record read per span instead of per chunk
+        assert piped_counters == serial_counters[:3] + (
+            serial_counters[3] - n_chunks + spans,)
+
+    def test_plan_reports_the_readahead_window(self, tiny, n_chunks):
+        opener, path, spans = tiny
+        runs = {}
+        for prefetch in (True, False):
+            with opener(path) as store:
+                # cosine's product term is one shard partials do not keep,
+                # so even the sharded layout sweeps its chunks
+                x = expr.source(store)
+                built = plan({"cos": expr.cosine_similarity(x, expr.negate(x))})
+                opened_with = store.preads
+                value = built.execute(prefetch=prefetch)
+                runs[prefetch] = (value, built.last_execution["prefetch_depth"],
+                                  store.chunks_prefetched,
+                                  store.preads - opened_with)
+        piped, depth, prefetched, piped_preads = runs[True]
+        serial, serial_depth, serial_prefetched, serial_preads = runs[False]
+        assert piped == serial
+        assert (depth, prefetched) == (READAHEAD_SPANS, n_chunks)
+        assert (serial_depth, serial_prefetched) == (0, 0)
+        assert serial_preads - piped_preads == n_chunks - spans

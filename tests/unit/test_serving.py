@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -389,7 +391,7 @@ class TestPrefetchCounters:
         assert catalog.prefetch("x") == 0  # idempotent: already warm
         # the warmed chunks serve the next sweep without any further reads
         preads_before = catalog.get("x").preads
-        list(catalog.get("x").iter_chunks(prefetch=0))
+        list(catalog.get("x").iter_chunks())
         assert catalog.get("x").preads == preads_before
         assert cache.prefetch_used == warmed
         catalog.close()
@@ -418,13 +420,26 @@ class TestQueryServiceOptions:
             with pytest.raises(TypeError, match="workers"):
                 QueryService(catalog, workers=2)
 
-    @pytest.mark.parametrize("prefetch", [-1, -3])
-    def test_negative_prefetch_rejected(self, store_path, prefetch):
-        """A negative warm-path setting is an error, not a way to switch it on."""
+    def test_prefetch_option_is_gone(self, store_path):
+        """The warm path runs whenever the catalog caches; it takes no setting."""
         from repro.serving import QueryService
 
         with StoreCatalog({"x": store_path}, cache=ChunkCache()) as catalog:
-            with pytest.raises(ValueError, match="prefetch"):
-                QueryService(catalog, prefetch=prefetch)
-            for accepted in (None, 0, 2):
-                assert QueryService(catalog, prefetch=accepted).prefetch == accepted
+            with pytest.raises(TypeError, match="prefetch"):
+                QueryService(catalog, prefetch=0)
+
+    @pytest.mark.parametrize("option, value", [
+        ("tick", -1.0), ("tick", math.inf), ("tick", math.nan),
+        ("deadline", 0.0), ("deadline", -1.0), ("deadline", math.inf),
+        ("deadline", math.nan),
+    ])
+    def test_non_finite_or_negative_timing_rejected(self, store_path, option,
+                                                   value):
+        """A nan deadline would time every request out, an infinite tick
+        would hang every batch: both are rejected at construction."""
+        from repro.serving import QueryService
+
+        with StoreCatalog({"x": store_path}) as catalog:
+            with pytest.raises(ValueError, match=option):
+                QueryService(catalog, **{option: value})
+            QueryService(catalog, tick=0.0, deadline=0.5)  # the edges are fine
