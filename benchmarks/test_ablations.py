@@ -35,10 +35,10 @@ def test_ablation_transforms(benchmark, results_dir):
     assert by_transform["dct"][3] < 1e-2
 
 
-def test_ablation_backends(benchmark, results_dir):
+def test_ablation_backends(benchmark, timings_dir):
     """The default vectorized call and every kernel backend within its parity bound."""
     result = benchmark.pedantic(ablations.run_backends, rounds=1, iterations=1)
-    write_result(results_dir, "ablation_backends", ablations.format_result(result))
+    write_result(timings_dir, "ablation_backends", ablations.format_result(result))
     assert all(row[1] for row in result.rows)
 
 
@@ -52,10 +52,10 @@ def test_ablation_index_width(benchmark, results_dir):
     assert ratios == sorted(ratios, reverse=True)  # and lower ratio
 
 
-def test_ablation_codecs(benchmark, results_dir):
+def test_ablation_codecs(benchmark, timings_dir):
     """One registry-driven table replaces the per-baseline ratio/error loops."""
     result = benchmark.pedantic(ablations.run_codecs, rounds=1, iterations=1)
-    write_result(results_dir, "ablation_codecs", ablations.format_result(result))
+    write_result(timings_dir, "ablation_codecs", ablations.format_result(result))
     by_codec = {row[0]: row for row in result.rows}
     # every registered 2-D-capable codec appears — third-party registrations too
     # (the sweep probes a 2-D field, so codecs without 2-D support are skipped)

@@ -2,7 +2,8 @@
 
 Each (system, operation, size) point of the figure is one pytest-benchmark entry;
 the summary series (and the headline speedups at the largest size) are written to
-``benchmarks/results/fig2.txt``.
+``benchmarks/results/timings/fig2.txt``, gitignored because the timings differ on
+every run.
 """
 
 import numpy as np
@@ -68,11 +69,11 @@ class TestBlazTimes:
         benchmark(blaz.multiply_scalar, ca, 1.5)
 
 
-def test_fig2_series(benchmark, results_dir):
+def test_fig2_series(benchmark, timings_dir):
     """Regenerate the full Fig 2 series and check the headline comparison."""
     config = fig2_blaz.Fig2Config(sizes=(8, 16, 32, 64, 128, 256), repeats=3)
     result = benchmark.pedantic(fig2_blaz.run, args=(config,), rounds=1, iterations=1)
-    write_result(results_dir, "fig2", fig2_blaz.format_result(result))
+    write_result(timings_dir, "fig2", fig2_blaz.format_result(result))
     speedups = result.metadata["speedup_at_largest_size"]
     # the paper's observation: vectorized bulk execution wins by orders of magnitude
     # over the per-block loop at large sizes (GPU vs single-thread there; vectorized

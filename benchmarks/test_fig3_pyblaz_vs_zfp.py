@@ -73,12 +73,12 @@ class TestPyBlaz3D:
         benchmark(compressor.decompress, compressed)
 
 
-def test_fig3_series(benchmark, results_dir):
+def test_fig3_series(benchmark, timings_dir):
     """Regenerate the Fig 3 series across both dimensionalities."""
     config = fig3_zfp.Fig3Config(sizes_2d=(8, 16, 32, 64, 128, 256),
                                  sizes_3d=(8, 16, 32, 64), repeats=3)
     result = benchmark.pedantic(fig3_zfp.run, args=(config,), rounds=1, iterations=1)
-    write_result(results_dir, "fig3", fig3_zfp.format_result(result))
+    write_result(timings_dir, "fig3", fig3_zfp.format_result(result))
     # times grow with size for every system (the polynomial scaling of the figure)
     for system in ("zfp ratio 8", "pyblaz ratio 8"):
         series = [r for r in result.rows if r[0] == 2 and r[2] == system and r[3] == "compress"]

@@ -66,11 +66,11 @@ def test_compressed_space_operation(benchmark, arrays, size, operation):
     benchmark(functions[operation])
 
 
-def test_fig7_series(benchmark, results_dir):
+def test_fig7_series(benchmark, timings_dir):
     """Regenerate the Fig 7 sweep (sizes × float × index × operation)."""
     config = fig7_op_times.Fig7Config(sizes=(4, 8, 16, 32, 64), repeats=3)
     result = benchmark.pedantic(fig7_op_times.run, args=(config,), rounds=1, iterations=1)
-    write_result(results_dir, "fig7", fig7_op_times.format_result(result))
+    write_result(timings_dir, "fig7", fig7_op_times.format_result(result))
     # compression time grows with array size; negate stays roughly flat relative to it
     compress = {r[0]: r[4] for r in result.rows
                 if r[3] == "compress" and r[1] == "float32" and r[2] == "int16"}

@@ -10,7 +10,8 @@ demonstrated:
 * the cost shape — store-level ops pay chunk decode per pass, so their overhead
   is roughly the store read time.
 
-The formatted table lands in ``benchmarks/results/streaming_ops.txt``.
+The formatted table lands in ``benchmarks/results/timings/streaming_ops.txt``
+(gitignored: the timings differ on every run).
 """
 
 import numpy as np
@@ -86,12 +87,12 @@ def run_streaming_ops(tmp_path) -> ExperimentResult:
 
 
 @pytest.mark.benchmark(group="streaming-ops")
-def test_streaming_ops_table(benchmark, tmp_path, results_dir):
+def test_streaming_ops_table(benchmark, tmp_path, timings_dir):
     """Regenerate the streaming-ops ablation table (and assert bit-identity)."""
     result = benchmark.pedantic(
         run_streaming_ops, args=(tmp_path,), rounds=1, iterations=1
     )
-    write_result(results_dir, "streaming_ops", result.to_text())
+    write_result(timings_dir, "streaming_ops", result.to_text())
     operations = {row[0] for row in result.rows}
     assert operations == {"dot", "mean", "variance", "l2_norm",
                           "cosine_similarity", "add"}

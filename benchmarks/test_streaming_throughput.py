@@ -9,7 +9,9 @@ things are being demonstrated:
 * the throughput shape — tiny slabs pay per-slab overhead, huge slabs converge to
   the one-shot path, and the sweet spot in between is what the CLI defaults to.
 
-The formatted table lands in ``benchmarks/results/streaming_throughput.txt``.
+The formatted table lands in
+``benchmarks/results/timings/streaming_throughput.txt`` (gitignored: the
+timings differ on every run).
 """
 
 import numpy as np
@@ -76,10 +78,10 @@ def run_streaming_throughput() -> ExperimentResult:
     )
 
 
-def test_streaming_throughput(benchmark, results_dir):
+def test_streaming_throughput(benchmark, timings_dir):
     """Every slab size is bit-identical to one-shot; the table records throughput."""
     result = benchmark.pedantic(run_streaming_throughput, rounds=1, iterations=1)
-    write_result(results_dir, "streaming_throughput", result.to_text())
+    write_result(timings_dir, "streaming_throughput", result.to_text())
     assert all(row[2] for row in result.rows)
     # streamed throughput stays within an order of magnitude of one-shot
     one_shot = result.rows[0][4]

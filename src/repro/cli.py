@@ -178,7 +178,7 @@ def _non_negative_seconds(text: str) -> float:
 
 
 def _positive_seconds(text: str) -> float:
-    """Parse a duration that must exceed 0 (``serve --deadline``)."""
+    """Parse a duration that must exceed 0 (``--deadline``, ``query --timeout``)."""
     return _seconds(text, zero_ok=False)
 
 
@@ -397,14 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--json", action="store_true",
                          help="emit the full machine-readable response (values, "
                               "batch coalescing info, server latency)")
-    p_query.add_argument("--timeout", type=float, default=30.0,
+    p_query.add_argument("--timeout", type=_positive_seconds, default=30.0,
                          help="socket timeout in seconds (default: 30)")
     p_query.add_argument("--retries", type=int, default=None, metavar="N",
                          help="retry transport failures (connect refused, "
                               "reset, malformed response) up to N attempts "
                               "with decorrelated-jitter backoff, reconnecting "
                               "between attempts (default: fail on the first)")
-    p_query.add_argument("--deadline", type=float, default=None,
+    p_query.add_argument("--deadline", type=_positive_seconds, default=None,
                          help="client-side wall-clock budget in seconds for "
                               "the whole call including retries (default: "
                               "none)")
@@ -880,9 +880,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         outputs[spec] = _scalar_expression(op, names, args.true_mean)
     if args.retries is not None and args.retries < 1:
         print("error: --retries must be at least 1", file=sys.stderr)
-        return 2
-    if args.deadline is not None and args.deadline <= 0:
-        print("error: --deadline must be positive", file=sys.stderr)
         return 2
     retry = RetryPolicy(attempts=args.retries) if args.retries else None
     try:

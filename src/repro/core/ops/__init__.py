@@ -29,11 +29,14 @@ floating-point rounding).  Scalar reductions are taken over the zero-padded bloc
 domain; when the array shape is a multiple of the block shape they coincide with the
 uncompressed-space definitions (see DESIGN.md §5).
 
-Every scalar reduction also exposes a **partial-fold form** in
-:mod:`repro.core.ops.folds` (per-chunk partial → associative combine →
-finalize); the functions here are thin wrappers running the fold over a single
-chunk, and :mod:`repro.streaming.ops` runs the same folds out-of-core over
-chunked stores.  ``docs/ops.md`` tabulates every operation's error-bound
+Each scalar reduction but SSIM and the Wasserstein distance is one row of
+:data:`repro.core.ops.folds.REDUCTION_SPECS` (its partial-fold form:
+per-chunk partial → associative combine → finalize), and its function here is
+generated from that row by :mod:`repro.core.ops.reductions`.  The one
+function takes an in-memory ``CompressedArray`` (the fold over a single chunk)
+or a chunked store, sharded store or chunk sequence (the same fold over every
+chunk, through :mod:`repro.engine`); :mod:`repro.streaming.ops` re-exports the
+same objects.  ``docs/ops.md`` tabulates every operation's error-bound
 contract and its in-memory vs store-level availability.
 """
 
@@ -47,15 +50,12 @@ from .approximate import (
 )
 from .coefficients import rebin_coefficients, specified_coefficients
 from .linear import add, add_scalar, multiply_scalar, negate, subtract
-from .reductions import blockwise_mean, dot, euclidean_distance, l2_norm, mean
-from .similarity import cosine_similarity, structural_similarity
+from .reductions import *  # noqa: F401,F403 -- blockwise_mean + one function per row
+from .similarity import structural_similarity
 from .statistics import (
     blockwise_covariance,
     blockwise_standard_deviation,
     blockwise_variance,
-    covariance,
-    standard_deviation,
-    variance,
 )
 from .wasserstein import wasserstein_distance
 
@@ -68,18 +68,11 @@ __all__ = [
     "subtract",
     "add_scalar",
     "multiply_scalar",
-    "dot",
-    "mean",
+    *folds.REDUCTION_SPECS,
     "blockwise_mean",
-    "l2_norm",
-    "euclidean_distance",
-    "covariance",
-    "variance",
-    "standard_deviation",
     "blockwise_covariance",
     "blockwise_variance",
     "blockwise_standard_deviation",
-    "cosine_similarity",
     "structural_similarity",
     "wasserstein_distance",
     "approximate_map",

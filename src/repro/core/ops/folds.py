@@ -9,11 +9,11 @@ Every scalar reduction in this package factors into three pieces:
 * a **finalize** turning the accumulated state into the scalar result.
 
 Each reduction's fold terms, finalizer and options are declared once, as a
-row of :data:`REDUCTION_SPECS`.  The in-memory operations in
-:mod:`repro.core.ops` run a row through :func:`evaluate` over a single chunk
-(the whole array); the out-of-core engine (:mod:`repro.engine`, behind
-:mod:`repro.streaming.ops`) runs the *same* row over the chunks of a
-:class:`repro.streaming.CompressedStore`.  The folds are **chunking-invariant
+row of :data:`REDUCTION_SPECS`, and the public ``repro.core.ops.<name>``
+function is generated from it.  On a ``CompressedArray`` the function runs the
+row through :func:`evaluate` over a single chunk (the whole array); on a store
+the out-of-core engine (:mod:`repro.engine`) runs the *same* row over the
+chunks of a :class:`repro.streaming.CompressedStore`.  The folds are **chunking-invariant
 to the last bit** because
 
 1. store chunks are block-aligned slabs, so every chunk covers whole blocks;
@@ -41,10 +41,12 @@ engine stacks consecutive chunks into one step buffer of at most
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -475,14 +477,16 @@ FOLD_SPECS: dict[str, FoldSpec] = {
 class ReductionSpec:
     """One Table I scalar reduction: the single place it is declared.
 
-    The engine's planner, the in-memory :func:`evaluate`, the expression
-    constructors' arity table, the wire form and the CLI all read this row.
+    The engine's planner, the in-memory :func:`evaluate`, the public
+    functions ``repro.core.ops.<name>`` (also ``repro.streaming.ops.<name>``)
+    and ``repro.engine.expr.<name>`` generated from the row, the wire form
+    and the CLI all read this row.
 
     Attributes
     ----------
     name:
-        Reduction name (``expr.<name>`` builds its node; the CLI spells it
-        with dashes).
+        Reduction name (the generated functions' name; the CLI spells it with
+        dashes).
     arity:
         Number of array operands.
     terms:
@@ -496,6 +500,9 @@ class ReductionSpec:
     options:
         ``(name, default)`` pairs of the finalize keywords the reduction
         accepts; a value must have its default's type.
+    doc:
+        The generated functions' docstring: the algorithm, its error contract
+        and the operands it accepts.
     """
 
     name: str
@@ -503,6 +510,31 @@ class ReductionSpec:
     terms: tuple[tuple[str, tuple[int, ...]], ...]
     finalizer: str
     options: tuple[tuple[str, object], ...] = ()
+    doc: str = ""
+
+    @cached_property
+    def signature(self) -> inspect.Signature:
+        """Signature of the generated functions: positional operands, keyword options."""
+        operands = [inspect.Parameter(name, inspect.Parameter.POSITIONAL_ONLY)
+                    for name in ("x", "y")[:self.arity]]
+        options = [inspect.Parameter(key, inspect.Parameter.KEYWORD_ONLY, default=value)
+                   for key, value in self.options]
+        return inspect.Signature(operands + options)
+
+    def bind(self, operands: tuple, options: Mapping) -> tuple[tuple, tuple]:
+        """Check a call against :attr:`signature`; its operands and options.
+
+        Raises ``TypeError`` for a wrong operand count or an unknown keyword,
+        as a hand-written function would.  The options come back complete
+        (defaults filled in), coerced to their defaults' types
+        (``bool(padded)``) and sorted by name — the form a
+        :class:`repro.engine.expr.Reduction` node stores.
+        """
+        bound = self.signature.bind(*operands, **options)
+        bound.apply_defaults()
+        defaults = dict(self.options)
+        return bound.args, tuple(sorted((key, type(defaults[key])(value))
+                                        for key, value in bound.kwargs.items()))
 
     def terms_over(self, operands: tuple) -> tuple:
         """The ``(fold name, picked operands)`` terms over concrete operands."""
@@ -516,26 +548,100 @@ class ReductionSpec:
                          **options)
 
 
+_ONE_OPERAND = """
+
+        The operand is a :class:`repro.core.CompressedArray`, folded in memory,
+        or a chunked source — a :class:`repro.streaming.CompressedStore`, a
+        :class:`repro.streaming.ShardedStore`, an iterable of chunk arrays or an
+        :mod:`repro.engine.expr` array node — folded in one sweep to the bits of
+        the assembled array (stores written under the ``reference`` backend).
+        """
+
+_TWO_OPERANDS = """
+
+        The operands are two compatible :class:`repro.core.CompressedArray`
+        objects, folded in memory, or two identically chunked sources (stores,
+        sharded stores, chunk iterables or :mod:`repro.engine.expr` array
+        nodes), folded in one sweep to the bits of the assembled arrays (stores
+        written under the ``reference`` backend).  A ``CompressedArray`` paired
+        with any other operand raises ``TypeError``.
+        """
+
 #: Every scalar reduction, by name.  Adding a reduction is one row here plus
-#: its ``finalize_*`` function (see ``docs/engine.md``).
+#: its ``finalize_*`` function (see ``docs/engine.md``); ``doc`` is the
+#: docstring of the functions generated from the row.
 REDUCTION_SPECS: dict[str, ReductionSpec] = {
     spec.name: spec
     for spec in (
         ReductionSpec("mean", 1, (("dc", (0,)),), "finalize_mean",
-                      options=(("padded", True),)),
+                      options=(("padded", True),), doc="""
+        Algorithm 7: the array mean from the first coefficient of every block.
+
+        Each block's first coefficient equals the block mean scaled by
+        ``c = Π sqrt(block extents)``, so the array mean is the average first
+        coefficient divided by ``c``.  With ``padded=True`` (the paper's
+        semantics) the mean is over the zero-padded block domain;
+        ``padded=False`` rescales to the original element count, the true mean
+        of the uncompressed array up to compression error.  Error contract:
+        exact in the compressed space (no error beyond compression); requires
+        the first coefficient to be unpruned.""" + _ONE_OPERAND),
         ReductionSpec("variance", 1, (("centered_square", (0,)),),
-                      "finalize_variance"),
+                      "finalize_variance", doc="""
+        Algorithm 9: the variance, as the covariance of the array with itself.
+
+        Centering moves only each block's DC coefficient, so one sweep folds
+        the DC coefficients and the AC square sums and the finalizer centers
+        the DC terms on their global mean.  Error contract: exact in the
+        compressed space (and always ≥ 0: the fold sums squares); requires the
+        first coefficient to be unpruned.""" + _ONE_OPERAND),
         ReductionSpec("standard_deviation", 1, (("centered_square", (0,)),),
-                      "finalize_standard_deviation"),
-        ReductionSpec("l2_norm", 1, (("square", (0,)),), "finalize_l2_norm"),
-        ReductionSpec("dot", 2, (("product", (0, 1)),), "finalize_dot"),
+                      "finalize_standard_deviation", doc="""
+        The standard deviation: one square root of the variance (Algorithm 9).
+
+        Error contract: exact in the compressed space, like the variance;
+        requires the first coefficient to be unpruned.""" + _ONE_OPERAND),
+        ReductionSpec("l2_norm", 1, (("square", (0,)),), "finalize_l2_norm",
+                      doc="""
+        Algorithm 10: the L2 (Euclidean) norm ``‖Ĉ‖₂``.
+
+        Orthonormal transforms preserve the 2-norm, so the norm of the kept
+        coefficients equals the norm of the decompressed (padded) array;
+        padding contributes zeros, and one square root at the end
+        reintroduces no per-chunk rounding.  Error contract: exact in the
+        compressed space.""" + _ONE_OPERAND),
+        ReductionSpec("dot", 2, (("product", (0, 1)),), "finalize_dot", doc="""
+        Algorithm 6: the dot product ``Σ (Ĉ1 ⊙ Ĉ2)``.
+
+        Equals the dot product of the two decompressed (padded) arrays because
+        the orthonormal transform preserves inner products; padding contributes
+        zeros.  Error contract: exact in the compressed space (no error beyond
+        compression).""" + _TWO_OPERANDS),
         ReductionSpec("covariance", 2, (("centered_product", (0, 1)),),
-                      "finalize_covariance"),
+                      "finalize_covariance", doc="""
+        Algorithm 8: the population covariance of two arrays.
+
+        ``mean(Ĉ1_centered ⊙ Ĉ2_centered)`` over all coefficient slots;
+        centering moves only the DC coefficients, so one sweep folds both
+        operands' DC coefficients and the AC products and the finalizer
+        centers the DC terms.  Error contract: exact in the compressed space;
+        requires the first coefficient to be unpruned.""" + _TWO_OPERANDS),
         ReductionSpec("euclidean_distance", 2, (("diff_square", (0, 1)),),
-                      "finalize_euclidean_distance"),
+                      "finalize_euclidean_distance", doc="""
+        The Euclidean distance ``‖x − y‖₂``, computed on the coefficients.
+
+        Orthonormality makes ``Σ (Ĉ1 − Ĉ2)²`` equal the squared distance of
+        the decompressed (padded) arrays, so no subtraction-and-rebinning round
+        trip (and none of its rebinning error) and no intermediate store is
+        needed.  Error contract: exact in the compressed space.""" + _TWO_OPERANDS),
         ReductionSpec("cosine_similarity", 2,
                       (("product", (0, 1)), ("square", (0,)), ("square", (1,))),
-                      "finalize_cosine_similarity"),
+                      "finalize_cosine_similarity", doc="""
+        Algorithm 11: ``dot(x, y) / (‖x‖₂ · ‖y‖₂)`` in one pass.
+
+        Folds the dot product's ``product`` sum and each operand's ``square``
+        sum.  Error contract: exact in the compressed space (numerator and
+        denominator both are).  Raises ``ZeroDivisionError`` if either operand
+        has zero norm, for which cosine similarity is undefined.""" + _TWO_OPERANDS),
     )
 }
 
@@ -605,7 +711,7 @@ def run_terms(values: Mapping, terms) -> list[FoldState]:
 def evaluate(name: str, *operands: CompressedArray, **options) -> float:
     """Run one reduction start-to-finish over in-memory operands.
 
-    The single-chunk path the :mod:`repro.core.ops` wrappers use, with the
+    The single-chunk path of the :mod:`repro.core.ops` reductions, with the
     engine's recipe: the row's fold terms (operands interned by identity, so
     ``cosine_similarity(a, a)`` folds one square sum), shared coefficient
     caches, one partial per term, then the row's finalizer with ``options``

@@ -1,16 +1,23 @@
-"""Scalar reductions in the compressed space (Algorithms 6, 7, 10).
+"""Scalar reductions in the compressed space (Algorithms 6–11).
 
 All reductions exploit orthonormality — dot products of coefficient blocks
 equal dot products of the corresponding data blocks — so they require no inverse
 transform and introduce no error beyond what compression already produced.
 
-Every function here is a thin wrapper over its partial-fold form in
-:mod:`repro.core.ops.folds` (per-chunk partial → associative combine →
-finalize), run over a single chunk: the whole array.  The out-of-core engine
-:mod:`repro.streaming.ops` runs the identical fold over store chunks, and the
-folds are chunking-invariant to the last bit (see the :mod:`folds
-<repro.core.ops.folds>` module docstring), so the two layers always agree on
-identical compressed data.
+Each Table I scalar reduction (``mean``, ``variance``, ``standard_deviation``,
+``l2_norm``, ``dot``, ``covariance``, ``euclidean_distance``,
+``cosine_similarity``) is one row of
+:data:`repro.core.ops.folds.REDUCTION_SPECS`, and this module generates its
+public function from the row: the row's docstring, operands positional,
+options keyword-only.  There is one function per reduction, whatever the
+operands: a :class:`CompressedArray` runs the row's partial-fold form in
+memory (:func:`repro.core.ops.folds.evaluate`, over a single chunk — the whole
+array); a store, sharded store, chunk iterable or expression node runs the
+same row as a one-output plan of the lazy engine (:func:`repro.engine.evaluate`)
+over its chunks.  The folds are
+chunking-invariant to the last bit (see the :mod:`folds
+<repro.core.ops.folds>` module docstring), so both paths agree on identical
+compressed data.  :mod:`repro.streaming.ops` re-exports the same objects.
 
 Exactness contract: **no additional error** beyond compression — the values are
 exact functions of the stored ``{N, F}`` pairs, accumulated with correctly
@@ -26,40 +33,45 @@ shape).  Callers that need the cropped-domain mean can pass ``padded=False``.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..compressed import CompressedArray
 from . import folds
+from .folds import REDUCTION_SPECS, ReductionSpec
 
-__all__ = ["dot", "mean", "blockwise_mean", "l2_norm", "euclidean_distance"]
+__all__ = ["blockwise_mean", *REDUCTION_SPECS]
 
 
-def dot(a: CompressedArray, b: CompressedArray) -> float:
-    """Algorithm 6: dot product ``Σ (Ĉ1 ⊙ Ĉ2)``.
+def _reduction_function(spec: ReductionSpec) -> Callable[..., float]:
+    """The public eager function of one reduction row.
 
-    Equals the dot product of the two decompressed (padded) arrays because the
-    orthonormal transform preserves inner products; padding contributes zeros.
-    Error contract: exact in the compressed space (no error beyond compression).
+    Any :class:`CompressedArray` operand selects the in-memory fold, which
+    checks a binary pair under the reduction's name (a non-compressed partner
+    raises ``TypeError``); otherwise the operands are chunked sources and the
+    function evaluates the row's ``repro.engine.expr`` node.
     """
-    return folds.evaluate("dot", a, b)
+
+    def reduction(*operands, **options):
+        operands, options = spec.bind(operands, options)
+        if any(isinstance(operand, CompressedArray) for operand in operands):
+            return folds.evaluate(spec.name, *operands, **dict(options))
+        # imported here: the engine imports this package's folds at import time
+        from ... import engine
+        from ...engine import expr
+
+        return engine.evaluate(getattr(expr, spec.name)(*operands, **dict(options)))
+
+    reduction.__name__ = reduction.__qualname__ = spec.name
+    reduction.__module__ = "repro.core.ops"
+    reduction.__doc__ = spec.doc
+    reduction.__signature__ = spec.signature
+    return reduction
 
 
-def mean(compressed: CompressedArray, *, padded: bool = True) -> float:
-    """Algorithm 7: the array mean from the first coefficient of every block.
-
-    Each block's first coefficient equals the block mean scaled by
-    ``c = Π sqrt(block extents)``, so the array mean is the average of first
-    coefficients divided by ``c``.  Error contract: exact in the compressed
-    space (no error beyond compression).
-
-    Parameters
-    ----------
-    padded:
-        When True (default, the paper's semantics) the mean is over the zero-padded
-        domain.  When False the result is rescaled to the original element count,
-        giving the true mean of the uncompressed array up to compression error.
-    """
-    return folds.evaluate("mean", compressed, padded=bool(padded))
+globals().update((name, _reduction_function(spec))
+                 for name, spec in REDUCTION_SPECS.items())
 
 
 def blockwise_mean(compressed: CompressedArray) -> np.ndarray:
@@ -69,24 +81,3 @@ def blockwise_mean(compressed: CompressedArray) -> np.ndarray:
     operations (§IV-B) build on.  Error contract: exact in the compressed space.
     """
     return compressed.blockwise_means()
-
-
-def l2_norm(compressed: CompressedArray) -> float:
-    """Algorithm 10: the L2 (Euclidean) norm ``‖Ĉ‖₂``.
-
-    Orthonormal transforms preserve the 2-norm, so the norm of the kept
-    coefficients equals the norm of the decompressed (padded) array; padding
-    contributes zeros.  Error contract: exact in the compressed space.
-    """
-    return folds.evaluate("l2_norm", compressed)
-
-
-def euclidean_distance(a: CompressedArray, b: CompressedArray) -> float:
-    """Euclidean distance ``‖a − b‖₂`` computed directly on the coefficients.
-
-    Orthonormality makes ``Σ (Ĉ1 − Ĉ2)²`` equal the squared distance of the
-    decompressed (padded) arrays, so no subtraction-and-rebinning round trip
-    (and none of its rebinning error) is needed.  Error contract: exact in the
-    compressed space (no error beyond compression).
-    """
-    return folds.evaluate("euclidean_distance", a, b)

@@ -1,7 +1,9 @@
 """Similarity measures in the compressed space (Algorithms 11, 12).
 
-* :func:`cosine_similarity` — the angle between two arrays viewed as vectors, from
-  the compressed-space dot product and L2 norms.
+* ``cosine_similarity`` — the angle between two arrays viewed as vectors, from
+  the compressed-space dot product and L2 norms; a row of
+  :data:`repro.core.ops.folds.REDUCTION_SPECS`, its function generated in
+  :mod:`repro.core.ops.reductions`.
 * :func:`structural_similarity` — the SSIM index built from the compressed-space
   mean, variance and covariance, using the global (single-window) formulation of
   Algorithm 12: a weighted product of luminance, contrast and structure terms with
@@ -18,25 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..compressed import CompressedArray
-from . import folds
 from .coefficients import require_compatible
-from .reductions import mean
-from .statistics import covariance, variance
+from .reductions import covariance, mean, variance
 
-__all__ = ["cosine_similarity", "structural_similarity"]
-
-
-def cosine_similarity(a: CompressedArray, b: CompressedArray) -> float:
-    """Algorithm 11: ``dot(a, b) / (‖a‖₂ · ‖b‖₂)``.
-
-    A thin wrapper over the reduction's fold terms — the dot product's
-    ``product`` sum and each operand's ``square`` sum, with the coefficients
-    of each operand materialised once and shared between its terms.  Error
-    contract: exact in the compressed space (both numerator and denominator
-    are).  Raises ``ZeroDivisionError`` if either operand has zero norm, for
-    which cosine similarity is undefined.
-    """
-    return folds.evaluate("cosine_similarity", a, b)
+__all__ = ["structural_similarity"]
 
 
 def structural_similarity(

@@ -7,20 +7,22 @@ equals the average of the DC coefficients.  After centering, orthonormality turn
 element-wise product sum into the data-space product sum, and dividing by the padded
 element count gives the (population) covariance.
 
-The scalar statistics are thin wrappers over their one-pass partial-fold forms
-in :mod:`repro.core.ops.folds`: because centering moves only the DC
-coefficients, each block's centered sum splits into ``(dc − μ)`` terms plus its
-uncentered AC sum, so one partial (:func:`folds.centered_product_partial` /
-:func:`folds.centered_square_partial`) collects the per-block DC coefficients
-and AC sums, and the finalizer takes the global DC mean ``μ`` and sums the
-centered DC terms and AC sums exactly.  The out-of-core engine
-:mod:`repro.streaming.ops` runs the identical fold in one sweep over store
-chunks, and the folds are chunking-invariant to the last bit, so the two
-layers always agree on identical compressed data.  Error contract: exact in the
-compressed space (no error beyond compression; correctly rounded accumulation).
+The scalar statistics ``covariance``, ``variance`` and ``standard_deviation``
+are rows of :data:`repro.core.ops.folds.REDUCTION_SPECS`, and their public
+functions are generated from the rows in :mod:`repro.core.ops.reductions`:
+because centering moves only the DC coefficients, each block's centered sum
+splits into ``(dc − μ)`` terms plus its uncentered AC sum, so one partial
+(:func:`folds.centered_product_partial <repro.core.ops.folds.centered_product_partial>`
+/ :func:`folds.centered_square_partial <repro.core.ops.folds.centered_square_partial>`)
+collects the per-block DC coefficients and AC sums, and the finalizer takes
+the global DC mean ``μ`` and sums the centered DC terms and AC sums exactly —
+in memory and, in one sweep, over a store's chunks.  Error contract: exact in
+the compressed space (no error beyond compression; correctly rounded
+accumulation).
 
-Block-wise variants center each block independently (zeroing its DC coefficient) and
-average within blocks, giving per-block covariance/variance maps.
+This module holds the block-wise variants: they center each block independently
+(zeroing its DC coefficient) and average within blocks, giving per-block
+covariance/variance maps.
 
 All quantities use the population convention (``ddof=0``) over the padded domain,
 matching the reference implementation; tests compare against
@@ -32,41 +34,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..compressed import CompressedArray
-from . import folds
 from .coefficients import require_compatible, specified_coefficients
 
 __all__ = [
-    "covariance",
-    "variance",
-    "standard_deviation",
     "blockwise_covariance",
     "blockwise_variance",
     "blockwise_standard_deviation",
 ]
-
-
-def covariance(a: CompressedArray, b: CompressedArray) -> float:
-    """Algorithm 8: covariance of two compressed arrays.
-
-    ``mean(Ĉ1_centered ⊙ Ĉ2_centered)`` over all coefficient slots, which equals the
-    population covariance of the decompressed (padded) arrays.  Error contract:
-    exact in the compressed space; requires the DC coefficient to be unpruned.
-    """
-    return folds.evaluate("covariance", a, b)
-
-
-def variance(compressed: CompressedArray) -> float:
-    """Algorithm 9: variance as the covariance of the array with itself.
-
-    Error contract: exact in the compressed space (and always ≥ 0 — the fold
-    sums squares); requires the DC coefficient to be unpruned.
-    """
-    return folds.evaluate("variance", compressed)
-
-
-def standard_deviation(compressed: CompressedArray) -> float:
-    """Standard deviation: the square root of :func:`variance` (same contract)."""
-    return folds.evaluate("standard_deviation", compressed)
 
 
 def _blockwise_centered(compressed: CompressedArray) -> np.ndarray:

@@ -6,9 +6,10 @@ arrays that are never materialised (a :class:`Source` wrapping a
 :class:`repro.core.CompressedArray` objects, or a structural combination —
 :func:`add`, :func:`subtract`, :func:`scale`, :func:`negate` — of other array
 nodes), and **reduction nodes** stand for the Table I scalars over an array
-node (:func:`mean`, :func:`variance`, :func:`standard_deviation`,
-:func:`covariance`, :func:`dot`, :func:`l2_norm`, :func:`euclidean_distance`,
-:func:`cosine_similarity`).
+node — one constructor per :data:`repro.core.ops.folds.REDUCTION_SPECS` row
+(``mean``, ``variance``, ``standard_deviation``, ``covariance``, ``dot``,
+``l2_norm``, ``euclidean_distance``, ``cosine_similarity``), generated from the
+row with the signature of the eager :mod:`repro.core.ops` function.
 
 Nothing is computed at construction time.  Handing one or more reduction nodes
 to :func:`repro.engine.plan` (or :func:`repro.engine.evaluate`) compiles them
@@ -28,10 +29,12 @@ Reduction constructors accept raw sources anywhere an array node is expected —
 
 from __future__ import annotations
 
+import inspect
+import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
-from ..core.ops.folds import REDUCTION_SPECS
+from ..core.ops.folds import REDUCTION_SPECS, ReductionSpec
 
 __all__ = [
     "Expr",
@@ -43,21 +46,8 @@ __all__ = [
     "subtract",
     "scale",
     "negate",
-    "mean",
-    "variance",
-    "standard_deviation",
-    "covariance",
-    "dot",
-    "l2_norm",
-    "euclidean_distance",
-    "cosine_similarity",
-    "REDUCTION_OPS",
+    *REDUCTION_SPECS,
 ]
-
-#: Scalar reduction node kinds and their arity, derived from the one
-#: reduction table :data:`repro.core.ops.folds.REDUCTION_SPECS`.
-REDUCTION_OPS: dict[str, int] = {name: spec.arity
-                                 for name, spec in REDUCTION_SPECS.items()}
 
 
 class Expr:
@@ -183,8 +173,14 @@ def subtract(a, b) -> Structural:
 
 
 def scale(a, factor: float) -> Structural:
-    """Lazy scalar multiple ``factor · a`` (exact; maxima-only)."""
-    return Structural("scale", (_as_array(a),), factor=float(factor))
+    """Lazy scalar multiple ``factor · a`` (exact; maxima-only).
+
+    Raises ``ValueError`` for a non-finite factor, which no chunk could hold.
+    """
+    factor = float(factor)
+    if not math.isfinite(factor):
+        raise ValueError(f"scale factor must be finite, got {factor!r}")
+    return Structural("scale", (_as_array(a),), factor=factor)
 
 
 def negate(a) -> Structural:
@@ -193,41 +189,26 @@ def negate(a) -> Structural:
 
 
 # ---------------------------------------------------------------- reduction nodes
-def mean(x, *, padded: bool = True) -> Reduction:
-    """Lazy store-level mean (Algorithm 7); ``padded`` as in :func:`repro.core.ops.mean`."""
-    return Reduction("mean", (_as_array(x),), options=(("padded", bool(padded)),))
+def _reduction_constructor(spec: ReductionSpec) -> Callable[..., Reduction]:
+    """The lazy node constructor of one reduction row, ``expr.<name>``.
+
+    Same signature as the eager :func:`repro.core.ops` function; every option
+    is recorded with its default filled in, so ``mean(x)`` and
+    ``mean(x, padded=True)`` share one structural key and wire form.
+    """
+
+    def constructor(*operands, **options) -> Reduction:
+        operands, options = spec.bind(operands, options)
+        return Reduction(spec.name, tuple(map(_as_array, operands)), options)
+
+    constructor.__name__ = constructor.__qualname__ = spec.name
+    constructor.__module__ = __name__
+    constructor.__doc__ = (f"Lazy ``{spec.name}`` node: what ``repro.core.ops."
+                           f"{spec.name}`` computes, once planned.\n\n"
+                           + inspect.cleandoc(spec.doc))
+    constructor.__signature__ = spec.signature
+    return constructor
 
 
-def variance(x) -> Reduction:
-    """Lazy store-level variance (Algorithm 9) — one sweep, like every reduction."""
-    return Reduction("variance", (_as_array(x),))
-
-
-def standard_deviation(x) -> Reduction:
-    """Lazy store-level standard deviation (square root of the variance fold)."""
-    return Reduction("standard_deviation", (_as_array(x),))
-
-
-def covariance(x, y) -> Reduction:
-    """Lazy store-level covariance (Algorithm 8) — one sweep, like every reduction."""
-    return Reduction("covariance", (_as_array(x), _as_array(y)))
-
-
-def dot(x, y) -> Reduction:
-    """Lazy store-level dot product (Algorithm 6)."""
-    return Reduction("dot", (_as_array(x), _as_array(y)))
-
-
-def l2_norm(x) -> Reduction:
-    """Lazy store-level L2 norm (Algorithm 10)."""
-    return Reduction("l2_norm", (_as_array(x),))
-
-
-def euclidean_distance(x, y) -> Reduction:
-    """Lazy store-level Euclidean distance ``‖x − y‖₂`` in coefficient space."""
-    return Reduction("euclidean_distance", (_as_array(x), _as_array(y)))
-
-
-def cosine_similarity(x, y) -> Reduction:
-    """Lazy store-level cosine similarity (Algorithm 11)."""
-    return Reduction("cosine_similarity", (_as_array(x), _as_array(y)))
+globals().update((name, _reduction_constructor(spec))
+                 for name, spec in REDUCTION_SPECS.items())

@@ -12,7 +12,7 @@ shapes never change)::
 
     {"kind": "source", "name": "<catalog name>"}
     {"kind": "add" | "subtract" | "negate", "operands": [<array node>, ...]}
-    {"kind": "scale", "operands": [<array node>], "factor": <float>}
+    {"kind": "scale", "operands": [<array node>], "factor": <finite float>}
     {"kind": "<reduction>", "operands": [<array node>, ...]}
     {"kind": "mean", "operands": [...], "options": {"padded": false}}
 
@@ -31,6 +31,7 @@ offending fragment named, never a bare ``KeyError``/``TypeError``.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Mapping
 
 from ..core.ops.folds import REDUCTION_SPECS
@@ -167,8 +168,12 @@ def from_wire(obj: Any, *, resolve: Callable[[str], Any] | None = None,
                          for operand in _operands(node, _STRUCTURAL_ARITY[kind]))
         if kind == "scale":
             factor = node.get("factor")
-            if not isinstance(factor, (int, float)) or isinstance(factor, bool):
-                raise WireError(f"scale node needs a numeric 'factor': {node!r}")
+            try:
+                finite = not isinstance(factor, bool) and math.isfinite(factor)
+            except (TypeError, OverflowError):  # not a number, or an int past float
+                finite = False
+            if not finite:
+                raise WireError(f"scale node needs a finite numeric 'factor': {node!r}")
             return Structural("scale", operands, factor=float(factor))
         return Structural(kind, operands)
 

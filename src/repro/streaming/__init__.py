@@ -28,8 +28,9 @@ Three layers:
 * :mod:`repro.streaming.ops` — the out-of-core compressed-domain operations:
   every Table I scalar reduction (``mean``, ``variance``,
   ``standard_deviation``, ``covariance``, ``dot``, ``l2_norm``,
-  ``euclidean_distance``, ``cosine_similarity``), each a thin one-op plan over
-  the lazy engine (:mod:`repro.engine`) folding the declarative
+  ``euclidean_distance``, ``cosine_similarity``), the same functions as
+  :mod:`repro.core.ops`, each a one-op plan over a store on the lazy engine
+  (:mod:`repro.engine`) folding the declarative
   :data:`repro.core.ops.folds.FOLD_SPECS` partials chunk-by-chunk, plus
   structural ``add``/``subtract``/``scale``/``negate`` that write new stores
   one chunk at a time.  Results match the in-memory :mod:`repro.core.ops` on the

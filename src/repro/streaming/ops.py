@@ -1,34 +1,27 @@
 """Out-of-core compressed-domain operations over chunked stores.
 
 This module closes the gap between the in-memory operation set of
-:mod:`repro.core.ops` (which needs a fully materialised
-:class:`repro.core.CompressedArray`) and the chunk-table
+:mod:`repro.core.ops` and the chunk-table
 :class:`repro.streaming.CompressedStore`: every Table I scalar reduction and
 the linear structural operations run here **chunk at a time**, so a store of
 any size is reduced — or rewritten — in chunk-sized memory.
 
-Since the lazy engine landed, every scalar reduction here (:func:`mean`,
-:func:`variance`, :func:`standard_deviation`, :func:`covariance`, :func:`dot`,
-:func:`l2_norm`, :func:`euclidean_distance`, :func:`cosine_similarity`) is a
-**thin one-op plan** over :mod:`repro.engine`: the function builds the matching
-expression node and executes it.  The bit-identity contract is unchanged —
-because the engine folds the same declarative
-:data:`repro.core.ops.folds.FOLD_SPECS` partials in the same chunk order with
-the same correctly rounded sum :func:`repro.core.ops.folds.total` (bit-identical
-to ``math.fsum``), a store-level reduction equals its in-memory
-counterpart on the assembled array **bit for bit** whenever the chunks assemble
+The scalar reductions (``mean``, ``variance``, ``standard_deviation``,
+``covariance``, ``dot``, ``l2_norm``, ``euclidean_distance``,
+``cosine_similarity``) are the *same function objects* as
+:mod:`repro.core.ops`, one per :data:`repro.core.ops.folds.REDUCTION_SPECS`
+row: given a store, a sharded store or a chunk iterable, each one runs as a
+**one-op plan** over :mod:`repro.engine`.  Because the engine folds the same
+declarative :data:`repro.core.ops.folds.FOLD_SPECS` partials in the same chunk
+order with the same correctly rounded sum :func:`repro.core.ops.folds.total`
+(bit-identical to ``math.fsum``), a store-level reduction equals the
+reduction of the assembled array **bit for bit** whenever the chunks assemble
 bit-identically (stores written under the ``reference`` kernel backend); under
 the fast backends the two agree within the backend's documented
 ``accumulation_tolerance`` (see ``docs/ops.md``).  Callers that want several
-reductions should hand them to :func:`repro.engine.plan` directly and pay one
-fused sweep instead of one sweep per call (``docs/engine.md``).
-
-Every scalar reduction also takes ``backend=`` and forwards it to
-:meth:`repro.engine.Plan.execute`: the default ``None`` keeps the bit-exact
-``reference`` sweep above; a fast backend name (``"gemm"``, ``"numba"``) runs
-the fold through one compiled fused-pass kernel within the backend's
-``fused_fold_tolerance`` (``docs/engine.md``, "Compiled plans"), falling back
-to ``reference`` when unavailable.
+reductions, or a compiled backend, should hand them to :func:`repro.engine.plan`
+(``backend=`` on :meth:`repro.engine.Plan.execute`) and pay one fused sweep
+instead of one sweep per call (``docs/engine.md``).
 
 Structural operations (:func:`add`, :func:`subtract`, :func:`scale`,
 :func:`negate`) map :mod:`repro.core.ops` over the chunks and append each
@@ -56,102 +49,16 @@ from __future__ import annotations
 
 import math
 
-from .. import engine
 from ..core import ops as core_ops
-from ..engine import expr
+from ..core.ops.folds import REDUCTION_SPECS
 from .sources import aligned_chunks
 from .store import CompressedStore, CompressedStoreWriter
 
-__all__ = [
-    "mean",
-    "variance",
-    "standard_deviation",
-    "covariance",
-    "dot",
-    "l2_norm",
-    "euclidean_distance",
-    "cosine_similarity",
-    "add",
-    "subtract",
-    "scale",
-    "negate",
-]
-
+__all__ = [*REDUCTION_SPECS, "add", "subtract", "scale", "negate"]
 
 # ---------------------------------------------------------------------- scalar ops
-def mean(source, *, padded: bool = True, backend=None) -> float:
-    """Store-level mean (Algorithm 7), folded chunk-by-chunk.
-
-    Matches :func:`repro.core.ops.mean` of the assembled array bit for bit
-    (chunking-invariant fold; no error beyond compression).  ``padded`` selects
-    the zero-padded (paper) or original-element-count domain.
-    """
-    return engine.evaluate(expr.mean(source, padded=padded), backend=backend)
-
-
-def l2_norm(source, *, backend=None) -> float:
-    """Store-level L2 norm (Algorithm 10), folded chunk-by-chunk.
-
-    Matches :func:`repro.core.ops.l2_norm` of the assembled array bit for bit;
-    one square root at the end, so no per-chunk rounding is reintroduced.
-    """
-    return engine.evaluate(expr.l2_norm(source), backend=backend)
-
-
-def dot(a, b, *, backend=None) -> float:
-    """Store-level dot product (Algorithm 6) of two identically chunked sources.
-
-    Matches :func:`repro.core.ops.dot` of the assembled arrays bit for bit.
-    The sources must agree chunk-by-chunk in shape and settings; two stores
-    written with the same ``slab_rows`` satisfy this.
-    """
-    return engine.evaluate(expr.dot(a, b), backend=backend)
-
-
-def euclidean_distance(a, b, *, backend=None) -> float:
-    """Store-level Euclidean distance ``‖a − b‖₂`` without writing a difference.
-
-    Matches :func:`repro.core.ops.euclidean_distance` of the assembled arrays
-    bit for bit — the difference is taken in coefficient space per chunk, so no
-    rebinning error and no intermediate store.
-    """
-    return engine.evaluate(expr.euclidean_distance(a, b), backend=backend)
-
-
-def cosine_similarity(a, b, *, backend=None) -> float:
-    """Store-level cosine similarity (Algorithm 11) in one pass over the chunks.
-
-    Matches :func:`repro.core.ops.cosine_similarity` of the assembled arrays
-    bit for bit; raises ``ZeroDivisionError`` for zero-norm operands.
-    """
-    return engine.evaluate(expr.cosine_similarity(a, b), backend=backend)
-
-
-def variance(source, *, backend=None) -> float:
-    """Store-level variance (Algorithm 9), one exact pass over the chunks.
-
-    The sweep folds each block's DC coefficient and AC square sum; the
-    finalizer centers the DC terms on their global mean — the same fold
-    :func:`repro.core.ops.variance` runs in-memory, so the results match bit
-    for bit.  Any source works, single-shot generators of chunks included.
-    """
-    return engine.evaluate(expr.variance(source), backend=backend)
-
-
-def standard_deviation(source, *, backend=None) -> float:
-    """Store-level standard deviation: the square root of :func:`variance`."""
-    return engine.evaluate(expr.standard_deviation(source), backend=backend)
-
-
-def covariance(a, b, *, backend=None) -> float:
-    """Store-level covariance (Algorithm 8), one exact pass over the chunks.
-
-    The sweep folds both sources' DC coefficients and the per-block AC
-    products; the finalizer centers the DC terms — matching
-    :func:`repro.core.ops.covariance` of the assembled arrays bit for bit.
-    Sources must be identically chunked.
-    """
-    return engine.evaluate(expr.covariance(a, b), backend=backend)
+# the very functions of repro.core.ops, one per reduction row
+globals().update((name, getattr(core_ops, name)) for name in REDUCTION_SPECS)
 
 
 # ---------------------------------------------------------------------- structural ops

@@ -205,11 +205,9 @@ class TestCoalescing:
             for name, value in response["results"].items():
                 assert value == local[name], name
 
-    def test_bad_option_is_rejected_alone_not_with_its_batch(self, catalog):
-        # a misspelled finalize option used to pass wire decoding and solo
-        # validation, then fail every request coalesced into its tick
-        bad = {"m": {"kind": "mean", "operands": [{"kind": "source", "name": "a"}],
-                     "options": {"paded": False}}}
+    @staticmethod
+    def _bad_beside_good(catalog, bad: dict) -> dict:
+        """Send ``bad`` and a good l2-norm request into one tick; outcomes."""
         good = {"n": expr.l2_norm(expr.source("a"))}
         barrier = threading.Barrier(2)
         outcomes: dict = {}
@@ -234,7 +232,24 @@ class TestCoalescing:
         local = local_reference(catalog, good)
         assert outcomes["good"]["results"]["n"] == local["n"]
         assert isinstance(outcomes["bad"], ServerError)
+        return outcomes
+
+    def test_bad_option_is_rejected_alone_not_with_its_batch(self, catalog):
+        # a misspelled finalize option used to pass wire decoding and solo
+        # validation, then fail every request coalesced into its tick
+        bad = {"m": {"kind": "mean", "operands": [{"kind": "source", "name": "a"}],
+                     "options": {"paded": False}}}
+        outcomes = self._bad_beside_good(catalog, bad)
         assert "no option 'paded'" in str(outcomes["bad"])
+
+    def test_non_finite_scale_is_rejected_alone_not_with_its_batch(self, catalog):
+        # JSON carries NaN; a NaN factor used to plan, then fail at execute
+        # time for every request coalesced into its tick
+        scaled = {"kind": "scale", "operands": [{"kind": "source", "name": "a"}],
+                  "factor": float("nan")}
+        bad = {"m": {"kind": "mean", "operands": [scaled]}}
+        outcomes = self._bad_beside_good(catalog, bad)
+        assert "finite numeric 'factor'" in str(outcomes["bad"])
 
     def test_naive_mode_runs_one_plan_per_request(self, catalog):
         requests = [{"m": expr.mean(expr.source("a"))} for _ in range(4)]

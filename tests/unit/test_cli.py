@@ -513,6 +513,17 @@ class TestServeQueryCommands:
         assert exited.value.code == 2
         assert option in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--deadline", "nan"), ("--deadline", "0"),
+        ("--timeout", "-1"), ("--timeout", "inf"),
+    ])
+    def test_query_rejects_bad_timing_with_exit_2(self, capsys, option, value):
+        # parsed before any connection: nothing listens on port 1
+        with pytest.raises(SystemExit) as exited:
+            main(["query", "--port", "1", "--op", "mean:a", option, value])
+        assert exited.value.code == 2
+        assert option in capsys.readouterr().err
+
     def test_serve_tick_defaults_to_the_service_default(self):
         from repro.serving import DEFAULT_TICK_SECONDS
 

@@ -113,6 +113,20 @@ class TestMalformedWire:
         with pytest.raises(WireError, match="factor"):
             from_wire({"kind": "scale", "operands": [to_wire(X)]})
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -float("inf"),
+                                        10 ** 400, "2", True])
+    def test_scale_with_a_non_finite_or_non_numeric_factor_rejected(self, factor):
+        # json.loads parses NaN and Infinity, so a client can send them
+        node = json.loads(json.dumps({"kind": "scale", "operands": [to_wire(X)],
+                                      "factor": factor}))
+        with pytest.raises(WireError, match="finite numeric 'factor'"):
+            from_wire(node)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -float("inf")])
+    def test_expr_scale_rejects_a_non_finite_factor(self, factor):
+        with pytest.raises(ValueError, match="must be finite"):
+            expr.scale(X, factor)
+
     def test_source_without_name_rejected(self):
         with pytest.raises(WireError, match="name"):
             from_wire({"kind": "source"})

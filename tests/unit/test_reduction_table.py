@@ -3,11 +3,15 @@
 Each :data:`repro.core.ops.folds.REDUCTION_SPECS` row must be buildable as an
 expression, survive the wire form, be accepted by the CLI under its dashed
 name with its arity, and evaluate over a ragged chunked store to the bits the
-in-memory operation gives on the assembled array.  The remaining cases pin
-the operand checks of the in-memory binary reductions and the planner's
-validation of arity and options against the row.
+in-memory operation gives on the assembled array.  Its public function is
+generated from the row: one object in ``repro.core.ops`` and
+``repro.streaming.ops``, with the row's name, docstring and options, giving
+the same bits on an in-memory array, a store, a sharded store and a list of
+chunks.  The remaining cases pin the operand checks of the binary reductions
+and the planner's validation of arity and options against the row.
 """
 
+import inspect
 import json
 
 import pytest
@@ -18,7 +22,8 @@ from repro.core import CompressionSettings, Compressor, ops
 from repro.core.ops import folds
 from repro.engine import expr
 from repro.engine.wire import from_wire, request_from_wire, to_wire
-from repro.streaming import ChunkedCompressor
+from repro.streaming import ChunkedCompressor, append_shard, init_sharded_store
+from repro.streaming import ops as stream_ops
 from tests.conftest import smooth_field
 
 SETTINGS = CompressionSettings(block_shape=(4, 4), float_format="float32",
@@ -39,6 +44,20 @@ def ragged_stores(tmp_path_factory):
         store.close()
 
 
+@pytest.fixture(scope="module")
+def sharded_stores(tmp_path_factory):
+    """The same two fields as two-shard stores, chunked like ``ragged_stores``."""
+    root = tmp_path_factory.mktemp("sharded")
+    stores = []
+    for index, field in enumerate(FIELDS):
+        path = root / f"{index}.shards"
+        init_sharded_store(path, field[:8], SETTINGS, slab_rows=8).close()
+        stores.append(append_shard(path, field[8:], slab_rows=8))
+    yield stores
+    for store in stores:
+        store.close()
+
+
 @pytest.mark.parametrize("name", sorted(folds.REDUCTION_SPECS))
 class TestEveryRow:
     def test_expr_constructor_and_wire_round_trip(self, name):
@@ -47,7 +66,7 @@ class TestEveryRow:
         node = getattr(expr, name)(*operands)
         assert isinstance(node, expr.Reduction)
         assert node.op == name and len(node.operands) == spec.arity
-        assert expr.REDUCTION_OPS[name] == spec.arity
+        assert inspect.signature(getattr(expr, name)) == spec.signature
         assert from_wire(to_wire(node)).key == node.key
 
     def test_terms_pick_within_the_arity(self, name):
@@ -85,19 +104,60 @@ class TestEveryRow:
         assert value == getattr(ops, name)(*assembled)  # bitwise, not approx
 
 
+@pytest.mark.parametrize("name", sorted(folds.REDUCTION_SPECS))
+class TestOneFunctionPerRow:
+    def test_core_and_streaming_export_the_same_object(self, name):
+        assert getattr(ops, name) is getattr(stream_ops, name)
+
+    def test_same_bits_on_every_kind_of_operand(self, name, ragged_stores,
+                                                sharded_stores):
+        spec = folds.REDUCTION_SPECS[name]
+        function = getattr(ops, name)
+        assembled = [Compressor(SETTINGS).compress(field)
+                     for field in FIELDS[:spec.arity]]
+        chunk_lists = [list(store.iter_chunks())
+                       for store in ragged_stores[:spec.arity]]
+        expected = function(*assembled)
+        assert function(*ragged_stores[:spec.arity]) == expected  # bitwise
+        assert function(*sharded_stores[:spec.arity]) == expected
+        assert function(*chunk_lists) == expected
+
+    def test_name_doc_and_signature_come_from_the_row(self, name):
+        spec = folds.REDUCTION_SPECS[name]
+        function = getattr(ops, name)
+        assert function.__name__ == function.__qualname__ == name
+        assert function.__module__ == "repro.core.ops"
+        assert spec.doc and function.__doc__ == spec.doc
+        parameters = list(inspect.signature(function).parameters.values())
+        operands = parameters[:spec.arity]
+        assert all(p.kind is p.POSITIONAL_ONLY for p in operands)
+        options = parameters[spec.arity:]
+        assert [(p.name, p.default) for p in options] == list(spec.options)
+        assert all(p.kind is p.KEYWORD_ONLY for p in options)
+
+    def test_backend_keyword_is_gone(self, name, ragged_stores):
+        # compiled plans: engine.evaluate(..., backend=) / Plan.execute(backend=)
+        spec = folds.REDUCTION_SPECS[name]
+        with pytest.raises(TypeError, match="backend"):
+            getattr(stream_ops, name)(*ragged_stores[:spec.arity], backend="gemm")
+
+
 BINARY = sorted(name for name, spec in folds.REDUCTION_SPECS.items()
                 if spec.arity == 2)
 
 
 @pytest.mark.parametrize("name", BINARY)
-def test_in_memory_operands_are_checked_under_the_reduction_name(name):
+def test_in_memory_operands_are_checked_under_the_reduction_name(name,
+                                                                 ragged_stores):
     a = Compressor(SETTINGS).compress(FIELDS[0])
     b = Compressor(SETTINGS).compress(FIELDS[1][:16])
     label = name.replace("_", " ")
     with pytest.raises(ValueError, match=f"{label} requires equal shapes"):
         getattr(ops, name)(a, b)
-    with pytest.raises(TypeError, match=f"{label} requires CompressedArray"):
-        getattr(ops, name)(a, FIELDS[1])
+    # a CompressedArray beside a raw array or a store: never a silent sweep
+    for operands in ((a, FIELDS[1]), (a, ragged_stores[1]), (ragged_stores[0], a)):
+        with pytest.raises(TypeError, match=f"{label} requires CompressedArray"):
+            getattr(ops, name)(*operands)
 
 
 class TestPlanValidatesAgainstTheRow:
