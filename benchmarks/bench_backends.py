@@ -4,7 +4,8 @@ Unlike the pytest-benchmark figures, this harness emits a *machine-readable*
 record — ``BENCH_backends.json`` at the repository root — so the throughput
 trajectory of the kernel backends can be tracked across commits (and uploaded
 as a CI artifact).  A formatted table is printed to stdout and mirrored to
-``benchmarks/results/bench_backends.txt`` alongside the text ablations.
+``benchmarks/results/bench_backends.txt`` alongside the text ablations (next to
+the ``--output`` path instead when one is given).
 
 Run from the repository root::
 
@@ -175,10 +176,11 @@ def main(argv: list[str] | None = None) -> int:
     table = format_table(results)
     print()
     print(table)
-    print(f"\nwrote {output}")
-    results_dir = repo_root / "benchmarks" / "results"
-    if results_dir.is_dir():
-        (results_dir / "bench_backends.txt").write_text(table + "\n")
+    # the committed table follows the committed record; --output keeps both out
+    text = (output.with_suffix(".txt") if args.output
+            else repo_root / "benchmarks" / "results" / "bench_backends.txt")
+    text.write_text(table + "\n")
+    print(f"\nwrote {output} and {text}")
 
     if args.check:
         headline = [r for r in results if r["workload"] == HEADLINE and r["backend"] == "gemm"]

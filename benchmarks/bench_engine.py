@@ -7,26 +7,19 @@ acceptance bar centres on: ``mean``, ``variance``, ``l2_norm``, ``dot``,
 ``covariance`` and ``cosine_similarity`` over two identically chunked stores.
 Sequential evaluation sweeps the stores once per op (9 decode passes across
 the pair); the fused plan schedules the same folds into exactly 1 pass per
-store and produces bit-identical scalars (verified per run).  A formatted table is printed to stdout and mirrored to
-``benchmarks/results/bench_engine.txt``.
-
-Each workload also times the *compiled* fused path (``Plan.execute(backend=…)``,
-:mod:`repro.engine.compile`) for every available fused-pass-capable backend:
-one warm-up execution pays the kernel compile (reported separately as
-``compile_seconds``/``warmup_seconds``), then the recorded ``compiled_seconds``
-is warm — kernels come from the signature-keyed cache.  Compiled means are
-verified bit-identical to reference and every scalar within 1e-9 relative
-(far inside the documented ``fused_fold_tolerance``).
+store and produces bit-identical scalars (verified per run).  A formatted table
+is printed to stdout and written next to the JSON record: by default
+``benchmarks/results/bench_engine.txt``, else ``--output`` with a ``.txt``
+suffix, so a run into a scratch path leaves the committed records alone.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_engine.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_engine.py --quick    # small stores only
-    PYTHONPATH=src python benchmarks/bench_engine.py --check    # enforce both bars
+    PYTHONPATH=src python benchmarks/bench_engine.py --check    # enforce the bar
 
-The acceptance bars (enforced by ``--check``): fused wall-clock ≤ 0.6× the
-sequential wall-clock on the 2-D headline workload, and best warm compiled
-wall-clock ≤ 0.7× the interpreted fused wall-clock on the 256³ workload.
+The acceptance bar (enforced by ``--check``): fused wall-clock ≤ 0.6× the
+sequential wall-clock on the 2-D headline workload.
 """
 
 from __future__ import annotations
@@ -44,7 +37,6 @@ import numpy as np
 from repro import engine
 from repro.core import CompressionSettings
 from repro.engine import expr
-from repro.kernels import backend_is_available
 from repro.streaming import ChunkedCompressor
 from repro.streaming import ops as stream_ops
 
@@ -56,14 +48,9 @@ WORKLOADS = [
     ("256x256x256 f32 slab32", (256, 256, 256), 32, False),
 ]
 
-#: The acceptance workloads and bars checked by ``--check``.
+#: The acceptance workload and bar checked by ``--check``.
 HEADLINE = "1024x384 f32 slab16"
 MAX_FUSED_RATIO = 0.6
-COMPILED_HEADLINE = "256x256x256 f32 slab32"
-MAX_COMPILED_RATIO = 0.7
-
-#: Backends asked for a compiled fused-pass kernel (reference never compiles).
-COMPILED_BACKENDS = ("gemm", "numba")
 
 #: The six-reduction acceptance workload.
 SIX_OPS = ("mean", "variance", "l2_norm", "dot", "covariance", "cosine_similarity")
@@ -154,10 +141,6 @@ def bench_workload(label: str, shape: tuple[int, ...], slab_rows: int,
                 lambda: _sequential(store_a, store_b), repeats
             )
             fused_seconds = _best_seconds(plan.execute, repeats)
-            compiled = [
-                _bench_compiled(name, plan, fused_values, fused_seconds, repeats)
-                for name in COMPILED_BACKENDS
-            ]
             return {
                 "workload": label,
                 "shape": list(shape),
@@ -171,52 +154,7 @@ def bench_workload(label: str, shape: tuple[int, ...], slab_rows: int,
                 "fused_decode_passes": list(fused_passes),
                 "plan_passes": plan.n_passes,
                 "bit_identical": True,
-                "compiled": compiled,
             }
-
-
-def _bench_compiled(name: str, plan, reference_values: dict,
-                    fused_seconds: float, repeats: int) -> dict:
-    """Warm then time one compiled backend; verify it against reference.
-
-    The first ``execute(backend=name)`` pays kernel compilation — its wall
-    time and the kernels' own ``compile_seconds`` are recorded separately and
-    **excluded** from ``compiled_seconds``, which times only warm (cached)
-    executions, matching the warm-up contract in ``docs/engine.md``.
-    """
-    if not backend_is_available(name):
-        return {"backend": name, "available": False,
-                "reason": "backend not importable in this environment"}
-    warmup_start = time.perf_counter()
-    compiled_values = plan.execute(backend=name)
-    warmup_seconds = time.perf_counter() - warmup_start
-    stats = dict(plan.last_execution)
-    max_rel = max(
-        abs(compiled_values[op] - reference_values[op])
-        / max(abs(reference_values[op]), 1e-300)
-        for op in SIX_OPS
-    )
-    if max_rel > 1e-9:
-        raise AssertionError(
-            f"{name} compiled results drifted {max_rel:.3e} from reference"
-        )
-    if compiled_values["mean"] != reference_values["mean"]:
-        raise AssertionError(f"{name} compiled mean is not bit-identical")
-    compiled_seconds = _best_seconds(
-        lambda: plan.execute(backend=name), repeats
-    )
-    return {
-        "backend": name,
-        "available": True,
-        "compiled_seconds": compiled_seconds,
-        "compiled_over_fused": compiled_seconds / fused_seconds,
-        "warmup_seconds": warmup_seconds,
-        "compile_seconds": stats["compile_seconds"],
-        "compiled_groups": stats["compiled_groups"],
-        "interpreted_groups": stats["interpreted_groups"],
-        "max_rel_vs_reference": max_rel,
-        "mean_bit_identical": True,
-    }
 
 
 def format_table(results: list[dict]) -> str:
@@ -233,17 +171,6 @@ def format_table(results: list[dict]) -> str:
             f"{record['sequential_seconds']:13.4f} {record['fused_seconds']:9.4f} "
             f"{record['fused_over_sequential']:6.2f} {passes:>21s}"
         )
-        for row in record.get("compiled", ()):
-            if not row.get("available"):
-                lines.append(f"  compiled[{row['backend']}]: unavailable "
-                             f"({row['reason']})")
-                continue
-            lines.append(
-                f"  compiled[{row['backend']}]: {row['compiled_seconds']:.4f}s "
-                f"({row['compiled_over_fused']:.2f}x fused; compile "
-                f"{row['compile_seconds'] * 1e3:.2f}ms excluded, warm-up "
-                f"{row['warmup_seconds']:.4f}s)"
-            )
     return "\n".join(lines)
 
 
@@ -257,9 +184,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="repeats per timing; the best is recorded (default 3)")
     parser.add_argument("--check", action="store_true",
                         help=f"fail unless fused wall-clock ≤ {MAX_FUSED_RATIO}x "
-                             f"sequential on the 6-op headline workload AND the "
-                             f"best warm compiled wall-clock ≤ {MAX_COMPILED_RATIO}x "
-                             f"interpreted fused on {COMPILED_HEADLINE!r}")
+                             f"sequential on the 6-op headline workload")
     args = parser.parse_args(argv)
 
     repo_root = Path(__file__).resolve().parent.parent
@@ -287,10 +212,10 @@ def main(argv: list[str] | None = None) -> int:
     table = format_table(results)
     print()
     print(table)
-    print(f"\nwrote {output}")
-    results_dir = repo_root / "benchmarks" / "results"
-    if results_dir.is_dir():
-        (results_dir / "bench_engine.txt").write_text(table + "\n")
+    text = (output.with_suffix(".txt") if args.output
+            else repo_root / "benchmarks" / "results" / "bench_engine.txt")
+    text.write_text(table + "\n")
+    print(f"\nwrote {output} and {text}")
 
     if args.check:
         headline = [r for r in results if r["workload"] == HEADLINE]
@@ -304,28 +229,6 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 1
         print(f"check passed: fused/sequential {ratio:.2f} ≤ {MAX_FUSED_RATIO}")
-
-        compiled_headline = [r for r in results
-                             if r["workload"] == COMPILED_HEADLINE]
-        if not compiled_headline:
-            print(f"check failed: compiled headline workload "
-                  f"{COMPILED_HEADLINE!r} was not run (did you pass --quick?)",
-                  file=sys.stderr)
-            return 1
-        available = [row for row in compiled_headline[0]["compiled"]
-                     if row.get("available")]
-        if not available:
-            print("check failed: no compiled fused-pass backend was available",
-                  file=sys.stderr)
-            return 1
-        best = min(available, key=lambda row: row["compiled_over_fused"])
-        if best["compiled_over_fused"] > MAX_COMPILED_RATIO:
-            print(f"check failed: compiled/fused "
-                  f"{best['compiled_over_fused']:.2f} ({best['backend']}) > "
-                  f"{MAX_COMPILED_RATIO}", file=sys.stderr)
-            return 1
-        print(f"check passed: compiled/fused {best['compiled_over_fused']:.2f} "
-              f"({best['backend']}) ≤ {MAX_COMPILED_RATIO}")
     return 0
 
 

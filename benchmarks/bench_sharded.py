@@ -230,10 +230,11 @@ def main(argv: list[str] | None = None) -> int:
     table = format_table(results)
     print()
     print(table)
-    print(f"\nwrote {output}")
-    results_dir = repo_root / "benchmarks" / "results"
-    if results_dir.is_dir():
-        (results_dir / "bench_sharded.txt").write_text(table + "\n")
+    # the committed table follows the committed record; --output keeps both out
+    text = (output.with_suffix(".txt") if args.output
+            else repo_root / "benchmarks" / "results" / "bench_sharded.txt")
+    text.write_text(table + "\n")
+    print(f"\nwrote {output} and {text}")
 
     if args.check:
         gated = [record for record in results

@@ -327,14 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "of the zero-padded block domain")
     p_ops.add_argument("--json", action="store_true",
                        help="emit one machine-readable JSON object (values, "
-                            "timing, fused pass count, executing backend) "
+                            "timing, fused pass count, sweep statistics) "
                             "instead of text lines")
-    p_ops.add_argument("--backend", default=None,
-                       choices=list(available_backends()),
-                       help="kernel backend executing the fused chunk steps of "
-                            "`evaluate` (default: reference, bit-exact; gemm/"
-                            "numba compile one kernel per fused pass — see "
-                            "docs/engine.md 'Compiled plans')")
 
     p_serve = sub.add_parser(
         "serve",
@@ -360,11 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-bytes", type=_non_negative_int, default=None,
                          help="decoded-chunk LRU cache budget in bytes "
                               "(default: 256 MiB; 0 disables the cache)")
-    p_serve.add_argument("--backend", default=None,
-                         choices=list(available_backends()),
-                         help="kernel backend executing every served plan "
-                              "(default: reference; compiled backends reuse "
-                              "one kernel per plan signature across requests)")
     p_serve.add_argument("--deadline", type=_positive_seconds, default=None,
                          help="per-request wall-clock budget in seconds; a "
                               "request whose batch overruns it gets an explicit "
@@ -706,12 +695,6 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
     if operation == "scale" and args.scalar is None:
         print("error: scale needs --scalar", file=sys.stderr)
         return 2
-    if args.backend is not None and operation in _ARRAY_OPS:
-        print("error: --backend selects the scalar reductions' fused-pass "
-              "kernels; add/subtract/scale/negate always run the reference "
-              "path", file=sys.stderr)
-        return 2
-
     def run_scalars(store_a, store_b) -> int:
         """Plan + execute the requested reductions as one fused sweep set."""
         operands = [store_a] if store_b is None else [store_a, store_b]
@@ -720,7 +703,7 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
             for name in requested
         })
         start = time.perf_counter()
-        values = fused.execute(backend=args.backend)
+        values = fused.execute()
         seconds = time.perf_counter() - start
         executed = fused.last_execution or {}
         if args.json:
@@ -730,12 +713,8 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
                 "passes": fused.n_passes,
                 "seconds": seconds,
                 "stores": stores,
-                "backend": executed.get("backend"),
-                "backend_fallback": executed.get("fallback_reason"),
-                "compiled_groups": executed.get("compiled_groups"),
                 "interpreted_groups": executed.get("interpreted_groups"),
                 "incremental_groups": executed.get("incremental_groups"),
-                "compile_seconds": executed.get("compile_seconds"),
                 "io_seconds": executed.get("io_seconds"),
                 "prefetch_depth": executed.get("prefetch_depth"),
                 "readahead_sweeps": executed.get("readahead_sweeps"),
@@ -744,8 +723,6 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
         else:
             for name in requested:
                 print(f"{name} = {values[name]!r}")
-            if args.backend and executed.get("fallback_reason"):
-                print(f"note: {executed['fallback_reason']}", file=sys.stderr)
         return 0
 
     def report_store(out) -> None:
@@ -819,7 +796,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     with StoreCatalog(mapping, cache=cache) as catalog:
         service = QueryService(catalog, tick=args.tick,
                                coalesce=not args.no_coalesce,
-                               backend=args.backend,
                                deadline=args.deadline,
                                max_in_flight=args.max_in_flight)
 
@@ -827,8 +803,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host, port = await service.start(args.host, args.port)
             print(f"serving {len(catalog)} store(s) on {host}:{port} "
                   f"(tick {service.tick * 1000:g} ms, coalescing "
-                  f"{'on' if service.coalesce else 'off'}, backend "
-                  f"{service.backend or 'reference'})", flush=True)
+                  f"{'on' if service.coalesce else 'off'})", flush=True)
             await service.serve_forever()
 
         try:

@@ -79,11 +79,13 @@ def scale_to_indices(
     expand = maxima.reshape(maxima.shape + (1,) * block_ndim)
     safe = np.where(expand == 0.0, 1.0, expand)
     # divide before scaling: |coefficients / safe| <= 1, so the product cannot
-    # overflow even for 64-bit radii or subnormal block maxima
-    scaled = (coefficients / safe) * float(radius)
+    # overflow even for 64-bit radii or subnormal block maxima; every later
+    # step works in place on the quotient's buffer
+    indices = np.divide(coefficients, safe)
+    np.multiply(indices, float(radius), out=indices)
     # round half away from zero would also be acceptable; numpy's rint (round half to
     # even) matches torch.round used by the reference implementation.
-    indices = np.rint(scaled)
+    np.rint(indices, out=indices)
     # float64 cannot represent 2**63 - 1 exactly, so clamp int64 indices to the
     # largest exactly-representable value below the radius before casting
     limit = float(radius) if dtype.itemsize < 8 else float(2**63 - 1024)

@@ -11,9 +11,24 @@ norms, covariances) can be computed from coefficients directly.
 is the converse: given a blocked array of coefficients produced by some operation
 (e.g. the sum of two arrays' coefficients), re-derive the ``{N, F}`` pair, which is
 where the "rebinning" error of Table I comes from.
+
+:func:`kept_coefficients` and :func:`rebin_kept` are the same pair on the kept
+``(n_blocks, kept)`` matrix instead of the blocked, padded array.  Pruned
+positions hold zeros, which neither change a block's maximum magnitude nor
+bin to anything but zero, so rebinning the kept matrix gives the ``{N, F}``
+of rebinning the blocked array bit for bit — without building it.
+
+Within a :func:`fold_step` scope, the operations one step of the engine runs
+(structural ``add``/``subtract`` and the fold partials) share what they derive
+from the same chunk — its scaled kept matrix, an index row sum — through
+:func:`step_memo`: computed once, dropped when the scope ends.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -22,23 +37,85 @@ from ..compressed import CompressedArray
 from ..pruning import flatten_kept
 from ..settings import CompressionSettings
 
-__all__ = ["specified_coefficients", "rebin_coefficients", "require_compatible"]
+__all__ = ["specified_coefficients", "rebin_coefficients", "block_scales",
+           "kept_coefficients", "shared_kept_coefficients", "rebin_kept",
+           "fold_step", "step_memo", "require_compatible"]
+
+#: What the operations of the fold step being run share, keyed by the
+#: identity of the step's arrays (see :func:`fold_step`); ``None`` outside one.
+_STEP_SHARED: ContextVar["dict | None"] = ContextVar("step_shared", default=None)
+
+
+@contextmanager
+def fold_step() -> Iterator[None]:
+    """Scope one fold step: its operations compute a shared value once.
+
+    The step's arrays stay alive for the whole scope, so the identities
+    keying :func:`step_memo` stay unique, and the shared values are dropped
+    with it — nothing outlives the step or answers for a later mutation.  A
+    nested scope joins the enclosing one.
+    """
+    if _STEP_SHARED.get() is not None:
+        yield
+        return
+    token = _STEP_SHARED.set({})
+    try:
+        yield
+    finally:
+        _STEP_SHARED.reset(token)
+
+
+def step_memo(key: tuple, compute: Callable[[], np.ndarray]) -> np.ndarray:
+    """``compute()``, once per :func:`fold_step` scope for ``key`` (every call outside one)."""
+    shared = _STEP_SHARED.get()
+    if shared is None:
+        return compute()
+    value = shared.get(key)
+    if value is None:
+        value = shared[key] = compute()
+    return value
 
 
 def specified_coefficients(compressed: CompressedArray) -> np.ndarray:
     """Algorithm 3: recover the kept coefficients ``Ĉ = N ⊙ F ⊘ r``.
 
     Returns a blocked float64 array shaped ``(grid..., block...)`` with zeros at
-    pruned positions.  Callers own the returned array (partials mutate it in
-    place), so when several folds share one chunk the lazy engine primes a
-    ``coefficients_cache`` attribute on the chunk: subsequent calls then return
-    a bitwise-identical copy of the cached array instead of re-deriving it from
-    the indices — same bits, one fancy-indexing pass instead of one per fold.
+    pruned positions, owned by the caller.
     """
-    cache = getattr(compressed, "coefficients_cache", None)
-    if cache is not None:
-        return cache.copy()
     return compressed.specified_coefficients()
+
+
+def block_scales(compressed: CompressedArray) -> np.ndarray:
+    """Every block's ``s = N / r`` (C-order blocks), the factor Algorithm 3 applies to ``F``."""
+    return compressed.maxima.reshape(-1) / float(compressed.settings.index_radius)
+
+
+def kept_coefficients(compressed: CompressedArray) -> np.ndarray:
+    """Algorithm 3 on the kept matrix: ``F ⊙ s`` with ``s = N / r`` per block.
+
+    Returns a fresh float64 ``(n_blocks, kept)`` array, elementwise the kept
+    positions of :func:`specified_coefficients` (the same expression per
+    element), without the padded block layout.
+    """
+    values = compressed.indices.astype(np.float64)
+    np.multiply(values, block_scales(compressed)[:, None], out=values)
+    return values
+
+
+def shared_kept_coefficients(compressed: CompressedArray) -> np.ndarray:
+    """:func:`kept_coefficients`, taken once per fold step; callers only read it."""
+    return step_memo(("kept", id(compressed)), lambda: kept_coefficients(compressed))
+
+
+def rebin_kept(values: np.ndarray, like: CompressedArray) -> CompressedArray:
+    """Quantize a kept ``(n_blocks, kept)`` coefficient matrix into ``{N, F}``.
+
+    The kept-matrix form of :func:`rebin_coefficients` for an array with the
+    settings and shape of ``like``: the same maxima and indices, bit for bit.
+    """
+    maxima, indices = bin_coefficients(values, 1, like.settings.index_dtype)
+    return CompressedArray(settings=like.settings, shape=like.shape,
+                           maxima=maxima.reshape(like.grid_shape), indices=indices)
 
 
 def rebin_coefficients(

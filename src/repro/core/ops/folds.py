@@ -34,17 +34,28 @@ inherit that tolerance — see ``docs/ops.md`` for the per-operation contracts.
 
 The partial state costs one float64 per block and per tracked quantity — a
 ``Π block_extents``-fold reduction of the data (64× for the default 4³ blocks).
-Coefficients are materialised transiently, one fold step at a time: the
-engine stacks consecutive chunks into one step buffer of at most
-:data:`repro.streaming.steps.STEP_COEFFICIENTS` kept coefficients per source.
+The partials work on each chunk's kept ``(n_blocks, kept)`` index matrix ``F``
+and never build the blocked, padded coefficient array.  A stored coefficient
+is ``F·s`` with one scale ``s = N / r`` per block (Algorithm 3), so a summing
+fold is a per-block sum of index products times one scale:
+
+* for ``int8``/``int16`` indices ``|i·j| ≤ 2³⁰``, so ``Σ i·j`` accumulated in
+  float64 is the exact integer; each block's value is that sum scaled once by
+  ``s_a·s_b`` (the centered folds' AC sums subtract the DC product in the
+  integers first), which is the exact value rounded twice;
+* ``diff_square``, and ``int32``/``int64`` indices (whose products overflow
+  float64's exact range), take a row dot over the scaled kept matrix ``F·s``,
+  elementwise the coefficients
+  :func:`~repro.core.ops.coefficients.specified_coefficients` would give.
+
+:data:`FOLD_REVISION` names this arithmetic, so per-block vectors persisted by
+an earlier one are recognised as stale (:mod:`repro.streaming.sharded`).
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping
@@ -53,7 +64,8 @@ import numpy as np
 
 from ...numerics import exact_sum
 from ..compressed import CompressedArray
-from .coefficients import require_compatible, specified_coefficients
+from .coefficients import (block_scales, fold_step, require_compatible,
+                           shared_kept_coefficients, step_memo)
 
 __all__ = [
     "FoldState",
@@ -62,7 +74,7 @@ __all__ = [
     "ReductionSpec",
     "REDUCTION_SPECS",
     "reduction_spec",
-    "shared_coefficients",
+    "FOLD_REVISION",
     "run_terms",
     "evaluate",
     "combine",
@@ -187,30 +199,29 @@ def total(state: FoldState, key: str) -> float:
     return exact_sum(state.sums[key])
 
 
+#: Revision of the per-block fold arithmetic: 1 is the integer-domain folds.
+#: Persisted per-block vectors carry the revision they were computed under.
+FOLD_REVISION = 1
+
+
 # ---------------------------------------------------------------------- helpers
-def _readonly_coefficients(chunk: CompressedArray) -> np.ndarray:
-    """Specified coefficients for read-only use: the primed cache when present.
+def _row_products(a: CompressedArray, b: CompressedArray, ac: bool) -> np.ndarray:
+    """Per-block ``Σ Ĉa·Ĉb`` over the kept coefficients (AC columns with ``ac``).
 
-    Partials may *read* this array but never write it — operands a partial
-    mutates must go through :func:`specified_coefficients`, which returns an
-    owned copy.  Skipping the copy for read-only operands saves one memcpy per
-    binary partial under the engine's shared-cache sweeps; the bits are
-    identical either way.
+    ``int8``/``int16`` indices sum exactly in the integers (``Σ i·j`` is
+    shared by every partial of the step that needs it) and scale once;
+    wider indices take a row dot over the scaled kept matrices.  ``a is b``
+    gives the square sum, bit for bit the same values as ``product(a, a)``.
     """
-    cache = getattr(chunk, "coefficients_cache", None)
-    if cache is not None:
-        return cache
-    return specified_coefficients(chunk)
-
-
-def _per_block_sum(values: np.ndarray, ndim: int) -> np.ndarray:
-    """Sum a blocked ``(grid..., block...)`` array within each block, raveled C-order.
-
-    Each block's sum is a reduction over that block's own elements only, so the
-    result rows are bitwise independent of which other blocks share the array.
-    """
-    block_axes = tuple(range(values.ndim - ndim, values.ndim))
-    return values.sum(axis=block_axes).ravel()
+    if a.indices.dtype.itemsize <= 2:
+        sums = step_memo(("index_dot", id(a), id(b)), lambda: np.einsum(
+            "ij,ij->i", a.indices, b.indices, dtype=np.float64, casting="unsafe"))
+        if ac:
+            sums = sums - a.indices[:, 0].astype(np.float64) * b.indices[:, 0]
+        return sums * (block_scales(a) * block_scales(b))
+    first = 1 if ac else 0
+    return np.einsum("ij,ij->i", shared_kept_coefficients(a)[:, first:],
+                     shared_kept_coefficients(b)[:, first:])
 
 
 def _state(chunk: CompressedArray, sums: dict[str, list[np.ndarray]],
@@ -223,11 +234,6 @@ def _state(chunk: CompressedArray, sums: dict[str, list[np.ndarray]],
         n_padded_elements=chunk.n_padded_elements,
         dc_scale=dc_scale,
     )
-
-
-def _dc_index(ndim: int) -> tuple:
-    """Index expression selecting every block's first (DC) coefficient."""
-    return (Ellipsis,) + (0,) * ndim
 
 
 def _dc_vector(chunk: CompressedArray) -> np.ndarray:
@@ -247,26 +253,19 @@ def _require_dc(chunk: CompressedArray, operation: str) -> None:
 def product_partial(a: CompressedArray, b: CompressedArray) -> FoldState:
     """Per-block sums of ``Ĉa ⊙ Ĉb`` — the partial of :func:`~repro.core.ops.dot`."""
     require_compatible(a, b, "dot product")
-    ndim = a.settings.ndim
-    products = specified_coefficients(a)
-    np.multiply(products, _readonly_coefficients(b), out=products)
-    return _state(a, {"product": [_per_block_sum(products, ndim)]})
+    return _state(a, {"product": [_row_products(a, b, ac=False)]})
 
 
 def square_partial(chunk: CompressedArray) -> FoldState:
     """Per-block sums of ``Ĉ ⊙ Ĉ`` — the partial of :func:`~repro.core.ops.l2_norm`."""
-    squares = specified_coefficients(chunk)
-    np.multiply(squares, squares, out=squares)
-    return _state(chunk, {"square": [_per_block_sum(squares, chunk.settings.ndim)]})
+    return _state(chunk, {"square": [_row_products(chunk, chunk, ac=False)]})
 
 
 def difference_square_partial(a: CompressedArray, b: CompressedArray) -> FoldState:
     """Per-block sums of ``(Ĉa − Ĉb)²`` — the partial of Euclidean distance."""
     require_compatible(a, b, "euclidean distance")
-    difference = specified_coefficients(a)
-    np.subtract(difference, _readonly_coefficients(b), out=difference)
-    np.multiply(difference, difference, out=difference)
-    return _state(a, {"diff_square": [_per_block_sum(difference, a.settings.ndim)]})
+    difference = np.subtract(shared_kept_coefficients(a), shared_kept_coefficients(b))
+    return _state(a, {"diff_square": [np.einsum("ij,ij->i", difference, difference)]})
 
 
 def dc_partial(chunk: CompressedArray) -> FoldState:
@@ -285,17 +284,13 @@ def centered_product_partial(a: CompressedArray, b: CompressedArray) -> FoldStat
     Centering an array on its mean changes only each block's DC coefficient
     (§IV, Algorithm 8), so per block ``Σ_k (Ca_k − μa·[k=0])(Cb_k − μb·[k=0])
     = (dc_a − μa)(dc_b − μb) + Σ_{k≠0} Ca_k·Cb_k``.  The partial keeps the DC
-    coefficients apart and sums only the AC products (DC slot zeroed), so the
-    global means enter at finalize time and the fold needs a single sweep.
+    coefficients apart and sums only the AC products, so the global means
+    enter at finalize time and the fold needs a single sweep.
     """
     require_compatible(a, b, "covariance")
     _require_dc(a, "covariance/variance")
-    ndim = a.settings.ndim
-    products = specified_coefficients(a)
-    products[_dc_index(ndim)] = 0.0
-    np.multiply(products, _readonly_coefficients(b), out=products)
     return _state(a, {"dc_a": [_dc_vector(a)], "dc_b": [_dc_vector(b)],
-                      "ac_product": [_per_block_sum(products, ndim)]})
+                      "ac_product": [_row_products(a, b, ac=True)]})
 
 
 def centered_square_partial(chunk: CompressedArray) -> FoldState:
@@ -305,12 +300,8 @@ def centered_square_partial(chunk: CompressedArray) -> FoldState:
     partial keeps ``dc`` and ``ac_square`` apart so one sweep suffices.
     """
     _require_dc(chunk, "covariance/variance")
-    ndim = chunk.settings.ndim
-    squares = specified_coefficients(chunk)
-    squares[_dc_index(ndim)] = 0.0
-    np.multiply(squares, squares, out=squares)
     return _state(chunk, {"dc": [_dc_vector(chunk)],
-                          "ac_square": [_per_block_sum(squares, ndim)]})
+                          "ac_square": [_row_products(chunk, chunk, ac=True)]})
 
 
 # ---------------------------------------------------------------------- finalizers
@@ -432,13 +423,7 @@ class FoldSpec:
     partial:
         ``(*chunks) -> FoldState`` — the per-chunk partial.
     outputs:
-        The per-block sum keys of the partial's state, in order — also the
-        vectors a compiled fused-pass kernel emits for the fold
-        (:meth:`repro.kernels.KernelBackend.compile_fused_pass`).
-    touches_coefficients:
-        Whether the partial materialises the full specified-coefficient array
-        (everything except the DC-only fold); the engine uses this to decide
-        which decoded chunks are worth a shared coefficient cache.
+        The per-block sum keys of the partial's state, in order.
     label:
         Operation name in a binary fold's operand-compatibility errors.
     """
@@ -448,7 +433,6 @@ class FoldSpec:
     requires_dc: bool
     partial: Callable[..., FoldState]
     outputs: tuple[str, ...]
-    touches_coefficients: bool = True
     label: str = ""
 
 
@@ -458,7 +442,7 @@ class FoldSpec:
 FOLD_SPECS: dict[str, FoldSpec] = {
     spec.name: spec
     for spec in (
-        FoldSpec("dc", 1, True, dc_partial, ("dc",), touches_coefficients=False),
+        FoldSpec("dc", 1, True, dc_partial, ("dc",)),
         FoldSpec("square", 1, False, square_partial, ("square",)),
         FoldSpec("product", 2, False, product_partial, ("product",),
                  label="dot product"),
@@ -671,41 +655,18 @@ def reduction_spec(name: str, n_operands: int, options: Mapping) -> ReductionSpe
 
 
 # ---------------------------------------------------------------------- one step
-@contextmanager
-def shared_coefficients(terms, extra_uses=()):
-    """Step-scoped coefficient caches for chunks read by two or more consumers.
-
-    Yields ``offer(slot, chunk)``, to be called once each slot's chunk
-    exists.  A chunk whose slot feeds two or more coefficient-touching fold
-    terms (counting ``extra_uses``, e.g. the engine's ``add``/``subtract``
-    operands) gets a primed ``coefficients_cache``: the dense coefficient
-    array is materialised once and copied per consumer, bitwise identical
-    (:func:`repro.core.ops.coefficients.specified_coefficients`).  The caches
-    are dropped on exit — chunks may be caller-owned and must neither retain
-    dense coefficients nor serve stale bits to later operations.
-    """
-    uses = Counter(extra_uses)
-    for name, slots in terms:
-        if FOLD_SPECS[name].touches_coefficients:
-            uses.update(slots)
-    primed = []
-
-    def offer(slot, chunk) -> None:
-        if uses[slot] >= 2 and getattr(chunk, "coefficients_cache", None) is None:
-            chunk.coefficients_cache = chunk.specified_coefficients()
-            primed.append(chunk)
-
-    try:
-        yield offer
-    finally:
-        for chunk in primed:
-            del chunk.coefficients_cache
-
-
 def run_terms(values: Mapping, terms) -> list[FoldState]:
-    """Every ``(fold name, slots)`` term's partial over ``values`` (slot → chunk)."""
-    return [FOLD_SPECS[name].partial(*(values[slot] for slot in slots))
-            for name, slots in terms]
+    """Every ``(fold name, slots)`` term's partial over ``values`` (slot → chunk).
+
+    The partials run as one :func:`~repro.core.ops.coefficients.fold_step`
+    (joining the caller's, if any): a row sum two of them need (``Σ i²`` for
+    ``square`` and ``centered_square`` of one chunk, ``Σ i·j`` for
+    ``product`` and ``centered_product`` of one pair, a scaled kept matrix)
+    is computed once and dropped when the step ends.
+    """
+    with fold_step():
+        return [FOLD_SPECS[name].partial(*(values[slot] for slot in slots))
+                for name, slots in terms]
 
 
 def evaluate(name: str, *operands: CompressedArray, **options) -> float:
@@ -713,8 +674,8 @@ def evaluate(name: str, *operands: CompressedArray, **options) -> float:
 
     The single-chunk path of the :mod:`repro.core.ops` reductions, with the
     engine's recipe: the row's fold terms (operands interned by identity, so
-    ``cosine_similarity(a, a)`` folds one square sum), shared coefficient
-    caches, one partial per term, then the row's finalizer with ``options``
+    ``cosine_similarity(a, a)`` folds one square sum), one fold step of
+    partials (:func:`run_terms`), then the row's finalizer with ``options``
     (e.g. the mean's ``padded``).  Raises ``ValueError`` for an unknown name,
     a wrong operand count, a bad option or incompatible operands.
     """
@@ -725,8 +686,5 @@ def evaluate(name: str, *operands: CompressedArray, **options) -> float:
                        if other is operand) for operand in operands)
     terms = tuple(dict.fromkeys(spec.terms_over(slots)))
     values = dict(zip(slots, operands))
-    with shared_coefficients(terms) as offer:
-        for slot, chunk in values.items():
-            offer(slot, chunk)
-        states = dict(zip(terms, run_terms(values, terms)))
+    states = dict(zip(terms, run_terms(values, terms)))
     return spec.finalize(slots, states, options)

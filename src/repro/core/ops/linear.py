@@ -7,6 +7,10 @@
   re-binning step is the only source of additional error.
 * :func:`add_scalar` — shift every block's first (DC) coefficient by
   ``x · Π sqrt(i)`` and re-bin; requires the DC coefficient to be unpruned.
+
+The re-binning operations work on the kept ``(n_blocks, kept)`` coefficient
+matrices (:func:`~repro.core.ops.coefficients.kept_coefficients`), which give
+the maxima and indices of re-binning the blocked arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..compressed import CompressedArray
-from .coefficients import rebin_coefficients, require_compatible, specified_coefficients
+from .coefficients import (kept_coefficients, rebin_kept, require_compatible,
+                           shared_kept_coefficients)
 
 __all__ = ["negate", "add", "subtract", "add_scalar", "multiply_scalar"]
 
@@ -47,8 +52,8 @@ def add(a: CompressedArray, b: CompressedArray) -> CompressedArray:
     (possibly larger) new per-block maxima; re-binning is the only additional error.
     """
     require_compatible(a, b, "addition")
-    summed = specified_coefficients(a) + specified_coefficients(b)
-    return rebin_coefficients(summed, a.settings, a.shape)
+    summed = np.add(shared_kept_coefficients(a), shared_kept_coefficients(b))
+    return rebin_kept(summed, a)
 
 
 def subtract(a: CompressedArray, b: CompressedArray) -> CompressedArray:
@@ -58,8 +63,8 @@ def subtract(a: CompressedArray, b: CompressedArray) -> CompressedArray:
     helper fuses the two so only one re-binning happens.
     """
     require_compatible(a, b, "subtraction")
-    diff = specified_coefficients(a) - specified_coefficients(b)
-    return rebin_coefficients(diff, a.settings, a.shape)
+    diff = np.subtract(shared_kept_coefficients(a), shared_kept_coefficients(b))
+    return rebin_kept(diff, a)
 
 
 def add_scalar(compressed: CompressedArray, scalar: float) -> CompressedArray:
@@ -79,10 +84,9 @@ def add_scalar(compressed: CompressedArray, scalar: float) -> CompressedArray:
         )
     if not np.isfinite(scalar):
         raise ValueError("scalar must be finite")
-    coefficients = specified_coefficients(compressed)
-    dc_index = (Ellipsis,) + (0,) * compressed.settings.ndim
-    coefficients[dc_index] += float(scalar) * compressed.settings.dc_scale
-    return rebin_coefficients(coefficients, compressed.settings, compressed.shape)
+    coefficients = kept_coefficients(compressed)
+    coefficients[:, 0] += float(scalar) * compressed.settings.dc_scale
+    return rebin_kept(coefficients, compressed)
 
 
 def multiply_scalar(compressed: CompressedArray, scalar: float) -> CompressedArray:

@@ -23,9 +23,11 @@ steps:
 3. **Schedule** — every term goes into the plan's single pass, grouped by
    source so each aligned chunk tuple is decoded once.  Consecutive tuples
    are stacked into *fold steps* (:mod:`repro.streaming.steps`), and each
-   step feeds every partial that wants it; a step array shared by two or
-   more coefficient-touching folds gets a primed ``coefficients_cache`` (one
-   dense materialisation, bitwise-identical copies per fold).
+   step feeds every partial that wants it.  The partials fold each step's
+   kept ``(n_blocks, kept)`` index matrix directly — no step materialises the
+   blocked coefficient array — and a row sum two partials of one step share
+   (``square`` and ``centered_square`` of a source both need ``Σ i²``) is
+   taken once (:func:`repro.core.ops.folds.run_terms`).
 
 **Pass-count guarantee**: ``plan.n_passes`` is always 1; every source is
 decoded once per chunk (``plan.decode_passes`` is 1 for each source), so a
@@ -36,14 +38,6 @@ sequential :mod:`repro.streaming.ops` call bit for bit — the per-block partial
 sums are block-local, so a block has the same sums whichever fold step it
 arrives in, and the correctly rounded sum :func:`repro.core.ops.folds.total`
 (bit-identical to ``math.fsum``) does not depend on how they are grouped.
-
-**Compiled execution**: ``Plan.execute(backend=...)`` routes lowered pass
-groups through one compiled fused-pass kernel per plan signature
-(:mod:`repro.engine.compile`) — ``gemm`` vectorizes the whole step over the
-flattened kept-coefficient matrices, ``numba`` JIT-compiles a generated
-per-block loop.  The ``reference`` default keeps the interpreted, bit-exact
-path above; compiled means stay bit-identical and summing folds agree within
-the backend's ``fused_fold_tolerance`` (see ``docs/engine.md``).
 
 Every sweep reads its chunks through the one prefetching reader
 (:func:`repro.streaming.sources.aligned_chunks`), so the caller's chunk cache,
@@ -57,14 +51,12 @@ from typing import Mapping
 
 from ..core import ops as core_ops
 from ..core.ops import folds
-from ..kernels import DEFAULT_BACKEND
-from ..reliability import faults
+from ..core.ops.coefficients import fold_step
 from ..streaming.prefetch import READAHEAD_SPANS, ChunkPrefetcher
 from ..streaming.sharded import ShardedStore
 from ..streaming.sources import (STORE_TYPES, aligned_chunks, check_stores,
                                  require_pyblaz)
 from ..streaming.steps import fold_steps
-from . import compile as plan_compile
 from .expr import ArrayExpr, Expr, Reduction, Source
 
 __all__ = ["Plan", "PlanPass", "PassGroup", "plan", "evaluate"]
@@ -96,21 +88,19 @@ def _needed_slots(program: tuple, terms: tuple) -> set[int]:
 
 def _evaluate_step(program: tuple, values: dict,
                    terms: tuple) -> list[folds.FoldState]:
-    """One fused fold step: structural nodes, shared caches, every term's partial.
+    """One fused fold step: structural nodes, then every term's partial.
 
     ``values`` arrives holding the source arrays of this step (slot →
     :class:`CompressedArray`); structural slots are filled by the in-memory
-    :mod:`repro.core.ops` operations in slot (topological) order.  Each array
-    is offered to :func:`repro.core.ops.folds.shared_coefficients` as soon as
-    it exists — the same caching rule :func:`repro.core.ops.folds.evaluate`
-    runs in memory, with ``add``/``subtract`` operands counted as consumers.
+    :mod:`repro.core.ops` operations in slot (topological) order, and
+    :func:`repro.core.ops.folds.run_terms` runs the partials — the same
+    recipe :func:`repro.core.ops.folds.evaluate` runs in memory.  All of it
+    is one :func:`~repro.core.ops.coefficients.fold_step`, so a structural
+    ``subtract`` and a ``diff_square`` of the same chunks scale each kept
+    matrix once.
     """
-    needed = sorted(_needed_slots(program, terms))
-    structural_uses = [operand for slot in needed
-                       if program[slot][0] in ("add", "subtract")
-                       for operand in program[slot][1:3]]
-    with folds.shared_coefficients(terms, structural_uses) as offer:
-        for slot in needed:
+    with fold_step():
+        for slot in sorted(_needed_slots(program, terms)):
             entry = program[slot]
             kind = entry[0]
             if kind == "add":
@@ -123,7 +113,6 @@ def _evaluate_step(program: tuple, values: dict,
                 values[slot] = core_ops.negate(values[entry[1]])
             elif slot not in values:  # pragma: no cover - sources are seeded
                 raise ValueError(f"source chunk for slot {slot} was not decoded")
-            offer(slot, values[slot])
         return folds.run_terms(values, terms)
 
 
@@ -185,7 +174,7 @@ class PlanPass:
 
 
 class Plan:
-    """A compiled, introspectable fusion of reduction expressions.
+    """A planned, introspectable fusion of reduction expressions.
 
     Build with :func:`plan`; run with :meth:`execute`.  The plan is reusable —
     executing twice re-sweeps the sources (stores re-read from disk; plain
@@ -197,32 +186,21 @@ class Plan:
         The deduplicated leaf sources, in first-appearance order.
     passes:
         The scheduled :class:`PlanPass` sweep (length = :attr:`n_passes` = 1).
-    default_backend:
-        Kernel backend :meth:`execute` uses when called without ``backend=``
-        (``None`` → resolve from source settings, else ``reference``).
     last_execution:
-        After :meth:`execute`: a dict recording the resolved ``backend``, any
-        ``fallback_reason`` (backend unavailable at resolve time, or a
-        compiled kernel failing at runtime mid-sweep), per-mode group counts
-        (``compiled_groups``/``interpreted_groups``/``incremental_groups`` —
-        the last counts sweep groups answered entirely from a sharded store's
-        persisted fold partials, decoding nothing), the number of
-        ``runtime_fallbacks`` (compiled groups that degraded to the
-        interpreter mid-run — the interpreted path resumed the same decoded
-        chunks, so the scalars are still correct) and the JIT
-        ``compile_seconds`` spent this run (0.0 on warm kernel-cache hits).
-        ``None`` before the first execution.
+        After :meth:`execute`: a dict of per-mode group counts
+        (``interpreted_groups`` swept chunks; ``incremental_groups`` were
+        answered entirely from a sharded store's persisted fold partials,
+        decoding nothing) and the readahead statistics :meth:`execute`
+        describes.  ``None`` before the first execution.
     """
 
     def __init__(self, outputs: dict, program: tuple, sources: list,
-                 passes: list[PlanPass], shape: str,
-                 default_backend: str | None = None):
+                 passes: list[PlanPass], shape: str):
         self._outputs = outputs
         self._program = program
         self.sources = tuple(sources)
         self.passes = tuple(passes)
         self._shape = shape
-        self.default_backend = default_backend
         self.last_execution: dict | None = None
 
     # -------------------------------------------------------------- introspection
@@ -246,20 +224,9 @@ class Plan:
         return tuple(counts)
 
     def describe(self) -> str:
-        """Human-readable plan: backend, sources, per-pass fused terms, outputs.
-
-        The backend line reflects the *executing* backend: what the last
-        :meth:`execute` actually ran (including any availability fallback), or
-        what the next default execution would resolve to before the first run.
-        """
-        executed = self.last_execution
-        if executed is not None:
-            backend = executed["backend"]
-        else:
-            backend, _ = plan_compile.resolve_backend(self.default_backend,
-                                                      self.sources)
+        """Human-readable plan: sources, per-pass fused terms, outputs."""
         lines = [f"plan: {self.n_passes} pass(es) over {len(self.sources)} source(s), "
-                 f"{len(self._outputs)} output(s), backend={backend}"]
+                 f"{len(self._outputs)} output(s)"]
         for index, source in enumerate(self.sources):
             label = type(source).__name__
             if isinstance(source, STORE_TYPES):
@@ -347,8 +314,7 @@ class Plan:
                     states[term] = state
         return states
 
-    def _run_pass(self, pass_: PlanPass, backend: str, run_stats: dict,
-                  serial: bool) -> dict:
+    def _run_pass(self, pass_: PlanPass, run_stats: dict, serial: bool) -> dict:
         """Execute the pass; return the combined state keyed by term.
 
         Each :class:`PassGroup` runs its own aligned sweep over its connected
@@ -357,15 +323,9 @@ class Plan:
         source, plus the step's structural intermediates.
         Terms persisted shard partials answer are served first; a group they
         answer entirely counts as an ``incremental_groups`` group and decodes
-        nothing, otherwise the rest of its terms sweep.
-
-        Under a non-default ``backend``, each group that *lowers*
-        (:func:`repro.engine.compile.lower_terms` — all-leaf-source terms
-        only) runs its fold steps through one compiled fused-pass kernel,
-        fetched once per group from the signature-keyed cache; groups that do
-        not lower, and backends that decline, interpret exactly as the
-        default path.  ``run_stats`` accumulates the per-group mode counts
-        and JIT compile seconds reported via :attr:`last_execution`.
+        nothing, otherwise the rest of its terms sweep.  ``run_stats``
+        accumulates the per-group mode counts reported via
+        :attr:`last_execution`.
 
         Each store source reads through its own
         :class:`~repro.streaming.ChunkPrefetcher`, zipped by the aligned
@@ -388,7 +348,7 @@ class Plan:
             # the unserved terms sweep over just the sources they read
             sweeps = _group_terms(self._program, rest) if served else (group,)
             for sweep in sweeps:
-                collected = self._sweep_group(sweep, backend, run_stats, serial)
+                collected = self._sweep_group(sweep, run_stats, serial)
                 for term, bucket in zip(sweep.terms, collected):
                     combined = folds.combine_all(bucket)
                     if combined is None:
@@ -396,25 +356,16 @@ class Plan:
                     state_by_term[term] = combined
         return state_by_term
 
-    def _sweep_group(self, group: PassGroup, backend: str, run_stats: dict,
+    def _sweep_group(self, group: PassGroup, run_stats: dict,
                      serial: bool) -> list[list]:
         """One aligned sweep of a group; per-term lists of fold-step states.
 
         Consecutive aligned chunk tuples are stacked into fold steps
         (:func:`repro.streaming.steps.fold_steps`), and the structural nodes
-        and every term's partial (or the compiled kernel) run once per step.
-        The group's compiled kernel (if it lowers) is resolved from each
-        step's settings, again whenever they change (chunk sequences may mix
-        index dtypes); a kernel failing at runtime degrades the rest of the
-        group to the interpreter, which resumes the same step.
+        and every term's partial run once per step.
         """
         sources = tuple(self.sources[index] for index in group.source_indices)
         slots = group.source_slots
-        lowering = None
-        if backend != DEFAULT_BACKEND:
-            lowering = plan_compile.lower_terms(self._program, group.terms, slots)
-        kernel = None
-        resolved_for = None  # the settings ``kernel`` was resolved for
         collected: list[list] = [[] for _ in group.terms]
         # ``serial`` is the reference loop: one read_chunk, one pread, per chunk
         readers = tuple(
@@ -438,40 +389,10 @@ class Plan:
 
         try:
             for step in fold_steps(iter(fetch, None)):
-                if lowering is not None and step[0].settings is not resolved_for:
-                    resolved_for = step[0].settings
-                    kernel = None
-                    signature = plan_compile.signature_for(lowering, resolved_for)
-                    if signature is not None:
-                        kernel, seconds = plan_compile.get_pass_kernel(
-                            backend, signature
-                        )
-                        run_stats["compile_seconds"] += seconds
-                states = None
-                if kernel is not None:
-                    try:
-                        fault = faults.active_plan()
-                        if fault is not None:
-                            fault.check_compiled_kernel()
-                        states = plan_compile.run_compiled_step(
-                            kernel, lowering, step
-                        )
-                    except Exception as exc:
-                        # degrade, don't fail: the step is untouched, so the
-                        # interpreted path below resumes it and finishes the
-                        # group bit-exactly
-                        kernel = lowering = None
-                        run_stats["runtime_fallbacks"] += 1
-                        run_stats["fallback_reason"] = (
-                            f"compiled {backend} kernel failed at runtime "
-                            f"({exc}); interpreting the rest of this group"
-                        )
-                if states is None:
-                    values = dict(zip(slots, step))
-                    step = None  # the evaluation owns the step now
-                    states = _evaluate_step(self._program, values, group.terms)
-                    values = None  # drop coefficients before the next step
-                step = None
+                values = dict(zip(slots, step))
+                step = None  # the evaluation owns the step now
+                states = _evaluate_step(self._program, values, group.terms)
+                values = None  # drop the step's intermediates before the next
                 for bucket, state in zip(collected, states):
                     bucket.append(state)
         finally:
@@ -480,11 +401,10 @@ class Plan:
             iterator.close()
             run_stats["readahead_sweeps"] += sum(
                 prefetcher.readahead for prefetcher in prefetchers)
-        run_stats["compiled_groups" if kernel is not None
-                  else "interpreted_groups"] += 1
+        run_stats["interpreted_groups"] += 1
         return collected
 
-    def execute(self, *, backend=None, prefetch=True):
+    def execute(self, *, prefetch=True):
         """Run the plan's one sweep and finalize the requested scalars.
 
         Returns a dict keyed like the request, a list for a sequence request,
@@ -502,43 +422,21 @@ class Plan:
         ``readahead_sweeps``, the number of store sweeps that engaged the
         pool, and ``io_seconds``, the wall time sweeps spent blocked waiting
         on chunk fetches.
-
-        ``backend`` selects the kernel backend executing the fused chunk
-        steps (registry names — see ``repro backends``): the default
-        ``reference`` path is bit-exact and identical to previous releases;
-        fast backends (``gemm``, ``numba``) run lowered groups through one
-        compiled kernel per pass signature within the backend's
-        ``fused_fold_tolerance``, falling back per group to the interpreter
-        when lowering is impossible and falling back entirely to
-        ``reference`` when the backend is unavailable.  When omitted, the
-        plan's :attr:`default_backend` (then the sources' settings consensus,
-        then ``reference``) applies; unknown names raise
-        :class:`repro.codecs.CodecError`.  :attr:`last_execution` records
-        what actually ran.
         """
         if prefetch not in (True, False):
             raise ValueError(f"prefetch is a switch (True or False), "
                              f"got {prefetch!r}")
         self._validate_sources()
-        requested = backend if backend is not None else self.default_backend
-        resolved, fallback = plan_compile.resolve_backend(requested, self.sources)
         run_stats = {
-            "backend": resolved,
-            "requested_backend": requested,
-            "fallback_reason": fallback,
-            "compiled_groups": 0,
             "interpreted_groups": 0,
             "incremental_groups": 0,
-            "runtime_fallbacks": 0,
-            "compile_seconds": 0.0,
             "io_seconds": 0.0,
             "prefetch_depth": 0,
             "readahead_sweeps": 0,
         }
         states: dict = {}
         for pass_ in self.passes:
-            states.update(self._run_pass(pass_, resolved, run_stats,
-                                         serial=not prefetch))
+            states.update(self._run_pass(pass_, run_stats, serial=not prefetch))
         self.last_execution = run_stats
         results = {key: folds.REDUCTION_SPECS[op].finalize(slots, states, options)
                    for key, (op, slots, options) in self._outputs.items()}
@@ -565,22 +463,17 @@ def _normalize_request(request) -> tuple[dict, str]:
     )
 
 
-def plan(request, *, backend: str | None = None) -> Plan:
+def plan(request) -> Plan:
     """Compile reduction expressions into a fused, introspectable :class:`Plan`.
 
     ``request`` may be a single :class:`~repro.engine.expr.Reduction`, a
     mapping of names to reductions, or a sequence of reductions;
-    :meth:`Plan.execute` returns results in the matching shape.  ``backend``
-    sets the plan's default kernel backend (see :meth:`Plan.execute`; unknown
-    names raise :class:`repro.codecs.CodecError` here, at planning time).
-    Raises ``TypeError`` for array-valued expressions (materialise those with
+    :meth:`Plan.execute` returns results in the matching shape.  Raises
+    ``TypeError`` for array-valued expressions (materialise those with
     :mod:`repro.streaming.ops`) and ``ValueError`` for an empty request, an
     unknown reduction, a wrong operand count or an option its
     :class:`~repro.core.ops.folds.ReductionSpec` does not accept.
     """
-    if backend is not None:
-        from ..kernels import get_backend_class
-        get_backend_class(str(backend).lower())
     requested, shape = _normalize_request(request)
     if not requested:
         raise ValueError("cannot plan an empty set of expressions")
@@ -636,8 +529,7 @@ def plan(request, *, backend: str | None = None) -> Plan:
     frozen_program = tuple(program)
     ordered = tuple(terms)
     sweep = PlanPass(1, ordered, _group_terms(frozen_program, ordered))
-    return Plan(outputs, frozen_program, sources, [sweep], shape,
-                default_backend=backend)
+    return Plan(outputs, frozen_program, sources, [sweep], shape)
 
 
 def _group_terms(program: tuple, terms: tuple) -> tuple:
@@ -685,11 +577,6 @@ def _group_terms(program: tuple, terms: tuple) -> tuple:
     return tuple(groups)
 
 
-def evaluate(request, *, backend=None):
-    """Compile and run in one call: ``plan(request).execute(...)``.
-
-    ``backend`` passes straight through to :meth:`Plan.execute` — ``None``
-    keeps the bit-exact ``reference`` default (or the sources' settings
-    consensus).
-    """
-    return plan(request).execute(backend=backend)
+def evaluate(request):
+    """Compile and run in one call: ``plan(request).execute()``."""
+    return plan(request).execute()

@@ -105,44 +105,7 @@ class KernelBackend(abc.ABC):
     ) -> np.ndarray:
         """Inverse transform of blocked coefficients back into blocked data."""
 
-    # ------------------------------------------------------------------ fused passes
-    def compile_fused_pass(self, signature):
-        """Compile one fused plan pass into a single kernel, or ``None`` to decline.
-
-        ``signature`` is a :class:`repro.engine.compile.PassSignature` (duck-typed
-        here to keep the dependency one-way: the engine imports kernels, never
-        the reverse) describing the term set, index dtype, block geometry and
-        index radius the kernel may specialise on.  A returned kernel is called
-        as ``kernel(chunks) -> list[np.ndarray]``:
-
-        * ``chunks`` — the aligned decoded :class:`repro.core.CompressedArray`
-          tuple, one per source position;
-        * result — float64 per-block vectors, term by term in signature order,
-          each term contributing its fold's
-          :attr:`repro.core.ops.folds.FoldSpec.outputs` (``dc`` vectors are
-          the per-block DC coefficients themselves; the centered folds' AC
-          sums skip the DC column).
-
-        The default declines (the engine then runs the interpreted partials),
-        so backends without a fused-pass story need no changes.  Backends that
-        do compile must stay within :meth:`fused_fold_tolerance`.
-        """
-        return None
-
     # ------------------------------------------------------------------ contract
-    def fused_fold_tolerance(self, settings: "CompressionSettings") -> float:
-        """Per-block error bound of :meth:`compile_fused_pass` partial sums.
-
-        For every summing fold term, the compiled per-block partial sum is
-        within ``fused_fold_tolerance(settings) × Σ_j |x_j|`` of the reference
-        per-block sum over the same summands ``x_j`` (the per-coefficient
-        products/squares, which are bit-identical — only the summation order
-        differs).  ``dc`` vectors are exempt: they involve no summation and are
-        bit-identical on every backend.  Backends without a fused-pass compiler
-        return ``0.0``.
-        """
-        return 0.0
-
     def accumulation_tolerance(self, settings: "CompressionSettings") -> float:
         """Per-coefficient error bound relative to the block maximum ``N``.
 

@@ -34,8 +34,7 @@ from ..core.binning import index_radius
 from ..core.transforms import transform_matrix
 from .base import KernelBackend
 
-__all__ = ["GemmKernel", "accumulation_dtype", "accumulation_tolerance",
-           "fused_fold_tolerance"]
+__all__ = ["GemmKernel", "accumulation_dtype", "accumulation_tolerance"]
 
 #: Largest block size for which the full Kronecker operator is materialised
 #: (a float64 1024×1024 operator is 8 MB); larger blocks use the per-axis path.
@@ -58,20 +57,6 @@ def accumulation_tolerance(settings) -> float:
     """
     eps = float(np.finfo(accumulation_dtype(settings)).eps)
     return 4.0 * float(settings.block_size) ** 1.5 * eps
-
-
-def fused_fold_tolerance(settings) -> float:
-    """Per-block fused-pass summation bound shared by the fast backends.
-
-    Compiled fused passes accumulate per-block partial sums in float64 over the
-    ``K = kept_per_block`` per-coefficient products (each product bit-identical
-    to the reference summand — only the summation order differs from the
-    reference dense block-axis reduction).  Reassociating a length-``K`` sum at
-    precision ``ε`` perturbs it by at most ``K·ε·Σ|x_j|``; a 4× factor covers
-    the subtraction step of the difference fold also rounding at float64.
-    """
-    eps = float(np.finfo(np.float64).eps)
-    return 4.0 * float(settings.kept_per_block) * eps
 
 
 @lru_cache(maxsize=None)
@@ -140,66 +125,6 @@ class GemmKernel(KernelBackend):
 
     def accumulation_tolerance(self, settings) -> float:
         return accumulation_tolerance(settings)
-
-    def fused_fold_tolerance(self, settings) -> float:
-        return fused_fold_tolerance(settings)
-
-    # ------------------------------------------------------------------ fused passes
-    def compile_fused_pass(self, signature):
-        """Vectorized fused-pass kernel: one scaled matrix per source, one row
-        dot per term.
-
-        The interpreted step materialises the dense padded coefficient array
-        once *per fold* (plus a primed-cache copy per extra fold); this kernel
-        builds each source's ``(n_blocks, kept_per_block)`` scaled matrix
-        ``S = F.astype(float64) * (N / r)`` exactly once — the same expression
-        ``specified_coefficients`` evaluates, so each element is bit-identical
-        — then every term is an ``einsum('ij,ij->i')`` row dot over it.  For
-        the 6-op fused workload that cuts per-chunk memory traffic roughly
-        from 18 array passes to 8, which is where the compiled speedup in
-        BENCH_engine.json comes from; BLAS-free, so it is available wherever
-        numpy is.
-        """
-        terms = signature.terms
-        radius = float(signature.index_radius)
-        n_sources = signature.n_sources
-
-        if all(name == "dc" for name, _ in terms):
-            # mean-only groups never need the full scaled matrix: the DC
-            # column alone reproduces dc_partial bit for bit
-            def dc_kernel(chunks):
-                out = []
-                for _, positions in terms:
-                    chunk = chunks[positions[0]]
-                    dc = chunk.indices[:, 0].astype(np.float64)
-                    np.multiply(dc, chunk.maxima.reshape(-1) / radius, out=dc)
-                    out.append(dc)
-                return out
-            return dc_kernel
-
-        def kernel(chunks):
-            scaled = []
-            for position in range(n_sources):
-                chunk = chunks[position]
-                matrix = chunk.indices.astype(np.float64)
-                np.multiply(matrix, chunk.maxima.reshape(-1, 1) / radius,
-                            out=matrix)
-                scaled.append(matrix)
-            out = []
-            for name, positions in terms:
-                matrices = [scaled[position] for position in positions]
-                if name == "dc":
-                    out.append(matrices[0][:, 0].copy())
-                    continue
-                if name.startswith("centered_"):
-                    # DC columns as they are, then the AC sum over columns 1:
-                    out.extend(matrix[:, 0].copy() for matrix in matrices)
-                    matrices = [matrix[:, 1:] for matrix in matrices]
-                if name == "diff_square":
-                    matrices = [matrices[0] - matrices[1]]
-                out.append(np.einsum("ij,ij->i", matrices[0], matrices[-1]))
-            return out
-        return kernel
 
     # ------------------------------------------------------------------ helpers
     def _forward_coefficients(

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.binning import index_radius
 from .base import KernelBackend
-from .gemm import _operator_t, fused_fold_tolerance
+from .gemm import _operator_t
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba as _numba
@@ -80,69 +80,6 @@ def _compiled_kernels():  # pragma: no cover - requires numba
     return forward, inverse
 
 
-def _fused_pass_source(signature) -> str:
-    """Generate the specialised fused-pass loop body for one plan signature.
-
-    One ``prange`` over blocks; inside, a single traversal of the kept
-    coefficient columns feeds every term's accumulator — each source's index
-    row is read once however many folds consume it.  Per-source descale
-    constants (``N_i / r``) arrive precomputed in float64 so the per-element
-    value ``F[i, j] * c`` is bit-identical to ``specified_coefficients``.
-    ``out`` has one row per term's fold ``FoldSpec.outputs`` entry: DC rows
-    are column 0 itself, and the centered folds accumulate their AC sums
-    over columns ``j > 0`` only.
-    """
-    loop_terms = [(index, name, positions)
-                  for index, (name, positions) in enumerate(signature.terms)
-                  if name != "dc"]
-    read = sorted({position for _, _, positions in loop_terms
-                   for position in positions})
-    args = ", ".join(f"idx{k}, scale{k}" for k in range(signature.n_sources))
-    lines = [
-        f"def fused_pass({args}, out):",
-        "    n_blocks = idx0.shape[0]",
-        "    kept = idx0.shape[1]",
-        "    for i in prange(n_blocks):",
-    ]
-    lines += [f"        c{k} = scale{k}[i]" for k in range(signature.n_sources)]
-    lines += [f"        acc{index} = 0.0" for index, _, _ in loop_terms]
-    if loop_terms:
-        lines.append("        for j in range(kept):")
-        lines += [f"            v{k} = idx{k}[i, j] * c{k}" for k in read]
-        for index, name, positions in loop_terms:
-            indent = "            "
-            if name.startswith("centered_"):
-                lines.append(f"{indent}if j > 0:")
-                indent += "    "
-            if name == "diff_square":
-                lines.append(f"{indent}d{index} = "
-                             f"v{positions[0]} - v{positions[1]}")
-                product = f"d{index} * d{index}"
-            else:  # square/product, centered or not
-                product = f"v{positions[0]} * v{positions[-1]}"
-            lines.append(f"{indent}acc{index} += {product}")
-    row = 0
-    for index, (name, positions) in enumerate(signature.terms):
-        if name == "dc" or name.startswith("centered_"):
-            for position in positions:
-                lines.append(f"        out[{row}, i] = "
-                             f"idx{position}[i, 0] * c{position}")
-                row += 1
-        if name != "dc":
-            lines.append(f"        out[{row}, i] = acc{index}")
-            row += 1
-    return "\n".join(lines)
-
-
-@lru_cache(maxsize=None)
-def _compiled_pass_kernel(signature):  # pragma: no cover - requires numba
-    """JIT-compile (once per process per signature) the generated pass loop."""
-    source = _fused_pass_source(signature)
-    namespace: dict = {"prange": _numba.prange}
-    exec(compile(source, f"<fused-pass {signature.terms}>", "exec"), namespace)
-    return _numba.njit(parallel=True, cache=False)(namespace["fused_pass"])
-
-
 class NumbaKernel(KernelBackend):
     """Fused per-block JIT kernel (requires the optional numba dependency)."""
 
@@ -164,31 +101,6 @@ class NumbaKernel(KernelBackend):
     def accumulation_tolerance(self, settings) -> float:
         eps = float(np.finfo(np.float64).eps)
         return 4.0 * float(settings.block_size) ** 1.5 * eps
-
-    def fused_fold_tolerance(self, settings) -> float:
-        return fused_fold_tolerance(settings)
-
-    # ------------------------------------------------------------------ fused passes
-    def compile_fused_pass(self, signature):  # pragma: no cover - requires numba
-        """One generated+JIT-compiled loop per plan signature (see
-        :func:`_fused_pass_source`); declines when numba is absent so the
-        engine falls back to the interpreter."""
-        if _numba is None:
-            return None
-        from ..core.ops.folds import FOLD_SPECS
-        jitted = _compiled_pass_kernel(signature)
-        radius = float(signature.index_radius)
-        n_outputs = sum(len(FOLD_SPECS[name].outputs) for name, _ in signature.terms)
-
-        def kernel(chunks):
-            args = []
-            for chunk in chunks:
-                args.append(np.ascontiguousarray(chunk.indices))
-                args.append(chunk.maxima.reshape(-1) / radius)
-            out = np.empty((n_outputs, chunks[0].n_blocks), dtype=np.float64)
-            jitted(*args, out)
-            return [np.array(row) for row in out]
-        return kernel
 
     # ------------------------------------------------------------------ kernels
     def transform_and_bin(self, blocked, transform, settings):  # pragma: no cover

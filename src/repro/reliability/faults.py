@@ -4,9 +4,8 @@ A :class:`FaultPlan` is a seedable list of :class:`FaultRule`\\ s installed
 process-wide (via :func:`install` or the :func:`inject` context manager).
 Production code calls the cheap module-level hooks at well-defined seams —
 :meth:`repro.streaming.CompressedStore` before and after every record read,
-the compressor process pool (the :class:`repro.streaming.ChunkedCompressor`
-slab pool) when submitting jobs,
-:mod:`repro.engine.plan` before running a compiled kernel — and each hook is a
+and the compressor process pool (the :class:`repro.streaming.ChunkedCompressor`
+slab pool) when submitting jobs — and each hook is a
 no-op unless a plan is active, so the hot path pays one global read.
 
 The supported fault kinds (the "fault matrix" in ``docs/reliability.md``):
@@ -19,7 +18,6 @@ kind            effect at the seam
 ``os_error``    the read raises ``OSError(EIO)`` before touching the bytes
 ``latency``     the read sleeps ``delay_seconds`` first
 ``worker_crash`` the pooled job calls ``os._exit`` — a hard worker death
-``compiled_kernel`` the compiled fused-pass kernel raises ``RuntimeError``
 ============== =================================================================
 
 Every rule fires a bounded number of ``times`` (default 1), optionally gated
@@ -54,7 +52,6 @@ FAULT_KINDS = (
     "os_error",
     "latency",
     "worker_crash",
-    "compiled_kernel",
 )
 
 
@@ -167,11 +164,6 @@ class FaultPlan:
     def take_worker_crash(self, job_index: int) -> bool:
         """True when pooled job ``job_index`` should hard-exit its worker."""
         return self._take("worker_crash", job_index=job_index) is not None
-
-    def check_compiled_kernel(self) -> None:
-        """Called before a compiled fused-pass kernel runs: may raise."""
-        if self._take("compiled_kernel") is not None:
-            raise RuntimeError("injected compiled-kernel runtime failure")
 
 
 _active: Optional[FaultPlan] = None

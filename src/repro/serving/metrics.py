@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter, deque
+from collections import deque
 
 from .cache import ChunkCache
 
@@ -54,8 +54,6 @@ class ServiceMetrics:
         self.batches = 0
         self.batched_requests = 0
         self.max_batch = 0
-        self.plans_by_backend: Counter = Counter()
-        self.degradations: Counter = Counter()
         self.prefetch_batches = 0
         self.prefetch_chunks = 0
 
@@ -82,18 +80,6 @@ class ServiceMetrics:
             self.requests_failed += 1
             self.requests_deadline_exceeded += 1
 
-    def record_degradation(self, kind: str) -> None:
-        """One plan degraded instead of failing.
-
-        ``kind`` names the degradation; the service records
-        ``"compiled_to_interpreted"`` (a compiled kernel failed at runtime and
-        the interpreter finished the sweep).  Surfaced by :meth:`snapshot`
-        under ``reliability`` — the observable proof that serving degraded
-        rather than erroring.
-        """
-        with self._lock:
-            self.degradations[kind] += 1
-
     def record_served(self, latency_seconds: float) -> None:
         """An evaluate request got its results; latency measured at the server."""
         with self._lock:
@@ -101,14 +87,8 @@ class ServiceMetrics:
             self._latencies.append(float(latency_seconds))
 
     def record_batch(self, n_requests: int, n_plans: int, passes: int,
-                     seconds: float, backend: str | None = None) -> None:
-        """One scheduler tick executed ``n_plans`` plan(s) for ``n_requests``.
-
-        ``backend`` is the kernel backend the batch's plans *actually* ran
-        under (post any availability fallback); ``None`` counts as
-        ``reference``.  The per-backend plan counts surface in
-        :meth:`snapshot` as the proof that compiled serving is active.
-        """
+                     seconds: float) -> None:
+        """One scheduler tick executed ``n_plans`` plan(s) for ``n_requests``."""
         with self._lock:
             self.batches += 1
             self.batched_requests += n_requests
@@ -116,7 +96,6 @@ class ServiceMetrics:
             self.plans_executed += n_plans
             self.plan_passes_total += passes
             self.plan_seconds_total += float(seconds)
-            self.plans_by_backend[backend or "reference"] += n_plans
 
     def record_prefetch(self, n_chunks: int) -> None:
         """One scheduler tick warmed ``n_chunks`` chunks ahead of its batch.
@@ -157,7 +136,6 @@ class ServiceMetrics:
                     "batched_requests": self.batched_requests,
                     "max_batch": self.max_batch,
                     "mean_batch": (self.batched_requests / batches) if batches else 0.0,
-                    "by_backend": dict(self.plans_by_backend),
                 },
                 "latency_seconds": latency,
                 "prefetch": {
@@ -167,7 +145,6 @@ class ServiceMetrics:
                 "reliability": {
                     "overloaded": self.requests_overloaded,
                     "deadline_exceeded": self.requests_deadline_exceeded,
-                    "degradations": dict(self.degradations),
                 },
             }
         if self.catalog is not None:

@@ -83,14 +83,6 @@ class QueryService:
     metrics:
         Optional :class:`ServiceMetrics`; one is created (wired to the
         catalog's cache) when omitted.
-    backend:
-        Kernel backend name every served plan executes under (``None`` →
-        the bit-exact ``reference`` default).  Compiled backends pay JIT
-        warm-up once per plan *signature* — the signature-keyed kernel cache
-        is process-wide, so coalesced plans with the same term shape reuse
-        one kernel across requests and ticks.  Unknown names raise here, at
-        construction; a known-but-unavailable backend falls back to
-        ``reference`` per plan (recorded in the metrics by-backend counts).
     deadline:
         Optional per-request budget in seconds: a request still waiting for
         its batch past this answers ``{"ok": false, "deadline_exceeded":
@@ -111,8 +103,7 @@ class QueryService:
 
     def __init__(self, catalog: StoreCatalog, *, tick: float = DEFAULT_TICK_SECONDS,
                  coalesce: bool = True, metrics: ServiceMetrics | None = None,
-                 backend: str | None = None, deadline: float | None = None,
-                 max_in_flight: int | None = None):
+                 deadline: float | None = None, max_in_flight: int | None = None):
         if not (math.isfinite(tick) and tick >= 0):
             raise ValueError(f"tick must be finite and non-negative, got {tick!r}")
         if deadline is not None and not (math.isfinite(deadline) and deadline > 0):
@@ -120,13 +111,9 @@ class QueryService:
                              f"got {deadline!r}")
         if max_in_flight is not None and max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1 (or None)")
-        if backend is not None:
-            from ..kernels import get_backend_class
-            get_backend_class(str(backend).lower())  # fail fast on unknown names
         self.catalog = catalog
         self.tick = float(tick)
         self.coalesce = bool(coalesce)
-        self.backend = backend
         self.deadline = deadline
         self.max_in_flight = max_in_flight
         self.metrics = metrics if metrics is not None else ServiceMetrics(
@@ -345,7 +332,7 @@ class QueryService:
                 # cache while the plan thread is still spinning up
                 self._warm_pool.submit(self._warm_batch, batch)
             try:
-                per_request, n_plans, passes, backend = await loop.run_in_executor(
+                per_request, n_plans, passes = await loop.run_in_executor(
                     self._pool, self._execute_batch, batch
                 )
             except Exception as exc:
@@ -354,11 +341,10 @@ class QueryService:
                         item.future.set_exception(exc)
             else:
                 seconds = time.perf_counter() - start
-                self.metrics.record_batch(len(batch), n_plans, passes, seconds,
-                                          backend=backend)
+                self.metrics.record_batch(len(batch), n_plans, passes, seconds)
                 info = {"requests": len(batch), "plans": n_plans,
                         "passes": passes, "coalesced": self.coalesce,
-                        "seconds": seconds, "backend": backend}
+                        "seconds": seconds}
                 for item, values in zip(batch, per_request):
                     if not item.future.done():
                         item.future.set_result((values, info))
@@ -367,18 +353,13 @@ class QueryService:
 
     def _execute_batch(
         self, batch: list[_Pending]
-    ) -> tuple[list[dict], int, int, str]:
+    ) -> tuple[list[dict], int, int]:
         """Run one batch on the worker thread; returns per-request value dicts.
 
         Coalesced: every request's outputs compile into **one** plan under
         ``(request index, output name)`` keys — the planner dedups shared fold
         partials across requests, so overlapping statistics share sweeps.
         Naive: one plan per request, sequentially (the benchmark baseline).
-        Either way every plan executes under the service's :attr:`backend`;
-        the returned name is what actually ran (``reference`` after an
-        availability fallback), for the batch info and by-backend metrics.
-        Each plan runs through :meth:`_run_plan`, so a failing compiled
-        kernel degrades the batch instead of failing it.
         """
         if self.coalesce:
             joint = {
@@ -387,21 +368,19 @@ class QueryService:
                 for name, expression in item.outputs.items()
             }
             fused = engine.plan(joint)
-            values = self._run_plan(fused)
+            values = fused.execute()
             per_request = [
                 {name: values[(index, name)] for name in item.outputs}
                 for index, item in enumerate(batch)
             ]
-            return per_request, 1, fused.n_passes, fused.last_execution["backend"]
+            return per_request, 1, fused.n_passes
         per_request = []
         passes = 0
-        executed = "reference"
         for item in batch:
             solo = engine.plan(item.outputs)
-            per_request.append(self._run_plan(solo))
+            per_request.append(solo.execute())
             passes += solo.n_passes
-            executed = solo.last_execution["backend"]
-        return per_request, len(batch), passes, executed
+        return per_request, len(batch), passes
 
     def _warm_batch(self, batch: list[_Pending]) -> None:
         """Warm the chunk cache for every store a batch's expressions touch.
@@ -438,20 +417,6 @@ class QueryService:
         if warmed:
             self.metrics.record_prefetch(warmed)
 
-    def _run_plan(self, built: "engine.Plan"):
-        """Execute one plan under the service's backend, counting degradations.
-
-        A compiled kernel failing at runtime already degraded inside
-        :meth:`Plan.execute` (``runtime_fallbacks`` in ``Plan.last_execution``,
-        with the ``fallback_reason``); it is counted here under the metrics
-        ``reliability.degradations`` so ``stats`` shows it.
-        """
-        values = built.execute(backend=self.backend)
-        last = built.last_execution or {}
-        if last.get("runtime_fallbacks"):
-            self.metrics.record_degradation("compiled_to_interpreted")
-        return values
-
 
 class ThreadedQueryService:
     """Run a :class:`QueryService` on a private event loop in a daemon thread.
@@ -467,7 +432,7 @@ class ThreadedQueryService:
             with QueryClient(served.host, served.port) as client:
                 client.evaluate({"m": expr.mean(expr.source("temps"))})
 
-    A server thread that fails to start (port in use, bad backend) or fails
+    A server thread that fails to start (port in use) or fails
     to join at exit raises a typed :class:`repro.serving.ServerError` instead
     of silently proceeding; both waits are configurable via
     ``startup_timeout`` / ``shutdown_timeout`` (seconds).

@@ -19,9 +19,8 @@ reduction of the assembled array **bit for bit** whenever the chunks assemble
 bit-identically (stores written under the ``reference`` kernel backend); under
 the fast backends the two agree within the backend's documented
 ``accumulation_tolerance`` (see ``docs/ops.md``).  Callers that want several
-reductions, or a compiled backend, should hand them to :func:`repro.engine.plan`
-(``backend=`` on :meth:`repro.engine.Plan.execute`) and pay one fused sweep
-instead of one sweep per call (``docs/engine.md``).
+reductions should hand them to :func:`repro.engine.plan` and pay one fused
+sweep instead of one sweep per call (``docs/engine.md``).
 
 Structural operations (:func:`add`, :func:`subtract`, :func:`scale`,
 :func:`negate`) map :mod:`repro.core.ops` over the chunks and append each

@@ -43,8 +43,11 @@ of those same vectors.
 were never written (``append_shard(..., update_partials=False)``), whose
 sidecar file is missing, or whose shard file size no longer matches the
 manifest makes :meth:`ShardedStore.fold_state` return ``None``, and callers
-fall back to a full sweep.  Deep integrity (per-chunk checksums) remains
-``repro verify-store``'s job, which recurses into shards.
+fall back to a full sweep.  So does a sidecar whose ``fold_revision`` is
+missing or differs from :data:`repro.core.ops.folds.FOLD_REVISION`: its
+vectors hold another fold arithmetic's bits, which a sweep would no longer
+reproduce; :func:`refresh_partials` rewrites it.  Deep integrity (per-chunk
+checksums) remains ``repro verify-store``'s job, which recurses into shards.
 """
 
 from __future__ import annotations
@@ -198,6 +201,7 @@ def _compute_partials(store: CompressedStore) -> "dict[str, np.ndarray] | None":
         "n_elements": np.int64(n_elements),
         "n_padded_elements": np.int64(n_padded),
         "dc_scale": np.float64(settings.dc_scale),
+        "fold_revision": np.int64(folds.FOLD_REVISION),
     }
     if dc_parts is not None:
         payload["dc"] = np.concatenate(dc_parts)
@@ -365,19 +369,38 @@ def _append(path: Path, manifest: dict, array: np.ndarray, codec: Codec,
     return ShardedStore(path)
 
 
-def refresh_partials(path) -> int:
-    """(Re)compute every missing per-shard partial sidecar; return the count.
+def _current_revision(data) -> bool:
+    """Whether sidecar arrays were computed under this fold arithmetic.
 
-    The repair path for stores appended with ``update_partials=False`` (or
-    whose sidecars were lost): each stale shard is swept once, its sidecar
-    rewritten, and the manifest republished with the entries marked fresh.
-    The revision is *not* bumped — the logical contents are unchanged.
+    A sidecar without ``fold_revision`` predates it (revision 0).
+    """
+    return "fold_revision" in data and int(data["fold_revision"]) == folds.FOLD_REVISION
+
+
+def _sidecar_current(sidecar: Path) -> bool:
+    """Whether a sidecar exists and holds this fold arithmetic's vectors."""
+    try:
+        with np.load(sidecar) as data:
+            return _current_revision(data)
+    except (OSError, KeyError, ValueError, zlib.error):
+        return False
+
+
+def refresh_partials(path) -> int:
+    """(Re)compute every missing or stale per-shard partial sidecar; return the count.
+
+    The repair path for stores appended with ``update_partials=False``, whose
+    sidecars were lost, or whose sidecars predate the current
+    :data:`~repro.core.ops.folds.FOLD_REVISION`: each such shard is swept
+    once, its sidecar rewritten, and the manifest republished with the
+    entries marked fresh.  The revision is *not* bumped — the logical
+    contents are unchanged.
     """
     path = Path(path)
     manifest = load_manifest(path)
     written = 0
     for index, entry in enumerate(manifest["shards"]):
-        if entry.get("partials") and (path / partials_filename(index)).is_file():
+        if entry.get("partials") and _sidecar_current(path / partials_filename(index)):
             continue
         with CompressedStore(path / entry["file"]) as store:
             if _write_partials(path, index, store):
@@ -553,10 +576,12 @@ class ShardedStore(ReadSurface):
         """Cheap staleness probe for the persisted fold partials.
 
         Fresh means: partials are enabled for this handle, every manifest
-        entry is marked as having them, every sidecar file exists, and every
-        shard file still has its recorded byte size (an in-place rewrite —
-        e.g. a repair that changed bytes — invalidates).  Deep per-chunk
-        verification is ``verify-store``'s job, not this probe's.
+        entry is marked as having them, every sidecar file exists and holds
+        the current :data:`~repro.core.ops.folds.FOLD_REVISION` (its arrays
+        are loaded once per handle, as :meth:`fold_state` needs them anyway),
+        and every shard file still has its recorded byte size (an in-place
+        rewrite — e.g. a repair that changed bytes — invalidates).  Deep
+        per-chunk verification is ``verify-store``'s job, not this probe's.
         """
         if not self.use_partials:
             return False
@@ -569,6 +594,11 @@ class ShardedStore(ReadSurface):
             except OSError:
                 return False
             if not (self.path / partials_filename(index)).is_file():
+                return False
+            try:
+                if not _current_revision(self._shard_partials(index)):
+                    return False
+            except (OSError, KeyError, ValueError, zlib.error):
                 return False
         return True
 

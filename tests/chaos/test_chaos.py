@@ -14,7 +14,6 @@ import pytest
 from repro import engine
 from repro.core import CompressionSettings
 from repro.engine import expr
-from repro.kernels import backend_is_available
 from repro.reliability import (
     FaultRule,
     IntegrityError,
@@ -117,53 +116,6 @@ class TestWorkerCrashes:
             single.compress_to_store(field, inline).close()
         assert plan.fired["worker_crash"] == 0
         assert inline.read_bytes() == serial.read_bytes()
-
-
-@pytest.mark.skipif(not backend_is_available("gemm"),
-                    reason="gemm backend unavailable")
-class TestCompiledKernelFaults:
-    """A compiled kernel failing at runtime degrades to the interpreter
-    mid-sweep with identical results, recorded in the execution report."""
-
-    def test_kernel_fault_degrades_to_interpreter_bitwise(self, store):
-        outputs = {"m": expr.mean(store), "v": expr.variance(store)}
-        baseline = engine.plan(outputs).execute()  # interpreted reference
-
-        plan = engine.plan(outputs, backend="gemm")
-        with inject(FaultRule("compiled_kernel"), seed=3) as faultplan:
-            degraded = plan.execute(backend="gemm")
-        assert faultplan.fired["compiled_kernel"] == 1
-        assert plan.last_execution["runtime_fallbacks"] == 1
-        assert "failed at runtime" in plan.last_execution["fallback_reason"]
-        assert degraded == pytest.approx(baseline, rel=1e-6)
-
-    def test_fault_off_compiled_run_records_no_fallback(self, store):
-        plan = engine.plan({"m": expr.mean(store)}, backend="gemm")
-        plan.execute(backend="gemm")
-        assert plan.last_execution["runtime_fallbacks"] == 0
-
-    def test_mixed_groups_count_one_fallback_two_interpreted(self, store, tmp_path):
-        # regression: with a structural group already interpreting, a runtime
-        # kernel fault in the *compiled* group must record exactly one
-        # fallback and leave both groups interpreted — the fallback counter
-        # must not absorb (or be absorbed by) the born-interpreted group
-        other = ChunkedCompressor(store.settings, slab_rows=8).compress_to_store(
-            smooth_field((24, 16), seed=22), tmp_path / "other.pblzc"
-        )
-        with other:
-            outputs = {"a": expr.mean(store),
-                       "b": expr.mean(expr.scale(expr.source(other), 2.0))}
-            baseline = engine.plan(outputs).execute()
-            plan = engine.plan(outputs, backend="gemm")
-            with inject(FaultRule("compiled_kernel"), seed=3) as faultplan:
-                degraded = plan.execute(backend="gemm")
-            stats = plan.last_execution
-        assert faultplan.fired["compiled_kernel"] == 1
-        assert stats["compiled_groups"] == 0
-        assert stats["interpreted_groups"] == 2
-        assert stats["runtime_fallbacks"] == 1
-        assert "failed at runtime" in stats["fallback_reason"]
-        assert degraded == baseline  # both groups interpreted: bit-identical
 
 
 class TestShardedStoreCorruption:

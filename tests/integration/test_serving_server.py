@@ -281,35 +281,23 @@ class TestCoalescing:
             assert response["results"]["v"] == local["v"]
 
 
-class TestCompiledBackendServing:
-    def test_gemm_service_reports_backend_and_counts_plans(self, catalog):
+class TestOnePlanPath:
+    def test_batch_info_and_stats_name_no_backend(self, catalog):
         outputs = {
             "m": expr.mean(expr.source("a")),
             "d": expr.dot(expr.source("a"), expr.source("b")),
         }
-        with ThreadedQueryService(catalog, backend="gemm") as served:
-            with QueryClient(served.host, served.port) as client:
-                full = client.evaluate_full(outputs)
-                stats = client.stats()
-        assert full["batch"]["backend"] == "gemm"
-        assert stats["plans"]["by_backend"] == {"gemm": 1}
-        # dc folds are bit-identical under the compiled path
-        local = local_reference(catalog, outputs)
-        assert full["results"]["m"] == local["m"]
-        assert full["results"]["d"] == pytest.approx(local["d"], rel=1e-12)
-
-    def test_default_service_counts_reference_plans(self, catalog):
-        outputs = {"m": expr.mean(expr.source("a"))}
         with ThreadedQueryService(catalog) as served:
             with QueryClient(served.host, served.port) as client:
                 full = client.evaluate_full(outputs)
                 stats = client.stats()
-        assert full["batch"]["backend"] == "reference"
-        assert stats["plans"]["by_backend"] == {"reference": 1}
+        assert "backend" not in full["batch"]
+        assert "by_backend" not in stats["plans"]
+        assert "degradations" not in stats["reliability"]
+        assert full["results"] == local_reference(catalog, outputs)
 
-    def test_unknown_backend_fails_at_construction(self, catalog):
-        from repro.core.exceptions import CodecError
+    def test_service_takes_no_backend(self, catalog):
         from repro.serving import QueryService
 
-        with pytest.raises(CodecError):
-            QueryService(catalog, backend="no-such-backend")
+        with pytest.raises(TypeError, match="backend"):
+            QueryService(catalog, backend="gemm")

@@ -13,9 +13,8 @@ and runs each term's partial once per step.  Swept here by Hypothesis over
   two chunks (a settings change closes a step).
 
 Every :data:`~repro.core.ops.folds.REDUCTION_SPECS` row plus
-``mean(subtract(a, b))`` must be bit-identical across the budgets on the
-``reference`` and ``gemm`` backends, and a plan must call each term's partial
-exactly once per step.
+``mean(subtract(a, b))`` must be bit-identical across the budgets, and a plan
+must call each term's partial exactly once per step.
 """
 
 import dataclasses
@@ -31,11 +30,8 @@ from repro import engine
 from repro.core import CompressionSettings, Compressor
 from repro.core.ops import folds
 from repro.engine import expr
-from repro.kernels.gemm import fused_fold_tolerance
 from repro.streaming import (ChunkedCompressor, ShardedStore, append_shard,
                              init_sharded_store, steps)
-
-BACKENDS = ("reference", "gemm")
 
 
 @st.composite
@@ -96,13 +92,13 @@ def _sources(kind, a, b, settings, slab_rows, cuts, workdir):
 
 
 def _rows(x, y) -> dict:
-    """Every reduction row: leaf-source terms only, so ``gemm`` compiles it."""
+    """Every reduction row, over leaf sources only."""
     return {name: getattr(expr, name)(*(x, y)[:spec.arity])
             for name, spec in folds.REDUCTION_SPECS.items()}
 
 
 def _request(x, y) -> dict:
-    """Every reduction row plus one fed by a structural node (interpreted)."""
+    """Every reduction row plus one fed by a structural node."""
     return {**_rows(x, y), "mean_a_minus_b": expr.mean(expr.subtract(x, y))}
 
 
@@ -156,29 +152,16 @@ class TestStepBudgetInvariance:
                 for budget in budgets:
                     with pytest.MonkeyPatch.context() as patch:
                         patch.setattr(steps, "STEP_COEFFICIENTS", budget)
-                        for backend in BACKENDS:
-                            rows = engine.plan(_rows(x, y))
-                            answers[budget, backend] = (
-                                rows.execute(backend=backend),
-                                engine.evaluate(_request(x, y), backend=backend),
-                            )
-                            assert rows.last_execution["compiled_groups"] == (
-                                backend == "gemm")
+                        answers[budget] = (engine.plan(_rows(x, y)).execute(),
+                                           engine.evaluate(_request(x, y)))
                         calls: list = []
                         _counting_partials(patch, calls)
                         plan = engine.plan(_request(x, y))
-                        assert plan.execute() == answers[budget, "reference"][1]
+                        assert plan.execute() == answers[budget][1]
                         expected = _expected_steps(_chunks(x), budget)
                         assert len(calls) == len(plan.passes[0].terms) * expected
-                for backend in BACKENDS:
-                    for budget in budgets[1:]:
-                        assert answers[budget, backend] == answers[one_block, backend]
-                # the compiled kernel follows each step's settings
-                gemm = answers[one_block, "gemm"][0]
-                reference = answers[one_block, "reference"][0]
-                assert gemm["mean"] == reference["mean"]
-                assert math.isclose(gemm["l2_norm"], reference["l2_norm"],
-                                    rel_tol=8.0 * fused_fold_tolerance(settings))
+                for budget in budgets[1:]:
+                    assert answers[budget] == answers[one_block]
             finally:
                 for source in (x, y):
                     if not isinstance(source, list):
@@ -209,22 +192,3 @@ class TestPartialCallsPerPlan:
             assert len(calls) == 8 * 4
             assert x.chunks_read == y.chunks_read == 16
 
-
-class TestCompiledKernelFollowsSettings:
-    def test_gemm_over_a_sequence_mixing_index_dtypes(self):
-        """The kernel bakes in its signature's index radius: a chunk sequence
-        whose dtype changes mid-sweep needs a kernel per settings, not the
-        first step's kernel for every step."""
-        rng = np.random.default_rng(0)
-        pieces = np.split(rng.standard_normal((32, 8)), [8, 16, 24])
-        chunks = [Compressor(CompressionSettings(
-            block_shape=(4, 4), float_format="float32",
-            index_dtype=("int8", "int16")[index % 2])).compress(piece)
-            for index, piece in enumerate(pieces)]
-        request = {"mean": expr.mean(chunks), "l2": expr.l2_norm(chunks)}
-        reference = engine.evaluate(request)
-        plan = engine.plan(request)
-        compiled = plan.execute(backend="gemm")
-        assert plan.last_execution["compiled_groups"] == 1
-        assert compiled["mean"] == reference["mean"]
-        assert math.isclose(compiled["l2"], reference["l2"], rel_tol=1e-12)

@@ -90,7 +90,6 @@ class TestFoldSpecs:
         monkeypatch.undo()
         assert len(calls) == 1
         assert value == ops.cosine_similarity(compressed, compressed)
-        assert not hasattr(compressed, "coefficients_cache")
 
 
 class TestPlanStructure:
@@ -289,14 +288,12 @@ class TestDotOfSourceWithItself:
         assert engine.evaluate(expr.dot(store_a, store_a)) == ops.dot(ca, ca)
 
 
-class TestCoefficientCacheFeedsStructuralNodes:
-    def test_shared_chunk_materialises_once_for_folds_and_subtract(
+class TestNoStepMaterialisesBlockedCoefficients:
+    def test_folds_and_subtract_work_on_the_kept_matrices(
         self, stores, monkeypatch
     ):
-        """A step feeding a fold and a structural ``subtract`` is expanded to
-        dense coefficients once: every step array of every source is
-        materialised exactly once, the results keep their bits and no cache
-        outlives the step."""
+        """A step feeding folds and a structural ``subtract`` never builds the
+        blocked, padded coefficient array, and the results keep their bits."""
         import importlib
 
         from repro.core.compressed import CompressedArray
@@ -311,7 +308,7 @@ class TestCoefficientCacheFeedsStructuralNodes:
         original = CompressedArray.specified_coefficients
 
         def counting(chunk):
-            materialised.append(chunk)  # held, so identities stay distinct
+            materialised.append(chunk)
             return original(chunk)
 
         swept = []
@@ -328,38 +325,38 @@ class TestCoefficientCacheFeedsStructuralNodes:
         monkeypatch.setattr(CompressedArray, "specified_coefficients", counting)
         fused = engine.evaluate({
             "dot": expr.dot(chunks_a, chunks_b),
+            "variance": expr.variance(chunks_a),
+            "distance": expr.euclidean_distance(chunks_a, chunks_b),
             "drift": expr.mean(expr.subtract(chunks_a, chunks_b)),
         })
         monkeypatch.undo()
         assert [step[0].shape[0] for step in swept] == [16, 16, 5]
-        for array in (array for step in swept for array in step):
-            assert sum(seen is array for seen in materialised) == 1
-        assert not any(seen is chunk for seen in materialised
-                       for chunk in chunks_a + chunks_b)
+        assert materialised == []
         assert fused["dot"] == ops.dot(ca, cb)
+        assert fused["variance"] == ops.variance(ca)
+        assert fused["distance"] == ops.euclidean_distance(ca, cb)
         assert fused["drift"] == ops.mean(ops.subtract(ca, cb))
-        for chunk in chunks_a + chunks_b + [array for step in swept for array in step]:
-            assert not hasattr(chunk, "coefficients_cache")
 
 
-class TestCoefficientCacheIsStepScoped:
-    def test_caller_owned_chunks_keep_no_cache_and_never_serve_stale_bits(
-        self, stores
-    ):
-        """The shared coefficient cache must not outlive the fused chunk step:
-        sequence sources are caller-owned, so a retained cache would both leak
-        dense coefficients and return stale values after a later mutation."""
+class TestStepSumsAreStepScoped:
+    def test_caller_owned_chunks_never_serve_stale_sums(self, stores):
+        """Row sums shared within a fold step must not outlive it: sequence
+        sources are caller-owned, so a retained sum would return stale values
+        after a later mutation."""
         store_a, _ = stores
         chunks = list(store_a.iter_chunks())
         fused = engine.evaluate({"l2": expr.l2_norm(chunks),
-                                 "dot": expr.dot(chunks, chunks)})
+                                 "dot": expr.dot(chunks, chunks),
+                                 "variance": expr.variance(chunks)})
         assert fused["l2"] > 0.0
-        for chunk in chunks:
-            assert not hasattr(chunk, "coefficients_cache")
+        from repro.core.ops import coefficients
+
+        assert coefficients._STEP_SHARED.get() is None
         # mutating a chunk afterwards must be visible to later operations
         chunks[0].indices[...] = 0
         mutated = stream_ops.l2_norm(chunks)
         assert mutated != fused["l2"]
+        assert ops.l2_norm(chunks[0]) == 0.0
 
 
 class TestStructuralOpsValidation:

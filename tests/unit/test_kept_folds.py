@@ -1,0 +1,220 @@
+"""The kept-index-matrix folds and the kept-matrix re-binning operations.
+
+* ``add``/``subtract``/``add_scalar`` re-bin the kept ``(n_blocks, kept)``
+  coefficient matrix; each must give the maxima and indices of re-binning
+  the blocked, padded coefficient array (the test-local oracle) bit for bit.
+* For ``int8``/``int16`` indices every summing fold's per-block value is the
+  exact integer ``Σ i·j`` scaled once, so each is within 2 ulp of the exact
+  rational value, and ``l2_norm`` within 2 ulp of the exact square root.
+* ``product(x, x)`` gives the same bits as ``square(x)`` on every index type
+  (persisted ``square`` vectors serve ``dot(x, x)``).
+* Within one fold step a shared row sum is computed once.
+"""
+
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from repro import engine
+from repro.core import CompressedArray, CompressionSettings, Compressor, ops
+from repro.core.ops import coefficients, folds, rebin_coefficients, specified_coefficients
+from repro.core.pruning import corner_pruning_mask, low_frequency_mask
+
+INDEX_DTYPES = ("int8", "int16", "int32", "int64")
+BLOCKS = {1: (8,), 2: (4, 4), 3: (4, 2, 4)}
+#: ragged in every axis: no extent is a multiple of its block extent
+SHAPES = {1: (29,), 2: (13, 10), 3: (9, 5, 7)}
+
+
+def _mask(ndim: int, kind: str):
+    block = BLOCKS[ndim]
+    if kind == "unpruned":
+        return None
+    if kind == "corner":
+        return corner_pruning_mask(block, tuple(max(1, extent // 2) for extent in block))
+    return low_frequency_mask(block, 0.5)
+
+
+def _pair(ndim: int, dtype: str, mask_kind: str, seed: int = 0):
+    settings = CompressionSettings(block_shape=BLOCKS[ndim], index_dtype=dtype,
+                                   pruning_mask=_mask(ndim, mask_kind))
+    rng = np.random.default_rng(seed)
+    compressor = Compressor(settings)
+    shape = SHAPES[ndim]
+    return (compressor.compress(np.cumsum(rng.standard_normal(shape), axis=0)),
+            compressor.compress(rng.standard_normal(shape) * 3.0))
+
+
+def _assert_same(result: CompressedArray, oracle: CompressedArray) -> None:
+    assert result.shape == oracle.shape
+    assert result.maxima.tobytes() == oracle.maxima.tobytes()
+    assert result.indices.dtype == oracle.indices.dtype
+    assert np.array_equal(result.indices, oracle.indices)
+
+
+CASES = [(ndim, dtype, mask) for ndim in (1, 2, 3) for dtype in INDEX_DTYPES
+         for mask in ("unpruned", "corner", "low_frequency")]
+
+
+class TestKeptMatrixRebinning:
+    """Kept-matrix re-binning equals the blocked oracle bit for bit."""
+
+    @pytest.mark.parametrize("ndim,dtype,mask", CASES)
+    def test_add_and_subtract_match_the_blocked_oracle(self, ndim, dtype, mask):
+        a, b = _pair(ndim, dtype, mask)
+        for operation, combine in ((ops.add, np.add), (ops.subtract, np.subtract)):
+            blocked = combine(specified_coefficients(a), specified_coefficients(b))
+            _assert_same(operation(a, b), rebin_coefficients(blocked, a.settings, a.shape))
+
+    @pytest.mark.parametrize("dtype", INDEX_DTYPES)
+    def test_add_scalar_matches_the_blocked_oracle(self, dtype):
+        a, _ = _pair(2, dtype, "corner")
+        blocked = specified_coefficients(a)
+        blocked[..., 0, 0] += 1.75 * a.settings.dc_scale
+        _assert_same(ops.add_scalar(a, 1.75),
+                     rebin_coefficients(blocked, a.settings, a.shape))
+
+    def test_self_subtraction_rebins_to_zero_blocks(self):
+        a, _ = _pair(3, "int16", "unpruned")
+        zero = ops.subtract(a, a)
+        assert not zero.maxima.any() and not zero.indices.any()
+
+
+def _exact_scales(chunk: CompressedArray) -> list[Fraction]:
+    """The float ``s = N / r`` per block, as exact rationals."""
+    scales = chunk.maxima.reshape(-1) / float(chunk.settings.index_radius)
+    return [Fraction(float(scale)) for scale in scales]
+
+
+def _within_ulps(value: float, exact, ulps: int) -> bool:
+    return abs(Fraction(value) - Fraction(exact)) <= ulps * Fraction(math.ulp(value))
+
+
+class TestIntegerDomainSums:
+    @pytest.mark.parametrize("dtype", ["int8", "int16"])
+    def test_per_block_sum_is_the_integer_dot(self, dtype):
+        """With ``s = 1`` (``N = r``) a block's value is its raw ``Σ i·j``."""
+        a, b = _pair(2, dtype, "corner", seed=3)
+        radius = float(a.settings.index_radius)
+        unit = [CompressedArray(settings=x.settings, shape=x.shape,
+                                maxima=np.full(x.maxima.shape, radius),
+                                indices=x.indices) for x in (a, b)]
+        values = folds.product_partial(*unit).sums["product"][0]
+        exact = [sum(int(i) * int(j) for i, j in zip(row_a, row_b))
+                 for row_a, row_b in zip(a.indices, b.indices)]
+        assert values.tolist() == [float(value) for value in exact]
+
+    @pytest.mark.parametrize("dtype", ["int8", "int16"])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_every_block_is_within_two_ulp_of_exact(self, ndim, dtype):
+        a, b = _pair(ndim, dtype, "low_frequency", seed=ndim)
+        scales_a, scales_b = _exact_scales(a), _exact_scales(b)
+        product = folds.product_partial(a, b).sums["product"][0]
+        centered = folds.centered_product_partial(a, b).sums["ac_product"][0]
+        for k, (row_a, row_b) in enumerate(zip(a.indices.tolist(), b.indices.tolist())):
+            dot = sum(i * j for i, j in zip(row_a, row_b))
+            scale = scales_a[k] * scales_b[k]
+            assert _within_ulps(float(product[k]), dot * scale, 2)
+            assert _within_ulps(float(centered[k]),
+                                (dot - row_a[0] * row_b[0]) * scale, 2)
+
+    @pytest.mark.parametrize("dtype", ["int8", "int16"])
+    def test_l2_norm_is_within_two_ulp_of_the_exact_root(self, dtype):
+        a, _ = _pair(3, dtype, "unpruned", seed=11)
+        squared = sum(sum(i * i for i in row) * scale * scale
+                      for row, scale in zip(a.indices.tolist(), _exact_scales(a)))
+        with localcontext() as context:
+            context.prec = 60
+            root = (Decimal(squared.numerator) / Decimal(squared.denominator)).sqrt()
+        norm = ops.l2_norm(a)
+        assert abs(Decimal(norm) - root) <= 2 * Decimal(math.ulp(norm))
+
+
+class TestProductOfItselfIsSquare:
+    @pytest.mark.parametrize("dtype", INDEX_DTYPES)
+    @pytest.mark.parametrize("mask", ["unpruned", "corner"])
+    def test_product_x_x_has_the_square_bits(self, dtype, mask):
+        a, _ = _pair(2, dtype, mask, seed=5)
+        square = folds.square_partial(a).sums["square"][0]
+        for other in (a, a.copy()):  # shared and separate operands
+            product = folds.product_partial(a, other).sums["product"][0]
+            assert product.tobytes() == square.tobytes()
+        assert ops.dot(a, a) == folds.finalize_dot(folds.FoldState(
+            sums={"product": [square]}, n_blocks=a.n_blocks,
+            n_elements=a.n_elements, n_padded_elements=a.n_padded_elements))
+
+
+class TestStepSharedRowSums:
+    TERMS = (("square", (0,)), ("centered_square", (0,)), ("product", (0, 0)))
+
+    def _count_einsum(self, monkeypatch) -> list:
+        calls = []
+        original = np.einsum
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(folds.np, "einsum", counting)
+        return calls
+
+    def test_one_integer_row_sum_per_step(self, monkeypatch):
+        a, _ = _pair(2, "int16", "unpruned")
+        expected = [state.sums for state in
+                    (folds.FOLD_SPECS[name].partial(*([a] * len(slots)))
+                     for name, slots in self.TERMS)]
+        calls = self._count_einsum(monkeypatch)
+        states = folds.run_terms({0: a}, self.TERMS)
+        assert len(calls) == 1
+        for state, sums in zip(states, expected):
+            assert {key: value[0].tobytes() for key, value in state.sums.items()} == \
+                {key: value[0].tobytes() for key, value in sums.items()}
+        assert coefficients._STEP_SHARED.get() is None
+
+    def test_partials_outside_a_step_share_nothing(self, monkeypatch):
+        a, _ = _pair(2, "int16", "unpruned")
+        calls = self._count_einsum(monkeypatch)
+        for name, slots in self.TERMS:
+            folds.FOLD_SPECS[name].partial(*([a] * len(slots)))
+        assert len(calls) == len(self.TERMS)
+
+    def _count_scaling(self, monkeypatch) -> list:
+        scaled = []
+        original = coefficients.kept_coefficients
+        monkeypatch.setattr(coefficients, "kept_coefficients",
+                            lambda chunk: scaled.append(chunk) or original(chunk))
+        return scaled
+
+    def test_wide_indices_scale_the_kept_matrix_once_per_step(self, monkeypatch):
+        a, b = _pair(2, "int32", "unpruned")
+        scaled = self._count_scaling(monkeypatch)
+        folds.run_terms({0: a, 1: b}, (("square", (0,)), ("diff_square", (0, 1)),
+                                       ("centered_product", (0, 1))))
+        assert len(scaled) == 2
+
+    def test_subtract_and_diff_square_share_a_step_s_kept_matrices(self, monkeypatch):
+        a, b = _pair(2, "int16", "corner")
+        expected = ops.mean(ops.subtract(a, b)), ops.euclidean_distance(a, b)
+        scaled = self._count_scaling(monkeypatch)
+        with coefficients.fold_step():
+            difference = ops.subtract(a, b)
+            states = folds.run_terms({0: a, 1: b, 2: difference},
+                                     (("diff_square", (0, 1)), ("dc", (2,))))
+        assert len(scaled) == 2
+        assert (folds.finalize_mean(states[1]),
+                folds.finalize_euclidean_distance(states[0])) == expected
+
+
+class TestPlanTakesNoBackend:
+    @pytest.mark.parametrize("entry", ["plan", "execute", "evaluate"])
+    def test_backend_keyword_is_gone(self, entry):
+        a, _ = _pair(2, "int16", "unpruned")
+        request = {"l2": engine.expr.l2_norm([a])}
+        run = {"plan": lambda: engine.plan(request, backend="gemm"),
+               "execute": lambda: engine.plan(request).execute(backend="gemm"),
+               "evaluate": lambda: engine.evaluate(request, backend="gemm")}[entry]
+        with pytest.raises(TypeError, match="backend"):
+            run()

@@ -136,7 +136,7 @@ class TestOneFunctionPerRow:
         assert all(p.kind is p.KEYWORD_ONLY for p in options)
 
     def test_backend_keyword_is_gone(self, name, ragged_stores):
-        # compiled plans: engine.evaluate(..., backend=) / Plan.execute(backend=)
+        # the engine has one (interpreted) executor: no function takes backend=
         spec = folds.REDUCTION_SPECS[name]
         with pytest.raises(TypeError, match="backend"):
             getattr(stream_ops, name)(*ragged_stores[:spec.arity], backend="gemm")

@@ -183,11 +183,10 @@ class TestFaultPlan:
         assert plan.take_worker_crash(2)
         assert not plan.take_worker_crash(2)  # consumed
 
-    def test_compiled_kernel_fault_raises_runtime_error(self):
-        plan = FaultPlan(FaultRule("compiled_kernel"))
-        with pytest.raises(RuntimeError, match="injected compiled-kernel"):
-            plan.check_compiled_kernel()
-        plan.check_compiled_kernel()  # consumed: no raise
+    def test_compiled_kernel_is_no_fault_kind(self):
+        # the interpreter is the only plan executor: no kernel to fail
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultRule("compiled_kernel")
 
     def test_times_bounds_total_firings(self):
         plan = FaultPlan(FaultRule("os_error", times=2))

@@ -292,15 +292,15 @@ class TestServiceMetrics:
         assert snap["latency_seconds"]["p99"] == 0.030
         assert "cache" not in snap  # no cache attached
 
-    def test_plans_counted_per_backend(self):
+    def test_plans_counted_without_a_backend_split(self):
         metrics = ServiceMetrics()
-        metrics.record_batch(n_requests=2, n_plans=1, passes=2, seconds=0.01,
-                             backend="gemm")
-        metrics.record_batch(n_requests=1, n_plans=1, passes=1, seconds=0.01,
-                             backend="gemm")
+        metrics.record_batch(n_requests=2, n_plans=1, passes=2, seconds=0.01)
         metrics.record_batch(n_requests=1, n_plans=3, passes=3, seconds=0.01)
-        by_backend = metrics.snapshot()["plans"]["by_backend"]
-        assert by_backend == {"gemm": 2, "reference": 3}  # None -> reference
+        plans = metrics.snapshot()["plans"]
+        assert plans["executed"] == 4 and "by_backend" not in plans
+        with pytest.raises(TypeError):
+            metrics.record_batch(n_requests=1, n_plans=1, passes=1, seconds=0.01,
+                                 backend="gemm")
 
     def test_latency_quantiles_nearest_rank(self):
         metrics = ServiceMetrics()

@@ -270,6 +270,67 @@ class TestStalenessLadder:
             assert store.fold_state("dc") is None
 
 
+class TestFoldRevision:
+    """Sidecars persisted under another fold arithmetic are stale."""
+
+    @staticmethod
+    def _query(store) -> dict:
+        x = expr.source(store)
+        return {"m": expr.mean(x), "l2": expr.l2_norm(x), "dot": expr.dot(x, x)}
+
+    @staticmethod
+    def _rewrite_old_sidecar(path, index, revision) -> None:
+        """The sidecar an older release wrote: blocked-array square sums."""
+        from repro.core.ops import specified_coefficients
+
+        sidecar = path / partials_filename(index)
+        with np.load(sidecar) as data:
+            payload = {key: data[key] for key in data.files}
+        with CompressedStore(path / shard_filename(index)) as shard:
+            payload["square"] = np.concatenate([
+                (specified_coefficients(chunk) ** 2).sum(axis=(-2, -1)).ravel()
+                for chunk in shard.iter_chunks()])
+        del payload["fold_revision"]
+        if revision is not None:
+            payload["fold_revision"] = np.int64(revision)
+        with open(sidecar, "wb") as handle:
+            np.savez(handle, **payload)
+
+    def test_sidecars_record_the_fold_revision(self, tmp_path, settings):
+        from repro.core.ops import folds
+
+        path = _grown(tmp_path, settings)
+        for index in range(2):
+            with np.load(path / partials_filename(index)) as data:
+                assert int(data["fold_revision"]) == folds.FOLD_REVISION
+
+    @pytest.mark.parametrize("revision", [None, 0])
+    def test_old_sidecar_is_not_served_until_refreshed(self, tmp_path, settings,
+                                                       revision):
+        path = _grown(tmp_path, settings)
+        with ShardedStore(path, use_partials=False) as swept:
+            cold = engine.plan(self._query(swept)).execute()
+        for index in range(2):
+            self._rewrite_old_sidecar(path, index, revision)
+        with ShardedStore(path) as stale:
+            assert not stale.partials_fresh()
+            assert stale.fold_state("square") is None
+            assert stale.fold_state("dc") is None
+            plan = engine.plan(self._query(stale))
+            assert plan.execute() == cold
+            assert plan.last_execution["incremental_groups"] == 0
+
+        assert refresh_partials(path) == 2
+        assert refresh_partials(path) == 0
+        with ShardedStore(path) as fresh:
+            assert fresh.partials_fresh()
+            plan = engine.plan(self._query(fresh))
+            served = plan.execute()
+            assert plan.last_execution["incremental_groups"] == 1
+        assert {key: np.float64(value).tobytes() for key, value in served.items()} \
+            == {key: np.float64(value).tobytes() for key, value in cold.items()}
+
+
 class TestFoldStateAssembly:
     def test_rename_and_counts(self, tmp_path, settings):
         path = _grown(tmp_path, settings)
