@@ -152,7 +152,6 @@ def bench_workload(label: str, shape: tuple[int, ...], slab_rows: int,
                 "fused_over_sequential": fused_seconds / sequential_seconds,
                 "sequential_decode_passes": list(sequential_passes),
                 "fused_decode_passes": list(fused_passes),
-                "plan_passes": plan.n_passes,
                 "bit_identical": True,
             }
 

@@ -710,13 +710,11 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
             stores = [args.store_a] + ([args.store_b] if store_b is not None else [])
             print(json.dumps({
                 "operations": values,
-                "passes": fused.n_passes,
                 "seconds": seconds,
                 "stores": stores,
                 "interpreted_groups": executed.get("interpreted_groups"),
                 "incremental_groups": executed.get("incremental_groups"),
                 "io_seconds": executed.get("io_seconds"),
-                "prefetch_depth": executed.get("prefetch_depth"),
                 "readahead_sweeps": executed.get("readahead_sweeps"),
                 "describe": fused.describe(),
             }))
@@ -883,8 +881,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         for spec in outputs:
             print(f"{spec} = {full['results'][spec]!r}")
         batch = full["batch"]
-        print(f"(batch: {batch['requests']} request(s) -> {batch['plans']} "
-              f"plan(s), {batch['passes']} pass(es))")
+        print(f"(batch: {batch['requests']} request(s) -> {batch['plans']} plan(s))")
     return 0
 
 

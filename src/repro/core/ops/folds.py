@@ -509,16 +509,31 @@ class ReductionSpec:
         """Check a call against :attr:`signature`; its operands and options.
 
         Raises ``TypeError`` for a wrong operand count or an unknown keyword,
-        as a hand-written function would.  The options come back complete
-        (defaults filled in), coerced to their defaults' types
-        (``bool(padded)``) and sorted by name — the form a
-        :class:`repro.engine.expr.Reduction` node stores.
+        as a hand-written function would, and ``ValueError`` for an option
+        value :meth:`check_options` rejects (``padded="False"`` is not a
+        bool).  The options come back complete (defaults filled in) and
+        sorted by name — the form a :class:`repro.engine.expr.Reduction`
+        node stores.
         """
         bound = self.signature.bind(*operands, **options)
         bound.apply_defaults()
+        self.check_options(bound.kwargs)
+        return bound.args, tuple(sorted(bound.kwargs.items()))
+
+    def check_options(self, options: Mapping) -> None:
+        """Raise ``ValueError`` for an unknown option or a mistyped value.
+
+        A value must be an instance of its default's type; nothing is
+        converted (``bool("False")`` would be ``True``).
+        """
         defaults = dict(self.options)
-        return bound.args, tuple(sorted((key, type(defaults[key])(value))
-                                        for key, value in bound.kwargs.items()))
+        for key, value in options.items():
+            if key not in defaults:
+                raise ValueError(f"{self.name} takes no option {key!r}; valid "
+                                 f"options: {sorted(defaults)}")
+            if not isinstance(value, type(defaults[key])):
+                raise ValueError(f"{self.name} option {key!r} must be a "
+                                 f"{type(defaults[key]).__name__}, got {value!r}")
 
     def terms_over(self, operands: tuple) -> tuple:
         """The ``(fold name, picked operands)`` terms over concrete operands."""
@@ -643,14 +658,7 @@ def reduction_spec(name: str, n_operands: int, options: Mapping) -> ReductionSpe
                          f"{sorted(REDUCTION_SPECS)}")
     if n_operands != spec.arity:
         raise ValueError(f"{name} takes {spec.arity} operand(s), got {n_operands}")
-    defaults = dict(spec.options)
-    for key, value in options.items():
-        if key not in defaults:
-            raise ValueError(f"{name} takes no option {key!r}; valid options: "
-                             f"{sorted(defaults)}")
-        if not isinstance(value, type(defaults[key])):
-            raise ValueError(f"{name} option {key!r} must be a "
-                             f"{type(defaults[key]).__name__}, got {value!r}")
+    spec.check_options(options)
     return spec
 
 

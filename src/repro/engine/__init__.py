@@ -22,19 +22,19 @@ expression graph plus a fusing planner:
 Results are bit-identical to the sequential per-op calls (same partials, same
 correctly rounded sum :func:`repro.core.ops.folds.total`), and every sweep
 reads through the one prefetching chunk reader.  See ``docs/engine.md`` for
-the API, the planning rules, the pass-count guarantees and the fusion matrix.
+the API, the planning rules, the one-sweep guarantee and the fusion matrix.
 
 Quickstart::
 
     from repro.engine import evaluate, expr, plan
 
     p = plan({"mean": expr.mean(store_a), "dot": expr.dot(store_a, store_b)})
-    assert p.n_passes == 1            # both folds share one sweep
+    assert len(p.groups) == 1         # both folds share one sweep of store_a
     results = p.execute()             # {'mean': ..., 'dot': ...}
     single = evaluate(expr.l2_norm(store_a))   # bare scalar
 """
 
 from . import expr, wire
-from .plan import Plan, PlanPass, PassGroup, evaluate, plan
+from .plan import Plan, SweepGroup, evaluate, plan
 
-__all__ = ["expr", "wire", "plan", "evaluate", "Plan", "PlanPass", "PassGroup"]
+__all__ = ["expr", "wire", "plan", "evaluate", "Plan", "SweepGroup"]

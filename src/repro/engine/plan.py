@@ -20,17 +20,18 @@ steps:
    deviation of the same source share one centered-square sum.  Structural
    nodes (``add``/``scale``/…) deduplicate the same way through their
    structural keys.
-3. **Schedule** — every term goes into the plan's single pass, grouped by
-   source so each aligned chunk tuple is decoded once.  Consecutive tuples
-   are stacked into *fold steps* (:mod:`repro.streaming.steps`), and each
-   step feeds every partial that wants it.  The partials fold each step's
+3. **Schedule** — the terms are grouped by connected source set into
+   :class:`SweepGroup` sweeps, so each aligned chunk tuple is decoded once.
+   Consecutive tuples are stacked into *fold steps*
+   (:mod:`repro.streaming.steps`), and each step feeds every partial that
+   wants it.  The partials fold each step's
    kept ``(n_blocks, kept)`` index matrix directly — no step materialises the
    blocked coefficient array — and a row sum two partials of one step share
    (``square`` and ``centered_square`` of a source both need ``Σ i²``) is
    taken once (:func:`repro.core.ops.folds.run_terms`).
 
-**Pass-count guarantee**: ``plan.n_passes`` is always 1; every source is
-decoded once per chunk (``plan.decode_passes`` is 1 for each source), so a
+**One-sweep guarantee**: every source is decoded once per chunk — a store
+source's ``chunks_read`` grows by its ``n_chunks`` per execution — so a
 single-shot generator of chunks is as good a source as a store.
 
 **Bit-identity guarantee**: every fused scalar equals the corresponding
@@ -47,19 +48,20 @@ retry policy, codec override and read counters apply to every plan.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Mapping
 
 from ..core import ops as core_ops
 from ..core.ops import folds
 from ..core.ops.coefficients import fold_step
-from ..streaming.prefetch import READAHEAD_SPANS, ChunkPrefetcher
+from ..streaming.prefetch import ChunkPrefetcher
 from ..streaming.sharded import ShardedStore
 from ..streaming.sources import (STORE_TYPES, aligned_chunks, check_stores,
                                  require_pyblaz)
 from ..streaming.steps import fold_steps
 from .expr import ArrayExpr, Expr, Reduction, Source
 
-__all__ = ["Plan", "PlanPass", "PassGroup", "plan", "evaluate"]
+__all__ = ["Plan", "SweepGroup", "plan", "evaluate"]
 
 
 # ------------------------------------------------------------------ chunk programs
@@ -117,60 +119,24 @@ def _evaluate_step(program: tuple, values: dict,
 
 
 # ------------------------------------------------------------------ the plan
-class PassGroup:
-    """One aligned sweep within a pass: terms over one connected source set.
+@dataclass(frozen=True)
+class SweepGroup:
+    """One aligned sweep: terms over one connected source set.
 
     Terms that share no source decode independently — fusing ``mean(a)`` with
     ``mean(b)`` must not force ``a`` and ``b`` into one lockstep iteration
     (they may be shaped or chunked differently).  The planner therefore
-    partitions each pass's terms into connected components over their source
+    partitions the plan's terms into connected components over their source
     sets; geometry checks (`check_stores`) and chunk alignment apply *within*
-    a group only.
+    a group only, and each group's sources are decoded exactly once per chunk
+    during its sweep.  ``terms`` are ``(fold name, operand slots)`` keys;
+    ``source_slots`` are the node slots of the leaf sources they read, and
+    ``source_indices`` those sources' indices into :attr:`Plan.sources`.
     """
 
-    def __init__(self, terms: tuple, source_slots: tuple, source_indices: tuple):
-        self.terms = terms
-        self.source_slots = source_slots
-        self.source_indices = source_indices
-
-    def __repr__(self) -> str:
-        names = ", ".join(f"{name}{slots}" for name, slots in self.terms)
-        return f"PassGroup(sources={self.source_indices}, terms=[{names}])"
-
-
-class PlanPass:
-    """The plan's sweep: every term folded during it, grouped by source set.
-
-    Attributes
-    ----------
-    index:
-        1-based pass number (always 1: every plan is a single sweep).
-    terms:
-        ``(fold name, operand slots)`` keys folded during this pass, in a
-        deterministic collection order.
-    groups:
-        The :class:`PassGroup` sweeps — one aligned chunk iteration per
-        connected source set; each group's sources are decoded exactly once
-        per chunk during its sweep.
-    source_slots:
-        Node slots of every leaf source this pass decodes (union over groups,
-        aligned with ``source_indices``).
-    source_indices:
-        Indices into :attr:`Plan.sources` of the sources this pass decodes.
-    """
-
-    def __init__(self, index: int, terms: tuple, groups: tuple):
-        self.index = index
-        self.terms = terms
-        self.groups = groups
-        self.source_slots = tuple(slot for group in groups
-                                  for slot in group.source_slots)
-        self.source_indices = tuple(source for group in groups
-                                    for source in group.source_indices)
-
-    def __repr__(self) -> str:
-        names = ", ".join(f"{name}{slots}" for name, slots in self.terms)
-        return f"PlanPass({self.index}, sources={self.source_indices}, terms=[{names}])"
+    terms: tuple
+    source_slots: tuple
+    source_indices: tuple
 
 
 class Plan:
@@ -184,8 +150,10 @@ class Plan:
     ----------
     sources:
         The deduplicated leaf sources, in first-appearance order.
-    passes:
-        The scheduled :class:`PlanPass` sweep (length = :attr:`n_passes` = 1).
+    groups:
+        The :class:`SweepGroup` sweeps — one aligned chunk iteration per
+        connected source set; their terms, ``(fold name, operand slots)``
+        keys, keep a deterministic collection order.
     last_execution:
         After :meth:`execute`: a dict of per-mode group counts
         (``interpreted_groups`` swept chunks; ``incremental_groups`` were
@@ -194,58 +162,45 @@ class Plan:
         describes.  ``None`` before the first execution.
     """
 
+    #: Every plan is one sweep.  Only the benchmark tracer
+    #: (``perfbench/tracing.py``) still reads this; delete it when that
+    #: file next changes.
+    n_passes = 1
+
     def __init__(self, outputs: dict, program: tuple, sources: list,
-                 passes: list[PlanPass], shape: str):
+                 groups: tuple, shape: str):
         self._outputs = outputs
         self._program = program
         self.sources = tuple(sources)
-        self.passes = tuple(passes)
+        self.groups = groups
         self._shape = shape
         self.last_execution: dict | None = None
 
     # -------------------------------------------------------------- introspection
     @property
-    def n_passes(self) -> int:
-        """Number of fused sweeps: always 1 (every fold is one-pass)."""
-        return len(self.passes)
-
-    @property
     def output_keys(self) -> tuple:
         """Keys of the requested outputs, in request order."""
         return tuple(self._outputs)
 
-    @property
-    def decode_passes(self) -> tuple[int, ...]:
-        """Per source (aligned with :attr:`sources`): how many passes decode it."""
-        counts = [0] * len(self.sources)
-        for pass_ in self.passes:
-            for source_index in pass_.source_indices:
-                counts[source_index] += 1
-        return tuple(counts)
-
     def describe(self) -> str:
-        """Human-readable plan: sources, per-pass fused terms, outputs."""
-        lines = [f"plan: {self.n_passes} pass(es) over {len(self.sources)} source(s), "
-                 f"{len(self._outputs)} output(s)"]
+        """Human-readable plan: sources, each group's fused terms, outputs."""
+        lines = [f"plan: {len(self.groups)} sweep group(s) over "
+                 f"{len(self.sources)} source(s), {len(self._outputs)} output(s)"]
         for index, source in enumerate(self.sources):
             label = type(source).__name__
             if isinstance(source, STORE_TYPES):
                 label = f"{type(source).__name__}({source.path})"
             lines.append(f"  source s{index}: {label}")
-        for pass_ in self.passes:
-            lines.append(f"  pass {pass_.index}: {len(pass_.terms)} term(s) in "
-                         f"{len(pass_.groups)} group(s)")
-            for group in pass_.groups:
-                terms = ", ".join(f"{name}{slots}" for name, slots in group.terms)
-                decoded = ", ".join(f"s{i}" for i in group.source_indices)
-                lines.append(f"    decode [{decoded}] once per chunk; "
-                             f"fold {terms}")
+        for group in self.groups:
+            terms = ", ".join(f"{name}{slots}" for name, slots in group.terms)
+            decoded = ", ".join(f"s{i}" for i in group.source_indices)
+            lines.append(f"  decode [{decoded}] once per chunk; fold {terms}")
         for key, (op, slots, _) in self._outputs.items():
             lines.append(f"  output {key!r}: {op}{slots}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (f"Plan(outputs={list(self._outputs)}, passes={self.n_passes}, "
+        return (f"Plan(outputs={list(self._outputs)}, groups={len(self.groups)}, "
                 f"sources={len(self.sources)})")
 
     # -------------------------------------------------------------- validation
@@ -261,11 +216,9 @@ class Plan:
         for source in self.sources:
             if isinstance(source, STORE_TYPES):
                 require_pyblaz(source)
-        for pass_ in self.passes:
-            for group in pass_.groups:
-                check_stores([self.sources[index]
-                              for index in group.source_indices])
-            for name, slots in pass_.terms:
+        for group in self.groups:
+            check_stores([self.sources[index] for index in group.source_indices])
+            for name, slots in group.terms:
                 if not folds.FOLD_SPECS[name].requires_dc:
                     continue
                 for slot in sorted(_needed_slots(self._program, ((name, slots),))):
@@ -314,49 +267,7 @@ class Plan:
                     states[term] = state
         return states
 
-    def _run_pass(self, pass_: PlanPass, run_stats: dict, serial: bool) -> dict:
-        """Execute the pass; return the combined state keyed by term.
-
-        Each :class:`PassGroup` runs its own aligned sweep over its connected
-        source set, in fold steps (:mod:`repro.streaming.steps`): peak memory
-        is one decoded chunk plus one step buffer of at most the budget per
-        source, plus the step's structural intermediates.
-        Terms persisted shard partials answer are served first; a group they
-        answer entirely counts as an ``incremental_groups`` group and decodes
-        nothing, otherwise the rest of its terms sweep.  ``run_stats``
-        accumulates the per-group mode counts reported via
-        :attr:`last_execution`.
-
-        Each store source reads through its own
-        :class:`~repro.streaming.ChunkPrefetcher`, zipped by the aligned
-        iterator (:func:`repro.streaming.sources.aligned_chunks`), or with
-        ``serial`` through the ``read_chunk`` reference loop.  The time
-        a sweep spends *blocked* waiting on chunks accumulates into
-        ``run_stats["io_seconds"]`` — once readahead engages, that approaches
-        zero even though the same records are read — and each store sweep
-        whose reads blocked enough to engage the readahead pool counts into
-        ``run_stats["readahead_sweeps"]``.
-        """
-        state_by_term: dict = {}
-        for group in pass_.groups:
-            served = self._serve_from_partials(group.terms)
-            state_by_term.update(served)
-            rest = tuple(term for term in group.terms if term not in served)
-            if not rest:
-                run_stats["incremental_groups"] += 1
-                continue
-            # the unserved terms sweep over just the sources they read
-            sweeps = _group_terms(self._program, rest) if served else (group,)
-            for sweep in sweeps:
-                collected = self._sweep_group(sweep, run_stats, serial)
-                for term, bucket in zip(sweep.terms, collected):
-                    combined = folds.combine_all(bucket)
-                    if combined is None:
-                        raise ValueError("cannot reduce an empty chunk stream")
-                    state_by_term[term] = combined
-        return state_by_term
-
-    def _sweep_group(self, group: PassGroup, run_stats: dict,
+    def _sweep_group(self, group: SweepGroup, run_stats: dict,
                      serial: bool) -> list[list]:
         """One aligned sweep of a group; per-term lists of fold-step states.
 
@@ -376,8 +287,6 @@ class Plan:
         )
         prefetchers = [reader for reader in readers
                        if isinstance(reader, ChunkPrefetcher)]
-        if prefetchers:
-            run_stats["prefetch_depth"] = READAHEAD_SPANS
         iterator = aligned_chunks(readers)
 
         def fetch():
@@ -405,23 +314,32 @@ class Plan:
         return collected
 
     def execute(self, *, prefetch=True):
-        """Run the plan's one sweep and finalize the requested scalars.
+        """Run the plan's sweep groups and finalize the requested scalars.
 
         Returns a dict keyed like the request, a list for a sequence request,
         or the bare scalar for a single-expression request.
 
+        Each :class:`SweepGroup` runs its own aligned sweep over its connected
+        source set, in fold steps (:mod:`repro.streaming.steps`): peak memory
+        is one decoded chunk plus one step buffer of at most the budget per
+        source, plus the step's structural intermediates.  Terms persisted
+        shard partials answer are served first; a group they answer entirely
+        counts into ``incremental_groups`` and decodes nothing, otherwise the
+        rest of its terms sweep (``interpreted_groups``) over just the
+        sources they read.
+
         ``prefetch`` switches how every store sweep reads its chunks
-        (``docs/performance.md``): ``True`` (the default) reads coalesced
-        spans inline and hands the rest of a sweep to a readahead pool only
-        once a span's read blocks longer than consuming it took; ``False``
-        is the serial reference loop, one ``read_chunk`` per chunk.  Results
-        are bit-identical either way; any other value raises ``ValueError``
-        before a sweep starts.  :attr:`last_execution` reports
-        ``prefetch_depth`` — :data:`~repro.streaming.prefetch.READAHEAD_SPANS`
-        when a store sweep went through the reader, ``0`` otherwise —
-        ``readahead_sweeps``, the number of store sweeps that engaged the
-        pool, and ``io_seconds``, the wall time sweeps spent blocked waiting
-        on chunk fetches.
+        (``docs/performance.md``): ``True`` (the default) reads each store
+        through its own :class:`~repro.streaming.ChunkPrefetcher`, which
+        reads coalesced spans inline and hands the rest of a sweep to a
+        readahead pool only once a span's read blocks longer than consuming
+        it took; ``False`` is the serial reference loop, one ``read_chunk``
+        per chunk.  Results are bit-identical either way; any other value
+        raises ``ValueError`` before a sweep starts.
+        :attr:`last_execution` also reports ``readahead_sweeps``, the number
+        of store sweeps that engaged the pool, and ``io_seconds``, the wall
+        time sweeps spent blocked waiting on chunk fetches — once readahead
+        engages, that approaches zero even though the same records are read.
         """
         if prefetch not in (True, False):
             raise ValueError(f"prefetch is a switch (True or False), "
@@ -431,12 +349,25 @@ class Plan:
             "interpreted_groups": 0,
             "incremental_groups": 0,
             "io_seconds": 0.0,
-            "prefetch_depth": 0,
             "readahead_sweeps": 0,
         }
         states: dict = {}
-        for pass_ in self.passes:
-            states.update(self._run_pass(pass_, run_stats, serial=not prefetch))
+        for group in self.groups:
+            served = self._serve_from_partials(group.terms)
+            states.update(served)
+            rest = tuple(term for term in group.terms if term not in served)
+            if not rest:
+                run_stats["incremental_groups"] += 1
+                continue
+            # the unserved terms sweep over just the sources they read
+            sweeps = _group_terms(self._program, rest) if served else (group,)
+            for sweep in sweeps:
+                collected = self._sweep_group(sweep, run_stats, not prefetch)
+                for term, bucket in zip(sweep.terms, collected):
+                    combined = folds.combine_all(bucket)
+                    if combined is None:
+                        raise ValueError("cannot reduce an empty chunk stream")
+                    states[term] = combined
         self.last_execution = run_stats
         results = {key: folds.REDUCTION_SPECS[op].finalize(slots, states, options)
                    for key, (op, slots, options) in self._outputs.items()}
@@ -527,9 +458,8 @@ def plan(request) -> Plan:
         outputs[key] = (expression.op, operand_slots, options)
 
     frozen_program = tuple(program)
-    ordered = tuple(terms)
-    sweep = PlanPass(1, ordered, _group_terms(frozen_program, ordered))
-    return Plan(outputs, frozen_program, sources, [sweep], shape)
+    return Plan(outputs, frozen_program, sources,
+                _group_terms(frozen_program, tuple(terms)), shape)
 
 
 def _group_terms(program: tuple, terms: tuple) -> tuple:
@@ -573,7 +503,7 @@ def _group_terms(program: tuple, terms: tuple) -> tuple:
             {slot for term in members for slot in term_sources[term]}
         ))
         source_indices = tuple(program[slot][1] for slot in source_slots)
-        groups.append(PassGroup(tuple(members), source_slots, source_indices))
+        groups.append(SweepGroup(tuple(members), source_slots, source_indices))
     return tuple(groups)
 
 

@@ -137,7 +137,7 @@ def _store_timings(store_a, store_b, out_path) -> dict:
     }
 
 
-def _six_op_decode_passes(store_a, store_b) -> dict:
+def _six_op_store_sweeps(store_a, store_b) -> dict:
     """Measured decode sweeps per store for the six-op workload, both schedules."""
     from .. import engine
     from ..streaming import ops as stream_ops
@@ -167,7 +167,7 @@ def run(config: Fig7Config = Fig7Config()) -> ExperimentResult:
     """Time every Fig 7 operation across sizes and setting combinations."""
     rng = np.random.default_rng(config.seed)
     rows: list[tuple] = []
-    six_op_passes: dict | None = None
+    six_op_sweeps: dict | None = None
     with tempfile.TemporaryDirectory(prefix="fig7_stores_") as tmp:
         workdir = Path(tmp)
         for float_format in config.float_formats:
@@ -210,8 +210,8 @@ def run(config: Fig7Config = Fig7Config()) -> ExperimentResult:
                         timed.update(
                             _store_timings(*stores, workdir / "out.pblzc")
                         )
-                        if six_op_passes is None:
-                            six_op_passes = _six_op_decode_passes(*stores)
+                        if six_op_sweeps is None:
+                            six_op_sweeps = _six_op_store_sweeps(*stores)
                     try:
                         for operation, function in timed.items():
                             seconds = median_time(function, config.repeats)
@@ -233,7 +233,7 @@ def run(config: Fig7Config = Fig7Config()) -> ExperimentResult:
             "slab_rows": config.slab_rows,
             # measured decode sweeps per store for the six-reduction workload:
             # sequential op-by-op calls vs one fused engine plan
-            "six_op_decode_passes": six_op_passes,
+            "six_op_store_sweeps": six_op_sweeps,
         },
     )
 

@@ -333,7 +333,7 @@ class ShardedStoreReport:
 
 def _check_shard_entry(directory: Path, entry: dict) -> Optional[str]:
     """Compare one shard file against its manifest record (size, CRC-32)."""
-    import zlib
+    from ..streaming.sharded import _file_crc32
 
     shard_path = directory / entry["file"]
     if not shard_path.is_file():
@@ -341,13 +341,7 @@ def _check_shard_entry(directory: Path, entry: dict) -> Optional[str]:
     actual = shard_path.stat().st_size
     if actual != int(entry["n_bytes"]):
         return f"size {actual} != manifest {entry['n_bytes']}"
-    crc = 0
-    with open(shard_path, "rb") as handle:
-        while True:
-            block = handle.read(1 << 20)
-            if not block:
-                break
-            crc = zlib.crc32(block, crc)
+    crc = _file_crc32(shard_path)
     if crc != int(entry["crc32"]):
         return f"CRC-32 {crc:#010x} != manifest {int(entry['crc32']):#010x}"
     return None
@@ -397,9 +391,7 @@ def repair_sharded_store(path, mirror) -> ShardedStoreReport:
     report, with per-chunk ``source`` markers merged in from the repairs.
     Raises :class:`CodecError` when any chunk is corrupt in both copies.
     """
-    import zlib
-
-    from ..streaming.sharded import load_manifest, save_manifest
+    from ..streaming.sharded import _file_crc32, load_manifest, save_manifest
 
     path = Path(path)
     mirror = Path(mirror)
@@ -420,14 +412,7 @@ def repair_sharded_store(path, mirror) -> ShardedStoreReport:
         )
         shard_path = path / entry["file"]
         entry["n_bytes"] = shard_path.stat().st_size
-        crc = 0
-        with open(shard_path, "rb") as handle:
-            while True:
-                block = handle.read(1 << 20)
-                if not block:
-                    break
-                crc = zlib.crc32(block, crc)
-        entry["crc32"] = crc
+        entry["crc32"] = _file_crc32(shard_path)
     if repaired:
         save_manifest(path, manifest)
     after = verify_sharded_store(path)

@@ -1,11 +1,10 @@
 """Process-wide decoded-chunk LRU cache with a byte budget.
 
-The plan engine's coefficient cache is *step-scoped*: it lives for one fused
-chunk step and is torn down before the next decode, which is the right
+A plan sweep decodes each chunk once and drops it, which is the right
 lifetime for a single sweep but wastes work in a long-lived server where
 consecutive plans keep re-reading the same hot stores.  :class:`ChunkCache`
-generalizes that idea to a **process-wide tier**: decoded chunk objects
-(pyblaz :class:`repro.core.CompressedArray` records, or any codec's compressed
+is a **process-wide tier**: decoded chunk objects (pyblaz
+:class:`repro.core.CompressedArray` records, or any codec's compressed
 object) are kept under an LRU policy bounded by a byte budget, keyed by
 ``(store path, chunk index)``.
 
@@ -17,11 +16,12 @@ arrays — typically 10-60× smaller than the dense chunk, so a modest budget
 covers a whole working set.
 
 Thread safety: all operations take an internal lock, so concurrent readers
-(server executor, threaded executors, benchmark clients) can share one cache.
-Entries are shared objects — callers must follow the engine's discipline of
-never leaving mutations behind (the plan's coefficient priming is strictly
-step-scoped, and the serving scheduler runs one plan at a time, so a cached
-chunk is never primed by two plans concurrently).
+(the serving plan and warm-up threads, benchmark clients) can share one
+cache.  Entries are shared objects, so no reader may write to one.  A plan
+sweep never does: fold steps copy stacked chunks into their own step buffers
+(:class:`repro.streaming.steps.SlabStack`), partials and structural
+operations only read their operands, and the serving scheduler runs plans on
+one thread, one batch at a time.
 """
 
 from __future__ import annotations

@@ -206,7 +206,7 @@ class QueryClient:
 
     def evaluate_full(self, outputs: Mapping[str, "Expr | dict"]) -> dict:
         """Like :meth:`evaluate` but returns the whole response — results plus
-        the batch the request rode in (``batch.requests``/``plans``/``passes``)
+        the batch the request rode in (``batch.requests``/``plans``/``coalesced``)
         and the server-side latency in seconds."""
         live = {name: node for name, node in outputs.items()
                 if isinstance(node, Expr)}

@@ -49,7 +49,6 @@ class ServiceMetrics:
         self.requests_overloaded = 0
         self.requests_deadline_exceeded = 0
         self.plans_executed = 0
-        self.plan_passes_total = 0
         self.plan_seconds_total = 0.0
         self.batches = 0
         self.batched_requests = 0
@@ -86,15 +85,13 @@ class ServiceMetrics:
             self.requests_served += 1
             self._latencies.append(float(latency_seconds))
 
-    def record_batch(self, n_requests: int, n_plans: int, passes: int,
-                     seconds: float) -> None:
+    def record_batch(self, n_requests: int, n_plans: int, seconds: float) -> None:
         """One scheduler tick executed ``n_plans`` plan(s) for ``n_requests``."""
         with self._lock:
             self.batches += 1
             self.batched_requests += n_requests
             self.max_batch = max(self.max_batch, n_requests)
             self.plans_executed += n_plans
-            self.plan_passes_total += passes
             self.plan_seconds_total += float(seconds)
 
     def record_prefetch(self, n_chunks: int) -> None:
@@ -130,7 +127,6 @@ class ServiceMetrics:
                 },
                 "plans": {
                     "executed": self.plans_executed,
-                    "passes_total": self.plan_passes_total,
                     "seconds_total": self.plan_seconds_total,
                     "batches": batches,
                     "batched_requests": self.batched_requests,

@@ -4,7 +4,7 @@ Protocol (one JSON object per line, over TCP)::
 
     -> {"id": 7, "kind": "evaluate", "outputs": {"m": <wire>, "v": <wire>}}
     <- {"id": 7, "ok": true, "results": {"m": ..., "v": ...},
-        "batch": {"requests": 3, "plans": 1, "passes": 1, "coalesced": true},
+        "batch": {"requests": 3, "plans": 1, "coalesced": true},
         "seconds": 0.0123}
 
     -> {"id": 8, "kind": "stats"}      <- {"id": 8, "ok": true, "stats": {...}}
@@ -27,9 +27,9 @@ rounded sum :func:`repro.core.ops.folds.total`, bit-identical to
 terms are independent of which outputs reference them).
 
 Plans execute on a **single worker thread**, one batch at a time — plan
-execution is CPU/IO-bound numpy work that would fight the GIL anyway, and
-serializing it keeps shared cached chunks safe from concurrent coefficient
-priming (:mod:`repro.serving.cache`).
+execution is CPU/IO-bound numpy work that would fight the GIL anyway.  Shared
+cached chunks stay safe because a sweep only reads them: fold steps copy
+chunks into their own buffers (:mod:`repro.serving.cache`).
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ class QueryService:
                 # cache while the plan thread is still spinning up
                 self._warm_pool.submit(self._warm_batch, batch)
             try:
-                per_request, n_plans, passes = await loop.run_in_executor(
+                per_request, n_plans = await loop.run_in_executor(
                     self._pool, self._execute_batch, batch
                 )
             except Exception as exc:
@@ -341,10 +341,9 @@ class QueryService:
                         item.future.set_exception(exc)
             else:
                 seconds = time.perf_counter() - start
-                self.metrics.record_batch(len(batch), n_plans, passes, seconds)
+                self.metrics.record_batch(len(batch), n_plans, seconds)
                 info = {"requests": len(batch), "plans": n_plans,
-                        "passes": passes, "coalesced": self.coalesce,
-                        "seconds": seconds}
+                        "coalesced": self.coalesce, "seconds": seconds}
                 for item, values in zip(batch, per_request):
                     if not item.future.done():
                         item.future.set_result((values, info))
@@ -353,8 +352,8 @@ class QueryService:
 
     def _execute_batch(
         self, batch: list[_Pending]
-    ) -> tuple[list[dict], int, int]:
-        """Run one batch on the worker thread; returns per-request value dicts.
+    ) -> tuple[list[dict], int]:
+        """Run one batch on the worker thread; per-request value dicts, plan count.
 
         Coalesced: every request's outputs compile into **one** plan under
         ``(request index, output name)`` keys — the planner dedups shared fold
@@ -373,14 +372,9 @@ class QueryService:
                 {name: values[(index, name)] for name in item.outputs}
                 for index, item in enumerate(batch)
             ]
-            return per_request, 1, fused.n_passes
-        per_request = []
-        passes = 0
-        for item in batch:
-            solo = engine.plan(item.outputs)
-            per_request.append(solo.execute())
-            passes += solo.n_passes
-        return per_request, len(batch), passes
+            return per_request, 1
+        per_request = [engine.plan(item.outputs).execute() for item in batch]
+        return per_request, len(batch)
 
     def _warm_batch(self, batch: list[_Pending]) -> None:
         """Warm the chunk cache for every store a batch's expressions touch.

@@ -268,14 +268,13 @@ class TestCoalescing:
 
     def test_coalesced_batch_shares_passes(self, catalog):
         # 4 requests, all variance over store "a": fused they cost the same
-        # single pass one request costs — the whole point of coalescing
+        # single plan one request costs — the whole point of coalescing
         requests = [{"v": expr.variance(expr.source("a"))} for _ in range(4)]
         with ThreadedQueryService(catalog, tick=0.5) as served:
             responses = self._fan_out(served, requests)
         batch = responses[0]["batch"]
         assert batch["requests"] == 4
         assert batch["plans"] == 1
-        assert batch["passes"] == 1
         local = local_reference(catalog, requests[0])
         for response in responses:
             assert response["results"]["v"] == local["v"]
@@ -293,6 +292,9 @@ class TestOnePlanPath:
                 stats = client.stats()
         assert "backend" not in full["batch"]
         assert "by_backend" not in stats["plans"]
+        # every plan is one sweep, so no pass count is reported
+        assert "passes" not in full["batch"]
+        assert "passes_total" not in stats["plans"]
         assert "degradations" not in stats["reliability"]
         assert full["results"] == local_reference(catalog, outputs)
 

@@ -6,11 +6,10 @@ ragged chunkings and arbitrary non-empty subsets of the eight reductions:
 * **bit-identity** — every scalar a fused plan produces equals the sequential
   :mod:`repro.streaming.ops` call for that operation, exactly (``==``), and
   stores and plain chunk sequences give the same scalars;
-* **pass count** — ``plan.n_passes`` is 1 for every subset, the centered
-  statistics (variance/standard_deviation/covariance) included;
 * **single decode per chunk** — instrumented via the stores' ``chunks_read``
   counters: a store's reads grow by exactly ``n_chunks`` when the plan's terms
-  touch it (``plan.decode_passes``), however many reductions share it;
+  touch it, however many reductions share it, the centered statistics
+  (variance/standard_deviation/covariance) included;
 * **one-pass centered statistics** — variance is never negative, and the
   store-level variance/standard deviation/covariance equal the in-memory
   operations on the one-shot compressed arrays bit for bit, over ragged
@@ -115,7 +114,7 @@ def _sequential(names, store_a, store_b) -> dict:
 class TestFusedMatchesSequential:
     @given(case=engine_case())
     @hyp_settings(max_examples=40, deadline=None)
-    def test_any_subset_bit_identical_with_pass_and_decode_counts(self, case):
+    def test_any_subset_bit_identical_with_decode_counts(self, case):
         a, b, settings, slab_rows, names = case
         with _store_pair(a, b, settings, slab_rows) as (store_a, store_b):
             zero_norm = stream_ops.l2_norm(store_a) == 0.0 or (
@@ -126,16 +125,12 @@ class TestFusedMatchesSequential:
             expected = _sequential(names, store_a, store_b)
             plan = engine.plan(_expressions(names, store_a, store_b))
 
-            # pass count: one sweep for every subset, centered ops included
-            assert plan.n_passes == 1
-
             # single decode per chunk, via chunks_read instrumentation
             before = (store_a.chunks_read, store_b.chunks_read)
             fused = plan.execute()
             sources = list(plan.sources)
             for store, prior in ((store_a, before[0]), (store_b, before[1])):
                 if store in sources:
-                    assert plan.decode_passes[sources.index(store)] == 1
                     assert store.chunks_read - prior == store.n_chunks
                 else:
                     assert store.chunks_read == prior
@@ -197,8 +192,7 @@ class TestAcceptanceSixOpWorkload:
         with store_a, store_b:
             expected = _sequential(SIX_OPS, store_a, store_b)
             plan = engine.plan(_expressions(SIX_OPS, store_a, store_b))
-            assert plan.n_passes == 1
-            assert plan.decode_passes == (1, 1)
+            assert len(plan.groups) == 1
             before = (store_a.chunks_read, store_b.chunks_read)
             fused = plan.execute()
             assert store_a.chunks_read - before[0] == store_a.n_chunks

@@ -159,7 +159,8 @@ class TestStepBudgetInvariance:
                         plan = engine.plan(_request(x, y))
                         assert plan.execute() == answers[budget][1]
                         expected = _expected_steps(_chunks(x), budget)
-                        assert len(calls) == len(plan.passes[0].terms) * expected
+                        n_terms = sum(len(group.terms) for group in plan.groups)
+                        assert len(calls) == n_terms * expected
                 for budget in budgets[1:]:
                     assert answers[budget] == answers[one_block]
             finally:
@@ -188,7 +189,8 @@ class TestPartialCallsPerPlan:
             _counting_partials(monkeypatch, calls)
             plan = engine.plan(_request(x, y))
             plan.execute()
-            assert len(plan.passes[0].terms) == 8
+            (group,) = plan.groups
+            assert len(group.terms) == 8
             assert len(calls) == 8 * 4
             assert x.chunks_read == y.chunks_read == 16
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.streaming.prefetch import READAHEAD_SPANS
 from tests.conftest import smooth_field
 
 
@@ -302,7 +301,7 @@ class TestStreamOpsEvaluateAndJson:
             f"cosine-similarity = {ops.cosine_similarity(ca, cb)!r}",
         ]
 
-    def test_evaluate_json_reports_passes_and_timing(self, store_pair, capsys):
+    def test_evaluate_json_reports_groups_and_timing(self, store_pair, capsys):
         import json
 
         store_a, store_b, *_ = store_pair
@@ -311,14 +310,15 @@ class TestStreamOpsEvaluateAndJson:
                      "--op", "mean", "--op", "dot", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["operations"]) == {"mean", "dot"}
-        assert payload["passes"] == 1          # every plan is one sweep
+        assert payload["interpreted_groups"] == 1   # a and b share one sweep
+        assert payload["incremental_groups"] == 0
+        assert "passes" not in payload              # every plan is one sweep
         assert payload["seconds"] >= 0.0
         assert payload["stores"] == [str(store_a), str(store_b)]
-        # pipelined-I/O contract fields: time blocked fetching chunks, and
-        # the readahead window the sweeps read through
+        # pipelined-I/O contract field: time blocked fetching chunks
         assert payload["io_seconds"] >= 0.0
         assert payload["io_seconds"] <= payload["seconds"]
-        assert payload["prefetch_depth"] == READAHEAD_SPANS
+        assert "prefetch_depth" not in payload      # the window is a constant
         # each 5-chunk store is one span: nothing is left to read ahead
         assert payload["readahead_sweeps"] == 0
 
@@ -348,17 +348,18 @@ class TestStreamOpsEvaluateAndJson:
             assert main(["stream-ops", "evaluate", str(store), "--op", "mean",
                          "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["prefetch_depth"] == READAHEAD_SPANS
         assert payload["readahead_sweeps"] == 1
 
-    def test_centered_subset_reports_one_pass(self, store_pair, capsys):
+    def test_centered_subset_reports_one_group(self, store_pair, capsys):
         import json
 
         store_a, *_ = store_pair
         capsys.readouterr()
         assert main(["stream-ops", "evaluate", str(store_a),
                      "--op", "mean", "--op", "variance", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["passes"] == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["interpreted_groups"] == 1
+        assert "decode [s0] once per chunk" in payload["describe"]
 
     def test_single_op_json_mode(self, store_pair, capsys):
         import json

@@ -101,15 +101,17 @@ class TestPlanStructure:
             "dot": expr.dot(store_a, store_b),
             "cos": expr.cosine_similarity(store_a, store_b),
         })
-        assert plan.n_passes == 1
-        assert plan.decode_passes == (1, 1)
+        assert len(plan.groups) == 1
+        before = (store_a.chunks_read, store_b.chunks_read)
+        plan.execute()
+        assert store_a.chunks_read - before[0] == store_a.n_chunks
+        assert store_b.chunks_read - before[1] == store_b.n_chunks
 
     def test_one_pass_when_a_centered_op_is_present(self, stores):
         store_a, _ = stores
         plan = engine.plan({"mean": expr.mean(store_a),
                             "var": expr.variance(store_a)})
-        assert plan.n_passes == 1
-        assert plan.decode_passes == (1,)
+        assert len(plan.groups) == 1
         before = store_a.chunks_read
         plan.execute()
         assert store_a.chunks_read - before == store_a.n_chunks
@@ -127,7 +129,7 @@ class TestPlanStructure:
             "std": expr.standard_deviation(store_a),
             "cov": expr.covariance(store_a, store_b),
         })
-        (sweep,) = plan.passes
+        (sweep,) = plan.groups
         # product once (dot+cos), square twice (a for l2+cos, b for cos),
         # centered_square once (var+std), dc once (mean), centered_product once
         assert sorted(name for name, _ in sweep.terms) == [
@@ -141,8 +143,7 @@ class TestPlanStructure:
         plan = engine.plan({"var": expr.variance(store_a),
                             "cov": expr.covariance(store_a, store_b),
                             "l2b": expr.l2_norm(store_b)})
-        assert plan.n_passes == 1
-        assert plan.decode_passes == (1, 1)
+        assert len(plan.groups) == 1
         before = (store_a.chunks_read, store_b.chunks_read)
         plan.execute()
         assert store_a.chunks_read - before[0] == store_a.n_chunks
@@ -164,7 +165,7 @@ class TestPlanStructure:
                     "mean_a": expr.mean(store_a),
                     "var_b": expr.variance(store_b),
                 })
-                assert len(plan.passes[0].groups) == 2
+                assert len(plan.groups) == 2
                 results = plan.execute()
                 assert results["mean_a"] == stream_ops.mean(store_a)
                 assert results["var_b"] == stream_ops.variance(store_b)
@@ -185,11 +186,12 @@ class TestPlanStructure:
             # DC-free reductions still work on the same store
             assert engine.evaluate(expr.l2_norm(store)) > 0.0
 
-    def test_describe_names_passes_terms_and_outputs(self, stores):
+    def test_describe_names_groups_terms_and_outputs(self, stores):
         store_a, store_b = stores
         plan = engine.plan({"dot": expr.dot(store_a, store_b)})
         text = plan.describe()
-        assert "pass 1" in text and "product" in text and "'dot'" in text
+        assert "1 sweep group(s)" in text and "decode [s0, s1] once per chunk" in text
+        assert "product" in text and "'dot'" in text
         assert "CompressedStore" in text
 
     def test_request_shapes(self, stores):
@@ -268,8 +270,11 @@ class TestStructuralNodesFeedReductions:
             "m": expr.mean(expr.add(store_a, store_b)),
             "n": expr.l2_norm(expr.add(store_a, store_b)),
         })
-        assert plan.n_passes == 1
-        assert plan.decode_passes == (1, 1)
+        assert len(plan.groups) == 1
+        before = (store_a.chunks_read, store_b.chunks_read)
+        plan.execute()
+        assert store_a.chunks_read - before[0] == store_a.n_chunks
+        assert store_b.chunks_read - before[1] == store_b.n_chunks
         # one add node in the program despite two separately built expressions
         program = plan._program
         assert sum(1 for entry in program if entry[0] == "add") == 1

@@ -185,6 +185,10 @@ class TestWireEvaluation:
         resolved = request_from_wire(request_to_wire(request),
                                      resolve=store_pair.__getitem__)
         fused = engine.plan(resolved)
-        assert fused.n_passes == 1
-        assert fused.decode_passes == (1, 1)
+        assert len(fused.groups) == 1
         assert len(fused.sources) == 2
+        before = [store.chunks_read for store in fused.sources]
+        fused.execute()
+        assert [store.chunks_read - count for store, count
+                in zip(fused.sources, before)] == [store.n_chunks
+                                                   for store in fused.sources]

@@ -455,21 +455,25 @@ class TestWarmStoreCache:
 
 
 class TestPlanStats:
-    def test_io_seconds_and_depth_recorded(self, store):
+    def test_io_seconds_recorded(self, store):
         built = plan({"mean": expr.mean(expr.source(store))})
         built.execute()
         stats = built.last_execution
-        assert stats["prefetch_depth"] == READAHEAD_SPANS
+        assert set(stats) == {"interpreted_groups", "incremental_groups",
+                              "io_seconds", "readahead_sweeps"}
         assert 0.0 <= stats["io_seconds"]
+        assert store.chunks_prefetched == store.n_chunks  # through the reader
 
     @pytest.mark.parametrize("serial", [False, 0])
-    def test_serial_switch_records_depth_zero(self, store, serial):
+    def test_serial_switch_bypasses_the_reader(self, store, serial):
         built = plan({"mean": expr.mean(expr.source(store))})
         assert built.execute(prefetch=serial) == built.execute(prefetch=True)
+        prefetched = store.chunks_prefetched
         built.execute(prefetch=serial)
-        assert built.last_execution["prefetch_depth"] == 0
+        assert store.chunks_prefetched == prefetched
+        assert built.last_execution["interpreted_groups"] == 1
 
-    def test_decode_free_plan_reports_no_depth(self, tmp_path, settings):
+    def test_decode_free_plan_prefetches_nothing(self, tmp_path, settings):
         path = tmp_path / "grown.shards"
         init_sharded_store(path, smooth_field((64, 20), seed=1), settings,
                            slab_rows=8).close()
@@ -478,7 +482,7 @@ class TestPlanStats:
             built.execute()
             assert built.last_execution["incremental_groups"] == 1
             assert store.chunks_read == 0
-            assert built.last_execution["prefetch_depth"] == 0
+            assert store.chunks_prefetched == 0
 
     def test_readahead_sweeps_counts_pool_engagements(self, tmp_path, settings):
         compressor = ChunkedCompressor(settings, slab_rows=8)
@@ -505,7 +509,6 @@ class TestPlanStats:
         with inject(*_slow_reads()):
             built.execute()
         assert built.last_execution["readahead_sweeps"] == 0
-        assert built.last_execution["prefetch_depth"] == READAHEAD_SPANS
 
     @pytest.mark.parametrize("setting", [None, 4, -1, "auto"])
     def test_non_switch_values_rejected_before_any_sweep(self, store, setting):
@@ -566,7 +569,7 @@ class TestTinyStores:
         assert piped_counters == serial_counters[:3] + (
             serial_counters[3] - n_chunks + spans,)
 
-    def test_plan_reports_the_readahead_window(self, tiny, n_chunks):
+    def test_plan_reads_through_the_reader(self, tiny, n_chunks):
         opener, path, spans = tiny
         runs = {}
         for prefetch in (True, False):
@@ -577,12 +580,10 @@ class TestTinyStores:
                 built = plan({"cos": expr.cosine_similarity(x, expr.negate(x))})
                 opened_with = store.preads
                 value = built.execute(prefetch=prefetch)
-                runs[prefetch] = (value, built.last_execution["prefetch_depth"],
-                                  store.chunks_prefetched,
+                runs[prefetch] = (value, store.chunks_prefetched,
                                   store.preads - opened_with)
-        piped, depth, prefetched, piped_preads = runs[True]
-        serial, serial_depth, serial_prefetched, serial_preads = runs[False]
+        piped, prefetched, piped_preads = runs[True]
+        serial, serial_prefetched, serial_preads = runs[False]
         assert piped == serial
-        assert (depth, prefetched) == (READAHEAD_SPANS, n_chunks)
-        assert (serial_depth, serial_prefetched) == (0, 0)
+        assert (prefetched, serial_prefetched) == (n_chunks, 0)
         assert serial_preads - piped_preads == n_chunks - spans

@@ -93,7 +93,7 @@ class TestEveryRow:
                      "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert set(record["operations"]) == {cli_name}
-        assert record["passes"] == 1
+        assert record["interpreted_groups"] == 1
 
     def test_engine_over_ragged_store_equals_core_ops(self, name, ragged_stores):
         spec = folds.REDUCTION_SPECS[name]
@@ -207,3 +207,25 @@ class TestPlanValidatesAgainstTheRow:
             "kind": "mean", "operands": [{"kind": "source", "name": "a"}],
         }})
         assert outputs["m"].options == (("padded", True),)
+
+
+class TestOptionsAreCheckedNotConverted:
+    """A mistyped option raises; ``bool("False")`` would be the padded mean."""
+
+    @pytest.mark.parametrize("value", ["False", 0, 1, None])
+    def test_eager_function_rejects_a_non_bool(self, value):
+        compressed = Compressor(SETTINGS).compress(FIELDS[0])
+        with pytest.raises(ValueError, match="'padded' must be a bool"):
+            ops.mean(compressed, padded=value)
+
+    @pytest.mark.parametrize("value", ["False", 0, 1, None])
+    def test_expr_constructor_rejects_a_non_bool(self, value):
+        with pytest.raises(ValueError, match="'padded' must be a bool"):
+            expr.mean(expr.source([]), padded=value)
+
+    def test_store_function_rejects_before_any_read(self, ragged_stores):
+        store = ragged_stores[0]
+        before = store.chunks_read
+        with pytest.raises(ValueError, match="'padded' must be a bool"):
+            stream_ops.mean(store, padded="False")
+        assert store.chunks_read == before

@@ -279,11 +279,11 @@ class TestServiceMetrics:
         metrics.record_failed()
         metrics.record_served(0.010)
         metrics.record_served(0.030)
-        metrics.record_batch(n_requests=2, n_plans=1, passes=2, seconds=0.04)
+        metrics.record_batch(n_requests=2, n_plans=1, seconds=0.04)
         snap = metrics.snapshot()
         assert snap["requests"] == {"received": 3, "served": 2, "failed": 1}
         assert snap["plans"]["executed"] == 1
-        assert snap["plans"]["passes_total"] == 2
+        assert snap["plans"]["seconds_total"] == 0.04
         assert snap["plans"]["batches"] == 1
         assert snap["plans"]["max_batch"] == 2
         assert snap["plans"]["mean_batch"] == 2.0
@@ -294,13 +294,16 @@ class TestServiceMetrics:
 
     def test_plans_counted_without_a_backend_split(self):
         metrics = ServiceMetrics()
-        metrics.record_batch(n_requests=2, n_plans=1, passes=2, seconds=0.01)
-        metrics.record_batch(n_requests=1, n_plans=3, passes=3, seconds=0.01)
+        metrics.record_batch(n_requests=2, n_plans=1, seconds=0.01)
+        metrics.record_batch(n_requests=1, n_plans=3, seconds=0.01)
         plans = metrics.snapshot()["plans"]
         assert plans["executed"] == 4 and "by_backend" not in plans
+        assert "passes_total" not in plans  # every plan is one sweep
         with pytest.raises(TypeError):
-            metrics.record_batch(n_requests=1, n_plans=1, passes=1, seconds=0.01,
+            metrics.record_batch(n_requests=1, n_plans=1, seconds=0.01,
                                  backend="gemm")
+        with pytest.raises(TypeError):
+            metrics.record_batch(n_requests=1, n_plans=1, passes=1, seconds=0.01)
 
     def test_latency_quantiles_nearest_rank(self):
         metrics = ServiceMetrics()
