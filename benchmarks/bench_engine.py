@@ -7,7 +7,13 @@ acceptance bar centres on: ``mean``, ``variance``, ``l2_norm``, ``dot``,
 ``covariance`` and ``cosine_similarity`` over two identically chunked stores.
 Sequential evaluation sweeps the stores once per op (9 decode passes across
 the pair); the fused plan schedules the same folds into exactly 1 pass per
-store and produces bit-identical scalars (verified per run).  A formatted table
+store and produces bit-identical scalars (verified per run).  Each workload
+also records the best-of-repeats time of the one-output plan ``mean(a − b)``,
+whose ``subtract`` node only the ``dc`` fold reads and so is re-binned only to
+its DC column; its value is checked against the mean of the fully re-binned
+node (the same plan with an ``l2_norm`` of the node added), and it stays
+outside the ``--check`` ratio.
+A formatted table
 is printed to stdout and written next to the JSON record: by default
 ``benchmarks/results/bench_engine.txt``, else ``--output`` with a ``.txt``
 suffix, so a run into a scratch path leaves the committed records alone.
@@ -141,6 +147,15 @@ def bench_workload(label: str, shape: tuple[int, ...], slab_rows: int,
                 lambda: _sequential(store_a, store_b), repeats
             )
             fused_seconds = _best_seconds(plan.execute, repeats)
+
+            node = expr.subtract(store_a, store_b)
+            difference = engine.plan(expr.mean(node))
+            # an l2_norm reader makes the planner re-bin the node in full
+            full = engine.plan({"mean": expr.mean(node), "l2": expr.l2_norm(node)})
+            if difference.execute() != full.execute()["mean"]:
+                raise AssertionError("mean(a - b) diverged from the mean of the "
+                                     "fully re-binned difference")
+            mean_difference_seconds = _best_seconds(difference.execute, repeats)
             return {
                 "workload": label,
                 "shape": list(shape),
@@ -152,6 +167,7 @@ def bench_workload(label: str, shape: tuple[int, ...], slab_rows: int,
                 "fused_over_sequential": fused_seconds / sequential_seconds,
                 "sequential_decode_passes": list(sequential_passes),
                 "fused_decode_passes": list(fused_passes),
+                "mean_difference_seconds": mean_difference_seconds,
                 "bit_identical": True,
             }
 
@@ -159,7 +175,7 @@ def bench_workload(label: str, shape: tuple[int, ...], slab_rows: int,
 def format_table(results: list[dict]) -> str:
     header = (
         f"{'workload':22s} {'chunks':>6s} {'sequential s':>13s} {'fused s':>9s} "
-        f"{'ratio':>6s} {'decode passes (a,b)':>21s}"
+        f"{'ratio':>6s} {'decode passes (a,b)':>21s} {'mean(a-b) s':>12s}"
     )
     lines = [header, "-" * len(header)]
     for record in results:
@@ -168,7 +184,8 @@ def format_table(results: list[dict]) -> str:
         lines.append(
             f"{record['workload']:22s} {record['n_chunks']:6d} "
             f"{record['sequential_seconds']:13.4f} {record['fused_seconds']:9.4f} "
-            f"{record['fused_over_sequential']:6.2f} {passes:>21s}"
+            f"{record['fused_over_sequential']:6.2f} {passes:>21s} "
+            f"{record['mean_difference_seconds']:12.4f}"
         )
     return "\n".join(lines)
 

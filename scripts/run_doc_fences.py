@@ -3,7 +3,7 @@
 
 Usage::
 
-    PYTHONPATH=src python scripts/run_doc_fences.py docs/*.md
+    PYTHONPATH=src python scripts/run_doc_fences.py docs/*.md README.md
 
 Each file's fences run top to bottom in one shared namespace (so a later fence
 may build on an earlier one), inside a throwaway working directory.  Any

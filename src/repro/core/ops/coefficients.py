@@ -20,25 +20,30 @@ of rebinning the blocked array bit for bit — without building it.
 
 Within a :func:`fold_step` scope, the operations one step of the engine runs
 (structural ``add``/``subtract`` and the fold partials) share what they derive
-from the same chunk — its scaled kept matrix, an index row sum — through
-:func:`step_memo`: computed once, dropped when the scope ends.
+from the same chunk — its scaled kept matrix, a pair's kept difference, an
+index row sum — through :func:`step_memo`: computed once, dropped when the
+scope ends.  :func:`rebin_kept_dc` re-bins only as far as a ``dc`` fold reads:
+the block maxima and the DC column.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
 
+from .. import binning
 from ..binning import bin_coefficients
 from ..compressed import CompressedArray
 from ..pruning import flatten_kept
 from ..settings import CompressionSettings
 
 __all__ = ["specified_coefficients", "rebin_coefficients", "block_scales",
-           "kept_coefficients", "shared_kept_coefficients", "rebin_kept",
+           "kept_coefficients", "shared_kept_coefficients",
+           "shared_kept_difference", "rebin_kept", "rebin_kept_dc",
            "fold_step", "step_memo", "require_compatible"]
 
 #: What the operations of the fold step being run share, keyed by the
@@ -65,7 +70,7 @@ def fold_step() -> Iterator[None]:
         _STEP_SHARED.reset(token)
 
 
-def step_memo(key: tuple, compute: Callable[[], np.ndarray]) -> np.ndarray:
+def step_memo(key: tuple, compute: Callable[[], object]) -> object:
     """``compute()``, once per :func:`fold_step` scope for ``key`` (every call outside one)."""
     shared = _STEP_SHARED.get()
     if shared is None:
@@ -107,6 +112,16 @@ def shared_kept_coefficients(compressed: CompressedArray) -> np.ndarray:
     return step_memo(("kept", id(compressed)), lambda: kept_coefficients(compressed))
 
 
+def shared_kept_difference(a: CompressedArray, b: CompressedArray) -> np.ndarray:
+    """``kept(a) − kept(b)``, taken once per fold step; callers only read it.
+
+    A structural ``subtract(a, b)`` and the ``diff_square`` partial of the
+    same pair both start from it.
+    """
+    return step_memo(("kept_difference", id(a), id(b)), lambda: np.subtract(
+        shared_kept_coefficients(a), shared_kept_coefficients(b)))
+
+
 def rebin_kept(values: np.ndarray, like: CompressedArray) -> CompressedArray:
     """Quantize a kept ``(n_blocks, kept)`` coefficient matrix into ``{N, F}``.
 
@@ -116,6 +131,35 @@ def rebin_kept(values: np.ndarray, like: CompressedArray) -> CompressedArray:
     maxima, indices = bin_coefficients(values, 1, like.settings.index_dtype)
     return CompressedArray(settings=like.settings, shape=like.shape,
                            maxima=maxima.reshape(like.grid_shape), indices=indices)
+
+
+@lru_cache(maxsize=64)
+def _first_coefficient_settings(settings: CompressionSettings) -> CompressionSettings:
+    """``settings`` with every coefficient but the first (DC) pruned."""
+    mask = np.zeros(settings.block_shape, dtype=bool)
+    mask[(0,) * settings.ndim] = True
+    return settings.with_(pruning_mask=mask)
+
+
+def rebin_kept_dc(values: np.ndarray, like: CompressedArray) -> CompressedArray:
+    """:func:`rebin_kept` pruned to its first coefficient: all a ``dc`` fold reads.
+
+    The maxima are the row maxima of all of ``values``, as in
+    :func:`rebin_kept`, but only the DC column (kept column 0) is scaled to
+    indices, by the same elementwise expression — so its DC coefficients are
+    bit for bit those of ``rebin_kept(values, like)``, without binning the
+    other columns.  The result carries ``like``'s settings with every other
+    coefficient pruned.  A mask that pruned the DC leaves no column to keep:
+    that array is re-binned in full, so the ``dc`` fold raises its usual error.
+    """
+    if not like.settings.first_coefficient_kept:
+        return rebin_kept(values, like)
+    maxima = binning.block_maxima(values, 1)
+    indices = binning.scale_to_indices(values[:, :1], maxima, 1,
+                                       like.settings.index_dtype)
+    return CompressedArray(settings=_first_coefficient_settings(like.settings),
+                           shape=like.shape, maxima=maxima.reshape(like.grid_shape),
+                           indices=indices)
 
 
 def rebin_coefficients(

@@ -65,7 +65,8 @@ import numpy as np
 from ...numerics import exact_sum
 from ..compressed import CompressedArray
 from .coefficients import (block_scales, fold_step, require_compatible,
-                           shared_kept_coefficients, step_memo)
+                           shared_kept_coefficients, shared_kept_difference,
+                           step_memo)
 
 __all__ = [
     "FoldState",
@@ -194,9 +195,13 @@ def total(state: FoldState, key: str) -> float:
     parts — the property that lets store-level reductions match their
     in-memory counterparts bit for bit.  :func:`repro.numerics.exact_sum`
     returns the same bits as ``math.fsum`` over the chained parts, in a few
-    vectorised passes instead of one Python float at a time.
+    vectorised passes instead of one Python float at a time.  Within a
+    :func:`~repro.core.ops.coefficients.fold_step` scope — a plan finalizes
+    all its outputs in one — each state's vector is summed once, however many
+    finalizers read it (``dot`` and ``cosine_similarity`` share one product
+    total).
     """
-    return exact_sum(state.sums[key])
+    return step_memo(("total", id(state), key), lambda: exact_sum(state.sums[key]))
 
 
 #: Revision of the per-block fold arithmetic: 1 is the integer-domain folds.
@@ -264,7 +269,7 @@ def square_partial(chunk: CompressedArray) -> FoldState:
 def difference_square_partial(a: CompressedArray, b: CompressedArray) -> FoldState:
     """Per-block sums of ``(Ĉa − Ĉb)²`` — the partial of Euclidean distance."""
     require_compatible(a, b, "euclidean distance")
-    difference = np.subtract(shared_kept_coefficients(a), shared_kept_coefficients(b))
+    difference = shared_kept_difference(a, b)
     return _state(a, {"diff_square": [np.einsum("ij,ij->i", difference, difference)]})
 
 

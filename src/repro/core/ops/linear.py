@@ -11,6 +11,8 @@
 The re-binning operations work on the kept ``(n_blocks, kept)`` coefficient
 matrices (:func:`~repro.core.ops.coefficients.kept_coefficients`), which give
 the maxima and indices of re-binning the blocked arrays bit for bit.
+:func:`rebinned_dc` is ``add``/``subtract`` re-binned only as far as the mean
+(Algorithm 7) reads the result: its block maxima and DC column.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..compressed import CompressedArray
-from .coefficients import (kept_coefficients, rebin_kept, require_compatible,
-                           shared_kept_coefficients)
+from .coefficients import (kept_coefficients, rebin_kept, rebin_kept_dc,
+                           require_compatible, shared_kept_coefficients,
+                           shared_kept_difference)
 
-__all__ = ["negate", "add", "subtract", "add_scalar", "multiply_scalar"]
+__all__ = ["negate", "add", "subtract", "add_scalar", "multiply_scalar", "rebinned_dc"]
 
 
 def negate(compressed: CompressedArray) -> CompressedArray:
@@ -51,9 +54,7 @@ def add(a: CompressedArray, b: CompressedArray) -> CompressedArray:
     The specified coefficients of both operands are summed and re-binned against the
     (possibly larger) new per-block maxima; re-binning is the only additional error.
     """
-    require_compatible(a, b, "addition")
-    summed = np.add(shared_kept_coefficients(a), shared_kept_coefficients(b))
-    return rebin_kept(summed, a)
+    return rebin_kept(_combined_kept("add", a, b), a)
 
 
 def subtract(a: CompressedArray, b: CompressedArray) -> CompressedArray:
@@ -62,9 +63,28 @@ def subtract(a: CompressedArray, b: CompressedArray) -> CompressedArray:
     The paper realises differences with negation followed by addition (§V-A); this
     helper fuses the two so only one re-binning happens.
     """
+    return rebin_kept(_combined_kept("subtract", a, b), a)
+
+
+def rebinned_dc(kind: str, a: CompressedArray, b: CompressedArray) -> CompressedArray:
+    """``add(a, b)`` or ``subtract(a, b)`` (``kind``) pruned to its DC coefficient.
+
+    The same block maxima and DC indices as the full re-binning, bit for bit,
+    without binning the other columns
+    (:func:`~repro.core.ops.coefficients.rebin_kept_dc`): all that a ``dc``
+    fold reads, so ``dc_partial(rebinned_dc("subtract", a, b))`` has the bits
+    of ``dc_partial(subtract(a, b))``.
+    """
+    return rebin_kept_dc(_combined_kept(kind, a, b), a)
+
+
+def _combined_kept(kind: str, a: CompressedArray, b: CompressedArray) -> np.ndarray:
+    """The kept coefficient sum or difference of ``a`` and ``b``, before re-binning."""
+    if kind == "add":
+        require_compatible(a, b, "addition")
+        return np.add(shared_kept_coefficients(a), shared_kept_coefficients(b))
     require_compatible(a, b, "subtraction")
-    diff = np.subtract(shared_kept_coefficients(a), shared_kept_coefficients(b))
-    return rebin_kept(diff, a)
+    return shared_kept_difference(a, b)
 
 
 def add_scalar(compressed: CompressedArray, scalar: float) -> CompressedArray:

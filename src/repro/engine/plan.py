@@ -28,7 +28,10 @@ steps:
    kept ``(n_blocks, kept)`` index matrix directly — no step materialises the
    blocked coefficient array — and a row sum two partials of one step share
    (``square`` and ``centered_square`` of a source both need ``Σ i²``) is
-   taken once (:func:`repro.core.ops.folds.run_terms`).
+   taken once (:func:`repro.core.ops.folds.run_terms`).  A structural
+   ``add``/``subtract`` node only ``dc`` terms read is re-binned to its
+   block maxima and DC column alone (:func:`_dc_only_slots`), all the mean
+   reads of it.
 
 **One-sweep guarantee**: every source is decoded once per chunk — a store
 source's ``chunks_read`` grows by its ``n_chunks`` per execution — so a
@@ -54,6 +57,7 @@ from typing import Mapping
 from ..core import ops as core_ops
 from ..core.ops import folds
 from ..core.ops.coefficients import fold_step
+from ..core.ops.linear import rebinned_dc
 from ..streaming.prefetch import ChunkPrefetcher
 from ..streaming.sharded import ShardedStore
 from ..streaming.sources import (STORE_TYPES, aligned_chunks, check_stores,
@@ -88,24 +92,47 @@ def _needed_slots(program: tuple, terms: tuple) -> set[int]:
     return needed
 
 
-def _evaluate_step(program: tuple, values: dict,
-                   terms: tuple) -> list[folds.FoldState]:
+def _dc_only_slots(program: tuple, terms) -> frozenset:
+    """The ``add``/``subtract`` slots only ``dc`` terms read, fixed at plan time.
+
+    The mean (Algorithm 7) reads a block's maximum and DC index alone, so a
+    re-binning node whose every reader is a ``dc`` fold is re-binned to
+    those (:func:`repro.core.ops.linear.rebinned_dc`) and never bins its
+    other columns.  A node any other fold or any structural node reads is
+    re-binned in full.
+    """
+    readers: dict[int, set] = {}
+    for name, slots in terms:
+        for slot in slots:
+            readers.setdefault(slot, set()).add(name)
+    for entry in program:
+        for slot in _node_inputs(entry):
+            readers.setdefault(slot, set()).add(entry[0])
+    return frozenset(slot for slot, entry in enumerate(program)
+                     if entry[0] in ("add", "subtract") and readers.get(slot) == {"dc"})
+
+
+def _evaluate_step(program: tuple, values: dict, terms: tuple,
+                   dc_only: frozenset) -> list[folds.FoldState]:
     """One fused fold step: structural nodes, then every term's partial.
 
     ``values`` arrives holding the source arrays of this step (slot →
     :class:`CompressedArray`); structural slots are filled by the in-memory
-    :mod:`repro.core.ops` operations in slot (topological) order, and
-    :func:`repro.core.ops.folds.run_terms` runs the partials — the same
+    :mod:`repro.core.ops` operations in slot (topological) order — a
+    ``dc_only`` slot re-binned only to its DC column — and
+    :func:`repro.core.ops.folds.run_terms` runs the partials, the same
     recipe :func:`repro.core.ops.folds.evaluate` runs in memory.  All of it
     is one :func:`~repro.core.ops.coefficients.fold_step`, so a structural
-    ``subtract`` and a ``diff_square`` of the same chunks scale each kept
-    matrix once.
+    ``subtract`` and a ``diff_square`` of the same chunks take one kept
+    difference.
     """
     with fold_step():
         for slot in sorted(_needed_slots(program, terms)):
             entry = program[slot]
             kind = entry[0]
-            if kind == "add":
+            if slot in dc_only:
+                values[slot] = rebinned_dc(kind, values[entry[1]], values[entry[2]])
+            elif kind == "add":
                 values[slot] = core_ops.add(values[entry[1]], values[entry[2]])
             elif kind == "subtract":
                 values[slot] = core_ops.subtract(values[entry[1]], values[entry[2]])
@@ -171,17 +198,14 @@ class Plan:
                  groups: tuple, shape: str):
         self._outputs = outputs
         self._program = program
+        self._dc_only = _dc_only_slots(
+            program, (term for group in groups for term in group.terms))
         self.sources = tuple(sources)
         self.groups = groups
         self._shape = shape
         self.last_execution: dict | None = None
 
     # -------------------------------------------------------------- introspection
-    @property
-    def output_keys(self) -> tuple:
-        """Keys of the requested outputs, in request order."""
-        return tuple(self._outputs)
-
     def describe(self) -> str:
         """Human-readable plan: sources, each group's fused terms, outputs."""
         lines = [f"plan: {len(self.groups)} sweep group(s) over "
@@ -195,6 +219,10 @@ class Plan:
             terms = ", ".join(f"{name}{slots}" for name, slots in group.terms)
             decoded = ", ".join(f"s{i}" for i in group.source_indices)
             lines.append(f"  decode [{decoded}] once per chunk; fold {terms}")
+        for slot in sorted(self._dc_only):
+            kind, *operands = self._program[slot]
+            lines.append(f"  re-bin {kind}{tuple(operands)} (slot {slot}) to its "
+                         "DC column: only dc reads it")
         for key, (op, slots, _) in self._outputs.items():
             lines.append(f"  output {key!r}: {op}{slots}")
         return "\n".join(lines)
@@ -300,7 +328,8 @@ class Plan:
             for step in fold_steps(iter(fetch, None)):
                 values = dict(zip(slots, step))
                 step = None  # the evaluation owns the step now
-                states = _evaluate_step(self._program, values, group.terms)
+                states = _evaluate_step(self._program, values, group.terms,
+                                        self._dc_only)
                 values = None  # drop the step's intermediates before the next
                 for bucket, state in zip(collected, states):
                     bucket.append(state)
@@ -369,8 +398,11 @@ class Plan:
                         raise ValueError("cannot reduce an empty chunk stream")
                     states[term] = combined
         self.last_execution = run_stats
-        results = {key: folds.REDUCTION_SPECS[op].finalize(slots, states, options)
-                   for key, (op, slots, options) in self._outputs.items()}
+        # one scope for every finalizer: each state's exact total is taken
+        # once, however many outputs read it
+        with fold_step():
+            results = {key: folds.REDUCTION_SPECS[op].finalize(slots, states, options)
+                       for key, (op, slots, options) in self._outputs.items()}
         if self._shape == "single":
             return next(iter(results.values()))
         if self._shape == "sequence":

@@ -8,7 +8,10 @@
   rational value, and ``l2_norm`` within 2 ulp of the exact square root.
 * ``product(x, x)`` gives the same bits as ``square(x)`` on every index type
   (persisted ``square`` vectors serve ``dot(x, x)``).
-* Within one fold step a shared row sum is computed once.
+* Within one fold step a shared row sum is computed once, and so is a
+  pair's kept difference (structural ``subtract`` and ``diff_square``).
+* A structural node only ``dc`` folds read is re-binned to its DC column,
+  to the bits of the materialised node's mean; a plan sums each state once.
 """
 
 import math
@@ -19,8 +22,11 @@ import numpy as np
 import pytest
 
 from repro import engine
-from repro.core import CompressedArray, CompressionSettings, Compressor, ops
-from repro.core.ops import coefficients, folds, rebin_coefficients, specified_coefficients
+from repro.core import CompressedArray, CompressionSettings, Compressor, binning, ops
+from repro.core.ops import (coefficients, folds, linear, rebin_coefficients,
+                            specified_coefficients)
+from repro.engine import expr
+from repro.streaming import ChunkedCompressor, steps
 from repro.core.pruning import corner_pruning_mask, low_frequency_mask
 
 INDEX_DTYPES = ("int8", "int16", "int32", "int64")
@@ -206,6 +212,156 @@ class TestStepSharedRowSums:
         assert len(scaled) == 2
         assert (folds.finalize_mean(states[1]),
                 folds.finalize_euclidean_distance(states[0])) == expected
+
+
+def _count_binned_shapes(monkeypatch) -> list:
+    """Record the shape of every matrix :func:`binning.scale_to_indices` bins."""
+    shapes = []
+    original = binning.scale_to_indices
+
+    def counting(coefficients_, *args, **kwargs):
+        shapes.append(np.shape(coefficients_))
+        return original(coefficients_, *args, **kwargs)
+
+    monkeypatch.setattr(binning, "scale_to_indices", counting)
+    return shapes
+
+
+STRUCTURAL = ((expr.subtract, ops.subtract, "subtract"), (expr.add, ops.add, "add"))
+
+
+class TestDcOnlyRebinning:
+    """A node only ``dc`` folds read is re-binned to its maxima and DC column."""
+
+    @pytest.mark.parametrize("ndim,dtype,mask", CASES)
+    def test_mean_equals_the_mean_of_the_materialised_node(self, ndim, dtype, mask):
+        a, b = _pair(ndim, dtype, mask, seed=ndim)
+        assert a.settings.first_coefficient_kept
+        for node, operation, _ in STRUCTURAL:
+            materialised = operation(a, b)
+            for padded in (True, False):
+                fused = engine.evaluate(expr.mean(node([a], [b]), padded=padded))
+                assert fused == ops.mean(materialised, padded=padded)
+
+    @pytest.mark.parametrize("dtype", INDEX_DTYPES)
+    @pytest.mark.parametrize("mask", ["unpruned", "low_frequency"])
+    def test_dc_partial_has_the_full_rebinning_bits(self, dtype, mask):
+        a, b = _pair(3, dtype, mask, seed=7)
+        for _, operation, kind in STRUCTURAL:
+            pruned, full = linear.rebinned_dc(kind, a, b), operation(a, b)
+            assert pruned.indices.shape == (a.n_blocks, 1)
+            assert pruned.maxima.tobytes() == full.maxima.tobytes()
+            assert np.array_equal(pruned.indices[:, 0], full.indices[:, 0])
+            got, want = folds.dc_partial(pruned), folds.dc_partial(full)
+            assert got.sums["dc"][0].tobytes() == want.sums["dc"][0].tobytes()
+            assert (got.n_blocks, got.n_elements, got.n_padded_elements,
+                    got.dc_scale) == (want.n_blocks, want.n_elements,
+                                      want.n_padded_elements, want.dc_scale)
+
+    @pytest.mark.parametrize("slab_rows", [4, 8])
+    def test_chunked_stores_with_a_ragged_tail(self, tmp_path, slab_rows):
+        settings = CompressionSettings(block_shape=(4, 4), index_dtype="int16")
+        rng = np.random.default_rng(slab_rows)
+        fields = (np.cumsum(rng.standard_normal((37, 10)), axis=0),
+                  rng.standard_normal((37, 10)))
+        compressor = ChunkedCompressor(settings, slab_rows=slab_rows)
+        stores = [compressor.compress_to_store(field, tmp_path / f"{name}.pblzc")
+                  for name, field in zip("ab", fields)]
+        whole = [Compressor(settings).compress(field) for field in fields]
+        with stores[0], stores[1]:
+            assert stores[0].n_chunks > 1
+            for node, operation, _ in STRUCTURAL:
+                assert engine.evaluate(expr.mean(node(*stores))) == \
+                    ops.mean(operation(*whole))
+
+    def test_dc_only_node_never_bins_its_other_columns(self, monkeypatch):
+        a, b = _pair(2, "int16", "unpruned")
+        shapes = _count_binned_shapes(monkeypatch)
+        for node, _, _ in STRUCTURAL:
+            request = expr.mean(node([a], [b]))
+            engine.evaluate(request)
+            assert "to its DC column" in engine.plan(request).describe()
+        assert shapes == [(a.n_blocks, 1)] * 2
+
+    @pytest.mark.parametrize("other", ["square", "structural"])
+    def test_a_node_with_other_readers_is_rebinned_in_full(self, monkeypatch, other):
+        a, b = _pair(2, "int16", "corner")
+        difference = expr.subtract([a], [b])
+        if other == "square":
+            request = {"mean": expr.mean(difference), "l2": expr.l2_norm(difference)}
+            expected = {"mean": ops.mean(ops.subtract(a, b)),
+                        "l2": ops.l2_norm(ops.subtract(a, b))}
+        else:
+            request = {"mean": expr.mean(expr.negate(difference))}
+            expected = {"mean": ops.mean(ops.negate(ops.subtract(a, b)))}
+        shapes = _count_binned_shapes(monkeypatch)
+        assert engine.evaluate(request) == expected
+        assert shapes == [a.indices.shape]
+        assert "DC column" not in engine.plan(request).describe()
+
+    def test_a_pruned_dc_still_raises(self):
+        mask = np.ones((4, 4), dtype=bool)
+        mask[0, 0] = False
+        settings = CompressionSettings(block_shape=(4, 4), pruning_mask=mask)
+        rng = np.random.default_rng(0)
+        a, b = (Compressor(settings).compress(rng.standard_normal((8, 8)))
+                for _ in range(2))
+        with pytest.raises(ValueError, match="first coefficient"):
+            engine.evaluate(expr.mean(expr.subtract([a], [b])))
+
+
+class TestOneKeptDifferencePerStep:
+    def test_subtract_and_euclidean_distance_share_the_difference(self, tmp_path,
+                                                                  monkeypatch):
+        settings = CompressionSettings(block_shape=(4, 4), index_dtype="int16")
+        rng = np.random.default_rng(4)
+        compressor = ChunkedCompressor(settings, slab_rows=8)
+        chunks = []
+        for name in "ab":
+            with compressor.compress_to_store(rng.standard_normal((40, 12)),
+                                              tmp_path / f"{name}.pblzc") as store:
+                chunks.append([store.read_chunk(i) for i in range(store.n_chunks)])
+        x, y = chunks
+        request = {"mean": expr.mean(expr.subtract(x, y)),
+                   "distance": expr.euclidean_distance(x, y),
+                   "l2": expr.l2_norm(expr.subtract(x, y))}
+        expected = engine.evaluate(request)
+        monkeypatch.setattr(steps, "STEP_COEFFICIENTS", 1)  # one chunk per step
+        differences, step_count = [], []
+        original_difference = np.subtract
+        original_run_terms = folds.run_terms
+
+        def subtract(left, right, *args, **kwargs):
+            if np.ndim(left) == 2 and np.ndim(right) == 2:
+                differences.append(np.shape(left))
+            return original_difference(left, right, *args, **kwargs)
+
+        monkeypatch.setattr(coefficients.np, "subtract", subtract)
+        monkeypatch.setattr(folds, "run_terms",
+                            lambda *args: step_count.append(1) or original_run_terms(*args))
+        assert engine.evaluate(request) == expected
+        assert len(step_count) == len(x) == 5
+        assert len(differences) == len(step_count)
+
+
+class TestTotalsOncePerExecution:
+    def test_each_state_is_summed_once(self, monkeypatch):
+        a, b = _pair(2, "int16", "unpruned")
+        x, y = [a], [b]
+        plan = engine.plan({"dot": expr.dot(x, y), "l2_b": expr.l2_norm(y),
+                            "cosine": expr.cosine_similarity(x, y),
+                            "again": expr.cosine_similarity(x, y)})
+        expected = plan.execute()
+        sums = []
+        original = folds.exact_sum
+        monkeypatch.setattr(folds, "exact_sum",
+                            lambda parts: sums.append(1) or original(parts))
+        for execution in (1, 2):
+            assert plan.execute() == expected
+            # product, square(a) and square(b): once each per execution
+            assert len(sums) == 3 * execution
+        assert expected["cosine"] == ops.cosine_similarity(a, b)
+        assert expected["dot"] == ops.dot(a, b)
 
 
 class TestPlanTakesNoBackend:
