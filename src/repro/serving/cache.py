@@ -16,9 +16,9 @@ arrays — typically 10-60× smaller than the dense chunk, so a modest budget
 covers a whole working set.
 
 Thread safety: all operations take an internal lock, so concurrent readers
-(the serving plan and warm-up threads, benchmark clients) can share one
-cache.  Entries are shared objects, so no reader may write to one.  A plan
-sweep never does: fold steps copy stacked chunks into their own step buffers
+(the serving plan thread, benchmark clients) can share one cache.  Entries
+are shared objects, so no reader may write to one.  A plan sweep never
+does: fold steps copy stacked chunks into their own step buffers
 (:class:`repro.streaming.steps.SlabStack`), partials and structural
 operations only read their operands, and the serving scheduler runs plans on
 one thread, one batch at a time.
@@ -74,13 +74,6 @@ class ChunkCache:
         Monotonic counters (also surfaced by :meth:`snapshot`), which the
         serving metrics expose — a fused plan whose sweep hits the cache does
         no record parsing at all, so the hit rate is the decode-saving rate.
-    prefetch_issued, prefetch_used, prefetch_wasted:
-        Effectiveness ledger for the warm path
-        (:func:`repro.streaming.warm_store_cache`): entries inserted with
-        ``put(..., prefetched=True)`` count as *issued*; the first later hit
-        on such an entry counts it *used*; eviction or invalidation before
-        any hit counts it *wasted*.  ``issued - used - wasted`` entries are
-        still warm and waiting.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES):
@@ -93,10 +86,6 @@ class ChunkCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.prefetch_issued = 0
-        self.prefetch_used = 0
-        self.prefetch_wasted = 0
-        self._prefetched: set[Hashable] = set()
 
     # ------------------------------------------------------------------ access
     def get(self, key: Hashable) -> Any | None:
@@ -108,18 +97,10 @@ class ChunkCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            if key in self._prefetched:
-                self._prefetched.discard(key)
-                self.prefetch_used += 1
             return entry[0]
 
-    def put(self, key: Hashable, chunk: Any, *, prefetched: bool = False) -> None:
-        """Insert a decoded chunk, evicting LRU entries past the byte budget.
-
-        ``prefetched=True`` marks the entry as warm-path work so the prefetch
-        effectiveness counters can tell whether it was later used (a hit) or
-        wasted (evicted/invalidated untouched).
-        """
+    def put(self, key: Hashable, chunk: Any) -> None:
+        """Insert a decoded chunk, evicting LRU entries past the byte budget."""
         nbytes = _estimate_nbytes(chunk)
         if nbytes > self.max_bytes:
             return  # larger than the whole budget: caching it would just thrash
@@ -129,16 +110,10 @@ class ChunkCache:
                 self._current_bytes -= old[1]
             self._entries[key] = (chunk, nbytes)
             self._current_bytes += nbytes
-            if prefetched:
-                self._prefetched.add(key)
-                self.prefetch_issued += 1
             while self._current_bytes > self.max_bytes and self._entries:
-                evicted_key, (_, evicted_bytes) = self._entries.popitem(last=False)
+                _, (_, evicted_bytes) = self._entries.popitem(last=False)
                 self._current_bytes -= evicted_bytes
                 self.evictions += 1
-                if evicted_key in self._prefetched:
-                    self._prefetched.discard(evicted_key)
-                    self.prefetch_wasted += 1
 
     def invalidate(self, prefix: str | None = None) -> int:
         """Drop entries whose key's first element equals ``prefix`` (a store
@@ -148,29 +123,15 @@ class ChunkCache:
                 dropped = len(self._entries)
                 self._entries.clear()
                 self._current_bytes = 0
-                self.prefetch_wasted += len(self._prefetched)
-                self._prefetched.clear()
                 return dropped
             doomed = [key for key in self._entries
                       if isinstance(key, tuple) and key and key[0] == prefix]
             for key in doomed:
                 _, nbytes = self._entries.pop(key)
                 self._current_bytes -= nbytes
-                if key in self._prefetched:
-                    self._prefetched.discard(key)
-                    self.prefetch_wasted += 1
             return len(doomed)
 
     # ------------------------------------------------------------------ introspection
-    def __contains__(self, key: Hashable) -> bool:
-        """Silent membership probe: no hit/miss counter moves, no LRU touch.
-
-        The warm path uses this to skip already-cached chunks without
-        polluting the hit-rate statistics the sweeps are measured by.
-        """
-        with self._lock:
-            return key in self._entries
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -193,9 +154,9 @@ class ChunkCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "hit_rate": (self.hits / lookups) if lookups else 0.0,
-                "prefetch_issued": self.prefetch_issued,
-                "prefetch_used": self.prefetch_used,
-                "prefetch_wasted": self.prefetch_wasted,
+                # read by perfbench; delete when it next changes
+                "prefetch_issued": 0,
+                "prefetch_used": 0,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -103,19 +103,6 @@ class StoreCatalog:
         self._owned.add(name)
         return store
 
-    def prefetch(self, name: str, indices=None) -> int:
-        """Warm the shared chunk cache with ``name``'s decoded chunks.
-
-        Delegates to :func:`repro.streaming.warm_store_cache` through the
-        catalog's single shared handle, so the warmed entries are exactly the
-        ones later sweeps will hit.  Returns the number of chunks decoded into
-        the cache (0 when the catalog has no cache attached).  ``indices``
-        restricts the warm-up to specific chunk indices.
-        """
-        from ..streaming.prefetch import warm_store_cache
-
-        return warm_store_cache(self.get(name), indices)
-
     def refresh(self, name: str) -> None:
         """Drop ``name``'s open handle and cached chunks; reopen on next use.
 

@@ -53,8 +53,6 @@ class ServiceMetrics:
         self.batches = 0
         self.batched_requests = 0
         self.max_batch = 0
-        self.prefetch_batches = 0
-        self.prefetch_chunks = 0
 
     # ------------------------------------------------------------------ recording
     def record_received(self) -> None:
@@ -94,18 +92,6 @@ class ServiceMetrics:
             self.plans_executed += n_plans
             self.plan_seconds_total += float(seconds)
 
-    def record_prefetch(self, n_chunks: int) -> None:
-        """One scheduler tick warmed ``n_chunks`` chunks ahead of its batch.
-
-        The cache-side effectiveness split (issued/used/wasted) lives in the
-        :class:`ChunkCache` snapshot; this counts the warm-path *activity* the
-        scheduler drove, so an idle prefetcher is visible as zero here even
-        when the cache is busy from sweep-side fills.
-        """
-        with self._lock:
-            self.prefetch_batches += 1
-            self.prefetch_chunks += n_chunks
-
     # ------------------------------------------------------------------ reporting
     def snapshot(self) -> dict:
         """Everything the stats endpoint returns, as one JSON-ready dict."""
@@ -134,10 +120,6 @@ class ServiceMetrics:
                     "mean_batch": (self.batched_requests / batches) if batches else 0.0,
                 },
                 "latency_seconds": latency,
-                "prefetch": {
-                    "batches": self.prefetch_batches,
-                    "chunks_warmed": self.prefetch_chunks,
-                },
                 "reliability": {
                     "overloaded": self.requests_overloaded,
                     "deadline_exceeded": self.requests_deadline_exceeded,

@@ -41,7 +41,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
 
 from .. import engine
 from ..core.exceptions import CodecError
@@ -80,9 +79,6 @@ class QueryService:
     coalesce:
         When False, every request in a batch executes as its own plan — the
         "naive" mode the serving benchmark compares against.
-    metrics:
-        Optional :class:`ServiceMetrics`; one is created (wired to the
-        catalog's cache) when omitted.
     deadline:
         Optional per-request budget in seconds: a request still waiting for
         its batch past this answers ``{"ok": false, "deadline_exceeded":
@@ -94,16 +90,14 @@ class QueryService:
         "overloaded": true}`` — an explicit signal the client can back off
         on, never a hang.
 
-    When the catalog has a chunk cache, each scheduler tick also submits the
-    batch's referenced stores to a background warm thread that decodes their
-    chunks into the shared cache via :func:`repro.streaming.warm_store_cache`,
-    so the plan sweep finds them hot (``docs/performance.md``).  A catalog
-    without a cache has no warm path.
+    The service builds its own :class:`ServiceMetrics` (``metrics``), wired
+    to the catalog and its chunk cache.  Plan sweeps are the only code that
+    fills that cache: each decodes its misses and inserts them.
     """
 
     def __init__(self, catalog: StoreCatalog, *, tick: float = DEFAULT_TICK_SECONDS,
-                 coalesce: bool = True, metrics: ServiceMetrics | None = None,
-                 deadline: float | None = None, max_in_flight: int | None = None):
+                 coalesce: bool = True, deadline: float | None = None,
+                 max_in_flight: int | None = None):
         if not (math.isfinite(tick) and tick >= 0):
             raise ValueError(f"tick must be finite and non-negative, got {tick!r}")
         if deadline is not None and not (math.isfinite(deadline) and deadline > 0):
@@ -116,18 +110,10 @@ class QueryService:
         self.coalesce = bool(coalesce)
         self.deadline = deadline
         self.max_in_flight = max_in_flight
-        self.metrics = metrics if metrics is not None else ServiceMetrics(
-            cache=catalog.cache, catalog=catalog
-        )
+        self.metrics = ServiceMetrics(cache=catalog.cache, catalog=catalog)
         self._queue: "asyncio.Queue[_Pending | None]" = asyncio.Queue()
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="repro-serving-plan")
-        if catalog.cache is not None:
-            self._warm_pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serving-prefetch"
-            )
-        else:
-            self._warm_pool = None
         self._server: asyncio.AbstractServer | None = None
         self._scheduler_task: asyncio.Task | None = None
         self._in_flight = 0  # event-loop-only state, no lock needed
@@ -194,8 +180,6 @@ class QueryService:
                     ValueError("server shut down before this request ran")
                 )
         self._pool.shutdown(wait=True)
-        if self._warm_pool is not None:
-            self._warm_pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------ connections
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -326,11 +310,6 @@ class QueryService:
                     break
                 batch.append(extra)
             start = time.perf_counter()
-            if self._warm_pool is not None:
-                # overlap cache warm-up with the tick's dispatch latency: the
-                # warm thread decodes the batch's store chunks into the shared
-                # cache while the plan thread is still spinning up
-                self._warm_pool.submit(self._warm_batch, batch)
             try:
                 per_request, n_plans = await loop.run_in_executor(
                     self._pool, self._execute_batch, batch
@@ -375,41 +354,6 @@ class QueryService:
             return per_request, 1
         per_request = [engine.plan(item.outputs).execute() for item in batch]
         return per_request, len(batch)
-
-    def _warm_batch(self, batch: list[_Pending]) -> None:
-        """Warm the chunk cache for every store a batch's expressions touch.
-
-        Runs on the dedicated prefetch thread.  Walks each request's
-        expression trees for :class:`~repro.engine.expr.Source` leaves that
-        wrap open stores, dedups them by identity, and pushes each through
-        :func:`repro.streaming.warm_store_cache` — coalesced span reads,
-        decode, ``put(..., prefetched=True)``.  Best-effort by design: any
-        store error here is swallowed (the sweep itself will surface it with
-        full retry/integrity semantics), and a cache-less catalog makes this
-        a no-op.
-        """
-        from ..engine.expr import Source
-        from ..streaming.prefetch import warm_store_cache
-        from ..streaming.sources import STORE_TYPES
-
-        stores: dict[int, Any] = {}
-        for item in batch:
-            stack = list(item.outputs.values())
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Source):
-                    if isinstance(node.wrapped, STORE_TYPES):
-                        stores[id(node.wrapped)] = node.wrapped
-                else:
-                    stack.extend(getattr(node, "operands", ()))
-        warmed = 0
-        for store in stores.values():
-            try:
-                warmed += warm_store_cache(store)
-            except Exception:  # noqa: BLE001 - warm path must never fail a batch
-                continue
-        if warmed:
-            self.metrics.record_prefetch(warmed)
 
 
 class ThreadedQueryService:

@@ -42,14 +42,14 @@ Three layers:
   index order.  :class:`ChunkPrefetcher` runs it inline and, once a read
   blocks, a bounded window ahead of the consumer on a small thread pool
   (every ``iter_chunks`` sweep: plans, streaming ops, sharded sweeps and
-  serving; it takes no setting), ``load_region`` runs it inline, and
-  :func:`warm_store_cache` runs it to warm the serving cache.  Chunk order,
-  values and counters stay bit-identical to the serial loop.
+  serving; it takes no setting), and ``load_region`` runs it inline.  Both
+  fill the store's attached chunk cache as they decode.  Chunk order, values
+  and counters stay bit-identical to the serial loop.
 """
 
 from . import ops
 from .chunked import ChunkedCompressor, stream_compress
-from .prefetch import ChunkPrefetcher, coalesce_spans, warm_store_cache
+from .prefetch import ChunkPrefetcher, coalesce_spans
 from .sharded import (
     ShardedStore,
     append_shard,
@@ -67,7 +67,6 @@ __all__ = [
     "CompressedStoreWriter",
     "ShardedStore",
     "coalesce_spans",
-    "warm_store_cache",
     "append_shard",
     "init_sharded_store",
     "is_sharded_store",

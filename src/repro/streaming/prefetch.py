@@ -5,7 +5,7 @@ One pipeline does it — :func:`_segment_tasks` splits the indices per
 underlying store file, :func:`coalesce_spans` groups adjacent records into
 **payload spans** (one ``os.pread`` each, split in memory), :func:`_fetch_span`
 resolves a span from the chunk cache or the file, and :func:`_consume` decodes,
-caches and counts each chunk in request order.  Three callers drive it:
+caches and counts each chunk in request order.  Two callers drive it:
 
 * :class:`ChunkPrefetcher` — the sweep reader (``iter_chunks``, fused plan
   passes, streaming ops, sharded sweeps).  It reads spans inline, exactly as
@@ -18,8 +18,9 @@ caches and counts each chunk in request order.  Three callers drive it:
 * :func:`read_inline` — the inline phase on its own, never handing off to a
   pool; ``load_region`` uses it on both store kinds (a pool costs more than
   it hides on a short window).
-* :func:`warm_store_cache` — the serving warm path: decodes uncached chunks
-  into the attached cache with ``prefetched=True``, counting no logical read.
+
+Both fill the store's attached chunk cache with the misses they decode, as
+``read_chunk`` does.
 
 Division of labour, chosen by measurement rather than symmetry:
 
@@ -75,7 +76,6 @@ __all__ = [
     "ChunkPrefetcher",
     "coalesce_spans",
     "read_inline",
-    "warm_store_cache",
     "DEFAULT_PREFETCH_WORKERS",
     "DEFAULT_SPAN_BYTES",
     "DEFAULT_SPAN_CHUNKS",
@@ -158,20 +158,15 @@ def _segment_tasks(store, indices: Iterable[int]) -> Iterator[tuple[object, list
         yield store.shard(run_shard), run
 
 
-def _coalesced(real, locals_: list[int]) -> list[list[int]]:
-    """Group one store file's local indices into coalesced span fetch units."""
-    extents = [(local, *real._record_extent(local)) for local in locals_]
-    return [[record[0] for record in span] for span in coalesce_spans(extents)]
-
-
 def _spans(store, indices: Iterable[int]) -> Iterator[tuple[object, list[int]]]:
-    """Yield ``(underlying store, local indices)`` fetch units lazily."""
+    """Yield ``(underlying store, local indices)`` coalesced fetch units lazily."""
     for real, locals_ in _segment_tasks(store, indices):
-        for span in _coalesced(real, locals_):
-            yield real, span
+        extents = [(local, *real._record_extent(local)) for local in locals_]
+        for span in coalesce_spans(extents):
+            yield real, [record[0] for record in span]
 
 
-def _fetch_span(real, locals_: list[int], *, warm: bool = False) -> list[tuple[str, object]]:
+def _fetch_span(real, locals_: list[int]) -> list[tuple[str, object]]:
     """Resolve one span's chunks from cache or disk, one item per local index.
 
     Items are ``("chunk", decoded)`` for a cache hit and ``("payload",
@@ -179,11 +174,10 @@ def _fetch_span(real, locals_: list[int], *, warm: bool = False) -> list[tuple[s
     read failed for good, which :func:`_consume` raises at the chunk's
     position.  The single cache lookup per chunk here replaces (not
     duplicates) the one ``read_chunk`` would have done, so cache hit/miss
-    counters stay identical to the serial loop; the warm path skips it, its
-    caller having probed the cache silently.  Payloads count into
+    counters stay identical to the serial loop.  Payloads count into
     ``chunks_prefetched`` as soon as the span read completes.
     """
-    cache = None if warm else real.chunk_cache
+    cache = real.chunk_cache
     path = str(real.path)
     hits = [cache.get((path, local)) if cache is not None else None
             for local in locals_]
@@ -196,11 +190,10 @@ def _fetch_span(real, locals_: list[int], *, warm: bool = False) -> list[tuple[s
             for local, chunk in zip(locals_, hits)]
 
 
-def _consume(real, local: int, item: tuple[str, object], *, warm: bool = False):
+def _consume(real, local: int, item: tuple[str, object]):
     """Decode one fetched item, cache it and count the logical read.
 
-    A stored read error is raised here, at the chunk's position.  The warm
-    path inserts with ``prefetched=True`` and counts no logical read.
+    A stored read error is raised here, at the chunk's position.
     """
     kind, value = item
     if kind == "chunk":
@@ -211,9 +204,8 @@ def _consume(real, local: int, item: tuple[str, object], *, warm: bool = False):
         chunk = real._chunk_from_payload(local, value)
         cache = real.chunk_cache
         if cache is not None:
-            cache.put((str(real.path), local), chunk, prefetched=warm)
-    if not warm:
-        real._note_read()
+            cache.put((str(real.path), local), chunk)
+    real._note_read()
     return chunk
 
 
@@ -378,30 +370,3 @@ class ChunkPrefetcher:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ChunkPrefetcher(chunks={len(self.indices)})"
-
-
-def warm_store_cache(store, indices: Iterable[int] | None = None) -> int:
-    """Decode ``store``'s uncached chunks into its attached chunk cache.
-
-    The serving scheduler's warm path: span-reads every chunk of ``indices``
-    (default: all) that is not already cached, decodes it, and inserts it with
-    ``prefetched=True`` so the cache's prefetch effectiveness counters track
-    whether warmed entries were later used or evicted unused.  The cache is
-    probed silently, so hit/miss counters do not move.  Warming counts into
-    ``chunks_prefetched`` but **not** ``chunks_read`` — no logical read
-    happened yet.  Returns the number of chunks warmed; a store without a
-    cache warms nothing.
-    """
-    cache = store.chunk_cache
-    if cache is None:
-        return 0
-    warmed = 0
-    chunk_indices = range(store.n_chunks) if indices is None else indices
-    for real, locals_ in _segment_tasks(store, chunk_indices):
-        path = str(real.path)
-        misses = [local for local in locals_ if (path, local) not in cache]
-        for span in _coalesced(real, misses):
-            for local, item in zip(span, _fetch_span(real, span, warm=True)):
-                _consume(real, local, item, warm=True)
-            warmed += len(span)
-    return warmed

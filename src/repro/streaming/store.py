@@ -476,8 +476,8 @@ class CompressedStore(ReadSurface):
         savings show up in the cache's own hit counters.
     chunks_prefetched:
         Chunk payloads fetched by span reads of the chunk reader
-        (:mod:`repro.streaming.prefetch`: readahead, ``load_region``, the
-        warm path) — distinct from :attr:`chunks_read`,
+        (:mod:`repro.streaming.prefetch`: sweeps and ``load_region``) —
+        distinct from :attr:`chunks_read`,
         which counts only chunks actually consumed, so an aborted pipeline
         shows ``chunks_prefetched > chunks_read`` instead of inflated reads.
     preads:

@@ -86,10 +86,8 @@ class TestSingleClient:
         assert stats["requests"]["served"] == 1
         assert stats["plans"]["executed"] == 1
         assert stats["latency_seconds"]["count"] == 1
-        # the cold store populated the cache — either the sweep itself
-        # (misses) or the scheduler's warm path (prefetch_issued), depending
-        # on which thread reached the chunks first
-        assert stats["cache"]["misses"] + stats["cache"]["prefetch_issued"] > 0
+        # the cold sweep decoded each of the store's chunks once
+        assert stats["cache"]["misses"] == catalog.get("a").n_chunks
         assert listing["a"]["codec"] == "pyblaz"
         assert listing["a"]["shape"] == [48, 12]
 
@@ -103,6 +101,24 @@ class TestSingleClient:
                 warm = client.stats()["cache"]
         assert warm["hits"] > cold["hits"]
         assert warm["misses"] == cold["misses"]  # nothing re-decoded
+
+    def test_the_sweep_alone_fills_the_cache(self, catalog):
+        outputs = {"d": expr.dot(expr.source("a"), expr.source("b")),
+                   "m": expr.mean(expr.source("a"))}
+        n_chunks = catalog.get("a").n_chunks + catalog.get("b").n_chunks
+        with ThreadedQueryService(catalog) as served:
+            with QueryClient(served.host, served.port) as client:
+                client.evaluate(outputs)
+                cold = client.stats()
+                client.evaluate(outputs)
+                warm = client.stats()
+            threads = {thread.name for thread in threading.enumerate()}
+        # each chunk is decoded once, by the sweep; the repeat only hits
+        assert (cold["cache"]["misses"], cold["cache"]["hits"]) == (n_chunks, 0)
+        assert warm["cache"]["misses"] == n_chunks
+        assert warm["cache"]["hits"] == n_chunks
+        assert not any(name.startswith("repro-serving-prefetch") for name in threads)
+        assert "prefetch" not in cold and "prefetch" not in warm
 
 
 class TestErrorPaths:
@@ -204,6 +220,21 @@ class TestCoalescing:
             local = local_reference(catalog, outputs)
             for name, value in response["results"].items():
                 assert value == local[name], name
+
+    @pytest.mark.parametrize("tick", [0.0, 0.5])
+    def test_concurrent_cold_requests_decode_each_chunk_once(self, catalog, tick):
+        # batches run one at a time on the plan thread, so however the
+        # requests split into ticks, only the first sweep decodes a chunk
+        outputs = {"d": expr.dot(expr.source("a"), expr.source("b"))}
+        n_chunks = catalog.get("a").n_chunks + catalog.get("b").n_chunks
+        with ThreadedQueryService(catalog, tick=tick) as served:
+            responses = self._fan_out(served, [outputs] * self.N_CLIENTS)
+            with QueryClient(served.host, served.port) as client:
+                stats = client.stats()
+        plans = stats["plans"]["executed"]
+        assert stats["cache"]["misses"] == n_chunks
+        assert stats["cache"]["hits"] == (plans - 1) * n_chunks
+        assert all(r["results"] == responses[0]["results"] for r in responses)
 
     @staticmethod
     def _bad_beside_good(catalog, bad: dict) -> dict:

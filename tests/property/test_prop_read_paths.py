@@ -11,13 +11,12 @@ or a region, then drives every caller of the reader:
 * a prefetcher sweep whose record reads are slowed by a ``latency`` fault
   from a drawn chunk index onward, so it hands its remaining spans to the
   readahead pool wherever that index falls (``prefetcher-slow``);
-* :func:`read_inline`, ``load_region`` and ``load``;
-* :func:`warm_store_cache` followed by a sweep.
+* :func:`read_inline`, ``load_region`` and ``load``.
 
 Every path must decode the reference loop's bytes, count the same
 ``chunks_read`` and make the same cache lookups, hit for hit and miss for
-miss (a warmed sweep hits on every lookup instead).  Each path runs twice on
-one handle, so the second run exercises the cache when one is attached.
+miss.  Each path runs twice on one handle, so the second run exercises the
+cache when one is attached.
 """
 
 import tempfile
@@ -37,7 +36,6 @@ from repro.streaming import (
     ShardedStore,
     append_shard,
     init_sharded_store,
-    warm_store_cache,
 )
 from repro.streaming.prefetch import read_inline
 from repro.streaming.sharded import shard_filename
@@ -186,24 +184,13 @@ class TestEveryReadPathAgrees:
                         observed["iter_chunks"] = _observe(
                             opener, path, cached,
                             lambda store: _decoded(store, store.iter_chunks()))
-
-                    def warm_then_sweep(store):
-                        warm_store_cache(store, indices)
-                        return _decoded(store, ChunkPrefetcher(store, wanted))
-
-                    warmed, warmed_counters = _observe(opener, path, cached,
-                                                       warm_then_sweep)
                     expected_counters = observed["read_chunk"][1]
                     for name, (output, counters) in observed.items():
                         assert np.array_equal(output, reference_bytes), (layout, name)
                         assert counters == expected_counters, (layout, cached, name)
-                    assert np.array_equal(warmed, reference_bytes)
                     assert expected_counters == (
                         2 * len(wanted),
                         (len(wanted), len(wanted)) if cached else None)
-                    # the warm path probes silently: every sweep lookup hits
-                    assert warmed_counters == (
-                        2 * len(wanted), (2 * len(wanted), 0) if cached else None)
 
                     if kind == "region":
                         region_out, region_counters = _observe(

@@ -491,7 +491,7 @@ class TestServeQueryCommands:
         assert "cannot reach" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option, value", [
-        ("--prefetch", "0"),         # the warm path takes no setting
+        ("--prefetch", "0"),         # the service has no warm path
         ("--tick", "-1"), ("--tick", "inf"), ("--tick", "nan"),
         ("--deadline", "0"), ("--deadline", "nan"), ("--deadline", "inf"),
         ("--cache-bytes", "-1"), ("--max-in-flight", "0"),

@@ -34,7 +34,6 @@ from repro.streaming import (
     coalesce_spans,
     init_sharded_store,
     load_region,
-    warm_store_cache,
 )
 from repro.reliability import FaultRule, IntegrityError, inject
 from repro.serving import ChunkCache
@@ -435,23 +434,23 @@ class TestErrorPosition:
         assert store.chunks_read == self.BAD_CHUNK
 
 
-class TestWarmStoreCache:
-    def test_warms_and_counts(self, store):
+class TestSweepFillsCache:
+    """The sweep's reader is the one code path that fills the chunk cache."""
+
+    def test_cold_sweep_decodes_each_chunk_once_then_hits(self, store):
         cache = ChunkCache(max_bytes=64 * 1024 * 1024)
         store.chunk_cache = cache
-        warmed = warm_store_cache(store)
-        assert warmed == store.n_chunks
-        assert store.chunks_prefetched == store.n_chunks
-        assert cache.prefetch_issued == store.n_chunks
-        assert warm_store_cache(store) == 0  # already warm
-        # the warmed entries serve the sweep: no further reads
         list(store.iter_chunks())
-        assert cache.prefetch_used == store.n_chunks
+        assert (cache.misses, cache.hits) == (store.n_chunks, 0)
+        assert len(cache) == store.n_chunks
+        prefetched, preads = store.chunks_prefetched, store.preads
+        list(store.iter_chunks())
+        assert (cache.misses, cache.hits) == (store.n_chunks, store.n_chunks)
+        assert (store.chunks_prefetched, store.preads) == (prefetched, preads)
 
-    def test_no_cache_is_noop(self, store):
-        assert store.chunk_cache is None
-        assert warm_store_cache(store) == 0
-        assert store.chunks_prefetched == 0
+    def test_warm_store_cache_is_gone(self):
+        assert not hasattr(repro.streaming, "warm_store_cache")
+        assert "warm_store_cache" not in repro.streaming.__all__
 
 
 class TestPlanStats:

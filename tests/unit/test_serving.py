@@ -116,8 +116,7 @@ class TestChunkCache:
         snap = cache.snapshot()
         assert snap == {"entries": 0, "bytes": 0, "max_bytes": 123, "hits": 0,
                         "misses": 0, "evictions": 0, "hit_rate": 0.0,
-                        "prefetch_issued": 0, "prefetch_used": 0,
-                        "prefetch_wasted": 0}
+                        "prefetch_issued": 0, "prefetch_used": 0}
 
     def test_store_reads_populate_and_hit_cache(self, store_path):
         from repro.streaming import CompressedStore
@@ -332,86 +331,52 @@ class TestServiceMetrics:
         assert snap["cache"]["max_bytes"] == cache.max_bytes
 
 
-class TestPrefetchCounters:
-    """The warm-path effectiveness ledger (PR 10): issued / used / wasted."""
+class TestNoWarmPath:
+    """Plan sweeps are the only code that fills the chunk cache."""
 
     class _Rec:
         def __init__(self):
             self.data = np.zeros(100, dtype=np.float64)  # 800 bytes
 
-    def test_issued_then_used_on_hit(self):
+    def test_put_takes_no_prefetched_flag(self):
         cache = ChunkCache(max_bytes=10_000)
-        record = self._Rec()
-        cache.put(("s", 0), record, prefetched=True)
-        assert cache.prefetch_issued == 1
-        assert cache.get(("s", 0)) is record
-        assert cache.prefetch_used == 1
-        cache.get(("s", 0))  # only the first hit counts the entry as used
-        assert cache.prefetch_used == 1
-        assert cache.prefetch_wasted == 0
+        with pytest.raises(TypeError, match="prefetched"):
+            cache.put(("s", 0), self._Rec(), prefetched=True)
+        assert len(cache) == 0
 
-    def test_evicted_before_use_is_wasted(self):
+    def test_snapshot_prefetch_keys_stay_zero(self):
         cache = ChunkCache(max_bytes=1_700)  # fits two 800-byte records
-        cache.put(("s", 0), self._Rec(), prefetched=True)
-        cache.put(("s", 1), self._Rec())
-        cache.put(("s", 2), self._Rec())  # evicts the prefetched entry
-        assert cache.prefetch_issued == 1
-        assert cache.prefetch_wasted == 1
-        assert cache.prefetch_used == 0
-
-    def test_invalidate_counts_unused_as_wasted(self):
-        cache = ChunkCache(max_bytes=10_000)
-        cache.put(("a", 0), self._Rec(), prefetched=True)
-        cache.put(("b", 0), self._Rec(), prefetched=True)
-        cache.get(("a", 0))  # a:0 is used before the invalidation
-        cache.invalidate("a")
-        assert cache.prefetch_wasted == 0  # a:0 was already used
-        cache.invalidate(None)  # full clear: b:0 never got its hit
-        assert cache.prefetch_wasted == 1
-        assert cache.prefetch_used == 1
-
-    def test_contains_moves_no_counters(self):
-        cache = ChunkCache(max_bytes=10_000)
-        cache.put(("s", 0), self._Rec(), prefetched=True)
-        assert ("s", 0) in cache and ("s", 1) not in cache
-        assert cache.hits == 0 and cache.misses == 0
-        assert cache.prefetch_used == 0  # membership probes are silent
-
-    def test_snapshot_includes_prefetch_counters(self):
-        cache = ChunkCache(max_bytes=10_000)
-        cache.put(("s", 0), self._Rec(), prefetched=True)
+        for index in range(3):
+            cache.put(("s", index), self._Rec())
+        cache.get(("s", 2))
+        cache.invalidate()
         snap = cache.snapshot()
-        assert snap["prefetch_issued"] == 1
-        assert snap["prefetch_used"] == 0
-        assert snap["prefetch_wasted"] == 0
+        assert (snap["hits"], snap["evictions"]) == (1, 1)
+        assert (snap["prefetch_issued"], snap["prefetch_used"]) == (0, 0)
+        assert "prefetch_wasted" not in snap
 
-    def test_catalog_prefetch_warms_through_shared_handle(self, store_path):
+    def test_cache_has_no_silent_probe(self):
+        cache = ChunkCache(max_bytes=10_000)
+        cache.put(("s", 0), self._Rec())
+        with pytest.raises(TypeError):
+            ("s", 0) in cache  # noqa: B015 - the probe itself must fail
+
+    def test_catalog_sweep_fills_the_cache_through_shared_handle(self, store_path):
         cache = ChunkCache()
-        catalog = StoreCatalog({"x": store_path}, cache=cache)
-        warmed = catalog.prefetch("x")
-        assert warmed == catalog.get("x").n_chunks
-        assert cache.prefetch_issued == warmed
-        assert catalog.prefetch("x") == 0  # idempotent: already warm
-        # the warmed chunks serve the next sweep without any further reads
-        preads_before = catalog.get("x").preads
-        list(catalog.get("x").iter_chunks())
-        assert catalog.get("x").preads == preads_before
-        assert cache.prefetch_used == warmed
-        catalog.close()
+        with StoreCatalog({"x": store_path}, cache=cache) as catalog:
+            assert not hasattr(catalog, "prefetch")
+            store = catalog.get("x")
+            list(store.iter_chunks())
+            assert (cache.misses, cache.hits) == (store.n_chunks, 0)
+            preads = store.preads
+            list(catalog.get("x").iter_chunks())
+            assert store.preads == preads  # served from the cache
+            assert (cache.misses, cache.hits) == (store.n_chunks, store.n_chunks)
 
-    def test_catalog_prefetch_without_cache_is_noop(self, store_path):
-        catalog = StoreCatalog({"x": store_path})
-        assert catalog.prefetch("x") == 0
-        catalog.close()
-
-    def test_metrics_record_prefetch(self):
-        metrics = ServiceMetrics()
-        snap = metrics.snapshot()
-        assert snap["prefetch"] == {"batches": 0, "chunks_warmed": 0}
-        metrics.record_prefetch(6)
-        metrics.record_prefetch(2)
-        snap = metrics.snapshot()
-        assert snap["prefetch"] == {"batches": 2, "chunks_warmed": 8}
+    def test_metrics_have_no_prefetch_section(self):
+        metrics = ServiceMetrics(cache=ChunkCache())
+        assert not hasattr(metrics, "record_prefetch")
+        assert "prefetch" not in metrics.snapshot()
 
 
 class TestQueryServiceOptions:
@@ -424,12 +389,23 @@ class TestQueryServiceOptions:
                 QueryService(catalog, workers=2)
 
     def test_prefetch_option_is_gone(self, store_path):
-        """The warm path runs whenever the catalog caches; it takes no setting."""
+        """The service has no warm path, so no setting for one."""
         from repro.serving import QueryService
 
         with StoreCatalog({"x": store_path}, cache=ChunkCache()) as catalog:
             with pytest.raises(TypeError, match="prefetch"):
                 QueryService(catalog, prefetch=0)
+
+    def test_metrics_option_is_gone(self, store_path):
+        """The service always builds its own metrics over its catalog's cache."""
+        from repro.serving import QueryService
+
+        with StoreCatalog({"x": store_path}, cache=ChunkCache()) as catalog:
+            with pytest.raises(TypeError, match="metrics"):
+                QueryService(catalog, metrics=ServiceMetrics())
+            service = QueryService(catalog)
+            assert service.metrics.cache is catalog.cache
+            assert service.metrics.catalog is catalog
 
     @pytest.mark.parametrize("option, value", [
         ("tick", -1.0), ("tick", math.inf), ("tick", math.nan),
