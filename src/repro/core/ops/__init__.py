@@ -48,7 +48,7 @@ from .approximate import (
     approximate_quantile,
     approximate_reduce,
 )
-from .coefficients import rebin_coefficients, specified_coefficients
+from .coefficients import specified_coefficients
 from .linear import add, add_scalar, multiply_scalar, negate, subtract
 from .reductions import *  # noqa: F401,F403 -- blockwise_mean + one function per row
 from .similarity import structural_similarity
@@ -62,7 +62,6 @@ from .wasserstein import wasserstein_distance
 __all__ = [
     "folds",
     "specified_coefficients",
-    "rebin_coefficients",
     "negate",
     "add",
     "subtract",

@@ -7,16 +7,20 @@ coefficients exactly as they will appear at decompression time; and (2) the
 orthonormal transform preserves dot products, so summative quantities (means,
 norms, covariances) can be computed from coefficients directly.
 
-:func:`specified_coefficients` implements Algorithm 3.  :func:`rebin_coefficients`
-is the converse: given a blocked array of coefficients produced by some operation
-(e.g. the sum of two arrays' coefficients), re-derive the ``{N, F}`` pair, which is
-where the "rebinning" error of Table I comes from.
+:func:`specified_coefficients` implements Algorithm 3 on the blocked, padded
+array.  :func:`kept_coefficients` is the same on the kept ``(n_blocks, kept)``
+matrix, and :func:`rebin_kept` is the converse: given a kept coefficient
+matrix produced by some operation (e.g. the sum of two arrays' coefficients),
+re-derive the ``{N, F}`` pair, which is where the "rebinning" error of Table I
+comes from.  Pruned positions hold zeros, which neither change a block's
+maximum magnitude nor bin to anything but zero, so rebinning the kept matrix
+gives the ``{N, F}`` of rebinning the blocked array bit for bit — without
+building it.
 
-:func:`kept_coefficients` and :func:`rebin_kept` are the same pair on the kept
-``(n_blocks, kept)`` matrix instead of the blocked, padded array.  Pruned
-positions hold zeros, which neither change a block's maximum magnitude nor
-bin to anything but zero, so rebinning the kept matrix gives the ``{N, F}``
-of rebinning the blocked array bit for bit — without building it.
+The float kept matrices are *coefficient-major*: each column (one kept
+coefficient of every block) is contiguous, whatever the layout of the index
+matrix they came from (:func:`column_major_float`), so a per-block maximum or
+row sum runs as ``kept`` full-length vector operations.
 
 Within a :func:`fold_step` scope, the operations one step of the engine runs
 (structural ``add``/``subtract`` and the fold partials) share what they derive
@@ -38,10 +42,9 @@ import numpy as np
 from .. import binning
 from ..binning import bin_coefficients
 from ..compressed import CompressedArray
-from ..pruning import flatten_kept
 from ..settings import CompressionSettings
 
-__all__ = ["specified_coefficients", "rebin_coefficients", "block_scales",
+__all__ = ["specified_coefficients", "block_scales", "column_major_float",
            "kept_coefficients", "shared_kept_coefficients",
            "shared_kept_difference", "rebin_kept", "rebin_kept_dc",
            "fold_step", "step_memo", "require_compatible"]
@@ -95,14 +98,38 @@ def block_scales(compressed: CompressedArray) -> np.ndarray:
     return compressed.maxima.reshape(-1) / float(compressed.settings.index_radius)
 
 
+#: Coefficients per tile when :func:`column_major_float` converts a
+#: block-major matrix: a tile's source and target rows stay in cache.
+_TILE_COEFFICIENTS = 1 << 14
+
+
+def column_major_float(indices: np.ndarray) -> np.ndarray:
+    """A fresh float64 copy of a kept ``(n_blocks, kept)`` matrix, coefficient-major.
+
+    The one place a float kept matrix takes its layout: Fortran order, each
+    column contiguous.  A matrix whose columns already are (a fold step's,
+    :mod:`repro.streaming.steps`) is one cast.  A block-major one (an
+    in-memory array, a chunk over the step budget) is cast a tile of rows at
+    a time, because a strided cast of the whole matrix is a naive transpose.
+    """
+    if indices.strides[0] == indices.itemsize:
+        return indices.astype(np.float64, order="F")
+    values = np.empty(indices.shape, np.float64, order="F")
+    rows = max(1, _TILE_COEFFICIENTS // indices.shape[1])
+    for start in range(0, len(indices), rows):
+        values[start:start + rows] = indices[start:start + rows]
+    return values
+
+
 def kept_coefficients(compressed: CompressedArray) -> np.ndarray:
     """Algorithm 3 on the kept matrix: ``F ⊙ s`` with ``s = N / r`` per block.
 
-    Returns a fresh float64 ``(n_blocks, kept)`` array, elementwise the kept
-    positions of :func:`specified_coefficients` (the same expression per
-    element), without the padded block layout.
+    Returns a fresh coefficient-major float64 ``(n_blocks, kept)`` array
+    (:func:`column_major_float`), elementwise the kept positions of
+    :func:`specified_coefficients` (the same expression per element), without
+    the padded block layout.
     """
-    values = compressed.indices.astype(np.float64)
+    values = column_major_float(compressed.indices)
     np.multiply(values, block_scales(compressed)[:, None], out=values)
     return values
 
@@ -125,8 +152,9 @@ def shared_kept_difference(a: CompressedArray, b: CompressedArray) -> np.ndarray
 def rebin_kept(values: np.ndarray, like: CompressedArray) -> CompressedArray:
     """Quantize a kept ``(n_blocks, kept)`` coefficient matrix into ``{N, F}``.
 
-    The kept-matrix form of :func:`rebin_coefficients` for an array with the
-    settings and shape of ``like``: the same maxima and indices, bit for bit.
+    Re-binning the blocked, padded coefficient array of an array with the
+    settings and shape of ``like`` gives the same maxima and indices, bit for
+    bit.  The indices keep the layout of ``values``.
     """
     maxima, indices = bin_coefficients(values, 1, like.settings.index_dtype)
     return CompressedArray(settings=like.settings, shape=like.shape,
@@ -160,39 +188,6 @@ def rebin_kept_dc(values: np.ndarray, like: CompressedArray) -> CompressedArray:
     return CompressedArray(settings=_first_coefficient_settings(like.settings),
                            shape=like.shape, maxima=maxima.reshape(like.grid_shape),
                            indices=indices)
-
-
-def rebin_coefficients(
-    coefficients: np.ndarray,
-    settings: CompressionSettings,
-    shape: tuple[int, ...],
-) -> CompressedArray:
-    """Quantize a blocked coefficient array back into a :class:`CompressedArray`.
-
-    This is the final step of every compressed-space operation whose result is an
-    array but whose coefficients are no longer exactly expressible with the input
-    ``{N, F}`` pairs (element-wise addition, scalar addition).  The error introduced
-    here is the "rebinning" error of Table I: at most half a bin width of the *new*
-    per-block maxima.
-
-    Coefficients at pruned positions are discarded (they are zero for all operations
-    defined in this package, since inputs have zeros there and the operations are
-    element-wise in coefficient space).
-    """
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    expected_grid = settings.block_grid_shape(shape)
-    if coefficients.shape != expected_grid + settings.block_shape:
-        raise ValueError(
-            f"coefficient array shape {coefficients.shape} does not match "
-            f"grid {expected_grid} + block {settings.block_shape}"
-        )
-    maxima, indices_blocked = bin_coefficients(
-        coefficients, settings.ndim, settings.index_dtype
-    )
-    flattened = flatten_kept(indices_blocked, settings.mask)
-    return CompressedArray(
-        settings=settings, shape=shape, maxima=maxima, indices=flattened
-    )
 
 
 def require_compatible(a: CompressedArray, b: CompressedArray, operation: str) -> None:

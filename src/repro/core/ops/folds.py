@@ -47,6 +47,10 @@ fold is a per-block sum of index products times one scale:
   float64's exact range), take a row dot over the scaled kept matrix ``F·s``,
   elementwise the coefficients
   :func:`~repro.core.ops.coefficients.specified_coefficients` would give.
+  The row dot sums a block's products column by column, left to right
+  (:func:`_row_dot`): one order whatever the layout the block arrived in, so
+  a block's value has the same bits in memory, in any fold step and in a
+  chunk over the step budget.
 
 :data:`FOLD_REVISION` names this arithmetic, so per-block vectors persisted by
 an earlier one are recognised as stale (:mod:`repro.streaming.sharded`).
@@ -204,19 +208,39 @@ def total(state: FoldState, key: str) -> float:
     return step_memo(("total", id(state), key), lambda: exact_sum(state.sums[key]))
 
 
-#: Revision of the per-block fold arithmetic: 1 is the integer-domain folds.
+#: Revision of the per-block fold arithmetic: 1 is the integer-domain folds,
+#: 2 the float-path row dots summed in one fixed order (:func:`_row_dot`).
 #: Persisted per-block vectors carry the revision they were computed under.
-FOLD_REVISION = 1
+FOLD_REVISION = 2
 
 
 # ---------------------------------------------------------------------- helpers
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row ``Σ x·y`` of two float kept matrices, summed column by column.
+
+    Every row's products are added left to right, one full-length column at a
+    time — a fixed order, unlike ``np.einsum``, which picks its summation
+    order from the operands' contiguity (a ``(1, k)`` matrix is both C- and
+    F-contiguous).  The coefficient-major matrices of
+    :func:`~repro.core.ops.coefficients.kept_coefficients` make each column
+    contiguous.
+    """
+    sums = np.zeros(x.shape[0])
+    product = np.empty(x.shape[0])
+    for column in range(x.shape[1]):
+        np.multiply(x[:, column], y[:, column], out=product)
+        sums += product
+    return sums
+
+
 def _row_products(a: CompressedArray, b: CompressedArray, ac: bool) -> np.ndarray:
     """Per-block ``Σ Ĉa·Ĉb`` over the kept coefficients (AC columns with ``ac``).
 
     ``int8``/``int16`` indices sum exactly in the integers (``Σ i·j`` is
     shared by every partial of the step that needs it) and scale once;
-    wider indices take a row dot over the scaled kept matrices.  ``a is b``
-    gives the square sum, bit for bit the same values as ``product(a, a)``.
+    wider indices take the fixed-order :func:`_row_dot` over the scaled kept
+    matrices.  ``a is b`` gives the square sum, bit for bit the same values
+    as ``product(a, a)``.
     """
     if a.indices.dtype.itemsize <= 2:
         sums = step_memo(("index_dot", id(a), id(b)), lambda: np.einsum(
@@ -225,8 +249,8 @@ def _row_products(a: CompressedArray, b: CompressedArray, ac: bool) -> np.ndarra
             sums = sums - a.indices[:, 0].astype(np.float64) * b.indices[:, 0]
         return sums * (block_scales(a) * block_scales(b))
     first = 1 if ac else 0
-    return np.einsum("ij,ij->i", shared_kept_coefficients(a)[:, first:],
-                     shared_kept_coefficients(b)[:, first:])
+    return _row_dot(shared_kept_coefficients(a)[:, first:],
+                    shared_kept_coefficients(b)[:, first:])
 
 
 def _state(chunk: CompressedArray, sums: dict[str, list[np.ndarray]],
@@ -270,7 +294,7 @@ def difference_square_partial(a: CompressedArray, b: CompressedArray) -> FoldSta
     """Per-block sums of ``(Ĉa − Ĉb)²`` — the partial of Euclidean distance."""
     require_compatible(a, b, "euclidean distance")
     difference = shared_kept_difference(a, b)
-    return _state(a, {"diff_square": [np.einsum("ij,ij->i", difference, difference)]})
+    return _state(a, {"diff_square": [_row_dot(difference, difference)]})
 
 
 def dc_partial(chunk: CompressedArray) -> FoldState:

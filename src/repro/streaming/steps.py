@@ -18,6 +18,18 @@ slab (a row count that is not a multiple of the block's first extent), or
 when the settings or trailing shape change.  A chunk larger than the budget
 is its own step and is not copied, so a one-block budget is the
 chunk-at-a-time sweep.
+
+The step buffer is *coefficient-major*: it holds the kept indices as
+``(kept, n_blocks)``, and a step's ``indices`` is its transpose, still a
+``(n_blocks, kept)`` array, whose every column (one kept coefficient of every
+block) is contiguous.  The per-block reductions of the folds — a row max, a
+row dot over the kept coefficients — then run as ``kept`` full-length vector
+operations instead of one short inner loop per block.  A chunk over the
+budget keeps the block-major layout it was decoded in;
+:func:`~repro.core.ops.coefficients.column_major_float` gives either layout
+the same coefficient-major float matrix, and the row dots sum in one fixed
+order (:mod:`repro.core.ops.folds`), so no answer depends on which layout a
+block arrived in.
 """
 
 from __future__ import annotations
@@ -39,9 +51,10 @@ class SlabStack:
     """One source's step buffer: consecutive slabs copied along axis 0.
 
     The buffer is allocated at the first :meth:`push` and reused by every
-    later step.  :meth:`take` returns a :class:`CompressedArray` whose arrays
-    are *views* of it, valid until the next :meth:`push`; nothing derived
-    from a step may keep them.
+    later step; its indices are coefficient-major, ``(kept, capacity)``.
+    :meth:`take` returns a :class:`CompressedArray` whose arrays are *views*
+    of it, valid until the next :meth:`push`; nothing derived from a step may
+    keep them.
     """
 
     def __init__(self, capacity: int):
@@ -58,7 +71,7 @@ class SlabStack:
         settings = chunk.settings
         return ((settings is self._settings or settings == self._settings)
                 and chunk.shape[1:] == self._tail
-                and self._blocks * self._indices.shape[1] + chunk.indices.size
+                and self._blocks * self._indices.shape[0] + chunk.indices.size
                 <= self.capacity)
 
     def push(self, chunk: CompressedArray) -> bool:
@@ -72,11 +85,11 @@ class SlabStack:
         if not self.rows:
             self._settings, self._tail = chunk.settings, chunk.shape[1:]
             buffer = self._indices
-            if buffer is None or buffer.dtype != indices.dtype or buffer.shape[1] != kept:
-                self._indices = np.empty((self.capacity // kept, kept), indices.dtype)
+            if buffer is None or buffer.dtype != indices.dtype or buffer.shape[0] != kept:
+                self._indices = np.empty((kept, self.capacity // kept), indices.dtype)
                 self._maxima = np.empty(self.capacity // kept)
         start, self._blocks = self._blocks, self._blocks + n_blocks
-        self._indices[start:self._blocks] = indices
+        self._indices[:, start:self._blocks] = indices.T
         self._maxima[start:self._blocks] = chunk.maxima.reshape(-1)
         self.rows += chunk.shape[0]
         return chunk.shape[0] % chunk.settings.block_shape[0] != 0
@@ -89,7 +102,7 @@ class SlabStack:
             shape=shape,
             maxima=self._maxima[:self._blocks].reshape(
                 self._settings.block_grid_shape(shape)),
-            indices=self._indices[:self._blocks],
+            indices=self._indices[:, :self._blocks].T,
         )
         self.rows = self._blocks = 0
         return step

@@ -12,6 +12,10 @@
   pair's kept difference (structural ``subtract`` and ``diff_square``).
 * A structural node only ``dc`` folds read is re-binned to its DC column,
   to the bits of the materialised node's mean; a plan sums each state once.
+* Fold steps are coefficient-major views of the step buffer, and no
+  per-block value or re-binning depends on the layout its kept matrix came
+  in: C order, Fortran order, a partial step's strided view, single
+  ``(1, kept)`` blocks, or a chunk over the step budget.
 """
 
 import math
@@ -23,11 +27,10 @@ import pytest
 
 from repro import engine
 from repro.core import CompressedArray, CompressionSettings, Compressor, binning, ops
-from repro.core.ops import (coefficients, folds, linear, rebin_coefficients,
-                            specified_coefficients)
+from repro.core.ops import coefficients, folds, linear, specified_coefficients
 from repro.engine import expr
 from repro.streaming import ChunkedCompressor, steps
-from repro.core.pruning import corner_pruning_mask, low_frequency_mask
+from repro.core.pruning import corner_pruning_mask, flatten_kept, low_frequency_mask
 
 INDEX_DTYPES = ("int8", "int16", "int32", "int64")
 BLOCKS = {1: (8,), 2: (4, 4), 3: (4, 2, 4)}
@@ -52,6 +55,22 @@ def _pair(ndim: int, dtype: str, mask_kind: str, seed: int = 0):
     shape = SHAPES[ndim]
     return (compressor.compress(np.cumsum(rng.standard_normal(shape), axis=0)),
             compressor.compress(rng.standard_normal(shape) * 3.0))
+
+
+def rebin_coefficients(values: np.ndarray, settings: CompressionSettings,
+                       shape: tuple) -> CompressedArray:
+    """The blocked oracle: re-bin a ``(grid..., block...)`` coefficient array.
+
+    Bins every block of the padded array, pruned positions included (they
+    hold zeros for every operation tested here), and keeps the mask's
+    positions — the definition the kept-matrix re-binning must match.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    assert values.shape == settings.block_grid_shape(shape) + settings.block_shape
+    maxima, indices = binning.bin_coefficients(values, settings.ndim,
+                                               settings.index_dtype)
+    return CompressedArray(settings=settings, shape=shape, maxima=maxima,
+                           indices=flatten_kept(indices, settings.mask))
 
 
 def _assert_same(result: CompressedArray, oracle: CompressedArray) -> None:
@@ -374,3 +393,160 @@ class TestPlanTakesNoBackend:
                "evaluate": lambda: engine.evaluate(request, backend="gemm")}[entry]
         with pytest.raises(TypeError, match="backend"):
             run()
+
+
+def _column_pair(ndim: int, dtype: str, mask_kind: str):
+    """Two arrays one block wide and six high: block ``j`` is kept row ``j``."""
+    block = BLOCKS[ndim]
+    settings = CompressionSettings(block_shape=block, index_dtype=dtype,
+                                   pruning_mask=_mask(ndim, mask_kind))
+    rng = np.random.default_rng(ndim)
+    shape = (block[0] * 6,) + block[1:]
+    compressor = Compressor(settings)
+    return (compressor.compress(np.cumsum(rng.standard_normal(shape), axis=0)),
+            compressor.compress(rng.standard_normal(shape) * 3.0))
+
+
+def _relaid(x: CompressedArray, layout: str) -> CompressedArray:
+    """``x`` with the same indices in another memory order.
+
+    ``"step"`` is a partial fold step's view: the transpose of the first
+    columns of a wider coefficient-major buffer.
+    """
+    if layout == "C":
+        indices = np.ascontiguousarray(x.indices)
+    elif layout == "F":
+        indices = np.asfortranarray(x.indices)
+    else:
+        buffer = np.zeros((x.indices.shape[1], x.n_blocks + 5), x.indices.dtype)
+        buffer[:, :x.n_blocks] = x.indices.T
+        indices = buffer[:, :x.n_blocks].T
+    return CompressedArray(settings=x.settings, shape=x.shape,
+                           maxima=x.maxima.copy(), indices=indices)
+
+
+def _single_blocks(x: CompressedArray) -> list[CompressedArray]:
+    """Every block of a one-block-wide array as its own ``(1, kept)`` array."""
+    return [CompressedArray(settings=x.settings, shape=x.settings.block_shape,
+                            maxima=x.maxima.reshape(-1)[k:k + 1].reshape(
+                                (1,) * x.ndim),
+                            indices=x.indices[k:k + 1])
+            for k in range(x.n_blocks)]
+
+
+def _per_block_bits(a: CompressedArray, b: CompressedArray) -> dict:
+    """The per-block values and re-binnings whose bits must not see the layout."""
+    with coefficients.fold_step():
+        out = {"product": folds._row_products(a, b, ac=False),
+               "ac_product": folds._row_products(a, b, ac=True),
+               "square": folds._row_products(a, a, ac=False),
+               "diff_square": folds.difference_square_partial(a, b).sums["diff_square"][0]}
+    for kind in ("add", "subtract"):
+        full = (linear.add if kind == "add" else linear.subtract)(a, b)
+        dc = linear.rebinned_dc(kind, a, b)
+        out[kind] = np.concatenate([full.maxima.ravel(), full.indices.ravel()])
+        out[kind + "_dc"] = np.concatenate([dc.maxima.ravel(), dc.indices.ravel()])
+    return {key: value.astype(np.float64).tobytes() for key, value in out.items()}
+
+
+class TestCoefficientMajorLayout:
+    """Fold steps are coefficient-major; no per-block bit depends on the layout."""
+
+    @staticmethod
+    def _chunks(dtype: str, slab_rows: int) -> tuple[list, list]:
+        settings = CompressionSettings(block_shape=(4, 4), index_dtype=dtype)
+        rng = np.random.default_rng(9)
+        chunked = ChunkedCompressor(settings, slab_rows=slab_rows)
+        fields = (np.cumsum(rng.standard_normal((38, 12)), axis=0),
+                  rng.standard_normal((38, 12)))
+        return tuple([chunked.compress(field[start:start + slab_rows])
+                      for start in range(0, 38, slab_rows)] for field in fields)
+
+    def test_take_is_a_coefficient_major_view_of_the_buffer(self):
+        x, _ = self._chunks("int16", 8)
+        kept = x[0].indices.shape[1]
+        for n_chunks, full in ((3, True), (2, False)):
+            stack = steps.SlabStack(sum(c.indices.size for c in x[:3]))
+            for chunk in x[:n_chunks]:
+                stack.push(chunk)
+            step = stack.take()
+            assert np.shares_memory(step.indices, stack._indices)
+            assert stack._indices.shape[0] == kept
+            assert step.indices.strides[0] == step.indices.itemsize
+            assert step.indices.flags.f_contiguous == full
+            assert np.array_equal(step.indices,
+                                  np.concatenate([c.indices for c in x[:n_chunks]]))
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", INDEX_DTYPES)
+    @pytest.mark.parametrize("mask", ["unpruned", "low_frequency"])
+    def test_every_layout_gives_the_same_bits(self, ndim, dtype, mask):
+        a, b = _column_pair(ndim, dtype, mask)
+        expected = _per_block_bits(a, b)
+        for layout in ("C", "F", "step"):
+            assert _per_block_bits(_relaid(a, layout), _relaid(b, layout)) == expected
+        singles = [_per_block_bits(x, y)
+                   for x, y in zip(_single_blocks(a), _single_blocks(b))]
+        for key in ("product", "ac_product", "square", "diff_square"):
+            assert b"".join(single[key] for single in singles) == expected[key]
+
+    @pytest.mark.parametrize("dtype", INDEX_DTYPES)
+    def test_an_over_budget_chunk_folds_to_the_stacked_bits(self, dtype):
+        x, y = self._chunks(dtype, 16)
+        terms = tuple((name, (0,) if spec.arity == 1 else (0, 1))
+                      for name, spec in folds.FOLD_SPECS.items())
+        folded = {}
+        for capacity in (x[0].indices.size - 1, steps.STEP_COEFFICIENTS):
+            parts: dict = {}
+            block_major = 0
+            for step_x, step_y in steps.fold_steps(zip(x, y), capacity):
+                block_major += step_x.indices.strides[0] != step_x.indices.itemsize
+                for (name, _), state in zip(terms, folds.run_terms(
+                        {0: step_x, 1: step_y}, terms)):
+                    for key, value in state.sums.items():
+                        parts.setdefault((name, key), []).extend(value)
+            assert bool(block_major) == (capacity < steps.STEP_COEFFICIENTS)
+            folded[capacity] = {key: np.concatenate(value).tobytes()
+                                for key, value in parts.items()}
+        small, large = folded.values()
+        assert small == large
+
+
+class TestLayoutRegressions:
+    """Cases where a layout-dependent ``einsum`` order moved a float-path sum.
+
+    ``data`` is ``np.random.default_rng(1)``'s cumulated normals × 0.05, as the
+    property suites draw them.
+    """
+
+    @staticmethod
+    def _fields(shape):
+        rng = np.random.default_rng(1)
+        return tuple(np.cumsum(rng.standard_normal(shape), axis=0) * 0.05
+                     for _ in range(2))
+
+    @pytest.mark.parametrize("shape,block", [((3, 1), (2, 4)), ((1, 3, 1), (2, 2, 4))])
+    def test_int32_centered_statistics_store_equals_in_memory(self, tmp_path,
+                                                              shape, block):
+        settings = CompressionSettings(block_shape=block, float_format="bfloat16",
+                                       index_dtype="int32")
+        a, b = self._fields(shape)
+        chunked = ChunkedCompressor(settings, slab_rows=1)
+        ca, cb = (Compressor(settings).compress(field) for field in (a, b))
+        with chunked.compress_to_store(a, tmp_path / "a.pblzc") as x, \
+                chunked.compress_to_store(b, tmp_path / "b.pblzc") as y:
+            assert ops.variance(x) == ops.variance(ca)
+            assert ops.covariance(x, y) == ops.covariance(ca, cb)
+
+    def test_int8_euclidean_distance_at_the_one_block_budget(self, tmp_path,
+                                                             monkeypatch):
+        settings = CompressionSettings(block_shape=(2, 4), float_format="float32",
+                                       index_dtype="int8")
+        a, b = self._fields((3, 1))
+        chunked = ChunkedCompressor(settings, slab_rows=2)
+        with chunked.compress_to_store(a, tmp_path / "a.pblzc") as x, \
+                chunked.compress_to_store(b, tmp_path / "b.pblzc") as y:
+            request = expr.euclidean_distance(x, y)
+            default = engine.evaluate(request)
+            monkeypatch.setattr(steps, "STEP_COEFFICIENTS", settings.kept_per_block)
+            assert engine.evaluate(request) == default

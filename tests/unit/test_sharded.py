@@ -330,6 +330,49 @@ class TestFoldRevision:
         assert {key: np.float64(value).tobytes() for key, value in served.items()} \
             == {key: np.float64(value).tobytes() for key, value in cold.items()}
 
+    def test_revision_one_int32_sidecar_is_refreshed(self, tmp_path):
+        """int32 ``square`` moved with the fixed-order row dot of revision 2.
+
+        The revision-1 sidecar holds what that release computed: ``einsum``
+        over the block-major scaled kept matrix, whose per-row order differs
+        from the column-by-column sum a sweep now takes.
+        """
+        from repro.core.ops import folds
+        from repro.core.ops.coefficients import block_scales
+
+        settings = CompressionSettings(block_shape=(4, 4), index_dtype="int32")
+        path = _grown(tmp_path, settings, shapes=((32, 16), (16, 16)))
+        with ShardedStore(path, use_partials=False) as swept:
+            cold = engine.plan(self._query(swept)).execute()
+        moved = 0
+        for index in range(2):
+            sidecar = path / partials_filename(index)
+            with np.load(sidecar) as data:
+                payload = {key: data[key] for key in data.files}
+            with CompressedStore(path / shard_filename(index)) as shard:
+                kept = [chunk.indices.astype(np.float64) * block_scales(chunk)[:, None]
+                        for chunk in shard.iter_chunks()]
+            old = np.concatenate([np.einsum("ij,ij->i", k, k) for k in kept])
+            moved += int(np.count_nonzero(old != payload["square"]))
+            payload["square"], payload["fold_revision"] = old, np.int64(1)
+            with open(sidecar, "wb") as handle:
+                np.savez(handle, **payload)
+        assert folds.FOLD_REVISION == 2 and moved > 0
+        with ShardedStore(path) as stale:
+            assert not stale.partials_fresh()
+            assert stale.fold_state("square") is None
+            plan = engine.plan(self._query(stale))
+            assert plan.execute() == cold
+            assert plan.last_execution["incremental_groups"] == 0
+        assert refresh_partials(path) == 2
+        with ShardedStore(path) as fresh:
+            assert fresh.partials_fresh()
+            plan = engine.plan(self._query(fresh))
+            served = plan.execute()
+            assert plan.last_execution["incremental_groups"] == 1
+        assert {key: np.float64(value).tobytes() for key, value in served.items()} \
+            == {key: np.float64(value).tobytes() for key, value in cold.items()}
+
 
 class TestFoldStateAssembly:
     def test_rename_and_counts(self, tmp_path, settings):
