@@ -7,7 +7,8 @@ Subcommands
 ``decompress``        Reconstruct a ``.npy`` array from a codec stream (the
                       codec is detected from the stream's magic).
 ``stream-compress``   Compress a ``.npy`` file slab-by-slab (memmapped — the file
-                      is never fully loaded) into a chunked store.
+                      is never fully loaded) into a chunked store of PyBlaz
+                      chunks (stores hold no other codec).
 ``stream-decompress`` Reconstruct a ``.npy`` array — or just a region of it —
                       from a chunked store, one chunk at a time.
 ``shard-init``        Create a sharded store directory (manifest + shard 0)
@@ -62,7 +63,7 @@ Examples
     repro compress input.npy output.pblz --backend gemm
     repro compress input.npy output.zfp --codec zfp --bits 16
     repro decompress output.zfp roundtrip.npy
-    repro stream-compress input.npy output.pblzc --codec sz --error-bound 1e-6
+    repro stream-compress input.npy output.pblzc --block 4,4,4 --slab-rows 64
     repro stream-decompress output.pblzc roundtrip.npy --region 0:32,:,:
     repro shard-init day0.npy climate.shards --block 4,4 --slab-rows 64
     repro shard-append climate.shards day1.npy
@@ -107,7 +108,7 @@ from .kernels import (
     get_backend_class,
 )
 from .serving import DEFAULT_TICK_SECONDS
-from .streaming import ChunkedCompressor, CompressedStore, stream_compress
+from .streaming import ChunkedCompressor
 from .streaming.sharded import (append_shard, init_sharded_store,
                                 is_sharded_store, open_store)
 from .streaming.store import STORE_MAGIC
@@ -202,9 +203,20 @@ def _parse_region(text: str) -> tuple:
 
 def _add_codec_options(parser: argparse.ArgumentParser) -> None:
     """The codec selector plus every codec's tuning knobs (each applies only to
-    its codec; the pyblaz knobs are the historical defaults)."""
+    its codec)."""
     parser.add_argument("--codec", default="pyblaz", choices=list(available_codecs()),
                         help="registered codec to compress with (default: pyblaz)")
+    _add_pyblaz_options(parser)
+    parser.add_argument("--bits", type=int, default=16,
+                        help="zfp fixed rate in bits per value")
+    parser.add_argument("--error-bound", type=float, default=1e-6,
+                        help="sz absolute error bound")
+    parser.add_argument("--levels", type=int, default=8,
+                        help="sz interpolation levels")
+
+
+def _add_pyblaz_options(parser: argparse.ArgumentParser) -> None:
+    """The pyblaz pipeline knobs (the historical defaults)."""
     parser.add_argument("--block", type=_parse_block, default=(4, 4, 4),
                         help="pyblaz block shape, e.g. 4,4,4")
     parser.add_argument("--float", dest="float_format", default="float32",
@@ -218,12 +230,6 @@ def _add_codec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None, choices=list(available_backends()),
                         help="pyblaz kernel backend for the transform+binning hot loop "
                              "(default: reference, the bit-exact path; see `repro backends`)")
-    parser.add_argument("--bits", type=int, default=16,
-                        help="zfp fixed rate in bits per value")
-    parser.add_argument("--error-bound", type=float, default=1e-6,
-                        help="sz absolute error bound")
-    parser.add_argument("--levels", type=int, default=8,
-                        help="sz interpolation levels")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,12 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stream.add_argument("input", help="input .npy file (memmapped, never fully loaded)")
     p_stream.add_argument("output", help="output chunked store")
-    _add_codec_options(p_stream)
+    _add_pyblaz_options(p_stream)
     p_stream.add_argument("--slab-rows", type=_positive_int, default=None,
                           help="rows per slab (rounded up to a block-row multiple)")
     p_stream.add_argument("--workers", type=_positive_int, default=1,
-                          help="worker processes compressing slabs concurrently "
-                               "(pyblaz codec only)")
+                          help="worker processes compressing slabs concurrently")
 
     p_unstream = sub.add_parser(
         "stream-decompress",
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="numpy-style region, e.g. 0:32,:,4 "
                                  "(only intersecting chunks are read)")
     p_unstream.add_argument("--backend", default=None, choices=list(available_backends()),
-                            help="kernel backend for chunk decompression (pyblaz stores only)")
+                            help="kernel backend for chunk decompression")
 
     p_shard_init = sub.add_parser(
         "shard-init",
@@ -278,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_shard_init.add_argument("input", help="input .npy file (memmapped)")
     p_shard_init.add_argument("output", help="sharded store directory to create")
-    _add_codec_options(p_shard_init)
+    _add_pyblaz_options(p_shard_init)
     p_shard_init.add_argument("--slab-rows", type=_positive_int, default=None,
                               help="rows per chunk (rounded up to a block-row "
                                    "multiple)")
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "`evaluate` to fuse several scalar reductions given "
                             "via --op into one planned sweep (docs/engine.md)")
     p_ops.add_argument("store_a", help="chunked store file or sharded store "
-                                       "directory (pyblaz family)")
+                                       "directory")
     p_ops.add_argument("store_b", nargs="?", default=None,
                        help="second store for the binary operations "
                             "(must be chunked identically to the first)")
@@ -408,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="replica store (or sharded mirror directory) to "
                                "copy verified-good chunk payloads from, "
                                "rewriting the store in place (both must be the "
-                               "same codec/shape/chunking)")
+                               "same shape/chunking)")
     p_verify.add_argument("--json", action="store_true",
                           help="emit the machine-readable per-chunk report")
 
@@ -427,37 +432,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pyblaz_settings(args: argparse.Namespace, ndim: int):
+    """The pyblaz settings from the CLI knobs.
+
+    Returns ``None`` (after printing to stderr) when the block shape does not
+    match the array dimensionality: a usage error (exit 2), not a codec error.
+    """
+    block = args.block
+    if len(block) != ndim:
+        print(
+            f"error: block shape {block} does not match array dimensionality {ndim}",
+            file=sys.stderr,
+        )
+        return None
+    return CompressionSettings(
+        block_shape=block,
+        float_format=args.float_format,
+        index_dtype=args.index_dtype,
+        transform=args.transform,
+        backend=args.backend or DEFAULT_BACKEND,
+    )
+
+
 def _build_codec(args: argparse.Namespace, ndim: int):
     """Instantiate the requested codec from its CLI knobs.
 
     Returns ``None`` (after printing to stderr) for usage errors (exit 2, not
     a codec error): the pyblaz block/array dimensionality mismatch, or
-    ``--backend`` / ``--workers N > 1`` combined with a codec that has no
-    kernel backends or slab pool.
+    ``--backend`` combined with a codec that has no kernel backends.
     """
-    if args.codec != "pyblaz" and getattr(args, "backend", None) is not None:
+    if args.codec != "pyblaz" and args.backend is not None:
         print(f"error: --backend applies to the pyblaz codec, not {args.codec!r}",
               file=sys.stderr)
         return None
-    if args.codec != "pyblaz" and getattr(args, "workers", 1) > 1:
-        print(f"error: --workers applies to the pyblaz codec, not {args.codec!r}",
-              file=sys.stderr)
-        return None
     if args.codec == "pyblaz":
-        block = args.block
-        if len(block) != ndim:
-            print(
-                f"error: block shape {block} does not match array dimensionality {ndim}",
-                file=sys.stderr,
-            )
+        settings = _pyblaz_settings(args, ndim)
+        if settings is None:
             return None
-        settings = CompressionSettings(
-            block_shape=block,
-            float_format=args.float_format,
-            index_dtype=args.index_dtype,
-            transform=args.transform,
-            backend=args.backend or DEFAULT_BACKEND,
-        )
         return get_codec("pyblaz", settings=settings, backend=args.backend)
     if args.codec == "zfp":
         return get_codec("zfp", bits_per_value=args.bits)
@@ -514,46 +525,33 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stream_compress(args: argparse.Namespace) -> int:
+def _cmd_compress_to_store(args: argparse.Namespace) -> int:
     array = np.load(args.input, mmap_mode="r")
-    codec = _build_codec(args, array.ndim)
-    if codec is None:
+    settings = _pyblaz_settings(args, array.ndim)
+    if settings is None:
         return 2
-    if args.codec == "pyblaz":
-        # bit-identical to one-shot under the default reference backend, with
-        # an optional slab process pool; --backend opts into the faster kernels
-        chunked = ChunkedCompressor(
-            codec.settings, slab_rows=args.slab_rows, n_workers=args.workers,
-            backend=args.backend,
+    # bit-identical to one-shot under the default reference backend, with
+    # an optional slab process pool; --backend opts into the faster kernels
+    chunked = ChunkedCompressor(
+        settings, slab_rows=args.slab_rows, n_workers=args.workers, backend=args.backend,
+    )
+    with chunked.compress_to_store(array, args.output) as store:
+        ratio = compression_ratio(
+            settings, array.shape, input_bits_per_element=array.dtype.itemsize * 8
         )
-        with chunked.compress_to_store(array, args.output) as store:
-            ratio = compression_ratio(
-                codec.settings, array.shape, input_bits_per_element=array.dtype.itemsize * 8
-            )
-            print(f"stream-compressed {args.input} {array.shape} -> {args.output} "
-                  f"(codec {codec.name})")
-            print(f"settings: {codec.settings.describe()}")
-            print(f"chunks: {store.n_chunks} (slab rows {chunked.slab_rows}, "
-                  f"workers {chunked.n_workers})")
-            print(f"accounting ratio vs {array.dtype}: {ratio:.3f}")
-        return 0
-    with stream_compress(array, args.output, codec, slab_rows=args.slab_rows) as store:
         print(f"stream-compressed {args.input} {array.shape} -> {args.output} "
-              f"(codec {codec.name})")
-        print(f"chunks: {store.n_chunks}")
+              f"(codec {store.codec_name})")
+        print(f"settings: {settings.describe()}")
+        print(f"chunks: {store.n_chunks} (slab rows {chunked.slab_rows}, "
+              f"workers {chunked.n_workers})")
+        print(f"accounting ratio vs {array.dtype}: {ratio:.3f}")
     return 0
 
 
 def _cmd_stream_decompress(args: argparse.Namespace) -> int:
     with open_store(args.input) as store:
         if args.backend is not None:
-            if store.codec_name != "pyblaz":
-                print(
-                    f"error: --backend applies to pyblaz stores, not {store.codec_name!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            store.use_codec(get_codec("pyblaz", backend=args.backend))
+            store.backend = args.backend
         if args.region is not None:
             try:
                 array = store.load_region(args.region)
@@ -584,14 +582,14 @@ def _cmd_stream_decompress(args: argparse.Namespace) -> int:
 def _cmd_shard_init(args: argparse.Namespace) -> int:
     """Create a sharded store directory with the input array as shard 0."""
     array = np.load(args.input, mmap_mode="r")
-    codec = _build_codec(args, array.ndim)
-    if codec is None:
+    settings = _pyblaz_settings(args, array.ndim)
+    if settings is None:
         return 2
-    with init_sharded_store(args.output, array, codec,
+    with init_sharded_store(args.output, array, settings,
                             slab_rows=args.slab_rows,
                             update_partials=not args.no_partials) as store:
         print(f"shard-init {args.input} {array.shape} -> {args.output} "
-              f"(codec {codec.name})")
+              f"(codec {store.codec_name})")
         print(f"shards: {store.n_shards}, chunks: {store.n_chunks}, "
               f"revision {store.revision}")
         print(f"fold partials: "
@@ -646,7 +644,7 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
     values, the wall-clock seconds and the fused decode-pass count.  Usage
     errors (unknown operation, wrong arity, missing ``--out``/``--scalar``,
     incompatible chunking) exit 2 and name the valid operation set where
-    relevant; codec errors (non-pyblaz store, corrupt chunks) exit 3 via the
+    relevant; codec errors (unreadable store, corrupt chunks) exit 3 via the
     shared :class:`CodecError` mapping.
     """
     import json
@@ -756,7 +754,7 @@ def _cmd_stream_ops(args: argparse.Namespace) -> int:
                     report_store(out)
                 return 0
     except CodecError:
-        raise  # non-pyblaz or corrupt store: exit 3 via the shared mapping
+        raise  # unreadable or corrupt store: exit 3 via the shared mapping
     except (ValueError, ZeroDivisionError) as exc:
         # mismatched chunking/shapes, pruned DC coefficients, zero norms:
         # usage-level errors, distinct from the CodecError exit-3 contract
@@ -999,13 +997,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
             print(f"chunks: {store.n_chunks} (rows per chunk: "
                   f"{', '.join(map(str, store.chunk_rows))})")
             settings = store.settings
-            if settings is not None:
-                print(f"settings: {settings.describe()}")
-                print(f"stored bits (accounting): {compressed_size_bits(settings, store.shape)}")
-                print(
-                    "compression ratio vs float64: "
-                    f"{compression_ratio(settings, store.shape, input_bits_per_element=64):.3f}"
-                )
+            print(f"settings: {settings.describe()}")
+            print(f"stored bits (accounting): {compressed_size_bits(settings, store.shape)}")
+            print(
+                "compression ratio vs float64: "
+                f"{compression_ratio(settings, store.shape, input_bits_per_element=64):.3f}"
+            )
         return 0
     with open(args.input, "rb") as handle:
         data = handle.read()
@@ -1049,7 +1046,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "compress": _cmd_compress,
         "decompress": _cmd_decompress,
-        "stream-compress": _cmd_stream_compress,
+        "stream-compress": _cmd_compress_to_store,
         "stream-decompress": _cmd_stream_decompress,
         "shard-init": _cmd_shard_init,
         "shard-append": _cmd_shard_append,

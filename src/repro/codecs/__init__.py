@@ -6,9 +6,8 @@ compressor" a runtime parameter instead of four parallel code paths: every
 backend implements the :class:`Codec` protocol (``compress`` / ``decompress`` /
 ``to_bytes`` / ``from_bytes`` / ``compression_ratio`` / ``roundtrip_bound``
 plus :class:`CodecCapabilities` flags), and a string-keyed registry maps names
-to lazily imported implementations.  The CLI (``--codec``), the streaming
-:class:`repro.streaming.CompressedStore` (which records the codec name in its
-chunk table) and the experiment/benchmark harnesses all go through it.
+to lazily imported implementations.  The CLI (``compress --codec``) and the
+experiment/benchmark harnesses go through it.
 
 Built-in codecs
 ---------------
@@ -47,9 +46,9 @@ codec is first used::
     register_codec("mygpu", "my_package.codecs:MyGPUCodec", magic=b"MYG1")
 
 After registration the codec is a first-class citizen everywhere:
-``repro compress --codec mygpu``, ``get_codec("mygpu")``, streaming stores
-record its name, and the cross-codec property/benchmark suites pick it up from
-:func:`available_codecs`.  Re-registering an existing name replaces it, so an
+``repro compress --codec mygpu``, ``get_codec("mygpu")``, and the cross-codec
+property/benchmark suites pick it up from :func:`available_codecs`.  (Chunked
+stores hold pyblaz chunks only.)  Re-registering an existing name replaces it, so an
 optimized third-party binding can transparently override a built-in.
 """
 

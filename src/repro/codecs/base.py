@@ -1,7 +1,7 @@
 """The :class:`Codec` protocol every compressor in this repository implements.
 
-A codec is the unit the CLI, the streaming store, the experiment harnesses and the
-benchmarks program against: something that turns an array into a compressed object,
+A codec is the unit the CLI, the experiment harnesses and the benchmarks
+program against: something that turns an array into a compressed object,
 turns that object into self-describing bytes and back, and reports its compression
 ratio.  Capability flags (:class:`CodecCapabilities`) describe what each codec can
 handle — dimensionalities, input dtypes, compressed-space operations, losslessness —
@@ -100,8 +100,8 @@ class Codec(abc.ABC):
         """Inverse of :meth:`to_bytes`.
 
         A classmethod on purpose: the stream is self-describing, so no instance
-        parameters are needed to decode it (the streaming store relies on this to
-        decode chunks knowing only the codec *name*).
+        parameters are needed to decode it (the chunked store relies on this to
+        decode its pyblaz chunks).
         """
 
     @abc.abstractmethod
@@ -122,16 +122,6 @@ class Codec(abc.ABC):
         """
 
     # ------------------------------------------------------------------ shared helpers
-    @property
-    def chunk_row_multiple(self) -> int:
-        """Preferred slab-row alignment for streaming (1 = no preference).
-
-        Block codecs report their axis-0 block extent so streamed slabs tile
-        whole blocks; for the core pyblaz codec this is what makes streamed
-        output bit-identical to one-shot compression.
-        """
-        return 1
-
     def validate_input(self, array: np.ndarray, *, check_finite: bool = True) -> np.ndarray:
         """Common input validation: reject unsupported ndim/dtype/empty/non-finite.
 

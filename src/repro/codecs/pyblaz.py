@@ -92,9 +92,8 @@ class PyBlazCodec(Codec):
 
     def decompress(self, compressed: CompressedArray) -> np.ndarray:
         # the compressed form carries its settings, so decompression never
-        # depends on this instance's configuration (the streaming store relies
-        # on this when it decodes chunks knowing only the codec name) — except
-        # the kernel backend, a pure execution choice of this instance
+        # depends on this instance's configuration — except the kernel
+        # backend, a pure execution choice of this instance
         return Compressor(compressed.settings, backend=self.backend).decompress(compressed)
 
     def to_bytes(self, compressed: CompressedArray) -> bytes:
@@ -139,13 +138,6 @@ class PyBlazCodec(Codec):
         binning = kept * maxima * (1.0 / (2.0 * radius) + eps)
         conversion = eps * float(np.max(np.abs(array), initial=0.0)) + fmt.smallest_subnormal
         return 2.0 * (float(np.max(binning + pruned_sum, initial=0.0)) + conversion)
-
-    # ------------------------------------------------------------------ streaming
-    @property
-    def chunk_row_multiple(self) -> int:
-        if self.settings is not None:
-            return int(self.settings.block_shape[0])
-        return self._block_extent
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.settings is not None:

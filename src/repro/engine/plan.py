@@ -45,7 +45,7 @@ arrives in, and the correctly rounded sum :func:`repro.core.ops.folds.total`
 
 Every sweep reads its chunks through the one prefetching reader
 (:func:`repro.streaming.sources.aligned_chunks`), so the caller's chunk cache,
-retry policy, codec override and read counters apply to every plan.
+retry policy, decompression backend and read counters apply to every plan.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ from ..core.ops.coefficients import fold_step
 from ..core.ops.linear import rebinned_dc
 from ..streaming.prefetch import ChunkPrefetcher
 from ..streaming.sharded import ShardedStore
-from ..streaming.sources import (STORE_TYPES, aligned_chunks, check_stores,
-                                 require_pyblaz)
+from ..streaming.sources import STORE_TYPES, aligned_chunks, check_stores
 from ..streaming.steps import fold_steps
 from .expr import ArrayExpr, Expr, Reduction, Source
 
@@ -233,7 +232,7 @@ class Plan:
 
     # -------------------------------------------------------------- validation
     def _validate_sources(self) -> None:
-        """Upfront checks: pyblaz stores, per-group geometry, DC availability.
+        """Upfront checks: per-group geometry and DC availability.
 
         Geometry (shape and chunking) must match only *within* a sweep group —
         unrelated reductions fuse across differently shaped or chunked sources.
@@ -241,9 +240,6 @@ class Plan:
         source's pruning mask dropped the first coefficient, instead of deep in
         the first sweep.
         """
-        for source in self.sources:
-            if isinstance(source, STORE_TYPES):
-                require_pyblaz(source)
         for group in self.groups:
             check_stores([self.sources[index] for index in group.source_indices])
             for name, slots in group.terms:
@@ -253,9 +249,8 @@ class Plan:
                     if self._program[slot][0] != "source":
                         continue
                     source = self.sources[self._program[slot][1]]
-                    settings = (source.settings
-                                if isinstance(source, STORE_TYPES) else None)
-                    if settings is not None and not settings.first_coefficient_kept:
+                    if (isinstance(source, STORE_TYPES)
+                            and not source.settings.first_coefficient_kept):
                         raise ValueError(
                             f"{name} requires the first coefficient of each "
                             "block to be unpruned"

@@ -1,10 +1,10 @@
 """Store scanning and repair: the engine behind ``repro verify-store``.
 
 :func:`verify_store` walks every chunk record of a store — reading, checksum-
-verifying (format v3) and decoding each — and returns a :class:`StoreReport`
+verifying and decoding each — and returns a :class:`StoreReport`
 naming exactly which chunks are corrupt.  :func:`repair_store` rebuilds a
 store by splicing, chunk by chunk, the first good record found in the target
-or a mirror replica, publishing the result atomically as a version-3 file.
+or a mirror replica, publishing the result atomically.
 
 Imported lazily from :mod:`repro.reliability` (these functions need
 :mod:`repro.streaming`, which itself imports the retry/fault modules — a cycle
@@ -126,7 +126,7 @@ def _open_unretried(path):
 def verify_store(path) -> StoreReport:
     """Scan every chunk of the store at ``path`` and report per-chunk status.
 
-    Each chunk record is read, checksum-verified (v3) and decoded; a failure
+    Each chunk record is read, checksum-verified and decoded; a failure
     of any stage marks that chunk corrupt with the error message, and the
     scan continues so the report names *all* bad chunks.  A corrupt header or
     chunk table is reported as ``table_error`` with no per-chunk entries
@@ -157,13 +157,10 @@ def verify_store(path) -> StoreReport:
     return report
 
 
-def _good_payload(store, index: int) -> bytes:
-    """Chunk ``index``'s raw record bytes, decode-verified (raises on corrupt)."""
-    from ..codecs.registry import get_codec_class
-
-    payload = store.read_payload(index)  # v3: checksum-verified
-    get_codec_class(store.codec_name).from_bytes(payload)  # decode-verified
-    return payload
+def _good_record(store, index: int):
+    """Chunk ``index``'s raw record bytes and decoded chunk (raises on corrupt)."""
+    payload = store.read_payload(index)  # checksum-verified
+    return payload, store._chunk_from_payload(index, payload)  # decode-verified
 
 
 def repair_store(path, mirror) -> StoreReport:
@@ -171,31 +168,16 @@ def repair_store(path, mirror) -> StoreReport:
 
     For every chunk the first good record wins: the target's own bytes when
     they verify, the mirror replica's otherwise.  The result is written as a
-    format-v3 store and atomically replaces ``path``; the mirror is never
-    modified.  Raises :class:`CodecError` when a chunk is corrupt in *both*
-    copies (nothing trustworthy to splice), or when the two stores are not
-    replicas of the same array (codec, shape or chunking differ).
-
-    Both stores must be format v2 or v3 — their records are self-describing
-    codec streams that can be copied verbatim.  Version-1 records are raw
-    settings-dependent blobs in an incompatible table layout; rewrite those
-    stores with the current writer instead.
+    store and atomically replaces ``path``; the mirror is never modified.
+    Good records are self-describing chunk streams, copied verbatim.  Raises
+    :class:`CodecError` when a chunk is corrupt in *both* copies (nothing
+    trustworthy to splice), or when the two stores are not replicas of the
+    same array (shape or chunking differ).
     """
-    from ..codecs.registry import get_codec
     from ..streaming.store import CompressedStoreWriter
 
     path = Path(path)
     with _open_unretried(path) as store, _open_unretried(mirror) as replica:
-        if store.version < 2 or replica.version < 2:
-            raise CodecError(
-                "repair needs format v2+ stores (self-describing chunk records); "
-                f"got v{store.version} target and v{replica.version} mirror"
-            )
-        if store.codec_name != replica.codec_name:
-            raise CodecError(
-                f"mirror holds {replica.codec_name!r} chunks, store holds "
-                f"{store.codec_name!r}; not replicas"
-            )
         if tuple(store.shape) != tuple(replica.shape) or (
             store.chunk_rows != replica.chunk_rows
         ):
@@ -204,17 +186,18 @@ def repair_store(path, mirror) -> StoreReport:
                 f"not match store {store.shape}/{store.chunk_rows}; not replicas"
             )
         report = StoreReport(
-            path=str(path), version=3, codec_name=store.codec_name,
+            path=str(path), version=store.version, codec_name=store.codec_name,
             shape=tuple(store.shape),
         )
         records: list[tuple[bytes, int]] = []
+        settings = None
         for index, n_rows in enumerate(store.chunk_rows):
             try:
-                payload = _good_payload(store, index)
+                payload, chunk = _good_record(store, index)
                 source, error = "store", None
             except (CodecError, OSError) as first:
                 try:
-                    payload = _good_payload(replica, index)
+                    payload, chunk = _good_record(replica, index)
                     source, error = "mirror", str(first)
                 except (CodecError, OSError) as second:
                     raise CodecError(
@@ -222,13 +205,14 @@ def repair_store(path, mirror) -> StoreReport:
                         f"({first}) and the mirror ({second}); cannot repair"
                     ) from second
             records.append((payload, n_rows))
+            if settings is None:
+                settings = chunk.settings
             report.chunks.append(
                 ChunkReport(index=index, n_rows=n_rows, status="ok",
                             error=error, source=source)
             )
         tail_shape = tuple(store.shape[1:])
-        codec = get_codec(store.codec_name)
-    with CompressedStoreWriter(path, codec) as writer:
+    with CompressedStoreWriter(path, settings) as writer:
         for payload, n_rows in records:
             writer.append_record(payload, n_rows, tail_shape=tail_shape)
     return report

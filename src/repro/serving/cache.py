@@ -4,8 +4,7 @@ A plan sweep decodes each chunk once and drops it, which is the right
 lifetime for a single sweep but wastes work in a long-lived server where
 consecutive plans keep re-reading the same hot stores.  :class:`ChunkCache`
 is a **process-wide tier**: decoded chunk objects (pyblaz
-:class:`repro.core.CompressedArray` records, or any codec's compressed
-object) are kept under an LRU policy bounded by a byte budget, keyed by
+:class:`repro.core.CompressedArray` records) are kept under an LRU policy bounded by a byte budget, keyed by
 ``(store path, chunk index)``.
 
 Attach a cache to a store by assigning
@@ -43,8 +42,8 @@ def _estimate_nbytes(chunk: Any) -> int:
     """Approximate resident bytes of a decoded chunk object.
 
     Sums the numpy buffers and byte strings reachable from the object's
-    attributes (``maxima``/``indices`` for pyblaz, code tables and payloads
-    for the byte-stream codecs); unknown attribute types cost nothing.  A
+    attributes (``maxima``/``indices`` for a pyblaz chunk); unknown
+    attribute types cost nothing.  A
     floor of 1 byte keeps pathological objects from being free.
     """
     total = 0

@@ -5,8 +5,9 @@ stats endpoint reports: request counts, per-request latency quantiles over a
 sliding window, and the *coalescing ledger* — how many fused plans were
 executed for how many requests, which is the observable proof that N
 concurrent users shared sweeps (``plans.executed`` ≪ ``requests.served``
-under overlapping load).  Cache counters are pulled live from the attached
-:class:`repro.serving.ChunkCache` at snapshot time.
+under overlapping load).  Cache and store-read counters are pulled live from
+the attached :class:`repro.serving.StoreCatalog` (and its
+:class:`repro.serving.ChunkCache`) at snapshot time.
 
 All record methods are thread-safe (the scheduler and every connection handler
 may touch them concurrently through the executor thread).
@@ -17,8 +18,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-
-from .cache import ChunkCache
 
 __all__ = ["ServiceMetrics"]
 
@@ -36,9 +35,7 @@ def _quantile(ordered: list[float], q: float) -> float:
 class ServiceMetrics:
     """Thread-safe counters + latency reservoir behind the stats endpoint."""
 
-    def __init__(self, cache: ChunkCache | None = None,
-                 latency_window: int = _LATENCY_WINDOW, catalog=None):
-        self.cache = cache
+    def __init__(self, latency_window: int = _LATENCY_WINDOW, catalog=None):
         self.catalog = catalog
         self._lock = threading.Lock()
         self._started = time.monotonic()
@@ -129,6 +126,6 @@ class ServiceMetrics:
             snapshot["reliability"]["store_read_retries"] = sum(
                 store.read_retries for store in self.catalog.open_stores()
             )
-        if self.cache is not None:
-            snapshot["cache"] = self.cache.snapshot()
+            if self.catalog.cache is not None:
+                snapshot["cache"] = self.catalog.cache.snapshot()
         return snapshot

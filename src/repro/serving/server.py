@@ -110,7 +110,7 @@ class QueryService:
         self.coalesce = bool(coalesce)
         self.deadline = deadline
         self.max_in_flight = max_in_flight
-        self.metrics = ServiceMetrics(cache=catalog.cache, catalog=catalog)
+        self.metrics = ServiceMetrics(catalog=catalog)
         self._queue: "asyncio.Queue[_Pending | None]" = asyncio.Queue()
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="repro-serving-plan")

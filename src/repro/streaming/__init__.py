@@ -17,9 +17,8 @@ Three layers:
 * :class:`CompressedStore` / :class:`CompressedStoreWriter` — an on-disk format
   with a chunk table, so slabs append incrementally and sub-regions decompress
   selectively (:func:`load_region`) without materialising the whole index array.
-  Format v2 records the codec *name*, so a store can hold slabs of any
-  registered :mod:`repro.codecs` backend (:func:`stream_compress` is the
-  codec-generic writer); v1 pyblaz stores remain readable.
+  A store holds PyBlaz chunks only, in format v3 (checksummed records);
+  :meth:`ChunkedCompressor.compress_to_store` is its writer.
 * :class:`ShardedStore` (:mod:`repro.streaming.sharded`) — a manifest over N
   immutable store shards with append support and persisted per-shard fold
   partials, so reductions over a growing store are O(new chunks); it presents
@@ -48,7 +47,7 @@ Three layers:
 """
 
 from . import ops
-from .chunked import ChunkedCompressor, stream_compress
+from .chunked import ChunkedCompressor
 from .prefetch import ChunkPrefetcher, coalesce_spans
 from .sharded import (
     ShardedStore,
@@ -74,5 +73,4 @@ __all__ = [
     "open_store",
     "ops",
     "refresh_partials",
-    "stream_compress",
 ]

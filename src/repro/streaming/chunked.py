@@ -24,50 +24,15 @@ from typing import Iterator
 
 import numpy as np
 
-from ..codecs.base import Codec
-from ..codecs.registry import get_codec
 from ..core.compressed import CompressedArray
 from ..core.compressor import Compressor
-from ..core.exceptions import CodecError
 from ..core.settings import CompressionSettings
 from ..kernels import DEFAULT_BACKEND
 from ..reliability import faults
 from ..reliability.errors import WorkerCrashError
 from .store import CompressedStore, CompressedStoreWriter
 
-__all__ = ["ChunkedCompressor", "stream_compress"]
-
-
-def stream_compress(
-    source: np.ndarray, path, codec: "Codec | str", slab_rows: int | None = None
-) -> CompressedStore:
-    """Compress ``source`` slab-by-slab with any registered codec into a store.
-
-    The codec-generic counterpart of
-    :meth:`ChunkedCompressor.compress_to_store`: each axis-0 slab is compressed
-    independently with ``codec`` (a :class:`repro.codecs.Codec` instance or
-    registry name) and appended as one chunk, so memory stays bounded by the
-    slab size for memmapped input.  Slab heights are rounded up to the codec's
-    ``chunk_row_multiple``; for codecs without alignment constraints every
-    chunking is valid (chunks decompress independently).  Returns the store
-    reopened for reading.
-    """
-    if isinstance(codec, str):
-        codec = get_codec(codec)
-    source = np.asarray(source) if not isinstance(source, np.memmap) else source
-    if source.size == 0:
-        raise CodecError("cannot compress an empty array")
-    multiple = max(1, codec.chunk_row_multiple)
-    if slab_rows is None:
-        slab_rows = 64 * multiple
-    slab_rows = int(slab_rows)
-    if slab_rows < 1:
-        raise CodecError("slab_rows must be positive")
-    slab_rows = -(-slab_rows // multiple) * multiple
-    with CompressedStoreWriter(path, codec) as writer:
-        for start in range(0, source.shape[0], slab_rows):
-            writer.append(codec.compress(np.ascontiguousarray(source[start : start + slab_rows])))
-    return CompressedStore(path)
+__all__ = ["ChunkedCompressor"]
 
 
 def _compress_slab(

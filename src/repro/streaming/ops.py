@@ -37,9 +37,9 @@ the source chunking; both add one coalesced span per source, or the
 prefetcher's bounded readahead window once reads block.
 Partial states are one float64 per block per tracked quantity.  Every sweep
 reads through the one prefetching chunk reader, so the caller's chunk cache,
-retry policy, codec override and read counters always apply.
+retry policy, decompression backend and read counters always apply.
 
-Sources may be a :class:`CompressedStore` (of a pyblaz-family codec) or any
+Sources may be a :class:`CompressedStore` (or a sharded store) or any
 iterable of chunk :class:`CompressedArray` objects; every scalar reduction is
 one sweep, so a single-shot generator of chunks is a valid source too.
 """

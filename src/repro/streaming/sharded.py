@@ -24,10 +24,10 @@ partials, and atomically republishes the manifest with a bumped ``revision``.
 Recorded per-shard CRCs therefore stay valid forever, and a reader holding the
 previous manifest simply keeps its (consistent) older view.
 
-**Incremental fold maintenance.**  For pyblaz-family shards the append path
-persists, per shard, the concatenated per-chunk per-block partial vectors of
-two folds (``dc`` and ``square`` — ``square`` also serves
-``product(x, x)``, whose per-block arithmetic is identical) plus the counts a
+**Incremental fold maintenance.**  The append path persists, per shard, the
+concatenated per-chunk per-block partial vectors of two folds (``dc`` and
+``square`` — ``square`` also serves ``product(x, x)``, whose per-block
+arithmetic is identical) plus the counts a
 :class:`~repro.core.ops.folds.FoldState` carries.  :meth:`ShardedStore.fold_state`
 reassembles the accumulated state without decoding any chunk, and the plan
 engine serves ``mean`` / ``l2_norm`` / ``dot(x, x)`` straight from it
@@ -59,13 +59,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..codecs.base import Codec
-from ..codecs.registry import get_codec
 from ..core.exceptions import CodecError
 from ..core.ops import folds
 from ..core.settings import CompressionSettings
 from ..reliability.retry import DEFAULT_READ_RETRY, RetryPolicy
-from .chunked import stream_compress
+from .chunked import ChunkedCompressor
 from .store import CompressedStore, ReadSurface
 
 __all__ = [
@@ -114,8 +112,8 @@ def load_manifest(path) -> dict:
     """Read and validate the manifest of the sharded store directory ``path``.
 
     Raises :class:`CodecError` for a missing/garbled manifest, a foreign
-    ``format`` marker, or a manifest written by a newer layout version than
-    this reader understands.
+    ``format`` marker, a manifest written by a newer layout version than
+    this reader understands, or one whose shards hold another codec's chunks.
     """
     path = Path(path)
     try:
@@ -135,6 +133,11 @@ def load_manifest(path) -> dict:
         raise CodecError(
             f"sharded-store manifest at {path} is layout version {version}; "
             f"this reader supports versions 1..{_MANIFEST_VERSION}"
+        )
+    if manifest.get("codec") != ReadSurface.codec_name:
+        raise CodecError(
+            f"sharded store {path} holds {manifest.get('codec')!r} shards; "
+            f"stores hold {ReadSurface.codec_name} chunks only"
         )
     return manifest
 
@@ -167,7 +170,7 @@ def _file_crc32(path) -> int:
 
 
 # ------------------------------------------------------------------ partials
-def _compute_partials(store: CompressedStore) -> "dict[str, np.ndarray] | None":
+def _compute_partials(store: CompressedStore) -> "dict[str, np.ndarray]":
     """One shard's persisted fold state: concatenated per-chunk vectors + counts.
 
     Iterates the shard's chunks once, folding each through the persisted
@@ -175,13 +178,10 @@ def _compute_partials(store: CompressedStore) -> "dict[str, np.ndarray] | None":
     concatenated *in chunk order*, so summing them later with the correctly
     rounded sum :func:`repro.core.ops.folds.total` (bit-identical to
     ``math.fsum``) sees exactly the float64 values a live sweep would, in the
-    same order — the bit-identity invariant.  Returns ``None`` for non-pyblaz
-    shards (no fold algebra applies); omits ``dc`` when the first coefficient
-    was pruned.
+    same order — the bit-identity invariant.  Omits ``dc`` when the first
+    coefficient was pruned.
     """
     settings = store.settings
-    if settings is None:
-        return None
     dc_parts: "list[np.ndarray] | None" = (
         [] if settings.first_coefficient_kept else None
     )
@@ -208,55 +208,36 @@ def _compute_partials(store: CompressedStore) -> "dict[str, np.ndarray] | None":
     return payload
 
 
-def _write_partials(directory: Path, index: int, store: CompressedStore) -> bool:
+def _write_partials(directory: Path, index: int, store: CompressedStore) -> None:
     """Persist shard ``index``'s fold partials as an ``.npz`` sidecar.
 
     Written to a temp sibling and renamed into place (same atomic-publish
-    discipline as the stores and the manifest).  Returns False — and writes
-    nothing — for shards without a fold algebra (non-pyblaz codecs).
+    discipline as the stores and the manifest).
     """
     payload = _compute_partials(store)
-    if payload is None:
-        return False
     target = directory / partials_filename(index)
     temp = directory / (partials_filename(index) + ".tmp")
     with open(temp, "wb") as handle:
         np.savez(handle, **payload)
     temp.replace(target)
-    return True
 
 
 # ------------------------------------------------------------------ init / append
-def _resolve_codec(codec: "Codec | CompressionSettings | str") -> Codec:
-    """Accept a codec instance, pyblaz settings, or a registry name."""
-    if isinstance(codec, CompressionSettings):
-        from ..codecs.pyblaz import PyBlazCodec
-
-        return PyBlazCodec(settings=codec)
-    if isinstance(codec, str):
-        return get_codec(codec)
-    if isinstance(codec, Codec):
-        return codec
-    raise CodecError(
-        f"sharded stores need a Codec, CompressionSettings or codec name, "
-        f"got {codec!r}"
-    )
-
-
 def init_sharded_store(
-    path, array, codec: "Codec | CompressionSettings | str", *,
+    path, array, settings: CompressionSettings, *,
     slab_rows: int | None = None, update_partials: bool = True,
 ) -> "ShardedStore":
     """Create a sharded store at directory ``path`` with ``array`` as shard 0.
 
     The directory must not exist (or be empty); the array is compressed
-    slab-by-slab via :func:`repro.streaming.stream_compress` into
-    ``shard-000000.pblzc``, the shard's fold partials are persisted (unless
-    ``update_partials=False``), and the manifest is published atomically.
+    slab-by-slab under ``settings`` into ``shard-000000.pblzc``, the shard's
+    fold partials are persisted (unless ``update_partials=False``), and the
+    manifest is published atomically.
     Returns the store opened for reading.
     """
     path = Path(path)
-    codec = _resolve_codec(codec)
+    if not isinstance(settings, CompressionSettings):
+        raise CodecError(f"sharded stores need CompressionSettings, got {settings!r}")
     if path.exists():
         if not path.is_dir() or any(path.iterdir()):
             raise CodecError(
@@ -268,47 +249,30 @@ def init_sharded_store(
     manifest = {
         "format": _MANIFEST_FORMAT,
         "version": _MANIFEST_VERSION,
-        "codec": codec.name,
+        "codec": ReadSurface.codec_name,
         "shape": [],
         "revision": 0,
         "shards": [],
     }
-    return _append(path, manifest, np.asarray(array), codec, slab_rows,
+    return _append(path, manifest, np.asarray(array), settings, slab_rows,
                    update_partials)
 
 
-def _codec_for_append(path: Path, manifest: dict) -> Codec:
-    """Rebuild the codec the existing shards were written with.
-
-    Pyblaz-family parameters are self-describing (recovered from shard 0's
-    settings); other codecs fall back to their registry defaults — pass an
-    explicit ``codec`` to :func:`append_shard` to override.
-    """
-    name = manifest["codec"]
-    if manifest["shards"]:
-        with CompressedStore(path / manifest["shards"][0]["file"]) as first:
-            settings = first.settings
-        if settings is not None:
-            return get_codec(name, settings=settings)
-    return get_codec(name)
-
-
 def append_shard(
-    path, array, *, slab_rows: int | None = None,
-    codec: "Codec | CompressionSettings | str | None" = None,
-    update_partials: bool = True,
+    path, array, *, slab_rows: int | None = None, update_partials: bool = True,
 ) -> "ShardedStore":
     """Append ``array``'s rows to the sharded store at ``path`` as a new shard.
 
     The new rows are compressed into the next ``shard-NNNNNN.pblzc`` file
     (existing shards are immutable — their recorded CRCs stay valid), the
     shard's fold partials are computed — O(new chunks), the whole point —
-    and the manifest is republished with ``revision`` bumped by one.
+    and the manifest is republished with ``revision`` bumped by one.  The
+    compression settings are shard 0's.
 
     Constraints mirror :class:`CompressedStoreWriter.append`: the trailing
-    shape must match the store's, and for block-aligned codecs (pyblaz) every
-    *existing* chunk must cover whole block rows — only the globally last
-    chunk may be ragged, so appending after a ragged shard is an error.
+    shape must match the store's, and every *existing* chunk must cover
+    whole block rows — only the globally last chunk may be ragged, so
+    appending after a ragged shard is an error.
     ``update_partials=False`` skips the sidecar (the entry is marked stale and
     queries fall back to full sweeps until :func:`refresh_partials` runs).
     Returns the store reopened with the new manifest.
@@ -316,47 +280,56 @@ def append_shard(
     path = Path(path)
     manifest = load_manifest(path)
     array = np.asarray(array)
-    resolved = (_codec_for_append(path, manifest) if codec is None
-                else _resolve_codec(codec))
-    if resolved.name != manifest["codec"]:
-        raise CodecError(
-            f"sharded store {path} holds {manifest['codec']!r} shards; cannot "
-            f"append {resolved.name!r} data"
-        )
+    if not manifest["shards"]:
+        raise CodecError(f"sharded store {path} has no shards")
+    with CompressedStore(path / manifest["shards"][0]["file"]) as first:
+        settings = first.settings
     tail = tuple(int(extent) for extent in manifest["shape"][1:])
     if tuple(array.shape[1:]) != tail:
         raise CodecError(
             f"appended trailing shape {tuple(array.shape[1:])} does not match "
             f"the store's trailing shape {tail}"
         )
-    multiple = max(1, resolved.chunk_row_multiple)
-    if multiple > 1:
-        for entry in manifest["shards"]:
-            if any(rows % multiple for rows in entry["chunk_rows"]):
-                raise CodecError(
-                    "a chunk with a partial block row was already appended; "
-                    "only the final chunk may have a row count that is not a "
-                    f"multiple of the block extent {multiple}"
-                )
-    return _append(path, manifest, array, resolved, slab_rows, update_partials)
+    multiple = settings.block_shape[0]
+    for entry in manifest["shards"]:
+        if any(rows % multiple for rows in entry["chunk_rows"]):
+            raise CodecError(
+                "a chunk with a partial block row was already appended; "
+                "only the final chunk may have a row count that is not a "
+                f"multiple of the block extent {multiple}"
+            )
+    return _append(path, manifest, array, settings, slab_rows, update_partials)
 
 
-def _append(path: Path, manifest: dict, array: np.ndarray, codec: Codec,
-            slab_rows: int | None, update_partials: bool) -> "ShardedStore":
-    """Write one new shard + sidecar, then atomically republish the manifest."""
+def _append(path: Path, manifest: dict, array: np.ndarray,
+            settings: CompressionSettings, slab_rows: int | None,
+            update_partials: bool) -> "ShardedStore":
+    """Write one new shard + sidecar, then atomically republish the manifest.
+
+    The shard is compressed by :meth:`ChunkedCompressor.compress_to_store`
+    under ``settings``' own kernel backend.  An empty array, a
+    dimensionality other than the settings', ``slab_rows < 1`` and
+    non-finite input raise :class:`CodecError` before any manifest change.
+    """
+    if array.size == 0:
+        raise CodecError("cannot compress an empty array")
+    if array.ndim != settings.ndim:
+        raise CodecError(f"array of dimensionality {array.ndim} cannot be compressed "
+                         f"with {settings.ndim}-dimensional settings")
+    if slab_rows is not None and int(slab_rows) < 1:
+        raise CodecError("slab_rows must be positive")
     index = len(manifest["shards"])
     shard_path = path / shard_filename(index)
-    store = stream_compress(array, shard_path, codec, slab_rows=slab_rows)
-    try:
+    chunked = ChunkedCompressor(settings, slab_rows=slab_rows, backend=settings.backend)
+    with chunked.compress_to_store(array, shard_path) as store:
         entry: dict = {
             "file": shard_filename(index),
             "rows": int(store.shape[0]),
             "chunk_rows": [int(rows) for rows in store.chunk_rows],
-            "partials": bool(update_partials
-                             and _write_partials(path, index, store)),
+            "partials": bool(update_partials),
         }
-    finally:
-        store.close()
+        if update_partials:
+            _write_partials(path, index, store)
     entry["n_bytes"] = os.path.getsize(shard_path)
     entry["crc32"] = _file_crc32(shard_path)
     if not manifest["shards"]:
@@ -403,9 +376,9 @@ def refresh_partials(path) -> int:
         if entry.get("partials") and _sidecar_current(path / partials_filename(index)):
             continue
         with CompressedStore(path / entry["file"]) as store:
-            if _write_partials(path, index, store):
-                entry["partials"] = True
-                written += 1
+            _write_partials(path, index, store)
+        entry["partials"] = True
+        written += 1
     if written:
         save_manifest(path, manifest)
     return written
@@ -435,7 +408,7 @@ class ShardedStore(ReadSurface):
 
     Attributes
     ----------
-    codec_name, shape, revision:
+    shape, revision:
         Straight from the manifest (no shard file is opened).
     chunks_read, chunks_prefetched, preads, read_retries:
         Sums over the shards opened so far — the same instrumentation
@@ -443,6 +416,9 @@ class ShardedStore(ReadSurface):
     chunk_cache:
         Optional decoded-chunk cache, propagated to every shard; entries key
         by each *shard's* path, so invalidation stays per shard.
+    backend:
+        Kernel backend name for chunk decompression, propagated to every
+        shard the same way.
     """
 
     def __init__(self, path, *, retry_policy: RetryPolicy | None = DEFAULT_READ_RETRY,
@@ -450,7 +426,6 @@ class ShardedStore(ReadSurface):
         self.path = Path(path)
         self.manifest = load_manifest(self.path)
         self.version = int(self.manifest["version"])
-        self.codec_name = str(self.manifest["codec"])
         self.revision = int(self.manifest.get("revision", 0))
         self.use_partials = use_partials
         self.retry_policy = retry_policy
@@ -459,6 +434,7 @@ class ShardedStore(ReadSurface):
         if not self._entries:
             raise CodecError(f"sharded store {self.path} has no shards")
         self._chunk_cache = None
+        self._backend = None
         self._shards: dict[int, CompressedStore] = {}
         self._partials: dict[int, dict] = {}
         # global chunk index: (shard index, local chunk index, n_rows)
@@ -511,20 +487,9 @@ class ShardedStore(ReadSurface):
         return sum(shard.read_retries for shard in self._shards.values())
 
     @property
-    def settings(self) -> CompressionSettings | None:
-        """Shared pyblaz-family settings (from shard 0), or ``None``."""
+    def settings(self) -> CompressionSettings:
+        """The shared settings (from shard 0)."""
         return self.shard(0).settings
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Element dtype chunk decompression produces (delegated to shard 0)."""
-        return self.shard(0).dtype
-
-    def use_codec(self, codec: Codec) -> None:
-        """Swap the decoding codec instance (same stream format) on every shard."""
-        super().use_codec(codec)
-        for shard in self._shards.values():
-            shard.use_codec(codec)
 
     @property
     def chunk_cache(self):
@@ -538,6 +503,18 @@ class ShardedStore(ReadSurface):
         for shard in self._shards.values():
             shard.chunk_cache = cache
 
+    @property
+    def backend(self) -> str | None:
+        """The decompression kernel backend of this store's shards (or None)."""
+        return self._backend
+
+    @backend.setter
+    def backend(self, name: str | None) -> None:
+        """Set the decompression backend of every current and future shard."""
+        self._backend = name
+        for shard in self._shards.values():
+            shard.backend = name
+
     # -------------------------------------------------------------- shards
     def shard(self, index: int) -> CompressedStore:
         """The open :class:`CompressedStore` for shard ``index`` (lazy, shared)."""
@@ -545,10 +522,8 @@ class ShardedStore(ReadSurface):
         if store is None:
             store = CompressedStore(self.path / self._entries[index]["file"],
                                     retry_policy=self.retry_policy)
-            if self._chunk_cache is not None:
-                store.chunk_cache = self._chunk_cache
-            if self._codec is not None:
-                store.use_codec(self._codec)
+            store.chunk_cache = self._chunk_cache
+            store.backend = self._backend
             self._shards[index] = store
         return store
 
@@ -658,8 +633,7 @@ class ShardedStore(ReadSurface):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedStore(shape={self.shape}, shards={self.n_shards}, "
-            f"chunks={self.n_chunks}, codec={self.codec_name}, "
-            f"revision={self.revision})"
+            f"chunks={self.n_chunks}, revision={self.revision})"
         )
 
 

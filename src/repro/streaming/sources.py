@@ -2,10 +2,10 @@
 
 Both :mod:`repro.streaming.ops` (one-op sweeps, structural store writers) and
 the lazy plan engine (:mod:`repro.engine.plan`) consume the same two source
-kinds — an open :class:`CompressedStore` of a pyblaz-family codec, or any
-iterable of chunk :class:`repro.core.CompressedArray` objects — and need the
-same guarantees about them: pyblaz-ness, aligned chunking across sources, and
-matching store geometry.  Those checks live here, in the streaming layer, so
+kinds — an open :class:`CompressedStore` (or sharded store), or any iterable
+of chunk :class:`repro.core.CompressedArray` objects — and need the same
+guarantees about them: aligned chunking across sources and matching store
+geometry.  Those checks live here, in the streaming layer, so
 the engine depends downward on streaming (never the reverse).
 """
 
@@ -14,13 +14,11 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from ..core.compressed import CompressedArray
-from ..core.exceptions import CodecError
 from .sharded import ShardedStore
 from .store import CompressedStore
 
 __all__ = [
     "STORE_TYPES",
-    "require_pyblaz",
     "source_chunks",
     "aligned_chunks",
     "check_stores",
@@ -33,15 +31,6 @@ __all__ = [
 STORE_TYPES = (CompressedStore, ShardedStore)
 
 
-def require_pyblaz(store) -> None:
-    """Reject stores whose chunks are not pyblaz-family compressed arrays."""
-    if store.settings is None:
-        raise CodecError(
-            f"compressed-domain ops fold pyblaz chunks via core.ops; this "
-            f"store holds {store.codec_name!r} streams"
-        )
-
-
 def source_chunks(source) -> Iterator[CompressedArray]:
     """Iterate a source's chunks: a store's records or an iterable's items.
 
@@ -49,7 +38,6 @@ def source_chunks(source) -> Iterator[CompressedArray]:
     <repro.streaming.CompressedStore.iter_chunks>`.
     """
     if isinstance(source, STORE_TYPES):
-        require_pyblaz(source)
         return source.iter_chunks()
     return iter(source)
 

@@ -1,6 +1,6 @@
 """Slab stacking: consecutive block-aligned chunks as one compressed array.
 
-A pyblaz store's chunks are slabs along axis 0, and every slab but the last
+A store's chunks are slabs along axis 0, and every slab but the last
 covers whole block rows.  Consecutive slabs' ``maxima`` and ``indices``
 therefore stack along axis 0 into the compressed form of their rows, bit for
 bit.  This module is the one place that rule lives:

@@ -11,18 +11,18 @@ the file with a chunk table, so that
   decode only those (:meth:`CompressedStore.load_region`), never allocating the
   full index array.
 
-Format version 3 records the *codec name* in the header, stores every chunk as
-that codec's self-describing ``to_bytes`` stream, and adds **integrity
-checksums**: a CRC-32 (``zlib.crc32``) of every chunk record in its table
-entry, plus one table CRC covering the header and the footer body, so a
-flipped bit anywhere — payload, table, or header — is detected at read time and
-reported as a typed :class:`IntegrityError` naming the chunk and the store
-path rather than decoded into a silently wrong array.  Layout (all
-little-endian)::
+A store holds PyBlaz chunks only, in format version 3: the header names the
+``pyblaz`` codec, every chunk record is that codec's self-describing
+``to_bytes`` stream, and **integrity checksums** cover everything: a CRC-32
+(``zlib.crc32``) of every chunk record in its table entry, plus one table CRC
+covering the header and the footer body, so a flipped bit anywhere — payload,
+table, or header — is detected at read time and reported as a typed
+:class:`IntegrityError` naming the chunk and the store path rather than
+decoded into a silently wrong array.  Layout (all little-endian)::
 
     "PBLZC"  u8 version=3
-    u8 name length, codec name (ascii)
-    chunk 0 record: the codec's to_bytes stream for slab 0
+    u8 name length, codec name "pyblaz" (ascii)
+    chunk 0 record: the pyblaz to_bytes stream for slab 0
     chunk 1 record: ...
     ...
     footer: u64 n_chunks,
@@ -31,18 +31,14 @@ little-endian)::
             u32 table crc32 (over header bytes + footer bytes up to here),
             u64 footer offset, "PBLZE"
 
-Version-2 files (same layout minus the two checksum fields) and version-1
-files (pyblaz only: shared settings header, raw ``maxima``/``indices`` records
-whose sizes derive from the settings) remain fully readable; their parsing
-paths are kept verbatim below.  Reads of v1/v2 chunks simply skip checksum
-verification — ``repro verify-store`` still decodes them to catch gross
-corruption.
+This module is the one place that knows the on-disk format.  Opening any
+other file — an older format version, or a header naming another codec —
+raises :class:`CodecError` naming what was found.
 
-For the pyblaz codec every chunk except the last must cover a whole number of
-block rows (``Codec.chunk_row_multiple``), so chunk block grids stack exactly
-along grid axis 0 and :meth:`CompressedStore.load_compressed` reproduces the
-one-shot compressed array bit for bit.  Codecs without a row-multiple constraint
-compress each slab independently, so any chunking is valid.
+Every chunk except the last must cover a whole number of block rows, so chunk
+block grids stack exactly along grid axis 0 and
+:meth:`CompressedStore.load_compressed` reproduces the one-shot compressed
+array bit for bit.
 """
 
 from __future__ import annotations
@@ -56,17 +52,10 @@ from typing import Iterator
 
 import numpy as np
 
-from ..codecs.base import Codec
 from ..codecs.pyblaz import PyBlazCodec
-from ..codecs.registry import get_codec, get_codec_class
 from ..codecs.serialization import DECODE_ERRORS
-from ..core.codec import (
-    float_bytes,
-    unpack_block_geometry,
-    unpack_floats,
-    unpack_type_codes,
-)
 from ..core.compressed import CompressedArray
+from ..core.compressor import Compressor
 from ..core.exceptions import CodecError, IntegrityError
 from ..core.settings import CompressionSettings
 from ..reliability import faults
@@ -106,12 +95,8 @@ class CompressedStoreWriter:
     ----------
     path:
         Output file path.
-    codec:
-        The :class:`repro.codecs.Codec` whose compressed objects will be
-        appended; its name is recorded in the store header.  A
-        :class:`CompressionSettings` is also accepted (the historical signature)
-        and wraps itself in a :class:`PyBlazCodec`, with the additional
-        guarantee that every appended chunk's settings match.
+    settings:
+        The :class:`CompressionSettings` every appended chunk must share.
 
     Usable as a context manager; :meth:`finalize` (or leaving the ``with``
     block) writes the chunk table and makes the file readable.
@@ -125,17 +110,11 @@ class CompressedStoreWriter:
     before finalizing onto their path).
     """
 
-    def __init__(self, path, codec: "Codec | CompressionSettings"):
-        if isinstance(codec, CompressionSettings):
-            self.settings: CompressionSettings | None = codec
-            codec = PyBlazCodec(settings=codec)
-        elif isinstance(codec, Codec):
-            self.settings = getattr(codec, "settings", None)
-        else:
-            raise CodecError(
-                f"writer needs a Codec instance or CompressionSettings, got {codec!r}"
-            )
-        self.codec = codec
+    def __init__(self, path, settings: CompressionSettings):
+        if not isinstance(settings, CompressionSettings):
+            raise CodecError(f"writer needs CompressionSettings, got {settings!r}")
+        self.settings = settings
+        self._codec = PyBlazCodec(settings=settings)
         self.path = Path(path)
         self._temp_path = self.path.with_name(self.path.name + ".partial")
         self._handle = open(self._temp_path, "wb")
@@ -144,7 +123,7 @@ class CompressedStoreWriter:
         self._tail_shape: tuple[int, ...] | None = None
         self._ragged = False
         self._finalized = False
-        name = codec.name.encode("ascii")
+        name = PyBlazCodec.name.encode("ascii")
         header = STORE_MAGIC + struct.pack("<B", _STORE_VERSION)
         header += struct.pack("<B", len(name)) + name
         self._header = header  # seeds the v3 table checksum in finalize()
@@ -154,17 +133,15 @@ class CompressedStoreWriter:
     def append(self, chunk) -> None:
         """Append one compressed slab (rows along axis 0 of the eventual array).
 
-        ``chunk`` is the codec's compressed object and must expose ``.shape``.
-        For codecs with a ``chunk_row_multiple`` > 1 (pyblaz), every chunk but
-        the last must span a whole number of block rows; appending after a
-        ragged (non-multiple) chunk is therefore an error.
+        ``chunk`` is a :class:`CompressedArray` with the writer's settings.
+        Every chunk but the last must span a whole number of block rows;
+        appending after a ragged (non-multiple) chunk is therefore an error.
         """
         if self._finalized:
             raise CodecError("cannot append to a finalized store")
         self._check_open("append to")
-        if self.settings is not None and isinstance(chunk, CompressedArray):
-            _check_chunk_settings(self.settings, chunk)
-        multiple = self.codec.chunk_row_multiple
+        _check_chunk_settings(self.settings, chunk)
+        multiple = self.settings.block_shape[0]
         if self._ragged:
             raise CodecError(
                 "a chunk with a partial block row was already appended; only the "
@@ -180,9 +157,9 @@ class CompressedStoreWriter:
                 f"store's trailing shape {self._tail_shape}"
             )
         n_rows = shape[0]
-        if multiple > 1 and n_rows % multiple != 0:
+        if n_rows % multiple != 0:
             self._ragged = True
-        payload = self.codec.to_bytes(chunk)
+        payload = self._codec.to_bytes(chunk)
         offset = self._handle.tell()
         self._handle.write(payload)
         self._chunks.append((offset, len(payload), n_rows, zlib.crc32(payload)))
@@ -192,9 +169,9 @@ class CompressedStoreWriter:
     ) -> None:
         """Append one pre-encoded chunk record verbatim (the repair path).
 
-        Copies ``payload`` — already a valid stream of this writer's codec —
-        without re-encoding, so :func:`repro.reliability.repair_store` can
-        splice good records from a mirror bit-for-bit.  ``tail_shape`` seeds
+        Copies ``payload`` — already a valid pyblaz chunk stream — without
+        re-encoding, so :func:`repro.reliability.repair_store` can splice good
+        records from a mirror bit-for-bit.  ``tail_shape`` seeds
         the store's trailing shape when no :meth:`append` happened first.
         """
         if self._finalized:
@@ -237,7 +214,7 @@ class CompressedStoreWriter:
         shape = (sum(rows for _, _, rows, _ in self._chunks),) + self._tail_shape
         footer += struct.pack(f"<Q{len(shape)}Q", len(shape), *shape)
         # one checksum over header + footer body, so corrupting the table (or
-        # the codec name) is detected before any chunk entry is trusted
+        # the header) is detected before any chunk entry is trusted
         footer += struct.pack("<I", zlib.crc32(footer, zlib.crc32(self._header)))
         footer += struct.pack("<Q", footer_offset)
         footer += _END_MAGIC
@@ -263,39 +240,32 @@ class ReadSurface:
 
     :class:`CompressedStore` and :class:`~repro.streaming.ShardedStore`
     each provide only ``read_chunk(index)``, the geometry (``shape``,
-    ``n_chunks``, ``chunk_rows``, ``dtype``) and the codec (``codec_name``);
-    iteration, whole-array and region loads and chunk decompression are
-    written once here.  Every path from chunk indices to decoded chunks runs
-    through the one reader in :mod:`repro.streaming.prefetch`.
+    ``n_chunks``, ``chunk_rows``) and ``settings``; iteration, whole-array
+    and region loads and chunk decompression are written once here.  Every
+    path from chunk indices to decoded chunks runs through the one reader in
+    :mod:`repro.streaming.prefetch`.
+
+    Attributes
+    ----------
+    codec_name:
+        ``"pyblaz"``: the only codec a store holds.
+    dtype:
+        float64, what chunk decompression reconstructs by contract
+        (:meth:`repro.core.Compressor.decompress`); empty ``load_region``
+        selections use it.
+    backend:
+        Kernel backend name for chunk decompression (see
+        :mod:`repro.kernels`), or ``None`` for the settings' own backend.
     """
 
-    _codec: Codec | None = None
+    codec_name = PyBlazCodec.name
+    dtype = np.dtype(np.float64)
+    backend: str | None = None
 
     @property
     def ndim(self) -> int:
         """Dimensionality of the stored array."""
         return len(self.shape)
-
-    @property
-    def codec(self) -> Codec:
-        """A default instance of the store's codec (decoding needs no parameters)."""
-        if self._codec is None:
-            self._codec = get_codec(self.codec_name)
-        return self._codec
-
-    def use_codec(self, codec: Codec) -> None:
-        """Replace the codec instance used to decompress chunks.
-
-        The replacement must decode the same stream format (same codec name);
-        this exists to reconfigure *execution* choices, e.g. a pyblaz codec
-        with a non-default kernel backend for faster bulk decompression.
-        """
-        if codec.name != self.codec_name:
-            raise CodecError(
-                f"store holds {self.codec_name!r} chunks; cannot decode them with "
-                f"codec {codec.name!r}"
-            )
-        self._codec = codec
 
     def iter_chunks(self) -> Iterator:
         """Yield every chunk's compressed object in row order.
@@ -310,15 +280,13 @@ class ReadSurface:
         return iter(ChunkPrefetcher(self))
 
     def decompress_chunk(self, chunk) -> np.ndarray:
-        """Decompress one chunk object with the store's codec.
+        """Decompress one chunk with the store's kernel :attr:`backend`.
 
-        The codec instance can be reconfigured with :meth:`use_codec` (e.g. a
-        pyblaz codec with a non-default kernel backend).  Decompression
-        failures on corrupt chunk contents are reported as :class:`CodecError`
-        like decoding failures.
+        Decompression failures on corrupt chunk contents are reported as
+        :class:`CodecError` like decoding failures.
         """
         try:
-            return self.codec.decompress(chunk)
+            return Compressor(chunk.settings, backend=self.backend).decompress(chunk)
         except CodecError:
             raise
         except DECODE_ERRORS as exc:
@@ -329,21 +297,15 @@ class ReadSurface:
     def load_compressed(self) -> CompressedArray:
         """Assemble the full :class:`CompressedArray` (bit-identical to one-shot).
 
-        Only meaningful for pyblaz stores, whose slabs stack exactly
-        (:mod:`repro.streaming.steps`, with the whole store as one step);
-        other codecs' chunks are independent streams.
+        The slabs stack exactly (:mod:`repro.streaming.steps`, with the whole
+        store as one step).
         """
         settings = self.settings
-        if settings is None:
-            raise CodecError(
-                f"load_compressed assembles pyblaz chunks; this store holds "
-                f"{self.codec_name!r} streams — use load() or iter_chunks()"
-            )
         capacity = settings.n_blocks(self.shape) * settings.kept_per_block
         steps = list(fold_steps(((chunk,) for chunk in self.iter_chunks()), capacity))
         if len(steps) != 1:
             raise CodecError(
-                f"{self.codec_name} store chunks do not stack into one array "
+                "store chunks do not stack into one array "
                 "(a ragged slab or a settings change before the last chunk)"
             )
         return steps[0][0]
@@ -431,7 +393,7 @@ class ReadSurface:
 
 
 class CompressedStore(ReadSurface):
-    """Read-only view of a chunked store file (format versions 1, 2 and 3).
+    """Read-only view of a chunked store file (format version 3, pyblaz chunks).
 
     Chunks are read lazily: opening the store parses only the header and the
     chunk table.  :attr:`chunks_read` counts how many chunk records have been
@@ -442,9 +404,9 @@ class CompressedStore(ReadSurface):
     readers — the prefetch pool, the serving layer — never interleave each
     other's seek/read pairs, and :attr:`chunks_read` accounting is lock-guarded.
 
-    Reads are also **checked and retried**: version-3 records are verified
-    against their table CRC-32 and raise :class:`IntegrityError` (naming the
-    chunk index and store path) on mismatch, and transient failures — an
+    Reads are also **checked and retried**: records are verified against
+    their table CRC-32 and raise :class:`IntegrityError` (naming the chunk
+    index and store path) on mismatch, and transient failures — an
     ``OSError`` from the read, or a checksum mismatch that a re-read could
     clear — are retried per ``retry_policy`` before the error escapes.
     :attr:`read_retries` counts the retries taken, surfaced by the serving
@@ -461,13 +423,9 @@ class CompressedStore(ReadSurface):
 
     Attributes
     ----------
-    codec_name:
-        Name of the registered codec whose streams the chunks hold
-        (``"pyblaz"`` for every version-1 file).
     settings:
-        The shared :class:`CompressionSettings` for pyblaz-family stores
-        (parsed from the header for v1, recovered from the first chunk for
-        v2/v3), ``None`` for stores of codecs without settings.
+        The shared :class:`CompressionSettings`, recovered from the first
+        chunk's self-describing record.
     chunk_cache:
         Optional process-wide decoded-chunk cache (the serving layer's
         :class:`repro.serving.ChunkCache`); when set, :meth:`read_chunk`
@@ -486,6 +444,9 @@ class CompressedStore(ReadSurface):
         the ``load_region`` syscall tests assert on.
     """
 
+    #: The one readable format version (see the module docstring).
+    version = _STORE_VERSION
+
     def __init__(self, path, *, retry_policy: RetryPolicy | None = DEFAULT_READ_RETRY):
         self.path = Path(path)
         self._handle = open(self.path, "rb")
@@ -497,8 +458,6 @@ class CompressedStore(ReadSurface):
         self.retry_policy = retry_policy
         self._lock = threading.Lock()
         self._settings: CompressionSettings | None = None
-        self._settings_resolved = False
-        self._dtype: np.dtype | None = None
         try:
             self._read_header_and_table()
         except Exception:
@@ -507,37 +466,24 @@ class CompressedStore(ReadSurface):
 
     def _read_header_and_table(self) -> None:
         """Parse the magic, version, codec name and chunk table (no chunk decodes)."""
-        head = self._handle.read(len(STORE_MAGIC) + 1)
-        if head[: len(STORE_MAGIC)] != STORE_MAGIC:
-            raise CodecError("not a PyBlaz chunked store (bad magic)")
-        (self.version,) = struct.unpack("<B", head[len(STORE_MAGIC) :])
-        self._header_bytes = head
-        if self.version == 1:
-            self._read_v1_header()
-        elif self.version in (2, 3):
-            name_len_byte = self._handle.read(1)
-            (name_len,) = struct.unpack("<B", name_len_byte)
-            name = self._handle.read(name_len)
-            self.codec_name = name.decode("ascii")
-            self._header_bytes += name_len_byte + name
-        else:
-            raise CodecError(f"unsupported store version {self.version}")
+        head = self._handle.read(len(STORE_MAGIC) + 2)
+        if len(head) < len(STORE_MAGIC) + 2 or head[: len(STORE_MAGIC)] != STORE_MAGIC:
+            raise CodecError("not a PyBlaz chunked store (bad magic or truncated header)")
+        version, name_len = head[len(STORE_MAGIC):]
+        if version != _STORE_VERSION:
+            raise CodecError(
+                f"{self.path} is store format v{version}; this reader reads "
+                f"format v{_STORE_VERSION} only (rewrite it with the release "
+                "that wrote it: stream-decompress, then stream-compress)"
+            )
+        name = self._handle.read(name_len)
+        if name != self.codec_name.encode("ascii"):
+            raise CodecError(
+                f"{self.path} holds {name.decode('ascii', 'replace')!r} chunks; "
+                f"stores hold {self.codec_name} chunks only"
+            )
+        self._header_bytes = head + name
         self._read_table()
-
-    def _read_v1_header(self) -> None:
-        """Parse the version-1 settings header (pyblaz-only legacy layout)."""
-        # v1 settings header: type codes + block geometry (identical encoding to
-        # the one-shot codec, minus the array shape, which lives in the footer)
-        self.codec_name = "pyblaz"
-        fixed = self._handle.read(4)
-        float_format, index_dtype, transform, ndim, _ = unpack_type_codes(fixed, 0)
-        geometry = self._handle.read(8 * ndim + 4)
-        (mask_nbytes,) = struct.unpack_from("<I", geometry, 8 * ndim)
-        geometry += self._handle.read(mask_nbytes)
-        self._settings, _ = unpack_block_geometry(
-            geometry, 0, ndim, float_format, index_dtype, transform
-        )
-        self._settings_resolved = True
 
     def _read_table(self) -> None:
         """Seek to the trailer, then read and validate the chunk table footer."""
@@ -551,32 +497,19 @@ class CompressedStore(ReadSurface):
         try:
             (n_chunks,) = struct.unpack_from("<Q", footer, 0)
             pos = 8
-            # (offset, n_bytes | None, n_rows, row_start, crc | None); v1
-            # derives byte counts from the settings instead of storing them,
-            # and only v3 records per-chunk checksums
-            self._chunks: list[tuple[int, int | None, int, int, int | None]] = []
+            # (offset, n_bytes, n_rows, row_start, crc) per chunk record
+            self._chunks: list[tuple[int, int, int, int, int]] = []
             row_start = 0
             for _ in range(n_chunks):
-                crc: int | None = None
-                if self.version == 1:
-                    offset, n_rows = struct.unpack_from("<QQ", footer, pos)
-                    pos += 16
-                    n_bytes: int | None = None
-                elif self.version == 2:
-                    offset, n_bytes, n_rows = struct.unpack_from("<QQQ", footer, pos)
-                    pos += 24
-                else:
-                    offset, n_bytes, n_rows, crc = struct.unpack_from("<QQQI", footer, pos)
-                    pos += 28
+                offset, n_bytes, n_rows, crc = struct.unpack_from("<QQQI", footer, pos)
+                pos += 28
                 self._chunks.append((offset, n_bytes, n_rows, row_start, crc))
                 row_start += n_rows
-            if self.version == 1:
-                ndim = self._settings.ndim
-            else:
-                (ndim,) = struct.unpack_from("<Q", footer, pos)
-                pos += 8
+            (ndim,) = struct.unpack_from("<Q", footer, pos)
+            pos += 8
             self.shape = tuple(struct.unpack_from(f"<{ndim}Q", footer, pos))
             pos += 8 * ndim
+            (table_crc,) = struct.unpack_from("<I", footer, pos)
         except struct.error as exc:
             # garbled counts/offsets make the footer unparseable before the
             # checksum can even be located — still a typed integrity failure
@@ -584,16 +517,14 @@ class CompressedStore(ReadSurface):
                 f"chunk table of store {self.path} is garbled ({exc})",
                 path=str(self.path),
             ) from exc
-        if self.version >= 3:
-            (table_crc,) = struct.unpack_from("<I", footer, pos)
-            computed = zlib.crc32(footer[:pos], zlib.crc32(self._header_bytes))
-            if computed != table_crc:
-                raise IntegrityError(
-                    f"chunk table of store {self.path} failed its checksum "
-                    f"(stored 0x{table_crc:08x}, computed 0x{computed:08x}); "
-                    "the header or footer bytes are corrupt",
-                    path=str(self.path),
-                )
+        computed = zlib.crc32(footer[:pos], zlib.crc32(self._header_bytes))
+        if computed != table_crc:
+            raise IntegrityError(
+                f"chunk table of store {self.path} failed its checksum "
+                f"(stored 0x{table_crc:08x}, computed 0x{computed:08x}); "
+                "the header or footer bytes are corrupt",
+                path=str(self.path),
+            )
         if self.shape[0] != row_start:
             raise CodecError(
                 f"corrupt chunk table: chunk rows sum to {row_start}, "
@@ -612,38 +543,14 @@ class CompressedStore(ReadSurface):
         return tuple(rows for _, _, rows, _, _ in self._chunks)
 
     @property
-    def settings(self) -> CompressionSettings | None:
-        """Shared pyblaz-family settings, or ``None`` for other codecs' stores."""
-        if not self._settings_resolved:
-            # v2 stores carry settings inside each (self-describing) pyblaz
-            # chunk stream; peek at chunk 0 without counting it as read — but
-            # only for pyblaz-family codecs, so other codecs' stores never pay
-            # for a chunk decode just to learn there are no settings
-            if issubclass(get_codec_class(self.codec_name), PyBlazCodec):
-                chunk = self._decode_chunk(0)
-                self._settings = getattr(chunk, "settings", None)
-            self._settings_resolved = True
-        return self._settings
+    def settings(self) -> CompressionSettings:
+        """The shared settings, from chunk 0's self-describing record.
 
-    @property
-    def dtype(self) -> np.dtype:
-        """Element dtype that chunk decompression produces for this store.
-
-        Pyblaz-family stores (and the other built-in lossy codecs) reconstruct
-        float64 by contract (:meth:`repro.core.Compressor.decompress`); codecs
-        that preserve the source dtype (huffman) declare it on their decoded
-        chunk objects, which is recovered from chunk 0's record without
-        decompressing anything.  :meth:`load_region` uses this so empty and
-        non-empty selections agree on dtype.
+        Peeks at chunk 0 without counting it as read; memoized.
         """
-        if self._dtype is None:
-            if self.settings is not None:
-                self._dtype = np.dtype(np.float64)
-            else:
-                declared = getattr(self._decode_chunk(0), "dtype", None)
-                self._dtype = (np.dtype(declared) if declared is not None
-                               else np.dtype(np.float64))
-        return self._dtype
+        if self._settings is None:
+            self._settings = self._decode_chunk(0).settings
+        return self._settings
 
     # ------------------------------------------------------------------ chunk access
     def _read_record(self, offset: int, n_bytes: int) -> bytes:
@@ -689,32 +596,23 @@ class CompressedStore(ReadSurface):
         with self._lock:
             self.chunks_read += 1
 
-    def _record_extent(self, index: int) -> tuple[int, int, int | None]:
-        """Chunk ``index``'s file extent as ``(offset, n_bytes, crc | None)``.
+    def _record_extent(self, index: int) -> tuple[int, int, int]:
+        """Chunk ``index``'s file extent as ``(offset, n_bytes, crc)``.
 
-        Version-1 stores derive the byte count from the shared settings (the
-        table stores only offsets); v2 records have no checksum.  This is what
-        the span coalescer groups on.
+        This is what the span coalescer groups on.
         """
-        offset, n_bytes, n_rows, _, crc = self._chunks[index]
-        if n_bytes is None:  # v1: byte count derives from the settings
-            settings = self._settings
-            chunk_shape = (n_rows,) + self.shape[1:]
-            n_blocks = settings.n_blocks(chunk_shape)
-            n_bytes = float_bytes(n_blocks, settings.float_format) + (
-                n_blocks * settings.kept_per_block * settings.index_dtype.itemsize
-            )
+        offset, n_bytes, _, _, crc = self._chunks[index]
         return offset, n_bytes, crc
 
     def _read_verified(self, span: list[tuple], payloads: dict) -> dict:
         """One read attempt over ``span``'s contiguous records, checked per chunk.
 
-        ``span`` holds ``(index, offset, n_bytes, crc | None)`` records laid
-        out back to back.  Fault-injection hooks fire per chunk index, one
-        positional read covers the span, and each record's version-3 CRC is
-        verified before it lands in ``payloads`` — so a failure raises
-        :class:`IntegrityError` (or the read's ``OSError``) with the records
-        before it already in place.  Returns ``payloads``.
+        ``span`` holds ``(index, offset, n_bytes, crc)`` records laid out back
+        to back.  Fault-injection hooks fire per chunk index, one positional
+        read covers the span, and each record's CRC is verified before it
+        lands in ``payloads`` — so a failure raises :class:`IntegrityError`
+        (or the read's ``OSError``) with the records before it already in
+        place.  Returns ``payloads``.
         """
         path = str(self.path)
         plan = faults.active_plan()
@@ -727,7 +625,7 @@ class CompressedStore(ReadSurface):
             piece = data[offset - span_offset: offset - span_offset + n_bytes]
             if plan is not None:
                 piece = plan.corrupt_record(path, index, piece)
-            if crc is not None and (len(piece) != n_bytes or zlib.crc32(piece) != crc):
+            if len(piece) != n_bytes or zlib.crc32(piece) != crc:
                 raise IntegrityError(
                     f"chunk {index} of store {path} failed its checksum "
                     f"({len(piece)} of {n_bytes} bytes read)",
@@ -738,10 +636,10 @@ class CompressedStore(ReadSurface):
         return payloads
 
     def read_payload(self, index: int) -> bytes:
-        """Read (and for v3, verify) chunk ``index``'s raw record bytes.
+        """Read and verify chunk ``index``'s raw record bytes.
 
         This is the one seam every per-chunk read goes through: fault-injection
-        hooks fire here, version-3 checksums are verified here, and transient
+        hooks fire here, checksums are verified here, and transient
         failures — an ``OSError``, or a checksum mismatch a re-read could
         clear — are retried per :attr:`retry_policy`.  The verify/repair CLI
         also uses it to copy good records verbatim.
@@ -806,9 +704,7 @@ class CompressedStore(ReadSurface):
         consumer thread without re-reading.
         """
         try:
-            if self.version == 1:
-                return self._decode_v1_payload(index, data)
-            return get_codec_class(self.codec_name).from_bytes(data)
+            return PyBlazCodec.from_bytes(data)
         except CodecError:
             raise
         except DECODE_ERRORS as exc:
@@ -818,31 +714,8 @@ class CompressedStore(ReadSurface):
                 f"corrupt chunk {index} in {self.codec_name} store: {exc}"
             ) from exc
 
-    def _decode_v1_payload(self, index: int, data: bytes) -> CompressedArray:
-        """Decode a raw version-1 maxima/indices record into a chunk array."""
-        settings = self._settings
-        n_rows = self._chunks[index][2]
-        chunk_shape = (n_rows,) + self.shape[1:]
-        n_blocks = settings.n_blocks(chunk_shape)
-        maxima_nbytes = float_bytes(n_blocks, settings.float_format)
-        indices_nbytes = n_blocks * settings.kept_per_block * settings.index_dtype.itemsize
-        maxima = unpack_floats(data[:maxima_nbytes], n_blocks, settings.float_format)
-        maxima = maxima.reshape(settings.block_grid_shape(chunk_shape))
-        indices = np.frombuffer(
-            data,
-            dtype=settings.index_dtype.newbyteorder("<"),
-            count=n_blocks * settings.kept_per_block,
-            offset=maxima_nbytes,
-        )
-        indices = indices.astype(settings.index_dtype).reshape(
-            n_blocks, settings.kept_per_block
-        )
-        return CompressedArray(
-            settings=settings, shape=chunk_shape, maxima=maxima, indices=indices
-        )
-
     def read_chunk(self, index: int):
-        """Decode chunk ``index`` into the codec's compressed object of its slab.
+        """Decode chunk ``index`` into the :class:`CompressedArray` of its slab.
 
         With a :attr:`chunk_cache` attached, a cached decode is reused instead
         of re-parsing the record; ``chunks_read`` counts the logical read
@@ -871,10 +744,9 @@ class CompressedStore(ReadSurface):
         self._handle.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        described = self.settings.describe() if self.settings is not None else "-"
         return (
             f"CompressedStore(shape={self.shape}, chunks={self.n_chunks}, "
-            f"codec={self.codec_name}, {described})"
+            f"{self.settings.describe()})"
         )
 
 

@@ -1,7 +1,11 @@
-"""End-to-end ``--codec`` coverage: every registered codec through the CLI, the
-``codecs`` listing, the CodecError exit code, and version-1 store compatibility."""
+"""End-to-end ``--codec`` coverage: every registered codec through the one-shot
+CLI, the pyblaz store through the streaming CLI, the ``codecs`` listing, the
+CodecError exit code, and the rejection of every store file this reader does
+not read (format v1 and v2 files, stores of another codec)."""
 
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -10,7 +14,9 @@ from repro.cli import main
 from repro.codecs import available_codecs, get_codec
 from repro.core import CompressionSettings, Compressor
 from repro.core.codec import pack_block_geometry, pack_floats, pack_type_codes
-from repro.streaming import ChunkedCompressor, CompressedStore, stream_compress
+from repro.core.exceptions import CodecError
+from repro.streaming import ChunkedCompressor, init_sharded_store, open_store
+from repro.streaming.sharded import MANIFEST_NAME
 from tests.conftest import smooth_field
 
 EXTRA_FLAGS = {
@@ -30,6 +36,12 @@ def npy_in(tmp_path, field):
     path = tmp_path / "in.npy"
     np.save(path, field)
     return path
+
+
+@pytest.fixture
+def settings() -> CompressionSettings:
+    return CompressionSettings(block_shape=(4, 4), float_format="float32",
+                               index_dtype="int16")
 
 
 @pytest.mark.parametrize("codec_name", available_codecs())
@@ -53,30 +65,31 @@ class TestEveryCodecThroughTheCLI:
         error = np.abs(restored - field).max()
         assert error <= get_codec(codec_name).roundtrip_bound(field) + 1e-9
 
-    def test_stream_roundtrip(self, tmp_path, npy_in, field, codec_name, capsys):
-        store = tmp_path / f"out.{codec_name}.pblzc"
-        npy_out = tmp_path / "back.npy"
-        flags = ["--codec", codec_name] + EXTRA_FLAGS.get(codec_name, [])
 
-        assert main(["stream-compress", str(npy_in), str(store), *flags,
+class TestPyblazStoreThroughTheCLI:
+    def test_stream_roundtrip(self, tmp_path, npy_in, field, capsys):
+        store = tmp_path / "out.pblzc"
+        npy_out = tmp_path / "back.npy"
+
+        assert main(["stream-compress", str(npy_in), str(store), "--block", "4,4",
                      "--slab-rows", "8"]) == 0
         assert "chunks: 3" in capsys.readouterr().out  # ceil(24 / 8)
 
         assert main(["info", str(store)]) == 0
         info_out = capsys.readouterr().out
-        assert f"codec: {codec_name}" in info_out and "rows per chunk: 8, 8, 8" in info_out
+        assert "codec: pyblaz (store format v3)" in info_out
+        assert "rows per chunk: 8, 8, 8" in info_out
 
         assert main(["stream-decompress", str(store), str(npy_out)]) == 0
         restored = np.load(npy_out)
         assert restored.shape == field.shape
         error = np.abs(restored - field).max()
-        assert error <= get_codec(codec_name).roundtrip_bound(field) + 1e-9
+        assert error <= get_codec("pyblaz").roundtrip_bound(field) + 1e-9
 
-    def test_region_decompress(self, tmp_path, npy_in, field, codec_name, capsys):
+    def test_region_decompress(self, tmp_path, npy_in, field, capsys):
         store = tmp_path / "out.pblzc"
         region_out = tmp_path / "region.npy"
-        flags = ["--codec", codec_name] + EXTRA_FLAGS.get(codec_name, [])
-        assert main(["stream-compress", str(npy_in), str(store), *flags,
+        assert main(["stream-compress", str(npy_in), str(store), "--block", "4,4",
                      "--slab-rows", "8"]) == 0
         assert main(["stream-decompress", str(store), str(region_out),
                      "--region", "9:15,2:11"]) == 0
@@ -84,7 +97,7 @@ class TestEveryCodecThroughTheCLI:
         region = np.load(region_out)
         assert region.shape == (6, 9)
         error = np.abs(region - field[9:15, 2:11]).max()
-        assert error <= get_codec(codec_name).roundtrip_bound(field) + 1e-9
+        assert error <= get_codec("pyblaz").roundtrip_bound(field) + 1e-9
 
 
 class TestCodecsListing:
@@ -140,8 +153,8 @@ class TestCodecErrorExitCode:
         assert "corrupt or truncated" in capsys.readouterr().err
 
     def test_corrupt_store_chunk_exits_3(self, tmp_path, npy_in, capsys):
-        store = tmp_path / "out.szc"
-        assert main(["stream-compress", str(npy_in), str(store), "--codec", "sz"]) == 0
+        store = tmp_path / "out.pblzc"
+        assert main(["stream-compress", str(npy_in), str(store), "--block", "4,4"]) == 0
         capsys.readouterr()
         data = bytearray(store.read_bytes())
         for i in range(30, 60):  # flip bytes inside the first chunk payload
@@ -149,16 +162,16 @@ class TestCodecErrorExitCode:
         store.write_bytes(bytes(data))
         code = main(["stream-decompress", str(store), str(tmp_path / "o.npy")])
         assert code == 3
-        assert "corrupt" in capsys.readouterr().err
+        assert "chunk 0" in capsys.readouterr().err
         # the region path classifies it the same way, not as an invalid region
         code = main(["stream-decompress", str(store), str(tmp_path / "o.npy"),
                      "--region", "0:8"])
         assert code == 3
-        assert "corrupt" in capsys.readouterr().err
+        assert "chunk 0" in capsys.readouterr().err
 
 
 def _write_v1_store(path, settings: CompressionSettings, chunks) -> None:
-    """Emit the pre-refactor version-1 store layout byte for byte (settings
+    """Emit the retired version-1 store layout byte for byte (settings
     header, raw maxima/indices records, (offset, n_rows) chunk table)."""
     with open(path, "wb") as handle:
         handle.write(b"PBLZC" + struct.pack("<B", 1))
@@ -186,7 +199,7 @@ def _write_v1_store(path, settings: CompressionSettings, chunks) -> None:
 
 
 def _write_v2_store(path, codec, chunks) -> None:
-    """Emit the pre-checksum version-2 store layout byte for byte (codec name
+    """Emit the retired version-2 store layout byte for byte (codec name
     header, self-describing records, (offset, n_bytes, n_rows) chunk table)."""
     name = codec.name.encode("ascii")
     with open(path, "wb") as handle:
@@ -209,78 +222,106 @@ def _write_v2_store(path, codec, chunks) -> None:
         handle.write(footer)
 
 
-class TestStoreFormatCompatibility:
-    def test_v1_store_reads_bit_identically(self, tmp_path, field):
-        """A pre-refactor (version 1) store still loads: same chunks, same array."""
-        settings = CompressionSettings(block_shape=(4, 4), float_format="float32",
-                                       index_dtype="int16")
-        compressor = Compressor(settings)
-        slabs = [field[0:8], field[8:16], field[16:24]]
-        chunks = [compressor.compress(slab) for slab in slabs]
-        path = tmp_path / "legacy.pblzc"
-        _write_v1_store(path, settings, chunks)
+def _write_v3_store(path, codec, chunks) -> None:
+    """Emit the version-3 store layout byte for byte under ``codec``'s name
+    (codec name header, self-describing records, (offset, n_bytes, n_rows,
+    crc32) chunk table, table CRC over header and footer body)."""
+    name = codec.name.encode("ascii")
+    header = b"PBLZC" + struct.pack("<BB", 3, len(name)) + name
+    with open(path, "wb") as handle:
+        handle.write(header)
+        table = []
+        for chunk in chunks:
+            offset = handle.tell()
+            payload = codec.to_bytes(chunk)
+            handle.write(payload)
+            table.append((offset, len(payload), chunk.shape[0], zlib.crc32(payload)))
+        footer_offset = handle.tell()
+        footer = struct.pack("<Q", len(table))
+        for entry in table:
+            footer += struct.pack("<QQQI", *entry)
+        shape = (sum(entry[2] for entry in table),) + tuple(chunks[0].shape[1:])
+        footer += struct.pack(f"<Q{len(shape)}Q", len(shape), *shape)
+        footer += struct.pack("<I", zlib.crc32(footer, zlib.crc32(header)))
+        footer += struct.pack("<Q", footer_offset) + b"PBLZE"
+        handle.write(footer)
 
-        with CompressedStore(path) as store:
-            assert store.version == 1
-            assert store.codec_name == "pyblaz"
-            assert store.shape == field.shape
-            assert store.chunk_rows == (8, 8, 8)
-            assert store.settings.describe() == settings.describe()
-            reference = compressor.compress(field)
-            assembled = store.load_compressed()
-            assert np.array_equal(assembled.maxima, reference.maxima)
-            assert np.array_equal(assembled.indices, reference.indices)
-            assert np.array_equal(store.load(), compressor.decompress(reference))
 
-    def test_v1_store_through_the_cli(self, tmp_path, field):
-        settings = CompressionSettings(block_shape=(4, 4), float_format="float32",
-                                       index_dtype="int16")
-        chunks = [Compressor(settings).compress(field[i : i + 8]) for i in (0, 8, 16)]
-        path = tmp_path / "legacy.pblzc"
-        _write_v1_store(path, settings, chunks)
-        out = tmp_path / "back.npy"
-        assert main(["stream-decompress", str(path), str(out)]) == 0
-        expected = Compressor(settings).decompress(Compressor(settings).compress(field))
-        assert np.array_equal(np.load(out), expected)
+def _slabs(field):
+    return [field[i : i + 8] for i in (0, 8, 16)]
 
-    def test_current_store_records_codec_name(self, tmp_path, field):
-        settings = CompressionSettings(block_shape=(4, 4), float_format="float32",
-                                       index_dtype="int16")
+
+def _outside_store(kind, tmp_path, field, settings):
+    """A store this reader must refuse, and the pattern its error names."""
+    if kind == "v1":
+        path = tmp_path / "v1.pblzc"
+        _write_v1_store(path, settings, [Compressor(settings).compress(slab)
+                                         for slab in _slabs(field)])
+        return path, "format v1"
+    if kind == "v2":
+        codec = get_codec("pyblaz", settings=settings)
+        path = tmp_path / "v2.pblzc"
+        _write_v2_store(path, codec, [codec.compress(slab) for slab in _slabs(field)])
+        return path, "format v2"
+    if kind == "v3-huffman":
+        codec = get_codec("huffman")
+        path = tmp_path / "huffman.pblzc"
+        _write_v3_store(path, codec, [codec.compress(slab) for slab in _slabs(field)])
+        return path, "'huffman'"
+    path = tmp_path / "huffman.shards"
+    init_sharded_store(path, field, settings, slab_rows=8).close()
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    manifest["codec"] = "huffman"
+    (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+    return path, "'huffman'"
+
+
+OUTSIDE_KINDS = ("v1", "v2", "v3-huffman", "sharded-huffman")
+
+
+class TestStoreFormat:
+    def test_current_store_records_codec_name(self, tmp_path, field, settings):
         with ChunkedCompressor(settings, slab_rows=8).compress_to_store(
             field, tmp_path / "v3.pblzc"
         ) as store:
             assert store.version == 3
             assert store.codec_name == "pyblaz"
-            assert store.settings is not None
+            assert store.settings.describe() == settings.describe()
 
-    def test_v2_store_reads_bit_identically(self, tmp_path, field):
-        """A pre-checksum (version 2) store still loads: same chunks, same array."""
-        settings = CompressionSettings(block_shape=(4, 4), float_format="float32",
-                                       index_dtype="int16")
+    def test_writer_emits_the_v3_layout_byte_for_byte(self, tmp_path, field, settings):
+        written = tmp_path / "written.pblzc"
+        ChunkedCompressor(settings, slab_rows=8).compress_to_store(field, written).close()
+        laid_out = tmp_path / "laid_out.pblzc"
         codec = get_codec("pyblaz", settings=settings)
-        chunks = [codec.compress(field[i : i + 8]) for i in (0, 8, 16)]
-        path = tmp_path / "legacy2.pblzc"
-        _write_v2_store(path, codec, chunks)
+        _write_v3_store(laid_out, codec, [Compressor(settings).compress(slab)
+                                          for slab in _slabs(field)])
+        assert written.read_bytes() == laid_out.read_bytes()
 
-        with CompressedStore(path) as store:
-            assert store.version == 2
-            assert store.codec_name == "pyblaz"
-            assert store.shape == field.shape
-            assert store.chunk_rows == (8, 8, 8)
-            expected = codec.decompress(codec.compress(field))
-            assert np.array_equal(store.load(), expected)
 
-    def test_v2_store_holds_any_registered_codec(self, tmp_path, field):
-        for name in available_codecs():
-            path = tmp_path / f"{name}.pblzc"
-            with stream_compress(field, path, name, slab_rows=8) as store:
-                assert store.codec_name == name
-                assert store.chunk_rows[0] == 8
-                restored = store.load()
-                bound = get_codec(name).roundtrip_bound(field)
-                assert np.abs(restored - field).max() <= bound + 1e-9
+@pytest.mark.parametrize("kind", OUTSIDE_KINDS)
+class TestOutsideStoresAreRejected:
+    """Stores hold pyblaz chunks in format v3 only; anything else is refused
+    with a :class:`CodecError` naming the version or codec it found."""
 
-    def test_load_compressed_rejects_non_pyblaz_stores(self, tmp_path, field):
-        with stream_compress(field, tmp_path / "z.pblzc", "zfp", slab_rows=8) as store:
-            with pytest.raises(ValueError, match="pyblaz chunks"):
-                store.load_compressed()
+    def test_opening_raises_naming_what_was_found(self, tmp_path, field, settings,
+                                                  kind):
+        path, found = _outside_store(kind, tmp_path, field, settings)
+        with pytest.raises(CodecError, match=found):
+            open_store(path)
+
+    @pytest.mark.parametrize("command", [
+        ["stream-decompress", "{path}", "{out}"],
+        ["stream-decompress", "{path}", "{out}", "--region", "0:8"],
+        ["info", "{path}"],
+        ["verify-store", "{path}"],
+        ["stream-ops", "mean", "{path}"],
+    ])
+    def test_cli_exits_3_naming_what_was_found(self, tmp_path, field, settings,
+                                               capsys, kind, command):
+        path, found = _outside_store(kind, tmp_path, field, settings)
+        out = tmp_path / "out.npy"
+        argv = [part.format(path=path, out=out) for part in command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert found.strip("'") in captured.out + captured.err
+        assert not out.exists()

@@ -44,7 +44,6 @@ class TestParser:
         ["stream-compress", "in.npy", "out.pblzc", "--workers", "0"],
         ["stream-compress", "in.npy", "out.pblzc", "--workers", "-2"],
         ["stream-compress", "in.npy", "out.pblzc", "--slab-rows", "0"],
-        ["stream-compress", "in.npy", "out.zfpc", "--codec", "zfp", "--slab-rows", "0"],
         ["shard-init", "in.npy", "out.shards", "--slab-rows", "0"],
         ["shard-append", "out.shards", "in.npy", "--slab-rows", "-1"],
         ["stream-compress", "in.npy", "out.pblzc", "--slab-rows", "many"],
@@ -146,18 +145,19 @@ class TestBackendOptions:
         assert code == 2
         assert "--backend applies to the pyblaz codec" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("codec", ["zfp", "sz"])
-    def test_workers_on_non_pyblaz_stream_is_usage_error(self, tmp_path, capsys, codec):
-        npy_in, store = tmp_path / "in.npy", tmp_path / "o.store"
+    @pytest.mark.parametrize("command", ["stream-compress", "shard-init"])
+    @pytest.mark.parametrize("flags", [["--codec", "zfp"], ["--bits", "16"],
+                                       ["--error-bound", "1e-6"], ["--levels", "4"]])
+    def test_stores_take_no_codec_options(self, tmp_path, capsys, command, flags):
+        """Stores hold pyblaz chunks only: the codec selector and the other
+        codecs' knobs belong to the one-shot `compress`."""
+        npy_in, target = tmp_path / "in.npy", tmp_path / "o.store"
         np.save(npy_in, smooth_field((16, 16), seed=5))
-        code = main(["stream-compress", str(npy_in), str(store), "--codec", codec,
-                     "--workers", "4"])
-        assert code == 2
-        assert "--workers applies to the pyblaz codec" in capsys.readouterr().err
-        assert not store.exists()
-        # one worker is the default and stays accepted for every codec
-        assert main(["stream-compress", str(npy_in), str(store), "--codec", codec,
-                     "--workers", "1"]) == 0
+        with pytest.raises(SystemExit) as info:
+            main([command, str(npy_in), str(target), *flags])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_unavailable_backend_exits_with_codec_error(self, tmp_path, capsys):
         from repro.kernels import backend_is_available
@@ -249,17 +249,6 @@ class TestStreamOpsCommand:
         capsys.readouterr()
         assert main(["stream-ops", "dot", str(store_a), str(other)]) == 2
         assert "chunked differently" in capsys.readouterr().err
-
-    def test_non_pyblaz_store_is_codec_error(self, store_pair, tmp_path, capsys):
-        store_a, *_ = store_pair
-        npy = tmp_path / "h.npy"
-        np.save(npy, smooth_field((16, 16), seed=9))
-        huff = tmp_path / "h.store"
-        assert main(["stream-compress", str(npy), str(huff), "--codec", "huffman",
-                     "--slab-rows", "8"]) == 0
-        capsys.readouterr()
-        assert main(["stream-ops", "mean", str(huff)]) == 3
-        assert "huffman" in capsys.readouterr().err
 
 
 class TestStreamOpsEvaluateAndJson:

@@ -13,7 +13,6 @@ from repro.codecs import (
     register_codec,
 )
 from repro.codecs.registry import _REGISTRY
-from repro.core import CompressionSettings
 from repro.core.errors import CodecError
 from tests.conftest import smooth_field
 
@@ -142,13 +141,6 @@ class TestProtocolValidation:
         for name in ("blaz", "zfp", "sz", "huffman"):
             with pytest.raises(CodecError, match="bad magic"):
                 get_codec_class(name).from_bytes(b"XXXXXXXXXXXXXXXX")
-
-    def test_chunk_row_multiple(self):
-        settings = CompressionSettings(block_shape=(8, 8), float_format="float32",
-                                       index_dtype="int16")
-        assert get_codec("pyblaz", settings=settings).chunk_row_multiple == 8
-        assert get_codec("pyblaz").chunk_row_multiple == 4
-        assert get_codec("zfp").chunk_row_multiple == 1
 
     def test_measured_ratio_matches_serialized_size(self):
         field = smooth_field((24, 24), seed=5)

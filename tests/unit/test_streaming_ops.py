@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import CompressionSettings, Compressor, ops
-from repro.core.exceptions import CodecError
 from repro.core.ops import folds
-from repro.streaming import ChunkedCompressor, stream_compress
+from repro.streaming import ChunkedCompressor
 from repro.streaming import ops as stream_ops
 from tests.conftest import smooth_field
 
@@ -113,13 +112,6 @@ class TestScalarOps:
         with a, b:
             with pytest.raises(ValueError, match="chunk"):
                 stream_ops.dot(a, b)
-
-    def test_non_pyblaz_store_rejected(self, tmp_path, fields):
-        with stream_compress(
-            fields[0], tmp_path / "h.store", "huffman", slab_rows=8
-        ) as store:
-            with pytest.raises(CodecError, match="huffman"):
-                stream_ops.mean(store)
 
 
 class TestStructuralOps:
