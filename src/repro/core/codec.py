@@ -22,6 +22,7 @@ alone, which the file-level round-trip tests exercise.
 
 from __future__ import annotations
 
+import math
 import struct
 from functools import lru_cache
 
@@ -52,6 +53,11 @@ __all__ = [
 
 _MAGIC = b"PBLZ"
 _VERSION = 2
+#: Every stream opens with the magic and the version byte.
+_PREFIX = _MAGIC + bytes([_VERSION])
+_PREFIX_BYTES = len(_PREFIX)
+#: Offset of the dimensionality byte, after the prefix and three type codes.
+_NDIM_AT = _PREFIX_BYTES + 3
 
 _FLOAT_CODES: dict[str, int] = {"bfloat16": 0, "float16": 1, "float32": 2, "float64": 3}
 _FLOAT_BY_CODE: dict[int, FloatFormat] = {0: BFLOAT16, 1: FLOAT16, 2: FLOAT32, 3: FLOAT64}
@@ -64,6 +70,15 @@ _INDEX_BY_CODE: dict[int, np.dtype] = {
 }
 _TRANSFORM_CODES: dict[str, int] = {"dct": 0, "haar": 1, "identity": 2}
 _TRANSFORM_BY_CODE = {v: k for k, v in _TRANSFORM_CODES.items()}
+#: Wire dtype of packed floats per format; bfloat16 keeps the upper half of
+#: each float32's bits (:func:`pack_floats`).
+_BFLOAT16_WIRE = np.dtype("<u2")
+_WIRE_FLOATS: dict[str, np.dtype] = {
+    "bfloat16": _BFLOAT16_WIRE,
+    "float16": np.dtype("<f2"),
+    "float32": np.dtype("<f4"),
+    "float64": np.dtype("<f8"),
+}
 
 
 # --------------------------------------------------------------------------- accounting
@@ -133,34 +148,25 @@ def asymptotic_compression_ratio(
 # --------------------------------------------------------------------------- float packing
 def pack_floats(values: np.ndarray, fmt: FloatFormat) -> bytes:
     """Pack float64 values into the working format's storage width."""
+    wire = _WIRE_FLOATS.get(fmt.name)
+    if wire is None:  # pragma: no cover - defensive
+        raise ValueError(f"unsupported float format {fmt}")
     values = np.asarray(values, dtype=np.float64).ravel()
-    if fmt.name == "float64":
-        return values.astype("<f8").tobytes()
-    if fmt.name == "float32":
-        return values.astype("<f4").tobytes()
-    if fmt.name == "float16":
-        return values.astype("<f2").tobytes()
-    if fmt.name == "bfloat16":
-        as32 = values.astype(np.float32)
-        bits = as32.view(np.uint32)
-        upper = (bits >> np.uint32(16)).astype("<u2")
-        return upper.tobytes()
-    raise ValueError(f"unsupported float format {fmt}")  # pragma: no cover - defensive
+    if wire is _BFLOAT16_WIRE:
+        bits = values.astype(np.float32).view(np.uint32)
+        return (bits >> np.uint32(16)).astype(wire).tobytes()
+    return values.astype(wire).tobytes()
 
 
-def unpack_floats(data: bytes, count: int, fmt: FloatFormat) -> np.ndarray:
-    """Inverse of :func:`pack_floats`, returning float64 values."""
-    if fmt.name == "float64":
-        return np.frombuffer(data, dtype="<f8", count=count).astype(np.float64)
-    if fmt.name == "float32":
-        return np.frombuffer(data, dtype="<f4", count=count).astype(np.float64)
-    if fmt.name == "float16":
-        return np.frombuffer(data, dtype="<f2", count=count).astype(np.float64)
-    if fmt.name == "bfloat16":
-        upper = np.frombuffer(data, dtype="<u2", count=count).astype(np.uint32)
-        bits = upper << np.uint32(16)
-        return bits.view(np.float32).astype(np.float64)
-    raise ValueError(f"unsupported float format {fmt}")  # pragma: no cover - defensive
+def unpack_floats(data: bytes, count: int, fmt: FloatFormat, offset: int = 0) -> np.ndarray:
+    """Inverse of :func:`pack_floats`: ``count`` values at ``offset``, as float64."""
+    wire = _WIRE_FLOATS.get(fmt.name)
+    if wire is None:  # pragma: no cover - defensive
+        raise ValueError(f"unsupported float format {fmt}")
+    values = np.frombuffer(data, wire, count, offset)
+    if wire is _BFLOAT16_WIRE:
+        values = (values.astype(np.uint32) << np.uint32(16)).view(np.float32)
+    return values.astype(np.float64)
 
 
 def float_bytes(count: int, fmt: FloatFormat) -> int:
@@ -243,10 +249,16 @@ def _settings_from_geometry(
 ) -> CompressionSettings:
     """Build the settings one packed geometry header describes (bounded memo)."""
     block_shape = struct.unpack_from(f"<{ndim}Q", geometry, 0)
+    block_size = math.prod(block_shape)
+    if mask_nbytes != -(-block_size // 8):
+        # checked before unpacking: a corrupt extent must not size the mask
+        raise CodecError(
+            f"corrupt block geometry: a {mask_nbytes}-byte pruning mask for "
+            f"blocks of {block_size} coefficients"
+        )
     mask_bits = np.frombuffer(
         geometry, dtype=np.uint8, count=mask_nbytes, offset=8 * ndim + 4
     )
-    block_size = int(np.prod(block_shape))
     mask = np.unpackbits(mask_bits, count=block_size).astype(bool).reshape(block_shape)
     return CompressionSettings(
         block_shape=block_shape,
@@ -278,7 +290,24 @@ def serialize(compressed: CompressedArray) -> bytes:
 
 
 def deserialize(data: bytes) -> CompressedArray:
-    """Reconstruct a :class:`CompressedArray` from bytes produced by :func:`serialize`."""
+    """Reconstruct a :class:`CompressedArray` from bytes produced by :func:`serialize`.
+
+    The header — type codes, shape, block geometry — is parsed and checked
+    once per distinct header bytes (:func:`_record_layout`); every stream
+    repeating it, as the chunk records of one store do, decodes by offsets
+    alone.  The returned arrays are fresh copies, owned and writable.
+    """
+    if data[:_PREFIX_BYTES] != _PREFIX:
+        _reject_prefix(data)
+    (ndim,) = struct.unpack_from("<B", data, _NDIM_AT)
+    mask_at = _NDIM_AT + 1 + 16 * ndim
+    (mask_nbytes,) = struct.unpack_from("<I", data, mask_at)
+    layout = _record_layout(bytes(data[_PREFIX_BYTES:mask_at + 4 + mask_nbytes]))
+    return layout.decode(data)
+
+
+def _reject_prefix(data: bytes) -> None:
+    """Raise the :class:`CodecError` for a stream not opening with ``PBLZ`` v2."""
     if data[:5] == _MAGIC + b"C":
         # the chunked-store magic "PBLZC" shares this format's "PBLZ" prefix;
         # catch it here so the error names the right tool instead of reporting a
@@ -289,32 +318,67 @@ def deserialize(data: bytes) -> CompressedArray:
         )
     if data[:4] != _MAGIC:
         raise CodecError("not a PyBlaz compressed stream (bad magic)")
-    offset = 4
-    (version,) = struct.unpack_from("<B", data, offset)
-    offset += 1
-    if version != _VERSION:
-        raise CodecError(f"unsupported stream version {version}")
-    float_format, index_dtype, transform, ndim, offset = unpack_type_codes(data, offset)
-    shape = struct.unpack_from(f"<{ndim}Q", data, offset)
-    offset += 8 * ndim
-    settings, offset = unpack_block_geometry(
-        data, offset, ndim, float_format, index_dtype, transform
-    )
+    (version,) = struct.unpack_from("<B", data, len(_MAGIC))
+    raise CodecError(f"unsupported stream version {version}")
 
-    n_blocks = settings.n_blocks(shape)
-    maxima_nbytes = float_bytes(n_blocks, float_format)
-    maxima = unpack_floats(data[offset : offset + maxima_nbytes], n_blocks, float_format)
-    offset += maxima_nbytes
-    maxima = maxima.reshape(settings.block_grid_shape(shape))
 
-    kept = settings.kept_per_block
-    indices_count = n_blocks * kept
-    indices = np.frombuffer(
-        data, dtype=index_dtype.newbyteorder("<"), count=indices_count, offset=offset
-    )
-    indices = indices.astype(index_dtype).reshape(n_blocks, kept)
+class _RecordLayout:
+    """What one stream header describes, and where its payload lies.
 
-    return CompressedArray(settings=settings, shape=shape, maxima=maxima, indices=indices)
+    Parsing the header validates it: the settings are built (and checked) by
+    :func:`unpack_block_geometry`, and the shape against them by
+    :meth:`CompressionSettings.geometry`, which raises for a dimensionality
+    mismatch or a non-positive extent.  Every array :meth:`decode` builds
+    then satisfies the :class:`CompressedArray` invariants by construction —
+    the maxima are float64 shaped like the block grid, the indices carry the
+    settings' dtype shaped ``(n_blocks, kept)`` — so it skips re-checking
+    them per record.
+    """
+
+    __slots__ = ("settings", "shape", "geometry", "maxima_at", "indices_wire",
+                 "indices_at", "indices_shape")
+
+    def __init__(self, header: bytes):
+        float_format, index_dtype, transform, ndim, offset = unpack_type_codes(header, 0)
+        self.shape = struct.unpack_from(f"<{ndim}Q", header, offset)
+        self.settings, end = unpack_block_geometry(
+            header, offset + 8 * ndim, ndim, float_format, index_dtype, transform
+        )
+        self.geometry = self.settings.geometry(self.shape)
+        n_blocks = self.geometry.n_blocks
+        self.maxima_at = _PREFIX_BYTES + end
+        self.indices_wire = index_dtype.newbyteorder("<")
+        self.indices_at = self.maxima_at + float_bytes(n_blocks, float_format)
+        self.indices_shape = (n_blocks, self.settings.kept_per_block)
+
+    def decode(self, data: bytes) -> CompressedArray:
+        """The array one stream with this header holds (payload read by offset)."""
+        n_blocks, kept = self.indices_shape
+        settings = self.settings
+        maxima = unpack_floats(data, n_blocks, settings.float_format, self.maxima_at)
+        indices = np.frombuffer(data, self.indices_wire, n_blocks * kept, self.indices_at)
+        array = CompressedArray.__new__(CompressedArray)
+        # the fields __post_init__ would set, from the header checked once
+        vars(array).update(
+            settings=settings,
+            shape=self.shape,
+            maxima=maxima.reshape(self.geometry.grid_shape),
+            indices=indices.astype(settings.index_dtype).reshape(n_blocks, kept),
+            _geometry=self.geometry,
+        )
+        return array
+
+
+@lru_cache(maxsize=256)
+def _record_layout(header: bytes) -> _RecordLayout:
+    """The parsed, checked :class:`_RecordLayout` of one header (bounded memo).
+
+    ``header`` runs from the type codes through the pruning mask.  A store's
+    records share one or two headers (full slabs and a ragged last one), so
+    a sweep parses each once; any changed byte is a new key, parsed afresh.
+    A header that fails to parse raises and is not memoised.
+    """
+    return _RecordLayout(header)
 
 
 def save(compressed: CompressedArray, path) -> None:

@@ -52,6 +52,9 @@ class CompressedArray:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
+        # repro.core.codec builds decoded records without this method, from a
+        # header it checked once (its _RecordLayout): an invariant or derived
+        # field added here must be added there too
         self.shape = tuple(int(s) for s in self.shape)
         if len(self.shape) != self.settings.ndim:
             raise ValueError(

@@ -94,8 +94,12 @@ def specified_coefficients(compressed: CompressedArray) -> np.ndarray:
 
 
 def block_scales(compressed: CompressedArray) -> np.ndarray:
-    """Every block's ``s = N / r`` (C-order blocks), the factor Algorithm 3 applies to ``F``."""
-    return compressed.maxima.reshape(-1) / float(compressed.settings.index_radius)
+    """Every block's ``s = N / r`` (C-order blocks), the factor Algorithm 3 applies to ``F``.
+
+    Taken once per fold step (:func:`step_memo`); callers only read it.
+    """
+    return step_memo(("scales", id(compressed)), lambda: compressed.maxima.reshape(-1)
+                     / float(compressed.settings.index_radius))
 
 
 #: Coefficients per tile when :func:`column_major_float` converts a

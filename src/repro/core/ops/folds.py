@@ -266,8 +266,12 @@ def _state(chunk: CompressedArray, sums: dict[str, list[np.ndarray]],
 
 
 def _dc_vector(chunk: CompressedArray) -> np.ndarray:
-    """Every block's DC coefficient as a fresh float64 vector (C-order blocks)."""
-    return chunk.first_coefficients().ravel()
+    """Every block's DC coefficient as a float64 vector (C-order blocks).
+
+    Taken once per fold step: the ``dc``, centered and covariance partials
+    of one chunk share it, and nothing writes to a fold state's vectors.
+    """
+    return step_memo(("dc", id(chunk)), lambda: chunk.first_coefficients().ravel())
 
 
 def _require_dc(chunk: CompressedArray, operation: str) -> None:

@@ -265,8 +265,8 @@ class Plan:
         ``square(s)``, or ``product(s, s)`` with both operands the same slot
         (per-block arithmetic identical to ``square``, served from the same
         vectors relabeled), and the slot maps straight to a sharded source
-        with fresh partials (:meth:`ShardedStore.fold_state` applies the
-        staleness checks).  Structural operands, non-sharded sources, other
+        with fresh partials (:meth:`ShardedStore.partials_fresh`, probed once
+        per source per call).  Structural operands, non-sharded sources, other
         folds (the centered folds' AC sums are not persisted) and stale
         shards are left to the sweep.  Served states are bit-identical to
         swept ones: the persisted vectors hold the same per-block float64
@@ -274,6 +274,7 @@ class Plan:
         :func:`~repro.core.ops.folds.total` does not depend on their grouping.
         """
         states: dict = {}
+        fresh: dict[int, bool] = {}  # source index → its one freshness probe
         for term in terms:
             name, slots = term
             if name in ("dc", "square") and len(slots) == 1:
@@ -284,8 +285,12 @@ class Plan:
                 continue
             node = self._program[slots[0]]
             source = self.sources[node[1]] if node[0] == "source" else None
-            if isinstance(source, ShardedStore):
-                state = source.fold_state(fold, rename=rename)
+            if not isinstance(source, ShardedStore):
+                continue
+            if node[1] not in fresh:
+                fresh[node[1]] = source.partials_fresh()
+            if fresh[node[1]]:
+                state = source._persisted_state(fold, rename)
                 if state is not None:
                     states[term] = state
         return states

@@ -31,8 +31,11 @@ Division of labour, chosen by measurement rather than symmetry:
   hands its *remaining* spans to the pool only after a span that read
   records from the file took longer to fetch than its chunks took to
   consume (decode, plus whatever the caller did with them).  That is the
-  point where overlap pays: the disk, not the CPU, is the bottleneck.
-  Cache-served spans never start a pool.  The rule has no constant to tune.
+  point where overlap pays: the disk, not the CPU, is the bottleneck.  Once
+  a record read has kept up with its consumer, the store is warm and one
+  slow span is more likely a stall of the machine than of the disk, so it
+  takes two slow spans in a row.  Cache-served spans never start a pool.
+  The rule has no constant to tune.
 * **Workers fetch, the consumer decodes.**  Record reads release the GIL
   (``os.pread``, CRC-32), so fetching in threads overlaps genuinely with
   decode/fold work.  Chunk *decoding* is dominated by GIL-held Python-object
@@ -227,15 +230,18 @@ def _read_spans(spans: Iterator[tuple[object, list[int]]], *,
     """Fetch and consume ``spans`` on the calling thread, in order.
 
     The inline phase shared by :func:`read_inline` and
-    :class:`ChunkPrefetcher`.  With ``until_blocked``, it stops after the
-    first span that read records from the file and whose fetch took longer
-    than consuming its chunks did, and returns the next, unread span so the
-    caller can fetch the rest ahead.  Consuming runs from the fetch's end
-    until the consumer asks for the chunk after the span's last, less the
-    time the thread spent blocked on other fetches meanwhile.  Otherwise it
-    drains ``spans`` and returns ``None``.
+    :class:`ChunkPrefetcher`.  With ``until_blocked``, it stops once reads
+    block and returns the next, unread span so the caller can fetch the rest
+    ahead.  A span that read records from the file is *slow* when its fetch
+    took longer than consuming its chunks did; consuming runs from the
+    fetch's end until the consumer asks for the chunk after the span's last,
+    less the time the thread spent blocked on other fetches meanwhile.
+    Reads block at the first slow span, unless an earlier record read kept
+    up with its consumer: on such a warm store one slow span is a stall,
+    not a slow disk, and it takes a second slow span in a row.  Otherwise
+    it drains ``spans`` and returns ``None``.
     """
-    blocked = False
+    blocked = warm = slow = False
     for span in spans:
         if blocked:
             return span
@@ -248,8 +254,10 @@ def _read_spans(spans: Iterator[tuple[object, list[int]]], *,
         for local, item in zip(locals_, items):
             yield _consume(real, local, item)
         consumed = time.perf_counter() - fetched - (_blocked.seconds - waited)
-        blocked = (until_blocked and fetched - started > consumed
-                   and any(kind == "payload" for kind, _ in items))
+        if until_blocked and any(kind == "payload" for kind, _ in items):
+            was_slow, slow = slow, fetched - started > consumed
+            blocked = slow and (was_slow or not warm)
+            warm = warm or not slow
     return None
 
 
@@ -284,8 +292,9 @@ class ChunkPrefetcher:
 
     Iterating a prefetcher yields the same decoded chunk objects, in the same
     order, as ``store.read_chunk(i) for i in indices``.  Coalesced spans are
-    fetched inline on the consumer thread until one blocks — it read records
-    from the file and its fetch outlasted the consumption of its chunks.  The
+    fetched inline on the consumer thread until reads block — a span read
+    records from the file and its fetch outlasted the consumption of its
+    chunks (twice in a row once an earlier record read kept up).  The
     remaining spans are then fetched up to :data:`READAHEAD_SPANS` spans
     ahead on a pool of :data:`DEFAULT_PREFETCH_WORKERS` threads, created at
     that point, so the consumer's decode/fold work overlaps the I/O.

@@ -320,25 +320,35 @@ def _append(path: Path, manifest: dict, array: np.ndarray,
         raise CodecError("slab_rows must be positive")
     index = len(manifest["shards"])
     shard_path = path / shard_filename(index)
-    chunked = ChunkedCompressor(settings, slab_rows=slab_rows, backend=settings.backend)
-    with chunked.compress_to_store(array, shard_path) as store:
-        entry: dict = {
-            "file": shard_filename(index),
-            "rows": int(store.shape[0]),
-            "chunk_rows": [int(rows) for rows in store.chunk_rows],
-            "partials": bool(update_partials),
-        }
-        if update_partials:
-            _write_partials(path, index, store)
-    entry["n_bytes"] = os.path.getsize(shard_path)
-    entry["crc32"] = _file_crc32(shard_path)
-    if not manifest["shards"]:
-        manifest["shape"] = [entry["rows"]] + [int(e) for e in array.shape[1:]]
-    else:
-        manifest["shape"][0] = int(manifest["shape"][0]) + entry["rows"]
-    manifest["shards"].append(entry)
-    manifest["revision"] = int(manifest.get("revision", 0)) + 1
-    save_manifest(path, manifest)
+    try:
+        chunked = ChunkedCompressor(settings, slab_rows=slab_rows,
+                                    backend=settings.backend)
+        with chunked.compress_to_store(array, shard_path) as store:
+            entry: dict = {
+                "file": shard_filename(index),
+                "rows": int(store.shape[0]),
+                "chunk_rows": [int(rows) for rows in store.chunk_rows],
+                "partials": bool(update_partials),
+            }
+            if update_partials:
+                _write_partials(path, index, store)
+        entry["n_bytes"] = os.path.getsize(shard_path)
+        entry["crc32"] = _file_crc32(shard_path)
+        if not manifest["shards"]:
+            manifest["shape"] = [entry["rows"]] + [int(e) for e in array.shape[1:]]
+        else:
+            manifest["shape"][0] = int(manifest["shape"][0]) + entry["rows"]
+        manifest["shards"].append(entry)
+        manifest["revision"] = int(manifest.get("revision", 0)) + 1
+        save_manifest(path, manifest)
+    except BaseException:
+        # the manifest does not name the new shard: remove everything its
+        # failed write left, so a retry of the same call starts clean
+        for name in (shard_filename(index) + ".partial", shard_filename(index),
+                     partials_filename(index) + ".tmp", partials_filename(index),
+                     MANIFEST_NAME + ".tmp"):
+            (path / name).unlink(missing_ok=True)
+        raise
     return ShardedStore(path)
 
 
@@ -599,7 +609,16 @@ class ShardedStore(ReadSurface):
         ``None`` — callers fall back to a full sweep — when the fold has no
         persisted form or :meth:`partials_fresh` fails.
         """
-        if name not in PARTIAL_FOLDS or not self.partials_fresh():
+        if not self.partials_fresh():
+            return None
+        return self._persisted_state(name, rename)
+
+    def _persisted_state(self, name: str, rename: str | None
+                         ) -> "folds.FoldState | None":
+        """:meth:`fold_state` for a caller that has just seen
+        :meth:`partials_fresh` pass (a plan probes each source once, however
+        many folds it serves)."""
+        if name not in PARTIAL_FOLDS:
             return None
         key = rename or name
         parts: list[np.ndarray] = []

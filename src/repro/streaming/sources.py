@@ -11,6 +11,7 @@ the engine depends downward on streaming (never the reverse).
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterator, Sequence
 
 from ..core.compressed import CompressedArray
@@ -54,18 +55,14 @@ def aligned_chunks(sources: tuple) -> Iterator[tuple]:
     prefetchers' fetch pools down promptly.
     """
     iterators = [source_chunks(source) for source in sources]
-    sentinel = object()
     try:
-        while True:
-            chunks = tuple(next(iterator, sentinel) for iterator in iterators)
-            if all(chunk is sentinel for chunk in chunks):
-                return
-            if any(chunk is sentinel for chunk in chunks):
+        for chunks in zip_longest(*iterators):
+            if None in chunks:
                 raise ValueError(
                     "binary compressed-domain ops require identically chunked "
                     "sources (one ran out of chunks early)"
                 )
-            shapes = {tuple(chunk.shape) for chunk in chunks}
+            shapes = {chunk.shape for chunk in chunks}
             if len(shapes) > 1:
                 raise ValueError(
                     f"chunk shapes differ ({' vs '.join(map(str, shapes))}); "

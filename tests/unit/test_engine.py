@@ -367,6 +367,73 @@ class TestStructuralOpsValidation:
         assert not (tmp_path / "x.pblzc").exists()
 
 
+class TestStepMemo:
+    """Block scales and DC vectors are taken once per fold step."""
+
+    @staticmethod
+    def scan_request(a, b) -> dict:
+        """The nine reductions of the benchmark's scan plan over ``a`` and ``b``."""
+        a, b = expr.source(a), expr.source(b)
+        return {
+            "mean_a": expr.mean(a), "variance_a": expr.variance(a),
+            "std_b": expr.standard_deviation(b), "covariance_ab": expr.covariance(a, b),
+            "dot_ab": expr.dot(a, b), "l2_b": expr.l2_norm(b),
+            "distance_ab": expr.euclidean_distance(a, b),
+            "cosine_ab": expr.cosine_similarity(a, b),
+            "mean_a_minus_b": expr.mean(expr.subtract(a, b)),
+        }
+
+    def test_scales_and_dc_once_per_step_with_the_same_bits(self, stores, monkeypatch):
+        from collections import Counter
+
+        from repro.core.ops import coefficients
+
+        request = self.scan_request(*stores)
+        # the reference shares nothing within a step: every helper recomputes
+        monkeypatch.setattr(coefficients, "step_memo", lambda key, compute: compute())
+        monkeypatch.setattr(folds, "step_memo", lambda key, compute: compute())
+        unshared = engine.plan(request).execute()
+        monkeypatch.undo()
+
+        computed: Counter = Counter()
+        shared_memo = coefficients.step_memo
+
+        def counting(key, compute):
+            def counted():
+                computed[key[0]] += 1
+                return compute()
+            return shared_memo(key, counted)
+
+        steps = []
+        run_terms = folds.run_terms
+
+        def counted_step(values, terms):
+            steps.append(len(terms))
+            return run_terms(values, terms)
+
+        monkeypatch.setattr(coefficients, "step_memo", counting)
+        monkeypatch.setattr(folds, "step_memo", counting)
+        monkeypatch.setattr(folds, "run_terms", counted_step)
+        shared = engine.plan(request).execute()
+        assert {key: value.hex() for key, value in shared.items()} == {
+            key: value.hex() for key, value in unshared.items()}
+        assert steps
+        # the sources a and b; the DC-only a − b node carries no scaled columns
+        assert computed["scales"] == 2 * len(steps)
+        # a (mean, variance, covariance), b (covariance) and the a − b node
+        assert computed["dc"] == 3 * len(steps)
+
+    def test_outside_a_step_every_call_is_fresh(self, settings, fields):
+        from repro.core.ops import coefficients
+
+        compressed = Compressor(settings).compress(fields[0])
+        first = coefficients.block_scales(compressed)
+        assert coefficients.block_scales(compressed) is not first
+        assert np.array_equal(coefficients.block_scales(compressed), first)
+        dc = folds.dc_partial(compressed).sums["dc"][0]
+        assert folds.dc_partial(compressed).sums["dc"][0] is not dc
+
+
 class TestOneStoreSweep:
     """Every plan pass reads its stores through the one prefetching reader."""
 

@@ -325,26 +325,27 @@ class TestHandOff:
         assert faults.fired["latency"] == 0
         assert cache.hits == store.n_chunks
 
+    @staticmethod
+    def _consume(chunks):
+        # fold-like work per chunk, well above a page-cache read and well
+        # below a slow one: a fast span's fetch keeps up, a slow one's not
+        for chunk in chunks:
+            time.sleep(SLOW_READ_SECONDS / 5)
+            yield chunk
+
     def test_slow_reads_from_chunk_k_hand_off_mid_sweep(self, tmp_path, settings,
                                                          long_store):
         first_slow = DEFAULT_SPAN_CHUNKS  # the second span onward
-
-        def consume(chunks):
-            # fold-like work per chunk, well above a page-cache read and well
-            # below a slow one: the first span stays inline, the second not
-            for chunk in chunks:
-                time.sleep(SLOW_READ_SECONDS / 5)
-                yield chunk
-
         long_store.chunk_cache = ChunkCache(max_bytes=64 * 1024 * 1024)
         with inject(*_slow_reads(*range(first_slow, long_store.n_chunks))):
             prefetcher = ChunkPrefetcher(long_store)
-            chunks, pooled = _sweep_watching_pool(consume(prefetcher))
+            chunks, pooled = _sweep_watching_pool(self._consume(prefetcher))
         cache = long_store.chunk_cache
         counters = (long_store.chunks_read, cache.hits, cache.misses)
-        # the first two spans are read inline, the last two by the pool
+        # the first span kept up, so the store is warm: the second and third
+        # (two slow spans in a row) are read inline, the last by the pool
         assert prefetcher.readahead
-        assert pooled == [False] * (2 * DEFAULT_SPAN_CHUNKS) + [True] * (2 * DEFAULT_SPAN_CHUNKS)
+        assert pooled == [False] * (3 * DEFAULT_SPAN_CHUNKS) + [True] * DEFAULT_SPAN_CHUNKS
         assert long_store.chunks_prefetched == long_store.n_chunks
 
         with CompressedStore(long_store.path) as serial_store:
@@ -353,6 +354,16 @@ class TestHandOff:
             assert counters == (serial_store.chunks_read, cache.hits, cache.misses)
         assert [long_store.decompress_chunk(chunk).tobytes()
                 for chunk in chunks] == serial
+
+    def test_one_slow_span_on_a_warm_store_starts_no_pool(self, long_store):
+        slow_span = range(DEFAULT_SPAN_CHUNKS, 2 * DEFAULT_SPAN_CHUNKS)
+        expected = _serial_bytes(long_store)
+        with inject(*_slow_reads(*slow_span)) as faults:
+            prefetcher = ChunkPrefetcher(long_store)
+            chunks, pooled = _sweep_watching_pool(self._consume(prefetcher))
+        assert faults.fired["latency"] == DEFAULT_SPAN_CHUNKS
+        assert not prefetcher.readahead and not any(pooled)
+        assert _decoded(long_store, chunks) == expected
 
     def test_bad_record_after_the_hand_off_raises_at_its_index(self, long_store):
         bad = 2 * DEFAULT_SPAN_CHUNKS + 3  # in the third span, read by the pool

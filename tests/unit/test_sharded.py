@@ -196,6 +196,47 @@ class TestInitAppendValidation:
         with pytest.raises(CodecError, match="partial block row"):
             append_shard(path, smooth_field((8, 8), seed=5))
 
+    def test_failed_init_leaves_nothing_and_a_retry_succeeds(self, tmp_path, settings):
+        target = tmp_path / "retry.shards"
+        poisoned = smooth_field((16, 8), seed=3)
+        poisoned[5, 2] = np.nan
+        with pytest.raises(CodecError, match="non-finite"):
+            init_sharded_store(target, poisoned, settings)
+        assert list(target.iterdir()) == []
+        clean = smooth_field((16, 8), seed=3)
+        init_sharded_store(target, clean, settings).close()
+        init_sharded_store(tmp_path / "first.shards", clean, settings).close()
+        for name in (shard_filename(0), partials_filename(0), MANIFEST_NAME):
+            assert (target / name).read_bytes() == (
+                tmp_path / "first.shards" / name).read_bytes()
+
+    def test_failed_append_leaves_nothing_behind(self, tmp_path, settings):
+        path = _grown(tmp_path, settings)
+        before = {entry.name: entry.read_bytes() for entry in path.iterdir()}
+        poisoned = smooth_field((8, 8), seed=9)
+        poisoned[-1, -1] = np.inf
+        with pytest.raises(CodecError, match="non-finite"):
+            append_shard(path, poisoned)
+        assert {entry.name: entry.read_bytes() for entry in path.iterdir()} == before
+        append_shard(path, smooth_field((8, 8), seed=9)).close()
+        assert load_manifest(path)["revision"] == 3
+
+    def test_a_failed_sidecar_write_unwinds_the_new_shard(self, tmp_path, settings,
+                                                           monkeypatch):
+        from repro.streaming import sharded
+
+        path = _grown(tmp_path, settings)
+        before = {entry.name: entry.read_bytes() for entry in path.iterdir()}
+
+        def failing(directory, index, store):
+            (directory / (partials_filename(index) + ".tmp")).write_bytes(b"torn")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(sharded, "_write_partials", failing)
+        with pytest.raises(OSError, match="disk full"):
+            append_shard(path, smooth_field((8, 8), seed=9))
+        assert {entry.name: entry.read_bytes() for entry in path.iterdir()} == before
+
     @pytest.mark.parametrize("settings_argument", [42, "huffman", "pyblaz"])
     def test_init_takes_settings_only(self, tmp_path, settings_argument):
         with pytest.raises(CodecError, match="CompressionSettings"):
@@ -467,6 +508,42 @@ class TestPerTermServing:
             assert store.chunks_read == store.n_chunks
             assert plan.last_execution["incremental_groups"] == 0
             assert plan.last_execution["interpreted_groups"] == 1
+
+
+    def test_freshness_is_probed_once_per_source_per_plan(self, tmp_path, settings,
+                                                          monkeypatch):
+        """Every servable term of a sharded source shares one probe; served
+        scalars equal swept ones bit for bit."""
+        paths = [_grown(tmp_path / name, settings, shapes=((16, 8), (8, 8), (8, 8)))
+                 for name in ("x", "y")]
+
+        def request(x, y):
+            x, y = expr.source(x), expr.source(y)
+            return {"mx": expr.mean(x), "nx": expr.l2_norm(x), "dx": expr.dot(x, x),
+                    "my": expr.mean(y), "ny": expr.l2_norm(y)}
+
+        stores = [ShardedStore(path, use_partials=False) for path in paths]
+        swept = engine.evaluate(request(*stores))
+        for store in stores:
+            store.close()
+
+        probes: list = []
+        probe = ShardedStore.partials_fresh
+
+        def counted(self):
+            probes.append(self.path)
+            return probe(self)
+
+        monkeypatch.setattr(ShardedStore, "partials_fresh", counted)
+        with ShardedStore(paths[0]) as x, ShardedStore(paths[1]) as y:
+            plan = engine.plan(request(x, y))
+            for executions in (1, 2):
+                served = plan.execute()
+                assert sorted(map(str, probes)) == sorted(map(str, paths * executions))
+                assert plan.last_execution["incremental_groups"] == 2
+                assert x.chunks_read == y.chunks_read == 0
+                assert {key: value.hex() for key, value in served.items()} == {
+                    key: value.hex() for key, value in swept.items()}
 
 
 class TestBackendInheritance:
