@@ -1,10 +1,10 @@
 """Serving harness: coalesced fused-plan serving vs naive per-request plans.
 
 Emits a *machine-readable* record — ``BENCH_serving.json`` at the repository
-root — measuring what the query service's per-tick request coalescing
+root — measuring what the query service's windowed request coalescing
 (:mod:`repro.serving`) buys under concurrent load.  For each client count the
 same workload runs against two servers over the same two-store catalog: the
-**coalesced** server compiles every request arriving within one scheduler tick
+**coalesced** server compiles every request queued within one coalescing window
 into a single fused plan (the planner dedups overlapping folds across
 requests), while the **naive** server executes one plan per request.  Each
 client thread fires a fixed number of requests back-to-back through its own
@@ -46,8 +46,8 @@ CLIENT_COUNTS = {"quick": [2, 6], "full": [2, 4, 8]}
 #: Coalesced must beat naive by at least this factor at the top client count.
 MIN_COALESCED_SPEEDUP = 1.5
 
-#: Coalescing window used by both servers (naive pays the same tick latency,
-#: so the comparison isolates plan fusion, not scheduling overhead).
+#: Longest coalescing window used by both servers (naive closes its windows
+#: by the same rule, so the comparison isolates plan fusion, not scheduling).
 TICK_SECONDS = 0.005
 
 #: Per-client request mix: overlapping statistics over the catalog pair, the

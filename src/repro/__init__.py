@@ -23,7 +23,7 @@ The package is organised as:
   sweeps (one decode per chunk per pass, bit-identical to the sequential
   calls) — see ``docs/engine.md``.
 * :mod:`repro.serving` — the asyncio query service over a named catalog of
-  stores: wire-form requests (``engine.wire``), per-tick request coalescing
+  stores: wire-form requests (``engine.wire``), windowed request coalescing
   into one fused plan, a byte-budgeted decoded-chunk cache and a stats
   endpoint — see ``docs/serving.md``.
 * :mod:`repro.experiments` — one module per paper table/figure.

@@ -7,19 +7,16 @@ The experiment harnesses compare the two to produce the error figures of the pap
 (Fig 5, Fig 6), and the test suite uses them as ground truth.
 
 :mod:`repro.analysis.metrics` provides the error metrics used to report comparisons:
-absolute error, relative error, mean absolute error, maximum error, PSNR.
+absolute error, relative error, mean absolute error, mean relative error and
+maximum error.
 """
 
 from .metrics import (
-    ComparisonRecord,
     absolute_error,
-    compare_scalars,
     max_absolute_error,
     mean_absolute_error,
     mean_relative_error,
-    peak_signal_noise_ratio,
     relative_error,
-    root_mean_square_error,
 )
 from .reference import (
     reference_cosine_similarity,
@@ -46,8 +43,4 @@ __all__ = [
     "mean_absolute_error",
     "mean_relative_error",
     "max_absolute_error",
-    "root_mean_square_error",
-    "peak_signal_noise_ratio",
-    "compare_scalars",
-    "ComparisonRecord",
 ]

@@ -3,15 +3,12 @@
 Fig 5 of the paper reports mean absolute error (MAE) and mean relative error of
 compressed-space scalar functions relative to their uncompressed counterparts, and
 mean compression ratios; Fig 6a reports the maximum L2 deviation between compressed
-and uncompressed curves.  The helpers here compute those quantities and package
-scalar comparisons into :class:`ComparisonRecord` rows that the experiment harness
-prints as tables.
+and uncompressed curves.  The helpers here compute those quantities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +18,6 @@ __all__ = [
     "mean_absolute_error",
     "mean_relative_error",
     "max_absolute_error",
-    "root_mean_square_error",
-    "peak_signal_noise_ratio",
-    "compare_scalars",
-    "ComparisonRecord",
 ]
 
 
@@ -83,79 +76,3 @@ def mean_relative_error(
 def max_absolute_error(measured: np.ndarray, reference: np.ndarray) -> float:
     """Maximum absolute error (the L∞ distance between the two)."""
     return float(np.max(absolute_error(measured, reference)))
-
-
-def root_mean_square_error(measured: np.ndarray, reference: np.ndarray) -> float:
-    """Root-mean-square error."""
-    err = absolute_error(measured, reference)
-    return float(np.sqrt(np.mean(err * err)))
-
-
-def peak_signal_noise_ratio(
-    measured: np.ndarray, reference: np.ndarray, data_range: float | None = None
-) -> float:
-    """PSNR in dB; ``data_range`` defaults to the reference's max-min span."""
-    reference = np.asarray(reference, dtype=np.float64)
-    if data_range is None:
-        data_range = float(reference.max() - reference.min())
-    if data_range == 0:
-        return math.inf
-    rmse = root_mean_square_error(measured, reference)
-    if rmse == 0:
-        return math.inf
-    return float(20.0 * np.log10(data_range / rmse))
-
-
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """One scalar comparison row: an operation evaluated both ways.
-
-    Attributes
-    ----------
-    operation:
-        Name of the operation compared (``"mean"``, ``"variance"`` ...).
-    compressed_value:
-        Value computed in the compressed space.
-    reference_value:
-        Value computed on the uncompressed array.
-    absolute_error / relative_error:
-        Derived error figures (relative to ``reference_value`` unless a scale was
-        supplied at construction).
-    """
-
-    operation: str
-    compressed_value: float
-    reference_value: float
-    absolute_error: float
-    relative_error: float
-
-    def as_row(self) -> tuple[str, float, float, float, float]:
-        return (
-            self.operation,
-            self.compressed_value,
-            self.reference_value,
-            self.absolute_error,
-            self.relative_error,
-        )
-
-
-def compare_scalars(
-    operation: str,
-    compressed_value: float,
-    reference_value: float,
-    *,
-    reference_scale: float | None = None,
-) -> ComparisonRecord:
-    """Build a :class:`ComparisonRecord` from one compressed/uncompressed scalar pair."""
-    abs_err = float(abs(compressed_value - reference_value))
-    scale = abs(reference_scale) if reference_scale is not None else abs(reference_value)
-    rel_err = math.inf if scale == 0 else abs_err / scale
-    if abs_err == 0.0:
-        rel_err = 0.0
-    return ComparisonRecord(
-        operation=operation,
-        compressed_value=float(compressed_value),
-        reference_value=float(reference_value),
-        absolute_error=abs_err,
-        relative_error=rel_err,
-    )

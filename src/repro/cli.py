@@ -28,9 +28,10 @@ Subcommands
                       pass count.
 ``serve``             Run the asyncio query service over a named catalog of
                       chunked stores: clients submit wire-form reduction
-                      requests, and all requests arriving within one scheduler
-                      tick are compiled into a single fused plan
-                      (``docs/serving.md``).
+                      requests, and the requests queued within one coalescing
+                      window are compiled into a single fused plan; the window
+                      closes once every open connection has a request queued,
+                      or after ``--tick`` (``docs/serving.md``).
 ``query``             Send reduction requests (or stats/catalog probes) to a
                       running ``serve`` instance — ``--op mean:a --op dot:a,b``
                       names reductions over the server's catalog names.
@@ -350,12 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "port is printed on startup)")
     p_serve.add_argument("--tick", type=_non_negative_seconds,
                          default=DEFAULT_TICK_SECONDS,
-                         help="coalescing window in seconds: requests arriving "
-                              "within one tick share a single fused plan "
+                         help="longest coalescing window in seconds: how "
+                              "long a batch waits for an open connection that "
+                              "has not sent; the window closes early once "
+                              "every open connection has a request queued "
                               f"(default: {DEFAULT_TICK_SECONDS:g})")
     p_serve.add_argument("--no-coalesce", action="store_true",
                          help="execute one plan per request instead of fusing "
-                              "each tick's batch (the benchmark baseline)")
+                              "each window's batch (the benchmark baseline)")
     p_serve.add_argument("--cache-bytes", type=_non_negative_int, default=None,
                          help="decoded-chunk LRU cache budget in bytes "
                               "(default: 256 MiB; 0 disables the cache)")

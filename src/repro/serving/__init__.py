@@ -3,7 +3,7 @@
 This package turns the lazy engine into a long-lived service: clients submit
 wire-form reduction requests (:mod:`repro.engine.wire`) against a named
 :class:`StoreCatalog`, and the :class:`QueryService` scheduler coalesces every
-request arriving within one tick into **a single fused plan** — N concurrent
+request queued within one window into **a single fused plan** — N concurrent
 users asking overlapping statistics over shared stores cost barely more than
 one user, because the planner dedups their fold partials and decode sweeps.
 

@@ -5,9 +5,11 @@ stats endpoint reports: request counts, per-request latency quantiles over a
 sliding window, and the *coalescing ledger* — how many fused plans were
 executed for how many requests, which is the observable proof that N
 concurrent users shared sweeps (``plans.executed`` ≪ ``requests.served``
-under overlapping load).  Cache and store-read counters are pulled live from
-the attached :class:`repro.serving.StoreCatalog` (and its
-:class:`repro.serving.ChunkCache`) at snapshot time.
+under overlapping load), and how many batches closed their window early
+because every open connection had a request in them (``plans.full_windows``).
+Cache and store-read counters are pulled live from the attached
+:class:`repro.serving.StoreCatalog` (and its :class:`repro.serving.ChunkCache`)
+at snapshot time.
 
 All record methods are thread-safe (the scheduler and every connection handler
 may touch them concurrently through the executor thread).
@@ -48,6 +50,7 @@ class ServiceMetrics:
         self.plans_executed = 0
         self.plan_seconds_total = 0.0
         self.batches = 0
+        self.full_windows = 0
         self.batched_requests = 0
         self.max_batch = 0
 
@@ -80,10 +83,17 @@ class ServiceMetrics:
             self.requests_served += 1
             self._latencies.append(float(latency_seconds))
 
-    def record_batch(self, n_requests: int, n_plans: int, seconds: float) -> None:
-        """One scheduler tick executed ``n_plans`` plan(s) for ``n_requests``."""
+    def record_batch(self, n_requests: int, n_plans: int, seconds: float, *,
+                     full_window: bool = False) -> None:
+        """One batch executed ``n_plans`` plan(s) for ``n_requests``.
+
+        ``full_window`` marks a batch whose window closed because every open
+        connection had a request in it; with a nonzero tick, the other batches
+        waited out the tick for a connection that had not sent.
+        """
         with self._lock:
             self.batches += 1
+            self.full_windows += bool(full_window)
             self.batched_requests += n_requests
             self.max_batch = max(self.max_batch, n_requests)
             self.plans_executed += n_plans
@@ -112,6 +122,7 @@ class ServiceMetrics:
                     "executed": self.plans_executed,
                     "seconds_total": self.plan_seconds_total,
                     "batches": batches,
+                    "full_windows": self.full_windows,
                     "batched_requests": self.batched_requests,
                     "max_batch": self.max_batch,
                     "mean_batch": (self.batched_requests / batches) if batches else 0.0,

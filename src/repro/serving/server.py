@@ -15,16 +15,19 @@ malformed JSON, malformed wire nodes, unknown catalog names and invalid
 expressions never take the server down.
 
 **Coalescing.**  Evaluate requests land on a queue.  The scheduler takes the
-first waiting request, sleeps one *tick* so concurrent requests can pile up,
-drains the queue, and compiles every collected request's reductions into **one
-fused plan** (outputs namespaced per request).  The planner's partial dedup
-then does the heavy lifting: N users asking for overlapping statistics over
-the same catalog stores share fold partials and decode sweeps, so a batch
-costs barely more than one request.  Results fan back per request and are
-bit-identical to evaluating each request alone (same partials, same correctly
-rounded sum :func:`repro.core.ops.folds.total`, bit-identical to
-``math.fsum`` — the engine's bit-identity guarantee is per fold term, and fold
-terms are independent of which outputs reference them).
+first waiting request and holds a *window* open so concurrent requests can pile
+up.  Each connection has at most one request outstanding, so the window closes
+as soon as the batch and the queue hold one request per open connection, and
+after one *tick* at the latest.  It then drains the queue and compiles every
+collected request's reductions into **one fused plan** (outputs namespaced per
+request).  The planner's partial dedup then does the heavy lifting: N users
+asking for overlapping statistics over the same catalog stores share fold
+partials and decode sweeps, so a batch costs barely more than one request.
+Results fan back per request and are bit-identical to evaluating each request
+alone (same partials, same correctly rounded sum
+:func:`repro.core.ops.folds.total`, bit-identical to ``math.fsum`` — the
+engine's bit-identity guarantee is per fold term, and fold terms are
+independent of which outputs reference them).
 
 Plans execute on a **single worker thread**, one batch at a time — plan
 execution is CPU/IO-bound numpy work that would fight the GIL anyway.  Shared
@@ -51,14 +54,16 @@ from .metrics import ServiceMetrics
 
 __all__ = ["QueryService", "ThreadedQueryService", "DEFAULT_TICK_SECONDS"]
 
-#: Default coalescing window: long enough for concurrent requests to pile up,
-#: short enough to be invisible next to a store sweep.
+#: Default longest coalescing window: how long a batch waits for an open
+#: connection that has not sent yet.  Short enough to be invisible next to a
+#: store sweep; a batch holding a request from every open connection never
+#: waits at all.
 DEFAULT_TICK_SECONDS = 0.002
 
 
 @dataclass
 class _Pending:
-    """One validated evaluate request waiting for a scheduler tick."""
+    """One validated evaluate request waiting for its batch."""
 
     outputs: dict
     future: "asyncio.Future" = field(repr=False)
@@ -72,8 +77,9 @@ class QueryService:
     catalog:
         The :class:`StoreCatalog` whose names requests may reference.
     tick:
-        Coalescing window in seconds: after the first queued request, the
-        scheduler waits this long before draining the queue into one batch.
+        Longest coalescing window in seconds: after the first queued request,
+        the scheduler waits until every open connection has a request queued,
+        or this long at most, before draining the queue into one batch.
         ``0`` still drains whatever is already queued (opportunistic
         coalescing with no added latency).
     coalesce:
@@ -117,6 +123,8 @@ class QueryService:
         self._server: asyncio.AbstractServer | None = None
         self._scheduler_task: asyncio.Task | None = None
         self._in_flight = 0  # event-loop-only state, no lock needed
+        self._connections = 0
+        self._wakeup = asyncio.Event()  # set on enqueue, disconnect and stop
         self._stopping = False
 
     # ------------------------------------------------------------------ lifecycle
@@ -160,6 +168,7 @@ class QueryService:
         clean ``server is shutting down`` error instead of being dropped.
         """
         self._stopping = True  # new evaluates answer "shutting down" from here
+        self._wakeup.set()  # an open window closes now, not at its tick
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -185,6 +194,7 @@ class QueryService:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         """One client connection: requests answered in order, one per line."""
+        self._connections += 1
         try:
             while True:
                 line = await reader.readline()
@@ -198,6 +208,8 @@ class QueryService:
         except (ConnectionResetError, BrokenPipeError):  # client went away
             return
         finally:
+            self._connections -= 1
+            self._wakeup.set()  # a window waiting on this connection can close
             writer.close()
             try:
                 await writer.wait_closed()
@@ -262,6 +274,7 @@ class QueryService:
         try:
             future = asyncio.get_running_loop().create_future()
             await self._queue.put(_Pending(outputs, future))
+            self._wakeup.set()
             try:
                 if self.deadline is not None:
                     values, batch_info = await asyncio.wait_for(
@@ -289,16 +302,38 @@ class QueryService:
                 "seconds": latency}
 
     # ------------------------------------------------------------------ scheduling
+    def _window_full(self, batch: list[_Pending]) -> bool:
+        """True once the batch and the queue hold a request per open connection."""
+        return len(batch) + self._queue.qsize() >= self._connections
+
+    async def _hold_window(self, batch: list[_Pending]) -> bool:
+        """Wait for the window to fill, at most one tick; True if it filled.
+
+        Waits on the wake-up event rather than on ``queue.get()``: a cancelled
+        ``wait_for(queue.get())`` can drop the item it had just taken.
+        """
+        loop = asyncio.get_running_loop()
+        closes = loop.time() + self.tick
+        while not (self._stopping or self._window_full(batch)):
+            remaining = closes - loop.time()
+            if remaining <= 0:
+                return False
+            self._wakeup.clear()
+            try:
+                await asyncio.wait_for(self._wakeup.wait(), remaining)
+            except asyncio.TimeoutError:
+                return False
+        return not self._stopping
+
     async def _scheduler(self) -> None:
-        """Collect queued requests per tick and execute them as one batch."""
+        """Collect queued requests per window and execute them as one batch."""
         loop = asyncio.get_running_loop()
         while True:
             pending = await self._queue.get()
             if pending is None:
                 return
             batch = [pending]
-            if self.tick > 0:
-                await asyncio.sleep(self.tick)
+            full = await self._hold_window(batch)
             stopping = False
             while True:
                 try:
@@ -320,7 +355,8 @@ class QueryService:
                         item.future.set_exception(exc)
             else:
                 seconds = time.perf_counter() - start
-                self.metrics.record_batch(len(batch), n_plans, seconds)
+                self.metrics.record_batch(len(batch), n_plans, seconds,
+                                          full_window=full)
                 info = {"requests": len(batch), "plans": n_plans,
                         "coalesced": self.coalesce, "seconds": seconds}
                 for item, values in zip(batch, per_request):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -309,6 +310,76 @@ class TestCoalescing:
         local = local_reference(catalog, requests[0])
         for response in responses:
             assert response["results"]["v"] == local["v"]
+
+
+class TestCoalescingWindow:
+    """The window closes once every open connection has a request queued,
+    and after one tick at the latest."""
+
+    MEAN_A = {"m": expr.mean(expr.source("a"))}
+    TICK = 1.0
+
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_lone_connection_does_not_wait_out_the_tick(self, catalog, coalesce):
+        with ThreadedQueryService(catalog, tick=self.TICK,
+                                  coalesce=coalesce) as served:
+            with QueryClient(served.host, served.port) as client:
+                full = client.evaluate_full(self.MEAN_A)
+                plans = client.stats()["plans"]
+        assert full["seconds"] < self.TICK / 2
+        assert full["batch"]["coalesced"] is coalesce
+        assert full["results"] == local_reference(catalog, self.MEAN_A)
+        assert (plans["batches"], plans["full_windows"]) == (1, 1)
+
+    def test_idle_connection_holds_the_window_for_the_tick(self, catalog):
+        tick = 0.3
+        with ThreadedQueryService(catalog, tick=tick) as served:
+            with QueryClient(served.host, served.port) as idle:
+                idle.stats()  # answered, so the server has counted it
+                with QueryClient(served.host, served.port) as client:
+                    full = client.evaluate_full(self.MEAN_A)
+                    plans = client.stats()["plans"]
+        # a lower bound only: a slow machine adds time, never removes it
+        assert full["seconds"] >= tick - 0.01
+        assert full["batch"]["requests"] == 1
+        assert (plans["batches"], plans["full_windows"]) == (1, 0)
+
+    def test_window_closes_early_again_once_the_idle_connection_closes(
+            self, catalog):
+        with ThreadedQueryService(catalog, tick=self.TICK) as served:
+            with QueryClient(served.host, served.port) as client:
+                with QueryClient(served.host, served.port) as idle:
+                    idle.stats()
+                for _ in range(3):
+                    full = client.evaluate_full(self.MEAN_A)
+                    assert full["seconds"] < self.TICK / 2
+                plans = client.stats()["plans"]
+        assert plans["full_windows"] == plans["batches"] == 3
+
+    def test_stop_does_not_wait_out_a_long_tick(self, catalog):
+        tick = 30.0
+        outcome: dict = {}
+        with ThreadedQueryService(catalog, tick=tick) as served:
+            idle = QueryClient(served.host, served.port)
+            idle.stats()  # keeps the window open for the whole tick
+
+            def request():
+                with QueryClient(served.host, served.port) as client:
+                    outcome["full"] = client.evaluate_full(self.MEAN_A)
+
+            thread = threading.Thread(target=request)
+            thread.start()
+            metrics = served.service.metrics
+            while metrics.requests_received == 0 and thread.is_alive():
+                time.sleep(0.01)
+            time.sleep(0.1)  # the request is now queued, its window open
+            stopping = time.monotonic()
+        thread.join(timeout=10)
+        idle.close()
+        assert not thread.is_alive()
+        assert time.monotonic() - stopping < 5.0
+        # queued before the stop, so it ran as the final batch
+        assert outcome["full"]["results"] == local_reference(catalog, self.MEAN_A)
 
 
 class TestOnePlanPath:

@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    ComparisonRecord,
     absolute_error,
-    compare_scalars,
     max_absolute_error,
     mean_absolute_error,
     mean_relative_error,
-    peak_signal_noise_ratio,
     reference_cosine_similarity,
     reference_covariance,
     reference_dot,
@@ -22,7 +19,6 @@ from repro.analysis import (
     reference_variance,
     reference_wasserstein,
     relative_error,
-    root_mean_square_error,
 )
 from repro.analysis.reference import blockwise_means, pad_like_blocks
 
@@ -130,7 +126,6 @@ class TestMetrics:
         measured = reference + 0.1
         assert mean_absolute_error(measured, reference) == pytest.approx(0.1)
         assert max_absolute_error(measured, reference) == pytest.approx(0.1)
-        assert root_mean_square_error(measured, reference) == pytest.approx(0.1)
 
     def test_mean_relative_error_ignores_nonfinite(self):
         measured = np.array([1.0, 2.0])
@@ -139,22 +134,3 @@ class TestMetrics:
 
     def test_mean_relative_error_all_nonfinite_is_nan(self):
         assert math.isnan(mean_relative_error(np.array([1.0]), np.array([0.0])))
-
-    def test_psnr(self):
-        reference = np.linspace(0, 1, 100)
-        assert peak_signal_noise_ratio(reference, reference) == math.inf
-        noisy = reference + 0.01
-        assert 30 < peak_signal_noise_ratio(noisy, reference) < 50
-
-    def test_compare_scalars_record(self):
-        record = compare_scalars("mean", 1.05, 1.0)
-        assert isinstance(record, ComparisonRecord)
-        assert record.absolute_error == pytest.approx(0.05)
-        assert record.relative_error == pytest.approx(0.05)
-        assert record.as_row()[0] == "mean"
-
-    def test_compare_scalars_with_scale_and_exact(self):
-        record = compare_scalars("variance", 2.0, 2.0, reference_scale=0.087)
-        assert record.relative_error == 0.0
-        record = compare_scalars("variance", 2.1, 2.0, reference_scale=0.1)
-        assert record.relative_error == pytest.approx(1.0)

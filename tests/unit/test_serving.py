@@ -304,6 +304,17 @@ class TestServiceMetrics:
         with pytest.raises(TypeError):
             metrics.record_batch(n_requests=1, n_plans=1, passes=1, seconds=0.01)
 
+    def test_full_windows_count_only_flagged_batches(self):
+        metrics = ServiceMetrics()
+        metrics.record_batch(n_requests=1, n_plans=1, seconds=0.01)
+        assert metrics.snapshot()["plans"]["full_windows"] == 0
+        metrics.record_batch(n_requests=2, n_plans=1, seconds=0.01,
+                             full_window=True)
+        metrics.record_batch(n_requests=1, n_plans=1, seconds=0.01,
+                             full_window=False)
+        plans = metrics.snapshot()["plans"]
+        assert (plans["batches"], plans["full_windows"]) == (3, 1)
+
     def test_latency_quantiles_nearest_rank(self):
         metrics = ServiceMetrics()
         for value in range(1, 101):  # 1ms .. 100ms
