@@ -210,7 +210,8 @@ def total(state: FoldState, key: str) -> float:
 
 #: Revision of the per-block fold arithmetic: 1 is the integer-domain folds,
 #: 2 the float-path row dots summed in one fixed order (:func:`_row_dot`).
-#: Persisted per-block vectors carry the revision they were computed under.
+#: Persisted per-block vectors and exact totals carry the revision they were
+#: computed under.
 FOLD_REVISION = 2
 
 

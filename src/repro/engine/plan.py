@@ -59,7 +59,7 @@ from ..core.ops import folds
 from ..core.ops.coefficients import fold_step
 from ..core.ops.linear import rebinned_dc
 from ..streaming.prefetch import ChunkPrefetcher
-from ..streaming.sharded import ShardedStore
+from ..streaming.sharded import PARTIAL_FOLDS, ShardedStore
 from ..streaming.sources import STORE_TYPES, aligned_chunks, check_stores
 from ..streaming.steps import fold_steps
 from .expr import ArrayExpr, Expr, Reduction, Source
@@ -257,31 +257,29 @@ class Plan:
                         )
 
     # -------------------------------------------------------------- execution
-    def _serve_from_partials(self, terms: tuple) -> dict:
+    def _serve_from_partials(self, terms: tuple, fresh: dict) -> dict:
         """The states of the terms persisted shard partials can answer.
 
         A term is servable — none of its chunks decoded — when it is a
-        leaf-source fold a :class:`ShardedStore` persists: ``dc(s)``,
-        ``square(s)``, or ``product(s, s)`` with both operands the same slot
-        (per-block arithmetic identical to ``square``, served from the same
-        vectors relabeled), and the slot maps straight to a sharded source
-        with fresh partials (:meth:`ShardedStore.partials_fresh`, probed once
-        per source per call).  Structural operands, non-sharded sources, other
-        folds (the centered folds' AC sums are not persisted) and stale
-        shards are left to the sweep.  Served states are bit-identical to
-        swept ones: the persisted vectors hold the same per-block float64
-        values a sweep computes, and the correctly rounded sum
-        :func:`~repro.core.ops.folds.total` does not depend on their grouping.
+        leaf-source fold a :class:`ShardedStore` persists
+        (:data:`~repro.streaming.sharded.PARTIAL_FOLDS`): ``dc(s)``,
+        ``square(s)`` and ``centered_square(s)``, or ``product(s, s)`` and
+        ``centered_product(s, s)`` with both operands the same slot (per-block
+        arithmetic identical to ``square`` and ``centered_square``, served
+        from the same arrays relabelled), and the slot maps straight to a
+        sharded source with fresh partials
+        (:meth:`ShardedStore.partials_fresh`, probed once per source per
+        execution: ``fresh`` maps source index → probe result).  Structural
+        operands, non-sharded sources, other folds and stale shards are left
+        to the sweep.  Served states are bit-identical to swept ones: the
+        persisted arrays sum exactly to the per-block float64 values a sweep
+        computes, and the finalizers read those values only through the
+        correctly rounded sum, which does not depend on their grouping.
         """
         states: dict = {}
-        fresh: dict[int, bool] = {}  # source index → its one freshness probe
         for term in terms:
             name, slots = term
-            if name in ("dc", "square") and len(slots) == 1:
-                fold, rename = name, None
-            elif name == "product" and slots[0] == slots[1]:
-                fold, rename = "square", "product"
-            else:
+            if name not in PARTIAL_FOLDS or len(set(slots)) != 1:
                 continue
             node = self._program[slots[0]]
             source = self.sources[node[1]] if node[0] == "source" else None
@@ -290,7 +288,7 @@ class Plan:
             if node[1] not in fresh:
                 fresh[node[1]] = source.partials_fresh()
             if fresh[node[1]]:
-                state = source._persisted_state(fold, rename)
+                state = source._persisted_state(name)
                 if state is not None:
                     states[term] = state
         return states
@@ -381,8 +379,9 @@ class Plan:
             "readahead_sweeps": 0,
         }
         states: dict = {}
+        fresh: dict = {}  # source index → its one freshness probe
         for group in self.groups:
-            served = self._serve_from_partials(group.terms)
+            served = self._serve_from_partials(group.terms, fresh)
             states.update(served)
             rest = tuple(term for term in group.terms if term not in served)
             if not rest:

@@ -16,7 +16,9 @@ to support.  This subpackage therefore provides:
 * :func:`quantize_model` / :class:`PrecisionEmulator` — convenience wrappers used by
   the shallow-water simulator to run an entire state update at an emulated precision.
 * :func:`exact_sum` — the correctly rounded (``math.fsum``-identical) sum of float64
-  vectors, vectorised with error-free extraction.
+  vectors, vectorised with error-free extraction, and :func:`exact_parts` —
+  the short list of floats that extraction leaves, which sums exactly to its
+  vector.
 
 All functions are pure and vectorized over numpy arrays.
 """
@@ -31,7 +33,7 @@ from .formats import (
     resolve_format,
 )
 from .rounding import PrecisionEmulator, machine_epsilon, round_to_format, ulp
-from .summation import exact_sum
+from .summation import exact_parts, exact_sum
 
 __all__ = [
     "FloatFormat",
@@ -46,4 +48,5 @@ __all__ = [
     "ulp",
     "PrecisionEmulator",
     "exact_sum",
+    "exact_parts",
 ]

@@ -18,6 +18,11 @@ to the input, so one :func:`math.fsum` over those few values returns the
 correctly rounded result.  Inputs where the extraction has nothing to win, or
 where :func:`math.fsum` has special behaviour (non-finite values, intermediate
 overflow, the sign of an all-zero sum), go to :func:`math.fsum` directly.
+
+:func:`exact_parts` returns that short list itself.  Because the list sums
+exactly to its vector, lists of several vectors concatenate into a list that
+sums exactly to the concatenated vectors: a sharded store persists one list
+per shard instead of a per-block vector (:mod:`repro.streaming.sharded`).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["exact_sum"]
+__all__ = ["exact_sum", "exact_parts"]
 
 #: Below this many values the extraction passes cost more than ``math.fsum``.
 _MIN_VECTORISED = 64
@@ -48,10 +53,32 @@ def exact_sum(parts: Iterable) -> float:
     arrays = [np.asarray(part, dtype=np.float64).ravel() for part in parts]
     if not arrays:
         return 0.0
-    values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    if len(arrays) == 1:
+        return math.fsum(_extract(arrays[0], owned=False))
+    return math.fsum(_extract(np.concatenate(arrays), owned=True))
+
+
+def exact_parts(values) -> list[float]:
+    """A short list of floats whose exact sum is the exact sum of ``values``.
+
+    The extraction's pass totals plus any residual left after its last pass:
+    ``math.fsum`` over them is ``exact_sum([values])``, and ``math.fsum`` over
+    the concatenated lists of several vectors is ``exact_sum`` of the
+    concatenated vectors — so a list can stand in for its vector wherever only
+    the vector's sum is read.  Where :func:`exact_sum` hands its input to
+    ``math.fsum`` (fewer than 64 values, non-finite values, near-overflow
+    magnitudes, all-zero input) the list is the values themselves, so
+    ``math.fsum`` meets the same special values.  ``values`` is never written.
+    """
+    return _extract(np.asarray(values, dtype=np.float64).ravel(), owned=False)
+
+
+def _extract(values: np.ndarray, owned: bool) -> list[float]:
+    """:func:`exact_parts` of a flat float64 vector the caller may let us
+    overwrite (``owned``) or not (then the residual is one copy of it)."""
     n = values.size
     if n < _MIN_VECTORISED:
-        return math.fsum(values.tolist())
+        return values.tolist()
     magnitude = _max_magnitude(values)
     spread = (n + 1).bit_length()  # ⌈log2(n + 2)⌉
     if (
@@ -59,11 +86,11 @@ def exact_sum(parts: Iterable) -> float:
         or magnitude == 0.0
         or math.frexp(magnitude)[1] + spread > _MAX_SIGMA_EXPONENT
     ):
-        return math.fsum(values.tolist())
+        return values.tolist()
 
     totals: list[float] = []
-    # updated in place, so never the caller's array (a lone part is not copied above)
-    residual = values if len(arrays) > 1 else values.copy()
+    # updated in place, so never the caller's array
+    residual = values if owned else values.copy()
     high = np.empty_like(residual)
     for _ in range(_MAX_PASSES):
         sigma = math.ldexp(1.0, math.frexp(magnitude)[1] + spread)
@@ -76,7 +103,7 @@ def exact_sum(parts: Iterable) -> float:
             break
     else:
         totals.extend(residual[residual != 0.0].tolist())
-    return math.fsum(totals)
+    return totals
 
 
 def _max_magnitude(values: np.ndarray) -> float:

@@ -6,9 +6,9 @@ over N immutable :class:`~repro.streaming.store.CompressedStore` shard files::
     my_data/
         manifest.json          per-shard geometry, sizes, CRC-32s, revision
         shard-000000.pblzc     ordinary chunked store (rows 0..r0)
-        partials-000000.npz    persisted fold partials for shard 0
+        partials-000000.f64    persisted fold partials for shard 0
         shard-000001.pblzc     appended later (rows r0..r0+r1)
-        partials-000001.npz
+        partials-000001.f64
 
 :class:`ShardedStore` presents the same geometry / ``read_chunk`` /
 ``load_region`` / ``chunks_read`` surface as a single store — the global chunk
@@ -24,36 +24,53 @@ partials, and atomically republishes the manifest with a bumped ``revision``.
 Recorded per-shard CRCs therefore stay valid forever, and a reader holding the
 previous manifest simply keeps its (consistent) older view.
 
-**Incremental fold maintenance.**  The append path persists, per shard, the
-concatenated per-chunk per-block partial vectors of two folds (``dc`` and
-``square`` — ``square`` also serves ``product(x, x)``, whose per-block
-arithmetic is identical) plus the counts a
-:class:`~repro.core.ops.folds.FoldState` carries.  :meth:`ShardedStore.fold_state`
-reassembles the accumulated state without decoding any chunk, and the plan
-engine serves ``mean`` / ``l2_norm`` / ``dot(x, x)`` straight from it
-(``variance``/``covariance`` sweep: their AC sums are not persisted) — so a query over a growing store costs O(new
-chunks) at append time and O(shards) at query time.  The result is **bit
-identical** to a cold sweep: the correctly rounded sum
-:func:`repro.core.ops.folds.total` (bit-identical to ``math.fsum``) sums the
-same float64 per-block values in the same chunk order whether they come from a
-live sweep's per-chunk vectors or from the persisted per-shard concatenations
-of those same vectors.
+**Incremental fold maintenance.**  The append path persists, per shard, what
+the folds of :data:`PARTIAL_FOLDS` need, plus the counts a
+:class:`~repro.core.ops.folds.FoldState` carries:
+
+* ``dc`` — every block's DC coefficient, in chunk order.  Variance and
+  covariance centre each block's DC on the global mean at finalize time, so
+  this one stays a per-block vector;
+* ``dc_total``, ``square`` and ``ac_square`` — the DC sum, every block's
+  square sum and every block's AC square sum, stored as their
+  :func:`~repro.numerics.exact_parts`: a few float64 whose exact sum is the
+  exact sum of the per-block vector.
+
+:meth:`ShardedStore.fold_state` reassembles the accumulated state without
+decoding any chunk, and the plan engine serves ``mean``, ``l2_norm``,
+``dot(x, x)``, ``variance``, ``standard_deviation`` and ``covariance(x, x)``
+straight from it (``product(x, x)`` and ``centered_product(x, x)`` have the
+per-block arithmetic of ``square(x)`` and ``centered_square(x)``) — so a query
+over a growing store costs O(new chunks) at append time, and at query time
+O(shards) for ``mean``, ``l2_norm`` and ``dot(x, x)`` and one pass over the
+DC vector for the centered statistics.  The result is **bit identical** to a
+cold sweep: finalizers sum these arrays only through the correctly rounded
+sum :func:`repro.numerics.exact_sum` (bit-identical to ``math.fsum``), and
+the persisted parts sum exactly to the per-block values a live sweep
+computes.
+
+**Sidecar file** (``partials-NNNNNN.f64``): a fixed little-endian header —
+magic, sidecar format version, :data:`~repro.core.ops.folds.FOLD_REVISION`,
+the three counts, ``dc_scale``, the four array lengths and a CRC-32 of the
+body — followed by the float64 arrays, read with one ``np.fromfile``.
 
 **Staleness detection** is deliberately cheap: a shard entry whose partials
 were never written (``append_shard(..., update_partials=False)``), whose
 sidecar file is missing, or whose shard file size no longer matches the
 manifest makes :meth:`ShardedStore.fold_state` return ``None``, and callers
-fall back to a full sweep.  So does a sidecar whose ``fold_revision`` is
-missing or differs from :data:`repro.core.ops.folds.FOLD_REVISION`: its
-vectors hold another fold arithmetic's bits, which a sweep would no longer
-reproduce; :func:`refresh_partials` rewrites it.  Deep integrity (per-chunk
-checksums) remains ``repro verify-store``'s job, which recurses into shards.
+fall back to a full sweep.  So does a sidecar whose size, magic, version,
+fold revision or CRC is wrong — a truncated or damaged file, an older
+``.npz`` sidecar, or parts computed under another fold arithmetic, which a
+sweep would no longer reproduce; :func:`refresh_partials` rewrites it.  Deep
+integrity (per-chunk checksums) remains ``repro verify-store``'s job, which
+recurses into shards.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
 import zlib
 from pathlib import Path
 
@@ -61,7 +78,9 @@ import numpy as np
 
 from ..core.exceptions import CodecError
 from ..core.ops import folds
+from ..core.ops.coefficients import fold_step
 from ..core.settings import CompressionSettings
+from ..numerics import exact_parts
 from ..reliability.retry import DEFAULT_READ_RETRY, RetryPolicy
 from .chunked import ChunkedCompressor
 from .store import CompressedStore, ReadSurface
@@ -85,10 +104,31 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 _MANIFEST_FORMAT = "repro-sharded-store"
 _MANIFEST_VERSION = 1
-#: Folds whose per-shard partial vectors are persisted at append time.  The
-#: ``square`` vectors double as ``product(x, x)`` (bitwise-identical per-block
-#: arithmetic), so dot-with-self and cosine-with-self are incremental too.
-PARTIAL_FOLDS = ("dc", "square")
+#: Folds a store's sidecars answer: fold → {state key: persisted array}.  The
+#: mean reads only the DC total, so ``dc`` is served from its exact parts; the
+#: centered folds centre every block's DC, so they read the vector.  A
+#: two-operand fold is taken with the store as both operands, whose per-block
+#: arithmetic is the one-operand fold's (``_row_products(a, a)``), so
+#: ``product(x, x)`` is relabelled ``square`` and ``centered_product(x, x)``
+#: relabelled ``centered_square``.
+PARTIAL_FOLDS = {
+    "dc": {"dc": "dc_total"},
+    "square": {"square": "square"},
+    "product": {"product": "square"},
+    "centered_square": {"dc": "dc", "ac_square": "ac_square"},
+    "centered_product": {"dc_a": "dc", "dc_b": "dc", "ac_product": "ac_square"},
+}
+
+_SIDECAR_MAGIC = b"PBLZPART"
+#: Layout version of the sidecar file; a sidecar of any other version is stale.
+_SIDECAR_VERSION = 1
+#: The persisted float64 arrays, in body order.
+_SIDECAR_ARRAYS = ("dc", "dc_total", "square", "ac_square")
+#: Fixed little-endian sidecar header: magic, format version, fold revision,
+#: ``n_blocks``, ``n_elements``, ``n_padded_elements``, ``dc_scale``, the
+#: lengths of the arrays and the CRC-32 of the body, which holds the arrays
+#: back to back.
+_SIDECAR_HEADER = struct.Struct(f"<8s5Qd{len(_SIDECAR_ARRAYS)}QQ")
 
 
 # ------------------------------------------------------------------ layout
@@ -99,7 +139,7 @@ def shard_filename(index: int) -> str:
 
 def partials_filename(index: int) -> str:
     """File name of shard ``index``'s fold-partial sidecar."""
-    return f"partials-{index:06d}.npz"
+    return f"partials-{index:06d}.f64"
 
 
 def is_sharded_store(path) -> bool:
@@ -170,55 +210,94 @@ def _file_crc32(path) -> int:
 
 
 # ------------------------------------------------------------------ partials
-def _compute_partials(store: CompressedStore) -> "dict[str, np.ndarray]":
-    """One shard's persisted fold state: concatenated per-chunk vectors + counts.
+def _compute_partials(store: CompressedStore) -> dict:
+    """One shard's persisted fold state: the ``dc`` vector, exact parts, counts.
 
-    Iterates the shard's chunks once, folding each through the persisted
-    partials (:data:`PARTIAL_FOLDS`).  Per-chunk per-block vectors are
-    concatenated *in chunk order*, so summing them later with the correctly
-    rounded sum :func:`repro.core.ops.folds.total` (bit-identical to
-    ``math.fsum``) sees exactly the float64 values a live sweep would, in the
-    same order — the bit-identity invariant.  Omits ``dc`` when the first
-    coefficient was pruned.
+    Iterates the shard's chunks once, folding each through the ``square`` and
+    ``centered_square`` partials.  The per-block ``dc`` values are kept in
+    chunk order; they, the ``square`` and the ``ac_square`` vectors are also
+    reduced to their :func:`~repro.numerics.exact_parts` (``dc_total``,
+    ``square``, ``ac_square``), which sum exactly to the same per-block
+    values a live sweep computes.  Omits the DC arrays and ``ac_square`` when
+    the first coefficient was pruned.
     """
     settings = store.settings
-    dc_parts: "list[np.ndarray] | None" = (
-        [] if settings.first_coefficient_kept else None
-    )
-    square_parts: list[np.ndarray] = []
+    with_dc = settings.first_coefficient_kept
+    vectors: dict[str, list[np.ndarray]] = {"dc": [], "square": [], "ac_square": []}
     n_blocks = n_elements = n_padded = 0
     for chunk in store.iter_chunks():
-        if dc_parts is not None:
-            dc_parts.append(folds.dc_partial(chunk).sums["dc"][0])
-        state = folds.square_partial(chunk)
-        square_parts.append(state.sums["square"][0])
-        n_blocks += state.n_blocks
-        n_elements += state.n_elements
-        n_padded += state.n_padded_elements
-    payload = {
-        "square": np.concatenate(square_parts),
-        "n_blocks": np.int64(n_blocks),
-        "n_elements": np.int64(n_elements),
-        "n_padded_elements": np.int64(n_padded),
-        "dc_scale": np.float64(settings.dc_scale),
-        "fold_revision": np.int64(folds.FOLD_REVISION),
-    }
-    if dc_parts is not None:
-        payload["dc"] = np.concatenate(dc_parts)
-    return payload
+        with fold_step():  # square and ac_square share one Σ i·j
+            vectors["square"].append(folds.square_partial(chunk).sums["square"][0])
+            if with_dc:
+                state = folds.centered_square_partial(chunk)
+                vectors["dc"].append(state.sums["dc"][0])
+                vectors["ac_square"].append(state.sums["ac_square"][0])
+        n_blocks += chunk.n_blocks
+        n_elements += chunk.n_elements
+        n_padded += chunk.n_padded_elements
+    partials: dict = {"n_blocks": n_blocks, "n_elements": n_elements,
+                      "n_padded_elements": n_padded,
+                      "dc_scale": float(settings.dc_scale)}
+    if with_dc:
+        partials["dc"] = np.concatenate(vectors["dc"])
+        partials["dc_total"] = np.array(exact_parts(partials["dc"]))
+        partials["ac_square"] = np.array(exact_parts(np.concatenate(vectors["ac_square"])))
+    partials["square"] = np.array(exact_parts(np.concatenate(vectors["square"])))
+    return partials
+
+
+def _sidecar_bytes(partials: dict) -> bytes:
+    """The sidecar file holding ``partials`` (header, then the float64 body)."""
+    arrays = [np.asarray(partials.get(name, ()), dtype="<f8")
+              for name in _SIDECAR_ARRAYS]
+    body = b"".join(array.tobytes() for array in arrays)
+    return _SIDECAR_HEADER.pack(
+        _SIDECAR_MAGIC, _SIDECAR_VERSION, folds.FOLD_REVISION,
+        partials["n_blocks"], partials["n_elements"],
+        partials["n_padded_elements"], partials["dc_scale"],
+        *(array.size for array in arrays), zlib.crc32(body),
+    ) + body
+
+
+def _read_sidecar(sidecar: Path) -> dict:
+    """Parse one sidecar file, read in one ``np.fromfile``.
+
+    Raises ``OSError`` when it cannot be read and ``ValueError`` when it is
+    stale or damaged: a wrong size, magic, version, fold revision or CRC.
+    """
+    raw = np.fromfile(sidecar, dtype=np.uint8)
+    size = _SIDECAR_HEADER.size
+    if raw.size < size:
+        raise ValueError(f"{sidecar} is shorter than a sidecar header")
+    (magic, version, revision, n_blocks, n_elements, n_padded, dc_scale,
+     *lengths, crc) = _SIDECAR_HEADER.unpack_from(raw)
+    if (magic != _SIDECAR_MAGIC or version != _SIDECAR_VERSION
+            or revision != folds.FOLD_REVISION):
+        raise ValueError(f"{sidecar} is not a current partials sidecar")
+    body = raw[size:]
+    if body.size != 8 * sum(lengths) or zlib.crc32(body) != crc:
+        raise ValueError(f"{sidecar} is truncated or damaged")
+    partials: dict = {"n_blocks": n_blocks, "n_elements": n_elements,
+                      "n_padded_elements": n_padded, "dc_scale": dc_scale}
+    values = body.view("<f8")
+    offset = 0
+    for name, length in zip(_SIDECAR_ARRAYS, lengths):
+        if length:  # every shard holds a block, so an empty array is an absent one
+            partials[name] = values[offset:offset + length]
+        offset += length
+    return partials
 
 
 def _write_partials(directory: Path, index: int, store: CompressedStore) -> None:
-    """Persist shard ``index``'s fold partials as an ``.npz`` sidecar.
+    """Persist shard ``index``'s fold partials as its ``.f64`` sidecar.
 
     Written to a temp sibling and renamed into place (same atomic-publish
     discipline as the stores and the manifest).
     """
-    payload = _compute_partials(store)
+    payload = _sidecar_bytes(_compute_partials(store))
     target = directory / partials_filename(index)
     temp = directory / (partials_filename(index) + ".tmp")
-    with open(temp, "wb") as handle:
-        np.savez(handle, **payload)
+    temp.write_bytes(payload)
     temp.replace(target)
 
 
@@ -352,37 +431,31 @@ def _append(path: Path, manifest: dict, array: np.ndarray,
     return ShardedStore(path)
 
 
-def _current_revision(data) -> bool:
-    """Whether sidecar arrays were computed under this fold arithmetic.
-
-    A sidecar without ``fold_revision`` predates it (revision 0).
-    """
-    return "fold_revision" in data and int(data["fold_revision"]) == folds.FOLD_REVISION
-
-
 def _sidecar_current(sidecar: Path) -> bool:
-    """Whether a sidecar exists and holds this fold arithmetic's vectors."""
+    """Whether a sidecar exists, is intact and holds this fold arithmetic's parts."""
     try:
-        with np.load(sidecar) as data:
-            return _current_revision(data)
-    except (OSError, KeyError, ValueError, zlib.error):
+        _read_sidecar(sidecar)
+    except (OSError, ValueError):
         return False
+    return True
 
 
 def refresh_partials(path) -> int:
     """(Re)compute every missing or stale per-shard partial sidecar; return the count.
 
     The repair path for stores appended with ``update_partials=False``, whose
-    sidecars were lost, or whose sidecars predate the current
-    :data:`~repro.core.ops.folds.FOLD_REVISION`: each such shard is swept
-    once, its sidecar rewritten, and the manifest republished with the
-    entries marked fresh.  The revision is *not* bumped — the logical
-    contents are unchanged.
+    sidecars were lost or damaged, or whose sidecars predate the current
+    sidecar format or :data:`~repro.core.ops.folds.FOLD_REVISION`: each such
+    shard is swept once, its sidecar rewritten, and the manifest republished
+    with the entries marked fresh.  An older release's ``.npz`` sidecar,
+    orphaned by the ``.f64`` one, is deleted.  The revision is *not* bumped —
+    the logical contents are unchanged.
     """
     path = Path(path)
     manifest = load_manifest(path)
     written = 0
     for index, entry in enumerate(manifest["shards"]):
+        (path / partials_filename(index)).with_suffix(".npz").unlink(missing_ok=True)
         if entry.get("partials") and _sidecar_current(path / partials_filename(index)):
             continue
         with CompressedStore(path / entry["file"]) as store:
@@ -561,9 +634,9 @@ class ShardedStore(ReadSurface):
         """Cheap staleness probe for the persisted fold partials.
 
         Fresh means: partials are enabled for this handle, every manifest
-        entry is marked as having them, every sidecar file exists and holds
-        the current :data:`~repro.core.ops.folds.FOLD_REVISION` (its arrays
-        are loaded once per handle, as :meth:`fold_state` needs them anyway),
+        entry is marked as having them, every sidecar reads back intact under
+        the current format and :data:`~repro.core.ops.folds.FOLD_REVISION`
+        (each is read once per handle, as :meth:`fold_state` needs it anyway),
         and every shard file still has its recorded byte size (an in-place
         rewrite — e.g. a repair that changed bytes — invalidates).  Deep
         per-chunk verification is ``verify-store``'s job, not this probe's.
@@ -576,70 +649,50 @@ class ShardedStore(ReadSurface):
             try:
                 if os.path.getsize(self.path / entry["file"]) != int(entry["n_bytes"]):
                     return False
-            except OSError:
-                return False
-            if not (self.path / partials_filename(index)).is_file():
-                return False
-            try:
-                if not _current_revision(self._shard_partials(index)):
-                    return False
-            except (OSError, KeyError, ValueError, zlib.error):
+                self._shard_partials(index)
+            except (OSError, ValueError):
                 return False
         return True
 
     def _shard_partials(self, index: int) -> dict:
-        """Load (and memoize) shard ``index``'s sidecar arrays."""
+        """Read (and memoize) shard ``index``'s sidecar."""
         loaded = self._partials.get(index)
         if loaded is None:
-            with np.load(self.path / partials_filename(index)) as data:
-                loaded = {key: data[key] for key in data.files}
-            self._partials[index] = loaded
+            loaded = self._partials[index] = _read_sidecar(
+                self.path / partials_filename(index))
         return loaded
 
-    def fold_state(self, name: str, *, rename: str | None = None
-                   ) -> "folds.FoldState | None":
+    def fold_state(self, name: str) -> "folds.FoldState | None":
         """The accumulated :class:`FoldState` of fold ``name``, decode-free.
 
-        Reassembles the persisted per-shard partial vectors (one float64
-        vector per shard, in shard order) into a state whose finalization is
-        bit-identical to a cold sweep's — the correctly rounded sum
-        :func:`~repro.core.ops.folds.total` sees the same values in the same
-        order.  ``rename`` relabels the sums key (the engine serves
-        ``product(x, x)`` from the ``square`` vectors this way).  Returns
-        ``None`` — callers fall back to a full sweep — when the fold has no
-        persisted form or :meth:`partials_fresh` fails.
+        Reassembles the persisted per-shard arrays (one per shard and state
+        key, in shard order) into a state whose finalization is bit-identical
+        to a cold sweep's.  A two-operand fold is taken with this store as both
+        operands (:data:`PARTIAL_FOLDS`).  Returns ``None`` — callers fall back
+        to a full sweep — when the fold has no persisted form, its arrays were
+        not persisted (a pruned DC coefficient) or :meth:`partials_fresh`
+        fails.
         """
         if not self.partials_fresh():
             return None
-        return self._persisted_state(name, rename)
+        return self._persisted_state(name)
 
-    def _persisted_state(self, name: str, rename: str | None
-                         ) -> "folds.FoldState | None":
+    def _persisted_state(self, name: str) -> "folds.FoldState | None":
         """:meth:`fold_state` for a caller that has just seen
         :meth:`partials_fresh` pass (a plan probes each source once, however
         many folds it serves)."""
-        if name not in PARTIAL_FOLDS:
+        keys = PARTIAL_FOLDS.get(name)
+        if keys is None:
             return None
-        key = rename or name
-        parts: list[np.ndarray] = []
-        n_blocks = n_elements = n_padded = 0
-        dc_scale: float | None = None
-        try:
-            for index in range(self.n_shards):
-                data = self._shard_partials(index)
-                if name not in data:
-                    return None
-                parts.append(np.asarray(data[name], dtype=np.float64))
-                n_blocks += int(data["n_blocks"])
-                n_elements += int(data["n_elements"])
-                n_padded += int(data["n_padded_elements"])
-                if name == "dc":
-                    dc_scale = float(data["dc_scale"])
-        except (OSError, KeyError, ValueError, zlib.error):
+        shards = [self._shard_partials(index) for index in range(self.n_shards)]
+        if any(array not in shard for shard in shards for array in keys.values()):
             return None
         return folds.FoldState(
-            sums={key: parts}, n_blocks=n_blocks, n_elements=n_elements,
-            n_padded_elements=n_padded, dc_scale=dc_scale,
+            sums={key: [shard[array] for shard in shards] for key, array in keys.items()},
+            n_blocks=sum(shard["n_blocks"] for shard in shards),
+            n_elements=sum(shard["n_elements"] for shard in shards),
+            n_padded_elements=sum(shard["n_padded_elements"] for shard in shards),
+            dc_scale=shards[0]["dc_scale"] if name == "dc" else None,
         )
 
     # -------------------------------------------------------------- lifecycle

@@ -6,6 +6,10 @@ feeding every float through :func:`math.fsum`.  Both return the correctly
 rounded sum, so they must agree on every bit — including the sign of zero, and
 including the result or exception ``math.fsum`` gives for non-finite inputs and
 intermediate overflow.
+
+:func:`repro.numerics.exact_parts` is the short list that extraction leaves; a
+sharded store persists one per shard, so ``math.fsum`` over the shards' lists
+must give what :func:`~repro.numerics.exact_sum` gives over the whole vector.
 """
 
 import math
@@ -15,6 +19,7 @@ import numpy as np
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.core.ops import folds
+from repro.numerics import exact_parts, exact_sum
 
 #: Finite values spanning the whole exponent range the vectorised path takes:
 #: tiny and huge magnitudes, subnormals, signed zeros and small integers.
@@ -41,8 +46,8 @@ _EXTREME = st.sampled_from([
 
 
 @st.composite
-def _parts(draw, elements):
-    """1–8 read-only float64 parts, sometimes with exact cancellation built in.
+def _parts(draw, elements, max_parts=8):
+    """1–``max_parts`` read-only float64 parts, sometimes with exact cancellation built in.
 
     Values are drawn from a small pool so that lists reach the thousands of
     elements the vectorised path (64 values and up) is built for.
@@ -54,7 +59,7 @@ def _parts(draw, elements):
     if size and draw(st.booleans()):
         # append every value's negation in a shuffled order: the exact sum is 0
         values = np.concatenate([values, -rng.permutation(values)])
-    n_parts = draw(st.integers(min_value=1, max_value=8))
+    n_parts = draw(st.integers(min_value=1, max_value=max_parts))
     cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=values.size),
                                 min_size=n_parts - 1, max_size=n_parts - 1)))
     bounds = [0] + cuts + [values.size]
@@ -109,3 +114,34 @@ def test_total_is_independent_of_how_values_are_split(parts, data):
     regrouped = np.array_split(values, data.draw(st.integers(min_value=1, max_value=8)))
     whole = folds.total(_state([values]), "square")
     assert folds.total(_state(regrouped), "square").hex() == whole.hex()
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(shards=_parts(st.one_of(_FINITE, _EXTREME), max_parts=5))
+def test_exact_parts_of_shards_sum_to_the_whole(shards):
+    """Split-invariance: per-shard parts, concatenated, sum like the vector."""
+    snapshot = [shard.copy() for shard in shards]
+    persisted = [exact_parts(shard) for shard in shards]
+    whole = np.concatenate(shards)
+    expected = _outcome(exact_sum, [whole])
+    assert _outcome(math.fsum, chain.from_iterable(persisted)) == expected
+    # the engine sums the persisted lists with exact_sum, which must agree too
+    assert _outcome(exact_sum, [np.array(parts) for parts in persisted]) == expected
+    for shard, before in zip(shards, snapshot):
+        assert np.array_equal(shard, before, equal_nan=True)  # read, not written
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(values=_parts(_FINITE, max_parts=1))
+def test_exact_parts_are_short_once_extracted(values):
+    """Below 64 values the parts are the values; from 64 finite values up, a
+    vector whose nonzero magnitudes span less than 2^80 (a per-block fold
+    vector, say) leaves at most one total per extraction pass."""
+    (vector,) = values
+    parts = exact_parts(vector)
+    assert all(isinstance(part, float) for part in parts)
+    magnitudes = np.abs(vector[vector != 0.0])
+    if vector.size < 64 or magnitudes.size == 0:
+        assert parts == vector.tolist()
+    elif math.frexp(magnitudes.max())[1] - math.frexp(magnitudes.min())[1] < 80:
+        assert len(parts) <= 4

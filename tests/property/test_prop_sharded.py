@@ -11,7 +11,8 @@ of the reductions:
   sharded run serves folds from persisted partials or sweeps every chunk;
 * **incremental == cold** — after K appends, the partial-served answers equal
   a cold full sweep bit for bit, decode zero chunks for servable subsets
-  (the centered statistics always sweep once: no AC sums are persisted), and
+  (only ``euclidean_distance`` always sweeps: its ``diff_square`` fold has no
+  persisted form), and
   ``last_execution["incremental_groups"]`` records the served group; appends
   written with ``update_partials=False`` disable serving (clean fallback, same
   scalars) until :func:`refresh_partials` restores it.
@@ -27,6 +28,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro import engine
@@ -47,10 +49,9 @@ OPERATIONS = ("mean", "l2_norm", "variance", "standard_deviation", "dot",
               "cosine_similarity", "euclidean_distance")
 
 #: Reductions whose folds have no persisted partial form: euclidean_distance
-#: folds through ``diff_square``, variance and standard deviation through
-#: ``centered_square`` (shard sidecars keep no AC square sums) — a plan
-#: containing any of them sweeps the store once (its other terms are served).
-_NON_SERVABLE = frozenset({"euclidean_distance", "variance", "standard_deviation"})
+#: folds through ``diff_square`` — a plan containing it sweeps the store once
+#: (its other terms are served).
+_NON_SERVABLE = frozenset({"euclidean_distance"})
 
 
 def _servable(names) -> bool:
@@ -236,3 +237,81 @@ class TestIncrementalEqualsColdSweep:
                 plan = engine.plan(_expressions(names, fresh))
                 assert plan.execute() == cold
                 assert plan.last_execution["incremental_groups"] == 1
+
+
+#: The reductions a sharded store answers from its sidecars alone.
+_SERVED = {
+    "mean": lambda x: expr.mean(x),
+    "variance": lambda x: expr.variance(x),
+    "standard_deviation": lambda x: expr.standard_deviation(x),
+    "covariance": lambda x: expr.covariance(x, x),
+    "l2_norm": lambda x: expr.l2_norm(x),
+    "dot": lambda x: expr.dot(x, x),
+}
+#: Of those, the ones that read each block's DC coefficient.
+_NEEDS_DC = ("mean", "variance", "standard_deviation", "covariance")
+
+
+@st.composite
+def served_case(draw):
+    """1–3 shards (ragged tail), any index width, with or without pruning.
+
+    Shards reach a few hundred blocks, so the persisted sums take both the
+    extraction path of :func:`repro.numerics.exact_parts` (64 values and up)
+    and the values themselves (fewer).
+    """
+    ndim = draw(st.integers(1, 3))
+    block = {1: (4,), 2: (4, 4), 3: (2, 4, 4)}[ndim]
+    tail = tuple(draw(st.integers(1, 12)) for _ in range(ndim - 1))
+    index_dtype = draw(st.sampled_from(["int8", "int16", "int32", "int64"]))
+    pruning = draw(st.sampled_from(["none", "keeps_dc", "drops_dc"]))
+    mask = None
+    if pruning != "none":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=int(np.prod(block)),
+                                      max_size=int(np.prod(block))))).reshape(block)
+        mask.flat[0] = pruning == "keeps_dc"
+        mask.flat[-1] = True  # keep at least one coefficient
+    settings = CompressionSettings(
+        block_shape=block, float_format=draw(st.sampled_from(["float32", "float64"])),
+        index_dtype=index_dtype, pruning_mask=mask,
+    )
+    rows_per_block_row = 100 // max(1, int(np.prod(tail)) // 4 + 1) + 1
+    n_shards = draw(st.integers(1, 3))
+    row_counts = [draw(st.integers(1, rows_per_block_row)) * block[0]
+                  for _ in range(n_shards - 1)]
+    row_counts.append(draw(st.integers(1, rows_per_block_row * block[0])))
+    scale = 10.0 ** draw(st.integers(-30, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    arrays = [np.cumsum(rng.standard_normal((rows,) + tail), axis=0) * scale
+              for rows in row_counts]
+    slab_rows = draw(st.integers(1, 8)) * block[0]
+    return arrays, settings, slab_rows
+
+
+class TestServedEqualsSwept:
+    @given(case=served_case())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_served_statistics_equal_the_sweep_bit_for_bit(self, case):
+        arrays, settings, slab_rows = case
+        with _sharded(arrays, settings, slab_rows) as path:
+            with ShardedStore(path, use_partials=False) as swept, \
+                    ShardedStore(path) as served:
+                assert served.partials_fresh()
+                names = list(_SERVED)
+                if not settings.first_coefficient_kept:
+                    # a pruned DC still raises, served or swept, before a sweep
+                    for name in _NEEDS_DC:
+                        for store in (swept, served):
+                            with pytest.raises(ValueError, match="unpruned"):
+                                engine.evaluate(_SERVED[name](expr.source(store)))
+                    names = [name for name in names if name not in _NEEDS_DC]
+                assert served.chunks_read == 0
+                expected = engine.evaluate(
+                    {name: _SERVED[name](expr.source(swept)) for name in names})
+                plan = engine.plan(
+                    {name: _SERVED[name](expr.source(served)) for name in names})
+                answers = plan.execute()
+                assert {k: v.hex() for k, v in answers.items()} == \
+                    {k: v.hex() for k, v in expected.items()}
+                assert plan.last_execution["incremental_groups"] == 1
+                assert served.chunks_read == 0

@@ -5,8 +5,10 @@ formats and codecs, corrupt manifests), init/append validation (non-empty
 targets, trailing shapes, settings, empty/non-finite input, ragged-shard
 appends), ``open_store`` dispatch, lazy shard opening and backend inheritance,
 the staleness ladder (``update_partials=False`` → sidecar loss → size drift)
-with :func:`refresh_partials` as the recovery path, fold-state assembly
-details (renaming, counts, unknown folds), and the API-level verify/repair
+with :func:`refresh_partials` as the recovery path, the ``.f64`` sidecar
+format (older ``.npz`` sidecars, other fold revisions, truncated or damaged
+files are swept, never served), fold-state assembly details (relabelled
+self-pair folds, counts, unknown folds, a pruned DC), and the API-level verify/repair
 recursion that names the corrupt shard *and* chunk.
 """
 
@@ -348,30 +350,71 @@ class TestStalenessLadder:
             assert store.fold_state("dc") is None
 
 
+def _bits(values: dict) -> dict:
+    return {key: np.float64(value).tobytes() for key, value in values.items()}
+
+
+#: The sidecar header's fields, in file order.
+_HEADER_FIELDS = ("magic", "version", "fold_revision", "n_blocks", "n_elements",
+                  "n_padded_elements", "dc_scale", "dc_length", "dc_total_length",
+                  "square_length", "ac_square_length", "crc32")
+
+
+def _read_header(sidecar) -> dict:
+    from repro.streaming import sharded
+
+    return dict(zip(_HEADER_FIELDS,
+                    sharded._SIDECAR_HEADER.unpack_from(sidecar.read_bytes())))
+
+
+def _rewrite_header(sidecar, **fields) -> None:
+    """Overwrite header fields of a ``.f64`` sidecar in place (body untouched)."""
+    from repro.streaming import sharded
+
+    header = {**_read_header(sidecar), **fields}
+    raw = sidecar.read_bytes()
+    sidecar.write_bytes(sharded._SIDECAR_HEADER.pack(*header.values())
+                        + raw[sharded._SIDECAR_HEADER.size:])
+
+
 class TestFoldRevision:
-    """Sidecars persisted under another fold arithmetic are stale."""
+    """Sidecars persisted under another fold arithmetic or format are stale."""
 
     @staticmethod
     def _query(store) -> dict:
         x = expr.source(store)
-        return {"m": expr.mean(x), "l2": expr.l2_norm(x), "dot": expr.dot(x, x)}
+        return {"m": expr.mean(x), "l2": expr.l2_norm(x), "dot": expr.dot(x, x),
+                "v": expr.variance(x), "cov": expr.covariance(x, x)}
 
     @staticmethod
-    def _rewrite_old_sidecar(path, index, revision) -> None:
-        """The sidecar an older release wrote: blocked-array square sums."""
-        from repro.core.ops import specified_coefficients
+    def _write_npz_sidecar(path, index, revision) -> None:
+        """The ``.npz`` sidecar an older release wrote in place of the ``.f64``.
 
-        sidecar = path / partials_filename(index)
-        with np.load(sidecar) as data:
-            payload = {key: data[key] for key in data.files}
+        Revision 0 (no ``fold_revision`` key, or 0) held blocked-array square
+        sums; revision 2 held this arithmetic's per-block vectors.
+        """
+        from repro.core.ops import folds, specified_coefficients
+
         with CompressedStore(path / shard_filename(index)) as shard:
-            payload["square"] = np.concatenate([
-                (specified_coefficients(chunk) ** 2).sum(axis=(-2, -1)).ravel()
-                for chunk in shard.iter_chunks()])
-        del payload["fold_revision"]
+            chunks = list(shard.iter_chunks())
+            settings = shard.settings
+        if revision == 2:
+            square = [folds.square_partial(chunk).sums["square"][0] for chunk in chunks]
+        else:
+            square = [(specified_coefficients(chunk) ** 2).sum(axis=(-2, -1)).ravel()
+                      for chunk in chunks]
+        payload = {
+            "dc": np.concatenate([folds.dc_partial(c).sums["dc"][0] for c in chunks]),
+            "square": np.concatenate(square),
+            "n_blocks": np.int64(sum(c.n_blocks for c in chunks)),
+            "n_elements": np.int64(sum(c.n_elements for c in chunks)),
+            "n_padded_elements": np.int64(sum(c.n_padded_elements for c in chunks)),
+            "dc_scale": np.float64(settings.dc_scale),
+        }
         if revision is not None:
             payload["fold_revision"] = np.int64(revision)
-        with open(sidecar, "wb") as handle:
+        (path / partials_filename(index)).unlink()
+        with open((path / partials_filename(index)).with_suffix(".npz"), "wb") as handle:
             np.savez(handle, **payload)
 
     def test_sidecars_record_the_fold_revision(self, tmp_path, settings):
@@ -379,17 +422,20 @@ class TestFoldRevision:
 
         path = _grown(tmp_path, settings)
         for index in range(2):
-            with np.load(path / partials_filename(index)) as data:
-                assert int(data["fold_revision"]) == folds.FOLD_REVISION
+            header = _read_header(path / partials_filename(index))
+            assert header["magic"] == b"PBLZPART"
+            assert header["version"] == 1
+            assert header["fold_revision"] == folds.FOLD_REVISION
+        assert not list(path.glob("*.npz"))
 
-    @pytest.mark.parametrize("revision", [None, 0])
+    @pytest.mark.parametrize("revision", [None, 0, 2])
     def test_old_sidecar_is_not_served_until_refreshed(self, tmp_path, settings,
                                                        revision):
         path = _grown(tmp_path, settings)
         with ShardedStore(path, use_partials=False) as swept:
             cold = engine.plan(self._query(swept)).execute()
         for index in range(2):
-            self._rewrite_old_sidecar(path, index, revision)
+            self._write_npz_sidecar(path, index, revision)
         with ShardedStore(path) as stale:
             assert not stale.partials_fresh()
             assert stale.fold_state("square") is None
@@ -397,26 +443,31 @@ class TestFoldRevision:
             plan = engine.plan(self._query(stale))
             assert plan.execute() == cold
             assert plan.last_execution["incremental_groups"] == 0
+            assert stale.chunks_read == stale.n_chunks
 
         assert refresh_partials(path) == 2
+        assert sorted(entry.name for entry in path.glob("partials-*")) == [
+            partials_filename(0), partials_filename(1)]  # the .npz orphans are gone
         assert refresh_partials(path) == 0
         with ShardedStore(path) as fresh:
             assert fresh.partials_fresh()
             plan = engine.plan(self._query(fresh))
             served = plan.execute()
             assert plan.last_execution["incremental_groups"] == 1
-        assert {key: np.float64(value).tobytes() for key, value in served.items()} \
-            == {key: np.float64(value).tobytes() for key, value in cold.items()}
+            assert fresh.chunks_read == 0
+        assert _bits(served) == _bits(cold)
 
     def test_revision_one_int32_sidecar_is_refreshed(self, tmp_path):
         """int32 ``square`` moved with the fixed-order row dot of revision 2.
 
-        The revision-1 sidecar holds what that release computed: ``einsum``
-        over the block-major scaled kept matrix, whose per-row order differs
-        from the column-by-column sum a sweep now takes.
+        A revision-1 sidecar holds the exact parts of what that release
+        computed: ``einsum`` over the block-major scaled kept matrix, whose
+        per-row order differs from the column-by-column sum a sweep now takes.
         """
         from repro.core.ops import folds
         from repro.core.ops.coefficients import block_scales
+        from repro.numerics import exact_parts
+        from repro.streaming import sharded
 
         settings = CompressionSettings(block_shape=(4, 4), index_dtype="int32")
         path = _grown(tmp_path, settings, shapes=((32, 16), (16, 16)))
@@ -424,17 +475,18 @@ class TestFoldRevision:
             cold = engine.plan(self._query(swept)).execute()
         moved = 0
         for index in range(2):
-            sidecar = path / partials_filename(index)
-            with np.load(sidecar) as data:
-                payload = {key: data[key] for key in data.files}
             with CompressedStore(path / shard_filename(index)) as shard:
+                partials = sharded._compute_partials(shard)
                 kept = [chunk.indices.astype(np.float64) * block_scales(chunk)[:, None]
                         for chunk in shard.iter_chunks()]
+                new = np.concatenate([folds.square_partial(chunk).sums["square"][0]
+                                      for chunk in shard.iter_chunks()])
             old = np.concatenate([np.einsum("ij,ij->i", k, k) for k in kept])
-            moved += int(np.count_nonzero(old != payload["square"]))
-            payload["square"], payload["fold_revision"] = old, np.int64(1)
-            with open(sidecar, "wb") as handle:
-                np.savez(handle, **payload)
+            moved += int(np.count_nonzero(old != new))
+            partials["square"] = np.array(exact_parts(old))
+            sidecar = path / partials_filename(index)
+            sidecar.write_bytes(sharded._sidecar_bytes(partials))
+            _rewrite_header(sidecar, fold_revision=1)
         assert folds.FOLD_REVISION == 2 and moved > 0
         with ShardedStore(path) as stale:
             assert not stale.partials_fresh()
@@ -448,46 +500,152 @@ class TestFoldRevision:
             plan = engine.plan(self._query(fresh))
             served = plan.execute()
             assert plan.last_execution["incremental_groups"] == 1
-        assert {key: np.float64(value).tobytes() for key, value in served.items()} \
-            == {key: np.float64(value).tobytes() for key, value in cold.items()}
+        assert _bits(served) == _bits(cold)
+
+
+class TestSidecarIntegrity:
+    """A truncated, damaged or foreign ``.f64`` sidecar is never served."""
+
+    @staticmethod
+    def _query(store) -> dict:
+        x = expr.source(store)
+        return {"m": expr.mean(x), "v": expr.variance(x), "l2": expr.l2_norm(x)}
+
+    @staticmethod
+    def _truncate(sidecar, keep) -> None:
+        sidecar.write_bytes(sidecar.read_bytes()[:keep(sidecar.stat().st_size)])
+
+    @staticmethod
+    def _flip(sidecar, position) -> None:
+        raw = bytearray(sidecar.read_bytes())
+        raw[position(len(raw))] ^= 0x10
+        sidecar.write_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda s: TestSidecarIntegrity._truncate(s, lambda n: n - 8),
+                     id="truncated-body"),
+        pytest.param(lambda s: TestSidecarIntegrity._truncate(s, lambda n: 40),
+                     id="truncated-header"),
+        pytest.param(lambda s: TestSidecarIntegrity._truncate(s, lambda n: 0),
+                     id="empty"),
+        pytest.param(lambda s: s.write_bytes(s.read_bytes() + b"\0" * 8),
+                     id="extended"),
+        pytest.param(lambda s: TestSidecarIntegrity._flip(s, lambda n: n - 3),
+                     id="flipped-body-bit"),
+        pytest.param(lambda s: TestSidecarIntegrity._flip(s, lambda n: 100),
+                     id="flipped-dc-bit"),
+        pytest.param(lambda s: TestSidecarIntegrity._flip(s, lambda n: 0),
+                     id="flipped-magic-bit"),
+        pytest.param(lambda s: _rewrite_header(s, version=2), id="newer-version"),
+        pytest.param(lambda s: _rewrite_header(s, crc32=0), id="wrong-crc"),
+    ])
+    def test_damaged_sidecar_sweeps_until_refreshed(self, tmp_path, settings, damage):
+        path = _grown(tmp_path, settings, shapes=((64, 32), (16, 32)))
+        with ShardedStore(path, use_partials=False) as swept:
+            cold = engine.plan(self._query(swept)).execute()
+        sidecar = path / partials_filename(0)
+        damage(sidecar)
+        with ShardedStore(path) as stale:
+            assert not stale.partials_fresh()
+            assert stale.fold_state("centered_square") is None
+            plan = engine.plan(self._query(stale))
+            assert _bits(plan.execute()) == _bits(cold)
+            assert plan.last_execution["incremental_groups"] == 0
+            assert stale.chunks_read == stale.n_chunks
+        assert refresh_partials(path) == 1
+        with ShardedStore(path) as fresh:
+            plan = engine.plan(self._query(fresh))
+            assert _bits(plan.execute()) == _bits(cold)
+            assert plan.last_execution["incremental_groups"] == 1
+
+    def test_sidecar_layout(self, tmp_path, settings):
+        """Header, then the ``dc`` vector and the exact parts, as float64."""
+        from repro.core.ops import folds
+        from repro.numerics import exact_parts
+
+        path = _grown(tmp_path, settings, shapes=((64, 32),))
+        sidecar = path / partials_filename(0)
+        header = _read_header(sidecar)
+        n_blocks = 16 * 8
+        assert header["n_blocks"] == n_blocks
+        dc, dc_total, square, ac_square = (
+            header[f"{name}_length"] for name in ("dc", "dc_total", "square", "ac_square"))
+        assert dc == n_blocks
+        assert all(1 <= length <= 4 for length in (dc_total, square, ac_square))
+        assert sidecar.stat().st_size == 96 + 8 * (dc + dc_total + square + ac_square)
+        body = np.frombuffer(sidecar.read_bytes()[96:], dtype="<f8")
+        with CompressedStore(path / shard_filename(0)) as shard:
+            chunks = list(shard.iter_chunks())
+            expected_dc = np.concatenate([folds.dc_partial(c).sums["dc"][0]
+                                          for c in chunks])
+            expected_square = np.concatenate([folds.square_partial(c).sums["square"][0]
+                                              for c in chunks])
+        assert np.array_equal(body[:dc], expected_dc)
+        assert body[dc:dc + dc_total].tolist() == exact_parts(expected_dc)
+        start = dc + dc_total
+        assert body[start:start + square].tolist() == exact_parts(expected_square)
 
 
 class TestFoldStateAssembly:
     def test_rename_and_counts(self, tmp_path, settings):
         path = _grown(tmp_path, settings)
         with ShardedStore(path) as store:
-            state = store.fold_state("square", rename="product")
+            state = store.fold_state("product")
             assert state is not None
             assert set(state.sums) == {"product"}
             assert len(state.sums["product"]) == store.n_shards
             assert state.n_elements == 24 * 8
             dc = store.fold_state("dc")
             assert dc.dc_scale is not None
+            assert len(dc.sums["dc"]) == store.n_shards
+            # the mean reads only the DC total; the centered folds, the vector
+            centered = store.fold_state("centered_product")
+            assert set(centered.sums) == {"dc_a", "dc_b", "ac_product"}
+            assert centered.dc_scale is None
+            assert [len(a) for a in centered.sums["dc_a"]] == [8, 4]  # blocks per shard
 
     def test_unknown_fold_returns_none(self, tmp_path, settings):
         path = _grown(tmp_path, settings)
         with ShardedStore(path) as store:
             assert store.fold_state("diff_square") is None
-            assert store.fold_state("centered_square") is None
+            assert set(store.fold_state("centered_square").sums) == {"dc", "ac_square"}
+
+    def test_pruned_dc_persists_square_only(self, tmp_path):
+        mask = np.ones((4, 4), dtype=bool)
+        mask[0, 0] = False
+        settings = CompressionSettings(block_shape=(4, 4), pruning_mask=mask)
+        path = _grown(tmp_path, settings)
+        with ShardedStore(path) as store:
+            assert store.partials_fresh()
+            assert store.fold_state("square") is not None
+            for name in ("dc", "centered_square", "centered_product"):
+                assert store.fold_state(name) is None
+            with pytest.raises(ValueError, match="unpruned"):
+                engine.evaluate(expr.variance(expr.source(store)))
+            assert store.chunks_read == 0
 
 
 class TestPerTermServing:
-    def test_servable_terms_are_served_next_to_a_sweeping_variance(
+    def test_servable_terms_are_served_next_to_a_sweeping_distance(
         self, tmp_path, settings, monkeypatch
     ):
-        """mean/l2 in a group with variance come from the partials; only the
-        centered fold sweeps, once per fold step, and every scalar equals a
-        cold sweep."""
+        """mean/l2/variance in a group with a Euclidean distance come from the
+        partials; only ``diff_square`` sweeps, once per fold step, and every
+        scalar equals a cold sweep."""
         import dataclasses
 
         from repro.core.ops import folds
         from repro.streaming import steps
 
         path = _grown(tmp_path, settings)
+
+        def request(store):
+            x = expr.source(store)
+            return {"m": expr.mean(x), "n": expr.l2_norm(x), "v": expr.variance(x),
+                    "e": expr.euclidean_distance(x, x)}
+
         with ShardedStore(path, use_partials=False) as swept:
-            x = expr.source(swept)
-            cold = engine.evaluate({"m": expr.mean(x), "n": expr.l2_norm(x),
-                                    "v": expr.variance(x)})
+            cold = engine.evaluate(request(swept))
         swept_folds = []
         for name, spec in list(folds.FOLD_SPECS.items()):
             def counted(*chunks, _name=name, _partial=spec.partial):
@@ -498,17 +656,14 @@ class TestPerTermServing:
         # three 8-row chunks of 4 blocks; a step holds two of them
         monkeypatch.setattr(steps, "STEP_COEFFICIENTS", 2 * 4 * 16)
         with ShardedStore(path) as store:
-            x = expr.source(store)
-            plan = engine.plan({"m": expr.mean(x), "n": expr.l2_norm(x),
-                                "v": expr.variance(x)})
+            plan = engine.plan(request(store))
             assert plan.execute() == cold
-            assert set(swept_folds) == {"centered_square"}
+            assert set(swept_folds) == {"diff_square"}
             assert store.chunk_rows == (8, 8, 8)
             assert len(swept_folds) == 2  # steps: chunks 0-1, then chunk 2
             assert store.chunks_read == store.n_chunks
             assert plan.last_execution["incremental_groups"] == 0
             assert plan.last_execution["interpreted_groups"] == 1
-
 
     def test_freshness_is_probed_once_per_source_per_plan(self, tmp_path, settings,
                                                           monkeypatch):
@@ -520,7 +675,9 @@ class TestPerTermServing:
         def request(x, y):
             x, y = expr.source(x), expr.source(y)
             return {"mx": expr.mean(x), "nx": expr.l2_norm(x), "dx": expr.dot(x, x),
-                    "my": expr.mean(y), "ny": expr.l2_norm(y)}
+                    "vx": expr.variance(x), "cx": expr.covariance(x, x),
+                    "my": expr.mean(y), "ny": expr.l2_norm(y),
+                    "sy": expr.standard_deviation(y)}
 
         stores = [ShardedStore(path, use_partials=False) for path in paths]
         swept = engine.evaluate(request(*stores))
